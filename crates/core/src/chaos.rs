@@ -276,6 +276,10 @@ impl LifetimeSolver for FaultInjectingSolver {
         self.inner.sweep_fingerprint(scenario)
     }
 
+    fn sweep_cost(&self, scenario: &Scenario) -> Option<f64> {
+        self.inner.sweep_cost(scenario)
+    }
+
     fn new_group_state(&self, options: &SolverOptions) -> Option<Box<dyn GroupState>> {
         self.inner.new_group_state(options)
     }
@@ -353,6 +357,7 @@ mod tests {
         assert_eq!(chaos.name(), plain.name());
         assert_eq!(chaos.capability(&s), plain.capability(&s));
         assert_eq!(chaos.sweep_fingerprint(&s), plain.sweep_fingerprint(&s));
+        assert_eq!(chaos.sweep_cost(&s), plain.sweep_cost(&s));
         assert_eq!(ledger.calls(), 1);
         assert_eq!(ledger.errors() + ledger.panics() + ledger.delays(), 0);
         assert!(format!("{chaos:?}").contains("FaultInjectingSolver"));

@@ -155,6 +155,28 @@ impl LatticeSpec {
         self.n_workload * self.j1_levels * self.j2_levels
     }
 
+    /// An upper bound on the derived chain's largest exit rate (the
+    /// uniformisation rate up to the engine's constant factor), read off
+    /// the rate inputs without enumerating a transition: the largest
+    /// workload exit rate plus consumption `I_i/Δ`, plus the steepest
+    /// transfer rate `k·J₂/(1−c)` the lattice admits.
+    fn exit_rate_bound(&self) -> f64 {
+        let workload = self
+            .workload_rates
+            .iter()
+            .zip(&self.currents)
+            .map(|(row, &current)| {
+                row.iter().map(|&(_, rate)| rate).sum::<f64>() + current.max(0.0) / self.delta
+            })
+            .fold(0.0, f64::max);
+        let transfer = if self.k > 0.0 && self.j2_levels > 1 {
+            self.k * (self.j2_levels - 1) as f64 / (1.0 - self.c)
+        } else {
+            0.0
+        };
+        workload + transfer
+    }
+
     #[inline]
     fn index(&self, i: usize, j1: usize, j2: usize) -> usize {
         (j1 * self.j2_levels + j2) * self.n_workload + i
@@ -244,6 +266,25 @@ pub fn structural_fingerprint(
 ) -> Result<u64, KibamRmError> {
     let spec = LatticeSpec::new(model, opts)?;
     Ok(spec.fingerprint(model.workload().ctmc()))
+}
+
+/// A relative estimate of the work of solving `model` at `opts` up to
+/// `horizon`: states × (upper bound on the exit rate) × horizon, i.e. the
+/// state updates of one uniformisation sweep up to constant factors.
+/// Read off the lattice dimensions and rate inputs without assembling the
+/// chain; the sweep executor only compares these numbers to decide which
+/// group to start first.
+///
+/// # Errors
+///
+/// The same validation errors as [`DiscretisedModel::build`] (bad `Δ`).
+pub(crate) fn cost_estimate(
+    model: &KibamRm,
+    opts: &DiscretisationOptions,
+    horizon: Time,
+) -> Result<f64, KibamRmError> {
+    let spec = LatticeSpec::new(model, opts)?;
+    Ok(spec.n_states() as f64 * spec.exit_rate_bound() * horizon.as_seconds())
 }
 
 /// The reusable structural skeleton of a derived chain: the CSR pattern

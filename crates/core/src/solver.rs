@@ -44,6 +44,7 @@ use crate::KibamRmError;
 use markov::transient::{CurveCache, Representation, TransientOptions};
 use markov::Budget;
 use sim::engine::{McOptions, McPool};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 use units::Time;
 
@@ -228,6 +229,17 @@ pub trait LifetimeSolver: Send + Sync {
     /// (the default) opts the backend out of grouping — every scenario
     /// solves independently.
     fn sweep_fingerprint(&self, scenario: &Scenario) -> Option<u64> {
+        let _ = scenario;
+        None
+    }
+
+    /// A relative estimate of the work of solving `scenario`, in the
+    /// backend's own units. A sweep starts its plan groups in falling
+    /// summed estimate, so the longest groups go first and a short one
+    /// finishes last. The estimate only orders work; it never changes
+    /// what is computed. `None` (the default) gives no estimate: such
+    /// groups start first, in plan order.
+    fn sweep_cost(&self, scenario: &Scenario) -> Option<f64> {
         let _ = scenario;
         None
     }
@@ -589,6 +601,16 @@ impl LifetimeSolver for DiscretisationSolver {
         let model = scenario.to_model().ok()?;
         let opts = self.discretisation_options(scenario).ok()?;
         crate::discretise::structural_fingerprint(&model, &opts).ok()
+    }
+
+    fn sweep_cost(&self, scenario: &Scenario) -> Option<f64> {
+        if self.recovery_from_empty {
+            return None;
+        }
+        let model = scenario.to_model().ok()?;
+        let opts = self.discretisation_options(scenario).ok()?;
+        let horizon = *scenario.times().last()?;
+        crate::discretise::cost_estimate(&model, &opts, horizon).ok()
     }
 
     fn new_group_state(&self, options: &SolverOptions) -> Option<Box<dyn GroupState>> {
@@ -1245,7 +1267,8 @@ impl SolverRegistry {
 
     /// [`SolverRegistry::sweep`] with an explicit worker count.
     ///
-    /// The plan's groups are striped across the workers, and the
+    /// The workers take the plan's groups from one queue, longest
+    /// estimated group first ([`SweepPlan::run_order`]), and the
     /// registry's row-thread budget is divided by the active worker
     /// count, so scenario-level and row-level parallelism compose
     /// without oversubscribing the machine.
@@ -1345,8 +1368,8 @@ impl SolverRegistry {
         scenarios: &[Scenario],
         threads: usize,
     ) -> Vec<Result<LifetimeDistribution, KibamRmError>> {
-        let groups = plan.groups();
-        let workers = threads.max(1).min(groups.len().max(1));
+        let order = plan.run_order();
+        let workers = threads.max(1).min(order.len().max(1));
         let per_solve = SolverOptions {
             row_threads: self.options.row_threads_per_solve(workers),
             ..self.options
@@ -1375,37 +1398,33 @@ impl SolverRegistry {
                 group.members().iter().copied().zip(results).collect()
             };
 
+        // One queue, longest group first: every worker takes the next
+        // group through a shared cursor as soon as it is free, and the
+        // calling thread is one of the workers. A group's answers depend
+        // only on its members and `per_solve`, never on the thread that
+        // runs it, so scheduling cannot move a bit. The cursor only hands
+        // out indices (results come back through `join`), so `Relaxed`
+        // suffices.
+        let next = AtomicUsize::new(0);
+        let drain = || {
+            let mut out = Vec::new();
+            while let Some(group) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
+                out.extend(run_group(group));
+            }
+            out
+        };
+        let solved = std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(drain)).collect();
+            let mut solved = drain();
+            for helper in helpers {
+                solved.extend(helper.join().expect("sweep worker panicked"));
+            }
+            solved
+        });
         let mut results: Vec<Option<Result<LifetimeDistribution, KibamRmError>>> =
             (0..scenarios.len()).map(|_| None).collect();
-        if workers <= 1 || groups.len() <= 1 {
-            for group in groups {
-                for (i, r) in run_group(group) {
-                    results[i] = Some(r);
-                }
-            }
-        } else {
-            // Groups are striped across workers (group k → worker
-            // k mod workers): cheap static balancing that spreads a
-            // cost-sorted grid's expensive groups over all workers.
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        let run_group = &run_group;
-                        scope.spawn(move || {
-                            let mut out = Vec::new();
-                            for group in groups.iter().skip(w).step_by(workers) {
-                                out.extend(run_group(group));
-                            }
-                            out
-                        })
-                    })
-                    .collect();
-                for handle in handles {
-                    for (i, r) in handle.join().expect("sweep worker panicked") {
-                        results[i] = Some(r);
-                    }
-                }
-            });
+        for (i, r) in solved {
+            results[i] = Some(r);
         }
         // Duplicates copy their canonical slot's result; unsupported
         // scenarios report the selection error. Canonical slots always
@@ -1957,6 +1976,147 @@ mod tests {
         assert!(registry.cross_validate(&small_linear()).is_err());
         // Debug formatting lists backend names.
         assert!(format!("{registry:?}").contains("refuser"));
+    }
+
+    #[test]
+    fn sweep_starts_groups_in_falling_cost_then_plan_order() {
+        // Scenario names read `group:cost[:member]`; the backend groups by
+        // the first field, prices by the second, and records the order in
+        // which member solves start.
+        type Log = std::sync::Arc<std::sync::Mutex<Vec<String>>>;
+        struct Recording {
+            priced: bool,
+            started: Log,
+        }
+        impl LifetimeSolver for Recording {
+            fn name(&self) -> &'static str {
+                "recording"
+            }
+            fn capability(&self, _s: &Scenario) -> Capability {
+                Capability::Exact
+            }
+            fn solve(&self, s: &Scenario) -> Result<LifetimeDistribution, KibamRmError> {
+                self.started.lock().unwrap().push(s.name().to_owned());
+                LifetimeDistribution::new(
+                    "recording",
+                    s.times().iter().map(|&t| (t, 0.5)).collect(),
+                    SolveDiagnostics::default(),
+                )
+            }
+            fn sweep_fingerprint(&self, s: &Scenario) -> Option<u64> {
+                Some(u64::from(s.name().as_bytes()[0]))
+            }
+            fn sweep_cost(&self, s: &Scenario) -> Option<f64> {
+                let cost = s.name().split(':').nth(1)?.parse().ok()?;
+                self.priced.then_some(cost)
+            }
+        }
+        let names = ["A:1", "B:5", "C:3", "D:5", "E:2:x", "E:2:y"];
+        let batch: Vec<Scenario> = names.iter().map(|n| small_linear().with_name(*n)).collect();
+        let started = |priced: bool| {
+            let log = Log::default();
+            let mut registry = SolverRegistry::empty();
+            registry.register(Box::new(Recording {
+                priced,
+                started: log.clone(),
+            }));
+            let plan = SweepPlan::build(&registry, &batch);
+            assert_eq!(plan.groups().len(), 5);
+            let results = registry.sweep_with_threads(&batch, 1);
+            assert!(results.iter().all(Result::is_ok));
+            let started = log.lock().unwrap().clone();
+            started
+        };
+        // Falling group cost (E's members sum to 4); B and D tie at 5 and
+        // keep plan order.
+        assert_eq!(
+            started(true),
+            ["B:5", "D:5", "E:2:x", "E:2:y", "C:3", "A:1"]
+        );
+        // Without estimates the groups run in plan order.
+        assert_eq!(started(false), names);
+    }
+
+    #[test]
+    fn discretisation_cost_estimate_ranks_groups_like_measured_work() {
+        let fig8 = |stages: u32, c: f64, delta: f64| {
+            Scenario::builder()
+                .name("fig8")
+                .workload(
+                    Workload::on_off_erlang(
+                        Frequency::from_hertz(1.0),
+                        stages,
+                        Current::from_amps(0.96),
+                    )
+                    .unwrap(),
+                )
+                .capacity(Charge::from_amp_seconds(7200.0))
+                .kibam(c, units::Rate::per_second(4.5e-5))
+                .time_grid(Time::from_seconds(8000.0), 16)
+                .delta(Charge::from_amp_seconds(delta))
+                .build()
+                .unwrap()
+        };
+        let solver = DiscretisationSolver::new();
+        let cost = |s: &Scenario| solver.sweep_cost(s).unwrap();
+        let base = fig8(1, 0.625, 450.0);
+        assert!(cost(&fig8(1, 0.625, 300.0)) > cost(&base), "rises with 1/Δ");
+        assert!(
+            cost(&fig8(2, 0.625, 450.0)) > cost(&base),
+            "rises with stages"
+        );
+        assert!(
+            cost(&base.with_rate_scale(2.0).unwrap()) > cost(&base),
+            "rises with γ"
+        );
+        let longer = base
+            .with_times(vec![
+                Time::from_seconds(1000.0),
+                Time::from_seconds(16000.0),
+            ])
+            .unwrap();
+        assert!(cost(&longer) > cost(&base), "rises with the horizon");
+        assert!(
+            solver
+                .sweep_cost(&base.with_delta(Charge::from_amp_seconds(7.0)))
+                .is_none(),
+            "a Δ that divides neither well has no estimate"
+        );
+
+        // The benchmark grid's shape: stages × c × Δ groups, each holding
+        // a γ ∈ {0.5, 1} pair. The estimate must order the groups exactly
+        // as the work they measure: Σ iterations × generator non-zeros.
+        let mut batch = Vec::new();
+        for stages in [1, 2] {
+            for c in [0.625, 0.5] {
+                for delta in [450.0, 300.0] {
+                    let s = fig8(stages, c, delta);
+                    batch.push(s.with_rate_scale(0.5).unwrap());
+                    batch.push(s);
+                }
+            }
+        }
+        let mut registry = SolverRegistry::empty();
+        registry.register(Box::new(DiscretisationSolver::new()));
+        let plan = SweepPlan::build(&registry, &batch);
+        assert_eq!(plan.groups().len(), 8);
+        let results = registry.sweep(&batch);
+        let measured = |members: &[usize]| -> usize {
+            members
+                .iter()
+                .map(|&i| {
+                    let d = results[i].as_ref().unwrap().diagnostics();
+                    d.iterations.unwrap() * d.generator_nonzeros.unwrap()
+                })
+                .sum()
+        };
+        let by_measure = {
+            let mut groups: Vec<_> = plan.groups().iter().collect();
+            groups.sort_by_key(|g| std::cmp::Reverse(measured(g.members())));
+            groups.iter().map(|g| g.members()[0]).collect::<Vec<_>>()
+        };
+        let by_estimate: Vec<_> = plan.run_order().iter().map(|g| g.members()[0]).collect();
+        assert_eq!(by_estimate, by_measure);
     }
 
     #[test]

@@ -230,6 +230,10 @@ pub enum PlanSlot {
 pub struct PlanGroup {
     solver_index: usize,
     fingerprint: Option<u64>,
+    /// The backend's
+    /// [`sweep_cost`](crate::solver::LifetimeSolver::sweep_cost) summed
+    /// over the members; `None` when any member has no estimate.
+    cost: Option<f64>,
     members: Vec<usize>,
 }
 
@@ -283,17 +287,23 @@ impl SweepPlan {
                 Err(e) => slots.push(PlanSlot::Unsupported(e)),
                 Ok(solver_index) => {
                     slots.push(PlanSlot::Grouped);
-                    let fingerprint = registry.solver_at(solver_index).sweep_fingerprint(scenario);
+                    let solver = registry.solver_at(solver_index);
+                    let fingerprint = solver.sweep_fingerprint(scenario);
+                    let cost = solver.sweep_cost(scenario);
                     let existing = fingerprint.and_then(|fp| {
                         groups
                             .iter_mut()
                             .find(|g| g.solver_index == solver_index && g.fingerprint == Some(fp))
                     });
                     match existing {
-                        Some(group) => group.members.push(i),
+                        Some(group) => {
+                            group.members.push(i);
+                            group.cost = group.cost.zip(cost).map(|(a, b)| a + b);
+                        }
                         None => groups.push(PlanGroup {
                             solver_index,
                             fingerprint,
+                            cost,
                             members: vec![i],
                         }),
                     }
@@ -316,6 +326,18 @@ impl SweepPlan {
     /// The work items, in first-member order.
     pub fn groups(&self) -> &[PlanGroup] {
         &self.groups
+    }
+
+    /// The work items in the order the sweep starts them: falling summed
+    /// [`sweep_cost`](crate::solver::LifetimeSolver::sweep_cost), so the
+    /// longest groups go first and a short one finishes last. Groups
+    /// without an estimate count as longest; the sort is stable, so ties
+    /// keep plan order.
+    pub fn run_order(&self) -> Vec<&PlanGroup> {
+        let cost = |g: &PlanGroup| g.cost.unwrap_or(f64::INFINITY);
+        let mut order: Vec<&PlanGroup> = self.groups.iter().collect();
+        order.sort_by(|a, b| cost(b).total_cmp(&cost(a)));
+        order
     }
 
     /// Number of input slots that are byte-identical duplicates of an
@@ -429,6 +451,10 @@ mod tests {
         assert_eq!(plan.groups()[1].members(), &[3]);
         assert_eq!(plan.groups()[2].members(), &[4]);
         assert!(plan.groups()[2].fingerprint().is_none());
+        // Sericola gives no cost estimate, so its group starts first;
+        // then the finer (dearer) Δ, then the two-member base group.
+        let order: Vec<&[usize]> = plan.run_order().iter().map(|g| g.members()).collect();
+        assert_eq!(order, [&[4][..], &[3], &[0, 1]]);
     }
 
     #[test]
@@ -531,16 +557,16 @@ mod tests {
         /// The satellite property: grid-sweep results are bit-identical
         /// to solving each expanded scenario independently through the
         /// same backend, across worker counts 1–8 and both the CSR and
-        /// banded-windowed engine paths.
+        /// banded-windowed engine paths. The Δ axis gives the plan groups
+        /// of unequal cost, so the queue reorders them and threads race
+        /// for them.
         #[test]
         fn grid_sweep_bit_identical_to_independent_solves(
             threads in 1usize..=8,
             windowed_sel in 0usize..2,
-            delta_idx in 0usize..2,
             scale_exp in -4i32..0,
         ) {
             use proptest::prelude::*;
-            let deltas = [300.0, 180.0];
             let representation = if windowed_sel == 1 {
                 Representation::Banded // + active window (backend default)
             } else {
@@ -551,8 +577,11 @@ mod tests {
                 row_threads: 1, // deterministic accumulation across workers
                 representation,
             });
-            let base = base().with_delta(Charge::from_amp_seconds(deltas[delta_idx]));
-            let grid = ScenarioGrid::new(base)
+            let grid = ScenarioGrid::new(base())
+                .deltas(vec![
+                    Charge::from_amp_seconds(300.0),
+                    Charge::from_amp_seconds(180.0),
+                ])
                 .rate_scales(vec![
                     2f64.powi(scale_exp),
                     2f64.powi(scale_exp + 1),
