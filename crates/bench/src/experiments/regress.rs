@@ -20,16 +20,6 @@
 //!   bit-identical to naive per-scenario solves (sup-distance must be
 //!   exactly 0), or the plan no longer forms the committed number of
 //!   groups;
-//! * **panel drift** (`BENCH_spmm.json`) — the column-panel SpMM engine
-//!   re-derived on the quick rate-rescale family no longer produces
-//!   curves bit-identical to independent single-vector solves
-//!   (sup-distance must be exactly 0), no longer groups the whole family
-//!   into one k-wide panel, its machine-independent touched-entry
-//!   counters differ from the committed values *at all* (they are exact
-//!   by construction — any change means the sweep order changed), the
-//!   panel stops reading fewer entries than the k independent sweeps, or
-//!   a k = 1 panel no longer degenerates bit-identically to the
-//!   unpaneled kernels. Timings from the committed file are ignored;
 //! * **Monte Carlo drift** (`BENCH_mc.json`) — the streaming simulation
 //!   engine's gate configuration is no longer bit-identical across
 //!   worker-pool sizes, or its fixed-seed curve leaves the Wilson band
@@ -56,7 +46,7 @@
 //! machine-independent counters instead.
 
 use super::config::Config;
-use super::{discretise_fig8, spmm as spmm_experiment, sweep as sweep_experiment, write_json};
+use super::{discretise_fig8, sweep as sweep_experiment, write_json};
 use crate::json::Json;
 use markov::transient::{
     measure_curve, measure_curve_budgeted, CurveCache, Representation, TransientOptions,
@@ -119,11 +109,6 @@ pub fn run(cfg: &Config) -> Result<(), String> {
         .and_then(|committed| sweep_gate(cfg, &committed, &mut report));
     if let Err(e) = sweep {
         report.check("sweep gate execution", false, e);
-    }
-    let spmm =
-        load(against, "BENCH_spmm.json").and_then(|committed| spmm_gate(&committed, &mut report));
-    if let Err(e) = spmm {
-        report.check("spmm gate execution", false, e);
     }
     let mc = load(against, "BENCH_mc.json").and_then(|committed| mc_gate(&committed, &mut report));
     if let Err(e) = mc {
@@ -620,110 +605,5 @@ fn sweep_gate(_cfg: &Config, committed: &Json, report: &mut Report) -> Result<()
             "committed BENCH_sweep.json has no 8-point grid entry".into(),
         ),
     }
-    Ok(())
-}
-
-/// Re-runs the quick column-panel family (`BENCH_spmm.json`): the panel
-/// must stay bit-identical to independent single-vector solves, group
-/// the whole rate-rescale family, match the committed touched-entry
-/// counters *exactly* (they are machine-independent — any drift means
-/// the sweep order changed), keep beating the k independent sweeps on
-/// reads, and degenerate bit-identically at k = 1. Timings are not
-/// compared.
-fn spmm_gate(committed: &Json, report: &mut Report) -> Result<(), String> {
-    use crate::json::Json as J;
-
-    let panel = committed
-        .get("panel")
-        .ok_or("committed BENCH_spmm.json has no 'panel' object")?;
-    let committed_k = committed
-        .get("family")
-        .and_then(|f| f.num("k"))
-        .ok_or("committed BENCH_spmm.json has no 'family.k'")? as usize;
-    let committed_sup = panel
-        .num("max_abs_difference_vs_independent")
-        .ok_or("panel without 'max_abs_difference_vs_independent'")?;
-    let committed_solo = panel
-        .num("solo_touched_entries")
-        .ok_or("panel without 'solo_touched_entries'")?;
-    let committed_panel_touched = panel
-        .num("panel_touched_entries")
-        .ok_or("panel without 'panel_touched_entries'")?;
-    let committed_sizes: Vec<usize> = panel
-        .get("panel_sizes")
-        .and_then(Json::as_array)
-        .ok_or("panel without 'panel_sizes'")?
-        .iter()
-        .filter_map(|s| s.as_f64())
-        .map(|s| s as usize)
-        .collect();
-    let committed_k1_sizes: Vec<usize> = panel
-        .get("k1_panel_sizes")
-        .and_then(Json::as_array)
-        .ok_or("panel without 'k1_panel_sizes'")?
-        .iter()
-        .filter_map(|s| s.as_f64())
-        .map(|s| s as usize)
-        .collect();
-    report.check(
-        "spmm committed facts",
-        committed_sup == 0.0
-            && committed_sizes == vec![committed_k]
-            && committed_solo > committed_panel_touched
-            && committed_k1_sizes == vec![1]
-            && panel.get("k1_bitwise_identical") == Some(&J::Bool(true)),
-        format!(
-            "committed sup-distance {committed_sup:e} (must be exactly 0), \
-             panel sizes {committed_sizes:?} for k={committed_k}, touched \
-             {committed_solo:.0} solo vs {committed_panel_touched:.0} panel, \
-             k1 {committed_k1_sizes:?} / {:?}",
-            panel.get("k1_bitwise_identical")
-        ),
-    );
-
-    let (discs, times) = spmm_experiment::build_family()?;
-    let facts = spmm_experiment::derive_facts(&discs, &times)?;
-    report.check(
-        "spmm panel bit-identity",
-        facts.sup_distance == 0.0,
-        format!(
-            "panel-vs-single sup-distance {:e} over k={} curves \
-             (must be exactly 0)",
-            facts.sup_distance, facts.k
-        ),
-    );
-    report.check(
-        "spmm panel grouping",
-        facts.panel_sizes == vec![facts.k],
-        format!(
-            "rate-rescale family formed panels {:?} (expected one of \
-             size {})",
-            facts.panel_sizes, facts.k
-        ),
-    );
-    report.check(
-        "spmm touched counters",
-        facts.solo_touched_entries as f64 == committed_solo
-            && facts.panel_touched_entries as f64 == committed_panel_touched
-            && facts.touched_savings() > 1.0,
-        format!(
-            "solo {} vs committed {:.0}, panel {} vs committed {:.0} \
-             (both must be exact), savings {:.3}x (must beat 1)",
-            facts.solo_touched_entries,
-            committed_solo,
-            facts.panel_touched_entries,
-            committed_panel_touched,
-            facts.touched_savings()
-        ),
-    );
-    report.check(
-        "spmm k=1 degeneration",
-        facts.k1_panel_sizes == vec![1] && facts.k1_bitwise_identical,
-        format!(
-            "k=1 panel sizes {:?}, bitwise identical to the unpaneled \
-             kernel: {}",
-            facts.k1_panel_sizes, facts.k1_bitwise_identical
-        ),
-    );
     Ok(())
 }

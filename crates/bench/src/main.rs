@@ -17,7 +17,6 @@
 //!   baseline    machine-readable BENCH_spmv.json / BENCH_uniformisation.json
 //!   window      active-window savings: touched entries & deficit per Δ
 //!   sweep       planned vs naive batched sweeps → BENCH_sweep.json
-//!   spmm        column-panel SpMM vs single-vector sweeps → BENCH_spmm.json
 //!   mc          streaming Monte Carlo engine certification → BENCH_mc.json
 //!   service     resident query service under a fleet trace → BENCH_service.json
 //!   regress     CI gate: diff quick engines against committed BENCH_*.json
@@ -91,12 +90,11 @@ fn main() {
         "baseline" => experiments::baseline::run(&config),
         "window" => experiments::window::run(&config),
         "sweep" => experiments::sweep::run(&config),
-        "spmm" => experiments::spmm::run(&config),
         "mc" => experiments::mc::run(&config),
         "service" => experiments::service::run(&config),
         "regress" => experiments::regress::run(&config),
         "all" => {
-            let runs: [(&str, fn(&Config) -> Result<(), String>); 15] = [
+            let runs: [(&str, fn(&Config) -> Result<(), String>); 14] = [
                 ("fig2", experiments::fig2::run),
                 ("table1", experiments::table1::run),
                 ("fig7", experiments::fig7::run),
@@ -109,7 +107,6 @@ fn main() {
                 ("baseline", experiments::baseline::run),
                 ("window", experiments::window::run),
                 ("sweep", experiments::sweep::run),
-                ("spmm", experiments::spmm::run),
                 ("mc", experiments::mc::run),
                 ("service", experiments::service::run),
             ];
@@ -135,7 +132,7 @@ fn usage(problem: &str) -> ! {
     eprintln!("error: {problem}");
     eprintln!(
         "usage: bench-harness <fig2|table1|fig7|fig8|fig9|fig10|fig11|complexity|calibrate|\
-         baseline|window|sweep|spmm|mc|service|regress|all> [--fast] [--quick] [--out DIR] \
+         baseline|window|sweep|mc|service|regress|all> [--fast] [--quick] [--out DIR] \
          [--threads N] [--against DIR] [--epsilon X]"
     );
     std::process::exit(2);

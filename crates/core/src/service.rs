@@ -1046,12 +1046,14 @@ impl LifetimeService {
     /// request's cooperative budget. Backends without a fingerprint or
     /// warm state solve independently.
     ///
-    /// Requests arrive one at a time, so this path solves members
-    /// serially against the warm state; when a whole same-fingerprint
-    /// family is presented *together* (the sweep planner's
-    /// `solve_group`), the windowed banded members are additionally
-    /// batched into a column-panel SpMM that reads each matrix diagonal
-    /// once for the whole family — see DESIGN.md §13.
+    /// Requests arrive one at a time and each is solved against the
+    /// group's warm state, so a rate-rescale family shares work here
+    /// exactly as in a batch sweep's `solve_group`: through the group's
+    /// `CurveCache`. On the CSR engine its reuse-and-extend path
+    /// collapses members with bitwise identical `Pᵀ` into one sweep;
+    /// on the active-window engine a rescaled member sweeps on its own
+    /// until the trim schedule no longer depends on the horizon
+    /// (DESIGN.md §13).
     fn solve_attempt(
         &self,
         scenario: &Scenario,

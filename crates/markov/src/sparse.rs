@@ -56,30 +56,6 @@ pub struct CsrMatrix {
     values: Vec<f64>,
 }
 
-/// One column of a multi-curve panel product: an independent
-/// `(x, y, measure, rows)` quadruple advanced through the **same**
-/// matrix as every other column of the panel, so the matrix is read
-/// once per row (CSR) or once per diagonal segment (DIA) for the whole
-/// panel instead of once per column.
-///
-/// `y` and `measure` are full-length vectors — the kernels write
-/// exactly `y[rows]` and read exactly `measure[rows]` — matching the
-/// windowed uniformisation engine, which keeps whole-state-space
-/// iterates and restricts each product to the column's active window.
-/// The variants without a fused dot ignore `measure` entirely (an empty
-/// slice is fine there).
-#[derive(Debug)]
-pub struct PanelColumn<'a> {
-    /// The iterate multiplied through the matrix.
-    pub x: &'a [f64],
-    /// Full-length output vector; exactly `y[rows]` is written.
-    pub y: &'a mut [f64],
-    /// Full-length measure vector for the fused dot.
-    pub measure: &'a [f64],
-    /// The row window this column's product is restricted to.
-    pub rows: Range<usize>,
-}
-
 impl CsrMatrix {
     /// Assembles a matrix from already-validated CSR arrays. Callers must
     /// guarantee the CSR invariants: `row_ptr` has `rows + 1` monotone
@@ -366,97 +342,6 @@ impl CsrMatrix {
             sup = sup.max((acc - x[r]).abs());
         }
         (dot, sup)
-    }
-
-    /// The shared multi-column kernel behind the `mul_panel_*` wrappers:
-    /// one pass over the union of the columns' row windows, advancing
-    /// every column whose window covers the current row. Each row's CSR
-    /// slice (`col_idx`/`values`) is resolved once per row for the whole
-    /// panel, so k columns sharing a matrix cost one matrix read per
-    /// iteration instead of k.
-    ///
-    /// Per column the arithmetic — left-to-right accumulation within a
-    /// row, the running dot fold over ascending rows, the sup max — is
-    /// exactly the single-vector kernel's, so every column's outputs are
-    /// bit-identical to a separate `mul_vec_*_range` call on its own
-    /// window; k = 1 is the single-vector kernel plus one trivially
-    /// predicted branch per row.
-    fn panel_kernel<const DOT: bool, const SUP: bool>(
-        &self,
-        cols: &mut [PanelColumn<'_>],
-    ) -> Vec<(f64, f64)> {
-        if SUP {
-            debug_assert_eq!(self.rows, self.cols, "sup-norm needs a square matrix");
-        }
-        for col in cols.iter() {
-            debug_assert_eq!(col.x.len(), self.cols);
-            debug_assert_eq!(col.y.len(), self.rows);
-            debug_assert!(col.rows.end <= self.rows);
-            if DOT {
-                debug_assert_eq!(col.measure.len(), self.rows);
-            }
-        }
-        let mut out: Vec<(f64, f64)> = vec![(0.0, 0.0); cols.len()];
-        let lo_all = cols.iter().map(|c| c.rows.start).min().unwrap_or(0);
-        let hi_all = cols.iter().map(|c| c.rows.end).max().unwrap_or(0);
-        for r in lo_all..hi_all {
-            let lo = self.row_ptr[r];
-            let hi = self.row_ptr[r + 1];
-            let idx = &self.col_idx[lo..hi];
-            let vals = &self.values[lo..hi];
-            for (col, acc) in cols.iter_mut().zip(&mut out) {
-                if !col.rows.contains(&r) {
-                    continue;
-                }
-                let mut row_acc = 0.0;
-                for (&v, &c) in vals.iter().zip(idx) {
-                    row_acc += v * col.x[c as usize];
-                }
-                col.y[r] = row_acc;
-                if DOT {
-                    acc.0 += col.measure[r] * row_acc;
-                }
-                if SUP {
-                    acc.1 = acc.1.max((row_acc - col.x[r]).abs());
-                }
-            }
-        }
-        out
-    }
-
-    /// Multi-column product `y_j[rows_j] = (A·x_j)[rows_j]` over a panel
-    /// of columns sharing this matrix. Bit-identical per column to
-    /// [`CsrMatrix::mul_vec_range_into`] on that column's window.
-    pub fn mul_panel_range(&self, cols: &mut [PanelColumn<'_>]) {
-        self.panel_kernel::<false, false>(cols);
-    }
-
-    /// Panel variant of [`CsrMatrix::mul_vec_dot_range`]: one matrix
-    /// pass for the whole panel, returning each column's partial dot
-    /// `Σ_{r∈rows_j} measure_j[r]·y_j[r]` in column order.
-    pub fn mul_panel_dot_range(&self, cols: &mut [PanelColumn<'_>]) -> Vec<f64> {
-        self.panel_kernel::<true, false>(cols)
-            .into_iter()
-            .map(|(dot, _)| dot)
-            .collect()
-    }
-
-    /// Panel variant of [`CsrMatrix::mul_vec_sup_range`]: one matrix
-    /// pass for the whole panel, returning each column's partial
-    /// sup-norm `max_{r∈rows_j} |y_j[r] − x_j[r]|` in column order.
-    pub fn mul_panel_sup_range(&self, cols: &mut [PanelColumn<'_>]) -> Vec<f64> {
-        self.panel_kernel::<false, true>(cols)
-            .into_iter()
-            .map(|(_, sup)| sup)
-            .collect()
-    }
-
-    /// Fully fused panel variant of
-    /// [`CsrMatrix::mul_vec_dot_sup_range`]: one matrix pass computing
-    /// every column's product, measure dot and steady-state sup-norm,
-    /// returned as `(dot, sup)` pairs in column order.
-    pub fn mul_panel_dot_sup_range(&self, cols: &mut [PanelColumn<'_>]) -> Vec<(f64, f64)> {
-        self.panel_kernel::<true, true>(cols)
     }
 
     /// Fused sequential `y = A·x` returning `measure·y` from the same pass.

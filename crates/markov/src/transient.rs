@@ -47,7 +47,6 @@ use crate::budget::Budget;
 use crate::ctmc::Ctmc;
 use crate::foxglynn::FoxGlynnCache;
 use crate::pool::SpmvPool;
-use crate::sparse::PanelColumn;
 use crate::MarkovError;
 use std::ops::Range;
 
@@ -763,325 +762,6 @@ fn remix_curve(
         prev = Some((t, value));
     }
     Ok(points)
-}
-
-/// One member of a column-panel solve: a chain and its requested time
-/// points. The initial distribution and the measure are shared across
-/// the whole panel (that is what makes the joint sweep possible).
-#[derive(Debug, Clone, Copy)]
-pub struct PanelMember<'a> {
-    /// The member's chain. Members whose uniformised `Pᵀ` is **bitwise
-    /// identical** (rate-rescale families `Q' = γQ` with `γ` a power of
-    /// two) are advanced through the same products together.
-    pub ctmc: &'a Ctmc,
-    /// The member's requested time points (unsorted, duplicates fine —
-    /// same contract as [`measure_curve`]).
-    pub times: &'a [f64],
-}
-
-/// Result of [`measure_curves_panel`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct PanelSolution {
-    /// Per-member curves, in the caller's member order. Each is
-    /// **bit-identical** to what the single-vector path would have
-    /// produced for that member (see [`measure_curves_panel`]).
-    pub curves: Vec<CurveSolution>,
-    /// How the members were grouped, in order of first appearance: one
-    /// entry per panel, its value the panel's column count. Members the
-    /// windowed panel engine cannot take (CSR representation, active
-    /// window off, `ν = 0` or `t_max = 0`) each form a size-1 panel and
-    /// run the plain single-vector engine; `k = 1` therefore reports
-    /// `[1]` and dispatches to the unpaneled kernels.
-    pub panel_sizes: Vec<usize>,
-    /// Matrix slots actually read by this call: per joint-panel
-    /// iteration the entries of the **union** of the live columns'
-    /// windows (read once for the whole panel), plus each serial
-    /// member's own `touched_entries`. Compare against the sum of the
-    /// per-curve `touched_entries` (what k independent sweeps would
-    /// have read) for the panel's saving.
-    pub panel_touched_entries: u64,
-}
-
-/// Per-column state of a joint panel sweep — the exact mirror of the
-/// single-vector active-window loop in [`measure_curve_budgeted`], one
-/// copy per column.
-#[derive(Debug)]
-struct PanelColState {
-    /// Index into the caller's member slice.
-    member: usize,
-    nu: f64,
-    /// The column's own Poisson right point: it stops multiplying at its
-    /// own horizon even while longer columns continue.
-    n_max: usize,
-    /// The column's own per-iteration trim allowance
-    /// (`trim_budget / (n_max + 1)` — horizon-dependent, hence
-    /// per-column).
-    allowance: f64,
-    v: Vec<f64>,
-    next: Vec<f64>,
-    v_win: Range<usize>,
-    next_win: Range<usize>,
-    grown: Range<usize>,
-    s: Vec<f64>,
-    converged_at: Option<usize>,
-    deficit: f64,
-    touched: u64,
-    iterations: usize,
-    live: bool,
-}
-
-/// Solves a whole family of curves `t ↦ m·π_j(t)` — one per member, all
-/// sharing the same `α` and measure — advancing members with bitwise
-/// identical `Pᵀ` through uniformisation **together**: one pass over
-/// each matrix diagonal per iteration feeds every column of the panel
-/// (`Pᵀ·[v₁ … v_k]`), instead of re-reading the matrix k times.
-///
-/// Grouping is by provable bitwise equality of the uniformised `Pᵀ`
-/// (true across rate-rescale families `Q' = γQ` with `γ` a power of
-/// two, since `P = I + Q/ν` is then unchanged while ν differs). Only
-/// the banded active-window engine panels — it is the one engine whose
-/// horizon-dependent trim allowance prevents the serial
-/// [`CurveCache`] from sharing sweeps across rescaled members, so it is
-/// where the joint sweep actually saves matrix traffic. Everything else
-/// (CSR, window off, `ν = 0`, `t_max = 0`) runs the unpaneled
-/// single-vector engine through one shared serial [`CurveCache`],
-/// exactly as a sweep-plan group would have.
-///
-/// **Bit-identity:** every returned [`CurveSolution`] — points and
-/// diagnostics — equals what [`measure_curve_budgeted`] would produce
-/// for that member with a fresh cache. Each column keeps its own
-/// iterate, window, trim allowance and deficit accounting; the joint
-/// product applies the same per-row contributions in the same order as
-/// the single-vector kernel (see [`SpmvPool::mul_panel_dot_sup`]); and
-/// each column converges or stops at its own horizon independently. A
-/// panel of one column degenerates to the single-vector path.
-///
-/// The `budget` is checked once per live column per iteration, before
-/// the joint product — the same one-check-per-column-product cadence as
-/// k serial solves — and [`MarkovError::DeadlineExceeded`] carries the
-/// column-products completed by the interrupted panel.
-///
-/// # Errors
-///
-/// As for [`measure_curve`] (every member is validated up front, before
-/// any sweep runs), plus [`MarkovError::DeadlineExceeded`] when the
-/// budget expires.
-pub fn measure_curves_panel(
-    members: &[PanelMember<'_>],
-    alpha: &[f64],
-    measure: &[f64],
-    opts: &TransientOptions,
-    budget: &Budget,
-) -> Result<PanelSolution, MarkovError> {
-    if members.is_empty() {
-        return Err(MarkovError::InvalidArgument(
-            "no panel members provided".into(),
-        ));
-    }
-    for m in members {
-        m.ctmc.check_distribution(alpha)?;
-        if measure.len() != m.ctmc.n_states() {
-            return Err(MarkovError::InvalidArgument(format!(
-                "measure has {} entries but chain has {} states",
-                measure.len(),
-                m.ctmc.n_states()
-            )));
-        }
-        if m.times.is_empty() {
-            return Err(MarkovError::InvalidArgument(
-                "no time points requested".into(),
-            ));
-        }
-        if m.times.iter().any(|&t| !t.is_finite() || t < 0.0) {
-            return Err(MarkovError::InvalidArgument(
-                "times must be finite and ≥ 0".into(),
-            ));
-        }
-    }
-
-    // Build every member's Pᵀ up front and decide panel eligibility:
-    // only the banded active-window engine panels (see the function
-    // docs for why).
-    let mut built: Vec<(TransitionMatrix, f64, f64, bool)> = Vec::with_capacity(members.len());
-    for m in members {
-        let (pt, nu) = build_transposed(m.ctmc, opts)?;
-        let t_max = m.times.iter().cloned().fold(0.0, f64::max);
-        let windowed = opts.active_window && pt.as_banded().is_some() && nu > 0.0 && t_max > 0.0;
-        built.push((pt, nu, t_max, windowed));
-    }
-
-    // Group eligible members by bitwise-identical Pᵀ, preserving first
-    // appearance order; everything else is its own size-1 group.
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    for (i, (pt, _, _, windowed)) in built.iter().enumerate() {
-        if *windowed {
-            if let Some(group) = groups
-                .iter_mut()
-                .find(|g| built[g[0]].3 && built[g[0]].0 == *pt)
-            {
-                group.push(i);
-                continue;
-            }
-        }
-        groups.push(vec![i]);
-    }
-    let panel_sizes: Vec<usize> = groups.iter().map(|g| g.len()).collect();
-
-    let (fg_epsilon, trim_mass) = split_epsilon(opts.epsilon, true);
-    let m_inf = measure.iter().fold(0.0f64, |a, &b| a.max(b.abs()));
-    let trim_budget = trim_mass / m_inf.max(1.0);
-    let mut fg = FoxGlynnCache::default();
-    let mut pool: Option<SpmvPool> = None;
-    let mut serial_cache = CurveCache::new();
-    let mut curves: Vec<Option<CurveSolution>> = members.iter().map(|_| None).collect();
-    let mut panel_touched: u64 = 0;
-
-    for group in &groups {
-        if group.len() == 1 {
-            // Singleton panel: the plain single-vector engine, with one
-            // serial cache shared across all singletons (the sweep-plan
-            // group behaviour).
-            let i = group[0];
-            let sol = measure_curve_budgeted(
-                members[i].ctmc,
-                alpha,
-                members[i].times,
-                measure,
-                opts,
-                &mut serial_cache,
-                budget,
-            )?;
-            panel_touched += sol.touched_entries;
-            curves[i] = Some(sol);
-            continue;
-        }
-
-        // Joint panel sweep. All columns share the matrix bits; each
-        // keeps its own iterate, window schedule and horizon.
-        let band = built[group[0]]
-            .0
-            .as_banded()
-            .expect("panel groups are banded by construction");
-        let threads = effective_threads(opts.threads, band.rows());
-        if pool
-            .as_ref()
-            .is_none_or(|p| p.threads() != SpmvPool::clamped_threads(threads))
-        {
-            pool = Some(SpmvPool::new(threads));
-        }
-        let pool = pool.as_ref().expect("pool just ensured");
-
-        let mut cols: Vec<PanelColState> = Vec::with_capacity(group.len());
-        for &i in group {
-            let (_, nu, t_max, _) = built[i];
-            fg.compute(nu * t_max, fg_epsilon)?;
-            let n_max = fg.right();
-            let v = alpha.to_vec();
-            let v_win = support_range(&v);
-            cols.push(PanelColState {
-                member: i,
-                nu,
-                n_max,
-                allowance: trim_budget / (n_max as f64 + 1.0),
-                s: vec![dot(&v, measure)],
-                next: vec![0.0; v.len()],
-                v,
-                v_win,
-                next_win: 0..0,
-                grown: 0..0,
-                converged_at: None,
-                deficit: 0.0,
-                touched: 0,
-                iterations: 0,
-                live: false,
-            });
-        }
-
-        let mut completed = 0usize;
-        for n in 1.. {
-            for c in cols.iter_mut() {
-                c.live = c.converged_at.is_none() && n <= c.n_max;
-            }
-            let live_count = cols.iter().filter(|c| c.live).count();
-            if live_count == 0 {
-                break;
-            }
-            // Same check cadence as k serial solves: one per column
-            // product, before the product.
-            for _ in 0..live_count {
-                budget.check(completed)?;
-            }
-            // Grow each live column's window and keep its scratch
-            // buffer zero outside it — per column, exactly the single
-            // path's pre-product steps.
-            let mut union: Option<Range<usize>> = None;
-            for c in cols.iter_mut().filter(|c| c.live) {
-                c.grown = band.grow_window(&c.v_win);
-                zero_outside(&mut c.next, &c.next_win, &c.grown);
-                union = Some(match union {
-                    None => c.grown.clone(),
-                    Some(u) => u.start.min(c.grown.start)..u.end.max(c.grown.end),
-                });
-            }
-            // The joint product reads each matrix slot in the union of
-            // the live windows once, for every column.
-            panel_touched += band.entries_in(&union.expect("some live column")) as u64;
-            let mut panel: Vec<PanelColumn<'_>> = cols
-                .iter_mut()
-                .filter(|c| c.live)
-                .map(|c| {
-                    let PanelColState { v, next, grown, .. } = c;
-                    let x: &[f64] = v;
-                    let y: &mut [f64] = next;
-                    PanelColumn {
-                        x,
-                        y,
-                        measure,
-                        rows: grown.clone(),
-                    }
-                })
-                .collect();
-            let results = pool.mul_panel_dot_sup(band, &mut panel)?;
-            drop(panel);
-            for (c, &(s_n, sup)) in cols.iter_mut().filter(|c| c.live).zip(&results) {
-                // Per-column accounting of what this column would have
-                // cost alone — the baseline the panel saving is
-                // measured against.
-                c.touched += band.entries_in(&c.grown) as u64;
-                std::mem::swap(&mut c.v, &mut c.next);
-                c.next_win = std::mem::replace(&mut c.v_win, c.grown.clone());
-                c.iterations += 1;
-                completed += 1;
-                c.s.push(s_n);
-                if opts.steady_state_tolerance > 0.0 && sup < opts.steady_state_tolerance {
-                    c.converged_at = Some(n);
-                } else {
-                    c.deficit += trim_window(&mut c.v, &mut c.v_win, c.allowance);
-                }
-            }
-        }
-
-        for c in &cols {
-            let points = remix_curve(members[c.member].times, c.nu, &c.s, &mut fg, fg_epsilon)?;
-            curves[c.member] = Some(CurveSolution {
-                points,
-                iterations: c.iterations,
-                converged_at: c.converged_at,
-                nu: c.nu,
-                touched_entries: c.touched,
-                window_deficit: c.deficit,
-            });
-        }
-    }
-
-    Ok(PanelSolution {
-        curves: curves
-            .into_iter()
-            .map(|c| c.expect("every member solved by exactly one group"))
-            .collect(),
-        panel_sizes,
-        panel_touched_entries: panel_touched,
-    })
 }
 
 /// Caps the worker count at something useful for the matrix: tiny chains
@@ -1815,282 +1495,8 @@ mod tests {
         assert_eq!(plain.touched_entries, budgeted.touched_entries);
     }
 
-    /// The windowed panel options every panel test uses: the one engine
-    /// the joint sweep takes.
-    fn windowed_opts() -> TransientOptions {
-        TransientOptions {
-            representation: Representation::Banded,
-            active_window: true,
-            ..Default::default()
-        }
-    }
-
-    #[test]
-    fn panel_is_bit_identical_to_single_sweeps_on_rescale_family() {
-        // The tentpole contract: a rate-rescale family (γ a power of
-        // two keeps Pᵀ bitwise identical) advanced as one panel yields
-        // exactly the curves — points AND diagnostics — that k
-        // independent single-vector sweeps produce, while reading the
-        // matrix roughly once instead of k times.
-        let n = 300;
-        let chain = lattice_chain(n, 1.0, 0.3);
-        let alpha = point_mass(n, n - 1);
-        let mut measure = vec![0.0; n];
-        measure[0] = 1.0;
-        let times = [5.0, 40.0, 120.0, 300.0];
-        let opts = windowed_opts();
-        let chains: Vec<Ctmc> = [0.125, 0.25, 0.5, 1.0]
-            .iter()
-            .map(|&g| scaled_chain(&chain, g))
-            .collect();
-        let members: Vec<PanelMember<'_>> = chains
-            .iter()
-            .map(|c| PanelMember {
-                ctmc: c,
-                times: &times,
-            })
-            .collect();
-        let panel =
-            measure_curves_panel(&members, &alpha, &measure, &opts, &Budget::unlimited()).unwrap();
-        assert_eq!(panel.panel_sizes, vec![4]);
-        let mut solo_touched = 0u64;
-        for (m, got) in members.iter().zip(&panel.curves) {
-            let solo = measure_curve(m.ctmc, &alpha, m.times, &measure, &opts).unwrap();
-            assert_eq!(*got, solo);
-            solo_touched += solo.touched_entries;
-        }
-        // The saving is real: the union read beats k independent reads.
-        assert!(
-            panel.panel_touched_entries < solo_touched,
-            "panel {} vs solo {}",
-            panel.panel_touched_entries,
-            solo_touched
-        );
-        // And not trivially (k = 4 near-identical windows should share
-        // most of the traffic).
-        assert!(solo_touched as f64 / panel.panel_touched_entries as f64 > 1.5);
-    }
-
-    #[test]
-    fn panel_of_one_degenerates_to_the_single_path() {
-        let n = 200;
-        let chain = lattice_chain(n, 1.0, 0.3);
-        let alpha = point_mass(n, n - 1);
-        let mut measure = vec![0.0; n];
-        measure[0] = 1.0;
-        let times = [10.0, 60.0];
-        let opts = windowed_opts();
-        let members = [PanelMember {
-            ctmc: &chain,
-            times: &times,
-        }];
-        let panel =
-            measure_curves_panel(&members, &alpha, &measure, &opts, &Budget::unlimited()).unwrap();
-        let solo = measure_curve(&chain, &alpha, &times, &measure, &opts).unwrap();
-        assert_eq!(panel.panel_sizes, vec![1]);
-        assert_eq!(panel.curves, vec![solo.clone()]);
-        assert_eq!(panel.panel_touched_entries, solo.touched_entries);
-    }
-
-    #[test]
-    fn panel_handles_ragged_horizons_and_early_convergence() {
-        // Two columns over the same matrix bits with very different
-        // horizons: the short one stops at its own Poisson right point
-        // while the long one keeps multiplying until the iterates reach
-        // steady state — per-column n_max, allowance and convergence.
-        let n = 200;
-        let chain = lattice_chain(n, 2.0, 0.1);
-        let alpha = point_mass(n, n - 1);
-        let mut measure = vec![0.0; n];
-        measure[0] = 1.0;
-        let short = [3.0];
-        let long = [100.0, 400.0];
-        let opts = windowed_opts();
-        let members = [
-            PanelMember {
-                ctmc: &chain,
-                times: &short,
-            },
-            PanelMember {
-                ctmc: &chain,
-                times: &long,
-            },
-        ];
-        let panel =
-            measure_curves_panel(&members, &alpha, &measure, &opts, &Budget::unlimited()).unwrap();
-        assert_eq!(panel.panel_sizes, vec![2]);
-        let solo_short = measure_curve(&chain, &alpha, &short, &measure, &opts).unwrap();
-        let solo_long = measure_curve(&chain, &alpha, &long, &measure, &opts).unwrap();
-        assert_eq!(panel.curves[0], solo_short);
-        assert_eq!(panel.curves[1], solo_long);
-        // The scenario actually exercises raggedness: the short column
-        // does strictly fewer products, and the long column hits steady
-        // state before its (much larger) right point.
-        assert!(panel.curves[0].iterations < panel.curves[1].iterations);
-        assert_eq!(panel.curves[0].converged_at, None);
-        assert!(panel.curves[1].converged_at.is_some());
-    }
-
-    #[test]
-    fn panel_budget_cancellation_reports_per_column_completed_work() {
-        // The budget is checked once per live column per iteration,
-        // before the joint product — the same cadence as k serial
-        // solves. With k = 3 columns and 4 allowed checks, iteration 1
-        // performs 3 checks (all with 0 completed products) and 3
-        // column products; iteration 2's second check is the fifth call
-        // and fails, reporting the 3 products done.
-        let n = 200;
-        let chain = lattice_chain(n, 1.0, 0.3);
-        let alpha = point_mass(n, n - 1);
-        let mut measure = vec![0.0; n];
-        measure[0] = 1.0;
-        let times = [10.0, 60.0];
-        let opts = windowed_opts();
-        let chains: Vec<Ctmc> = [0.25, 0.5, 1.0]
-            .iter()
-            .map(|&g| scaled_chain(&chain, g))
-            .collect();
-        let members: Vec<PanelMember<'_>> = chains
-            .iter()
-            .map(|c| PanelMember {
-                ctmc: c,
-                times: &times,
-            })
-            .collect();
-        let err = measure_curves_panel(
-            &members,
-            &alpha,
-            &measure,
-            &opts,
-            &Budget::cancelled_after_checks(4),
-        )
-        .unwrap_err();
-        assert_eq!(err, MarkovError::DeadlineExceeded { completed: 3 });
-        // An already-expired budget fails before any product.
-        let err = measure_curves_panel(
-            &members,
-            &alpha,
-            &measure,
-            &opts,
-            &Budget::cancelled_after_checks(0),
-        )
-        .unwrap_err();
-        assert_eq!(err, MarkovError::DeadlineExceeded { completed: 0 });
-    }
-
-    #[test]
-    fn panel_routes_ineligible_members_to_the_serial_engine() {
-        let n = 200;
-        let chain = lattice_chain(n, 1.0, 0.3);
-        let alpha = point_mass(n, n - 1);
-        let mut measure = vec![0.0; n];
-        measure[0] = 1.0;
-        // A t_max = 0 member (constant curve) mixed with a windowed
-        // pair: the constant member forms its own size-1 panel and runs
-        // the plain engine; the pair panels.
-        let zero = [0.0];
-        let times = [10.0, 60.0];
-        let half = scaled_chain(&chain, 0.5);
-        let opts = windowed_opts();
-        let members = [
-            PanelMember {
-                ctmc: &chain,
-                times: &zero,
-            },
-            PanelMember {
-                ctmc: &chain,
-                times: &times,
-            },
-            PanelMember {
-                ctmc: &half,
-                times: &times,
-            },
-        ];
-        let panel =
-            measure_curves_panel(&members, &alpha, &measure, &opts, &Budget::unlimited()).unwrap();
-        assert_eq!(panel.panel_sizes, vec![1, 2]);
-        for (m, got) in members.iter().zip(&panel.curves) {
-            let solo = measure_curve(m.ctmc, &alpha, m.times, &measure, &opts).unwrap();
-            assert_eq!(*got, solo);
-        }
-        // CSR never panels: every member becomes a size-1 group and the
-        // curves still match the single-vector engine point for point.
-        let csr = TransientOptions {
-            representation: Representation::Csr,
-            ..Default::default()
-        };
-        let csr_panel =
-            measure_curves_panel(&members[1..], &alpha, &measure, &csr, &Budget::unlimited())
-                .unwrap();
-        assert_eq!(csr_panel.panel_sizes, vec![1, 1]);
-        for (m, got) in members[1..].iter().zip(&csr_panel.curves) {
-            let solo = measure_curve(m.ctmc, &alpha, m.times, &measure, &csr).unwrap();
-            assert_eq!(got.points, solo.points);
-        }
-    }
-
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
-
-        /// Panel-vs-sequential bit-identity across random chain sizes,
-        /// rescale factors, panel widths and thread counts: every curve
-        /// a panel returns equals the one a fresh single-vector solve
-        /// of the same member produces.
-        #[test]
-        fn panel_matches_single_curves(
-            n in 24usize..120,
-            down in 0.3f64..2.0,
-            up in 0.0f64..1.0,
-            t in 5.0f64..60.0,
-            threads in 1usize..=8,
-            gammas in proptest::collection::vec(0usize..5, 1..8),
-            windowed in 0usize..2,
-        ) {
-            use proptest::prelude::*;
-            let windowed = windowed == 1;
-            let scales = [0.125, 0.25, 0.5, 1.0, 2.0];
-            let chain = lattice_chain(n, down, up);
-            let alpha = point_mass(n, n - 1);
-            let mut measure = vec![0.0; n];
-            measure[0] = 1.0;
-            let opts = TransientOptions {
-                representation: Representation::Banded,
-                active_window: windowed,
-                threads,
-                ..Default::default()
-            };
-            let chains: Vec<Ctmc> =
-                gammas.iter().map(|&g| scaled_chain(&chain, scales[g])).collect();
-            // Stagger the horizons so panels are ragged more often than
-            // not.
-            let times: Vec<[f64; 2]> = (0..chains.len())
-                .map(|j| [t / (j + 1) as f64, t])
-                .collect();
-            let members: Vec<PanelMember<'_>> = chains
-                .iter()
-                .zip(&times)
-                .map(|(c, ts)| PanelMember { ctmc: c, times: ts })
-                .collect();
-            let panel =
-                measure_curves_panel(&members, &alpha, &measure, &opts, &Budget::unlimited())
-                    .unwrap();
-            prop_assert_eq!(
-                panel.panel_sizes.iter().sum::<usize>(),
-                members.len()
-            );
-            for (m, got) in members.iter().zip(&panel.curves) {
-                let solo = measure_curve(m.ctmc, &alpha, m.times, &measure, &opts).unwrap();
-                // With the window off the members run serially through a
-                // shared cache, whose reuse changes the per-call work
-                // counters (never the values); panelled members carry
-                // full single-solve diagnostics.
-                if windowed {
-                    prop_assert_eq!(got, &solo);
-                } else {
-                    prop_assert_eq!(&got.points, &solo.points);
-                }
-            }
-        }
 
         /// The satellite property: across random lattice chains, time
         /// horizons and thread counts 1–8, window trimming never loses
