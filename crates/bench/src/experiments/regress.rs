@@ -34,6 +34,10 @@
 //!   floor, the deterministic deadline leg's hit rate / degraded-serve
 //!   fraction drift from their exact constructed values, or the
 //!   committed facts were recorded failing any of those checks;
+//! * **representation drift** — on the committed `Δ = 300` config,
+//!   `Auto` must pick padded fixed-width rows (ELL), its curve must equal
+//!   the forced-CSR engine's bit for bit, and its `touched_entries` must
+//!   be exactly `iterations × width × states` (ELL counts padding slots);
 //! * **cancellation overhead** — with an unlimited budget the
 //!   budget-threaded uniformisation engine must touch *exactly* as many
 //!   entries as the plain engine and produce a bit-identical curve: the
@@ -61,6 +65,8 @@ const DRIFT_BOUND: f64 = 1e-12;
 /// Committed Δ configs above this state count are skipped (the gate must
 /// stay a quick smoke, not a multi-minute bench re-run).
 const MAX_GATED_STATES: usize = 50_000;
+/// The committed Δ whose chain `Auto` must run as padded rows (ELL).
+const ELL_GATE_DELTA: f64 = 300.0;
 
 struct Report {
     checks: Vec<(String, bool, String)>,
@@ -256,6 +262,10 @@ fn uniformisation_gate(cfg: &Config, committed: &Json, report: &mut Report) -> R
             );
         }
 
+        if delta == ELL_GATE_DELTA {
+            ell_check(&disc, t_query, &base, report)?;
+        }
+
         // Zero-overhead cancellation: with an unlimited budget the
         // cooperative check points must compile down to a never-taken
         // branch — the budgeted engine does *exactly* the same work
@@ -334,6 +344,58 @@ fn uniformisation_gate(cfg: &Config, committed: &Json, report: &mut Report) -> R
             ),
         );
     }
+    Ok(())
+}
+
+/// `Auto` runs the chain on padded fixed-width rows (ELL), with the
+/// forced-CSR engine's bits and `iterations × width × states` touched
+/// slots.
+fn ell_check(
+    disc: &kibamrm::discretise::DiscretisedModel,
+    t_query: f64,
+    base: &TransientOptions,
+    report: &mut Report,
+) -> Result<(), String> {
+    let chain = disc.chain();
+    let (pt, _) = chain
+        .uniformised_transposed_auto(base.uniformisation_factor)
+        .map_err(|e| e.to_string())?;
+    let width = pt.as_ell().map_or(0, |m| m.width());
+    let solve = |representation| {
+        measure_curve(
+            chain,
+            disc.alpha(),
+            &[t_query],
+            disc.empty_measure(),
+            &TransientOptions {
+                representation,
+                ..*base
+            },
+        )
+        .map_err(|e| e.to_string())
+    };
+    let auto = solve(Representation::Auto)?;
+    let csr = solve(Representation::Csr)?;
+    let same_bits = auto.points.len() == csr.points.len()
+        && auto
+            .points
+            .iter()
+            .zip(&csr.points)
+            .all(|(a, c)| a.1.to_bits() == c.1.to_bits());
+    let slots = (auto.iterations * width * chain.n_states()) as u64;
+    report.check(
+        &format!("ell Δ={ELL_GATE_DELTA}"),
+        width > 0 && same_bits && auto.touched_entries == slots,
+        format!(
+            "Auto picked ELL: {} (width {width}), curve bit-identical to forced \
+             CSR: {same_bits}, touched {} vs iterations {} × {width} × {} states \
+             = {slots}",
+            width > 0,
+            auto.touched_entries,
+            auto.iterations,
+            chain.n_states()
+        ),
+    );
     Ok(())
 }
 

@@ -83,8 +83,9 @@ pub struct CtmcStats {
     /// Number of distinct diagonals the off-diagonal rate matrix
     /// occupies. The lattice structure makes this a small constant
     /// (workload hops, consumption, recovery — each a fixed index
-    /// delta), which is what lets the transient engines switch to
-    /// banded (DIA) storage.
+    /// delta). Whether banded (DIA) storage pays also depends on how
+    /// full those diagonals are: the Fig. 8 chains' five are too sparse,
+    /// and `Auto` runs them as padded fixed-width rows instead.
     pub band_offsets: usize,
     /// Largest `|column − row|` over the stored rates — how far one
     /// uniformisation product can move probability mass, i.e. the

@@ -73,8 +73,10 @@ pub struct SolverOptions {
     /// own thread configuration in charge).
     pub row_threads: usize,
     /// Storage-format selection for uniformisation-based backends
-    /// (default [`Representation::Auto`]: lattice chains iterate banded
-    /// matrices with the active window, unstructured ones generic CSR).
+    /// (default [`Representation::Auto`]: densely banded chains iterate
+    /// banded matrices with the active window, short even rows — the
+    /// discretised Fig. 8 chains — padded fixed-width rows, the rest
+    /// generic CSR).
     /// A non-`Auto` value overrides whatever the backend was configured
     /// with; `Auto` defers to the backend's own
     /// [`TransientOptions::representation`].

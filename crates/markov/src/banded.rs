@@ -22,7 +22,8 @@
 //! the [`SpmvPool`](crate::pool::SpmvPool) dispatch on whichever
 //! representation a chain ended up with.
 
-use crate::sparse::CsrMatrix;
+use crate::ell::EllMatrix;
+use crate::sparse::{padding_pays, CsrMatrix};
 use crate::MarkovError;
 use std::ops::Range;
 
@@ -78,15 +79,14 @@ impl BandedMatrix {
     }
 
     /// Whether DIA storage pays off for a square matrix occupying
-    /// `offsets` diagonals: the diagonal slots must not dwarf the CSR
-    /// payload (each CSR entry costs 12 bytes against DIA's 8 per slot,
-    /// so up to `1.5×` slots break even; empty diagonals beyond that
-    /// waste bandwidth) and the offset list must stay a small fixed
-    /// stencil ([`MAX_PROFITABLE_OFFSETS`]).
+    /// `offsets` diagonals: the `offsets·n` diagonal slots must pass the
+    /// shared [`padding_pays`] break-even against the `nnz + n` entries
+    /// of `Pᵀ` (empty diagonals beyond it waste bandwidth) and the offset
+    /// list must stay a small fixed stencil ([`MAX_PROFITABLE_OFFSETS`]).
     pub fn is_profitable(n: usize, nnz: usize, offsets: usize) -> bool {
         offsets > 0
             && offsets <= MAX_PROFITABLE_OFFSETS
-            && offsets.saturating_mul(n) <= 3 * (nnz + n) / 2
+            && padding_pays(offsets.saturating_mul(n), nnz + n)
     }
 
     /// Converts a square CSR matrix to banded storage, detecting the
@@ -511,14 +511,16 @@ impl BandedMatrix {
 
 /// A borrowed matrix in whichever representation the chain ended up
 /// with; the [`SpmvPool`](crate::pool::SpmvPool) kernels dispatch on
-/// this, so one engine serves both formats. `&CsrMatrix` and
-/// `&BandedMatrix` convert with `.into()`.
+/// this, so one engine serves every format. `&CsrMatrix`,
+/// `&BandedMatrix` and `&EllMatrix` convert with `.into()`.
 #[derive(Debug, Clone, Copy)]
 pub enum MatrixRef<'a> {
     /// Generic compressed-sparse-row storage.
     Csr(&'a CsrMatrix),
     /// Diagonal (DIA) storage for banded lattices.
     Banded(&'a BandedMatrix),
+    /// Padded fixed-width rows (ELL) for short, even rows.
+    Ell(&'a EllMatrix),
 }
 
 impl<'a> From<&'a CsrMatrix> for MatrixRef<'a> {
@@ -530,6 +532,12 @@ impl<'a> From<&'a CsrMatrix> for MatrixRef<'a> {
 impl<'a> From<&'a BandedMatrix> for MatrixRef<'a> {
     fn from(m: &'a BandedMatrix) -> Self {
         MatrixRef::Banded(m)
+    }
+}
+
+impl<'a> From<&'a EllMatrix> for MatrixRef<'a> {
+    fn from(m: &'a EllMatrix) -> Self {
+        MatrixRef::Ell(m)
     }
 }
 
@@ -545,6 +553,7 @@ impl MatrixRef<'_> {
         match self {
             MatrixRef::Csr(m) => m.rows(),
             MatrixRef::Banded(m) => m.rows(),
+            MatrixRef::Ell(m) => m.rows(),
         }
     }
 
@@ -553,16 +562,20 @@ impl MatrixRef<'_> {
         match self {
             MatrixRef::Csr(m) => m.cols(),
             MatrixRef::Banded(m) => m.cols(),
+            MatrixRef::Ell(m) => m.cols(),
         }
     }
 
     /// Splits the rows into `parts` contiguous work ranges: nnz-balanced
     /// for CSR, evenly by row for banded (diagonal storage carries the
-    /// same work per interior row by construction).
+    /// same work per interior row by construction), and for ELL at the
+    /// boundaries its source CSR would get, so pooled ELL and pooled CSR
+    /// reduce the same partial dots.
     pub fn partition(&self, parts: usize) -> Vec<Range<usize>> {
         match self {
             MatrixRef::Csr(m) => m.nnz_partition(parts),
             MatrixRef::Banded(m) => split_evenly(0..m.rows(), parts),
+            MatrixRef::Ell(m) => m.nnz_partition(parts),
         }
     }
 
@@ -572,6 +585,7 @@ impl MatrixRef<'_> {
         match self {
             MatrixRef::Csr(m) => m.mul_vec_range_into(x, y_block, rows),
             MatrixRef::Banded(m) => m.mul_vec_range_into(x, y_block, rows),
+            MatrixRef::Ell(m) => m.mul_vec_range_into(x, y_block, rows),
         }
     }
 
@@ -587,6 +601,7 @@ impl MatrixRef<'_> {
         match self {
             MatrixRef::Csr(m) => m.mul_vec_dot_range(x, y_block, measure_block, rows),
             MatrixRef::Banded(m) => m.mul_vec_dot_range(x, y_block, measure_block, rows),
+            MatrixRef::Ell(m) => m.mul_vec_dot_range(x, y_block, measure_block, rows),
         }
     }
 
@@ -596,6 +611,7 @@ impl MatrixRef<'_> {
         match self {
             MatrixRef::Csr(m) => m.mul_vec_sup_range(x, y_block, rows),
             MatrixRef::Banded(m) => m.mul_vec_sup_range(x, y_block, rows),
+            MatrixRef::Ell(m) => m.mul_vec_sup_range(x, y_block, rows),
         }
     }
 
@@ -612,6 +628,7 @@ impl MatrixRef<'_> {
         match self {
             MatrixRef::Csr(m) => m.mul_vec_dot_sup_range(x, y_block, measure_block, rows),
             MatrixRef::Banded(m) => m.mul_vec_dot_sup_range(x, y_block, measure_block, rows),
+            MatrixRef::Ell(m) => m.mul_vec_dot_sup_range(x, y_block, measure_block, rows),
         }
     }
 }
@@ -621,10 +638,12 @@ impl MatrixRef<'_> {
 /// selected.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TransitionMatrix {
-    /// Generic CSR (the fallback for unstructured chains).
+    /// Generic CSR (the fallback when neither padded format pays).
     Csr(CsrMatrix),
-    /// Banded storage (lattice chains).
+    /// Banded storage (lattices whose diagonals are densely populated).
     Banded(BandedMatrix),
+    /// Padded fixed-width rows (short rows of near-equal length).
+    Ell(EllMatrix),
 }
 
 impl TransitionMatrix {
@@ -633,6 +652,7 @@ impl TransitionMatrix {
         match self {
             TransitionMatrix::Csr(m) => MatrixRef::Csr(m),
             TransitionMatrix::Banded(m) => MatrixRef::Banded(m),
+            TransitionMatrix::Ell(m) => MatrixRef::Ell(m),
         }
     }
 
@@ -645,16 +665,26 @@ impl TransitionMatrix {
     pub fn as_banded(&self) -> Option<&BandedMatrix> {
         match self {
             TransitionMatrix::Banded(m) => Some(m),
-            TransitionMatrix::Csr(_) => None,
+            TransitionMatrix::Csr(_) | TransitionMatrix::Ell(_) => None,
+        }
+    }
+
+    /// The ELL matrix, when that representation was selected.
+    pub fn as_ell(&self) -> Option<&EllMatrix> {
+        match self {
+            TransitionMatrix::Ell(m) => Some(m),
+            TransitionMatrix::Csr(_) | TransitionMatrix::Banded(_) => None,
         }
     }
 
     /// Slots a full product touches: CSR touches every stored non-zero,
-    /// banded every in-range diagonal slot.
+    /// banded every in-range diagonal slot, ELL every padded row slot
+    /// (`width·n`, padding included).
     pub fn entries_per_product(&self) -> usize {
         match self {
             TransitionMatrix::Csr(m) => m.nnz(),
             TransitionMatrix::Banded(m) => m.stored_entries(),
+            TransitionMatrix::Ell(m) => m.stored_entries(),
         }
     }
 }

@@ -7,6 +7,7 @@
 //! (Figs. 3–5) as well as the huge derived chains of Section 5.
 
 use crate::banded::{BandedMatrix, TransitionMatrix};
+use crate::ell::EllMatrix;
 use crate::sparse::CsrMatrix;
 use crate::MarkovError;
 
@@ -374,12 +375,20 @@ impl Ctmc {
     }
 
     /// [`Ctmc::uniformised_transposed`] with automatic representation
-    /// selection: when the rate matrix occupies a small fixed set of
-    /// diagonals (every discretised battery lattice does — workload hop,
-    /// consumption, recovery are constant index deltas), `Pᵀ` is emitted
-    /// **directly in banded (DIA) form** and the generic CSR matrix is
-    /// never materialised on the hot path. Unstructured chains fall back
-    /// to the CSR emission unchanged.
+    /// selection, in this order:
+    ///
+    /// 1. **banded (DIA)** when the rate matrix occupies a few densely
+    ///    populated diagonals ([`BandedMatrix::is_profitable`]); `Pᵀ` is
+    ///    then emitted directly in DIA form, never as a CSR matrix;
+    /// 2. **padded rows (ELL)** when padding every row of the emitted
+    ///    CSR `Pᵀ` to its longest row stays within the same slot
+    ///    break-even ([`EllMatrix::is_profitable`]) — short, even rows,
+    ///    like the discretised Fig. 8 chains whose five diagonals are
+    ///    too sparse for DIA;
+    /// 3. **CSR** otherwise (e.g. a chain with one hub row).
+    ///
+    /// The ELL form is built from the CSR emission, so there is one
+    /// emission path, and its kernels are bit-identical to CSR's.
     ///
     /// # Errors
     ///
@@ -393,13 +402,16 @@ impl Ctmc {
             let (eye, _) = self.uniformised_transposed(factor)?;
             return Ok((TransitionMatrix::Csr(eye), 0.0));
         }
-        match BandedMatrix::transposed_scaled_add_diag(&self.rates, 1.0 / nu, &stay)? {
-            Some(banded) => Ok((TransitionMatrix::Banded(banded), nu)),
-            None => Ok((
-                TransitionMatrix::Csr(self.rates.transpose_scaled_add_diag(1.0 / nu, &stay)?),
-                nu,
-            )),
+        if let Some(banded) =
+            BandedMatrix::transposed_scaled_add_diag(&self.rates, 1.0 / nu, &stay)?
+        {
+            return Ok((TransitionMatrix::Banded(banded), nu));
         }
+        let pt = self.rates.transpose_scaled_add_diag(1.0 / nu, &stay)?;
+        if EllMatrix::is_profitable(pt.rows(), pt.nnz(), pt.max_row_len()) {
+            return Ok((TransitionMatrix::Ell(EllMatrix::from_csr(&pt)?), nu));
+        }
+        Ok((TransitionMatrix::Csr(pt), nu))
     }
 
     /// [`Ctmc::uniformised_transposed_auto`] forced to banded storage,
@@ -688,15 +700,58 @@ mod tests {
         assert_eq!(nu_b, nu);
         assert_eq!(&forced, banded);
 
-        // A tiny dense-ish chain scatters over too many diagonals for
-        // its size: auto falls back to CSR (forced banded still works).
+        // Short uneven rows scattered over many diagonals: DIA does not
+        // pay, but padding Pᵀ's 2–3 entry rows to width 3 does → ELL.
+        let n = 64;
+        let mut b = CtmcBuilder::new(n);
+        for i in 0..n {
+            b.rate(i, (i * 7 + 1) % n, 1.0 + (i % 3) as f64).unwrap();
+            if i % 2 == 0 {
+                b.rate(i, (i * 13 + 5) % n, 0.5).unwrap();
+            }
+        }
+        let scattered = b.build().unwrap();
+        let (auto, nu) = scattered.uniformised_transposed_auto(1.02).unwrap();
+        let (pt_csr, nu_csr) = scattered.uniformised_transposed(1.02).unwrap();
+        assert_eq!(nu, nu_csr);
+        let ell = auto.as_ell().expect("short uneven rows go ELL");
+        assert!(auto.as_banded().is_none());
+        assert_eq!(ell.width(), 3);
+        assert_eq!(ell.to_csr(), pt_csr, "same matrix either way");
+        assert_eq!(auto.entries_per_product(), 3 * n, "padding slots count");
+        let (forced, _) = scattered.uniformised_transposed_banded(1.02).unwrap();
+        assert_eq!(forced.to_csr(), pt_csr);
+
+        // One hub row: every state also feeds state 0, so Pᵀ's row 0
+        // holds n entries and padding every row to it would not pay →
+        // CSR.
+        let mut b = CtmcBuilder::new(n);
+        for i in 1..n {
+            b.rate(i, 0, 0.3).unwrap();
+            b.rate(i, (i * 7 + 1) % n, 1.0).unwrap();
+        }
+        b.rate(0, 1, 1.0).unwrap();
+        let hub = b.build().unwrap();
+        let (auto, _) = hub.uniformised_transposed_auto(1.02).unwrap();
+        assert!(
+            matches!(auto, TransitionMatrix::Csr(_)),
+            "hub chain stays CSR"
+        );
+
+        // A tiny chain scatters over too many diagonals for its size: not
+        // banded (its even two-entry rows go ELL); forced banded still
+        // works.
         let mut b = CtmcBuilder::new(4);
         for (f, t, r) in [(0usize, 1usize, 1.2), (0, 3, 0.4), (1, 2, 2.3), (3, 0, 0.9)] {
             b.rate(f, t, r).unwrap();
         }
         let dense = b.build().unwrap();
         let (auto, _) = dense.uniformised_transposed_auto(1.02).unwrap();
-        assert!(auto.as_banded().is_none(), "unstructured chain stays CSR");
+        assert!(
+            auto.as_banded().is_none(),
+            "unstructured chain is not banded"
+        );
+        assert_eq!(auto.as_ell().map(|m| m.width()), Some(2));
         let (pt_csr, _) = dense.uniformised_transposed(1.02).unwrap();
         let (forced, _) = dense.uniformised_transposed_banded(1.02).unwrap();
         assert_eq!(forced.to_csr(), pt_csr);

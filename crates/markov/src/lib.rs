@@ -9,6 +9,8 @@
 //! * [`banded`] — DIA-style diagonal storage for the lattice-structured
 //!   chains of the discretisation, with branch-free fused kernels and
 //!   automatic conversion from CSR;
+//! * [`ell`] — padded fixed-width rows for iteration matrices whose rows
+//!   are short and even, bit-identical to the CSR kernels;
 //! * [`ctmc`] — validated CTMC construction (generators, exit rates,
 //!   uniformisation, Graphviz export);
 //! * [`foxglynn`] — Poisson probability weights with left/right truncation
@@ -54,6 +56,7 @@ pub mod banded;
 pub mod budget;
 pub mod ctmc;
 pub mod dtmc;
+pub mod ell;
 pub mod foxglynn;
 pub mod mrm;
 pub mod pool;

@@ -11,9 +11,10 @@
 //! ([`CsrMatrix::nnz_partition`]).
 //!
 //! The pool dispatches on matrix **representation**: every kernel takes
-//! anything convertible to a [`MatrixRef`], so generic CSR chains and
-//! banded lattice chains ([`crate::banded::BandedMatrix`]) run through
-//! the same engine.
+//! anything convertible to a [`MatrixRef`], so generic CSR chains,
+//! banded lattice chains ([`crate::banded::BandedMatrix`]) and padded
+//! fixed-width rows ([`crate::ell::EllMatrix`]) run through the same
+//! engine.
 //!
 //! The pool also exposes the fused SpMV+dot kernel
 //! ([`SpmvPool::mul_vec_dot`]): each worker returns the partial dot of
@@ -46,6 +47,7 @@ use std::thread::JoinHandle;
 enum JobMatrix {
     Csr(*const CsrMatrix),
     Banded(*const crate::banded::BandedMatrix),
+    Ell(*const crate::ell::EllMatrix),
 }
 
 impl JobMatrix {
@@ -53,6 +55,7 @@ impl JobMatrix {
         match matrix {
             MatrixRef::Csr(m) => JobMatrix::Csr(m),
             MatrixRef::Banded(m) => JobMatrix::Banded(m),
+            MatrixRef::Ell(m) => JobMatrix::Ell(m),
         }
     }
 
@@ -64,6 +67,12 @@ impl JobMatrix {
         match self {
             JobMatrix::Csr(m) => MatrixRef::Csr(&*m),
             JobMatrix::Banded(m) => MatrixRef::Banded(&*m),
+            // SAFETY: as for the other arms — `m` came from a live
+            // `&EllMatrix` in `JobMatrix::of`, and the dispatcher holds
+            // that borrow until this job's completion message arrives.
+            // The ELL kernels read only `x` and write only `y[rows]`,
+            // the same footprint as the CSR kernel on the same rows.
+            JobMatrix::Ell(m) => MatrixRef::Ell(&*m),
         }
     }
 }
@@ -528,6 +537,7 @@ fn worker_loop(index: usize, jobs: &Receiver<Job>, done: &Sender<(usize, f64, f6
 mod tests {
     use super::*;
     use crate::banded::BandedMatrix;
+    use crate::ell::EllMatrix;
 
     fn banded(n: usize) -> CsrMatrix {
         let mut trip = Vec::new();
@@ -629,6 +639,55 @@ mod tests {
             assert_eq!(yc, yb, "threads = {threads}");
             assert!((dc - db).abs() <= 1e-12 * dc.abs().max(1.0));
             assert_eq!(sc, sb);
+        }
+    }
+
+    #[test]
+    fn pooled_ell_matches_pooled_csr_bitwise() {
+        // Uneven short rows (0–5 entries at scattered columns): the ELL
+        // pads them to width 5. Both formats split at the same nnz
+        // boundaries, so every product, partial-dot reduction and
+        // sup-norm carries the same bits at every thread count.
+        let n = 301;
+        let mut trip = Vec::new();
+        for r in 0..n {
+            for k in 0..(r * 7 % 6) {
+                trip.push((
+                    r,
+                    (r * 31 + k * 97 + 5) % n,
+                    0.125 + ((r + k) % 9) as f64 * 0.1,
+                ));
+            }
+        }
+        let csr = CsrMatrix::from_triplets(n, n, trip).unwrap();
+        let ell = EllMatrix::from_csr(&csr).unwrap();
+        assert_eq!(ell.width(), 5);
+        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.029).sin()).collect();
+        let measure: Vec<f64> = (0..n).map(|i| ((i % 4) as f64) * 0.5).collect();
+        let bits = |v: &[f64]| v.iter().map(|a| a.to_bits()).collect::<Vec<_>>();
+        for threads in 1..=8 {
+            let pool = SpmvPool::with_exact_threads(threads);
+            let pc = MatrixRef::from(&csr).partition(pool.threads());
+            let pe = MatrixRef::from(&ell).partition(pool.threads());
+            assert_eq!(pc, pe, "threads = {threads}");
+            let (mut yc, mut ye) = (vec![0.0; n], vec![0.0; n]);
+            pool.mul_vec(&csr, &pc, &x, &mut yc).unwrap();
+            pool.mul_vec(&ell, &pe, &x, &mut ye).unwrap();
+            assert_eq!(bits(&yc), bits(&ye), "threads = {threads}");
+            let dc = pool.mul_vec_dot(&csr, &pc, &x, &mut yc, &measure).unwrap();
+            let de = pool.mul_vec_dot(&ell, &pe, &x, &mut ye, &measure).unwrap();
+            assert_eq!(dc.to_bits(), de.to_bits(), "threads = {threads}");
+            let sc = pool.mul_vec_sup(&csr, &pc, &x, &mut yc).unwrap();
+            let se = pool.mul_vec_sup(&ell, &pe, &x, &mut ye).unwrap();
+            assert_eq!(sc.to_bits(), se.to_bits(), "threads = {threads}");
+            let (dc, sc) = pool
+                .mul_vec_dot_sup(&csr, &pc, &x, &mut yc, &measure)
+                .unwrap();
+            let (de, se) = pool
+                .mul_vec_dot_sup(&ell, &pe, &x, &mut ye, &measure)
+                .unwrap();
+            assert_eq!(bits(&yc), bits(&ye), "threads = {threads}");
+            assert_eq!((dc.to_bits(), sc.to_bits()), (de.to_bits(), se.to_bits()));
         }
     }
 

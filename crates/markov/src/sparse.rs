@@ -16,6 +16,17 @@ use std::ops::Range;
 /// path and the benchmark metadata cannot drift apart.
 pub const PARALLEL_SPMV_MIN_ROWS: usize = 4096;
 
+/// The slot break-even shared by the padded formats (DIA diagonals,
+/// ELL fixed-width rows): storing `entries` values in `slots` uniform
+/// slots pays while `slots ≤ 1.5·entries`. For DIA that is the memory
+/// break-even (8 bytes per slot against CSR's 12 per entry); for ELL,
+/// whose slots cost CSR's 12 bytes, the fixed inner trip count buys back
+/// up to the same factor. Beyond it the padding streams more than the
+/// uniform loop saves.
+pub fn padding_pays(slots: usize, entries: usize) -> bool {
+    slots <= entries.saturating_mul(3) / 2
+}
+
 /// 64-bit FNV-1a over a sequence of `u64` words — the one hash fold
 /// behind every structural fingerprint in the workspace
 /// ([`CsrMatrix::pattern_fingerprint`], the discretiser's lattice
@@ -144,6 +155,23 @@ impl CsrMatrix {
     #[inline]
     pub fn nnz(&self) -> usize {
         self.values.len()
+    }
+
+    /// The most entries any row stores (0 for an all-zero matrix) — the
+    /// width [`EllMatrix`](crate::ell::EllMatrix) pads every row to.
+    pub(crate) fn max_row_len(&self) -> usize {
+        self.row_ptr
+            .windows(2)
+            .map(|w| w[1] - w[0])
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Row extents: row `r` occupies `row_ptr[r]..row_ptr[r + 1]` of the
+    /// value and column arrays.
+    #[inline]
+    pub(crate) fn row_ptr(&self) -> &[usize] {
+        &self.row_ptr
     }
 
     /// Iterates over `(col, value)` pairs of row `r`.
@@ -376,25 +404,7 @@ impl CsrMatrix {
     /// order, cover `0..rows`, and may be empty when the matrix has fewer
     /// populated rows than `parts`.
     pub fn nnz_partition(&self, parts: usize) -> Vec<Range<usize>> {
-        let parts = parts.max(1);
-        let total = self.nnz();
-        let mut ranges = Vec::with_capacity(parts);
-        let mut start = 0usize;
-        for p in 1..=parts {
-            let end = if p == parts {
-                self.rows
-            } else {
-                // First row boundary whose cumulative nnz reaches the
-                // ideal p-th cut. row_ptr is monotone, so binary search.
-                let target = (total as u128 * p as u128 / parts as u128) as usize;
-                self.row_ptr
-                    .partition_point(|&v| v < target)
-                    .clamp(start, self.rows)
-            };
-            ranges.push(start..end);
-            start = end;
-        }
-        ranges
+        nnz_partition(&self.row_ptr, parts)
     }
 
     /// Row-parallel `y = A·x` using `threads` OS threads spawned **per
@@ -743,6 +753,31 @@ impl CsrMatrix {
     pub fn iter(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
         (0..self.rows).flat_map(move |r| self.row(r).map(move |(c, v)| (r, c, v)))
     }
+}
+
+/// [`CsrMatrix::nnz_partition`] over bare row extents (`rows + 1`
+/// monotone offsets), so a format built from a CSR matrix can keep its
+/// source's row extents and split its rows at exactly the same
+/// boundaries.
+pub(crate) fn nnz_partition(row_ptr: &[usize], parts: usize) -> Vec<Range<usize>> {
+    let parts = parts.max(1);
+    let rows = row_ptr.len() - 1;
+    let total = row_ptr[rows];
+    let mut ranges = Vec::with_capacity(parts);
+    let mut start = 0usize;
+    for p in 1..=parts {
+        let end = if p == parts {
+            rows
+        } else {
+            // First row boundary whose cumulative nnz reaches the
+            // ideal p-th cut. row_ptr is monotone, so binary search.
+            let target = (total as u128 * p as u128 / parts as u128) as usize;
+            row_ptr.partition_point(|&v| v < target).clamp(start, rows)
+        };
+        ranges.push(start..end);
+        start = end;
+    }
+    ranges
 }
 
 /// First pass of two-pass counted CSR assembly: tally how many entries

@@ -17,13 +17,15 @@
 //! absorbing) and stops multiplying once `v_n` has converged.
 //!
 //! Both engines run on the zero-respawn hot path: `Pᵀ` is emitted
-//! directly from the generator — in **banded (DIA) form** when the chain
-//! is a lattice ([`Ctmc::uniformised_transposed_auto`]), generic CSR
-//! otherwise — the worker pool is spawned **once per call** and fed row
-//! blocks ([`crate::pool::SpmvPool`], which dispatches on the matrix
-//! representation), the curve engine's per-iteration measure is folded
-//! into the product (fused SpMV+dot), and Poisson windows for the
-//! individual time points reuse one Fox–Glynn workspace
+//! directly from the generator — in **banded (DIA) form** when its
+//! diagonals are densely populated, as **padded fixed-width rows (ELL)**
+//! when its rows are short and even, generic CSR otherwise
+//! ([`Ctmc::uniformised_transposed_auto`]) — the worker pool is spawned
+//! **once per call** and fed row blocks ([`crate::pool::SpmvPool`],
+//! which dispatches on the matrix representation), the curve engine's
+//! per-iteration measure is folded into the product (fused SpMV+dot),
+//! and Poisson windows for the individual time points reuse one
+//! Fox–Glynn workspace
 //! ([`crate::foxglynn::FoxGlynnCache`]), recomputed only when the time
 //! point actually changes (the requested times are visited in sorted
 //! order, so duplicates are free).
@@ -53,8 +55,10 @@ use std::ops::Range;
 /// Which storage format the transient engines iterate with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Representation {
-    /// Probe the chain's structure and pick banded when profitable
-    /// (the default; lattice chains go banded, unstructured ones CSR).
+    /// Probe the chain's structure and pick banded when its diagonals
+    /// are densely populated, padded fixed-width rows (ELL) when its rows
+    /// are short and even, CSR otherwise (the default; see
+    /// [`Ctmc::uniformised_transposed_auto`]).
     #[default]
     Auto,
     /// Force generic CSR (the pre-banded engine, kept as the reference
@@ -230,8 +234,9 @@ pub fn transient_distribution_budgeted(
             "time must be finite and non-negative, got {t}"
         )));
     }
-    // Pᵀ straight from the generator: banded for lattice chains, CSR
-    // otherwise — never a P temporary, never a transpose copy.
+    // Pᵀ straight from the generator in the representation Auto picks
+    // (banded, padded rows or CSR) — never a P temporary, never a
+    // transpose copy.
     let (pt, nu) = build_transposed(ctmc, opts)?;
     if nu == 0.0 || t == 0.0 {
         return Ok(TransientSolution {
@@ -559,9 +564,10 @@ pub fn measure_curve_budgeted(
     }
     cache.last_shared = false;
 
-    // Pᵀ straight from the generator: banded for lattice chains, CSR
-    // otherwise — never a P temporary, never a transpose copy. Within a
-    // plan group the cached offsets skip structure detection.
+    // Pᵀ straight from the generator in the representation Auto picks
+    // (banded, padded rows or CSR) — never a P temporary, never a
+    // transpose copy. Within a plan group the cached offsets skip
+    // structure detection.
     let member_fp = ctmc.structural_fingerprint();
     let (pt, nu) = build_transposed_cached(ctmc, member_fp, opts, cache)?;
     let t_max = times.iter().cloned().fold(0.0, f64::max);
@@ -1493,6 +1499,105 @@ mod tests {
         assert_eq!(plain.points, budgeted.points);
         assert_eq!(plain.iterations, budgeted.iterations);
         assert_eq!(plain.touched_entries, budgeted.touched_entries);
+    }
+
+    /// A chain shaped like the discretised Fig. 8 battery at Δ = 300 A·s
+    /// (the `kibamrm` discretiser's layout): a 1 Hz on/off load with
+    /// `stages` Erlang phases each way, drawing 0.96 A while on, over a
+    /// 7200 A·s KiBaM lattice with available fraction `c`. Workload hops,
+    /// consumption and bound → available transfer move the flat index by
+    /// fixed deltas, and the all-empty level `j₁ = 0` absorbs.
+    fn fig8_shaped(stages: usize, c: f64) -> (Ctmc, Vec<f64>, Vec<f64>) {
+        let (capacity, delta, current, k) = (7200.0, 300.0, 0.96, 4.5e-5);
+        let n_w = 2 * stages;
+        let j1_levels = (c * capacity / delta) as usize + 1;
+        let j2_levels = ((1.0 - c) * capacity / delta) as usize + 1;
+        let idx = |i: usize, j1: usize, j2: usize| (j1 * j2_levels + j2) * n_w + i;
+        let n = n_w * j1_levels * j2_levels;
+        let mut b = CtmcBuilder::new(n);
+        for j1 in 1..j1_levels {
+            for j2 in 0..j2_levels {
+                for i in 0..n_w {
+                    let from = idx(i, j1, j2);
+                    b.rate(from, idx((i + 1) % n_w, j1, j2), n_w as f64)
+                        .unwrap();
+                    if i < stages {
+                        b.rate(from, idx(i, j1 - 1, j2), current / delta).unwrap();
+                    }
+                    let transfer = k * (j2 as f64 / (1.0 - c) - j1 as f64 / c);
+                    if j2 > 0 && j1 + 1 < j1_levels && transfer > 0.0 {
+                        b.rate(from, idx(i, j1 + 1, j2 - 1), transfer).unwrap();
+                    }
+                }
+            }
+        }
+        let alpha = point_mass(n, idx(0, j1_levels - 1, j2_levels - 1));
+        let empty = (0..n)
+            .map(|s| if s < j2_levels * n_w { 1.0 } else { 0.0 })
+            .collect();
+        (b.build().unwrap(), alpha, empty)
+    }
+
+    #[test]
+    fn auto_runs_fig8_shaped_chains_on_ell_with_csr_bits() {
+        // The sweep_grid shapes: Erlang-1/2 loads, c ∈ {0.625, 0.5}. Their
+        // five diagonals are too sparse for DIA, so Auto pads the rows
+        // (ELL) — and must reproduce the CSR engine bit for bit.
+        let times = [250.0, 1000.0, 2000.0];
+        for (stages, c) in [(1, 0.625), (1, 0.5), (2, 0.625), (2, 0.5)] {
+            let (chain, alpha, empty) = fig8_shaped(stages, c);
+            let (pt, _) = chain.uniformised_transposed_auto(1.02).unwrap();
+            let ell = pt.as_ell().expect("Fig. 8 shapes go ELL");
+            assert_eq!(pt.entries_per_product(), ell.width() * chain.n_states());
+            let auto = TransientOptions::default();
+            let csr = TransientOptions {
+                representation: Representation::Csr,
+                ..auto
+            };
+            let a = measure_curve(&chain, &alpha, &times, &empty, &auto).unwrap();
+            let b = measure_curve(&chain, &alpha, &times, &empty, &csr).unwrap();
+            let bits =
+                |c: &CurveSolution| c.points.iter().map(|p| p.1.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&a), bits(&b), "stages {stages}, c {c}");
+            assert_eq!(a.iterations, b.iterations);
+            assert_eq!(
+                a.touched_entries,
+                a.iterations as u64 * pt.entries_per_product() as u64
+            );
+        }
+    }
+
+    #[test]
+    fn ell_rescale_family_shares_one_sweep_with_csr_bits() {
+        // A γ ∈ {½, 1} family through one CurveCache per representation:
+        // γ = ½ runs the sweep, γ = 1 extends it. Every member equals the
+        // forced-CSR engine and its own independent solve bit for bit.
+        let (chain, alpha, empty) = fig8_shaped(2, 0.625);
+        let times = [500.0, 1500.0];
+        let auto = TransientOptions::default();
+        let csr = TransientOptions {
+            representation: Representation::Csr,
+            ..auto
+        };
+        let (mut auto_cache, mut csr_cache) = (CurveCache::new(), CurveCache::new());
+        for gamma in [0.5, 1.0] {
+            let member = scaled_chain(&chain, gamma);
+            let a = measure_curve_cached(&member, &alpha, &times, &empty, &auto, &mut auto_cache)
+                .unwrap();
+            let shared = auto_cache.last_solve_shared();
+            let b = measure_curve_cached(&member, &alpha, &times, &empty, &csr, &mut csr_cache)
+                .unwrap();
+            let independent = measure_curve(&member, &alpha, &times, &empty, &auto).unwrap();
+            let bits =
+                |c: &CurveSolution| c.points.iter().map(|p| p.1.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&a), bits(&b), "γ = {gamma}: ELL vs CSR");
+            assert_eq!(bits(&a), bits(&independent), "γ = {gamma}: cached vs fresh");
+            if gamma == 1.0 {
+                assert!(shared, "γ = 1 extends the γ = ½ sweep");
+                assert!(a.iterations < independent.iterations);
+                assert_eq!(a.iterations, b.iterations);
+            }
+        }
     }
 
     proptest::proptest! {
