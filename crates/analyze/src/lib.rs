@@ -3,7 +3,7 @@
 //!
 //! The workspace's headline guarantees (bit-identical answers across
 //! thread counts, panic-free typed-error serving at the network
-//! boundary, exact mul-then-add in the SIMD kernels) rest on coding
+//! boundary, exact mul-then-add in the sparse kernels) rest on coding
 //! rules no compiler flag checks: justified `unsafe`, panic-free
 //! request paths, a consistent lock order, no FMA or wall-clock reads
 //! on solver paths, no lossy casts in the wire parsers. This crate

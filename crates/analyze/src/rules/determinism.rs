@@ -7,8 +7,7 @@
 //!
 //! * **FMA**: `.mul_add(…)` method calls (and `f64::mul_add` UFCS) are
 //!   denied outside `mul_add_allowed` — fused multiply-add rounds once
-//!   where the kernels' contract is exact mul-then-add. Calls *through*
-//!   the project's own `simd::mul_add` wrapper are exempt by name.
+//!   where the kernels' contract is exact mul-then-add.
 //! * **Wall clocks**: `Instant::now`, `SystemTime`, and `.elapsed()`
 //!   are denied outside `clock_allowed` (the budget/deadline/timeout
 //!   modules) — clock reads on a solve path are how timing leaks into
@@ -70,22 +69,14 @@ pub fn check(files: &[SourceFile], config: &Config) -> Vec<Finding> {
             };
             match token.text.as_str() {
                 "mul_add" if !path_matches(&file.path, &config.mul_add_allowed) => {
+                    // A method call or any path call (`f64::mul_add`).
                     let after_dot = i > 0 && tokens[i - 1].text == ".";
-                    // `simd::mul_add` (the project's exact kernel) is
-                    // the sanctioned spelling; any other path call
-                    // (`f64::mul_add`) is FMA.
-                    let via_simd = i >= 3
-                        && tokens[i - 1].text == ":"
-                        && tokens[i - 2].text == ":"
-                        && tokens[i - 3].text == "simd";
-                    let path_call = !after_dot && !via_simd && i > 0 && tokens[i - 1].text == ":";
+                    let path_call = !after_dot && i > 0 && tokens[i - 1].text == ":";
                     if after_dot || path_call {
                         report(
-                            "FMA (`mul_add`) outside the SIMD kernel module breaks the \
-                             exact mul-then-add contract"
-                                .to_string(),
-                            "spell the arithmetic as `a * b + c` (or call simd::mul_add); \
-                             bit-identity across builds depends on it",
+                            "FMA (`mul_add`) breaks the exact mul-then-add contract".to_string(),
+                            "spell the arithmetic as `a * b + c`; bit-identity with the \
+                             reference kernels depends on it",
                         );
                     }
                 }

@@ -30,6 +30,7 @@ fn every_rule_fires_at_the_expected_lines() {
         ("bad/nondeterminism.rs", 13, "determinism"),
         ("bad/nondeterminism.rs", 14, "determinism"),
         ("bad/nondeterminism.rs", 24, "determinism"),
+        ("bad/nondeterminism.rs", 38, "determinism"),
         ("bad/panics.rs", 4, "panic-path"),
         ("bad/panics.rs", 8, "panic-path"),
         ("bad/panics.rs", 13, "panic-path"),

@@ -1,4 +1,4 @@
-//! Fixture: FMA outside the SIMD kernels, wall-clock reads outside
+//! Fixture: FMA by method and by path, wall-clock reads outside
 //! the budget modules, and hash-ordered iteration feeding the bytes of
 //! an ordered-output file.
 
@@ -32,4 +32,8 @@ impl Sweep {
         // DETERMINISM-OK: summation is order-independent.
         self.rows.values().sum()
     }
+}
+
+pub fn fused_by_path(a: f64, b: f64, c: f64) -> f64 {
+    simd::mul_add(a, b, c)
 }

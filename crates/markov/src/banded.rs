@@ -412,8 +412,7 @@ impl BandedMatrix {
     /// where every diagonal is in range by construction. The interior
     /// runs **diagonal-major**: one zero fill of the output segment,
     /// then one elementwise multiply–accumulate per diagonal through
-    /// [`crate::simd::mul_add`] — unrolled scalar by default, SSE2
-    /// under the `simd` feature, bit-identical either way.
+    /// [`axpy_diagonal`], a 4-lane unrolled portable loop.
     /// Per row the contributions still arrive in increasing column
     /// order (diagonals are processed in offset order), matching the
     /// CSR kernel's accumulation order, so the output is bit-compatible
@@ -486,7 +485,7 @@ impl BandedMatrix {
                 for (d, &off) in self.offsets.iter().enumerate() {
                     let vals = &self.values[d * self.n + blk_lo..d * self.n + blk_hi];
                     let xs = &x[(blk_lo as isize + off) as usize..(blk_hi as isize + off) as usize];
-                    crate::simd::mul_add(yb, vals, xs);
+                    axpy_diagonal(yb, vals, xs);
                 }
                 if DOT || SUP {
                     for (i, out) in yb.iter().enumerate() {
@@ -506,6 +505,36 @@ impl BandedMatrix {
             }
         }
         (dot, sup)
+    }
+}
+
+/// `y[i] += v[i] * x[i]` over three equal-length slices: the DIA
+/// interior's per-diagonal pass, unrolled four lanes wide so the
+/// compiler emits straight-line code it reliably auto-vectorises.
+///
+/// Each element is updated independently (no horizontal reduction)
+/// with an exact multiply then add, never a fused multiply–add, so any
+/// lane width or unroll factor gives bits identical to the naive loop.
+#[inline]
+fn axpy_diagonal(y: &mut [f64], v: &[f64], x: &[f64]) {
+    debug_assert_eq!(y.len(), v.len());
+    debug_assert_eq!(y.len(), x.len());
+    let mut yq = y.chunks_exact_mut(4);
+    let mut vq = v.chunks_exact(4);
+    let mut xq = x.chunks_exact(4);
+    for ((yc, vc), xc) in (&mut yq).zip(&mut vq).zip(&mut xq) {
+        yc[0] += vc[0] * xc[0];
+        yc[1] += vc[1] * xc[1];
+        yc[2] += vc[2] * xc[2];
+        yc[3] += vc[3] * xc[3];
+    }
+    for ((yr, &vr), &xr) in yq
+        .into_remainder()
+        .iter_mut()
+        .zip(vq.remainder())
+        .zip(xq.remainder())
+    {
+        *yr += vr * xr;
     }
 }
 
@@ -786,31 +815,65 @@ mod tests {
 
     #[test]
     fn kernels_match_csr_on_all_ranges() {
-        let n = 97;
-        let csr = lattice_like(n);
-        let band = BandedMatrix::from_csr(&csr).unwrap();
-        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.13).sin()).collect();
-        let measure: Vec<f64> = (0..n).map(|i| (i as f64 * 0.07).cos()).collect();
-        for rows in [0..n, 0..1, 5..17, 90..n, 40..40] {
-            let mut yc = vec![0.0; rows.len()];
-            let mut yb = vec![0.0; rows.len()];
-            csr.mul_vec_range_into(&x, &mut yc, rows.clone());
-            band.mul_vec_range_into(&x, &mut yb, rows.clone());
-            assert_eq!(yc, yb, "rows {rows:?}");
-            let m = &measure[rows.clone()];
-            let dc = csr.mul_vec_dot_range(&x, &mut yc, m, rows.clone());
-            let db = band.mul_vec_dot_range(&x, &mut yb, m, rows.clone());
-            assert_eq!(yc, yb);
-            assert!((dc - db).abs() < 1e-14, "rows {rows:?}: {dc} vs {db}");
-            let sc = csr.mul_vec_sup_range(&x, &mut yc, rows.clone());
-            let sb = band.mul_vec_sup_range(&x, &mut yb, rows.clone());
-            assert_eq!(sc, sb);
-            let (dc2, sc2) = csr.mul_vec_dot_sup_range(&x, &mut yc, m, rows.clone());
-            let (db2, sb2) = band.mul_vec_dot_sup_range(&x, &mut yb, m, rows.clone());
-            assert!((dc2 - db2).abs() < 1e-14);
-            assert_eq!(sc2, sb2);
+        // Interior blocks are laid from the start of a range's interior.
+        // n = 97 fits one block; 4193 = 2·INTERIOR_BLOCK_ROWS + 97 spans
+        // three on the full range, and `edge − 8..n` spans two. The short
+        // range around `edge` straddles the full range's first block edge,
+        // where a pooled split may cut.
+        for n in [97, 2 * INTERIOR_BLOCK_ROWS + 97] {
+            let csr = lattice_like(n);
+            let band = BandedMatrix::from_csr(&csr).unwrap();
+            let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.13).sin()).collect();
+            let measure: Vec<f64> = (0..n).map(|i| (i as f64 * 0.07).cos()).collect();
+            let edge = INTERIOR_BLOCK_ROWS.min(n / 2);
+            for rows in [
+                0..n,
+                0..1,
+                5..17,
+                n - 7..n,
+                40..40,
+                1..n - 1,
+                edge - 8..edge + 12,
+                edge - 8..n,
+            ] {
+                let mut yc = vec![0.0; rows.len()];
+                let mut yb = vec![0.0; rows.len()];
+                csr.mul_vec_range_into(&x, &mut yc, rows.clone());
+                band.mul_vec_range_into(&x, &mut yb, rows.clone());
+                assert_eq!(yc, yb, "n {n}, rows {rows:?}");
+                let m = &measure[rows.clone()];
+                let dc = csr.mul_vec_dot_range(&x, &mut yc, m, rows.clone());
+                let db = band.mul_vec_dot_range(&x, &mut yb, m, rows.clone());
+                assert_eq!(yc, yb);
+                assert_eq!(dc.to_bits(), db.to_bits(), "n {n}, rows {rows:?}");
+                let sc = csr.mul_vec_sup_range(&x, &mut yc, rows.clone());
+                let sb = band.mul_vec_sup_range(&x, &mut yb, rows.clone());
+                assert_eq!(sc.to_bits(), sb.to_bits());
+                let (dc2, sc2) = csr.mul_vec_dot_sup_range(&x, &mut yc, m, rows.clone());
+                let (db2, sb2) = band.mul_vec_dot_sup_range(&x, &mut yb, m, rows.clone());
+                assert_eq!(dc2.to_bits(), db2.to_bits(), "n {n}, rows {rows:?}");
+                assert_eq!(sc2.to_bits(), sb2.to_bits());
+            }
+            assert!(band.mul_vec(&x[..5]).is_err());
         }
-        assert!(band.mul_vec(&x[..5]).is_err());
+    }
+
+    #[test]
+    fn axpy_diagonal_is_bit_identical_to_the_naive_loop() {
+        // Every length through several unroll remainders, with values
+        // chosen to exercise rounding (irrational-ish magnitudes).
+        for n in 0..33 {
+            let v: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.7311).sin() * 3.0).collect();
+            let x: Vec<f64> = (0..n).map(|i| ((i as f64) * 1.133).cos() / 7.0).collect();
+            let base: Vec<f64> = (0..n).map(|i| (i as f64) * 0.01 - 0.1).collect();
+            let mut expect = base.clone();
+            for ((out, &a), &b) in expect.iter_mut().zip(&v).zip(&x) {
+                *out += a * b;
+            }
+            let mut got = base;
+            axpy_diagonal(&mut got, &v, &x);
+            assert_eq!(got, expect, "n = {n}");
+        }
     }
 
     #[test]

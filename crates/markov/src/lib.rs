@@ -67,7 +67,6 @@ pub mod steady_state;
 pub mod transient;
 
 mod error;
-mod simd;
 
 pub use budget::Budget;
 pub use error::MarkovError;
