@@ -35,9 +35,11 @@
 //!   fraction drift from their exact constructed values, or the
 //!   committed facts were recorded failing any of those checks;
 //! * **representation drift** — on the committed `Δ = 300` config,
-//!   `Auto` must pick padded fixed-width rows (ELL), its curve must equal
-//!   the forced-CSR engine's bit for bit, and its `touched_entries` must
-//!   be exactly `iterations × width × states` (ELL counts padding slots);
+//!   `Auto` must sweep only the states the full-charge start reaches
+//!   (fewer than the chain's), on padded fixed-width rows (ELL); its
+//!   curve must equal the forced-CSR engine's bit for bit, and its
+//!   `touched_entries` must be exactly `iterations × width × swept rows`
+//!   (ELL counts padding slots);
 //! * **cancellation overhead** — with an unlimited budget the
 //!   budget-threaded uniformisation engine must touch *exactly* as many
 //!   entries as the plain engine and produce a bit-identical curve: the
@@ -347,9 +349,9 @@ fn uniformisation_gate(cfg: &Config, committed: &Json, report: &mut Report) -> R
     Ok(())
 }
 
-/// `Auto` runs the chain on padded fixed-width rows (ELL), with the
-/// forced-CSR engine's bits and `iterations × width × states` touched
-/// slots.
+/// `Auto` runs the chain's reachable sub-chain on padded fixed-width rows
+/// (ELL), with the forced-CSR engine's bits and `iterations × width ×
+/// swept rows` touched slots.
 fn ell_check(
     disc: &kibamrm::discretise::DiscretisedModel,
     t_query: f64,
@@ -357,10 +359,15 @@ fn ell_check(
     report: &mut Report,
 ) -> Result<(), String> {
     let chain = disc.chain();
+    let reach = chain
+        .reachable_from(disc.alpha())
+        .map_err(|e| e.to_string())?;
     let (pt, _) = chain
-        .uniformised_transposed_auto(base.uniformisation_factor)
+        .uniformised_transposed_auto_on(base.uniformisation_factor, Some(&reach))
         .map_err(|e| e.to_string())?;
     let width = pt.as_ell().map_or(0, |m| m.width());
+    let swept = pt.rows();
+    let restricted = swept < chain.n_states();
     let solve = |representation| {
         measure_curve(
             chain,
@@ -382,18 +389,18 @@ fn ell_check(
             .iter()
             .zip(&csr.points)
             .all(|(a, c)| a.1.to_bits() == c.1.to_bits());
-    let slots = (auto.iterations * width * chain.n_states()) as u64;
+    let slots = (auto.iterations * width * swept) as u64;
     report.check(
         &format!("ell Δ={ELL_GATE_DELTA}"),
-        width > 0 && same_bits && auto.touched_entries == slots,
+        width > 0 && restricted && same_bits && auto.touched_entries == slots,
         format!(
-            "Auto picked ELL: {} (width {width}), curve bit-identical to forced \
-             CSR: {same_bits}, touched {} vs iterations {} × {width} × {} states \
-             = {slots}",
+            "Auto picked ELL: {} (width {width}), swept {swept} of {} states, curve \
+             bit-identical to forced CSR: {same_bits}, touched {} vs iterations {} × \
+             {width} × {swept} swept rows = {slots}",
             width > 0,
+            chain.n_states(),
             auto.touched_entries,
             auto.iterations,
-            chain.n_states()
         ),
     );
     Ok(())

@@ -883,7 +883,7 @@ mod tests {
         let band = BandedMatrix::transposed_scaled_add_diag(&csr, 0.7, &diag)
             .unwrap()
             .expect("profitable");
-        let reference = csr.transpose_scaled_add_diag(0.7, &diag).unwrap();
+        let reference = csr.transpose_scaled_add_diag(0.7, &diag, None).unwrap();
         assert_eq!(band.to_csr(), reference);
         // Offsets are the mirrored source offsets plus the main diagonal.
         assert_eq!(band.offsets(), &[-1, 0, 1, 3]);
@@ -923,7 +923,9 @@ mod tests {
         .unwrap();
         assert_eq!(
             refilled.to_csr(),
-            scaled_src.transpose_scaled_add_diag(0.7, &diag).unwrap()
+            scaled_src
+                .transpose_scaled_add_diag(0.7, &diag, None)
+                .unwrap()
         );
         // Structural mismatches are errors, not silent drops: an entry on
         // a diagonal missing from the supplied offsets…

@@ -8,7 +8,7 @@
 
 use crate::banded::{BandedMatrix, TransitionMatrix};
 use crate::ell::EllMatrix;
-use crate::sparse::CsrMatrix;
+use crate::sparse::{CsrMatrix, Subset};
 use crate::MarkovError;
 
 /// Incremental builder for a [`Ctmc`].
@@ -366,12 +366,37 @@ impl Ctmc {
     ///
     /// [`MarkovError::InvalidArgument`] when `factor < 1`.
     pub fn uniformised_transposed(&self, factor: f64) -> Result<(CsrMatrix, f64), MarkovError> {
+        self.uniformised_transposed_on(factor, None)
+    }
+
+    /// [`Ctmc::uniformised_transposed`] on the states in `keep` only: the
+    /// principal submatrix of the full `Pᵀ`, rows and columns renumbered
+    /// in kept order. ν and every self-loop probability are the **full**
+    /// chain's, so the kept entries are bit-identical to the full
+    /// emission's. `keep` must be closed under the chain's transitions,
+    /// e.g. [`Ctmc::reachable_from`]; `None` emits the whole chain.
+    ///
+    /// # Errors
+    ///
+    /// [`MarkovError::InvalidArgument`] when `factor < 1`, `keep` is drawn
+    /// from another state count, or a kept state has a transition out of
+    /// the set.
+    pub fn uniformised_transposed_on(
+        &self,
+        factor: f64,
+        keep: Option<&Subset>,
+    ) -> Result<(CsrMatrix, f64), MarkovError> {
         let (nu, stay) = self.uniformisation_diagonal(factor)?;
         if nu == 0.0 {
-            let eye: Vec<_> = (0..self.n).map(|i| (i, i, 1.0)).collect();
-            return Ok((CsrMatrix::from_triplets(self.n, self.n, eye)?, 0.0));
+            let n = keep.map_or(self.n, Subset::len);
+            let eye: Vec<_> = (0..n).map(|i| (i, i, 1.0)).collect();
+            return Ok((CsrMatrix::from_triplets(n, n, eye)?, 0.0));
         }
-        Ok((self.rates.transpose_scaled_add_diag(1.0 / nu, &stay)?, nu))
+        Ok((
+            self.rates
+                .transpose_scaled_add_diag(1.0 / nu, &stay, keep)?,
+            nu,
+        ))
     }
 
     /// [`Ctmc::uniformised_transposed`] with automatic representation
@@ -397,9 +422,27 @@ impl Ctmc {
         &self,
         factor: f64,
     ) -> Result<(TransitionMatrix, f64), MarkovError> {
+        self.uniformised_transposed_auto_on(factor, None)
+    }
+
+    /// [`Ctmc::uniformised_transposed_auto`] with the ELL and CSR forms
+    /// emitted on `keep` only ([`Ctmc::uniformised_transposed_on`]). The
+    /// banded probe and a banded result always cover the full chain:
+    /// DIA diagonals and the active window are laid out on the full
+    /// state index, so a `Banded` result has `n_states()` rows whatever
+    /// `keep` says.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Ctmc::uniformised_transposed_on`].
+    pub fn uniformised_transposed_auto_on(
+        &self,
+        factor: f64,
+        keep: Option<&Subset>,
+    ) -> Result<(TransitionMatrix, f64), MarkovError> {
         let (nu, stay) = self.uniformisation_diagonal(factor)?;
         if nu == 0.0 {
-            let (eye, _) = self.uniformised_transposed(factor)?;
+            let (eye, _) = self.uniformised_transposed_on(factor, keep)?;
             return Ok((TransitionMatrix::Csr(eye), 0.0));
         }
         if let Some(banded) =
@@ -407,7 +450,9 @@ impl Ctmc {
         {
             return Ok((TransitionMatrix::Banded(banded), nu));
         }
-        let pt = self.rates.transpose_scaled_add_diag(1.0 / nu, &stay)?;
+        let pt = self
+            .rates
+            .transpose_scaled_add_diag(1.0 / nu, &stay, keep)?;
         if EllMatrix::is_profitable(pt.rows(), pt.nnz(), pt.max_row_len()) {
             return Ok((TransitionMatrix::Ell(EllMatrix::from_csr(&pt)?), nu));
         }
@@ -433,7 +478,9 @@ impl Ctmc {
         match BandedMatrix::transposed_scaled_add_diag(&self.rates, 1.0 / nu, &stay)? {
             Some(banded) => Ok((banded, nu)),
             None => {
-                let pt = self.rates.transpose_scaled_add_diag(1.0 / nu, &stay)?;
+                let pt = self
+                    .rates
+                    .transpose_scaled_add_diag(1.0 / nu, &stay, None)?;
                 Ok((BandedMatrix::from_csr(&pt)?, nu))
             }
         }
@@ -483,7 +530,46 @@ impl Ctmc {
         if nu == 0.0 {
             return Ok((0.0, Vec::new()));
         }
-        Ok((nu, self.exit.iter().map(|&q| 1.0 - q / nu).collect()))
+        let stay: Vec<f64> = self.exit.iter().map(|&q| 1.0 - q / nu).collect();
+        // Pᵀ ≥ 0 (qᵢ ≤ max q ≤ ν): the restricted sweep's exact zeros rely on it.
+        debug_assert!(stay.iter().all(|&p| p >= 0.0), "negative self-loop");
+        Ok((nu, stay))
+    }
+
+    /// The states reachable from the support of `alpha` (its non-zero
+    /// entries) along the chain's transitions, by one graph search over
+    /// the rate pattern in `O(n + nnz)`. The set is closed under the
+    /// chain's transitions, and depends only on the pattern and the
+    /// support, never on rate values: a stored zero rate still counts as
+    /// an edge.
+    ///
+    /// Starting from a non-negative `alpha`, every state outside the set
+    /// has probability exactly `+0.0` at every time, which is what lets
+    /// the transient engines sweep only the set.
+    ///
+    /// # Errors
+    ///
+    /// [`MarkovError::InvalidDistribution`] when `alpha` has the wrong
+    /// length.
+    pub fn reachable_from(&self, alpha: &[f64]) -> Result<Subset, MarkovError> {
+        if alpha.len() != self.n {
+            return Err(MarkovError::InvalidDistribution(format!(
+                "length {} but chain has {} states",
+                alpha.len(),
+                self.n
+            )));
+        }
+        let mut seen: Vec<bool> = alpha.iter().map(|&p| p != 0.0).collect();
+        let mut stack: Vec<usize> = (0..self.n).filter(|&i| seen[i]).collect();
+        while let Some(i) = stack.pop() {
+            for (j, _) in self.rates.row(i) {
+                if !seen[j] {
+                    seen[j] = true;
+                    stack.push(j);
+                }
+            }
+        }
+        Subset::from_mask(&seen)
     }
 
     /// Graphviz/DOT rendering of the chain with labels and rates, for
@@ -793,6 +879,74 @@ mod tests {
             Ctmc::from_rate_matrix(CsrMatrix::zeros(0, 0)),
             Err(MarkovError::EmptyChain)
         ));
+    }
+
+    #[test]
+    fn reachable_from_follows_the_pattern_from_the_support() {
+        // 0 → 1 → 2, 3 → 1 (3 is entered from nowhere), 4 → 3 with a
+        // stored zero rate refilled in.
+        let mut b = CtmcBuilder::new(5);
+        b.rate(0, 1, 1.0).unwrap();
+        b.rate(1, 2, 1.0).unwrap();
+        b.rate(3, 1, 1.0).unwrap();
+        b.rate(2, 4, 1.0).unwrap();
+        b.rate(4, 3, 1.0).unwrap();
+        let chain = b.build().unwrap();
+        let from_0 = chain.reachable_from(&[1.0, 0.0, 0.0, 0.0, 0.0]).unwrap();
+        assert!(from_0.is_full());
+        let from_3 = chain.reachable_from(&[0.0, 0.0, 0.0, 1.0, 0.0]).unwrap();
+        assert_eq!(from_3.indices(), &[1, 2, 3, 4]);
+        // −0.0 is not support; a stored zero rate is still an edge.
+        let from_2 = chain.reachable_from(&[-0.0, 0.0, 1.0, 0.0, 0.0]).unwrap();
+        assert_eq!(from_2.indices(), &[1, 2, 3, 4]);
+        let zeroed = chain
+            .with_rate_values(vec![1.0, 1.0, 1.0, 1.0, 0.0])
+            .unwrap();
+        assert_eq!(
+            zeroed.reachable_from(&[0.0, 0.0, 1.0, 0.0, 0.0]),
+            Ok(from_2)
+        );
+        assert!(chain.reachable_from(&[1.0]).is_err());
+    }
+
+    #[test]
+    fn uniformised_transposed_on_is_the_principal_submatrix() {
+        // 0 ⇄ 1 → 2, and 3 → 0, 3 → 2 unreachable from 0: the kept block
+        // keeps the full chain's ν (set by state 3) and self-loops.
+        let mut b = CtmcBuilder::new(4);
+        b.rate(0, 1, 1.0).unwrap();
+        b.rate(1, 0, 0.5).unwrap();
+        b.rate(1, 2, 2.0).unwrap();
+        b.rate(3, 0, 4.0).unwrap();
+        b.rate(3, 2, 3.0).unwrap();
+        let chain = b.build().unwrap();
+        let keep = chain.reachable_from(&[1.0, 0.0, 0.0, 0.0]).unwrap();
+        assert_eq!(keep.indices(), &[0, 1, 2]);
+        let (full, nu) = chain.uniformised_transposed(1.02).unwrap();
+        let (sub, nu_sub) = chain.uniformised_transposed_on(1.02, Some(&keep)).unwrap();
+        assert_eq!(nu_sub.to_bits(), nu.to_bits());
+        assert_eq!(sub.rows(), 3);
+        for (p, &i) in keep.indices().iter().enumerate() {
+            for (q, &j) in keep.indices().iter().enumerate() {
+                let (i, j) = (i as usize, j as usize);
+                assert_eq!(sub.get(p, q).to_bits(), full.get(i, j).to_bits());
+            }
+        }
+        assert_eq!(
+            sub.nnz(),
+            6,
+            "3 self-loops and 3 rates; state 3's column dropped"
+        );
+        // A set that is not closed is refused.
+        let open = Subset::from_mask(&[true, false, true, true]).unwrap();
+        assert!(chain.uniformised_transposed_on(1.02, Some(&open)).is_err());
+        let short = Subset::from_mask(&[true, true]).unwrap();
+        assert!(chain.uniformised_transposed_on(1.02, Some(&short)).is_err());
+        // Auto emits ELL/CSR on the set.
+        let (auto, _) = chain
+            .uniformised_transposed_auto_on(1.02, Some(&keep))
+            .unwrap();
+        assert_eq!(auto.rows(), 3);
     }
 
     #[test]

@@ -44,6 +44,122 @@ pub fn fnv1a_u64(words: impl IntoIterator<Item = u64>) -> u64 {
     h
 }
 
+/// An increasing subset of the indices `0..n`: the rows and columns a
+/// restricted square matrix keeps
+/// ([`CsrMatrix::transpose_scaled_add_diag`]), with the maps between
+/// full and kept positions in both directions.
+///
+/// # Examples
+///
+/// ```
+/// use markov::sparse::Subset;
+///
+/// let s = Subset::from_mask(&[true, false, true]).unwrap();
+/// assert_eq!(s.indices(), &[0, 2]);
+/// assert_eq!(s.position(2), Some(1));
+/// assert_eq!(s.position(1), None);
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Subset {
+    /// The kept indices, increasing.
+    kept: Vec<u32>,
+    /// `position[i]` is `i`'s place in `kept`, [`Subset::DROPPED`] when
+    /// `i` is not kept.
+    position: Vec<u32>,
+}
+
+impl Subset {
+    const DROPPED: u32 = u32::MAX;
+
+    /// The indices whose `mask` entry is `true`.
+    ///
+    /// # Errors
+    ///
+    /// [`MarkovError::InvalidArgument`] when `mask` is longer than the
+    /// `u32` index range CSR assembly allows.
+    pub fn from_mask(mask: &[bool]) -> Result<Subset, MarkovError> {
+        if u32::try_from(mask.len()).is_err() {
+            return Err(MarkovError::InvalidArgument(format!(
+                "subset of {} indices exceeds u32 range",
+                mask.len()
+            )));
+        }
+        let mut kept = Vec::new();
+        let position = mask
+            .iter()
+            .enumerate()
+            .map(|(i, &keep)| {
+                if !keep {
+                    return Subset::DROPPED;
+                }
+                kept.push(i as u32);
+                (kept.len() - 1) as u32
+            })
+            .collect();
+        Ok(Subset { kept, position })
+    }
+
+    /// Size of the full index range `0..n` the subset is drawn from.
+    pub fn universe(&self) -> usize {
+        self.position.len()
+    }
+
+    /// Number of kept indices.
+    pub fn len(&self) -> usize {
+        self.kept.len()
+    }
+
+    /// `true` when no index is kept.
+    pub fn is_empty(&self) -> bool {
+        self.kept.is_empty()
+    }
+
+    /// `true` when every index of `0..n` is kept.
+    pub fn is_full(&self) -> bool {
+        self.kept.len() == self.position.len()
+    }
+
+    /// The kept indices, increasing.
+    pub fn indices(&self) -> &[u32] {
+        &self.kept
+    }
+
+    /// Where full index `i` sits among the kept ones, if kept.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= universe()`.
+    #[inline]
+    pub fn position(&self, i: usize) -> Option<usize> {
+        match self.position[i] {
+            Subset::DROPPED => None,
+            p => Some(p as usize),
+        }
+    }
+
+    /// The kept entries of a full-length vector, in order.
+    pub(crate) fn gather(&self, full: &[f64]) -> Vec<f64> {
+        debug_assert_eq!(full.len(), self.universe());
+        self.kept.iter().map(|&i| full[i as usize]).collect()
+    }
+
+    /// A full-length vector holding `part` at the kept indices and `+0.0`
+    /// everywhere else.
+    pub(crate) fn scatter(&self, part: &[f64]) -> Vec<f64> {
+        debug_assert_eq!(part.len(), self.len());
+        let mut full = vec![0.0; self.universe()];
+        for (&i, &x) in self.kept.iter().zip(part) {
+            full[i as usize] = x;
+        }
+        full
+    }
+
+    /// Heap bytes held by the two index maps.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        (self.kept.len() + self.position.len()) * std::mem::size_of::<u32>()
+    }
+}
+
 /// A sparse `rows × cols` matrix in compressed-sparse-row format.
 ///
 /// Built from `(row, col, value)` triplets; duplicate entries are summed
@@ -574,24 +690,42 @@ impl CsrMatrix {
     /// full-matrix copies of the old `uniformised()` → `transpose()`
     /// round-trip.
     ///
+    /// With `keep`, only the kept rows and columns are emitted, renumbered
+    /// in kept order: the result is the principal submatrix of the full
+    /// emission on `keep`, entry for entry and in the same per-row order.
+    /// `None` keeps every index. The kept set must be closed under `A`'s
+    /// entries: a kept row may have non-zero entries only in kept columns
+    /// (for a rate matrix: no kept state leads out of the set).
+    ///
     /// # Errors
     ///
-    /// [`MarkovError::InvalidArgument`] when the matrix is not square or
-    /// `d.len()` differs from the dimension.
+    /// [`MarkovError::InvalidArgument`] when the matrix is not square,
+    /// `d.len()` differs from the dimension, `keep` is drawn from another
+    /// dimension, or a kept row has a non-zero entry in a dropped column.
     pub fn transpose_scaled_add_diag(
         &self,
         scale: f64,
         d: &[f64],
+        keep: Option<&Subset>,
     ) -> Result<CsrMatrix, MarkovError> {
-        if self.rows != self.cols || d.len() != self.rows {
+        if self.rows != self.cols
+            || d.len() != self.rows
+            || keep.is_some_and(|k| k.universe() != self.rows)
+        {
             return Err(MarkovError::InvalidArgument(format!(
-                "transpose_scaled_add_diag: matrix is {}x{}, diagonal has {} entries",
+                "transpose_scaled_add_diag: matrix is {}x{}, diagonal has {} entries, \
+                 kept subset is drawn from {} indices",
                 self.rows,
                 self.cols,
-                d.len()
+                d.len(),
+                keep.map_or(self.rows, Subset::universe)
             )));
         }
-        let n = self.rows;
+        let n = keep.map_or(self.rows, Subset::len);
+        // Source row of output position `p`, and output position of
+        // source index `i` (identity when everything is kept).
+        let source = |p: usize| keep.map_or(p, |k| k.indices()[p] as usize);
+        let target = |i: usize| keep.map_or(Some(i), |k| k.position(i));
         // Output row j holds {scale·A[i][j] : i} ∪ {d[j] if non-zero}.
         // The counting and scatter passes share one predicate per entry:
         // a stored entry (i, c) survives iff its *final* value
@@ -608,18 +742,24 @@ impl CsrMatrix {
             }
         };
         let mut counts = vec![0usize; n + 1];
-        for r in 0..n {
+        for p in 0..n {
+            let r = source(p);
             if d[r] != 0.0 && self.get(r, r) == 0.0 {
-                counts[r + 1] += 1;
+                counts[p + 1] += 1;
             }
         }
-        for r in 0..n {
-            let lo = self.row_ptr[r];
-            let hi = self.row_ptr[r + 1];
-            for k in lo..hi {
+        for p in 0..n {
+            let r = source(p);
+            for k in self.row_ptr[r]..self.row_ptr[r + 1] {
                 let c = self.col_idx[k] as usize;
                 if final_value(r, c, self.values[k]) != 0.0 {
-                    counts[c + 1] += 1;
+                    let Some(q) = target(c) else {
+                        return Err(MarkovError::InvalidArgument(format!(
+                            "transpose_scaled_add_diag: kept row {r} has an entry in \
+                             dropped column {c}"
+                        )));
+                    };
+                    counts[q + 1] += 1;
                 }
             }
         }
@@ -637,24 +777,24 @@ impl CsrMatrix {
         // column i, so it is emitted at step i, before row i's own
         // entries are scattered (those go to output rows ≠ i only when A
         // has an empty diagonal; an explicit A[i][i] is merged instead).
-        for i in 0..n {
-            if d[i] != 0.0 {
-                let pos = cursor[i];
-                if self.get(i, i) == 0.0 {
-                    cursor[i] += 1;
-                    col_idx[pos] = i as u32;
-                    values[pos] = d[i];
-                }
+        // Kept positions increase with the source index, so renumbering
+        // keeps that order.
+        for p in 0..n {
+            let i = source(p);
+            if d[i] != 0.0 && self.get(i, i) == 0.0 {
+                let pos = cursor[p];
+                cursor[p] += 1;
+                col_idx[pos] = p as u32;
+                values[pos] = d[i];
             }
-            let lo = self.row_ptr[i];
-            let hi = self.row_ptr[i + 1];
-            for k in lo..hi {
+            for k in self.row_ptr[i]..self.row_ptr[i + 1] {
                 let c = self.col_idx[k] as usize;
                 let v = final_value(i, c, self.values[k]);
                 if v != 0.0 {
-                    let pos = cursor[c];
-                    cursor[c] += 1;
-                    col_idx[pos] = i as u32;
+                    let q = target(c).expect("closure checked by the counting pass");
+                    let pos = cursor[q];
+                    cursor[q] += 1;
+                    col_idx[pos] = p as u32;
                     values[pos] = v;
                 }
             }
@@ -1110,23 +1250,23 @@ mod tests {
     fn transpose_scaled_add_diag_is_transpose_of_scaled_add_diag() {
         let m = sample();
         let d = [0.5, -2.0, 7.0];
-        let direct = m.transpose_scaled_add_diag(3.0, &d).unwrap();
+        let direct = m.transpose_scaled_add_diag(3.0, &d, None).unwrap();
         let reference = m.scaled_add_diag(3.0, &d).unwrap().transpose();
         // Full structural equality, not just get(): stored zeros or
         // miscounted rows would differ in nnz/row_ptr.
         assert_eq!(direct, reference);
-        assert!(m.transpose_scaled_add_diag(1.0, &[1.0]).is_err());
+        assert!(m.transpose_scaled_add_diag(1.0, &[1.0], None).is_err());
         // Exact cancellation of a merged diagonal drops the cell on both
         // paths (regression: the scatter pass used to store a 0.0).
         let one = CsrMatrix::from_triplets(1, 1, vec![(0, 0, 1.0)]).unwrap();
-        let cancelled = one.transpose_scaled_add_diag(1.0, &[-1.0]).unwrap();
+        let cancelled = one.transpose_scaled_add_diag(1.0, &[-1.0], None).unwrap();
         assert_eq!(cancelled.nnz(), 0);
         assert_eq!(
             cancelled,
             one.scaled_add_diag(1.0, &[-1.0]).unwrap().transpose()
         );
         // scale = 0 zeroes every off-diagonal entry; only diagonals stay.
-        let zeroed = m.transpose_scaled_add_diag(0.0, &d).unwrap();
+        let zeroed = m.transpose_scaled_add_diag(0.0, &d, None).unwrap();
         assert_eq!(zeroed, m.scaled_add_diag(0.0, &d).unwrap().transpose());
         assert_eq!(zeroed.nnz(), 3);
     }

@@ -30,6 +30,34 @@
 //! point actually changes (the requested times are visited in sorted
 //! order, so duplicates are free).
 //!
+//! # The reachable sub-chain
+//!
+//! The ELL and CSR engines sweep only the states reachable from α's
+//! support ([`Ctmc::reachable_from`]). On the discretised battery chain
+//! that drops the lattice points where the available well stands above
+//! the bound well, 34–44 % of the states. `Pᵀ` is emitted on that subset
+//! with the full chain's ν and self-loops
+//! ([`Ctmc::uniformised_transposed_on`]), α and the measure are gathered
+//! onto it, and [`transient_distribution`] scatters its result back to
+//! full length with exact `+0.0` at the dropped states. [`CurveCache`]
+//! keeps the set next to the cached sweep, so a plan group searches once.
+//!
+//! The curves are bit-identical to a sweep of the full chain. `Pᵀ ≥ 0`
+//! and α ≥ 0, so a dropped state's iterate entry is exactly `+0.0` from
+//! the first product on, and each term the restricted sweep skips (in a
+//! row accumulator, the measure dot or the sup-norm) is a signed zero
+//! added to a value that is not `−0.0`. Two details keep that exact:
+//! `m·α` at `n = 0` is taken over the full vectors (a float `Sum` starts
+//! at `−0.0`), and non-finite measure entries are rejected (in the full
+//! sweep `0·NaN` would poison every value). The pooled sweep splits the
+//! swept rows by their own nnz, so with several row workers the last
+//! bits can differ from a pooled full-chain sweep, as they differ across
+//! worker counts.
+//!
+//! DIA and the active window stay on the full lattice: a DIA diagonal is
+//! a fixed index delta and the window a contiguous index interval, and
+//! renumbering the kept states breaks both.
+//!
 //! # The active window
 //!
 //! On banded chains the engines additionally track the contiguous
@@ -49,8 +77,11 @@ use crate::budget::Budget;
 use crate::ctmc::Ctmc;
 use crate::foxglynn::FoxGlynnCache;
 use crate::pool::SpmvPool;
+use crate::sparse::Subset;
 use crate::MarkovError;
+use std::borrow::Cow;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Which storage format the transient engines iterate with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -166,21 +197,41 @@ pub fn transient_distribution(
 }
 
 /// Builds the iteration matrix `Pᵀ` in the representation the options
-/// ask for.
+/// ask for: ELL and CSR on the reachable states `reach`, DIA on the full
+/// lattice (see [`swept_rows`]).
 fn build_transposed(
     ctmc: &Ctmc,
     opts: &TransientOptions,
+    reach: &Subset,
 ) -> Result<(TransitionMatrix, f64), MarkovError> {
+    let keep = Some(reach).filter(|r| !r.is_full());
     match opts.representation {
-        Representation::Auto => ctmc.uniformised_transposed_auto(opts.uniformisation_factor),
+        Representation::Auto => {
+            ctmc.uniformised_transposed_auto_on(opts.uniformisation_factor, keep)
+        }
         Representation::Csr => {
-            let (pt, nu) = ctmc.uniformised_transposed(opts.uniformisation_factor)?;
+            let (pt, nu) = ctmc.uniformised_transposed_on(opts.uniformisation_factor, keep)?;
             Ok((TransitionMatrix::Csr(pt), nu))
         }
         Representation::Banded => {
             let (pt, nu) = ctmc.uniformised_transposed_banded(opts.uniformisation_factor)?;
             Ok((TransitionMatrix::Banded(pt), nu))
         }
+    }
+}
+
+/// The subset `pt` was emitted on, or `None` when it covers every state:
+/// the reachable set is everything, or `pt` is banded (DIA diagonals and
+/// the active window are laid out on the full state index).
+fn swept_rows<'a>(reach: &'a Subset, pt: &TransitionMatrix) -> Option<&'a Subset> {
+    Some(reach).filter(|r| !r.is_full() && pt.as_banded().is_none())
+}
+
+/// `full` restricted to the swept rows (borrowed when nothing is dropped).
+fn gather<'a>(swept: Option<&Subset>, full: &'a [f64]) -> Cow<'a, [f64]> {
+    match swept {
+        Some(k) => Cow::Owned(k.gather(full)),
+        None => Cow::Borrowed(full),
     }
 }
 
@@ -236,8 +287,9 @@ pub fn transient_distribution_budgeted(
     }
     // Pᵀ straight from the generator in the representation Auto picks
     // (banded, padded rows or CSR) — never a P temporary, never a
-    // transpose copy.
-    let (pt, nu) = build_transposed(ctmc, opts)?;
+    // transpose copy — on the states α can reach unless it is banded.
+    let reach = ctmc.reachable_from(alpha)?;
+    let (pt, nu) = build_transposed(ctmc, opts, &reach)?;
     if nu == 0.0 || t == 0.0 {
         return Ok(TransientSolution {
             distribution: alpha.to_vec(),
@@ -256,8 +308,9 @@ pub fn transient_distribution_budgeted(
     // row block per iteration, and exit on drop.
     let pool = SpmvPool::new(effective_threads(opts.threads, pt.rows()));
 
-    let n_states = ctmc.n_states();
-    let mut v = alpha.to_vec();
+    let swept = swept_rows(&reach, &pt);
+    let n_states = pt.rows();
+    let mut v = gather(swept, alpha).into_owned();
     let mut next = vec![0.0; n_states];
     let mut out = vec![0.0; n_states];
     let mut iterations = 0;
@@ -316,7 +369,11 @@ pub fn transient_distribution_budgeted(
         }
     }
     Ok(TransientSolution {
-        distribution: out,
+        // The dropped states hold exactly +0.0 in the full sweep too.
+        distribution: match swept {
+            Some(k) => k.scatter(&out),
+            None => out,
+        },
         iterations,
         nu,
         touched_entries: touched,
@@ -339,8 +396,8 @@ pub fn transient_distribution_budgeted(
 /// # Errors
 ///
 /// [`MarkovError::InvalidDistribution`] for a bad `alpha`;
-/// [`MarkovError::InvalidArgument`] for an empty/mismatched `measure` or
-/// negative times.
+/// [`MarkovError::InvalidArgument`] for an empty/mismatched `measure`, a
+/// non-finite `measure` entry, or negative times.
 pub fn measure_curve(
     ctmc: &Ctmc,
     alpha: &[f64],
@@ -354,7 +411,7 @@ pub fn measure_curve(
 /// Cross-solve cache for [`measure_curve_cached`]: what a sweep-plan
 /// group shares between structurally identical solves.
 ///
-/// Three layers, reused under progressively stronger conditions:
+/// Four layers, reused under progressively stronger conditions:
 ///
 /// 1. **Workspaces** — the Fox–Glynn buffers and the SpMV worker pool
 ///    survive across solves whenever the state-space size and thread
@@ -365,12 +422,15 @@ pub fn measure_curve(
 ///    [`BandedMatrix::transposed_scaled_add_diag_with_offsets`](crate::banded::BandedMatrix::transposed_scaled_add_diag_with_offsets),
 ///    so later members emit `Pᵀ` without re-detecting the lattice
 ///    structure.
-/// 3. **The iterate scalars** `s_n = m·(αPⁿ)` — the expensive part, and
+/// 3. **The reachable set** of the sub-chain the ELL/CSR engines sweep,
+///    reused while the chain's structural fingerprint and `α` match.
+/// 4. **The iterate scalars** `s_n = m·(αPⁿ)` — the expensive part, and
 ///    reused only when bitwise identity with an independent solve is
 ///    provable: the member's `Pᵀ` must equal the cached one bit for bit
 ///    (true across rate-rescaled scenario families, `Q' = γQ` with `γ` a
 ///    power of two, since `P = I + Q/ν` is then unchanged), `α`, the
-///    measure and the [`TransientOptions`] must match, and either the
+///    measure, the reachable set and the [`TransientOptions`] must
+///    match, and either the
 ///    active window is off (the iterates never depend on the horizon) or
 ///    ν and the largest time agree too (the window's per-iteration trim
 ///    allowance is horizon-dependent). A member needing a larger Poisson
@@ -402,10 +462,15 @@ struct CacheState {
     t_max: f64,
     alpha: Vec<f64>,
     measure: Vec<f64>,
+    /// The states reachable from `alpha` on the `source_fp` pattern; a
+    /// later member with the same pattern and `alpha` reuses it instead
+    /// of searching again.
+    reach: Arc<Subset>,
     /// `s[n] = measure · (alpha Pⁿ)` for `n = 0..=iterations`.
     s: Vec<f64>,
-    /// The iterate `alpha P^{iterations}`, kept so a later member with a
-    /// larger right truncation point can continue the sweep.
+    /// The iterate `alpha P^{iterations}` on the swept rows, kept so a
+    /// later member with a larger right truncation point can continue
+    /// the sweep.
     v: Vec<f64>,
     converged_at: Option<usize>,
     window_deficit: f64,
@@ -435,6 +500,7 @@ impl CurveCache {
         self.state.as_ref().map_or(0, |st| {
             (st.s.len() + st.v.len() + st.alpha.len() + st.measure.len()) * f64s
                 + st.pt.entries_per_product() * f64s
+                + st.reach.heap_bytes()
         })
     }
 
@@ -472,6 +538,7 @@ fn build_transposed_cached(
     member_fp: u64,
     opts: &TransientOptions,
     cache: &CurveCache,
+    reach: &Subset,
 ) -> Result<(TransitionMatrix, f64), MarkovError> {
     if let Some(state) = &cache.state {
         if state.opts == *opts
@@ -490,7 +557,7 @@ fn build_transposed_cached(
             }
         }
     }
-    build_transposed(ctmc, opts)
+    build_transposed(ctmc, opts, reach)
 }
 
 /// [`measure_curve`] with an explicit cross-solve [`CurveCache`] — the
@@ -552,6 +619,13 @@ pub fn measure_curve_budgeted(
             ctmc.n_states()
         )));
     }
+    // A NaN or ∞ would poison every curve value through 0·NaN in the
+    // full sweep, but not in the swept rows: reject it outright.
+    if measure.iter().any(|m| !m.is_finite()) {
+        return Err(MarkovError::InvalidArgument(
+            "measure entries must be finite".into(),
+        ));
+    }
     if times.is_empty() {
         return Err(MarkovError::InvalidArgument(
             "no time points requested".into(),
@@ -567,9 +641,18 @@ pub fn measure_curve_budgeted(
     // Pᵀ straight from the generator in the representation Auto picks
     // (banded, padded rows or CSR) — never a P temporary, never a
     // transpose copy. Within a plan group the cached offsets skip
-    // structure detection.
+    // structure detection, and the cached reachable set skips the
+    // search: it depends only on the pattern and α.
     let member_fp = ctmc.structural_fingerprint();
-    let (pt, nu) = build_transposed_cached(ctmc, member_fp, opts, cache)?;
+    let reach = match cache
+        .state
+        .as_ref()
+        .filter(|st| st.source_fp == member_fp && st.alpha == alpha)
+    {
+        Some(st) => Arc::clone(&st.reach),
+        None => Arc::new(ctmc.reachable_from(alpha)?),
+    };
+    let (pt, nu) = build_transposed_cached(ctmc, member_fp, opts, cache, &reach)?;
     let t_max = times.iter().cloned().fold(0.0, f64::max);
     if nu == 0.0 || t_max == 0.0 {
         let value = dot(alpha, measure);
@@ -617,6 +700,7 @@ pub fn measure_curve_budgeted(
             && st.pt == pt
             && st.alpha == alpha
             && st.measure == measure
+            && st.reach == reach
             && (!windowed || (st.nu == nu && st.t_max == t_max))
     });
 
@@ -626,10 +710,15 @@ pub fn measure_curve_budgeted(
         // Full sweep: cache s_n = measure·v_n for n = 0..=n_max (or until
         // the iterates converge). The fused kernel returns measure·v_{n+1}
         // from the same pass that computes v_{n+1}.
+        // s_0 is taken over the full vectors: a float sum starts at −0.0,
+        // so without a dropped state's +0.0 product it could stay −0.0
+        // where the full sum is +0.0, and t = 0 reports s_0 as is.
+        let swept = swept_rows(&reach, &pt);
+        let m_swept = gather(swept, measure);
         let mut s = Vec::with_capacity(n_max + 1);
-        let mut v = alpha.to_vec();
-        let mut next = vec![0.0; ctmc.n_states()];
-        s.push(dot(&v, measure));
+        s.push(dot(alpha, measure));
+        let mut v = gather(swept, alpha).into_owned();
+        let mut next = vec![0.0; pt.rows()];
         let mut converged_at = None;
         let mut deficit = 0.0;
         if let Some(band) = if windowed { pt.as_banded() } else { None } {
@@ -665,7 +754,7 @@ pub fn measure_curve_budgeted(
                 // measure·v_{n+1} and the steady-state sup-norm
                 // |v_{n+1} − v_n|_∞, with no separate dot or convergence
                 // sweep over the iterate.
-                let (s_n, sup) = pool.mul_vec_dot_sup(&pt, &partition, &v, &mut next, measure)?;
+                let (s_n, sup) = pool.mul_vec_dot_sup(&pt, &partition, &v, &mut next, &m_swept)?;
                 touched += per_product;
                 std::mem::swap(&mut v, &mut next);
                 iterations += 1;
@@ -684,6 +773,7 @@ pub fn measure_curve_budgeted(
             t_max,
             alpha: alpha.to_vec(),
             measure: measure.to_vec(),
+            reach,
             s,
             v,
             converged_at,
@@ -699,11 +789,12 @@ pub fn measure_curve_budgeted(
         if state.converged_at.is_none() && state.s.len() <= n_max {
             let partition = state.pt.as_ref().partition(pool.threads());
             let per_product = state.pt.entries_per_product() as u64;
-            let mut next = vec![0.0; ctmc.n_states()];
+            let m_swept = gather(swept_rows(&state.reach, &state.pt), measure);
+            let mut next = vec![0.0; state.v.len()];
             for n in state.s.len()..=n_max {
                 budget.check(iterations)?;
                 let (s_n, sup) =
-                    pool.mul_vec_dot_sup(&state.pt, &partition, &state.v, &mut next, measure)?;
+                    pool.mul_vec_dot_sup(&state.pt, &partition, &state.v, &mut next, &m_swept)?;
                 touched += per_product;
                 std::mem::swap(&mut state.v, &mut next);
                 iterations += 1;
@@ -1542,13 +1633,20 @@ mod tests {
     fn auto_runs_fig8_shaped_chains_on_ell_with_csr_bits() {
         // The sweep_grid shapes: Erlang-1/2 loads, c ∈ {0.625, 0.5}. Their
         // five diagonals are too sparse for DIA, so Auto pads the rows
-        // (ELL) — and must reproduce the CSR engine bit for bit.
+        // (ELL) of the reachable sub-chain — and must reproduce the CSR
+        // engine bit for bit.
         let times = [250.0, 1000.0, 2000.0];
         for (stages, c) in [(1, 0.625), (1, 0.5), (2, 0.625), (2, 0.5)] {
             let (chain, alpha, empty) = fig8_shaped(stages, c);
-            let (pt, _) = chain.uniformised_transposed_auto(1.02).unwrap();
+            let reach = chain.reachable_from(&alpha).unwrap();
+            // The lattice points with the available well above the bound
+            // one are never entered from the full-charge start.
+            assert!(reach.len() < chain.n_states(), "stages {stages}, c {c}");
+            let (pt, _) = chain
+                .uniformised_transposed_auto_on(1.02, Some(&reach))
+                .unwrap();
             let ell = pt.as_ell().expect("Fig. 8 shapes go ELL");
-            assert_eq!(pt.entries_per_product(), ell.width() * chain.n_states());
+            assert_eq!(pt.entries_per_product(), ell.width() * reach.len());
             let auto = TransientOptions::default();
             let csr = TransientOptions {
                 representation: Representation::Csr,
@@ -1570,8 +1668,9 @@ mod tests {
     #[test]
     fn ell_rescale_family_shares_one_sweep_with_csr_bits() {
         // A γ ∈ {½, 1} family through one CurveCache per representation:
-        // γ = ½ runs the sweep, γ = 1 extends it. Every member equals the
-        // forced-CSR engine and its own independent solve bit for bit.
+        // γ = ½ runs the restricted sweep, γ = 1 extends it. Every member
+        // equals the forced-CSR engine, its own independent solve and the
+        // unrestricted full-chain sweep bit for bit.
         let (chain, alpha, empty) = fig8_shaped(2, 0.625);
         let times = [500.0, 1500.0];
         let auto = TransientOptions::default();
@@ -1580,6 +1679,7 @@ mod tests {
             ..auto
         };
         let (mut auto_cache, mut csr_cache) = (CurveCache::new(), CurveCache::new());
+        let mut first_reach = None;
         for gamma in [0.5, 1.0] {
             let member = scaled_chain(&chain, gamma);
             let a = measure_curve_cached(&member, &alpha, &times, &empty, &auto, &mut auto_cache)
@@ -1592,16 +1692,362 @@ mod tests {
                 |c: &CurveSolution| c.points.iter().map(|p| p.1.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&a), bits(&b), "γ = {gamma}: ELL vs CSR");
             assert_eq!(bits(&a), bits(&independent), "γ = {gamma}: cached vs fresh");
+            let full = full_chain_curve(&member, &alpha, &times, &empty, &auto);
+            assert_eq!(curve_bits(&a.points), curve_bits(&full), "γ = {gamma}");
+            let state = auto_cache.state.as_ref().expect("sweep cached");
+            let reach = Arc::clone(&state.reach);
+            assert!(state.v.len() < member.n_states(), "the sweep is restricted");
             if gamma == 1.0 {
                 assert!(shared, "γ = 1 extends the γ = ½ sweep");
                 assert!(a.iterations < independent.iterations);
                 assert_eq!(a.iterations, b.iterations);
+                // One search serves the family.
+                let first: &Arc<Subset> = first_reach.as_ref().expect("γ = ½ ran first");
+                assert!(Arc::ptr_eq(first, &reach));
+            }
+            first_reach = Some(reach);
+        }
+    }
+
+    fn curve_bits(points: &[(f64, f64)]) -> Vec<(u64, u64)> {
+        points
+            .iter()
+            .map(|p| (p.0.to_bits(), p.1.to_bits()))
+            .collect()
+    }
+
+    /// The curve of the unrestricted CSR sweep over the **full** chain:
+    /// the parent engine's non-windowed path, run with the row blocks of
+    /// the restricted sweep mapped back to full indices (each dropped row
+    /// joins the block of the next kept row), so a pooled reduction adds
+    /// the same partial sums in the same order.
+    fn full_chain_curve(
+        chain: &Ctmc,
+        alpha: &[f64],
+        times: &[f64],
+        measure: &[f64],
+        opts: &TransientOptions,
+    ) -> Vec<(f64, f64)> {
+        let n = chain.n_states();
+        let reach = chain.reachable_from(alpha).unwrap();
+        let (pt, nu) = chain
+            .uniformised_transposed(opts.uniformisation_factor)
+            .unwrap();
+        let (swept, _) = chain
+            .uniformised_transposed_on(opts.uniformisation_factor, Some(&reach))
+            .unwrap();
+        let pool = SpmvPool::new(effective_threads(opts.threads, swept.rows()));
+        let full_index = |b: usize| match reach.indices().get(b) {
+            Some(&i) if b > 0 => i as usize,
+            Some(_) => 0,
+            None => n,
+        };
+        let partition: Vec<Range<usize>> = swept
+            .nnz_partition(pool.threads())
+            .into_iter()
+            .map(|r| full_index(r.start)..full_index(r.end))
+            .collect();
+        let t_max = times.iter().cloned().fold(0.0, f64::max);
+        let mut fg = FoxGlynnCache::new();
+        fg.compute(nu * t_max, opts.epsilon).unwrap();
+        let mut s = vec![dot(alpha, measure)];
+        let mut v = alpha.to_vec();
+        let mut next = vec![0.0; n];
+        for _ in 1..=fg.right() {
+            let (s_n, sup) = pool
+                .mul_vec_dot_sup(&pt, &partition, &v, &mut next, measure)
+                .unwrap();
+            std::mem::swap(&mut v, &mut next);
+            s.push(s_n);
+            if opts.steady_state_tolerance > 0.0 && sup < opts.steady_state_tolerance {
+                break;
+            }
+        }
+        remix_curve(times, nu, &s, &mut fg, opts.epsilon).unwrap()
+    }
+
+    /// `π(t)` from the unrestricted sequential CSR sweep over the full
+    /// chain (the parent engine's non-windowed path).
+    fn full_chain_distribution(chain: &Ctmc, alpha: &[f64], t: f64) -> Vec<f64> {
+        let opts = TransientOptions::default();
+        let (pt, nu) = chain
+            .uniformised_transposed(opts.uniformisation_factor)
+            .unwrap();
+        let mut fg = FoxGlynnCache::new();
+        fg.compute(nu * t, opts.epsilon).unwrap();
+        let all = 0..chain.n_states();
+        let mut v = alpha.to_vec();
+        let mut next = vec![0.0; v.len()];
+        let mut out = vec![0.0; v.len()];
+        if fg.left() == 0 {
+            accumulate(&mut out, &v, fg.weight(0), &all);
+        }
+        for n in 1..=fg.right() {
+            pt.mul_vec_into(&v, &mut next).unwrap();
+            let sup = v
+                .iter()
+                .zip(&next)
+                .fold(0.0f64, |a, (x, y)| a.max((y - x).abs()));
+            std::mem::swap(&mut v, &mut next);
+            if fg.weight(n) > 0.0 {
+                accumulate(&mut out, &v, fg.weight(n), &all);
+            }
+            if sup < opts.steady_state_tolerance {
+                let remaining: f64 = (n + 1..=fg.right()).map(|m| fg.weight(m)).sum();
+                accumulate(&mut out, &v, remaining, &all);
+                break;
+            }
+        }
+        out
+    }
+
+    /// A tiny xorshift generator for the planted-block chains.
+    struct Xorshift(u64);
+
+    impl Xorshift {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn unit(&mut self) -> f64 {
+            (self.next() >> 11) as f64 / (1u64 << 53) as f64
+        }
+    }
+
+    /// A random `n`-state chain with a planted block `U` (about one state
+    /// in eight, scattered over the index range) that no edge enters from
+    /// the rest. Every state is entered from one or two sources, so the
+    /// rows of `Pᵀ` are short and even (ELL); an outside state whose only
+    /// source lies in `U` is unreachable too. α is a point mass or a
+    /// three-point mix outside `U`; the measure is signed and holds `±0.0`
+    /// entries. Returns the chain, α, the measure and the `U` mask.
+    fn planted_chain(n: usize, seed: u64) -> (Ctmc, Vec<f64>, Vec<f64>, Vec<bool>) {
+        let mut rng = Xorshift(seed | 1);
+        let mut in_u: Vec<bool> = (0..n).map(|_| rng.below(8) == 0).collect();
+        in_u[0] = false;
+        in_u[n - 1] = true;
+        let outside: Vec<usize> = (0..n).filter(|&i| !in_u[i]).collect();
+        let planted: Vec<usize> = (0..n).filter(|&i| in_u[i]).collect();
+        let mut b = CtmcBuilder::new(n);
+        let edge = |b: &mut CtmcBuilder, from: usize, to: usize, rng: &mut Xorshift| {
+            if from != to {
+                b.rate(from, to, 0.1 + 2.0 * rng.unit()).unwrap();
+            }
+        };
+        for (k, &to) in outside.iter().enumerate().skip(1) {
+            let from = if rng.below(16) == 0 {
+                planted[rng.below(planted.len())]
+            } else {
+                outside[k - 1 - rng.below(k.min(3))]
+            };
+            edge(&mut b, from, to, &mut rng);
+            if rng.below(2) == 0 {
+                let from = outside[rng.below(outside.len())];
+                edge(&mut b, from, to, &mut rng);
+            }
+        }
+        for &to in &planted {
+            let from = planted[rng.below(planted.len())];
+            edge(&mut b, from, to, &mut rng);
+        }
+        let mut alpha = vec![0.0; n];
+        if rng.below(2) == 0 {
+            alpha[outside[0]] = 1.0;
+        } else {
+            alpha[outside[0]] += 0.5;
+            alpha[outside[rng.below(outside.len())]] += 0.25;
+            alpha[outside[rng.below(outside.len())]] += 0.25;
+        }
+        let measure = (0..n)
+            .map(|_| match rng.below(4) {
+                0 => 0.0,
+                1 => -0.0,
+                _ => 4.0 * rng.unit() - 2.0,
+            })
+            .collect();
+        (b.build().unwrap(), alpha, measure, in_u)
+    }
+
+    #[test]
+    fn restricted_distribution_is_full_length_with_exact_zeros() {
+        for (chain, alpha) in [
+            {
+                let (chain, alpha, _) = fig8_shaped(2, 0.5);
+                (chain, alpha)
+            },
+            {
+                let (chain, alpha, _, _) = planted_chain(300, 11);
+                (chain, alpha)
+            },
+        ] {
+            let reach = chain.reachable_from(&alpha).unwrap();
+            assert!(!reach.is_full());
+            let t = 700.0 / chain.max_exit_rate();
+            let reference = full_chain_distribution(&chain, &alpha, t);
+            for representation in [Representation::Auto, Representation::Csr] {
+                let opts = TransientOptions {
+                    representation,
+                    ..Default::default()
+                };
+                let sol = transient_distribution_with(&chain, &alpha, t, &opts).unwrap();
+                assert_eq!(sol.distribution.len(), chain.n_states());
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&sol.distribution),
+                    bits(&reference),
+                    "{representation:?}"
+                );
+                for i in (0..chain.n_states()).filter(|&i| reach.position(i).is_none()) {
+                    assert_eq!(sol.distribution[i].to_bits(), 0, "state {i} holds +0.0");
+                }
+                let (pt, _) = build_transposed(&chain, &opts, &reach).unwrap();
+                assert_eq!(pt.rows(), reach.len());
+                assert_eq!(
+                    sol.touched_entries,
+                    sol.iterations as u64 * pt.entries_per_product() as u64
+                );
             }
         }
     }
 
+    #[test]
+    fn all_reachable_chain_touches_what_the_full_sweep_touches() {
+        // A one-well (c = 1) lattice: every level is reachable from the
+        // full one, so the sweep is the full chain's, slot for slot.
+        let n = 200;
+        let chain = lattice_chain(n, 1.0, 0.3);
+        let alpha = point_mass(n, n - 1);
+        let mut empty = vec![0.0; n];
+        empty[0] = 1.0;
+        assert!(chain.reachable_from(&alpha).unwrap().is_full());
+        let times = [25.0, 100.0];
+        for representation in [Representation::Auto, Representation::Csr] {
+            let opts = TransientOptions {
+                representation,
+                active_window: false,
+                ..Default::default()
+            };
+            let full = match representation {
+                Representation::Csr => {
+                    TransitionMatrix::Csr(chain.uniformised_transposed(1.02).unwrap().0)
+                }
+                _ => chain.uniformised_transposed_auto(1.02).unwrap().0,
+            };
+            let curve = measure_curve(&chain, &alpha, &times, &empty, &opts).unwrap();
+            assert_eq!(
+                curve.touched_entries,
+                curve.iterations as u64 * full.entries_per_product() as u64,
+                "{representation:?}"
+            );
+        }
+        let csr = TransientOptions {
+            representation: Representation::Csr,
+            ..Default::default()
+        };
+        let curve = measure_curve(&chain, &alpha, &times, &empty, &csr).unwrap();
+        let full = full_chain_curve(&chain, &alpha, &times, &empty, &csr);
+        assert_eq!(curve_bits(&curve.points), curve_bits(&full));
+    }
+
+    #[test]
+    fn zero_time_value_keeps_the_full_chain_sign_of_zero() {
+        // 0 → 1, and an unreachable 2 → 0. Over the reachable states the
+        // measure products are all −0.0, which a float sum keeps; the
+        // unreachable state's +0.0 product turns the full sum into +0.0.
+        let mut b = CtmcBuilder::new(3);
+        b.rate(0, 1, 1.0).unwrap();
+        b.rate(2, 0, 1.0).unwrap();
+        let chain = b.build().unwrap();
+        let (alpha, measure) = ([1.0, 0.0, 0.0], [-0.0, -1.0, 5.0]);
+        let times = [0.0, 0.5];
+        for representation in [Representation::Auto, Representation::Csr] {
+            let opts = TransientOptions {
+                representation,
+                ..Default::default()
+            };
+            let curve = measure_curve(&chain, &alpha, &times, &measure, &opts).unwrap();
+            let full = full_chain_curve(&chain, &alpha, &times, &measure, &opts);
+            assert_eq!(full[0].1.to_bits(), 0.0f64.to_bits());
+            assert_eq!(
+                curve_bits(&curve.points),
+                curve_bits(&full),
+                "{representation:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn non_finite_measure_entries_are_rejected() {
+        let chain = two_state(1.0, 1.0);
+        let opts = TransientOptions::default();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            // On the state α starts in, and on one it never reaches.
+            for measure in [[bad, 0.0], [0.0, bad]] {
+                let err = measure_curve(&chain, &[1.0, 0.0], &[1.0], &measure, &opts).unwrap_err();
+                assert!(
+                    matches!(err, MarkovError::InvalidArgument(_)),
+                    "{measure:?}: {err:?}"
+                );
+            }
+        }
+        let mut b = CtmcBuilder::new(2);
+        b.rate(0, 1, 1.0).unwrap();
+        let one_way = b.build().unwrap();
+        let err = measure_curve(&one_way, &[0.0, 1.0], &[1.0], &[f64::NAN, 1.0], &opts);
+        assert!(matches!(err, Err(MarkovError::InvalidArgument(_))));
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+
+        /// Restricting the ELL/CSR sweep to the reachable states moves no
+        /// bit: on random chains with a planted unreachable block, random
+        /// α supports outside it, signed measures with ±0.0 entries and
+        /// times including 0, the restricted CSR and ELL curves equal the
+        /// unrestricted full-chain sweep bit for bit at pool threads 1–4.
+        /// The large chains keep more than `PARALLEL_SPMV_MIN_ROWS` rows
+        /// after the restriction, so their sweeps run pooled.
+        #[test]
+        fn restricted_sweeps_match_the_full_chain_bitwise(
+            large in 0usize..2,
+            seed in 1u64..u64::MAX,
+            threads in 1usize..=4,
+            t in 0.5f64..4.0,
+        ) {
+            use proptest::prelude::*;
+            let n = if large == 1 { 6000 + (seed % 800) as usize } else { 8 + (seed % 200) as usize };
+            let (chain, alpha, measure, planted) = planted_chain(n, seed);
+            let reach = chain.reachable_from(&alpha).unwrap();
+            for i in (0..n).filter(|&i| planted[i]) {
+                prop_assert!(reach.position(i).is_none(), "planted state {} reached", i);
+            }
+            let times = [t, 0.0, t / 3.0, t];
+            let csr = TransientOptions {
+                representation: Representation::Csr,
+                threads,
+                ..Default::default()
+            };
+            let reference = curve_bits(&full_chain_curve(&chain, &alpha, &times, &measure, &csr));
+            let restricted = measure_curve(&chain, &alpha, &times, &measure, &csr).unwrap();
+            prop_assert_eq!(curve_bits(&restricted.points), reference.clone());
+            let (swept, _) = chain.uniformised_transposed_on(1.02, Some(&reach)).unwrap();
+            prop_assert_eq!(
+                restricted.touched_entries,
+                restricted.iterations as u64 * swept.nnz() as u64
+            );
+            let auto = TransientOptions { representation: Representation::Auto, ..csr };
+            let (pt, _) = chain.uniformised_transposed_auto_on(1.02, Some(&reach)).unwrap();
+            prop_assert!(pt.as_ell().is_some(), "short even rows go ELL");
+            let ell = measure_curve(&chain, &alpha, &times, &measure, &auto).unwrap();
+            prop_assert_eq!(curve_bits(&ell.points), reference);
+        }
 
         /// The satellite property: across random lattice chains, time
         /// horizons and thread counts 1–8, window trimming never loses
