@@ -1,10 +1,10 @@
 //! Sparse matrix–vector product throughput — the inner loop of the whole
 //! paper (§5.3: each uniformisation iteration is one SpMV on `Pᵀ`).
 //!
-//! Four kernels per matrix size: the sequential reference, the legacy
+//! Three kernels per matrix size: the sequential reference, the legacy
 //! spawn-per-call parallel path (the baseline the persistent pool
-//! replaces), the persistent [`SpmvPool`] with nnz-balanced row blocks,
-//! and the fused SpMV+dot pool kernel used by the curve engine.
+//! replaces), and the persistent [`SpmvPool`] with nnz-balanced row
+//! blocks.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use kibamrm::discretise::{DiscretisationOptions, DiscretisedModel};
@@ -14,7 +14,7 @@ use markov::pool::SpmvPool;
 use markov::sparse::CsrMatrix;
 use units::{Charge, Current, Frequency, Rate};
 
-fn fig8_matrix(delta: f64) -> (CsrMatrix, Vec<f64>) {
+fn fig8_matrix(delta: f64) -> CsrMatrix {
     let w =
         Workload::on_off_erlang(Frequency::from_hertz(1.0), 1, Current::from_amps(0.96)).unwrap();
     let m = KibamRm::new(
@@ -28,7 +28,7 @@ fn fig8_matrix(delta: f64) -> (CsrMatrix, Vec<f64>) {
     let disc = DiscretisedModel::build(&m, &opts).unwrap();
     // Pᵀ straight from the generator, as the transient engines use it.
     let (pt, _nu) = disc.chain().uniformised_transposed(1.0).unwrap();
-    (pt, disc.empty_measure().to_vec())
+    pt
 }
 
 fn bench_spmv(c: &mut Criterion) {
@@ -38,7 +38,7 @@ fn bench_spmv(c: &mut Criterion) {
         .unwrap_or(1)
         .max(4);
     for delta in [100.0, 50.0, 25.0] {
-        let (m, measure) = fig8_matrix(delta);
+        let m = fig8_matrix(delta);
         let x = vec![1.0 / m.cols() as f64; m.cols()];
         let mut y = vec![0.0; m.rows()];
         let param = format!("delta{delta}_nnz{}", m.nnz());
@@ -57,16 +57,6 @@ fn bench_spmv(c: &mut Criterion) {
             BenchmarkId::new(format!("pool_x{threads}"), &param),
             &m,
             |b, m| b.iter(|| pool.mul_vec(m, &partition, &x, &mut y).unwrap()),
-        );
-        group.bench_with_input(
-            BenchmarkId::new(format!("fused_pool_x{threads}"), &param),
-            &m,
-            |b, m| {
-                b.iter(|| {
-                    pool.mul_vec_dot(m, &partition, &x, &mut y, &measure)
-                        .unwrap()
-                })
-            },
         );
     }
     group.finish();

@@ -8,7 +8,7 @@
 //!   kernel: the sequential CSR reference, the sequential banded (DIA)
 //!   kernel, the legacy spawn-per-call path
 //!   ([`markov::sparse::CsrMatrix::mul_vec_parallel`]), the persistent worker pool
-//!   ([`SpmvPool`]), and the fused SpMV+dot pool kernel.
+//!   ([`SpmvPool`]).
 //! * **uniformisation** — ns/op medians for a whole
 //!   `Pr[battery empty at t]` curve through the representation/window
 //!   engine matrix at several `Δ`: the PR 2 CSR engine
@@ -82,7 +82,6 @@ fn spmv_baseline(cfg: &Config, threads: usize) -> Result<(), String> {
         let nnz = pt.nnz();
         let x = vec![1.0 / states as f64; states];
         let mut y = vec![0.0; states];
-        let measure = disc.empty_measure().to_vec();
 
         let sequential = median_ns(reps, || {
             pt.mul_vec_into(&x, &mut y).expect("dims");
@@ -98,15 +97,11 @@ fn spmv_baseline(cfg: &Config, threads: usize) -> Result<(), String> {
         let pooled = median_ns(reps, || {
             pool.mul_vec(&pt, &partition, &x, &mut y).expect("dims");
         });
-        let fused = median_ns(reps, || {
-            pool.mul_vec_dot(&pt, &partition, &x, &mut y, &measure)
-                .expect("dims");
-        });
 
         println!(
             "spmv Δ={delta}: {states} states, {nnz} nnz — seq {sequential:.0} ns, \
              banded_seq {banded_seq:.0} ns, spawn_x{threads} {spawn:.0} ns, \
-             pool_x{threads} {pooled:.0} ns, fused {fused:.0} ns \
+             pool_x{threads} {pooled:.0} ns \
              (pool is {:.2}x vs spawn, banded is {:.2}x vs seq)",
             spawn / pooled,
             sequential / banded_seq
@@ -117,8 +112,7 @@ fn spmv_baseline(cfg: &Config, threads: usize) -> Result<(), String> {
              {{\"name\": \"sequential\", \"median_ns_per_op\": {sequential:.0}}},\n        \
              {{\"name\": \"banded_sequential\", \"median_ns_per_op\": {banded_seq:.0}}},\n        \
              {{\"name\": \"spawn_x{threads}\", \"median_ns_per_op\": {spawn:.0}}},\n        \
-             {{\"name\": \"pool_x{threads}\", \"median_ns_per_op\": {pooled:.0}}},\n        \
-             {{\"name\": \"fused_pool_x{threads}\", \"median_ns_per_op\": {fused:.0}}}\n      ],\n      \
+             {{\"name\": \"pool_x{threads}\", \"median_ns_per_op\": {pooled:.0}}}\n      ],\n      \
              \"speedup_pool_vs_spawn\": {:.3},\n      \
              \"speedup_banded_vs_sequential\": {:.3}\n    }}",
             spawn / pooled,

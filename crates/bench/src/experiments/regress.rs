@@ -36,10 +36,13 @@
 //!   committed facts were recorded failing any of those checks;
 //! * **representation drift** — on the committed `Δ = 300` config,
 //!   `Auto` must sweep only the states the full-charge start reaches
-//!   (fewer than the chain's), on padded fixed-width rows (ELL); its
-//!   curve must equal the forced-CSR engine's bit for bit, and its
-//!   `touched_entries` must be exactly `iterations × width × swept rows`
-//!   (ELL counts padding slots);
+//!   (fewer than the chain's), on length-sorted rows; its curve must
+//!   equal the forced-CSR engine's bit for bit, and its
+//!   `touched_entries` must be exactly `iterations × nnz` of the swept
+//!   `Pᵀ` (no padding slots);
+//! * **worker-count drift** — on the committed `Δ = 50` config, whose
+//!   swept rows are enough for the row pool to run, the curve must carry
+//!   the same bits with 1 and 4 row workers;
 //! * **cancellation overhead** — with an unlimited budget the
 //!   budget-threaded uniformisation engine must touch *exactly* as many
 //!   entries as the plain engine and produce a bit-identical curve: the
@@ -54,8 +57,11 @@
 use super::config::Config;
 use super::{discretise_fig8, sweep as sweep_experiment, write_json};
 use crate::json::Json;
+use markov::pool::SpmvPool;
+use markov::sparse::PARALLEL_SPMV_MIN_ROWS;
 use markov::transient::{
-    measure_curve, measure_curve_budgeted, CurveCache, Representation, TransientOptions,
+    measure_curve, measure_curve_budgeted, CurveCache, CurveSolution, Representation,
+    TransientOptions,
 };
 use markov::Budget;
 use std::path::Path;
@@ -67,8 +73,10 @@ const DRIFT_BOUND: f64 = 1e-12;
 /// Committed Δ configs above this state count are skipped (the gate must
 /// stay a quick smoke, not a multi-minute bench re-run).
 const MAX_GATED_STATES: usize = 50_000;
-/// The committed Δ whose chain `Auto` must run as padded rows (ELL).
+/// The committed Δ whose chain `Auto` must run as length-sorted rows.
 const ELL_GATE_DELTA: f64 = 300.0;
+/// The committed Δ whose curve must not depend on the row-worker count.
+const WORKER_GATE_DELTA: f64 = 50.0;
 
 struct Report {
     checks: Vec<(String, bool, String)>,
@@ -267,6 +275,9 @@ fn uniformisation_gate(cfg: &Config, committed: &Json, report: &mut Report) -> R
         if delta == ELL_GATE_DELTA {
             ell_check(&disc, t_query, &base, report)?;
         }
+        if delta == WORKER_GATE_DELTA {
+            worker_check(&disc, t_query, &base, report)?;
+        }
 
         // Zero-overhead cancellation: with an unlimited budget the
         // cooperative check points must compile down to a never-taken
@@ -349,9 +360,8 @@ fn uniformisation_gate(cfg: &Config, committed: &Json, report: &mut Report) -> R
     Ok(())
 }
 
-/// `Auto` runs the chain's reachable sub-chain on padded fixed-width rows
-/// (ELL), with the forced-CSR engine's bits and `iterations × width ×
-/// swept rows` touched slots.
+/// `Auto` runs the chain's reachable sub-chain on length-sorted rows, with
+/// the forced-CSR engine's bits and `iterations × nnz` touched slots.
 fn ell_check(
     disc: &kibamrm::discretise::DiscretisedModel,
     t_query: f64,
@@ -365,7 +375,8 @@ fn ell_check(
     let (pt, _) = chain
         .uniformised_transposed_auto_on(base.uniformisation_factor, Some(&reach))
         .map_err(|e| e.to_string())?;
-    let width = pt.as_ell().map_or(0, |m| m.width());
+    let sorted = pt.as_ell().is_some();
+    let nnz = pt.entries_per_product();
     let swept = pt.rows();
     let restricted = swept < chain.n_states();
     let solve = |representation| {
@@ -389,18 +400,56 @@ fn ell_check(
             .iter()
             .zip(&csr.points)
             .all(|(a, c)| a.1.to_bits() == c.1.to_bits());
-    let slots = (auto.iterations * width * swept) as u64;
+    let slots = (auto.iterations * nnz) as u64;
     report.check(
         &format!("ell Δ={ELL_GATE_DELTA}"),
-        width > 0 && restricted && same_bits && auto.touched_entries == slots,
+        sorted && restricted && same_bits && auto.touched_entries == slots,
         format!(
-            "Auto picked ELL: {} (width {width}), swept {swept} of {} states, curve \
+            "Auto picked sorted rows: {sorted}, swept {swept} of {} states, curve \
              bit-identical to forced CSR: {same_bits}, touched {} vs iterations {} × \
-             {width} × {swept} swept rows = {slots}",
-            width > 0,
+             {nnz} swept nnz = {slots}",
             chain.n_states(),
             auto.touched_entries,
             auto.iterations,
+        ),
+    );
+    Ok(())
+}
+
+/// 1 and 4 row workers give the same curve bits on a chain whose swept
+/// rows make the row pool run.
+fn worker_check(
+    disc: &kibamrm::discretise::DiscretisedModel,
+    t_query: f64,
+    base: &TransientOptions,
+    report: &mut Report,
+) -> Result<(), String> {
+    let chain = disc.chain();
+    let swept = chain
+        .reachable_from(disc.alpha())
+        .map_err(|e| e.to_string())?
+        .len();
+    let solve = |threads| {
+        measure_curve(
+            chain,
+            disc.alpha(),
+            &[t_query / 4.0, t_query],
+            disc.empty_measure(),
+            &TransientOptions { threads, ..*base },
+        )
+        .map_err(|e| e.to_string())
+    };
+    let bits = |c: &CurveSolution| c.points.iter().map(|p| p.1.to_bits()).collect::<Vec<_>>();
+    let (one, four) = (solve(1)?, solve(4)?);
+    let pooled = swept >= PARALLEL_SPMV_MIN_ROWS;
+    let same_bits = bits(&one) == bits(&four);
+    report.check(
+        &format!("workers Δ={WORKER_GATE_DELTA}"),
+        pooled && same_bits,
+        format!(
+            "{swept} swept rows (pool runs from {PARALLEL_SPMV_MIN_ROWS}): {pooled}, curve \
+             bits equal at 1 and 4 row workers ({} effective here): {same_bits}",
+            SpmvPool::clamped_threads(4),
         ),
     );
     Ok(())

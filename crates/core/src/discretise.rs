@@ -85,7 +85,7 @@ pub struct CtmcStats {
     /// (workload hops, consumption, recovery — each a fixed index
     /// delta). Whether banded (DIA) storage pays also depends on how
     /// full those diagonals are: the Fig. 8 chains' five are too sparse,
-    /// and `Auto` runs them as padded fixed-width rows instead.
+    /// and `Auto` runs them as length-sorted rows instead.
     pub band_offsets: usize,
     /// Largest `|column − row|` over the stored rates — how far one
     /// uniformisation product can move probability mass, i.e. the

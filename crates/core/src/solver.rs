@@ -74,9 +74,8 @@ pub struct SolverOptions {
     pub row_threads: usize,
     /// Storage-format selection for uniformisation-based backends
     /// (default [`Representation::Auto`]: densely banded chains iterate
-    /// banded matrices with the active window, short even rows — the
-    /// discretised Fig. 8 chains — padded fixed-width rows, the rest
-    /// generic CSR).
+    /// banded matrices with the active window, the rest — the
+    /// discretised Fig. 8 chains among them — length-sorted rows).
     /// A non-`Auto` value overrides whatever the backend was configured
     /// with; `Auto` defers to the backend's own
     /// [`TransientOptions::representation`].
@@ -1166,12 +1165,8 @@ impl SolverRegistry {
     /// families share a single uniformisation sweep), and the groups fan
     /// out over the registry's scenario-thread budget. Results come back
     /// in input order, **bit-identical** to solving each scenario
-    /// independently under the same per-solve thread budget (the cached
-    /// fast paths are exact; only a *different* effective row-worker
-    /// count can move last bits, because the fused-dot reduction order
-    /// follows the worker count — with `row_threads = 1`, or chains
-    /// below the parallel-SpMV threshold, planned and independent solves
-    /// agree bit for bit unconditionally); per-scenario failures do not
+    /// independently (the cached fast paths are exact, and the answers do
+    /// not depend on the row-worker count); per-scenario failures do not
     /// abort the batch.
     pub fn sweep(&self, scenarios: &[Scenario]) -> Vec<Result<LifetimeDistribution, KibamRmError>> {
         self.sweep_with_threads(scenarios, self.options.scenario_threads)
@@ -1534,6 +1529,55 @@ mod tests {
             clamped.points().last().unwrap().1 > 0.9,
             "tail must keep rising past the bogus horizon"
         );
+    }
+
+    #[test]
+    fn answers_do_not_depend_on_the_row_worker_count() {
+        // Fig. 8 at Δ = 50 A·s sweeps more rows than the parallel-SpMV
+        // threshold, so the row pool runs (given more than one core) and
+        // splits the rows between its workers. Every worker count gives
+        // the single-thread bits, solo and through a sweep whose
+        // rate-rescaled member extends the shared sweep.
+        let fig8 = Scenario::builder()
+            .name("fig8")
+            .workload(
+                Workload::on_off_erlang(Frequency::from_hertz(1.0), 1, Current::from_amps(0.96))
+                    .unwrap(),
+            )
+            .capacity(Charge::from_amp_seconds(7200.0))
+            .kibam(0.625, units::Rate::per_second(4.5e-5))
+            .time_grid(Time::from_seconds(8000.0), 16)
+            .delta(Charge::from_amp_seconds(50.0))
+            .build()
+            .unwrap();
+        let disc = DiscretisationSolver::new().discretise(&fig8).unwrap();
+        let swept = disc.chain().reachable_from(disc.alpha()).unwrap().len();
+        assert!(
+            swept >= markov::sparse::PARALLEL_SPMV_MIN_ROWS,
+            "{swept} rows"
+        );
+        let family = [fig8.with_rate_scale(0.5).unwrap(), fig8.clone()];
+        let bits =
+            |d: &LifetimeDistribution| d.points().iter().map(|p| p.1.to_bits()).collect::<Vec<_>>();
+        let reference: Vec<_> = family
+            .iter()
+            .map(|s| bits(&DiscretisationSolver::new().solve(s).unwrap()))
+            .collect();
+        for threads in 1..=4 {
+            let solver = DiscretisationSolver::new().with_threads(threads);
+            let solo = solver.solve(&fig8).unwrap();
+            assert_eq!(bits(&solo), reference[1], "{threads} row threads, solo");
+            let mut registry = SolverRegistry::empty().with_options(SolverOptions {
+                scenario_threads: 1,
+                row_threads: threads,
+                representation: Representation::Auto,
+            });
+            registry.register(Box::new(solver));
+            for (slot, result) in registry.sweep(&family).iter().enumerate() {
+                let swept = bits(result.as_ref().unwrap());
+                assert_eq!(swept, reference[slot], "{threads} row threads, slot {slot}");
+            }
+        }
     }
 
     #[test]

@@ -24,13 +24,8 @@
 //!
 //! Sharing is an optimisation, never an approximation: every reuse
 //! condition is checked at the bit level, so a planned sweep returns
-//! results **bit-identical** to solving each scenario independently
-//! under the same per-solve thread budget. (The caveat is about worker
-//! counts, not the planner: the fused-dot reduction order follows the
-//! effective row-worker count, so comparing runs whose `row_threads`
-//! caps resolve differently can move last bits — exactly as it already
-//! could between two naive sweeps with different worker counts. With
-//! `row_threads = 1` the equality is unconditional.)
+//! results **bit-identical** to solving each scenario independently,
+//! whatever the row-worker counts of either.
 //!
 //! ```
 //! use kibamrm::scenario::Scenario;

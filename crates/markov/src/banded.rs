@@ -362,74 +362,21 @@ impl BandedMatrix {
 
     /// The shared row-block kernel, mirroring
     /// [`CsrMatrix::mul_vec_range_into`]: `y_block[i] = (A·x)[rows.start + i]`.
-    /// Rows where every offset is in range run a branch-free inner loop;
-    /// only the ≤ `bandwidth` edge rows at each end bounds-check.
-    #[inline]
-    pub fn mul_vec_range_into(&self, x: &[f64], y_block: &mut [f64], rows: Range<usize>) {
-        self.kernel::<false, false>(x, y_block, &[], rows);
-    }
-
-    /// Fused product + measure dot over a row block; see
-    /// [`CsrMatrix::mul_vec_dot_range`].
-    #[inline]
-    pub fn mul_vec_dot_range(
-        &self,
-        x: &[f64],
-        y_block: &mut [f64],
-        measure_block: &[f64],
-        rows: Range<usize>,
-    ) -> f64 {
-        self.kernel::<true, false>(x, y_block, measure_block, rows)
-            .0
-    }
-
-    /// Fused product + steady-state sup-norm over a row block; see
-    /// [`CsrMatrix::mul_vec_sup_range`].
-    #[inline]
-    pub fn mul_vec_sup_range(&self, x: &[f64], y_block: &mut [f64], rows: Range<usize>) -> f64 {
-        self.kernel::<false, true>(x, y_block, &[], rows).1
-    }
-
-    /// Fully fused product + dot + sup over a row block; see
-    /// [`CsrMatrix::mul_vec_dot_sup_range`].
-    #[inline]
-    pub fn mul_vec_dot_sup_range(
-        &self,
-        x: &[f64],
-        y_block: &mut [f64],
-        measure_block: &[f64],
-        rows: Range<usize>,
-    ) -> (f64, f64) {
-        self.kernel::<true, true>(x, y_block, measure_block, rows)
-    }
-
-    /// The one monomorphised kernel behind the four public variants.
-    /// `DOT` folds `Σ measure[r]·y[r]` into the pass, `SUP` folds
-    /// `max |y[r] − x[r]|` in; both compile away when unused.
     ///
     /// The requested row range is split into at most `bandwidth` edge
     /// rows at each end (bounds-checked, row-major) and the interior,
     /// where every diagonal is in range by construction. The interior
     /// runs **diagonal-major**: one zero fill of the output segment,
     /// then one elementwise multiply–accumulate per diagonal through
-    /// [`axpy_diagonal`], a 4-lane unrolled portable loop.
+    /// `axpy_diagonal`, a 4-lane unrolled portable loop.
     /// Per row the contributions still arrive in increasing column
     /// order (diagonals are processed in offset order), matching the
     /// CSR kernel's accumulation order, so the output is bit-compatible
     /// with [`CsrMatrix::mul_vec_range_into`].
-    fn kernel<const DOT: bool, const SUP: bool>(
-        &self,
-        x: &[f64],
-        y_block: &mut [f64],
-        measure_block: &[f64],
-        rows: Range<usize>,
-    ) -> (f64, f64) {
+    pub fn mul_vec_range_into(&self, x: &[f64], y_block: &mut [f64], rows: Range<usize>) {
         debug_assert_eq!(x.len(), self.n);
         debug_assert_eq!(y_block.len(), rows.len());
         debug_assert!(rows.end <= self.n);
-        if DOT {
-            debug_assert_eq!(measure_block.len(), rows.len());
-        }
         let start = rows.start;
         // Rows where every diagonal is in range: the vectorisable bulk.
         let mut interior_lo = 0usize;
@@ -442,11 +389,9 @@ impl BandedMatrix {
         let interior_hi = interior_hi.max(interior_lo);
         let ilo = rows.start.max(interior_lo).min(rows.end);
         let ihi = rows.end.min(interior_hi).max(ilo);
-        let mut dot = 0.0;
-        let mut sup = 0.0f64;
 
         // Edge rows (≤ bandwidth at each end): row-major with checks.
-        let edge = |r: usize, out: &mut f64, dot: &mut f64, sup: &mut f64| {
+        let edge = |r: usize, out: &mut f64| {
             let mut acc = 0.0;
             for (d, &off) in self.offsets.iter().enumerate() {
                 let c = r as isize + off;
@@ -455,56 +400,33 @@ impl BandedMatrix {
                 }
             }
             *out = acc;
-            if DOT {
-                *dot += measure_block[r - start] * acc;
-            }
-            if SUP {
-                *sup = sup.max((acc - x[r]).abs());
-            }
         };
-        {
-            let (head, rest) = y_block.split_at_mut(ilo - start);
-            let (mid, tail) = rest.split_at_mut(ihi - ilo);
-            for (i, out) in head.iter_mut().enumerate() {
-                edge(start + i, out, &mut dot, &mut sup);
-            }
-            // Interior, diagonal-major within cache-sized row blocks:
-            // y[blk] = Σ_d diag_d ⊙ x≫off, one slice-zip axpy per
-            // diagonal (auto-vectorised, no bounds checks), with the
-            // block's output staying in L1 across the axpys and the
-            // fused dot/sup folded in while it is still hot — so the
-            // traffic per slot matches the single-pass row-major form.
-            // The emptiness guard matters: a row range that lies wholly
-            // inside the edge region clamps to an empty interior whose
-            // shifted x-slice bounds would underflow.
-            let mut blk_lo = ilo;
-            while blk_lo < ihi {
-                let blk_hi = (blk_lo + INTERIOR_BLOCK_ROWS).min(ihi);
-                let yb = &mut mid[blk_lo - ilo..blk_hi - ilo];
-                yb.fill(0.0);
-                for (d, &off) in self.offsets.iter().enumerate() {
-                    let vals = &self.values[d * self.n + blk_lo..d * self.n + blk_hi];
-                    let xs = &x[(blk_lo as isize + off) as usize..(blk_hi as isize + off) as usize];
-                    axpy_diagonal(yb, vals, xs);
-                }
-                if DOT || SUP {
-                    for (i, out) in yb.iter().enumerate() {
-                        let r = blk_lo + i;
-                        if DOT {
-                            dot += measure_block[r - start] * *out;
-                        }
-                        if SUP {
-                            sup = sup.max((*out - x[r]).abs());
-                        }
-                    }
-                }
-                blk_lo = blk_hi;
-            }
-            for (i, out) in tail.iter_mut().enumerate() {
-                edge(ihi + i, out, &mut dot, &mut sup);
-            }
+        let (head, rest) = y_block.split_at_mut(ilo - start);
+        let (mid, tail) = rest.split_at_mut(ihi - ilo);
+        for (i, out) in head.iter_mut().enumerate() {
+            edge(start + i, out);
         }
-        (dot, sup)
+        // Interior, diagonal-major within cache-sized row blocks:
+        // y[blk] = Σ_d diag_d ⊙ x≫off, one slice-zip axpy per diagonal
+        // (auto-vectorised, no bounds checks), with the block's output
+        // staying in L1 across the axpys. The emptiness guard matters: a
+        // row range that lies wholly inside the edge region clamps to an
+        // empty interior whose shifted x-slice bounds would underflow.
+        let mut blk_lo = ilo;
+        while blk_lo < ihi {
+            let blk_hi = (blk_lo + INTERIOR_BLOCK_ROWS).min(ihi);
+            let yb = &mut mid[blk_lo - ilo..blk_hi - ilo];
+            yb.fill(0.0);
+            for (d, &off) in self.offsets.iter().enumerate() {
+                let vals = &self.values[d * self.n + blk_lo..d * self.n + blk_hi];
+                let xs = &x[(blk_lo as isize + off) as usize..(blk_hi as isize + off) as usize];
+                axpy_diagonal(yb, vals, xs);
+            }
+            blk_lo = blk_hi;
+        }
+        for (i, out) in tail.iter_mut().enumerate() {
+            edge(ihi + i, out);
+        }
     }
 }
 
@@ -548,7 +470,7 @@ pub enum MatrixRef<'a> {
     Csr(&'a CsrMatrix),
     /// Diagonal (DIA) storage for banded lattices.
     Banded(&'a BandedMatrix),
-    /// Padded fixed-width rows (ELL) for short, even rows.
+    /// Length-sorted rows (ELL blocks without padding).
     Ell(&'a EllMatrix),
 }
 
@@ -596,10 +518,10 @@ impl MatrixRef<'_> {
     }
 
     /// Splits the rows into `parts` contiguous work ranges: nnz-balanced
-    /// for CSR, evenly by row for banded (diagonal storage carries the
-    /// same work per interior row by construction), and for ELL at the
-    /// boundaries its source CSR would get, so pooled ELL and pooled CSR
-    /// reduce the same partial dots.
+    /// for CSR and sorted rows, evenly by row for banded (diagonal storage
+    /// carries the same work per interior row by construction). Every
+    /// row is computed whole by one worker, so the split never moves a
+    /// bit.
     pub fn partition(&self, parts: usize) -> Vec<Range<usize>> {
         match self {
             MatrixRef::Csr(m) => m.nnz_partition(parts),
@@ -617,49 +539,6 @@ impl MatrixRef<'_> {
             MatrixRef::Ell(m) => m.mul_vec_range_into(x, y_block, rows),
         }
     }
-
-    /// Fused row-block product + dot; see [`CsrMatrix::mul_vec_dot_range`].
-    #[inline]
-    pub fn mul_vec_dot_range(
-        &self,
-        x: &[f64],
-        y_block: &mut [f64],
-        measure_block: &[f64],
-        rows: Range<usize>,
-    ) -> f64 {
-        match self {
-            MatrixRef::Csr(m) => m.mul_vec_dot_range(x, y_block, measure_block, rows),
-            MatrixRef::Banded(m) => m.mul_vec_dot_range(x, y_block, measure_block, rows),
-            MatrixRef::Ell(m) => m.mul_vec_dot_range(x, y_block, measure_block, rows),
-        }
-    }
-
-    /// Fused row-block product + sup; see [`CsrMatrix::mul_vec_sup_range`].
-    #[inline]
-    pub fn mul_vec_sup_range(&self, x: &[f64], y_block: &mut [f64], rows: Range<usize>) -> f64 {
-        match self {
-            MatrixRef::Csr(m) => m.mul_vec_sup_range(x, y_block, rows),
-            MatrixRef::Banded(m) => m.mul_vec_sup_range(x, y_block, rows),
-            MatrixRef::Ell(m) => m.mul_vec_sup_range(x, y_block, rows),
-        }
-    }
-
-    /// Fully fused row-block product + dot + sup; see
-    /// [`CsrMatrix::mul_vec_dot_sup_range`].
-    #[inline]
-    pub fn mul_vec_dot_sup_range(
-        &self,
-        x: &[f64],
-        y_block: &mut [f64],
-        measure_block: &[f64],
-        rows: Range<usize>,
-    ) -> (f64, f64) {
-        match self {
-            MatrixRef::Csr(m) => m.mul_vec_dot_sup_range(x, y_block, measure_block, rows),
-            MatrixRef::Banded(m) => m.mul_vec_dot_sup_range(x, y_block, measure_block, rows),
-            MatrixRef::Ell(m) => m.mul_vec_dot_sup_range(x, y_block, measure_block, rows),
-        }
-    }
 }
 
 /// An owned transition matrix in whichever representation
@@ -667,11 +546,12 @@ impl MatrixRef<'_> {
 /// selected.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TransitionMatrix {
-    /// Generic CSR (the fallback when neither padded format pays).
+    /// Generic CSR (the forced reference engine, and the identity of an
+    /// all-absorbing chain).
     Csr(CsrMatrix),
     /// Banded storage (lattices whose diagonals are densely populated).
     Banded(BandedMatrix),
-    /// Padded fixed-width rows (short rows of near-equal length).
+    /// Length-sorted rows (every chain DIA does not pay for).
     Ell(EllMatrix),
 }
 
@@ -698,7 +578,7 @@ impl TransitionMatrix {
         }
     }
 
-    /// The ELL matrix, when that representation was selected.
+    /// The length-sorted rows, when that representation was selected.
     pub fn as_ell(&self) -> Option<&EllMatrix> {
         match self {
             TransitionMatrix::Ell(m) => Some(m),
@@ -706,14 +586,13 @@ impl TransitionMatrix {
         }
     }
 
-    /// Slots a full product touches: CSR touches every stored non-zero,
-    /// banded every in-range diagonal slot, ELL every padded row slot
-    /// (`width·n`, padding included).
+    /// Slots a full product touches: CSR and sorted rows touch every
+    /// stored non-zero, banded every in-range diagonal slot.
     pub fn entries_per_product(&self) -> usize {
         match self {
             TransitionMatrix::Csr(m) => m.nnz(),
             TransitionMatrix::Banded(m) => m.stored_entries(),
-            TransitionMatrix::Ell(m) => m.stored_entries(),
+            TransitionMatrix::Ell(m) => m.nnz(),
         }
     }
 }
@@ -824,7 +703,6 @@ mod tests {
             let csr = lattice_like(n);
             let band = BandedMatrix::from_csr(&csr).unwrap();
             let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.13).sin()).collect();
-            let measure: Vec<f64> = (0..n).map(|i| (i as f64 * 0.07).cos()).collect();
             let edge = INTERIOR_BLOCK_ROWS.min(n / 2);
             for rows in [
                 0..n,
@@ -840,19 +718,8 @@ mod tests {
                 let mut yb = vec![0.0; rows.len()];
                 csr.mul_vec_range_into(&x, &mut yc, rows.clone());
                 band.mul_vec_range_into(&x, &mut yb, rows.clone());
-                assert_eq!(yc, yb, "n {n}, rows {rows:?}");
-                let m = &measure[rows.clone()];
-                let dc = csr.mul_vec_dot_range(&x, &mut yc, m, rows.clone());
-                let db = band.mul_vec_dot_range(&x, &mut yb, m, rows.clone());
-                assert_eq!(yc, yb);
-                assert_eq!(dc.to_bits(), db.to_bits(), "n {n}, rows {rows:?}");
-                let sc = csr.mul_vec_sup_range(&x, &mut yc, rows.clone());
-                let sb = band.mul_vec_sup_range(&x, &mut yb, rows.clone());
-                assert_eq!(sc.to_bits(), sb.to_bits());
-                let (dc2, sc2) = csr.mul_vec_dot_sup_range(&x, &mut yc, m, rows.clone());
-                let (db2, sb2) = band.mul_vec_dot_sup_range(&x, &mut yb, m, rows.clone());
-                assert_eq!(dc2.to_bits(), db2.to_bits(), "n {n}, rows {rows:?}");
-                assert_eq!(sc2.to_bits(), sb2.to_bits());
+                let bits = |v: &[f64]| v.iter().map(|a| a.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&yc), bits(&yb), "n {n}, rows {rows:?}");
             }
             assert!(band.mul_vec(&x[..5]).is_err());
         }
@@ -999,8 +866,8 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// CSR → banded → CSR is the identity, and every fused kernel
-        /// agrees with its CSR counterpart, across random sparsity
+        /// CSR → banded → CSR is the identity, and the banded kernel
+        /// agrees with the CSR kernel, across random sparsity
         /// patterns including empty rows and full-corner offsets.
         #[test]
         fn random_round_trip_and_kernel_agreement(
@@ -1017,14 +884,11 @@ mod tests {
             prop_assert_eq!(band.to_csr(), csr.clone());
             prop_assert_eq!(band.nnz(), csr.nnz());
             let x: Vec<f64> = (0..n).map(|i| ((i as f64 + seed) * 0.37).sin()).collect();
-            let measure: Vec<f64> = (0..n).map(|i| ((i as f64 - seed) * 0.11).cos()).collect();
             let mut yc = vec![0.0; n];
             let mut yb = vec![0.0; n];
-            let (dc, sc) = csr.mul_vec_dot_sup_range(&x, &mut yc, &measure, 0..n);
-            let (db, sb) = band.mul_vec_dot_sup_range(&x, &mut yb, &measure, 0..n);
+            csr.mul_vec_range_into(&x, &mut yc, 0..n);
+            band.mul_vec_range_into(&x, &mut yb, 0..n);
             prop_assert_eq!(&yc, &yb);
-            prop_assert!((dc - db).abs() <= 1e-12 * dc.abs().max(1.0));
-            prop_assert_eq!(sc, sb);
         }
     }
 }

@@ -400,20 +400,19 @@ impl Ctmc {
     }
 
     /// [`Ctmc::uniformised_transposed`] with automatic representation
-    /// selection, in this order:
+    /// selection:
     ///
     /// 1. **banded (DIA)** when the rate matrix occupies a few densely
     ///    populated diagonals ([`BandedMatrix::is_profitable`]); `Pᵀ` is
     ///    then emitted directly in DIA form, never as a CSR matrix;
-    /// 2. **padded rows (ELL)** when padding every row of the emitted
-    ///    CSR `Pᵀ` to its longest row stays within the same slot
-    ///    break-even ([`EllMatrix::is_profitable`]) — short, even rows,
-    ///    like the discretised Fig. 8 chains whose five diagonals are
-    ///    too sparse for DIA;
-    /// 3. **CSR** otherwise (e.g. a chain with one hub row).
+    /// 2. **length-sorted rows** ([`EllMatrix`]) otherwise, like the
+    ///    discretised Fig. 8 chains whose five diagonals are too sparse
+    ///    for DIA. The layout stores no padding, so it never touches
+    ///    more slots than CSR.
     ///
-    /// The ELL form is built from the CSR emission, so there is one
-    /// emission path, and its kernels are bit-identical to CSR's.
+    /// The sorted form is built from the CSR emission, so there is one
+    /// emission path, and its rows carry CSR's bits. An all-absorbing
+    /// chain (`ν = 0`) gets the CSR identity.
     ///
     /// # Errors
     ///
@@ -425,7 +424,7 @@ impl Ctmc {
         self.uniformised_transposed_auto_on(factor, None)
     }
 
-    /// [`Ctmc::uniformised_transposed_auto`] with the ELL and CSR forms
+    /// [`Ctmc::uniformised_transposed_auto`] with the sorted-row form
     /// emitted on `keep` only ([`Ctmc::uniformised_transposed_on`]). The
     /// banded probe and a banded result always cover the full chain:
     /// DIA diagonals and the active window are laid out on the full
@@ -453,10 +452,7 @@ impl Ctmc {
         let pt = self
             .rates
             .transpose_scaled_add_diag(1.0 / nu, &stay, keep)?;
-        if EllMatrix::is_profitable(pt.rows(), pt.nnz(), pt.max_row_len()) {
-            return Ok((TransitionMatrix::Ell(EllMatrix::from_csr(&pt)?), nu));
-        }
-        Ok((TransitionMatrix::Csr(pt), nu))
+        Ok((TransitionMatrix::Ell(EllMatrix::from_csr(&pt)?), nu))
     }
 
     /// [`Ctmc::uniformised_transposed_auto`] forced to banded storage,
@@ -787,7 +783,7 @@ mod tests {
         assert_eq!(&forced, banded);
 
         // Short uneven rows scattered over many diagonals: DIA does not
-        // pay, but padding Pᵀ's 2–3 entry rows to width 3 does → ELL.
+        // pay → sorted rows, touching exactly Pᵀ's non-zeros.
         let n = 64;
         let mut b = CtmcBuilder::new(n);
         for i in 0..n {
@@ -800,17 +796,17 @@ mod tests {
         let (auto, nu) = scattered.uniformised_transposed_auto(1.02).unwrap();
         let (pt_csr, nu_csr) = scattered.uniformised_transposed(1.02).unwrap();
         assert_eq!(nu, nu_csr);
-        let ell = auto.as_ell().expect("short uneven rows go ELL");
+        let ell = auto.as_ell().expect("short uneven rows go to sorted rows");
         assert!(auto.as_banded().is_none());
-        assert_eq!(ell.width(), 3);
         assert_eq!(ell.to_csr(), pt_csr, "same matrix either way");
-        assert_eq!(auto.entries_per_product(), 3 * n, "padding slots count");
+        assert_eq!(auto.entries_per_product(), pt_csr.nnz(), "no padding");
         let (forced, _) = scattered.uniformised_transposed_banded(1.02).unwrap();
         assert_eq!(forced.to_csr(), pt_csr);
 
         // One hub row: every state also feeds state 0, so Pᵀ's row 0
-        // holds n entries and padding every row to it would not pay →
-        // CSR.
+        // holds n entries. Without padding that costs nothing extra: the
+        // hub row is a block of its own, and a product still touches
+        // exactly the non-zeros.
         let mut b = CtmcBuilder::new(n);
         for i in 1..n {
             b.rate(i, 0, 0.3).unwrap();
@@ -819,14 +815,13 @@ mod tests {
         b.rate(0, 1, 1.0).unwrap();
         let hub = b.build().unwrap();
         let (auto, _) = hub.uniformised_transposed_auto(1.02).unwrap();
-        assert!(
-            matches!(auto, TransitionMatrix::Csr(_)),
-            "hub chain stays CSR"
-        );
+        let (pt_csr, _) = hub.uniformised_transposed(1.02).unwrap();
+        let ell = auto.as_ell().expect("hub chain goes to sorted rows");
+        assert_eq!(ell.order().last(), Some(&0), "the hub row sorts last");
+        assert_eq!(auto.entries_per_product(), pt_csr.nnz());
 
         // A tiny chain scatters over too many diagonals for its size: not
-        // banded (its even two-entry rows go ELL); forced banded still
-        // works.
+        // banded; forced banded still works.
         let mut b = CtmcBuilder::new(4);
         for (f, t, r) in [(0usize, 1usize, 1.2), (0, 3, 0.4), (1, 2, 2.3), (3, 0, 0.9)] {
             b.rate(f, t, r).unwrap();
@@ -837,8 +832,8 @@ mod tests {
             auto.as_banded().is_none(),
             "unstructured chain is not banded"
         );
-        assert_eq!(auto.as_ell().map(|m| m.width()), Some(2));
         let (pt_csr, _) = dense.uniformised_transposed(1.02).unwrap();
+        assert_eq!(auto.as_ell().map(EllMatrix::to_csr), Some(pt_csr.clone()));
         let (forced, _) = dense.uniformised_transposed_banded(1.02).unwrap();
         assert_eq!(forced.to_csr(), pt_csr);
 
@@ -942,7 +937,7 @@ mod tests {
         assert!(chain.uniformised_transposed_on(1.02, Some(&open)).is_err());
         let short = Subset::from_mask(&[true, true]).unwrap();
         assert!(chain.uniformised_transposed_on(1.02, Some(&short)).is_err());
-        // Auto emits ELL/CSR on the set.
+        // Auto emits its sorted rows on the set.
         let (auto, _) = chain
             .uniformised_transposed_auto_on(1.02, Some(&keep))
             .unwrap();

@@ -1,34 +1,42 @@
-//! Padded fixed-width rows (ELL) for iteration matrices whose rows are
-//! short and nearly equal in length.
+//! Length-sorted rows for iteration matrices whose rows are short.
 //!
 //! The discretised Fig. 8 chains at `Δ ≥ 25 A·s` occupy five diagonals
 //! but carry only 2.8–3.0 entries per row of `Pᵀ`, too few for DIA's
-//! slot break-even, so their products used to run the CSR kernel: rows of
-//! one to four entries whose variable inner trip count costs more than
-//! the multiply–adds. [`EllMatrix`] pads every row to the longest row's
-//! width `w`, so each row is a fixed-length loop the compiler unrolls
-//! (the kernels are monomorphised for `w = 1..=8`, with one dynamic
-//! fallback above).
+//! slot break-even. In CSR their rows of one to four entries have a
+//! variable inner trip count that costs more than the multiply–adds.
+//! [`EllMatrix`] stores the rows stably sorted by entry count, so every
+//! run of equal-length rows is one fixed-width block: each row is a
+//! fixed-length loop the compiler unrolls (the kernels are monomorphised
+//! for `w = 1..=8`, with one dynamic fallback above and a plain zero fill
+//! for empty rows). No row is padded, so a product touches exactly the
+//! `nnz` slots CSR touches.
 //!
-//! The format is bit-compatible with CSR by construction. Each row keeps
-//! CSR's entry order and is padded at its **end** with value `0.0` and
-//! the row's own index as the column. A row's accumulator starts at
-//! `+0.0` and so is never `−0.0`; a padding term `0.0·x[r]` is `±0.0` for
-//! finite `x`, and adding `±0.0` to anything but `−0.0` returns it
-//! unchanged. The kernels walk rows in pairs; the one reordering that
-//! makes is exact: the sup-norm runs in one lane per row of the pair
-//! (max is order-free), while the measure dot still adds rows in order.
+//! The matrix lives in the sorted index space: stored row `k` is source
+//! row [`EllMatrix::order`]`[k]`, and columns are renumbered the same
+//! way, so `x` and `y` are both indexed by stored position. The caller
+//! gathers its vectors through that order and scatters the result back.
+//!
+//! The format is bit-compatible with CSR by construction: each stored
+//! row holds its source row's entries in CSR order, and its accumulator
+//! starts at `+0.0` exactly as CSR's does. Reordering rows changes no
+//! row's sum. The kernels walk rows in pairs, whose two accumulators are
+//! independent.
+//!
+//! The kernels compute the product and nothing else. The uniformisation
+//! engines take the measure dot and the steady-state test after each
+//! product ([`crate::transient`]), so the work does not depend on how the
+//! rows are split across workers.
 
-use crate::sparse::{nnz_partition, padding_pays, CsrMatrix};
+use crate::sparse::{nnz_partition, CsrMatrix};
 use crate::MarkovError;
 use std::ops::Range;
 
-/// A square sparse matrix stored as padded fixed-width rows (ELL).
+/// A square sparse matrix stored as length-sorted rows.
 ///
-/// Row `r` occupies slots `r·w .. (r + 1)·w` of the value and column
-/// arrays: its CSR entries in CSR order, then padding (value `0.0`,
-/// column `r`). The source CSR row extents are kept, so the pool splits
-/// ELL rows at the same non-zero-balanced boundaries as the source.
+/// Stored row `k` is source row `order()[k]`; it occupies slots
+/// `row_ptr[k]..row_ptr[k + 1]` of the value and column arrays, and its
+/// columns are stored positions too. Rows of equal length are
+/// contiguous, and each such run is one fixed-width block.
 ///
 /// # Examples
 ///
@@ -38,68 +46,77 @@ use std::ops::Range;
 ///
 /// let csr = CsrMatrix::from_triplets(3, 3, vec![(0, 1, 2.0), (0, 2, 1.0), (2, 1, 5.0)]).unwrap();
 /// let ell = EllMatrix::from_csr(&csr).unwrap();
-/// assert_eq!(ell.width(), 2);
-/// assert_eq!(ell.stored_entries(), 6); // 3 rows × 2 slots, padding included
+/// // Row 1 is empty, row 2 holds one entry, row 0 two.
+/// assert_eq!(ell.order(), &[1, 2, 0]);
+/// assert_eq!(ell.nnz(), 3); // no padding
+/// // x in stored order: x[order[k]].
+/// let x = [2.0, 3.0, 4.0];
+/// let x_stored: Vec<f64> = ell.order().iter().map(|&r| x[r as usize]).collect();
 /// let mut y = vec![0.0; 3];
-/// ell.mul_vec_range_into(&[1.0, 1.0, 1.0], &mut y, 0..3);
-/// assert_eq!(y, vec![3.0, 0.0, 5.0]);
+/// ell.mul_vec_range_into(&x_stored, &mut y, 0..3);
+/// assert_eq!(y, vec![0.0, 15.0, 10.0]); // rows 1, 2, 0 of csr·x
 /// assert_eq!(ell.to_csr(), csr);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct EllMatrix {
-    n: usize,
-    width: usize,
-    /// The source CSR row extents (`n + 1` monotone offsets).
+    /// `order[k]` is the source row stored at position `k`.
+    order: Vec<u32>,
+    /// Row extents in stored order (`n + 1` monotone offsets).
     row_ptr: Vec<usize>,
-    /// `n·width` columns, row-major.
+    /// The runs of equal-length rows: `(stored rows, width)`, in order.
+    blocks: Vec<(Range<usize>, usize)>,
+    /// Stored-position columns, row after row.
     col_idx: Vec<u32>,
-    /// `n·width` values, row-major.
+    /// Values, row after row.
     values: Vec<f64>,
 }
 
 impl EllMatrix {
-    /// Whether padding `n` rows to `width` slots pays against CSR for a
-    /// matrix of `nnz` entries: the `width·n` slots must pass the
-    /// [`padding_pays`] break-even that DIA uses too.
-    pub fn is_profitable(n: usize, nnz: usize, width: usize) -> bool {
-        padding_pays(width.saturating_mul(n), nnz)
-    }
-
-    /// Pads a square CSR matrix's rows to its longest row. An all-zero
-    /// matrix still gets one padding slot per row, so every row has a
-    /// slot to accumulate.
+    /// Sorts a square CSR matrix's rows stably by entry count and
+    /// renumbers its columns to match.
     ///
     /// # Errors
     ///
-    /// [`MarkovError::InvalidArgument`] when the matrix is not square
-    /// (padding points each row at its own diagonal column).
+    /// [`MarkovError::InvalidArgument`] when the matrix is not square (a
+    /// row order is also a column order).
     pub fn from_csr(m: &CsrMatrix) -> Result<EllMatrix, MarkovError> {
         if m.rows() != m.cols() {
             return Err(MarkovError::InvalidArgument(format!(
-                "ELL storage needs a square matrix, got {}x{}",
+                "row-sorted storage needs a square matrix, got {}x{}",
                 m.rows(),
                 m.cols()
             )));
         }
         let n = m.rows();
-        let width = m.max_row_len().max(1);
-        let row_ptr = m.row_ptr();
-        let mut col_idx = Vec::with_capacity(n * width);
-        let mut values = Vec::with_capacity(n * width);
-        for r in 0..n {
-            let pad = width - (row_ptr[r + 1] - row_ptr[r]);
-            for (c, v) in m.row(r) {
-                col_idx.push(c as u32);
+        let len = |r: usize| m.row_ptr()[r + 1] - m.row_ptr()[r];
+        // CSR assembly caps the dimension at u32 range.
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        order.sort_by_key(|&r| len(r as usize));
+        let mut position = vec![0u32; n];
+        for (k, &r) in order.iter().enumerate() {
+            position[r as usize] = k as u32;
+        }
+        let mut row_ptr = Vec::with_capacity(n + 1);
+        let mut blocks: Vec<(Range<usize>, usize)> = Vec::new();
+        let mut col_idx = Vec::with_capacity(m.nnz());
+        let mut values = Vec::with_capacity(m.nnz());
+        row_ptr.push(0);
+        for (k, &r) in order.iter().enumerate() {
+            let width = len(r as usize);
+            match blocks.last_mut() {
+                Some((rows, w)) if *w == width => rows.end = k + 1,
+                _ => blocks.push((k..k + 1, width)),
+            }
+            for (c, v) in m.row(r as usize) {
+                col_idx.push(position[c]);
                 values.push(v);
             }
-            // CSR assembly caps the dimension at u32 range.
-            col_idx.extend(std::iter::repeat_n(r as u32, pad));
-            values.extend(std::iter::repeat_n(0.0, pad));
+            row_ptr.push(values.len());
         }
         Ok(EllMatrix {
-            n,
-            width,
-            row_ptr: row_ptr.to_vec(),
+            order,
+            row_ptr,
+            blocks,
             col_idx,
             values,
         })
@@ -108,188 +125,117 @@ impl EllMatrix {
     /// Dimension of the (square) matrix.
     #[inline]
     pub fn rows(&self) -> usize {
-        self.n
+        self.order.len()
     }
 
     /// Dimension of the (square) matrix.
     #[inline]
     pub fn cols(&self) -> usize {
-        self.n
+        self.order.len()
     }
 
-    /// Slots per row: the longest source row (at least 1).
-    #[inline]
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Number of stored entries, padding excluded.
+    /// Number of stored entries: the slots a full product touches.
     pub fn nnz(&self) -> usize {
-        self.row_ptr[self.n]
-    }
-
-    /// Slots a full product touches, padding included: `width·n`.
-    pub fn stored_entries(&self) -> usize {
         self.values.len()
     }
 
-    /// The source CSR's [`CsrMatrix::nnz_partition`], row for row.
+    /// The source row stored at each position.
+    pub fn order(&self) -> &[u32] {
+        &self.order
+    }
+
+    /// Splits the stored rows into `parts` contiguous ranges balanced by
+    /// entry count; see [`CsrMatrix::nnz_partition`].
     pub fn nnz_partition(&self, parts: usize) -> Vec<Range<usize>> {
         nnz_partition(&self.row_ptr, parts)
     }
 
-    /// The same matrix in CSR form (padding dropped by position).
+    /// The same matrix in CSR form, in source order.
     pub fn to_csr(&self) -> CsrMatrix {
+        let n = self.rows();
+        let mut position = vec![0usize; n];
+        for (k, &r) in self.order.iter().enumerate() {
+            position[r as usize] = k;
+        }
+        let mut row_ptr = Vec::with_capacity(n + 1);
         let mut col_idx = Vec::with_capacity(self.nnz());
         let mut values = Vec::with_capacity(self.nnz());
-        for r in 0..self.n {
-            let len = self.row_ptr[r + 1] - self.row_ptr[r];
-            let slots = r * self.width..r * self.width + len;
-            col_idx.extend_from_slice(&self.col_idx[slots.clone()]);
-            values.extend_from_slice(&self.values[slots]);
-        }
-        CsrMatrix::from_parts(self.n, self.n, self.row_ptr.clone(), col_idx, values)
-    }
-
-    /// The shared row-block kernel, bit-identical to
-    /// [`CsrMatrix::mul_vec_range_into`] on the source matrix.
-    #[inline]
-    pub fn mul_vec_range_into(&self, x: &[f64], y_block: &mut [f64], rows: Range<usize>) {
-        self.dispatch::<false, false>(x, y_block, &[], rows);
-    }
-
-    /// Fused product + measure dot over a row block, bit-identical to
-    /// [`CsrMatrix::mul_vec_dot_range`].
-    #[inline]
-    pub fn mul_vec_dot_range(
-        &self,
-        x: &[f64],
-        y_block: &mut [f64],
-        measure_block: &[f64],
-        rows: Range<usize>,
-    ) -> f64 {
-        self.dispatch::<true, false>(x, y_block, measure_block, rows)
-            .0
-    }
-
-    /// Fused product + steady-state sup-norm over a row block,
-    /// bit-identical to [`CsrMatrix::mul_vec_sup_range`].
-    #[inline]
-    pub fn mul_vec_sup_range(&self, x: &[f64], y_block: &mut [f64], rows: Range<usize>) -> f64 {
-        self.dispatch::<false, true>(x, y_block, &[], rows).1
-    }
-
-    /// Fully fused product + dot + sup over a row block, bit-identical
-    /// to [`CsrMatrix::mul_vec_dot_sup_range`].
-    #[inline]
-    pub fn mul_vec_dot_sup_range(
-        &self,
-        x: &[f64],
-        y_block: &mut [f64],
-        measure_block: &[f64],
-        rows: Range<usize>,
-    ) -> (f64, f64) {
-        self.dispatch::<true, true>(x, y_block, measure_block, rows)
-    }
-
-    /// Picks the kernel monomorphised for this matrix's width.
-    fn dispatch<const DOT: bool, const SUP: bool>(
-        &self,
-        x: &[f64],
-        y_block: &mut [f64],
-        measure_block: &[f64],
-        rows: Range<usize>,
-    ) -> (f64, f64) {
-        let args = (x, y_block, measure_block, rows);
-        match self.width {
-            1 => self.kernel::<1, DOT, SUP>(args),
-            2 => self.kernel::<2, DOT, SUP>(args),
-            3 => self.kernel::<3, DOT, SUP>(args),
-            4 => self.kernel::<4, DOT, SUP>(args),
-            5 => self.kernel::<5, DOT, SUP>(args),
-            6 => self.kernel::<6, DOT, SUP>(args),
-            7 => self.kernel::<7, DOT, SUP>(args),
-            8 => self.kernel::<8, DOT, SUP>(args),
-            _ => self.kernel::<0, DOT, SUP>(args),
-        }
-    }
-
-    /// The one kernel behind the four public variants. `W` is the row
-    /// width, or 0 for the dynamic fallback that reads it from `self`.
-    /// `DOT` folds `Σ measure[r]·y[r]` into the pass, `SUP` folds
-    /// `max |y[r] − x[r]|` in; both compile away when unused.
-    ///
-    /// Rows go two at a time: the pair's slots are one exact-size chunk
-    /// (no per-slot bounds checks for a constant `W`), its two
-    /// accumulators are independent, and each row of the pair keeps its
-    /// own sup-norm lane. The dot still adds rows in order, exactly as
-    /// the CSR kernel does.
-    #[inline(always)]
-    fn kernel<const W: usize, const DOT: bool, const SUP: bool>(
-        &self,
-        (x, y_block, measure_block, rows): (&[f64], &mut [f64], &[f64], Range<usize>),
-    ) -> (f64, f64) {
-        let w = if W == 0 { self.width } else { W };
-        debug_assert_eq!(w, self.width);
-        debug_assert_eq!(x.len(), self.n);
-        debug_assert_eq!(y_block.len(), rows.len());
-        debug_assert!(rows.end <= self.n);
-        let slots = rows.start * w..rows.end * w;
-        let x_rows = &x[rows];
-        // Without DOT the measure is never read; any row-length slice
-        // keeps the zips below in step.
-        let measure = if DOT { measure_block } else { x_rows };
-        debug_assert_eq!(measure.len(), x_rows.len());
-        let mut dot = 0.0;
-        let mut sup = [0.0f64; 2];
-        let mut finish = |out: &mut f64, acc: f64, m: f64, x_r: f64, lane: &mut f64| {
-            *out = acc;
-            if DOT {
-                dot += m * acc;
-            }
-            // `f64::max` without its NaN fix-up: a lane starts at 0.0
-            // and only ever takes a larger, hence non-NaN, value, so a
-            // NaN difference is skipped exactly as `f64::max` skips it.
-            let d = (acc - x_r).abs();
-            if SUP && d > *lane {
-                *lane = d;
-            }
-        };
-        let mut y_pairs = y_block.chunks_exact_mut(2);
-        let mut v_pairs = self.values[slots.clone()].chunks_exact(2 * w);
-        let mut c_pairs = self.col_idx[slots].chunks_exact(2 * w);
-        let mut m_pairs = measure.chunks_exact(2);
-        let mut x_pairs = x_rows.chunks_exact(2);
-        for ((((out, v), c), m), x_r) in (&mut y_pairs)
-            .zip(&mut v_pairs)
-            .zip(&mut c_pairs)
-            .zip(&mut m_pairs)
-            .zip(&mut x_pairs)
-        {
-            let (mut a0, mut a1) = (0.0, 0.0);
-            for k in 0..w {
-                a0 += v[k] * x[c[k] as usize];
-                a1 += v[w + k] * x[c[w + k] as usize];
-            }
-            let [lane0, lane1] = &mut sup;
-            finish(&mut out[0], a0, m[0], x_r[0], lane0);
-            finish(&mut out[1], a1, m[1], x_r[1], lane1);
-        }
-        if let [out] = y_pairs.into_remainder() {
-            let (v, c) = (v_pairs.remainder(), c_pairs.remainder());
-            let acc = v
-                .iter()
-                .zip(c)
-                .fold(0.0, |acc, (&v, &c)| acc + v * x[c as usize]);
-            finish(
-                out,
-                acc,
-                m_pairs.remainder()[0],
-                x_pairs.remainder()[0],
-                &mut sup[0],
+        row_ptr.push(0);
+        for &k in &position {
+            let slots = self.row_ptr[k]..self.row_ptr[k + 1];
+            col_idx.extend(
+                self.col_idx[slots.clone()]
+                    .iter()
+                    .map(|&c| self.order[c as usize]),
             );
+            values.extend_from_slice(&self.values[slots]);
+            row_ptr.push(values.len());
         }
-        (dot, sup[0].max(sup[1]))
+        CsrMatrix::from_parts(n, n, row_ptr, col_idx, values)
+    }
+
+    /// `y_block[i] = (A·x)[rows.start + i]` over stored rows, with `x` in
+    /// stored order. Each row's value has the bits
+    /// [`CsrMatrix::mul_vec_range_into`] gives its source row.
+    pub fn mul_vec_range_into(&self, x: &[f64], y_block: &mut [f64], rows: Range<usize>) {
+        debug_assert_eq!(x.len(), self.cols());
+        debug_assert_eq!(y_block.len(), rows.len());
+        debug_assert!(rows.end <= self.rows());
+        for (block, width) in &self.blocks {
+            let lo = block.start.max(rows.start);
+            let hi = block.end.min(rows.end);
+            if lo >= hi {
+                continue;
+            }
+            let y = &mut y_block[lo - rows.start..hi - rows.start];
+            let slots = self.row_ptr[lo]..self.row_ptr[hi];
+            let (v, c) = (&self.values[slots.clone()], &self.col_idx[slots]);
+            match *width {
+                0 => y.fill(0.0),
+                1 => rows_of_width::<1>(1, v, c, x, y),
+                2 => rows_of_width::<2>(2, v, c, x, y),
+                3 => rows_of_width::<3>(3, v, c, x, y),
+                4 => rows_of_width::<4>(4, v, c, x, y),
+                5 => rows_of_width::<5>(5, v, c, x, y),
+                6 => rows_of_width::<6>(6, v, c, x, y),
+                7 => rows_of_width::<7>(7, v, c, x, y),
+                8 => rows_of_width::<8>(8, v, c, x, y),
+                w => rows_of_width::<0>(w, v, c, x, y),
+            }
+        }
+    }
+}
+
+/// The kernel of one fixed-width block: `y[i]` is row `i` of the block,
+/// whose `w` entries are `values[i·w..(i + 1)·w]`. `W` is the width, or
+/// 0 for the dynamic fallback that uses `w`.
+///
+/// Rows go two at a time: the pair's slots are one exact-size chunk (no
+/// per-slot bounds checks for a constant `W`) and its two accumulators
+/// are independent. Each accumulator starts at `+0.0` and adds the row's
+/// entries in order, as the CSR kernel does.
+#[inline(always)]
+fn rows_of_width<const W: usize>(w: usize, values: &[f64], cols: &[u32], x: &[f64], y: &mut [f64]) {
+    let w = if W == 0 { w } else { W };
+    debug_assert_eq!(values.len(), w * y.len());
+    let mut y_pairs = y.chunks_exact_mut(2);
+    let mut v_pairs = values.chunks_exact(2 * w);
+    let mut c_pairs = cols.chunks_exact(2 * w);
+    for ((out, v), c) in (&mut y_pairs).zip(&mut v_pairs).zip(&mut c_pairs) {
+        let (mut a0, mut a1) = (0.0, 0.0);
+        for k in 0..w {
+            a0 += v[k] * x[c[k] as usize];
+            a1 += v[w + k] * x[c[w + k] as usize];
+        }
+        out[0] = a0;
+        out[1] = a1;
+    }
+    if let [out] = y_pairs.into_remainder() {
+        *out = v_pairs
+            .remainder()
+            .iter()
+            .zip(c_pairs.remainder())
+            .fold(0.0, |acc, (&v, &c)| acc + v * x[c as usize]);
     }
 }
 
@@ -298,20 +244,32 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// `x` permuted into the matrix's stored order.
+    fn stored(ell: &EllMatrix, x: &[f64]) -> Vec<f64> {
+        ell.order().iter().map(|&r| x[r as usize]).collect()
+    }
+
     #[test]
-    fn pads_rows_at_the_end_with_their_own_index() {
-        let csr =
-            CsrMatrix::from_triplets(3, 3, vec![(0, 2, 1.5), (0, 0, 2.0), (2, 1, -1.0)]).unwrap();
+    fn sorts_rows_by_length_without_padding() {
+        let csr = CsrMatrix::from_triplets(
+            4,
+            4,
+            vec![(0, 2, 1.5), (0, 0, 2.0), (2, 1, -1.0), (3, 3, 4.0)],
+        )
+        .unwrap();
         let ell = EllMatrix::from_csr(&csr).unwrap();
-        assert_eq!(ell.width(), 2);
-        assert_eq!(ell.col_idx, vec![0, 2, 1, 1, 1, 2]);
-        assert_eq!(ell.values, vec![2.0, 1.5, 0.0, 0.0, -1.0, 0.0]);
-        assert_eq!(ell.nnz(), 3);
-        assert_eq!(ell.stored_entries(), 6);
+        // Stable: the one-entry rows 2 and 3 keep their relative order.
+        assert_eq!(ell.order(), &[1, 2, 3, 0]);
+        assert_eq!(ell.blocks, vec![(0..1, 0), (1..3, 1), (3..4, 2)]);
+        assert_eq!(ell.row_ptr, vec![0, 0, 1, 2, 4]);
+        // Columns are stored positions: source 0 → 3, 1 → 0, 2 → 1, 3 → 2.
+        assert_eq!(ell.col_idx, vec![0, 2, 3, 1]);
+        assert_eq!(ell.values, vec![-1.0, 4.0, 2.0, 1.5]);
+        assert_eq!(ell.nnz(), 4);
         assert_eq!(ell.to_csr(), csr);
-        // An all-zero matrix keeps one padding slot per row.
+        // An all-zero matrix is one block of empty rows that writes +0.0.
         let zero = EllMatrix::from_csr(&CsrMatrix::zeros(4, 4)).unwrap();
-        assert_eq!(zero.width(), 1);
+        assert_eq!(zero.nnz(), 0);
         let mut y = vec![7.0; 4];
         zero.mul_vec_range_into(&[1.0, -0.0, 2.0, 3.0], &mut y, 0..4);
         assert!(y.iter().all(|v| v.to_bits() == 0.0f64.to_bits()));
@@ -325,28 +283,16 @@ mod tests {
         trip.extend((1..n).map(|r| (r, r - 1, -1.5)));
         let csr = CsrMatrix::from_triplets(n, n, trip).unwrap();
         let ell = EllMatrix::from_csr(&csr).unwrap();
-        assert_eq!(ell.width(), n);
+        assert_eq!(ell.blocks.last(), Some(&(n - 1..n, n)));
         let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin()).collect();
-        let measure: Vec<f64> = (0..n).map(|i| (i % 3) as f64).collect();
         let (mut yc, mut ye) = (vec![0.0; n], vec![0.0; n]);
-        let (dc, sc) = csr.mul_vec_dot_sup_range(&x, &mut yc, &measure, 0..n);
-        let (de, se) = ell.mul_vec_dot_sup_range(&x, &mut ye, &measure, 0..n);
-        assert_eq!(bits(&yc), bits(&ye));
-        assert_eq!((dc.to_bits(), sc.to_bits()), (de.to_bits(), se.to_bits()));
+        csr.mul_vec_range_into(&x, &mut yc, 0..n);
+        ell.mul_vec_range_into(&stored(&ell, &x), &mut ye, 0..n);
+        assert_eq!(bits(&stored(&ell, &yc)), bits(&ye));
     }
 
-    #[test]
-    fn profitability_is_the_shared_slot_break_even() {
-        // Rows of 2–3 entries padded to 3: 300 slots for 250 entries.
-        assert!(EllMatrix::is_profitable(100, 250, 3));
-        // One hub row of 100 entries pads every row to 100.
-        assert!(!EllMatrix::is_profitable(100, 300, 100));
-        assert!(EllMatrix::is_profitable(100, 200, 3));
-        assert!(!EllMatrix::is_profitable(100, 199, 3));
-    }
-
-    /// A square matrix with every row's length drawn from `lens` (0–8)
-    /// and random columns and signed values.
+    /// A square matrix with every row's length drawn from `lens` and
+    /// random columns and signed values.
     fn random_rows(lens: &[usize], seed: u64) -> CsrMatrix {
         let n = lens.len();
         let mut state = seed | 1;
@@ -376,13 +322,14 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// All four ELL kernels equal the CSR kernels bit for bit: the
-        /// product, the dot and the sup-norm, on random matrices with
-        /// row widths 0–8 (empty rows included), any sub-range of rows,
-        /// and signed finite `x` and measures with `−0.0` and exact zeros.
+        /// The sorted-row product equals the CSR product bit for bit: on
+        /// random matrices with row lengths 0–12 (empty rows and the
+        /// dynamic kernel included), any range of stored rows, and signed
+        /// finite `x` with `−0.0` and exact zeros. Stored row `k` carries
+        /// the bits of source row `order[k]`.
         #[test]
         fn kernels_match_csr_bitwise(
-            lens in proptest::collection::vec(0usize..=8, 1..40),
+            lens in proptest::collection::vec(0usize..=12, 1..40),
             seed in 0u64..u64::MAX,
             a in 0usize..40,
             b in 0usize..40,
@@ -393,8 +340,14 @@ mod tests {
             let csr = random_rows(&lens, seed);
             let ell = EllMatrix::from_csr(&csr).unwrap();
             prop_assert_eq!(ell.to_csr(), csr.clone());
-            // About a quarter of the entries of x and of the measure are
-            // −0.0, another quarter 0.0.
+            prop_assert_eq!(ell.nnz(), csr.nnz());
+            let order = ell.order();
+            prop_assert!(order.windows(2).all(|p| {
+                let len = |r: u32| csr.row(r as usize).count();
+                len(p[0]) < len(p[1]) || (len(p[0]) == len(p[1]) && p[0] < p[1])
+            }), "rows sorted stably by length");
+            // About a quarter of the entries of x are −0.0, another
+            // quarter 0.0.
             let x: Vec<f64> = (0..n)
                 .map(|i| match zeros[i] {
                     0 => -0.0,
@@ -402,45 +355,22 @@ mod tests {
                     _ => xs[i],
                 })
                 .collect();
-            let measure: Vec<f64> = (0..n)
-                .map(|i| match zeros[(i + 1) % 40] {
-                    0 => -0.0,
-                    1 => 0.0,
-                    _ => xs[(i + 7) % 40],
-                })
-                .collect();
             let (lo, hi) = (a.min(b) % (n + 1), a.max(b).min(n));
             let rows = lo.min(hi)..hi;
-            let m = &measure[rows.clone()];
-            let len = rows.len();
 
-            let (mut yc, mut ye) = (vec![1.0; len], vec![1.0; len]);
-            csr.mul_vec_range_into(&x, &mut yc, rows.clone());
-            ell.mul_vec_range_into(&x, &mut ye, rows.clone());
-            prop_assert_eq!(bits(&yc), bits(&ye));
+            let mut yc = vec![1.0; n];
+            csr.mul_vec_range_into(&x, &mut yc, 0..n);
+            let mut ye = vec![1.0; rows.len()];
+            ell.mul_vec_range_into(&stored(&ell, &x), &mut ye, rows.clone());
+            prop_assert_eq!(bits(&ye), bits(&stored(&ell, &yc)[rows]));
 
-            let (mut yc, mut ye) = (vec![1.0; len], vec![1.0; len]);
-            let dc = csr.mul_vec_dot_range(&x, &mut yc, m, rows.clone());
-            let de = ell.mul_vec_dot_range(&x, &mut ye, m, rows.clone());
-            prop_assert_eq!(bits(&yc), bits(&ye));
-            prop_assert_eq!(dc.to_bits(), de.to_bits());
-
-            let (mut yc, mut ye) = (vec![1.0; len], vec![1.0; len]);
-            let sc = csr.mul_vec_sup_range(&x, &mut yc, rows.clone());
-            let se = ell.mul_vec_sup_range(&x, &mut ye, rows.clone());
-            prop_assert_eq!(bits(&yc), bits(&ye));
-            prop_assert_eq!(sc.to_bits(), se.to_bits());
-
-            let (mut yc, mut ye) = (vec![1.0; len], vec![1.0; len]);
-            let (dc, sc) = csr.mul_vec_dot_sup_range(&x, &mut yc, m, rows.clone());
-            let (de, se) = ell.mul_vec_dot_sup_range(&x, &mut ye, m, rows.clone());
-            prop_assert_eq!(bits(&yc), bits(&ye));
-            prop_assert_eq!(dc.to_bits(), de.to_bits());
-            prop_assert_eq!(sc.to_bits(), se.to_bits());
-
-            // The source's nnz partition, row for row.
+            // The partition balances stored entries and covers the rows.
             for parts in 1..=5 {
-                prop_assert_eq!(ell.nnz_partition(parts), csr.nnz_partition(parts));
+                let p = ell.nnz_partition(parts);
+                prop_assert_eq!(p.len(), parts);
+                prop_assert_eq!(p[0].start, 0);
+                prop_assert_eq!(p[parts - 1].end, n);
+                prop_assert!(p.windows(2).all(|w| w[0].end == w[1].start));
             }
         }
     }

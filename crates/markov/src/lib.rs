@@ -7,10 +7,10 @@
 //! * [`sparse`] — compressed-sparse-row matrices with sequential and
 //!   multi-threaded matrix–vector products;
 //! * [`banded`] — DIA-style diagonal storage for the lattice-structured
-//!   chains of the discretisation, with branch-free fused kernels and
+//!   chains of the discretisation, with branch-free kernels and
 //!   automatic conversion from CSR;
-//! * [`ell`] — padded fixed-width rows for iteration matrices whose rows
-//!   are short and even, bit-identical to the CSR kernels;
+//! * [`ell`] — length-sorted rows without padding for every iteration
+//!   matrix DIA does not pay for, bit-identical to the CSR kernel;
 //! * [`ctmc`] — validated CTMC construction (generators, exit rates,
 //!   uniformisation, Graphviz export);
 //! * [`foxglynn`] — Poisson probability weights with left/right truncation

@@ -16,13 +16,10 @@ use std::ops::Range;
 /// path and the benchmark metadata cannot drift apart.
 pub const PARALLEL_SPMV_MIN_ROWS: usize = 4096;
 
-/// The slot break-even shared by the padded formats (DIA diagonals,
-/// ELL fixed-width rows): storing `entries` values in `slots` uniform
-/// slots pays while `slots ≤ 1.5·entries`. For DIA that is the memory
-/// break-even (8 bytes per slot against CSR's 12 per entry); for ELL,
-/// whose slots cost CSR's 12 bytes, the fixed inner trip count buys back
-/// up to the same factor. Beyond it the padding streams more than the
-/// uniform loop saves.
+/// The slot break-even of diagonal (DIA) storage: storing `entries`
+/// values in `slots` uniform slots pays while `slots ≤ 1.5·entries`, the
+/// memory break-even of 8 bytes per slot against CSR's 12 per entry.
+/// Beyond it the padding streams more than the uniform loop saves.
 pub fn padding_pays(slots: usize, entries: usize) -> bool {
     slots <= entries.saturating_mul(3) / 2
 }
@@ -135,23 +132,6 @@ impl Subset {
             Subset::DROPPED => None,
             p => Some(p as usize),
         }
-    }
-
-    /// The kept entries of a full-length vector, in order.
-    pub(crate) fn gather(&self, full: &[f64]) -> Vec<f64> {
-        debug_assert_eq!(full.len(), self.universe());
-        self.kept.iter().map(|&i| full[i as usize]).collect()
-    }
-
-    /// A full-length vector holding `part` at the kept indices and `+0.0`
-    /// everywhere else.
-    pub(crate) fn scatter(&self, part: &[f64]) -> Vec<f64> {
-        debug_assert_eq!(part.len(), self.len());
-        let mut full = vec![0.0; self.universe()];
-        for (&i, &x) in self.kept.iter().zip(part) {
-            full[i as usize] = x;
-        }
-        full
     }
 
     /// Heap bytes held by the two index maps.
@@ -273,16 +253,6 @@ impl CsrMatrix {
         self.values.len()
     }
 
-    /// The most entries any row stores (0 for an all-zero matrix) — the
-    /// width [`EllMatrix`](crate::ell::EllMatrix) pads every row to.
-    pub(crate) fn max_row_len(&self) -> usize {
-        self.row_ptr
-            .windows(2)
-            .map(|w| w[1] - w[0])
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Row extents: row `r` occupies `row_ptr[r]..row_ptr[r + 1]` of the
     /// value and column arrays.
     #[inline]
@@ -384,133 +354,6 @@ impl CsrMatrix {
             }
             *out = acc;
         }
-    }
-
-    /// Fused row-block kernel: computes the row range of `y = A·x` like
-    /// [`CsrMatrix::mul_vec_range_into`] **and** returns the partial dot
-    /// `Σ_i measure_block[i]·y_block[i]` in the same pass, so measuring a
-    /// linear functional of the iterate costs no extra sweep over `y`.
-    /// `measure_block` is the same row range of the measure vector.
-    #[inline]
-    pub fn mul_vec_dot_range(
-        &self,
-        x: &[f64],
-        y_block: &mut [f64],
-        measure_block: &[f64],
-        rows: Range<usize>,
-    ) -> f64 {
-        debug_assert_eq!(x.len(), self.cols);
-        debug_assert_eq!(y_block.len(), rows.len());
-        debug_assert_eq!(measure_block.len(), rows.len());
-        debug_assert!(rows.end <= self.rows);
-        let start = rows.start;
-        let mut dot = 0.0;
-        for (offset, (out, &m)) in y_block.iter_mut().zip(measure_block).enumerate() {
-            let r = start + offset;
-            let lo = self.row_ptr[r];
-            let hi = self.row_ptr[r + 1];
-            let mut acc = 0.0;
-            for k in lo..hi {
-                acc += self.values[k] * x[self.col_idx[k] as usize];
-            }
-            *out = acc;
-            dot += m * acc;
-        }
-        dot
-    }
-
-    /// Row-block kernel fused with the steady-state detector for square
-    /// iteration matrices: computes the row range of `y = A·x` and
-    /// returns the partial sup-norm `max_i |y[i] − x[i]|` from the same
-    /// pass (no measure dot). See [`CsrMatrix::mul_vec_dot_sup_range`]
-    /// for the variant that also accumulates a measure.
-    #[inline]
-    pub fn mul_vec_sup_range(&self, x: &[f64], y_block: &mut [f64], rows: Range<usize>) -> f64 {
-        debug_assert_eq!(self.rows, self.cols, "sup-norm needs a square matrix");
-        debug_assert_eq!(x.len(), self.cols);
-        debug_assert_eq!(y_block.len(), rows.len());
-        debug_assert!(rows.end <= self.rows);
-        let start = rows.start;
-        let mut sup = 0.0f64;
-        for (offset, out) in y_block.iter_mut().enumerate() {
-            let r = start + offset;
-            let lo = self.row_ptr[r];
-            let hi = self.row_ptr[r + 1];
-            let mut acc = 0.0;
-            for k in lo..hi {
-                acc += self.values[k] * x[self.col_idx[k] as usize];
-            }
-            *out = acc;
-            sup = sup.max((acc - x[r]).abs());
-        }
-        sup
-    }
-
-    /// Fully fused row-block kernel for square iteration matrices:
-    /// computes the row range of `y = A·x`, the partial dot
-    /// `Σ_i measure_block[i]·y_block[i]` **and** the partial sup-norm
-    /// `max_i |y[i] − x[i]|` over the range, all in one pass. The
-    /// sup-norm is the uniformisation engines' steady-state detector —
-    /// fusing it saves a third full sweep over the iterate per product
-    /// (at 10⁶ states that is 16 MB of avoided memory traffic per
-    /// iteration).
-    ///
-    /// Requires `rows == cols` (the sup-norm compares `y[r]` with
-    /// `x[r]`).
-    #[inline]
-    pub fn mul_vec_dot_sup_range(
-        &self,
-        x: &[f64],
-        y_block: &mut [f64],
-        measure_block: &[f64],
-        rows: Range<usize>,
-    ) -> (f64, f64) {
-        debug_assert_eq!(self.rows, self.cols, "sup-norm needs a square matrix");
-        debug_assert_eq!(x.len(), self.cols);
-        debug_assert_eq!(y_block.len(), rows.len());
-        debug_assert_eq!(measure_block.len(), rows.len());
-        debug_assert!(rows.end <= self.rows);
-        let start = rows.start;
-        let mut dot = 0.0;
-        let mut sup = 0.0f64;
-        for (offset, (out, &m)) in y_block.iter_mut().zip(measure_block).enumerate() {
-            let r = start + offset;
-            let lo = self.row_ptr[r];
-            let hi = self.row_ptr[r + 1];
-            let mut acc = 0.0;
-            for k in lo..hi {
-                acc += self.values[k] * x[self.col_idx[k] as usize];
-            }
-            *out = acc;
-            dot += m * acc;
-            sup = sup.max((acc - x[r]).abs());
-        }
-        (dot, sup)
-    }
-
-    /// Fused sequential `y = A·x` returning `measure·y` from the same pass.
-    ///
-    /// # Errors
-    ///
-    /// [`MarkovError::InvalidArgument`] on dimension mismatch.
-    pub fn mul_vec_dot_into(
-        &self,
-        x: &[f64],
-        y: &mut [f64],
-        measure: &[f64],
-    ) -> Result<f64, MarkovError> {
-        if x.len() != self.cols || y.len() != self.rows || measure.len() != self.rows {
-            return Err(MarkovError::InvalidArgument(format!(
-                "mul_vec_dot: x has {} (need {}), y has {} (need {}), measure has {} (need {})",
-                x.len(),
-                self.cols,
-                y.len(),
-                self.rows,
-                measure.len(),
-                self.rows
-            )));
-        }
-        Ok(self.mul_vec_dot_range(x, y, measure, 0..self.rows))
     }
 
     /// Splits the row space into `parts` contiguous ranges balanced by

@@ -18,41 +18,61 @@
 //!
 //! Both engines run on the zero-respawn hot path: `Pᵀ` is emitted
 //! directly from the generator — in **banded (DIA) form** when its
-//! diagonals are densely populated, as **padded fixed-width rows (ELL)**
-//! when its rows are short and even, generic CSR otherwise
+//! diagonals are densely populated, as **length-sorted rows** otherwise
 //! ([`Ctmc::uniformised_transposed_auto`]) — the worker pool is spawned
 //! **once per call** and fed row blocks ([`crate::pool::SpmvPool`],
-//! which dispatches on the matrix representation), the curve engine's
-//! per-iteration measure is folded into the product (fused SpMV+dot),
-//! and Poisson windows for the individual time points reuse one
-//! Fox–Glynn workspace
+//! which dispatches on the matrix representation), and Poisson windows
+//! for the individual time points reuse one Fox–Glynn workspace
 //! ([`crate::foxglynn::FoxGlynnCache`]), recomputed only when the time
 //! point actually changes (the requested times are visited in sorted
 //! order, so duplicates are free).
 //!
-//! # The reachable sub-chain
+//! # Products that only multiply
 //!
-//! The ELL and CSR engines sweep only the states reachable from α's
-//! support ([`Ctmc::reachable_from`]). On the discretised battery chain
-//! that drops the lattice points where the available well stands above
-//! the bound well, 34–44 % of the states. `Pᵀ` is emitted on that subset
-//! with the full chain's ν and self-loops
-//! ([`Ctmc::uniformised_transposed_on`]), α and the measure are gathered
-//! onto it, and [`transient_distribution`] scatters its result back to
-//! full length with exact `+0.0` at the dropped states. [`CurveCache`]
-//! keeps the set next to the cached sweep, so a plan group searches once.
+//! A product computes `v_{n+1} = Pᵀ·v_n` and nothing else. The sweep
+//! loop then takes, on the calling thread:
+//!
+//! * **the measure dot** `s_{n+1} = Σ m[i]·v_{n+1}[i]` over the measure's
+//!   non-zero entries only, in state order. The battery-empty measure is
+//!   non-zero on a few dozen of a chain's hundreds of rows. The skipped
+//!   terms are `±0.0`: `v` is finite (`Pᵀ ≥ 0` and α is a checked
+//!   distribution) and non-finite measures are rejected. Adding `±0.0`
+//!   to the running sum, which starts at `+0.0` and so is never `−0.0`,
+//!   changes no bit.
+//! * **the steady-state test** `max_r |v_{n+1}[r] − v_n[r]| < tol`. A
+//!   probe row whose change alone reaches `tol` proves the sup does too,
+//!   so most products need no pass at all; otherwise the full max is
+//!   taken and the probe moves to its argmax. The decision, and hence
+//!   `converged_at` and the iteration count, is the one the full max
+//!   gives every product.
+//!
+//! Every row is computed whole by one worker and the dot is summed once,
+//! so a pooled sweep carries the single-thread bits at every worker count.
+//!
+//! # The swept rows
+//!
+//! The sorted-row and CSR engines sweep only the states reachable from
+//! α's support ([`Ctmc::reachable_from`]). On the discretised battery
+//! chain that drops the lattice points where the available well stands
+//! above the bound well, 34–44 % of the states. `Pᵀ` is emitted on that
+//! subset with the full chain's ν and self-loops
+//! ([`Ctmc::uniformised_transposed_on`]), and the sorted-row form then
+//! reorders the kept rows by length. One state map composes the two: swept
+//! row `k` stands for full state `map[k]`. α is gathered through it, the
+//! measure's terms are taken through it, and [`transient_distribution`]
+//! scatters its result back to full length with exact `+0.0` at the
+//! dropped states. [`CurveCache`] keeps the set next to the cached sweep,
+//! so a plan group searches once.
 //!
 //! The curves are bit-identical to a sweep of the full chain. `Pᵀ ≥ 0`
 //! and α ≥ 0, so a dropped state's iterate entry is exactly `+0.0` from
 //! the first product on, and each term the restricted sweep skips (in a
 //! row accumulator, the measure dot or the sup-norm) is a signed zero
-//! added to a value that is not `−0.0`. Two details keep that exact:
-//! `m·α` at `n = 0` is taken over the full vectors (a float `Sum` starts
-//! at `−0.0`), and non-finite measure entries are rejected (in the full
-//! sweep `0·NaN` would poison every value). The pooled sweep splits the
-//! swept rows by their own nnz, so with several row workers the last
-//! bits can differ from a pooled full-chain sweep, as they differ across
-//! worker counts.
+//! added to a value that is not `−0.0`. Reordering rows changes no row's
+//! sum. Two details keep that exact: `m·α` at `n = 0` is taken over the
+//! full vectors (a float `Sum` starts at `−0.0`), and non-finite measure
+//! entries are rejected (in the full sweep `0·NaN` would poison every
+//! value).
 //!
 //! DIA and the active window stay on the full lattice: a DIA diagonal is
 //! a fixed index delta and the window a contiguous index interval, and
@@ -70,7 +90,9 @@
 //! the ε budget), the result stays within the requested tolerance.
 //! Early iterations therefore touch `O(bandwidth · |support|)` entries
 //! instead of all of them — for fine-`Δ` grids the overwhelming
-//! majority of the state space is never visited.
+//! majority of the state space is never visited. Both buffers are exactly
+//! zero outside their windows, so the dot over the measure's terms and the
+//! steady-state test over the window equal their full-space values.
 
 use crate::banded::TransitionMatrix;
 use crate::budget::Budget;
@@ -79,7 +101,6 @@ use crate::foxglynn::FoxGlynnCache;
 use crate::pool::SpmvPool;
 use crate::sparse::Subset;
 use crate::MarkovError;
-use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -87,9 +108,8 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Representation {
     /// Probe the chain's structure and pick banded when its diagonals
-    /// are densely populated, padded fixed-width rows (ELL) when its rows
-    /// are short and even, CSR otherwise (the default; see
-    /// [`Ctmc::uniformised_transposed_auto`]).
+    /// are densely populated, length-sorted rows otherwise (the default;
+    /// see [`Ctmc::uniformised_transposed_auto`]).
     #[default]
     Auto,
     /// Force generic CSR (the pre-banded engine, kept as the reference
@@ -116,7 +136,8 @@ pub struct TransientOptions {
     pub steady_state_tolerance: f64,
     /// Worker threads for the sparse matrix–vector products. The workers
     /// are spawned once per solve (persistent pool), not per product;
-    /// `<= 1` keeps everything on the calling thread.
+    /// `<= 1` keeps everything on the calling thread. The answer's bits
+    /// do not depend on it.
     pub threads: usize,
     /// Storage format selection for the iteration matrix.
     pub representation: Representation,
@@ -197,8 +218,8 @@ pub fn transient_distribution(
 }
 
 /// Builds the iteration matrix `Pᵀ` in the representation the options
-/// ask for: ELL and CSR on the reachable states `reach`, DIA on the full
-/// lattice (see [`swept_rows`]).
+/// ask for: sorted rows and CSR on the reachable states `reach`, DIA on
+/// the full lattice (see [`state_map`]).
 fn build_transposed(
     ctmc: &Ctmc,
     opts: &TransientOptions,
@@ -220,19 +241,87 @@ fn build_transposed(
     }
 }
 
-/// The subset `pt` was emitted on, or `None` when it covers every state:
-/// the reachable set is everything, or `pt` is banded (DIA diagonals and
-/// the active window are laid out on the full state index).
-fn swept_rows<'a>(reach: &'a Subset, pt: &TransitionMatrix) -> Option<&'a Subset> {
-    Some(reach).filter(|r| !r.is_full() && pt.as_banded().is_none())
+/// Where the swept rows of `pt` live in the full chain: swept row `k` is
+/// state `map[k]`, the reachable set `reach` composed with the sorted
+/// rows' order. `None` when row `k` is state `k`: `pt` is banded (DIA
+/// diagonals and the active window are laid out on the full state
+/// index), or CSR on a chain the start reaches everywhere.
+fn state_map(reach: &Subset, pt: &TransitionMatrix) -> Option<Vec<u32>> {
+    let kept = Some(reach).filter(|r| !r.is_full() && pt.as_banded().is_none());
+    let full = |k: u32| kept.map_or(k, |r| r.indices()[k as usize]);
+    match pt.as_ell() {
+        Some(ell) => Some(ell.order().iter().map(|&k| full(k)).collect()),
+        None => kept.map(|r| r.indices().to_vec()),
+    }
 }
 
-/// `full` restricted to the swept rows (borrowed when nothing is dropped).
-fn gather<'a>(swept: Option<&Subset>, full: &'a [f64]) -> Cow<'a, [f64]> {
-    match swept {
-        Some(k) => Cow::Owned(k.gather(full)),
-        None => Cow::Borrowed(full),
+/// `full` on the swept rows.
+fn gather(map: Option<&[u32]>, full: &[f64]) -> Vec<f64> {
+    match map {
+        Some(map) => map.iter().map(|&i| full[i as usize]).collect(),
+        None => full.to_vec(),
     }
+}
+
+/// The full-length vector of `n` states holding `swept` at the swept
+/// rows' states and exact `+0.0` at every other state (which holds
+/// exactly that in the full sweep too).
+fn scatter(map: Option<&[u32]>, n: usize, swept: Vec<f64>) -> Vec<f64> {
+    let Some(map) = map else {
+        return swept;
+    };
+    let mut full = vec![0.0; n];
+    for (&i, &x) in map.iter().zip(&swept) {
+        full[i as usize] = x;
+    }
+    full
+}
+
+/// The measure's non-zero entries as `(swept row, value)`, in state
+/// order: the only terms of `m·v` that are not exact zeros (see the
+/// module docs). States that are not swept hold `+0.0` and drop out too.
+fn measure_terms(map: Option<&[u32]>, measure: &[f64]) -> Vec<(u32, f64)> {
+    let state = |k: u32| map.map_or(k, |map| map[k as usize]) as usize;
+    let rows = map.map_or(measure.len(), <[u32]>::len) as u32;
+    let mut terms: Vec<(u32, f64)> = (0..rows)
+        .map(|k| (k, measure[state(k)]))
+        .filter(|&(_, m)| m != 0.0)
+        .collect();
+    terms.sort_unstable_by_key(|&(k, _)| state(k));
+    terms
+}
+
+/// `m·v` over the measure's terms, added in state order from `+0.0`,
+/// exactly as a full dot adds them.
+fn measure_dot(terms: &[(u32, f64)], v: &[f64]) -> f64 {
+    terms
+        .iter()
+        .fold(0.0, |dot, &(k, m)| dot + m * v[k as usize])
+}
+
+/// The steady-state test `max_{r ∈ rows} |y[r] − x[r]| < tol` (never true
+/// for `tol ≤ 0`, which disables it), with `x` and `y` zero outside
+/// `rows`.
+///
+/// `probe` is a row whose change alone may rule convergence out: when
+/// `|y[probe] − x[probe]| ≥ tol` the max reaches `tol` too, so no pass is
+/// needed. Otherwise the max is taken in full and `probe` moves to its
+/// argmax, the row most likely to rule the next product out. The max
+/// skips NaN differences exactly as `f64::max` does, so the answer is the
+/// full max's every time.
+fn is_steady(x: &[f64], y: &[f64], rows: Range<usize>, tol: f64, probe: &mut usize) -> bool {
+    if tol <= 0.0 || (y[*probe] - x[*probe]).abs() >= tol {
+        return false;
+    }
+    let mut sup = 0.0;
+    for (r, (a, b)) in rows.clone().zip(x[rows.clone()].iter().zip(&y[rows])) {
+        let d = (b - a).abs();
+        if d > sup {
+            sup = d;
+            *probe = r;
+        }
+    }
+    sup < tol
 }
 
 /// How the ε budget is split: the Fox–Glynn share and the total mass the
@@ -286,8 +375,8 @@ pub fn transient_distribution_budgeted(
         )));
     }
     // Pᵀ straight from the generator in the representation Auto picks
-    // (banded, padded rows or CSR) — never a P temporary, never a
-    // transpose copy — on the states α can reach unless it is banded.
+    // (banded or sorted rows) — never a P temporary, never a transpose
+    // copy — on the states α can reach unless it is banded.
     let reach = ctmc.reachable_from(alpha)?;
     let (pt, nu) = build_transposed(ctmc, opts, &reach)?;
     if nu == 0.0 || t == 0.0 {
@@ -308,11 +397,13 @@ pub fn transient_distribution_budgeted(
     // row block per iteration, and exit on drop.
     let pool = SpmvPool::new(effective_threads(opts.threads, pt.rows()));
 
-    let swept = swept_rows(&reach, &pt);
+    let map = state_map(&reach, &pt);
+    let tol = opts.steady_state_tolerance;
     let n_states = pt.rows();
-    let mut v = gather(swept, alpha).into_owned();
+    let mut v = gather(map.as_deref(), alpha);
     let mut next = vec![0.0; n_states];
     let mut out = vec![0.0; n_states];
+    let mut probe = 0;
     let mut iterations = 0;
     let mut touched: u64 = 0;
     let mut deficit = 0.0;
@@ -328,7 +419,8 @@ pub fn transient_distribution_budgeted(
             budget.check(iterations)?;
             let grown = band.grow_window(&v_win);
             zero_outside(&mut next, &next_win, &grown);
-            let sup = pool.mul_vec_sup_window(band, &v, &mut next, grown.clone())?;
+            pool.mul_vec_window(band, &v, &mut next, grown.clone())?;
+            let steady = is_steady(&v, &next, grown.clone(), tol, &mut probe);
             touched += band.entries_in(&grown) as u64;
             std::mem::swap(&mut v, &mut next);
             next_win = std::mem::replace(&mut v_win, grown);
@@ -337,7 +429,7 @@ pub fn transient_distribution_budgeted(
             if wn > 0.0 {
                 accumulate(&mut out, &v, wn, &v_win);
             }
-            if opts.steady_state_tolerance > 0.0 && sup < opts.steady_state_tolerance {
+            if steady {
                 let remaining: f64 = (n + 1..=fg.right()).map(|m| fg.weight(m)).sum();
                 accumulate(&mut out, &v, remaining, &v_win);
                 break;
@@ -349,9 +441,8 @@ pub fn transient_distribution_budgeted(
         let per_product = pt.entries_per_product() as u64;
         for n in 1..=fg.right() {
             budget.check(iterations)?;
-            // Fused product + steady-state sup-norm: no separate O(n)
-            // convergence sweep over the iterate.
-            let sup = pool.mul_vec_sup(&pt, &partition, &v, &mut next)?;
+            pool.mul_vec(&pt, &partition, &v, &mut next)?;
+            let steady = is_steady(&v, &next, 0..n_states, tol, &mut probe);
             touched += per_product;
             std::mem::swap(&mut v, &mut next);
             iterations += 1;
@@ -359,7 +450,7 @@ pub fn transient_distribution_budgeted(
             if wn > 0.0 {
                 accumulate(&mut out, &v, wn, &(0..n_states));
             }
-            if opts.steady_state_tolerance > 0.0 && sup < opts.steady_state_tolerance {
+            if steady {
                 // Iterates are stationary: the remaining Poisson mass
                 // applies to the converged vector.
                 let remaining: f64 = (n + 1..=fg.right()).map(|m| fg.weight(m)).sum();
@@ -369,11 +460,7 @@ pub fn transient_distribution_budgeted(
         }
     }
     Ok(TransientSolution {
-        // The dropped states hold exactly +0.0 in the full sweep too.
-        distribution: match swept {
-            Some(k) => k.scatter(&out),
-            None => out,
-        },
+        distribution: scatter(map.as_deref(), ctmc.n_states(), out),
         iterations,
         nu,
         touched_entries: touched,
@@ -422,8 +509,9 @@ pub fn measure_curve(
 ///    [`BandedMatrix::transposed_scaled_add_diag_with_offsets`](crate::banded::BandedMatrix::transposed_scaled_add_diag_with_offsets),
 ///    so later members emit `Pᵀ` without re-detecting the lattice
 ///    structure.
-/// 3. **The reachable set** of the sub-chain the ELL/CSR engines sweep,
-///    reused while the chain's structural fingerprint and `α` match.
+/// 3. **The reachable set** of the sub-chain the sorted-row and CSR
+///    engines sweep, reused while the chain's structural fingerprint and
+///    `α` match.
 /// 4. **The iterate scalars** `s_n = m·(αPⁿ)` — the expensive part, and
 ///    reused only when bitwise identity with an independent solve is
 ///    provable: the member's `Pᵀ` must equal the cached one bit for bit
@@ -466,6 +554,8 @@ struct CacheState {
     /// later member with the same pattern and `alpha` reuses it instead
     /// of searching again.
     reach: Arc<Subset>,
+    /// The measure's terms on the swept rows ([`measure_terms`]).
+    terms: Vec<(u32, f64)>,
     /// `s[n] = measure · (alpha Pⁿ)` for `n = 0..=iterations`.
     s: Vec<f64>,
     /// The iterate `alpha P^{iterations}` on the swept rows, kept so a
@@ -500,6 +590,7 @@ impl CurveCache {
         self.state.as_ref().map_or(0, |st| {
             (st.s.len() + st.v.len() + st.alpha.len() + st.measure.len()) * f64s
                 + st.pt.entries_per_product() * f64s
+                + st.terms.len() * std::mem::size_of::<(u32, f64)>()
                 + st.reach.heap_bytes()
         })
     }
@@ -620,7 +711,8 @@ pub fn measure_curve_budgeted(
         )));
     }
     // A NaN or ∞ would poison every curve value through 0·NaN in the
-    // full sweep, but not in the swept rows: reject it outright.
+    // full sweep, but not in the swept rows or the measure's terms:
+    // reject it outright.
     if measure.iter().any(|m| !m.is_finite()) {
         return Err(MarkovError::InvalidArgument(
             "measure entries must be finite".into(),
@@ -639,10 +731,10 @@ pub fn measure_curve_budgeted(
     cache.last_shared = false;
 
     // Pᵀ straight from the generator in the representation Auto picks
-    // (banded, padded rows or CSR) — never a P temporary, never a
-    // transpose copy. Within a plan group the cached offsets skip
-    // structure detection, and the cached reachable set skips the
-    // search: it depends only on the pattern and α.
+    // (banded or sorted rows) — never a P temporary, never a transpose
+    // copy. Within a plan group the cached offsets skip structure
+    // detection, and the cached reachable set skips the search: it
+    // depends only on the pattern and α.
     let member_fp = ctmc.structural_fingerprint();
     let reach = match cache
         .state
@@ -704,81 +796,37 @@ pub fn measure_curve_budgeted(
             && (!windowed || (st.nu == nu && st.t_max == t_max))
     });
 
-    let mut iterations = 0;
-    let mut touched: u64 = 0;
-    if !reusable {
-        // Full sweep: cache s_n = measure·v_n for n = 0..=n_max (or until
-        // the iterates converge). The fused kernel returns measure·v_{n+1}
-        // from the same pass that computes v_{n+1}.
-        // s_0 is taken over the full vectors: a float sum starts at −0.0,
-        // so without a dropped state's +0.0 product it could stay −0.0
-        // where the full sum is +0.0, and t = 0 reports s_0 as is.
-        let swept = swept_rows(&reach, &pt);
-        let m_swept = gather(swept, measure);
+    let (iterations, touched) = if !reusable {
+        // A fresh sweep: s_n = measure·v_n for n = 0..=n_max, or until
+        // the iterates converge. s_0 is taken over the full vectors: a
+        // float sum starts at −0.0, so without a dropped state's +0.0
+        // product it could stay −0.0 where the full sum is +0.0, and
+        // t = 0 reports s_0 as is.
+        let map = state_map(&reach, &pt);
         let mut s = Vec::with_capacity(n_max + 1);
         s.push(dot(alpha, measure));
-        let mut v = gather(swept, alpha).into_owned();
-        let mut next = vec![0.0; pt.rows()];
-        let mut converged_at = None;
-        let mut deficit = 0.0;
-        if let Some(band) = if windowed { pt.as_banded() } else { None } {
-            // Active-window sweep; see the module docs for the invariants
-            // (both buffers are exactly zero outside their windows, so the
-            // windowed dot and sup-norm equal their full-space values).
-            let allowance = trim_budget / (n_max as f64 + 1.0);
-            let mut v_win = support_range(&v);
-            let mut next_win = 0..0;
-            for n in 1..=n_max {
-                budget.check(iterations)?;
-                let grown = band.grow_window(&v_win);
-                zero_outside(&mut next, &next_win, &grown);
-                let (s_n, sup) =
-                    pool.mul_vec_dot_sup_window(band, &v, &mut next, measure, grown.clone())?;
-                touched += band.entries_in(&grown) as u64;
-                std::mem::swap(&mut v, &mut next);
-                next_win = std::mem::replace(&mut v_win, grown);
-                iterations += 1;
-                s.push(s_n);
-                if opts.steady_state_tolerance > 0.0 && sup < opts.steady_state_tolerance {
-                    converged_at = Some(n);
-                    break;
-                }
-                deficit += trim_window(&mut v, &mut v_win, allowance);
-            }
-        } else {
-            let partition = pt.as_ref().partition(pool.threads());
-            let per_product = pt.entries_per_product() as u64;
-            for n in 1..=n_max {
-                budget.check(iterations)?;
-                // One fully fused pass: v_{n+1} = Pᵀ·v_n, s_{n+1} =
-                // measure·v_{n+1} and the steady-state sup-norm
-                // |v_{n+1} − v_n|_∞, with no separate dot or convergence
-                // sweep over the iterate.
-                let (s_n, sup) = pool.mul_vec_dot_sup(&pt, &partition, &v, &mut next, &m_swept)?;
-                touched += per_product;
-                std::mem::swap(&mut v, &mut next);
-                iterations += 1;
-                s.push(s_n);
-                if opts.steady_state_tolerance > 0.0 && sup < opts.steady_state_tolerance {
-                    converged_at = Some(n);
-                    break;
-                }
-            }
-        }
-        cache.state = Some(CacheState {
+        let mut state = CacheState {
             opts: *opts,
             source_fp: member_fp,
-            pt,
             nu,
             t_max,
             alpha: alpha.to_vec(),
             measure: measure.to_vec(),
             reach,
+            terms: measure_terms(map.as_deref(), measure),
             s,
-            v,
-            converged_at,
-            window_deficit: deficit,
-        });
+            v: gather(map.as_deref(), alpha),
+            converged_at: None,
+            window_deficit: 0.0,
+            pt,
+        };
+        let work = if windowed {
+            windowed_sweep(&mut state, pool, n_max, trim_budget, budget)?
+        } else {
+            extend_sweep(&mut state, pool, n_max, budget)?
+        };
+        cache.state = Some(state);
+        work
     } else {
         cache.last_shared = true;
         let state = cache.state.as_mut().expect("reusable implies cached");
@@ -787,25 +835,11 @@ pub fn measure_curve_budgeted(
         // here, so the continued iterates are exactly the ones an
         // independent solve would have computed at those n).
         if state.converged_at.is_none() && state.s.len() <= n_max {
-            let partition = state.pt.as_ref().partition(pool.threads());
-            let per_product = state.pt.entries_per_product() as u64;
-            let m_swept = gather(swept_rows(&state.reach, &state.pt), measure);
-            let mut next = vec![0.0; state.v.len()];
-            for n in state.s.len()..=n_max {
-                budget.check(iterations)?;
-                let (s_n, sup) =
-                    pool.mul_vec_dot_sup(&state.pt, &partition, &state.v, &mut next, &m_swept)?;
-                touched += per_product;
-                std::mem::swap(&mut state.v, &mut next);
-                iterations += 1;
-                state.s.push(s_n);
-                if opts.steady_state_tolerance > 0.0 && sup < opts.steady_state_tolerance {
-                    state.converged_at = Some(n);
-                    break;
-                }
-            }
+            extend_sweep(state, pool, n_max, budget)?
+        } else {
+            (0, 0)
         }
-    }
+    };
     let state = cache.state.as_ref().expect("sweep just ran or was reused");
     let points = remix_curve(times, nu, &state.s, &mut cache.fg, fg_epsilon)?;
     Ok(CurveSolution {
@@ -816,6 +850,90 @@ pub fn measure_curve_budgeted(
         touched_entries: touched,
         window_deficit: state.window_deficit,
     })
+}
+
+/// Continues the unwindowed sweep of `state` from its last iterate up to
+/// `n = n_max` or the first stationary iterate, one product per `n`, and
+/// returns the products performed and the slots they touched. A budget
+/// abort leaves `state` holding only completed products.
+fn extend_sweep(
+    state: &mut CacheState,
+    pool: &SpmvPool,
+    n_max: usize,
+    budget: &Budget,
+) -> Result<(usize, u64), MarkovError> {
+    let partition = state.pt.as_ref().partition(pool.threads());
+    let mut next = vec![0.0; state.v.len()];
+    let mut probe = 0;
+    let mut iterations = 0;
+    for n in state.s.len()..=n_max {
+        budget.check(iterations)?;
+        pool.mul_vec(&state.pt, &partition, &state.v, &mut next)?;
+        let steady = is_steady(
+            &state.v,
+            &next,
+            0..next.len(),
+            state.opts.steady_state_tolerance,
+            &mut probe,
+        );
+        std::mem::swap(&mut state.v, &mut next);
+        state.s.push(measure_dot(&state.terms, &state.v));
+        iterations += 1;
+        if steady {
+            state.converged_at = Some(n);
+            break;
+        }
+    }
+    Ok((
+        iterations,
+        (iterations * state.pt.entries_per_product()) as u64,
+    ))
+}
+
+/// The active-window sweep of a fresh `state` (banded `Pᵀ`, `v = α`):
+/// every product is restricted to the rows the iterate can reach, and the
+/// window edges are trimmed within `trim_budget` (see the module docs).
+/// Returns the products performed and the slots they touched.
+fn windowed_sweep(
+    state: &mut CacheState,
+    pool: &SpmvPool,
+    n_max: usize,
+    trim_budget: f64,
+    budget: &Budget,
+) -> Result<(usize, u64), MarkovError> {
+    let band = state.pt.as_banded().expect("windowed sweeps are banded");
+    let allowance = trim_budget / (n_max as f64 + 1.0);
+    let v = &mut state.v;
+    let mut next = vec![0.0; v.len()];
+    let mut v_win = support_range(v);
+    let mut next_win = 0..0;
+    let mut probe = 0;
+    let mut iterations = 0;
+    let mut touched: u64 = 0;
+    for n in 1..=n_max {
+        budget.check(iterations)?;
+        let grown = band.grow_window(&v_win);
+        zero_outside(&mut next, &next_win, &grown);
+        pool.mul_vec_window(band, v, &mut next, grown.clone())?;
+        let steady = is_steady(
+            v,
+            &next,
+            grown.clone(),
+            state.opts.steady_state_tolerance,
+            &mut probe,
+        );
+        touched += band.entries_in(&grown) as u64;
+        std::mem::swap(v, &mut next);
+        next_win = std::mem::replace(&mut v_win, grown);
+        iterations += 1;
+        state.s.push(measure_dot(&state.terms, v));
+        if steady {
+            state.converged_at = Some(n);
+            break;
+        }
+        state.window_deficit += trim_window(v, &mut v_win, allowance);
+    }
+    Ok((iterations, touched))
 }
 
 /// Mixes the cached iterate scalars `s[n] = m·(αPⁿ)` into curve values:
@@ -1632,9 +1750,9 @@ mod tests {
     #[test]
     fn auto_runs_fig8_shaped_chains_on_ell_with_csr_bits() {
         // The sweep_grid shapes: Erlang-1/2 loads, c ∈ {0.625, 0.5}. Their
-        // five diagonals are too sparse for DIA, so Auto pads the rows
-        // (ELL) of the reachable sub-chain — and must reproduce the CSR
-        // engine bit for bit.
+        // five diagonals are too sparse for DIA, so Auto sorts the rows
+        // of the reachable sub-chain by length — and must reproduce the
+        // CSR engine bit for bit, touching exactly its non-zeros.
         let times = [250.0, 1000.0, 2000.0];
         for (stages, c) in [(1, 0.625), (1, 0.5), (2, 0.625), (2, 0.5)] {
             let (chain, alpha, empty) = fig8_shaped(stages, c);
@@ -1645,8 +1763,10 @@ mod tests {
             let (pt, _) = chain
                 .uniformised_transposed_auto_on(1.02, Some(&reach))
                 .unwrap();
-            let ell = pt.as_ell().expect("Fig. 8 shapes go ELL");
-            assert_eq!(pt.entries_per_product(), ell.width() * reach.len());
+            let ell = pt.as_ell().expect("Fig. 8 shapes go to sorted rows");
+            let (swept, _) = chain.uniformised_transposed_on(1.02, Some(&reach)).unwrap();
+            assert_eq!(ell.rows(), reach.len());
+            assert_eq!(pt.entries_per_product(), swept.nnz(), "no padding");
             let auto = TransientOptions::default();
             let csr = TransientOptions {
                 representation: Representation::Csr,
@@ -1690,7 +1810,7 @@ mod tests {
             let independent = measure_curve(&member, &alpha, &times, &empty, &auto).unwrap();
             let bits =
                 |c: &CurveSolution| c.points.iter().map(|p| p.1.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&a), bits(&b), "γ = {gamma}: ELL vs CSR");
+            assert_eq!(bits(&a), bits(&b), "γ = {gamma}: sorted rows vs CSR");
             assert_eq!(bits(&a), bits(&independent), "γ = {gamma}: cached vs fresh");
             let full = full_chain_curve(&member, &alpha, &times, &empty, &auto);
             assert_eq!(curve_bits(&a.points), curve_bits(&full), "γ = {gamma}");
@@ -1716,11 +1836,9 @@ mod tests {
             .collect()
     }
 
-    /// The curve of the unrestricted CSR sweep over the **full** chain:
-    /// the parent engine's non-windowed path, run with the row blocks of
-    /// the restricted sweep mapped back to full indices (each dropped row
-    /// joins the block of the next kept row), so a pooled reduction adds
-    /// the same partial sums in the same order.
+    /// The curve of the unrestricted sequential CSR sweep over the
+    /// **full** chain, taking the full dot and the full sup-norm after
+    /// every product: the parent engine's non-windowed path.
     fn full_chain_curve(
         chain: &Ctmc,
         alpha: &[f64],
@@ -1728,42 +1846,45 @@ mod tests {
         measure: &[f64],
         opts: &TransientOptions,
     ) -> Vec<(f64, f64)> {
-        let n = chain.n_states();
-        let reach = chain.reachable_from(alpha).unwrap();
         let (pt, nu) = chain
             .uniformised_transposed(opts.uniformisation_factor)
             .unwrap();
-        let (swept, _) = chain
-            .uniformised_transposed_on(opts.uniformisation_factor, Some(&reach))
-            .unwrap();
-        let pool = SpmvPool::new(effective_threads(opts.threads, swept.rows()));
-        let full_index = |b: usize| match reach.indices().get(b) {
-            Some(&i) if b > 0 => i as usize,
-            Some(_) => 0,
-            None => n,
-        };
-        let partition: Vec<Range<usize>> = swept
-            .nnz_partition(pool.threads())
-            .into_iter()
-            .map(|r| full_index(r.start)..full_index(r.end))
-            .collect();
         let t_max = times.iter().cloned().fold(0.0, f64::max);
         let mut fg = FoxGlynnCache::new();
         fg.compute(nu * t_max, opts.epsilon).unwrap();
+        let (s, _) = reference_scalars(&pt, alpha, measure, fg.right(), opts);
+        remix_curve(times, nu, &s, &mut fg, opts.epsilon).unwrap()
+    }
+
+    /// `s_n = m·(αPⁿ)` for `n ≤ n_max` by the reference loop: each product
+    /// followed by the full dot over every row and the full sup-norm,
+    /// stopping at the first `n` whose sup is below the tolerance
+    /// (returned with the scalars).
+    fn reference_scalars(
+        pt: &crate::sparse::CsrMatrix,
+        alpha: &[f64],
+        measure: &[f64],
+        n_max: usize,
+        opts: &TransientOptions,
+    ) -> (Vec<f64>, Option<usize>) {
         let mut s = vec![dot(alpha, measure)];
         let mut v = alpha.to_vec();
-        let mut next = vec![0.0; n];
-        for _ in 1..=fg.right() {
-            let (s_n, sup) = pool
-                .mul_vec_dot_sup(&pt, &partition, &v, &mut next, measure)
-                .unwrap();
+        let mut next = vec![0.0; v.len()];
+        for n in 1..=n_max {
+            pt.mul_vec_into(&v, &mut next).unwrap();
+            let mut s_n = 0.0;
+            let mut sup = 0.0f64;
+            for r in 0..v.len() {
+                s_n += measure[r] * next[r];
+                sup = sup.max((next[r] - v[r]).abs());
+            }
             std::mem::swap(&mut v, &mut next);
             s.push(s_n);
             if opts.steady_state_tolerance > 0.0 && sup < opts.steady_state_tolerance {
-                break;
+                return (s, Some(n));
             }
         }
-        remix_curve(times, nu, &s, &mut fg, opts.epsilon).unwrap()
+        (s, None)
     }
 
     /// `π(t)` from the unrestricted sequential CSR sweep over the full
@@ -1824,7 +1945,7 @@ mod tests {
     /// A random `n`-state chain with a planted block `U` (about one state
     /// in eight, scattered over the index range) that no edge enters from
     /// the rest. Every state is entered from one or two sources, so the
-    /// rows of `Pᵀ` are short and even (ELL); an outside state whose only
+    /// rows of `Pᵀ` are short and even; an outside state whose only
     /// source lies in `U` is unreachable too. α is a point mass or a
     /// three-point mix outside `U`; the measure is signed and holds `±0.0`
     /// entries. Returns the chain, α, the measure and the `U` mask.
@@ -2004,16 +2125,153 @@ mod tests {
         assert!(matches!(err, Err(MarkovError::InvalidArgument(_))));
     }
 
+    #[test]
+    fn steady_state_probe_rules_out_then_falls_back_to_the_full_max() {
+        let tol = 1e-3;
+        let x = [0.0; 4];
+        let mut probe = 0;
+        // The probe row alone reaches tol: no pass, the probe stays.
+        assert!(!is_steady(&x, &[0.5, 0.0, 0.9, 0.0], 0..4, tol, &mut probe));
+        assert_eq!(probe, 0);
+        // The probe row has settled, row 2 has not: the full max runs and
+        // the probe moves to its argmax.
+        assert!(!is_steady(
+            &x,
+            &[1e-4, 0.0, 0.9, -0.95],
+            0..4,
+            tol,
+            &mut probe
+        ));
+        assert_eq!(probe, 3);
+        // Everything below tol: steady, the probe on the largest change.
+        assert!(is_steady(
+            &x,
+            &[1e-4, 5e-4, 0.0, 0.0],
+            0..4,
+            tol,
+            &mut probe
+        ));
+        assert_eq!(probe, 1);
+        // A NaN difference is skipped as f64::max skips it, and a
+        // disabled test is never steady.
+        assert!(is_steady(
+            &x,
+            &[0.0, f64::NAN, 0.0, 0.0],
+            0..4,
+            tol,
+            &mut probe
+        ));
+        assert!(!is_steady(&x, &x, 0..4, 0.0, &mut probe));
+        // A probe outside the window (where both vectors are zero) falls
+        // back to the max over the window.
+        let mut probe = 3;
+        assert!(!is_steady(&x, &[0.0, 0.0, 0.9, 0.0], 0..3, tol, &mut probe));
+        assert_eq!(probe, 2);
+    }
+
+    /// Two independent two-state chains: `0 → 1` fast and `2 → 3` slow,
+    /// half the mass in each. The first product's probe (row 0) settles
+    /// long before row 2 does.
+    fn fast_and_slow() -> (Ctmc, Vec<f64>, Vec<f64>) {
+        let mut b = CtmcBuilder::new(4);
+        b.rate(0, 1, 4.0).unwrap();
+        b.rate(2, 3, 0.5).unwrap();
+        (
+            b.build().unwrap(),
+            vec![0.5, 0.0, 0.5, 0.0],
+            vec![0.0, 1.0, 0.0, 1.0],
+        )
+    }
+
+    #[test]
+    fn steady_state_probe_matches_the_full_sup_every_product() {
+        // Along a real sweep the probe's decision is the full max's at
+        // every product, and the fallback runs when row 0 settles first.
+        let (chain, alpha, measure) = fast_and_slow();
+        let (pt, _) = chain.uniformised_transposed(1.02).unwrap();
+        let tol = TransientOptions::default().steady_state_tolerance;
+        let (mut v, mut next) = (alpha.clone(), vec![0.0; 4]);
+        let mut probe = 0;
+        let mut moved_at = None;
+        for n in 1..10_000 {
+            pt.mul_vec_into(&v, &mut next).unwrap();
+            let sup = (0..4).fold(0.0f64, |a, r| a.max((next[r] - v[r]).abs()));
+            let steady = is_steady(&v, &next, 0..4, tol, &mut probe);
+            assert_eq!(steady, sup < tol, "n = {n}");
+            if probe != 0 && moved_at.is_none() {
+                moved_at = Some(n);
+            }
+            std::mem::swap(&mut v, &mut next);
+            if steady {
+                let moved = moved_at.expect("the fallback ran");
+                assert!(1 < moved && moved < n, "moved at {moved}, steady at {n}");
+                break;
+            }
+        }
+        assert!(moved_at.is_some());
+
+        // Through the engines: converged_at, the iteration count and the
+        // curve bits equal the reference loop that takes the full sup
+        // (and the full dot) after every product.
+        let n = 60;
+        let lattice = lattice_chain(n, 1.0, 0.3);
+        let mut floor = vec![0.0; n];
+        floor[0] = 1.0;
+        let mut absorbing = CtmcBuilder::new(2);
+        absorbing.rate(0, 1, 5.0).unwrap();
+        let cases = [
+            (chain, alpha, measure, 400.0),
+            (lattice, point_mass(n, n - 1), floor, 20_000.0),
+            (
+                absorbing.build().unwrap(),
+                vec![1.0, 0.0],
+                vec![0.0, 1.0],
+                1000.0,
+            ),
+        ];
+        for (chain, alpha, measure, t) in cases {
+            let times = [t / 7.0, t];
+            for representation in [Representation::Auto, Representation::Csr] {
+                let opts = TransientOptions {
+                    representation,
+                    active_window: false,
+                    ..Default::default()
+                };
+                let curve = measure_curve(&chain, &alpha, &times, &measure, &opts).unwrap();
+                let (pt, nu) = chain.uniformised_transposed(1.02).unwrap();
+                let mut fg = FoxGlynnCache::new();
+                fg.compute(nu * t, opts.epsilon).unwrap();
+                let (s, converged_at) = reference_scalars(&pt, &alpha, &measure, fg.right(), &opts);
+                let n_states = chain.n_states();
+                assert!(
+                    converged_at.is_some(),
+                    "{n_states} states converge by t = {t}"
+                );
+                assert_eq!(
+                    curve.converged_at, converged_at,
+                    "{n_states} states, {representation:?}"
+                );
+                assert_eq!(curve.iterations, s.len() - 1);
+                let reference = remix_curve(&times, nu, &s, &mut fg, opts.epsilon).unwrap();
+                assert_eq!(curve_bits(&curve.points), curve_bits(&reference));
+                let sol = transient_distribution_with(&chain, &alpha, t, &opts).unwrap();
+                assert_eq!(sol.iterations, curve.iterations);
+            }
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
 
-        /// Restricting the ELL/CSR sweep to the reachable states moves no
-        /// bit: on random chains with a planted unreachable block, random
-        /// α supports outside it, signed measures with ±0.0 entries and
-        /// times including 0, the restricted CSR and ELL curves equal the
-        /// unrestricted full-chain sweep bit for bit at pool threads 1–4.
-        /// The large chains keep more than `PARALLEL_SPMV_MIN_ROWS` rows
-        /// after the restriction, so their sweeps run pooled.
+        /// Restricting the sweep to the reachable states, sorting its rows
+        /// and moving the dot and the steady-state test out of the
+        /// kernels moves no bit: on random chains with a planted
+        /// unreachable block, random α supports outside it, signed
+        /// measures with ±0.0 entries and times including 0, the
+        /// restricted CSR and sorted-row curves at pool threads 1–4 equal
+        /// the sequential full-chain sweep bit for bit. The large chains
+        /// keep more than `PARALLEL_SPMV_MIN_ROWS` rows after the
+        /// restriction, so their sweeps run pooled.
         #[test]
         fn restricted_sweeps_match_the_full_chain_bitwise(
             large in 0usize..2,
@@ -2044,7 +2302,7 @@ mod tests {
             );
             let auto = TransientOptions { representation: Representation::Auto, ..csr };
             let (pt, _) = chain.uniformised_transposed_auto_on(1.02, Some(&reach)).unwrap();
-            prop_assert!(pt.as_ell().is_some(), "short even rows go ELL");
+            prop_assert!(pt.as_ell().is_some(), "Auto sorts the rows");
             let ell = measure_curve(&chain, &alpha, &times, &measure, &auto).unwrap();
             prop_assert_eq!(curve_bits(&ell.points), reference);
         }
