@@ -12,9 +12,6 @@
 //!   recovery additionally scaled by the bound-charge height, evaluated
 //!   both deterministically (adaptive ODE integration) and as a
 //!   stochastic quantised-recovery process;
-//! * [`stochastic_cell`] — the discrete stochastic battery of
-//!   Chiasserini & Rao (paper ref. \[6\]), the Markovian precursor whose
-//!   pulsed-discharge result motivates the whole line of work;
 //! * [`load`] — deterministic load profiles (constant, square-wave as in
 //!   Table 1/Fig. 2, arbitrary piecewise-constant);
 //! * [`lifetime`] — the generic discharge driver computing lifetimes and
@@ -47,7 +44,6 @@ pub mod lifetime;
 pub mod load;
 pub mod modified;
 pub mod peukert;
-pub mod stochastic_cell;
 
 mod error;
 

@@ -14,7 +14,7 @@
 //!   fig11       simple vs burst model
 //!   complexity  state/non-zero/iteration counts of §5.3 & §6.1
 //!   calibrate   re-derive λ_burst = 182/h from P[send] = ¼
-//!   baseline    machine-readable BENCH_spmv.json / BENCH_uniformisation.json
+//!   baseline    machine-readable BENCH_uniformisation.json
 //!   window      active-window savings: touched entries & deficit per Δ
 //!   sweep       planned vs naive batched sweeps → BENCH_sweep.json
 //!   mc          streaming Monte Carlo engine certification → BENCH_mc.json

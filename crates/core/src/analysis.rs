@@ -1,6 +1,5 @@
-//! High-level analyses: the exact `c = 1` curve and mean-lifetime
-//! utilities, plus deprecated shims for the loose curve helpers that
-//! predate [`crate::distribution::LifetimeDistribution`].
+//! High-level analyses: the exact `c = 1` curve, the algebraic mean
+//! lifetime and the equispaced figure grids.
 //!
 //! For `c = 1` every bit of charge is directly available, so the consumed
 //! charge is a plain accumulated reward `Y(t) = ∫ I_{X(s)} ds` of a
@@ -68,7 +67,8 @@ pub fn exact_linear_curve(
 /// the derived chain: the expected time to absorption solves
 /// `m_i = 1/q_i + Σ_j (q_{ij}/q_i) m_j` (Gauss–Seidel in `O(nnz)` space).
 ///
-/// Complements [`mean_lifetime_from_curve`]: no time grid or truncation
+/// Complements [`LifetimeDistribution::mean`](crate::distribution::LifetimeDistribution::mean),
+/// which integrates a sampled curve: here no time grid or truncation
 /// is involved, but the iteration count grows with the expected number of
 /// jumps, so this is intended for small/medium chains (the guard rejects
 /// chains above one million states).
@@ -102,52 +102,6 @@ pub fn mean_lifetime_absorbing(
     Ok(Time::from_seconds(mean))
 }
 
-/// Mean lifetime obtained by integrating a lifetime CDF curve:
-/// `E[L] = ∫₀^∞ (1 − F(t)) dt`, truncated at the last grid point (so the
-/// result is a lower bound when the curve has not reached 1).
-///
-/// The curve must be sampled as `(t_seconds, probability)` with
-/// increasing `t`.
-#[deprecated(since = "0.1.0", note = "use `LifetimeDistribution::mean` instead")]
-pub fn mean_lifetime_from_curve(points: &[(f64, f64)]) -> Time {
-    let mut acc = 0.0;
-    for w in points.windows(2) {
-        let dt = w[1].0 - w[0].0;
-        let survival = 1.0 - 0.5 * (w[0].1 + w[1].1);
-        acc += survival.max(0.0) * dt;
-    }
-    Time::from_seconds(acc)
-}
-
-/// The largest absolute difference between two curves sampled on the same
-/// time grid (used to quantify `Δ`-refinement convergence against the
-/// simulation reference, as in the paper's Figs. 7–8 discussion).
-///
-/// # Errors
-///
-/// [`KibamRmError::InvalidDiscretisation`] when the grids differ.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `LifetimeDistribution::max_difference` instead"
-)]
-pub fn max_curve_difference(a: &[(f64, f64)], b: &[(f64, f64)]) -> Result<f64, KibamRmError> {
-    sup_distance(a, b)
-}
-
-/// Shared implementation of the sup-distance between two curves on the
-/// same grid (used by the deprecated shims and the comparison report).
-pub(crate) fn sup_distance(a: &[(f64, f64)], b: &[(f64, f64)]) -> Result<f64, KibamRmError> {
-    if a.len() != b.len() || a.iter().zip(b).any(|(x, y)| (x.0 - y.0).abs() > 1e-9) {
-        return Err(KibamRmError::InvalidDiscretisation(
-            "curves must share the same time grid".into(),
-        ));
-    }
-    Ok(a.iter()
-        .zip(b)
-        .map(|(x, y)| (x.1 - y.1).abs())
-        .fold(0.0, f64::max))
-}
-
 /// An equispaced time grid `0, …, t_max` with `points+1` samples — the
 /// grids used by every figure-regeneration harness.
 pub fn time_grid(t_max: Time, points: usize) -> Vec<Time> {
@@ -156,73 +110,11 @@ pub fn time_grid(t_max: Time, points: usize) -> Vec<Time> {
         .collect()
 }
 
-/// Cross-method validation report for one model: runs every applicable
-/// method on a shared grid and reports the pairwise sup-distances.
-///
-/// This is the triple cross-check of the paper's §6 packaged as an API,
-/// so users can validate *their own* workload models before trusting a
-/// coarse-Δ approximation.
-#[deprecated(since = "0.1.0", note = "use `SolverRegistry::cross_validate` instead")]
-#[derive(Debug, Clone)]
-pub struct MethodComparison {
-    /// The shared `(t_seconds, p)` grid from the discretisation.
-    pub approximation: Vec<(f64, f64)>,
-    /// Simulation estimate on the same grid.
-    pub simulation: Vec<(f64, f64)>,
-    /// Exact (Sericola) curve — only for `c = 1` models.
-    pub exact: Option<Vec<(f64, f64)>>,
-    /// `sup |approximation − simulation|`.
-    pub approx_vs_sim: f64,
-    /// `sup |approximation − exact|` when the exact method applies.
-    pub approx_vs_exact: Option<f64>,
-    /// Number of simulation replications used.
-    pub runs: usize,
-}
-
-/// Runs all applicable methods for `model` and compares them.
-///
-/// # Errors
-///
-/// Propagates discretisation/simulation errors (an all-censored
-/// simulation study is the valid all-zero curve, not an error).
-#[deprecated(since = "0.1.0", note = "use `SolverRegistry::cross_validate` instead")]
-#[allow(deprecated)]
-pub fn compare_methods(
-    model: &KibamRm,
-    disc: &crate::discretise::DiscretisedModel,
-    times: &[Time],
-    runs: usize,
-    seed: u64,
-) -> Result<MethodComparison, KibamRmError> {
-    let horizon = times.iter().cloned().fold(Time::ZERO, Time::max);
-    let approximation = disc.empty_probability_curve(times)?.points;
-    let study = crate::simulate::lifetime_study(model, horizon, runs, seed)?;
-    let simulation: Vec<(f64, f64)> = times
-        .iter()
-        .map(|t| (t.as_seconds(), study.empty_probability(t.as_seconds())))
-        .collect();
-    let approx_vs_sim = sup_distance(&approximation, &simulation)?;
-    let (exact, approx_vs_exact) = if model.is_linear() {
-        let e = exact_linear_curve(model, times)?;
-        let d = sup_distance(&approximation, &e)?;
-        (Some(e), Some(d))
-    } else {
-        (None, None)
-    };
-    Ok(MethodComparison {
-        approximation,
-        simulation,
-        exact,
-        approx_vs_sim,
-        approx_vs_exact,
-        runs,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::discretise::{DiscretisationOptions, DiscretisedModel};
+    use crate::distribution::{LifetimeDistribution, SolveDiagnostics};
     use crate::simulate::lifetime_study;
     use crate::workload::Workload;
     use units::{Charge, Current, Frequency, Rate};
@@ -296,7 +188,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn absorbing_mean_agrees_with_curve_integral() {
         // Full-size Fig. 7 battery (C = 7200 As): the absorbing solver
         // never touches Sericola, so the scale is fine here.
@@ -319,7 +210,17 @@ mod tests {
             .map(|i| Time::from_seconds(i as f64 * 50.0))
             .collect();
         let curve = disc.empty_probability_curve(&times).unwrap();
-        let integrated = mean_lifetime_from_curve(&curve.points);
+        let integrated = LifetimeDistribution::new(
+            "discretisation",
+            curve
+                .points
+                .iter()
+                .map(|&(t, p)| (Time::from_seconds(t), p))
+                .collect(),
+            SolveDiagnostics::default(),
+        )
+        .unwrap()
+        .mean();
         let rel =
             (algebraic.as_seconds() - integrated.as_seconds()).abs() / integrated.as_seconds();
         assert!(
@@ -332,90 +233,6 @@ mod tests {
             (algebraic.as_seconds() - 15_000.0).abs() < 400.0,
             "{algebraic}"
         );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn mean_from_curve_exponential() {
-        // F(t) = 1 − e^{-t}: E[L] = 1.
-        let points: Vec<(f64, f64)> = (0..=4000)
-            .map(|i| (i as f64 * 0.005, 1.0 - (-i as f64 * 0.005).exp()))
-            .collect();
-        let mean = mean_lifetime_from_curve(&points);
-        assert!((mean.as_seconds() - 1.0).abs() < 2e-3, "{mean}");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn mean_from_degenerate_curve() {
-        assert_eq!(mean_lifetime_from_curve(&[]).as_seconds(), 0.0);
-        assert_eq!(mean_lifetime_from_curve(&[(0.0, 0.0)]).as_seconds(), 0.0);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn curve_difference() {
-        let a = vec![(0.0, 0.1), (1.0, 0.5)];
-        let b = vec![(0.0, 0.2), (1.0, 0.4)];
-        assert!((max_curve_difference(&a, &b).unwrap() - 0.1).abs() < 1e-12);
-        let c = vec![(0.0, 0.1)];
-        assert!(max_curve_difference(&a, &c).is_err());
-        let d = vec![(0.0, 0.1), (2.0, 0.5)];
-        assert!(max_curve_difference(&a, &d).is_err());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn compare_methods_reports_small_distances() {
-        let m = linear_on_off();
-        let disc = DiscretisedModel::build(
-            &m,
-            &DiscretisationOptions::with_delta(Charge::from_amp_seconds(0.5)),
-        )
-        .unwrap();
-        let times: Vec<Time> = (0..=20)
-            .map(|i| Time::from_seconds(60.0 + i as f64 * 12.0))
-            .collect();
-        let cmp = compare_methods(&m, &disc, &times, 800, 31).unwrap();
-        assert_eq!(cmp.runs, 800);
-        assert_eq!(cmp.approximation.len(), times.len());
-        assert_eq!(cmp.simulation.len(), times.len());
-        assert!(cmp.exact.is_some(), "c = 1 model must get the exact curve");
-        // Fine Δ: the approximation is close to both references.
-        assert!(
-            cmp.approx_vs_exact.unwrap() < 0.12,
-            "{:?}",
-            cmp.approx_vs_exact
-        );
-        assert!(cmp.approx_vs_sim < 0.15, "{}", cmp.approx_vs_sim);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn compare_methods_skips_exact_for_two_wells() {
-        let w = Workload::on_off_erlang(Frequency::from_hertz(1.0), 1, Current::from_amps(0.96))
-            .unwrap();
-        let m = KibamRm::new(
-            w,
-            Charge::from_amp_seconds(72.0),
-            0.625,
-            Rate::per_second(4.5e-3),
-        )
-        .unwrap();
-        let disc = DiscretisedModel::build(
-            &m,
-            &DiscretisationOptions::with_delta(Charge::from_amp_seconds(1.5)),
-        )
-        .unwrap();
-        let times: Vec<Time> = (0..=10)
-            .map(|i| Time::from_seconds(60.0 + i as f64 * 24.0))
-            .collect();
-        let cmp = compare_methods(&m, &disc, &times, 400, 32).unwrap();
-        assert!(cmp.exact.is_none());
-        assert!(cmp.approx_vs_exact.is_none());
-        // 30 levels of a near-deterministic CDF smear heavily (the Fig. 8
-        // phenomenon); the report must still quantify it sanely.
-        assert!(cmp.approx_vs_sim < 0.5, "{}", cmp.approx_vs_sim);
     }
 
     #[test]

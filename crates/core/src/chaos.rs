@@ -15,9 +15,9 @@
 //! call counter — two wrappers with equal seeds and rates inject
 //! identical fault sequences, so chaos tests are reproducible run to
 //! run. The wrapper is a *test harness*, not a production feature: it
-//! lives in the library (not `#[cfg(test)]`) so integration tests,
-//! property tests and benches can all reach it, but nothing in the
-//! solving stack depends on it.
+//! lives in the library (not `#[cfg(test)]`) so integration and
+//! property tests can reach it, but nothing in the solving stack
+//! depends on it.
 
 use crate::distribution::LifetimeDistribution;
 use crate::error::KibamRmError;

@@ -4,9 +4,7 @@
 //! Every backend of [`crate::solver`] returns a [`LifetimeDistribution`]:
 //! the curve `t ↦ Pr[battery empty at t]` sampled on the scenario's query
 //! grid, tagged with the method that produced it and its cost
-//! diagnostics. The operations that previously lived as loose helpers
-//! (`mean_lifetime_from_curve`, `max_curve_difference`, manual
-//! interpolation against `Vec<(f64, f64)>`) are methods here:
+//! diagnostics. The operations on a curve are methods here:
 //! [`cdf`](LifetimeDistribution::cdf),
 //! [`quantile`](LifetimeDistribution::quantile),
 //! [`mean`](LifetimeDistribution::mean) and

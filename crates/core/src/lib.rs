@@ -43,7 +43,7 @@
 //! The lower layers remain public for power users: [`model::KibamRm`]
 //! couples a workload to a battery, [`discretise::DiscretisedModel`] is
 //! the §5 derived CTMC, [`simulate`] the raw Monte Carlo engine and
-//! [`analysis`] the exact `c = 1` curve plus mean-lifetime utilities.
+//! [`analysis`] the exact `c = 1` curve plus the algebraic mean lifetime.
 //!
 //! # Examples
 //!

@@ -4,8 +4,8 @@
 //! reduces battery-lifetime analysis to the **transient solution of a large
 //! sparse CTMC**. This crate provides everything that reduction needs:
 //!
-//! * [`sparse`] — compressed-sparse-row matrices with sequential and
-//!   multi-threaded matrix–vector products;
+//! * [`sparse`] — compressed-sparse-row matrices and their
+//!   matrix–vector products;
 //! * [`banded`] — DIA-style diagonal storage for the lattice-structured
 //!   chains of the discretisation, with branch-free kernels and
 //!   automatic conversion from CSR;
@@ -26,9 +26,6 @@
 //! * [`budget`] — cooperative cancellation tokens (shared cancel flag +
 //!   deadline) that the transient engines check once per iteration,
 //!   surfacing [`MarkovError::DeadlineExceeded`] with the work done;
-//! * [`dtmc`] — embedded jump chains;
-//! * [`reachability`] — CSRL-style time-bounded reachability (the query
-//!   class the battery-lifetime distribution instantiates);
 //! * [`mrm`] — homogeneous Markov reward models;
 //! * [`sericola`] — Sericola's exact uniformisation-based algorithm for the
 //!   performability distribution `Pr{Y(t) > y}`, the "exact" curve of the
@@ -55,12 +52,10 @@ pub mod absorbing;
 pub mod banded;
 pub mod budget;
 pub mod ctmc;
-pub mod dtmc;
 pub mod ell;
 pub mod foxglynn;
 pub mod mrm;
 pub mod pool;
-pub mod reachability;
 pub mod sericola;
 pub mod sparse;
 pub mod steady_state;

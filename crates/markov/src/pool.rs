@@ -1,14 +1,13 @@
 //! Persistent worker pool for repeated sparse matrix–vector products.
 //!
 //! The paper's headline experiment (Fig. 8, `Δ = 5`) performs > 4.6·10⁴
-//! products with the same ~10⁶-state matrix. The old
-//! [`CsrMatrix::mul_vec_parallel`] spawned and joined `threads` OS
-//! threads on **every** product — ~46k×threads spawns per curve — and
-//! split rows by count, so the empty absorbing rows of the battery chain
-//! left some workers idle. [`SpmvPool`] fixes both: workers are spawned
-//! **once** per solve, fed per-iteration jobs over channels, and each
-//! worker owns a contiguous row range balanced by non-zeros
-//! ([`CsrMatrix::nnz_partition`]).
+//! products with the same ~10⁶-state matrix. Spawning and joining
+//! threads on **every** product would cost ~46k×threads spawns per
+//! curve, and splitting rows by count would leave some workers idle on
+//! the empty absorbing rows of the battery chain. [`SpmvPool`] avoids
+//! both: workers are spawned **once** per solve, fed per-iteration jobs
+//! over channels, and each worker owns a contiguous row range balanced
+//! by non-zeros ([`CsrMatrix::nnz_partition`]).
 //!
 //! The pool dispatches on matrix **representation**: every kernel takes
 //! anything convertible to a [`MatrixRef`], so generic CSR chains,
@@ -126,8 +125,8 @@ impl SpmvPool {
     /// The worker count is clamped to the machine's available
     /// parallelism: SpMV is compute-bound, so workers beyond the core
     /// count only add scheduling overhead. Use
-    /// [`SpmvPool::with_exact_threads`] to bypass the clamp (benchmarks
-    /// measuring oversubscription do).
+    /// [`SpmvPool::with_exact_threads`] to bypass the clamp (the tests
+    /// that pin multi-worker partitions on any machine do).
     pub fn new(threads: usize) -> SpmvPool {
         SpmvPool::with_exact_threads(SpmvPool::clamped_threads(threads))
     }

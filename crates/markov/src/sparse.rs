@@ -3,17 +3,17 @@
 //! The paper's Fig. 8 experiment discretises a two-well battery at `Δ = 5`,
 //! producing a CTMC with ≈ 10⁶ states and ≈ 3.2·10⁶ non-zero rates whose
 //! transient solution takes > 4.6·10⁴ matrix–vector products. The format
-//! here is plain CSR with `u32` column indices (halving index memory) and a
-//! row-parallel product using `std::thread::scope`.
+//! here is plain CSR with `u32` column indices (halving index memory) and
+//! row-range products that the persistent worker pool
+//! ([`crate::pool::SpmvPool`]) splits across its workers.
 
 use crate::MarkovError;
 use std::ops::Range;
 
-/// Row count below which parallel SpMV never pays for itself: both the
-/// spawn-per-call path ([`CsrMatrix::mul_vec_parallel`]) and the
+/// Row count below which parallel SpMV never pays for itself: the
 /// persistent-pool engines fall back to the sequential kernel for
-/// smaller matrices. One shared constant so the engines, the legacy
-/// path and the benchmark metadata cannot drift apart.
+/// smaller matrices. One shared constant so the engines and the
+/// benchmark metadata cannot drift apart.
 pub const PARALLEL_SPMV_MIN_ROWS: usize = 4096;
 
 /// The slot break-even of diagonal (DIA) storage: storing `entries`
@@ -364,50 +364,6 @@ impl CsrMatrix {
     /// populated rows than `parts`.
     pub fn nnz_partition(&self, parts: usize) -> Vec<Range<usize>> {
         nnz_partition(&self.row_ptr, parts)
-    }
-
-    /// Row-parallel `y = A·x` using `threads` OS threads spawned **per
-    /// call**. Falls back to the sequential kernel for small matrices or
-    /// `threads <= 1`.
-    ///
-    /// This is the legacy spawn-per-call path (retained as the benchmark
-    /// baseline); repeated products should use a persistent
-    /// [`SpmvPool`](crate::pool::SpmvPool) instead, which spawns its
-    /// workers once and partitions rows by nnz.
-    ///
-    /// # Errors
-    ///
-    /// [`MarkovError::InvalidArgument`] on dimension mismatch.
-    pub fn mul_vec_parallel(
-        &self,
-        x: &[f64],
-        y: &mut [f64],
-        threads: usize,
-    ) -> Result<(), MarkovError> {
-        if x.len() != self.cols || y.len() != self.rows {
-            return Err(MarkovError::InvalidArgument(format!(
-                "mul_vec_parallel: x has {} (need {}), y has {} (need {})",
-                x.len(),
-                self.cols,
-                y.len(),
-                self.rows
-            )));
-        }
-        if threads <= 1 || self.rows < PARALLEL_SPMV_MIN_ROWS {
-            return self.mul_vec_into(x, y);
-        }
-        let chunk = self.rows.div_ceil(threads);
-        // Split `y` into disjoint row blocks so each worker owns its output.
-        std::thread::scope(|scope| {
-            for (block, y_block) in y.chunks_mut(chunk).enumerate() {
-                let start = block * chunk;
-                let end = start + y_block.len();
-                scope.spawn(move || {
-                    self.mul_vec_range_into(x, y_block, start..end);
-                });
-            }
-        });
-        Ok(())
     }
 
     /// Row-vector × matrix product `y = x·A`.
@@ -1218,33 +1174,6 @@ mod tests {
             entries,
             vec![(0, 0, 1.0), (0, 2, 2.0), (2, 0, 3.0), (2, 1, 4.0)]
         );
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        // Build a bigger random-ish banded matrix.
-        let n = 10_000;
-        let mut trip = Vec::new();
-        for i in 0..n {
-            trip.push((i, i, 1.0 + (i % 7) as f64));
-            if i + 1 < n {
-                trip.push((i, i + 1, 0.5));
-            }
-            if i >= 3 {
-                trip.push((i, i - 3, 0.25));
-            }
-        }
-        let m = CsrMatrix::from_triplets(n, n, trip).unwrap();
-        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.01).sin()).collect();
-        let mut seq = vec![0.0; n];
-        let mut par = vec![0.0; n];
-        m.mul_vec_into(&x, &mut seq).unwrap();
-        m.mul_vec_parallel(&x, &mut par, 4).unwrap();
-        for i in 0..n {
-            assert!((seq[i] - par[i]).abs() < 1e-12);
-        }
-        // Dimension mismatch still detected on the parallel path.
-        assert!(m.mul_vec_parallel(&x[..5], &mut par, 4).is_err());
     }
 
     proptest! {

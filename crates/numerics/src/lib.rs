@@ -13,8 +13,7 @@
 //! * [`special`] — `ln Γ`, log-factorials, log-binomials and Poisson
 //!   probabilities, the raw material of Fox–Glynn and Sericola;
 //! * [`stats`] — empirical CDFs, moments, Kolmogorov–Smirnov distances and
-//!   binomial confidence intervals for simulation output analysis;
-//! * [`interp`] — linear interpolation over sampled curves.
+//!   binomial confidence intervals for simulation output analysis.
 //!
 //! # Examples
 //!
@@ -28,7 +27,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod interp;
 pub mod linalg;
 pub mod ode;
 pub mod roots;

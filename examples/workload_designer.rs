@@ -13,13 +13,15 @@
 //! 5. inspect expected well contents over time.
 //!
 //! Run with: `cargo run --release --example workload_designer`
+//! (its unit tests run under `cargo test`).
 
 use kibamrm::builder::WorkloadBuilder;
 use kibamrm::scenario::Scenario;
 use kibamrm::solver::{DiscretisationSolver, SolverRegistry};
-use markov::reachability::time_bounded_reachability;
+use markov::ctmc::{Ctmc, CtmcBuilder};
 use markov::steady_state::stationary_gth;
-use markov::transient::TransientOptions;
+use markov::transient::{measure_curve, TransientOptions};
+use markov::MarkovError;
 use units::{Charge, Current, Rate, Time};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -112,4 +114,168 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         30.0 * 24.0 / 24.0
     );
     Ok(())
+}
+
+/// `Pr[reach a target state within each t]` from initial distribution
+/// `alpha`, for any grid of time bounds.
+///
+/// This is the workhorse query of CSRL model checking, the line of work
+/// the paper's algorithm grew out of (its refs. \[15\], \[16\]); the
+/// battery-lifetime distribution is such a query on the derived chain,
+/// with the battery-empty states as targets. The standard reduction
+/// makes the targets absorbing: the transient probability of sitting in
+/// one at time `t` is then the probability of having reached one by `t`.
+///
+/// # Errors
+///
+/// [`MarkovError::InvalidArgument`] when `targets` has the wrong length
+/// or selects no state; propagates transient-solver errors.
+fn time_bounded_reachability(
+    ctmc: &Ctmc,
+    targets: &[bool],
+    alpha: &[f64],
+    times: &[f64],
+    opts: &TransientOptions,
+) -> Result<Vec<(f64, f64)>, MarkovError> {
+    let n = ctmc.n_states();
+    if targets.len() != n {
+        return Err(MarkovError::InvalidArgument(format!(
+            "target mask has {} entries for {} states",
+            targets.len(),
+            n
+        )));
+    }
+    if !targets.iter().any(|&b| b) {
+        return Err(MarkovError::InvalidArgument("empty target set".into()));
+    }
+    // Cut all outgoing transitions of target states.
+    let mut builder = CtmcBuilder::new(n);
+    for i in (0..n).filter(|&i| !targets[i]) {
+        for (j, rate) in ctmc.rates().row(i) {
+            builder.rate(i, j, rate)?;
+        }
+    }
+    let absorbed = builder.build()?;
+    let measure: Vec<f64> = targets.iter().map(|&b| if b { 1.0 } else { 0.0 }).collect();
+    let curve = measure_curve(&absorbed, alpha, times, &measure, opts)?;
+    Ok(curve.points)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn single_jump_at_rate_two() {
+        // 0 → 1 at rate 2: Pr[reach 1 by t] = 1 − e^{−2t}.
+        let mut b = CtmcBuilder::new(2);
+        b.rate(0, 1, 2.0).unwrap();
+        let chain = b.build().unwrap();
+        let ps = time_bounded_reachability(
+            &chain,
+            &[false, true],
+            &[1.0, 0.0],
+            &[1.0],
+            &TransientOptions::default(),
+        )
+        .unwrap();
+        assert!((ps[0].1 - (1.0 - (-2.0f64).exp())).abs() < 1e-10);
+    }
+
+    #[test]
+    fn exponential_hitting_time() {
+        let mut b = CtmcBuilder::new(2);
+        b.rate(0, 1, 3.0).unwrap();
+        b.rate(1, 0, 100.0).unwrap(); // would bounce back — must be cut
+        let chain = b.build().unwrap();
+        let ps = time_bounded_reachability(
+            &chain,
+            &[false, true],
+            &[1.0, 0.0],
+            &[0.1, 0.5, 2.0],
+            &TransientOptions::default(),
+        )
+        .unwrap();
+        for (t, p) in ps {
+            let expect = 1.0 - (-3.0 * t).exp();
+            assert!((p - expect).abs() < 1e-10, "t = {t}: {p} vs {expect}");
+        }
+    }
+
+    #[test]
+    fn two_hop_chain_erlang_cdf() {
+        // 0 → 1 → 2 at equal rates λ: hitting time of 2 is Erlang-2.
+        let lambda = 2.0;
+        let mut b = CtmcBuilder::new(3);
+        b.rate(0, 1, lambda).unwrap();
+        b.rate(1, 2, lambda).unwrap();
+        let chain = b.build().unwrap();
+        let ps = time_bounded_reachability(
+            &chain,
+            &[false, false, true],
+            &[1.0, 0.0, 0.0],
+            &[0.3, 1.0, 3.0],
+            &TransientOptions::default(),
+        )
+        .unwrap();
+        for (t, p) in ps {
+            let x = lambda * t;
+            let expect = 1.0 - (-x).exp() * (1.0 + x);
+            assert!((p - expect).abs() < 1e-10, "t = {t}: {p} vs {expect}");
+        }
+    }
+
+    #[test]
+    fn starting_inside_target_is_immediate() {
+        let mut b = CtmcBuilder::new(2);
+        b.rate(0, 1, 1.0).unwrap();
+        b.rate(1, 0, 1.0).unwrap();
+        let chain = b.build().unwrap();
+        let ps = time_bounded_reachability(
+            &chain,
+            &[true, false],
+            &[1.0, 0.0],
+            &[0.0, 1.0],
+            &TransientOptions::default(),
+        )
+        .unwrap();
+        assert_eq!(ps[0].1, 1.0, "t = 0 is computed without a Poisson sum");
+        assert!((ps[1].1 - 1.0).abs() < 1e-12, "p = {}", ps[1].1);
+    }
+
+    #[test]
+    fn probability_monotone_in_time() {
+        let mut b = CtmcBuilder::new(3);
+        b.rate(0, 1, 1.0).unwrap();
+        b.rate(1, 0, 0.5).unwrap();
+        b.rate(1, 2, 0.25).unwrap();
+        let chain = b.build().unwrap();
+        let times: Vec<f64> = (0..20).map(|i| i as f64 * 0.5).collect();
+        let ps = time_bounded_reachability(
+            &chain,
+            &[false, false, true],
+            &[1.0, 0.0, 0.0],
+            &times,
+            &TransientOptions::default(),
+        )
+        .unwrap();
+        let mut prev = 0.0;
+        for (t, p) in ps {
+            assert!(p >= prev - 1e-12, "not monotone at t = {t}");
+            assert!((0.0..=1.0).contains(&p));
+            prev = p;
+        }
+    }
+
+    #[test]
+    fn validation() {
+        let mut b = CtmcBuilder::new(2);
+        b.rate(0, 1, 1.0).unwrap();
+        let chain = b.build().unwrap();
+        let opts = TransientOptions::default();
+        assert!(time_bounded_reachability(&chain, &[true], &[1.0, 0.0], &[1.0], &opts).is_err());
+        assert!(
+            time_bounded_reachability(&chain, &[false, false], &[1.0, 0.0], &[1.0], &opts).is_err()
+        );
+    }
 }
