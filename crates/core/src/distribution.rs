@@ -28,8 +28,10 @@ pub struct SolveDiagnostics {
     /// Simulation replications (simulation only).
     pub runs: Option<usize>,
     /// Largest 95% Wilson-score half-width over the query grid
-    /// (simulation only): an explicit statistical error bound that
-    /// degraded service answers surface to the caller.
+    /// (simulation only). Each Wilson interval covers its own time point
+    /// only, so this is a *pointwise* error bar, not a sup-norm bound on
+    /// the curve; degraded service answers serve the DKW band over
+    /// [`runs`](Self::runs) instead.
     pub half_width: Option<f64>,
     /// Wall-clock seconds spent inside the solver.
     pub wall_seconds: f64,

@@ -316,10 +316,13 @@ pub enum Answer {
     Degraded {
         /// The degraded curve.
         dist: LifetimeDistribution,
-        /// Explicit sup-norm error bound of the degraded curve: the
-        /// Wilson 95 % half-width for Monte Carlo answers, one
-        /// discretisation level (`Δ/capacity`) for family variants, `0`
-        /// when the variant is exact.
+        /// Explicit sup-norm error bound of the degraded curve: the 95 %
+        /// Dvoretzky–Kiefer–Wolfowitz band over the completed runs for
+        /// Monte Carlo answers (it holds at every time point at once,
+        /// unlike the pointwise Wilson
+        /// [`SolveDiagnostics::half_width`](crate::distribution::SolveDiagnostics::half_width)),
+        /// one discretisation level (`Δ/capacity`) for family variants,
+        /// `0` when the variant is exact.
         bound: f64,
         /// Which degradation tier produced it.
         source: DegradedSource,
@@ -387,7 +390,7 @@ pub struct ServiceConfig {
     /// itself run unbounded). Default: 250 ms.
     pub degraded_grace: Duration,
     /// Replications of the fast-Monte-Carlo degradation tier. Default:
-    /// 256 (Wilson 95 % half-width ≈ 0.06 at worst).
+    /// 256 (95 % DKW sup-norm band ≈ 0.085).
     pub degraded_runs: usize,
 }
 
@@ -742,6 +745,12 @@ fn family_key(scenario: &Scenario) -> Option<u64> {
     let mut h = std::collections::hash_map::DefaultHasher::new();
     bytes.hash(&mut h);
     Some(h.finish())
+}
+
+/// The sup-norm bound a Monte Carlo curve of `runs` completed
+/// replications is served with: its 95 % Dvoretzky–Kiefer–Wolfowitz band.
+fn monte_carlo_bound(runs: usize) -> f64 {
+    sim::dkw_half_width(runs as u64, 0.05)
 }
 
 /// The resident query service; see the module docs for the lifecycle.
@@ -1244,8 +1253,8 @@ impl LifetimeService {
         let dist = entry.dist.clone();
         let diag = *dist.diagnostics();
         let (bound, delta) = match (diag.half_width, diag.delta) {
-            // A Monte Carlo family curve: its Wilson half-width is the bound.
-            (Some(hw), d) => (hw, d),
+            // A Monte Carlo family curve: the DKW band over its runs.
+            (Some(_), d) => (monte_carlo_bound(diag.runs.unwrap_or(0)), d),
             // A discretisation curve at a different Δ: one level of
             // charge as a fraction of capacity — the resolution scale of
             // the §5 approximation error.
@@ -1258,9 +1267,10 @@ impl LifetimeService {
 
     /// Tier 2: a fast Monte Carlo estimate with
     /// [`ServiceConfig::degraded_runs`] replications under the
-    /// [`ServiceConfig::degraded_grace`] budget, bounded by its Wilson
-    /// 95 % half-width. Bypasses the registry (and any chaos wrapping of
-    /// it): the fallback must stay dependable when backends are not.
+    /// [`ServiceConfig::degraded_grace`] budget, bounded by the DKW band
+    /// over the runs it completed. Bypasses the registry (and any chaos
+    /// wrapping of it): the fallback must stay dependable when backends
+    /// are not.
     fn fast_simulation(
         &self,
         scenario: &Scenario,
@@ -1271,9 +1281,8 @@ impl LifetimeService {
         let dist =
             SimulationSolver::new().solve_with_budget(&fallback, &self.config.options, &budget)?;
         let diag = *dist.diagnostics();
-        let bound = diag.half_width.unwrap_or(1.0);
         let actual_runs = diag.runs.unwrap_or(runs);
-        Ok((dist, bound, actual_runs))
+        Ok((dist, monte_carlo_bound(actual_runs), actual_runs))
     }
 
     /// The live-group handle for `(backend index, fingerprint)`:
@@ -2011,9 +2020,14 @@ mod tests {
                 assert_eq!(dist.points().len(), 8);
                 assert!(
                     bound > 0.0 && bound < 1.0,
-                    "a Monte Carlo answer carries a real Wilson bound, got {bound}"
+                    "a Monte Carlo answer carries a real bound, got {bound}"
                 );
                 assert_eq!(runs, ServiceConfig::default().degraded_runs);
+                // The sup-norm band over the completed runs, never tighter
+                // than the widest pointwise Wilson interval.
+                assert_eq!(bound, sim::dkw_half_width(runs as u64, 0.05));
+                let half_width = dist.diagnostics().half_width.expect("a simulated curve");
+                assert!(bound >= half_width, "{bound} < {half_width}");
             }
             ref other => panic!("expected a fast-simulation answer, got {other:?}"),
         }

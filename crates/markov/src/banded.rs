@@ -158,74 +158,17 @@ impl BandedMatrix {
         if !BandedMatrix::is_profitable(n, m.nnz(), offsets.len()) {
             return Ok(None);
         }
-        BandedMatrix::transposed_scaled_add_diag_with_offsets(m, scale, diag, &offsets).map(Some)
-    }
-
-    /// [`BandedMatrix::transposed_scaled_add_diag`] with the diagonal
-    /// offsets supplied by the caller — the **pattern-reuse constructor**
-    /// for sweep plans: within a group of structurally identical chains
-    /// (equal [`CsrMatrix::pattern_fingerprint`]) the offsets are
-    /// detected once on the representative and every later member skips
-    /// the detection scan and the profitability probe. The supplied
-    /// offsets are trusted to cover the matrix; an entry falling on a
-    /// missing diagonal is a structural mismatch and errors out rather
-    /// than being dropped.
-    ///
-    /// # Errors
-    ///
-    /// [`MarkovError::InvalidArgument`] when the matrix is not square,
-    /// `diag.len()` differs from the dimension, `offsets` is not strictly
-    /// increasing or lacks the main diagonal, or an entry of `m` falls
-    /// outside the supplied offsets.
-    pub fn transposed_scaled_add_diag_with_offsets(
-        m: &CsrMatrix,
-        scale: f64,
-        diag: &[f64],
-        offsets: &[isize],
-    ) -> Result<BandedMatrix, MarkovError> {
-        if m.rows() != m.cols() || diag.len() != m.rows() {
-            return Err(MarkovError::InvalidArgument(format!(
-                "transposed_scaled_add_diag_with_offsets: matrix is {}x{}, \
-                 diagonal has {} entries",
-                m.rows(),
-                m.cols(),
-                diag.len()
-            )));
-        }
-        if offsets.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(MarkovError::InvalidArgument(
-                "transposed_scaled_add_diag_with_offsets: offsets must be \
-                 strictly increasing"
-                    .into(),
-            ));
-        }
-        let n = m.rows();
-        let d0 = offsets.binary_search(&0).map_err(|_| {
-            MarkovError::InvalidArgument(
-                "transposed_scaled_add_diag_with_offsets: offsets must include \
-                 the main diagonal (the uniformisation self-loops live there)"
-                    .into(),
-            )
-        })?;
+        let d0 = offsets.binary_search(&0).expect("main diagonal inserted");
         let mut values = vec![0.0; offsets.len() * n];
         for (r, c, v) in m.iter() {
             let off = r as isize - c as isize; // offset in the transpose
-            let d = offsets.binary_search(&off).map_err(|_| {
-                MarkovError::InvalidArgument(format!(
-                    "transposed_scaled_add_diag_with_offsets: entry ({r}, {c}) \
-                     falls on diagonal {off}, absent from the reused pattern"
-                ))
-            })?;
+            let d = offsets.binary_search(&off).expect("detected offset");
             values[d * n + c] = scale * v;
         }
         for (r, &dv) in diag.iter().enumerate() {
             values[d0 * n + r] += dv;
         }
-        Ok(BandedMatrix {
-            n,
-            offsets: offsets.to_vec(),
-            values,
-        })
+        Ok(Some(BandedMatrix { n, offsets, values }))
     }
 
     /// Dimension of the (square) matrix.
@@ -757,62 +700,6 @@ mod tests {
         assert!(BandedMatrix::transposed_scaled_add_diag(&csr, 1.0, &[1.0]).is_err());
         let rect = CsrMatrix::zeros(2, 3);
         assert!(BandedMatrix::transposed_scaled_add_diag(&rect, 1.0, &[0.0, 0.0]).is_err());
-    }
-
-    #[test]
-    fn transposed_with_offsets_is_the_pattern_reuse_twin() {
-        let csr = lattice_like(40);
-        let diag: Vec<f64> = (0..40).map(|i| 0.3 + (i % 4) as f64 * 0.2).collect();
-        let detected = BandedMatrix::transposed_scaled_add_diag(&csr, 0.7, &diag)
-            .unwrap()
-            .expect("profitable");
-        // Reusing the representative's offsets gives the identical matrix
-        // without the detection scan.
-        let reused = BandedMatrix::transposed_scaled_add_diag_with_offsets(
-            &csr,
-            0.7,
-            &diag,
-            detected.offsets(),
-        )
-        .unwrap();
-        assert_eq!(reused, detected);
-        // New values, same pattern: a structurally identical matrix with
-        // scaled rates refills cleanly through the same offsets.
-        let scaled_src = csr
-            .with_values(csr.values().iter().map(|v| v * 2.0).collect())
-            .unwrap();
-        let refilled = BandedMatrix::transposed_scaled_add_diag_with_offsets(
-            &scaled_src,
-            0.7,
-            &diag,
-            detected.offsets(),
-        )
-        .unwrap();
-        assert_eq!(
-            refilled.to_csr(),
-            scaled_src
-                .transpose_scaled_add_diag(0.7, &diag, None)
-                .unwrap()
-        );
-        // Structural mismatches are errors, not silent drops: an entry on
-        // a diagonal missing from the supplied offsets…
-        let err = BandedMatrix::transposed_scaled_add_diag_with_offsets(&csr, 0.7, &diag, &[-1, 0]);
-        assert!(err.is_err());
-        // …unsorted offsets, and offsets without the main diagonal.
-        assert!(BandedMatrix::transposed_scaled_add_diag_with_offsets(
-            &csr,
-            0.7,
-            &diag,
-            &[1, -1, 0]
-        )
-        .is_err());
-        assert!(BandedMatrix::transposed_scaled_add_diag_with_offsets(
-            &csr,
-            0.7,
-            &diag,
-            &[-3, -1, 1, 3]
-        )
-        .is_err());
     }
 
     #[test]

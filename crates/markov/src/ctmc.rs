@@ -482,38 +482,6 @@ impl Ctmc {
         }
     }
 
-    /// [`Ctmc::uniformised_transposed_banded`] with the diagonal offsets
-    /// supplied by the caller — the pattern-reuse fast path for sweep
-    /// plans: the offsets were detected once on a structurally identical
-    /// chain (equal [`Ctmc::structural_fingerprint`]) and every later
-    /// member emits its `Pᵀ` straight onto them, skipping detection and
-    /// the profitability probe. A structural mismatch (an entry on a
-    /// missing diagonal) is an error; callers fall back to
-    /// [`Ctmc::uniformised_transposed_auto`].
-    ///
-    /// # Errors
-    ///
-    /// [`MarkovError::InvalidArgument`] when `factor < 1` or the offsets
-    /// do not cover this chain's transposed pattern.
-    pub fn uniformised_transposed_banded_with_offsets(
-        &self,
-        factor: f64,
-        offsets: &[isize],
-    ) -> Result<(BandedMatrix, f64), MarkovError> {
-        let (nu, stay) = self.uniformisation_diagonal(factor)?;
-        if nu == 0.0 {
-            let (eye, _) = self.uniformised_transposed(factor)?;
-            return Ok((BandedMatrix::from_csr(&eye)?, 0.0));
-        }
-        let banded = BandedMatrix::transposed_scaled_add_diag_with_offsets(
-            &self.rates,
-            1.0 / nu,
-            &stay,
-            offsets,
-        )?;
-        Ok((banded, nu))
-    }
-
     /// Shared uniformisation setup: validates `factor`, computes ν and
     /// the self-loop probabilities `1 − qᵢ/ν` (empty when ν = 0).
     fn uniformisation_diagonal(&self, factor: f64) -> Result<(f64, Vec<f64>), MarkovError> {

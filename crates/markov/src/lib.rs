@@ -15,37 +15,43 @@
 //!   uniformisation, Graphviz export);
 //! * [`foxglynn`] — Poisson probability weights with left/right truncation
 //!   for uniformisation sums up to `λt ≈ 10⁵`;
-//! * [`transient`] — the uniformisation engine, including a *curve* variant
-//!   that reuses one sweep of sparse matrix–vector products for every time
-//!   point of a lifetime-distribution curve, with steady-state detection;
+//! * [`transient`] — the uniformisation engine: one sweep of sparse
+//!   matrix–vector products serves every time point of a curve
+//!   `t ↦ m·π(t)` for a measure `m`, with steady-state detection, and a
+//!   [`transient::CurveCache`] shares that sweep across a plan group;
 //! * [`steady_state`] — Grassmann–Taksar–Heyman elimination (dense) and
 //!   Gauss–Seidel (sparse) stationary solvers, used to calibrate the
 //!   paper's burst workload (`λ_burst = 182/h`);
 //! * [`absorbing`] — absorption probabilities and mean time to absorption,
 //!   giving mean battery lifetimes directly from the discretised chain;
 //! * [`budget`] — cooperative cancellation tokens (shared cancel flag +
-//!   deadline) that the transient engines check once per iteration,
+//!   deadline) that the uniformisation sweep checks once per product,
 //!   surfacing [`MarkovError::DeadlineExceeded`] with the work done;
-//! * [`mrm`] — homogeneous Markov reward models;
+//! * [`mrm`] — homogeneous Markov reward models, whose expected rewards
+//!   are the transient sweep with the reward vector as the measure;
 //! * [`sericola`] — Sericola's exact uniformisation-based algorithm for the
 //!   performability distribution `Pr{Y(t) > y}`, the "exact" curve of the
 //!   paper's Fig. 10.
 //!
 //! # Examples
 //!
-//! Transient analysis of a two-state on/off chain:
+//! Transient analysis of a two-state on/off chain: the curve of the
+//! measure `e₀` is the probability of being in state 0.
 //!
 //! ```
 //! use markov::ctmc::CtmcBuilder;
-//! use markov::transient::transient_distribution;
+//! use markov::transient::{measure_curve, TransientOptions};
 //!
 //! let mut b = CtmcBuilder::new(2);
 //! b.rate(0, 1, 2.0).unwrap();
 //! b.rate(1, 0, 2.0).unwrap();
 //! let chain = b.build().unwrap();
-//! let sol = transient_distribution(&chain, &[1.0, 0.0], 0.5, 1e-12).unwrap();
+//! let opts = TransientOptions { epsilon: 1e-12, ..Default::default() };
+//! let curve = measure_curve(&chain, &[1.0, 0.0], &[0.25, 0.5], &[1.0, 0.0], &opts).unwrap();
 //! // Closed form: π₀(t) = (1 + e^{-4t})/2.
-//! assert!((sol.distribution[0] - 0.5 * (1.0 + (-2.0f64).exp())).abs() < 1e-10);
+//! for (t, p0) in curve.points {
+//!     assert!((p0 - 0.5 * (1.0 + (-4.0 * t).exp())).abs() < 1e-10);
+//! }
 //! ```
 
 pub mod absorbing;

@@ -8,7 +8,7 @@
 //! `C = 800 mAh, c = 1` curve of Fig. 10.
 
 use crate::ctmc::Ctmc;
-use crate::foxglynn::poisson_weights;
+use crate::transient::{accumulated_measure, measure_curve, TransientOptions};
 use crate::MarkovError;
 
 /// A CTMC equipped with one reward rate per state.
@@ -73,7 +73,9 @@ impl MarkovRewardModel {
         &self.rewards
     }
 
-    /// Expected instantaneous reward rate at time `t`, `E[r_{X(t)}]`.
+    /// Expected instantaneous reward rate at time `t`, `E[r_{X(t)}]`: the
+    /// transient curve with the reward vector as its measure, at one time
+    /// point.
     ///
     /// # Errors
     ///
@@ -84,19 +86,21 @@ impl MarkovRewardModel {
         t: f64,
         epsilon: f64,
     ) -> Result<f64, MarkovError> {
-        let sol = crate::transient::transient_distribution(&self.ctmc, alpha, t, epsilon)?;
-        Ok(sol
-            .distribution
-            .iter()
-            .zip(&self.rewards)
-            .map(|(p, r)| p * r)
-            .sum())
+        let opts = TransientOptions {
+            epsilon,
+            ..TransientOptions::default()
+        };
+        let curve = measure_curve(&self.ctmc, alpha, &[t], &self.rewards, &opts)?;
+        Ok(curve.points[0].1)
     }
 
     /// Expected accumulated reward `E[Y(t)]` via the uniformisation
     /// identity `∫₀ᵗ ψ(n; νs) ds = (1/ν)·Pr{N(νt) > n}`:
     ///
-    /// `E[Y(t)] = Σ_n (r·αPⁿ) · (1/ν) Pr{N(νt) > n}`.
+    /// `E[Y(t)] = Σ_n (r·αPⁿ) · (1/ν) Pr{N(νt) > n}`,
+    ///
+    /// the scalars of the transient curve sweep with the reward vector as
+    /// its measure, mixed with Poisson tail weights.
     ///
     /// For a battery this is the expected charge drawn by time `t`.
     ///
@@ -109,44 +113,7 @@ impl MarkovRewardModel {
         t: f64,
         epsilon: f64,
     ) -> Result<f64, MarkovError> {
-        self.ctmc.check_distribution(alpha)?;
-        if !t.is_finite() || t < 0.0 {
-            return Err(MarkovError::InvalidArgument(format!(
-                "time must be finite and non-negative, got {t}"
-            )));
-        }
-        if t == 0.0 {
-            return Ok(0.0);
-        }
-        let (p, nu) = self.ctmc.uniformised(1.02)?;
-        if nu == 0.0 {
-            // No transitions at all: Y(t) = r_{X(0)}·t.
-            return Ok(alpha
-                .iter()
-                .zip(&self.rewards)
-                .map(|(a, r)| a * r * t)
-                .sum());
-        }
-        let pt = p.transpose();
-        let w = poisson_weights(nu * t, epsilon)?;
-
-        // Tail probabilities Pr{N > n}: 1 for n < L, partial sums inside
-        // the window, 0 beyond R.
-        let mut v = alpha.to_vec();
-        let mut next = vec![0.0; v.len()];
-        let mut acc = 0.0;
-        let mut cdf = 0.0;
-        for n in 0..=w.right {
-            cdf += w.weight(n);
-            let tail = 1.0 - cdf; // Pr{N(νt) > n}
-            let s: f64 = v.iter().zip(&self.rewards).map(|(p, r)| p * r).sum();
-            acc += s * tail / nu;
-            if n < w.right {
-                pt.mul_vec_into(&v, &mut next)?;
-                std::mem::swap(&mut v, &mut next);
-            }
-        }
-        Ok(acc)
+        accumulated_measure(&self.ctmc, alpha, t, &self.rewards, epsilon)
     }
 }
 

@@ -18,7 +18,7 @@
 //! The pool computes products and nothing else: every row is
 //! accumulated left-to-right by exactly one worker, so the output is
 //! bit-identical to the sequential kernel for every worker count and
-//! partition. The uniformisation engines take the measure dot and the
+//! partition. The uniformisation sweep takes the measure dot and the
 //! steady-state test on the calling thread after each product
 //! ([`crate::transient`]). [`SpmvPool::mul_vec_window`] restricts a
 //! product to the active row range of the windowed transient engine,

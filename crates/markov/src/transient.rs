@@ -2,30 +2,37 @@
 //!
 //! The paper's algorithm (§5) reduces the battery-lifetime distribution to
 //! transient state probabilities of a derived CTMC:
-//! `π(t) = Σ_n ψ(n; νt) · α Pⁿ` with `P = I + Q/ν`. Two engines are
-//! provided:
+//! `π(t) = Σ_n ψ(n; νt) · α Pⁿ` with `P = I + Q/ν`. Every number the
+//! system derives from `π(t)` is a linear functional of it, so one engine
+//! serves them all: [`measure_curve`] computes a whole curve `t ↦ m·π(t)`
+//! for a fixed measure `m` — the indicator of the battery-empty states, a
+//! reward vector, or the unit vector `e_i` for the probability of state
+//! `i`.
 //!
-//! * [`transient_distribution`] — the full distribution at one time point;
-//! * [`measure_curve`] — a whole curve `t ↦ m·π(t)` for a fixed linear
-//!   functional `m` (e.g. the indicator of the battery-empty states).
+//! The engine exploits that the iterates `v_n = α Pⁿ` do **not** depend
+//! on `t`: one sweep of sparse matrix–vector products up to the largest
+//! right truncation point yields the scalars `s_n = m·v_n`, and each time
+//! point only needs its own Poisson mix of them. The same scalars mixed
+//! with the tail weights `Pr{N(νt) > n}/ν` give the accumulated measure
+//! `∫₀ᵗ m·π(s) ds` ([`crate::mrm::MarkovRewardModel::expected_accumulated_reward`]).
+//! The sweep also detects stationarity of the iterate sequence (all
+//! interesting chains here are absorbing) and stops multiplying once
+//! `v_n` has converged.
 //!
-//! The curve engine exploits that the iterates `v_n = α Pⁿ` do **not**
-//! depend on `t`: one sweep of sparse matrix–vector products up to the
-//! largest right truncation point serves every requested time point, after
-//! which each point only needs its own Poisson weights. It also detects
-//! stationarity of the iterate sequence (all interesting chains here are
-//! absorbing) and stops multiplying once `v_n` has converged.
-//!
-//! Both engines run on the zero-respawn hot path: `Pᵀ` is emitted
-//! directly from the generator — in **banded (DIA) form** when its
-//! diagonals are densely populated, as **length-sorted rows** otherwise
+//! The sweep runs on the zero-respawn hot path: `Pᵀ` is emitted directly
+//! from the generator — in **banded (DIA) form** when its diagonals are
+//! densely populated, as **length-sorted rows** otherwise
 //! ([`Ctmc::uniformised_transposed_auto`]) — the worker pool is spawned
-//! **once per call** and fed row blocks ([`crate::pool::SpmvPool`],
-//! which dispatches on the matrix representation), and Poisson windows
-//! for the individual time points reuse one Fox–Glynn workspace
-//! ([`crate::foxglynn::FoxGlynnCache`]), recomputed only when the time
-//! point actually changes (the requested times are visited in sorted
-//! order, so duplicates are free).
+//! once per [`CurveCache`], so once per plan group, and fed row blocks
+//! ([`crate::pool::SpmvPool`], which dispatches on the matrix
+//! representation), and Poisson windows for the individual time points
+//! reuse one Fox–Glynn workspace ([`crate::foxglynn::FoxGlynnCache`]),
+//! recomputed only when the time point actually changes (the requested
+//! times are visited in sorted order, so duplicates are free).
+//!
+//! One loop computes every product: a fresh sweep, the extension of a
+//! cached one, and the active-window sweep differ only in the row range
+//! each product covers (see [`CurveCache`] and "The active window").
 //!
 //! # Products that only multiply
 //!
@@ -58,11 +65,9 @@
 //! subset with the full chain's ν and self-loops
 //! ([`Ctmc::uniformised_transposed_on`]), and the sorted-row form then
 //! reorders the kept rows by length. One state map composes the two: swept
-//! row `k` stands for full state `map[k]`. α is gathered through it, the
-//! measure's terms are taken through it, and [`transient_distribution`]
-//! scatters its result back to full length with exact `+0.0` at the
-//! dropped states. [`CurveCache`] keeps the set next to the cached sweep,
-//! so a plan group searches once.
+//! row `k` stands for full state `map[k]`. α is gathered through it and
+//! the measure's terms are taken through it. [`CurveCache`] keeps the set
+//! next to the cached sweep, so a plan group searches once.
 //!
 //! The curves are bit-identical to a sweep of the full chain. `Pᵀ ≥ 0`
 //! and α ≥ 0, so a dropped state's iterate entry is exactly `+0.0` from
@@ -80,7 +85,7 @@
 //!
 //! # The active window
 //!
-//! On banded chains the engines additionally track the contiguous
+//! On banded chains the sweep additionally tracks the contiguous
 //! support interval of the iterate. `v_0 = α` is a point mass at the
 //! full-charge state; each product can widen the support by at most the
 //! extreme diagonal offsets ([`crate::banded::BandedMatrix::grow_window`]), and the
@@ -104,7 +109,7 @@ use crate::MarkovError;
 use std::ops::Range;
 use std::sync::Arc;
 
-/// Which storage format the transient engines iterate with.
+/// Which storage format the uniformisation sweep iterates with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Representation {
     /// Probe the chain's structure and pick banded when its diagonals
@@ -120,7 +125,7 @@ pub enum Representation {
     Banded,
 }
 
-/// Options for the uniformisation engines.
+/// Options for the uniformisation sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransientOptions {
     /// Total truncation error bound: covers the Poisson tails, and —
@@ -135,9 +140,9 @@ pub struct TransientOptions {
     /// set to 0 to disable.
     pub steady_state_tolerance: f64,
     /// Worker threads for the sparse matrix–vector products. The workers
-    /// are spawned once per solve (persistent pool), not per product;
-    /// `<= 1` keeps everything on the calling thread. The answer's bits
-    /// do not depend on it.
+    /// are spawned once per [`CurveCache`] (persistent pool), not per
+    /// product; `<= 1` keeps everything on the calling thread. The
+    /// answer's bits do not depend on it.
     pub threads: usize,
     /// Storage format selection for the iteration matrix.
     pub representation: Representation,
@@ -160,23 +165,6 @@ impl Default for TransientOptions {
     }
 }
 
-/// Result of [`transient_distribution_with`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct TransientSolution {
-    /// `π(t)`, the state distribution at the requested time.
-    pub distribution: Vec<f64>,
-    /// Number of matrix–vector products performed.
-    pub iterations: usize,
-    /// The uniformisation rate ν that was used.
-    pub nu: f64,
-    /// Matrix slots touched across all products (the work metric the
-    /// active window shrinks).
-    pub touched_entries: u64,
-    /// Probability mass trimmed at the window edges (0 without the
-    /// active window); bounded by half of `epsilon`.
-    pub window_deficit: f64,
-}
-
 /// A computed curve `t ↦ m·π(t)`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CurveSolution {
@@ -196,25 +184,6 @@ pub struct CurveSolution {
     /// Probability mass trimmed at the window edges (0 without the
     /// active window); bounded so the curve error stays within ε.
     pub window_deficit: f64,
-}
-
-/// Computes `π(t)` from initial distribution `alpha` with default options.
-///
-/// # Errors
-///
-/// Propagates validation errors for `alpha`, negative `t`, or Fox–Glynn
-/// failures.
-pub fn transient_distribution(
-    ctmc: &Ctmc,
-    alpha: &[f64],
-    t: f64,
-    epsilon: f64,
-) -> Result<TransientSolution, MarkovError> {
-    let opts = TransientOptions {
-        epsilon,
-        ..Default::default()
-    };
-    transient_distribution_with(ctmc, alpha, t, &opts)
 }
 
 /// Builds the iteration matrix `Pᵀ` in the representation the options
@@ -261,20 +230,6 @@ fn gather(map: Option<&[u32]>, full: &[f64]) -> Vec<f64> {
         Some(map) => map.iter().map(|&i| full[i as usize]).collect(),
         None => full.to_vec(),
     }
-}
-
-/// The full-length vector of `n` states holding `swept` at the swept
-/// rows' states and exact `+0.0` at every other state (which holds
-/// exactly that in the full sweep too).
-fn scatter(map: Option<&[u32]>, n: usize, swept: Vec<f64>) -> Vec<f64> {
-    let Some(map) = map else {
-        return swept;
-    };
-    let mut full = vec![0.0; n];
-    for (&i, &x) in map.iter().zip(&swept) {
-        full[i as usize] = x;
-    }
-    full
 }
 
 /// The measure's non-zero entries as `(swept row, value)`, in state
@@ -335,139 +290,6 @@ fn split_epsilon(epsilon: f64, windowed: bool) -> (f64, f64) {
     }
 }
 
-/// Computes `π(t)` with explicit [`TransientOptions`].
-///
-/// # Errors
-///
-/// [`MarkovError::InvalidDistribution`] for a bad `alpha`;
-/// [`MarkovError::InvalidArgument`] for negative/non-finite `t`.
-pub fn transient_distribution_with(
-    ctmc: &Ctmc,
-    alpha: &[f64],
-    t: f64,
-    opts: &TransientOptions,
-) -> Result<TransientSolution, MarkovError> {
-    transient_distribution_budgeted(ctmc, alpha, t, opts, &Budget::unlimited())
-}
-
-/// [`transient_distribution_with`] under a cooperative [`Budget`]: the
-/// token is checked once per matrix–vector product, and an exhausted
-/// budget aborts the sweep with [`MarkovError::DeadlineExceeded`]
-/// carrying the iterations completed. With [`Budget::unlimited`] the
-/// check is a single branch and the solve is identical to the
-/// unbudgeted entry point, bit for bit.
-///
-/// # Errors
-///
-/// As for [`transient_distribution_with`], plus
-/// [`MarkovError::DeadlineExceeded`] when the budget expires.
-pub fn transient_distribution_budgeted(
-    ctmc: &Ctmc,
-    alpha: &[f64],
-    t: f64,
-    opts: &TransientOptions,
-    budget: &Budget,
-) -> Result<TransientSolution, MarkovError> {
-    ctmc.check_distribution(alpha)?;
-    if !t.is_finite() || t < 0.0 {
-        return Err(MarkovError::InvalidArgument(format!(
-            "time must be finite and non-negative, got {t}"
-        )));
-    }
-    // Pᵀ straight from the generator in the representation Auto picks
-    // (banded or sorted rows) — never a P temporary, never a transpose
-    // copy — on the states α can reach unless it is banded.
-    let reach = ctmc.reachable_from(alpha)?;
-    let (pt, nu) = build_transposed(ctmc, opts, &reach)?;
-    if nu == 0.0 || t == 0.0 {
-        return Ok(TransientSolution {
-            distribution: alpha.to_vec(),
-            iterations: 0,
-            nu,
-            touched_entries: 0,
-            window_deficit: 0.0,
-        });
-    }
-    let windowed = opts.active_window && pt.as_banded().is_some();
-    let (fg_epsilon, trim_budget) = split_epsilon(opts.epsilon, windowed);
-    let mut fg = FoxGlynnCache::new();
-    fg.compute(nu * t, fg_epsilon)?;
-
-    // One pool for the whole solve: workers spawn here, are fed one
-    // row block per iteration, and exit on drop.
-    let pool = SpmvPool::new(effective_threads(opts.threads, pt.rows()));
-
-    let map = state_map(&reach, &pt);
-    let tol = opts.steady_state_tolerance;
-    let n_states = pt.rows();
-    let mut v = gather(map.as_deref(), alpha);
-    let mut next = vec![0.0; n_states];
-    let mut out = vec![0.0; n_states];
-    let mut probe = 0;
-    let mut iterations = 0;
-    let mut touched: u64 = 0;
-    let mut deficit = 0.0;
-    if fg.left() == 0 {
-        accumulate(&mut out, &v, fg.weight(0), &(0..n_states));
-    }
-    if let Some(band) = if windowed { pt.as_banded() } else { None } {
-        // Active-window sweep: restrict every product to the live rows.
-        let allowance = trim_budget / (fg.right() as f64 + 1.0);
-        let mut v_win = support_range(&v);
-        let mut next_win = 0..0;
-        for n in 1..=fg.right() {
-            budget.check(iterations)?;
-            let grown = band.grow_window(&v_win);
-            zero_outside(&mut next, &next_win, &grown);
-            pool.mul_vec_window(band, &v, &mut next, grown.clone())?;
-            let steady = is_steady(&v, &next, grown.clone(), tol, &mut probe);
-            touched += band.entries_in(&grown) as u64;
-            std::mem::swap(&mut v, &mut next);
-            next_win = std::mem::replace(&mut v_win, grown);
-            iterations += 1;
-            let wn = fg.weight(n);
-            if wn > 0.0 {
-                accumulate(&mut out, &v, wn, &v_win);
-            }
-            if steady {
-                let remaining: f64 = (n + 1..=fg.right()).map(|m| fg.weight(m)).sum();
-                accumulate(&mut out, &v, remaining, &v_win);
-                break;
-            }
-            deficit += trim_window(&mut v, &mut v_win, allowance);
-        }
-    } else {
-        let partition = pt.as_ref().partition(pool.threads());
-        let per_product = pt.entries_per_product() as u64;
-        for n in 1..=fg.right() {
-            budget.check(iterations)?;
-            pool.mul_vec(&pt, &partition, &v, &mut next)?;
-            let steady = is_steady(&v, &next, 0..n_states, tol, &mut probe);
-            touched += per_product;
-            std::mem::swap(&mut v, &mut next);
-            iterations += 1;
-            let wn = fg.weight(n);
-            if wn > 0.0 {
-                accumulate(&mut out, &v, wn, &(0..n_states));
-            }
-            if steady {
-                // Iterates are stationary: the remaining Poisson mass
-                // applies to the converged vector.
-                let remaining: f64 = (n + 1..=fg.right()).map(|m| fg.weight(m)).sum();
-                accumulate(&mut out, &v, remaining, &(0..n_states));
-                break;
-            }
-        }
-    }
-    Ok(TransientSolution {
-        distribution: scatter(map.as_deref(), ctmc.n_states(), out),
-        iterations,
-        nu,
-        touched_entries: touched,
-        window_deficit: deficit,
-    })
-}
-
 /// Computes the curve `t ↦ Σ_i measure[i]·π_i(t)` over all `times` with a
 /// single sweep of matrix–vector products.
 ///
@@ -498,21 +320,16 @@ pub fn measure_curve(
 /// Cross-solve cache for [`measure_curve_cached`]: what a sweep-plan
 /// group shares between structurally identical solves.
 ///
-/// Four layers, reused under progressively stronger conditions:
+/// Three layers, reused under progressively stronger conditions:
 ///
 /// 1. **Workspaces** — the Fox–Glynn buffers and the SpMV worker pool
-///    survive across solves whenever the state-space size and thread
-///    budget match (always true within a plan group), so a group spawns
-///    its workers once, not once per member.
-/// 2. **The pattern** — when the cached iteration matrix is banded, its
-///    diagonal offsets seed
-///    [`BandedMatrix::transposed_scaled_add_diag_with_offsets`](crate::banded::BandedMatrix::transposed_scaled_add_diag_with_offsets),
-///    so later members emit `Pᵀ` without re-detecting the lattice
-///    structure.
-/// 3. **The reachable set** of the sub-chain the sorted-row and CSR
+///    survive across solves whenever the thread budget matches (always
+///    true within a plan group), so a group spawns its workers once, not
+///    once per member.
+/// 2. **The reachable set** of the sub-chain the sorted-row and CSR
 ///    engines sweep, reused while the chain's structural fingerprint and
 ///    `α` match.
-/// 4. **The iterate scalars** `s_n = m·(αPⁿ)` — the expensive part, and
+/// 3. **The iterate scalars** `s_n = m·(αPⁿ)` — the expensive part, and
 ///    reused only when bitwise identity with an independent solve is
 ///    provable: the member's `Pᵀ` must equal the cached one bit for bit
 ///    (true across rate-rescaled scenario families, `Q' = γQ` with `γ` a
@@ -526,6 +343,10 @@ pub fn measure_curve(
 ///    iterate instead of restarting it, so a whole rescale family costs
 ///    one sweep to the family's largest `ν·t` plus a Poisson remix per
 ///    member.
+///
+/// Every member emits its own `Pᵀ`; on a banded chain the structure
+/// probe finds the same offsets for every member of a pattern, so the
+/// bitwise comparison of layer 3 still holds across the group.
 ///
 /// Reused members report only the matrix products *this call* performed
 /// in `iterations`/`touched_entries` (zero for a pure remix) and inherit
@@ -543,7 +364,7 @@ pub struct CurveCache {
 struct CacheState {
     opts: TransientOptions,
     /// Structural fingerprint of the source chain `pt` was built from —
-    /// the key gating offset reuse across cache entries.
+    /// with `alpha`, the key of the reachable set.
     source_fp: u64,
     pt: TransitionMatrix,
     nu: f64,
@@ -617,40 +438,6 @@ const _: fn() = || {
     assert_send::<CurveCache>();
 };
 
-/// Builds the member's `Pᵀ`, seeding banded construction with the cached
-/// offsets when the cache was built under the same options **for the
-/// same chain structure** (`Ctmc::structural_fingerprint` equality — a
-/// chain with a different pattern could scatter onto a superset of the
-/// cached offsets and end up on a different representation/window
-/// schedule than an independent `Auto` probe would pick); falls back to
-/// the generic path on any mismatch.
-fn build_transposed_cached(
-    ctmc: &Ctmc,
-    member_fp: u64,
-    opts: &TransientOptions,
-    cache: &CurveCache,
-    reach: &Subset,
-) -> Result<(TransitionMatrix, f64), MarkovError> {
-    if let Some(state) = &cache.state {
-        if state.opts == *opts
-            && state.source_fp == member_fp
-            && opts.representation != Representation::Csr
-        {
-            if let TransitionMatrix::Banded(band) = &state.pt {
-                if let Ok((m, nu)) = ctmc.uniformised_transposed_banded_with_offsets(
-                    opts.uniformisation_factor,
-                    band.offsets(),
-                ) {
-                    if nu > 0.0 {
-                        return Ok((TransitionMatrix::Banded(m), nu));
-                    }
-                }
-            }
-        }
-    }
-    build_transposed(ctmc, opts, reach)
-}
-
 /// [`measure_curve`] with an explicit cross-solve [`CurveCache`] — the
 /// engine entry point of the sweep planner. Results are **bit-identical**
 /// to [`measure_curve`] on the same inputs: the cache only short-circuits
@@ -702,6 +489,91 @@ pub fn measure_curve_budgeted(
     cache: &mut CurveCache,
     budget: &Budget,
 ) -> Result<CurveSolution, MarkovError> {
+    check_inputs(ctmc, alpha, times, measure)?;
+    let t_max = times.iter().cloned().fold(0.0, f64::max);
+    let (nu, sweep) = sweep_scalars(ctmc, alpha, t_max, measure, opts, cache, budget)?;
+    let Some(sweep) = sweep else {
+        let value = dot(alpha, measure);
+        return Ok(CurveSolution {
+            points: times.iter().map(|&t| (t, value)).collect(),
+            iterations: 0,
+            converged_at: None,
+            nu,
+            touched_entries: 0,
+            window_deficit: 0.0,
+        });
+    };
+    let state = cache.state.as_ref().expect("sweep just ran or was reused");
+    let points = remix_curve(times, nu, &state.s, &mut cache.fg, sweep.fg_epsilon)?;
+    Ok(CurveSolution {
+        points,
+        iterations: sweep.iterations,
+        converged_at: state.converged_at,
+        nu,
+        touched_entries: sweep.touched,
+        window_deficit: state.window_deficit,
+    })
+}
+
+/// The accumulated measure `∫₀ᵗ m·π(s) ds` from the curve sweep's
+/// scalars: `Σ_n s_n · Pr{N(νt) > n}/ν`, since
+/// `∫₀ᵗ ψ(n; νs) ds = Pr{N(νt) > n}/ν`. For a reward vector this is the
+/// expected accumulated reward; for a battery, the expected charge drawn
+/// by `t`.
+///
+/// The active window stays off: the tail weights sum to `t`, so mass
+/// trimmed off the iterates would enter the answer up to `t` times over
+/// and the window's ε/2 share would no longer bound it. The Poisson tails
+/// keep the whole ε.
+pub(crate) fn accumulated_measure(
+    ctmc: &Ctmc,
+    alpha: &[f64],
+    t: f64,
+    measure: &[f64],
+    epsilon: f64,
+) -> Result<f64, MarkovError> {
+    check_inputs(ctmc, alpha, &[t], measure)?;
+    let opts = TransientOptions {
+        epsilon,
+        active_window: false,
+        ..TransientOptions::default()
+    };
+    let mut cache = CurveCache::new();
+    let (nu, sweep) = sweep_scalars(
+        ctmc,
+        alpha,
+        t,
+        measure,
+        &opts,
+        &mut cache,
+        &Budget::unlimited(),
+    )?;
+    if sweep.is_none() {
+        // No transitions (ν = 0) or no time: Y(t) = (m·α)·t.
+        return Ok(dot(alpha, measure) * t);
+    }
+    let s = &cache.state.as_ref().expect("sweep just ran").s;
+    let s_last = *s.last().expect("at least one cached value");
+    // The sweep left the Fox–Glynn workspace on the window of ν·t.
+    let fg = &cache.fg;
+    let mut cdf = 0.0;
+    let mut acc = 0.0;
+    for n in 0..=fg.right() {
+        cdf += fg.weight(n);
+        acc += s.get(n).copied().unwrap_or(s_last) * (1.0 - cdf);
+    }
+    Ok(acc / nu)
+}
+
+/// Checks a solve's inputs: `alpha` is a distribution on the chain,
+/// `measure` holds one finite value per state, and `times` holds at least
+/// one time, each finite and ≥ 0.
+fn check_inputs(
+    ctmc: &Ctmc,
+    alpha: &[f64],
+    times: &[f64],
+    measure: &[f64],
+) -> Result<(), MarkovError> {
     ctmc.check_distribution(alpha)?;
     if measure.len() != ctmc.n_states() {
         return Err(MarkovError::InvalidArgument(format!(
@@ -728,13 +600,40 @@ pub fn measure_curve_budgeted(
             "times must be finite and ≥ 0".into(),
         ));
     }
+    Ok(())
+}
+
+/// What [`sweep_scalars`] did for one solve.
+struct Sweep {
+    /// The Fox–Glynn share of ε, for the Poisson mixes.
+    fg_epsilon: f64,
+    /// Matrix–vector products this call performed.
+    iterations: usize,
+    /// Matrix slots those products touched.
+    touched: u64,
+}
+
+/// Makes `cache` hold the scalars `s_n = m·(αPⁿ)` of a validated solve
+/// up to the Poisson right point of `ν·t_max` or the first stationary
+/// iterate — reusing, extending or re-running its sweep (see
+/// [`CurveCache`]) — and leaves `cache.fg` on the window of `ν·t_max`.
+/// Returns ν and what the call did, or `None` when no product is needed
+/// (`ν = 0` or `t_max = 0`: `π(t) = α` throughout).
+fn sweep_scalars(
+    ctmc: &Ctmc,
+    alpha: &[f64],
+    t_max: f64,
+    measure: &[f64],
+    opts: &TransientOptions,
+    cache: &mut CurveCache,
+    budget: &Budget,
+) -> Result<(f64, Option<Sweep>), MarkovError> {
     cache.last_shared = false;
 
     // Pᵀ straight from the generator in the representation Auto picks
     // (banded or sorted rows) — never a P temporary, never a transpose
-    // copy. Within a plan group the cached offsets skip structure
-    // detection, and the cached reachable set skips the search: it
-    // depends only on the pattern and α.
+    // copy. Within a plan group the cached reachable set skips the
+    // search: it depends only on the pattern and α.
     let member_fp = ctmc.structural_fingerprint();
     let reach = match cache
         .state
@@ -744,18 +643,9 @@ pub fn measure_curve_budgeted(
         Some(st) => Arc::clone(&st.reach),
         None => Arc::new(ctmc.reachable_from(alpha)?),
     };
-    let (pt, nu) = build_transposed_cached(ctmc, member_fp, opts, cache, &reach)?;
-    let t_max = times.iter().cloned().fold(0.0, f64::max);
+    let (pt, nu) = build_transposed(ctmc, opts, &reach)?;
     if nu == 0.0 || t_max == 0.0 {
-        let value = dot(alpha, measure);
-        return Ok(CurveSolution {
-            points: times.iter().map(|&t| (t, value)).collect(),
-            iterations: 0,
-            converged_at: None,
-            nu,
-            touched_entries: 0,
-            window_deficit: 0.0,
-        });
+        return Ok((nu, None));
     }
     let windowed = opts.active_window && pt.as_banded().is_some();
     // The trimmed window mass propagates into the curve through the
@@ -763,12 +653,14 @@ pub fn measure_curve_budgeted(
     // stays ≤ fg share + trim share ≤ ε even for reward-valued measures.
     let m_inf = measure.iter().fold(0.0f64, |a, &b| a.max(b.abs()));
     let (fg_epsilon, trim_mass) = split_epsilon(opts.epsilon, windowed);
-    let trim_budget = trim_mass / m_inf.max(1.0);
     // One Fox–Glynn workspace serves every window: sized once at
     // λ_max = ν·t_max (whose right point bounds all smaller windows),
     // then re-filled per distinct time point with no further allocation.
     cache.fg.compute(nu * t_max, fg_epsilon)?;
     let n_max = cache.fg.right();
+    // The window trims at most its share of the budget, spread evenly
+    // over the products.
+    let allowance = windowed.then(|| trim_mass / m_inf.max(1.0) / (n_max as f64 + 1.0));
 
     // One pool per group: workers spawn on the first member — not once
     // per product, not once per member — and each owns a row block.
@@ -820,118 +712,99 @@ pub fn measure_curve_budgeted(
             window_deficit: 0.0,
             pt,
         };
-        let work = if windowed {
-            windowed_sweep(&mut state, pool, n_max, trim_budget, budget)?
-        } else {
-            extend_sweep(&mut state, pool, n_max, budget)?
-        };
+        let work = run_products(&mut state, pool, n_max, allowance, budget)?;
         cache.state = Some(state);
         work
     } else {
         cache.last_shared = true;
         let state = cache.state.as_mut().expect("reusable implies cached");
         // Extend the cached sweep when this member's Poisson window
-        // reaches past it (only the horizon-independent engines get
-        // here, so the continued iterates are exactly the ones an
-        // independent solve would have computed at those n).
+        // reaches past it (a windowed sweep is only reused at its own
+        // horizon, so only the horizon-independent engines get here and
+        // the continued iterates are exactly the ones an independent
+        // solve would have computed at those n).
         if state.converged_at.is_none() && state.s.len() <= n_max {
-            extend_sweep(state, pool, n_max, budget)?
+            run_products(state, pool, n_max, allowance, budget)?
         } else {
             (0, 0)
         }
     };
-    let state = cache.state.as_ref().expect("sweep just ran or was reused");
-    let points = remix_curve(times, nu, &state.s, &mut cache.fg, fg_epsilon)?;
-    Ok(CurveSolution {
-        points,
-        iterations,
-        converged_at: state.converged_at,
-        nu,
-        touched_entries: touched,
-        window_deficit: state.window_deficit,
-    })
-}
-
-/// Continues the unwindowed sweep of `state` from its last iterate up to
-/// `n = n_max` or the first stationary iterate, one product per `n`, and
-/// returns the products performed and the slots they touched. A budget
-/// abort leaves `state` holding only completed products.
-fn extend_sweep(
-    state: &mut CacheState,
-    pool: &SpmvPool,
-    n_max: usize,
-    budget: &Budget,
-) -> Result<(usize, u64), MarkovError> {
-    let partition = state.pt.as_ref().partition(pool.threads());
-    let mut next = vec![0.0; state.v.len()];
-    let mut probe = 0;
-    let mut iterations = 0;
-    for n in state.s.len()..=n_max {
-        budget.check(iterations)?;
-        pool.mul_vec(&state.pt, &partition, &state.v, &mut next)?;
-        let steady = is_steady(
-            &state.v,
-            &next,
-            0..next.len(),
-            state.opts.steady_state_tolerance,
-            &mut probe,
-        );
-        std::mem::swap(&mut state.v, &mut next);
-        state.s.push(measure_dot(&state.terms, &state.v));
-        iterations += 1;
-        if steady {
-            state.converged_at = Some(n);
-            break;
-        }
-    }
     Ok((
-        iterations,
-        (iterations * state.pt.entries_per_product()) as u64,
+        nu,
+        Some(Sweep {
+            fg_epsilon,
+            iterations,
+            touched,
+        }),
     ))
 }
 
-/// The active-window sweep of a fresh `state` (banded `Pᵀ`, `v = α`):
-/// every product is restricted to the rows the iterate can reach, and the
-/// window edges are trimmed within `trim_budget` (see the module docs).
-/// Returns the products performed and the slots they touched.
-fn windowed_sweep(
+/// The uniformisation product loop: continues `state`'s sweep from its
+/// last iterate up to `n = n_max` or the first stationary iterate, one
+/// product `v ← Pᵀ·v` per `n`, each followed by the measure dot and the
+/// steady-state test. Returns the products performed and the slots they
+/// touched. A budget abort leaves `state` holding only completed
+/// products.
+///
+/// Each product covers a tracked row range outside which both buffers
+/// are exactly zero:
+///
+/// * without a trim `allowance`, every row: each product touches
+///   `entries_per_product()` slots, and pooled runs keep the matrix's nnz
+///   partition;
+/// * with one (banded `Pᵀ` only), the active window: grown by the extreme
+///   diagonal offsets before each product, split evenly across the
+///   workers, and trimmed at its edges within `allowance` after it.
+fn run_products(
     state: &mut CacheState,
     pool: &SpmvPool,
     n_max: usize,
-    trim_budget: f64,
+    allowance: Option<f64>,
     budget: &Budget,
 ) -> Result<(usize, u64), MarkovError> {
-    let band = state.pt.as_banded().expect("windowed sweeps are banded");
-    let allowance = trim_budget / (n_max as f64 + 1.0);
+    let pt = &state.pt;
+    let band = allowance.map(|_| pt.as_banded().expect("windowed sweeps are banded"));
+    let partition = pt.as_ref().partition(pool.threads());
+    let per_product = pt.entries_per_product() as u64;
+    let tol = state.opts.steady_state_tolerance;
     let v = &mut state.v;
     let mut next = vec![0.0; v.len()];
-    let mut v_win = support_range(v);
-    let mut next_win = 0..0;
+    let mut rows = match band {
+        Some(_) => support_range(v),
+        None => 0..v.len(),
+    };
+    let mut next_rows = 0..0;
     let mut probe = 0;
     let mut iterations = 0;
     let mut touched: u64 = 0;
-    for n in 1..=n_max {
+    for n in state.s.len()..=n_max {
         budget.check(iterations)?;
-        let grown = band.grow_window(&v_win);
-        zero_outside(&mut next, &next_win, &grown);
-        pool.mul_vec_window(band, v, &mut next, grown.clone())?;
-        let steady = is_steady(
-            v,
-            &next,
-            grown.clone(),
-            state.opts.steady_state_tolerance,
-            &mut probe,
-        );
-        touched += band.entries_in(&grown) as u64;
+        let grown = match band {
+            Some(band) => {
+                let grown = band.grow_window(&rows);
+                zero_outside(&mut next, &next_rows, &grown);
+                pool.mul_vec_window(band, v, &mut next, grown.clone())?;
+                touched += band.entries_in(&grown) as u64;
+                grown
+            }
+            None => {
+                pool.mul_vec(pt, &partition, v, &mut next)?;
+                touched += per_product;
+                rows.clone()
+            }
+        };
+        let steady = is_steady(v, &next, grown.clone(), tol, &mut probe);
         std::mem::swap(v, &mut next);
-        next_win = std::mem::replace(&mut v_win, grown);
+        next_rows = std::mem::replace(&mut rows, grown);
         iterations += 1;
         state.s.push(measure_dot(&state.terms, v));
         if steady {
             state.converged_at = Some(n);
             break;
         }
-        state.window_deficit += trim_window(v, &mut v_win, allowance);
+        if let Some(allowance) = allowance {
+            state.window_deficit += trim_window(v, &mut rows, allowance);
+        }
     }
     Ok((iterations, touched))
 }
@@ -980,8 +853,8 @@ fn remix_curve(
 }
 
 /// Caps the worker count at something useful for the matrix: tiny chains
-/// never leave the calling thread (pool setup would dominate), matching
-/// the old spawn-path threshold.
+/// never leave the calling thread (pool setup would dominate), below
+/// [`crate::sparse::PARALLEL_SPMV_MIN_ROWS`] rows.
 fn effective_threads(threads: usize, rows: usize) -> usize {
     if rows < crate::sparse::PARALLEL_SPMV_MIN_ROWS {
         1
@@ -1050,13 +923,6 @@ fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
-#[inline]
-fn accumulate(out: &mut [f64], v: &[f64], w: f64, window: &Range<usize>) {
-    for (o, &x) in out[window.clone()].iter_mut().zip(&v[window.clone()]) {
-        *o += w * x;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1074,19 +940,43 @@ mod tests {
         (b + a * (-(a + b) * t).exp()) / (a + b)
     }
 
+    /// `π(t)` from the curve engine, one curve per unit measure `e_i`:
+    /// the curve of `e_i` is `π_i(t)`. Also returns the `e_0` solve, for
+    /// its counters.
+    fn distribution(
+        chain: &Ctmc,
+        alpha: &[f64],
+        t: f64,
+        opts: &TransientOptions,
+    ) -> (Vec<f64>, CurveSolution) {
+        let n = chain.n_states();
+        let solves: Vec<CurveSolution> = (0..n)
+            .map(|i| measure_curve(chain, alpha, &[t], &point_mass(n, i), opts).unwrap())
+            .collect();
+        let pi = solves.iter().map(|c| c.points[0].1).collect();
+        (pi, solves.into_iter().next().expect("a state"))
+    }
+
+    fn with_epsilon(epsilon: f64) -> TransientOptions {
+        TransientOptions {
+            epsilon,
+            ..Default::default()
+        }
+    }
+
     #[test]
     fn matches_two_state_closed_form() {
         let (a, b) = (2.0, 3.0);
         let chain = two_state(a, b);
         for &t in &[0.0, 0.1, 0.5, 1.0, 5.0] {
-            let sol = transient_distribution(&chain, &[1.0, 0.0], t, 1e-13).unwrap();
+            let (pi, _) = distribution(&chain, &[1.0, 0.0], t, &with_epsilon(1e-13));
             let expect = closed_form_p00(a, b, t);
             assert!(
-                (sol.distribution[0] - expect).abs() < 1e-10,
+                (pi[0] - expect).abs() < 1e-10,
                 "t = {t}: {} vs {expect}",
-                sol.distribution[0]
+                pi[0]
             );
-            let total: f64 = sol.distribution.iter().sum();
+            let total: f64 = pi.iter().sum();
             assert!((total - 1.0).abs() < 1e-10);
         }
     }
@@ -1111,10 +1001,10 @@ mod tests {
         let t = 0.8;
         let expm = chain.generator_dense().scale(t).expm().unwrap();
         let alpha = [0.25, 0.25, 0.25, 0.25];
-        let sol = transient_distribution(&chain, &alpha, t, 1e-13).unwrap();
+        let (pi, _) = distribution(&chain, &alpha, t, &with_epsilon(1e-13));
         let expect = expm.vecmul(&alpha).unwrap();
         for i in 0..4 {
-            assert!((sol.distribution[i] - expect[i]).abs() < 1e-9, "state {i}");
+            assert!((pi[i] - expect[i]).abs() < 1e-9, "state {i}");
         }
     }
 
@@ -1125,16 +1015,16 @@ mod tests {
         b.rate(0, 1, 1.0).unwrap();
         let chain = b.build().unwrap();
         for &t in &[0.5, 1.0, 3.0, 10.0] {
-            let sol = transient_distribution(&chain, &[1.0, 0.0], t, 1e-13).unwrap();
-            assert!((sol.distribution[1] - (1.0 - (-t).exp())).abs() < 1e-10);
+            let (pi, _) = distribution(&chain, &[1.0, 0.0], t, &with_epsilon(1e-13));
+            assert!((pi[1] - (1.0 - (-t).exp())).abs() < 1e-10);
         }
     }
 
     #[test]
     fn all_absorbing_chain_is_constant() {
         let chain = CtmcBuilder::new(3).build().unwrap();
-        let sol = transient_distribution(&chain, &[0.2, 0.3, 0.5], 7.0, 1e-12).unwrap();
-        assert_eq!(sol.distribution, vec![0.2, 0.3, 0.5]);
+        let (pi, sol) = distribution(&chain, &[0.2, 0.3, 0.5], 7.0, &with_epsilon(1e-12));
+        assert_eq!(pi, vec![0.2, 0.3, 0.5]);
         assert_eq!(sol.iterations, 0);
         assert_eq!(sol.nu, 0.0);
         assert_eq!(sol.touched_entries, 0);
@@ -1143,16 +1033,18 @@ mod tests {
     #[test]
     fn zero_time_returns_alpha() {
         let chain = two_state(1.0, 1.0);
-        let sol = transient_distribution(&chain, &[0.4, 0.6], 0.0, 1e-12).unwrap();
-        assert_eq!(sol.distribution, vec![0.4, 0.6]);
+        let (pi, _) = distribution(&chain, &[0.4, 0.6], 0.0, &with_epsilon(1e-12));
+        assert_eq!(pi, vec![0.4, 0.6]);
     }
 
     #[test]
     fn input_validation() {
         let chain = two_state(1.0, 1.0);
-        assert!(transient_distribution(&chain, &[0.4, 0.4], 1.0, 1e-12).is_err());
-        assert!(transient_distribution(&chain, &[1.0, 0.0], -1.0, 1e-12).is_err());
-        assert!(transient_distribution(&chain, &[1.0, 0.0], f64::NAN, 1e-12).is_err());
+        let opts = with_epsilon(1e-12);
+        let e0 = [1.0, 0.0];
+        assert!(measure_curve(&chain, &[0.4, 0.4], &[1.0], &e0, &opts).is_err());
+        assert!(measure_curve(&chain, &[1.0, 0.0], &[-1.0], &e0, &opts).is_err());
+        assert!(measure_curve(&chain, &[1.0, 0.0], &[f64::NAN], &e0, &opts).is_err());
     }
 
     #[test]
@@ -1175,9 +1067,6 @@ mod tests {
                 "t = {t}: {value} vs {expect}"
             );
         }
-        // One sweep serves all points: iterations bounded by the largest t.
-        let single = transient_distribution(&chain, &[1.0, 0.0], 4.0, 1e-10).unwrap();
-        assert!(curve.iterations <= single.iterations + 5);
     }
 
     #[test]
@@ -1259,10 +1148,10 @@ mod tests {
             uniformisation_factor: 1.0,
             ..Default::default()
         };
-        let sol = transient_distribution_with(&chain, &[1.0, 0.0], 2.5, &opts).unwrap();
-        let total: f64 = sol.distribution.iter().sum();
+        let (pi, _) = distribution(&chain, &[1.0, 0.0], 2.5, &opts);
+        let total: f64 = pi.iter().sum();
         assert!((total - 1.0).abs() < 1e-10);
-        assert!((sol.distribution[0] - closed_form_p00(1.0, 1.0, 2.5)).abs() < 1e-9);
+        assert!((pi[0] - closed_form_p00(1.0, 1.0, 2.5)).abs() < 1e-9);
     }
 
     /// A birth–death lattice chain with an absorbing floor — the 1-D
@@ -1351,47 +1240,6 @@ mod tests {
         // Auto picks banded for this lattice.
         let auto = measure_curve(&chain, &alpha, &times, &measure, &base).unwrap();
         assert!(auto.touched_entries <= banded_full.touched_entries);
-    }
-
-    #[test]
-    fn windowed_distribution_matches_csr_within_epsilon() {
-        let n = 300;
-        let chain = lattice_chain(n, 0.8, 0.4);
-        let alpha = point_mass(n, n - 1);
-        let t = 60.0;
-        let eps = 1e-11;
-        let csr = transient_distribution_with(
-            &chain,
-            &alpha,
-            t,
-            &TransientOptions {
-                epsilon: eps,
-                representation: Representation::Csr,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let windowed = transient_distribution_with(
-            &chain,
-            &alpha,
-            t,
-            &TransientOptions {
-                epsilon: eps,
-                representation: Representation::Banded,
-                active_window: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let l1: f64 = csr
-            .distribution
-            .iter()
-            .zip(&windowed.distribution)
-            .map(|(a, b)| (a - b).abs())
-            .sum();
-        assert!(l1 < eps * 10.0, "L1 distance {l1}");
-        assert!(windowed.window_deficit <= eps / 2.0);
-        assert!(windowed.touched_entries < csr.touched_entries);
     }
 
     /// The chain scaled by `gamma` (a power of two keeps `P = I + Q/ν`
@@ -1673,15 +1521,6 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, MarkovError::DeadlineExceeded { completed: 0 });
-        let err = transient_distribution_budgeted(
-            &chain,
-            &alpha,
-            40.0,
-            &TransientOptions::default(),
-            &Budget::cancelled_after_checks(0),
-        )
-        .unwrap_err();
-        assert_eq!(err, MarkovError::DeadlineExceeded { completed: 0 });
     }
 
     #[test]
@@ -1887,41 +1726,6 @@ mod tests {
         (s, None)
     }
 
-    /// `π(t)` from the unrestricted sequential CSR sweep over the full
-    /// chain (the parent engine's non-windowed path).
-    fn full_chain_distribution(chain: &Ctmc, alpha: &[f64], t: f64) -> Vec<f64> {
-        let opts = TransientOptions::default();
-        let (pt, nu) = chain
-            .uniformised_transposed(opts.uniformisation_factor)
-            .unwrap();
-        let mut fg = FoxGlynnCache::new();
-        fg.compute(nu * t, opts.epsilon).unwrap();
-        let all = 0..chain.n_states();
-        let mut v = alpha.to_vec();
-        let mut next = vec![0.0; v.len()];
-        let mut out = vec![0.0; v.len()];
-        if fg.left() == 0 {
-            accumulate(&mut out, &v, fg.weight(0), &all);
-        }
-        for n in 1..=fg.right() {
-            pt.mul_vec_into(&v, &mut next).unwrap();
-            let sup = v
-                .iter()
-                .zip(&next)
-                .fold(0.0f64, |a, (x, y)| a.max((y - x).abs()));
-            std::mem::swap(&mut v, &mut next);
-            if fg.weight(n) > 0.0 {
-                accumulate(&mut out, &v, fg.weight(n), &all);
-            }
-            if sup < opts.steady_state_tolerance {
-                let remaining: f64 = (n + 1..=fg.right()).map(|m| fg.weight(m)).sum();
-                accumulate(&mut out, &v, remaining, &all);
-                break;
-            }
-        }
-        out
-    }
-
     /// A tiny xorshift generator for the planted-block chains.
     struct Xorshift(u64);
 
@@ -1994,48 +1798,6 @@ mod tests {
             })
             .collect();
         (b.build().unwrap(), alpha, measure, in_u)
-    }
-
-    #[test]
-    fn restricted_distribution_is_full_length_with_exact_zeros() {
-        for (chain, alpha) in [
-            {
-                let (chain, alpha, _) = fig8_shaped(2, 0.5);
-                (chain, alpha)
-            },
-            {
-                let (chain, alpha, _, _) = planted_chain(300, 11);
-                (chain, alpha)
-            },
-        ] {
-            let reach = chain.reachable_from(&alpha).unwrap();
-            assert!(!reach.is_full());
-            let t = 700.0 / chain.max_exit_rate();
-            let reference = full_chain_distribution(&chain, &alpha, t);
-            for representation in [Representation::Auto, Representation::Csr] {
-                let opts = TransientOptions {
-                    representation,
-                    ..Default::default()
-                };
-                let sol = transient_distribution_with(&chain, &alpha, t, &opts).unwrap();
-                assert_eq!(sol.distribution.len(), chain.n_states());
-                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(
-                    bits(&sol.distribution),
-                    bits(&reference),
-                    "{representation:?}"
-                );
-                for i in (0..chain.n_states()).filter(|&i| reach.position(i).is_none()) {
-                    assert_eq!(sol.distribution[i].to_bits(), 0, "state {i} holds +0.0");
-                }
-                let (pt, _) = build_transposed(&chain, &opts, &reach).unwrap();
-                assert_eq!(pt.rows(), reach.len());
-                assert_eq!(
-                    sol.touched_entries,
-                    sol.iterations as u64 * pt.entries_per_product() as u64
-                );
-            }
-        }
     }
 
     #[test]
@@ -2254,9 +2016,36 @@ mod tests {
                 assert_eq!(curve.iterations, s.len() - 1);
                 let reference = remix_curve(&times, nu, &s, &mut fg, opts.epsilon).unwrap();
                 assert_eq!(curve_bits(&curve.points), curve_bits(&reference));
-                let sol = transient_distribution_with(&chain, &alpha, t, &opts).unwrap();
-                assert_eq!(sol.iterations, curve.iterations);
             }
+        }
+    }
+
+    #[test]
+    fn accumulated_reward_matches_the_van_loan_block_exponential() {
+        // E[Y(t)] = α·∫₀ᵗ e^{Qs}·r ds, the last column of
+        // exp([[Q, r], [0, 0]]·t) (Van Loan). Auto stores the lattice as
+        // DIA, so this runs the banded sweep with the window off.
+        let n = 40;
+        let chain = lattice_chain(n, 1.0, 0.3);
+        let (pt, _) = chain.uniformised_transposed_auto(1.02).unwrap();
+        assert!(pt.as_banded().is_some(), "the lattice goes banded");
+        let rewards: Vec<f64> = (0..n).map(|i| 0.5 + (i % 5) as f64).collect();
+        let alpha = point_mass(n, n - 1);
+        let q = chain.generator_dense();
+        let mut block = numerics::linalg::DenseMatrix::zeros(n + 1, n + 1);
+        for (i, &r) in rewards.iter().enumerate() {
+            block.row_mut(i)[..n].copy_from_slice(q.row(i));
+            block.row_mut(i)[n] = r;
+        }
+        let mrm = crate::mrm::MarkovRewardModel::new(chain, rewards).unwrap();
+        for t in [0.5, 5.0, 30.0, 120.0] {
+            let exp = block.scale(t).expm().unwrap();
+            let expect: f64 = (0..n).map(|i| alpha[i] * exp.row(i)[n]).sum();
+            let got = mrm.expected_accumulated_reward(&alpha, t, 1e-12).unwrap();
+            assert!(
+                (got - expect).abs() < 1e-9 * expect.max(1.0),
+                "t = {t}: {got} vs {expect}"
+            );
         }
     }
 
@@ -2305,6 +2094,49 @@ mod tests {
             prop_assert!(pt.as_ell().is_some(), "Auto sorts the rows");
             let ell = measure_curve(&chain, &alpha, &times, &measure, &auto).unwrap();
             prop_assert_eq!(curve_bits(&ell.points), reference);
+        }
+
+        /// An oracle independent of uniformisation: on random small
+        /// chains, the unit-measure curves `π_i(t)` equal `α·e^{Qt}`
+        /// under forced CSR, Auto and forced banded storage, with the
+        /// active window on. The chains are birth–death lattices with
+        /// random rates plus a few random jumps, started from a point
+        /// mass, so the window grows and trims on the banded runs.
+        #[test]
+        fn unit_measure_curves_match_the_dense_exponential(
+            n in 2usize..24,
+            seed in 1u64..u64::MAX,
+            t in 0.05f64..3.0,
+        ) {
+            use proptest::prelude::*;
+            let mut rng = Xorshift(seed | 1);
+            let mut b = CtmcBuilder::new(n);
+            for i in 0..n - 1 {
+                b.rate(i + 1, i, 0.1 + 3.0 * rng.unit()).unwrap();
+                b.rate(i, i + 1, 2.0 * rng.unit()).unwrap();
+            }
+            for _ in 0..n / 4 {
+                let (from, to) = (rng.below(n), rng.below(n));
+                if from != to {
+                    b.rate(from, to, rng.unit()).unwrap();
+                }
+            }
+            let chain = b.build().unwrap();
+            let alpha = point_mass(n, rng.below(n));
+            let expect = chain.generator_dense().scale(t).expm().unwrap().vecmul(&alpha).unwrap();
+            for representation in [Representation::Csr, Representation::Auto, Representation::Banded] {
+                let opts = TransientOptions {
+                    epsilon: 1e-12,
+                    representation,
+                    active_window: true,
+                    ..Default::default()
+                };
+                let (pi, _) = distribution(&chain, &alpha, t, &opts);
+                for i in 0..n {
+                    prop_assert!((pi[i] - expect[i]).abs() < 1e-9,
+                        "{:?}, state {}: {} vs {}", representation, i, pi[i], expect[i]);
+                }
+            }
         }
 
         /// The satellite property: across random lattice chains, time

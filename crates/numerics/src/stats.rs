@@ -220,6 +220,24 @@ pub fn wilson_ci_half_width(successes: u64, trials: u64, z: f64) -> f64 {
     z / (1.0 + z2 / n) * (p * (1.0 - p) / n + z2 / (4.0 * n * n)).sqrt()
 }
 
+/// The `(1−α)` **Dvoretzky–Kiefer–Wolfowitz** band half-width
+/// `min(1, √(ln(2/α)/(2n)))` for an empirical CDF of `n` samples.
+///
+/// With probability at least `1−α` the true CDF lies within this distance
+/// of the empirical one *at every point at once* (Massart's tight
+/// constant), so it is a sup-norm bound on a simulated lifetime curve.
+/// The largest [`wilson_ci_half_width`] over a grid is not: each Wilson
+/// interval covers its own point only. Returns 1 (no information) for
+/// `samples = 0`.
+pub fn dkw_half_width(samples: u64, alpha: f64) -> f64 {
+    if samples == 0 {
+        return 1.0;
+    }
+    ((2.0 / alpha).ln() / (2.0 * samples as f64))
+        .sqrt()
+        .min(1.0)
+}
+
 /// The 97.5 % standard-normal quantile, for 95 % two-sided intervals.
 pub const Z_95: f64 = 1.959963984540054;
 
@@ -458,6 +476,21 @@ mod tests {
             let centre = (p + z2 / (2.0 * n as f64)) / (1.0 + z2 / n as f64);
             let hw = wilson_ci_half_width(s, n, Z_95);
             assert!(centre - hw >= -1e-12 && centre + hw <= 1.0 + 1e-12);
+        }
+    }
+
+    #[test]
+    fn dkw_band_is_uniform_and_wider_than_wilson() {
+        assert_eq!(dkw_half_width(0, 0.05), 1.0);
+        assert_eq!(dkw_half_width(1, 0.05), 1.0, "capped at 1");
+        assert!((dkw_half_width(256, 0.05) - 0.0849).abs() < 1e-4);
+        assert!((dkw_half_width(2000, 0.05) - 0.0304).abs() < 1e-4);
+        // It shrinks like 1/√n, and it is never tighter than the widest
+        // pointwise Wilson interval at the same n.
+        assert!((dkw_half_width(400, 0.05) / dkw_half_width(100, 0.05) - 0.5).abs() < 1e-12);
+        for n in [10u64, 100, 256, 1000, 2000] {
+            let widest = wilson_ci_half_width(n / 2, n, Z_95);
+            assert!(dkw_half_width(n, 0.05) >= widest, "n = {n}");
         }
     }
 

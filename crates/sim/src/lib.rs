@@ -63,3 +63,7 @@ pub mod replication;
 pub mod rng;
 pub mod streaming;
 pub mod trajectory;
+
+/// The sup-norm error band of a simulated lifetime curve, for callers
+/// that reach the statistics through this crate.
+pub use numerics::stats::dkw_half_width;

@@ -135,7 +135,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // is cancelled cooperatively and the service falls back to the
     // degradation ladder: a resident same-family curve (free, bound =
     // one discretisation level) or a fast Monte Carlo estimate (bound =
-    // its Wilson half-width). The bound is always explicit.
+    // the DKW band over its runs). The bound is always explicit.
     let fresh = base.with_delta(Charge::from_amp_seconds(75.0));
     match service.query_with(&fresh, &opts)? {
         Answer::Exact(_) => println!("  fresh Δ-variant: solved exactly (fast machine!)"),
