@@ -413,7 +413,7 @@ pub enum MatrixRef<'a> {
     Csr(&'a CsrMatrix),
     /// Diagonal (DIA) storage for banded lattices.
     Banded(&'a BandedMatrix),
-    /// Length-sorted rows (ELL blocks without padding).
+    /// Length-sorted rows in 4-row interleaved slices.
     Ell(&'a EllMatrix),
 }
 
@@ -457,6 +457,18 @@ impl MatrixRef<'_> {
             MatrixRef::Csr(m) => m.cols(),
             MatrixRef::Banded(m) => m.cols(),
             MatrixRef::Ell(m) => m.cols(),
+        }
+    }
+
+    /// The lengths `(x, y)` of the buffers a product takes: the column
+    /// and row counts, or for sorted rows [`EllMatrix::buffer_len`] for
+    /// both (a power of two, so the kernel's gathers need no bounds
+    /// check). A row range is always within `0..rows()`; the slots past
+    /// it are never written.
+    pub fn buffer_lens(&self) -> (usize, usize) {
+        match self {
+            MatrixRef::Ell(m) => (m.buffer_len(), m.buffer_len()),
+            MatrixRef::Csr(_) | MatrixRef::Banded(_) => (self.cols(), self.rows()),
         }
     }
 

@@ -16,11 +16,32 @@
 //! way, so `x` and `y` are both indexed by stored position. The caller
 //! gathers its vectors through that order and scatters the result back.
 //!
+//! # Layout and the product buffers
+//!
+//! A block of width `w` is stored as 4-row interleaved slices: entry `k`
+//! of the block's row `4s + l` sits at slot `s·4w + 4k + l` of the
+//! block. The one to three rows left over after the last whole slice are
+//! stored row after row. The kernel multiply–adds a slice's four rows in
+//! lock step, one lane per row, and the compiler packs the four
+//! independent accumulators into vector registers.
+//!
+//! The `x` and `y` buffers of a product have
+//! [`EllMatrix::buffer_len`] slots: the row count rounded up to a power
+//! of two. Every column is below the row count, so a gather
+//! `x[c & (len − 1)]` reads the same slot as `x[c]`, and the compiler
+//! can see that it is in bounds; no gather carries a bounds check. The
+//! slots past the rows are never read, and a product writes only the
+//! rows it computes.
+//!
+//! # Bits
+//!
 //! The format is bit-compatible with CSR by construction: each stored
-//! row holds its source row's entries in CSR order, and its accumulator
-//! starts at `+0.0` exactly as CSR's does. Reordering rows changes no
-//! row's sum. The kernels walk rows in pairs, whose two accumulators are
-//! independent.
+//! row holds its source row's entries in CSR order, and its lane (or,
+//! for a leftover row or a row range cut inside a slice, its scalar
+//! loop) starts at `+0.0` and adds them in that order with a separate
+//! multiply and add, exactly as CSR's kernel does. Reordering rows
+//! changes no row's sum, and a row range may start or end inside a slice
+//! without moving a bit.
 //!
 //! The kernels compute the product and nothing else. The uniformisation
 //! engines take the measure dot and the steady-state test after each
@@ -31,12 +52,16 @@ use crate::sparse::{nnz_partition, CsrMatrix};
 use crate::MarkovError;
 use std::ops::Range;
 
+/// Rows per interleaved slice.
+const LANES: usize = 4;
+
 /// A square sparse matrix stored as length-sorted rows.
 ///
-/// Stored row `k` is source row `order()[k]`; it occupies slots
-/// `row_ptr[k]..row_ptr[k + 1]` of the value and column arrays, and its
-/// columns are stored positions too. Rows of equal length are
-/// contiguous, and each such run is one fixed-width block.
+/// Stored row `k` is source row `order()[k]`, and its columns are stored
+/// positions too. Rows of equal length are contiguous, and each such run
+/// is one fixed-width block stored as 4-row interleaved slices (see the
+/// module docs). Products take `x` and `y` buffers of
+/// [`EllMatrix::buffer_len`] slots.
 ///
 /// # Examples
 ///
@@ -49,9 +74,11 @@ use std::ops::Range;
 /// // Row 1 is empty, row 2 holds one entry, row 0 two.
 /// assert_eq!(ell.order(), &[1, 2, 0]);
 /// assert_eq!(ell.nnz(), 3); // no padding
-/// // x in stored order: x[order[k]].
+/// // x in stored order, x[order[k]], in a buffer of 4 slots.
+/// assert_eq!(ell.buffer_len(), 4);
 /// let x = [2.0, 3.0, 4.0];
-/// let x_stored: Vec<f64> = ell.order().iter().map(|&r| x[r as usize]).collect();
+/// let mut x_stored: Vec<f64> = ell.order().iter().map(|&r| x[r as usize]).collect();
+/// x_stored.resize(ell.buffer_len(), 0.0);
 /// let mut y = vec![0.0; 3];
 /// ell.mul_vec_range_into(&x_stored, &mut y, 0..3);
 /// assert_eq!(y, vec![0.0, 15.0, 10.0]); // rows 1, 2, 0 of csr·x
@@ -61,19 +88,20 @@ use std::ops::Range;
 pub struct EllMatrix {
     /// `order[k]` is the source row stored at position `k`.
     order: Vec<u32>,
-    /// Row extents in stored order (`n + 1` monotone offsets).
+    /// Cumulative entry counts: stored rows `0..k` hold `row_ptr[k]`
+    /// entries, and a block's slots start at `row_ptr` of its first row.
     row_ptr: Vec<usize>,
     /// The runs of equal-length rows: `(stored rows, width)`, in order.
     blocks: Vec<(Range<usize>, usize)>,
-    /// Stored-position columns, row after row.
+    /// Stored-position columns, block after block.
     col_idx: Vec<u32>,
-    /// Values, row after row.
+    /// Values, block after block.
     values: Vec<f64>,
 }
 
 impl EllMatrix {
-    /// Sorts a square CSR matrix's rows stably by entry count and
-    /// renumbers its columns to match.
+    /// Sorts a square CSR matrix's rows stably by entry count, renumbers
+    /// its columns to match and interleaves each block's rows.
     ///
     /// # Errors
     ///
@@ -98,8 +126,6 @@ impl EllMatrix {
         }
         let mut row_ptr = Vec::with_capacity(n + 1);
         let mut blocks: Vec<(Range<usize>, usize)> = Vec::new();
-        let mut col_idx = Vec::with_capacity(m.nnz());
-        let mut values = Vec::with_capacity(m.nnz());
         row_ptr.push(0);
         for (k, &r) in order.iter().enumerate() {
             let width = len(r as usize);
@@ -107,19 +133,26 @@ impl EllMatrix {
                 Some((rows, w)) if *w == width => rows.end = k + 1,
                 _ => blocks.push((k..k + 1, width)),
             }
-            for (c, v) in m.row(r as usize) {
-                col_idx.push(position[c]);
-                values.push(v);
-            }
-            row_ptr.push(values.len());
+            row_ptr.push(row_ptr[k] + width);
         }
-        Ok(EllMatrix {
+        let mut ell = EllMatrix {
             order,
             row_ptr,
             blocks,
-            col_idx,
-            values,
-        })
+            col_idx: vec![0; m.nnz()],
+            values: vec![0.0; m.nnz()],
+        };
+        for (rows, _) in ell.blocks.clone() {
+            for k in rows.clone() {
+                let (first, stride) = ell.row_slots(&rows, k);
+                for (j, (c, v)) in m.row(ell.order[k] as usize).enumerate() {
+                    let slot = first + j * stride;
+                    ell.col_idx[slot] = position[c];
+                    ell.values[slot] = v;
+                }
+            }
+        }
+        Ok(ell)
     }
 
     /// Dimension of the (square) matrix.
@@ -134,6 +167,13 @@ impl EllMatrix {
         self.order.len()
     }
 
+    /// The length of the `x` and `y` buffers of a product: the row count
+    /// rounded up to a power of two (see the module docs).
+    #[inline]
+    pub fn buffer_len(&self) -> usize {
+        self.rows().next_power_of_two()
+    }
+
     /// Number of stored entries: the slots a full product touches.
     pub fn nnz(&self) -> usize {
         self.values.len()
@@ -145,9 +185,23 @@ impl EllMatrix {
     }
 
     /// Splits the stored rows into `parts` contiguous ranges balanced by
-    /// entry count; see [`CsrMatrix::nnz_partition`].
+    /// entry count; see [`CsrMatrix::nnz_partition`]. A range may start
+    /// or end inside a slice; every row stays whole.
     pub fn nnz_partition(&self, parts: usize) -> Vec<Range<usize>> {
         nnz_partition(&self.row_ptr, parts)
+    }
+
+    /// The first slot and the stride of stored row `k`'s entries, in the
+    /// block whose rows are `block`: stride 4 inside a whole slice, 1 for
+    /// a leftover row.
+    fn row_slots(&self, block: &Range<usize>, k: usize) -> (usize, usize) {
+        let i = k - block.start;
+        if i < block.len() / LANES * LANES {
+            let lane = i % LANES;
+            (self.row_ptr[k - lane] + lane, LANES)
+        } else {
+            (self.row_ptr[k], 1)
+        }
     }
 
     /// The same matrix in CSR form, in source order.
@@ -162,91 +216,144 @@ impl EllMatrix {
         let mut values = Vec::with_capacity(self.nnz());
         row_ptr.push(0);
         for &k in &position {
-            let slots = self.row_ptr[k]..self.row_ptr[k + 1];
-            col_idx.extend(
-                self.col_idx[slots.clone()]
-                    .iter()
-                    .map(|&c| self.order[c as usize]),
-            );
-            values.extend_from_slice(&self.values[slots]);
+            let (block, width) = &self.blocks[self.blocks.partition_point(|(b, _)| b.end <= k)];
+            let (first, stride) = self.row_slots(block, k);
+            for slot in (0..*width).map(|j| first + j * stride) {
+                col_idx.push(self.order[self.col_idx[slot] as usize]);
+                values.push(self.values[slot]);
+            }
             row_ptr.push(values.len());
         }
         CsrMatrix::from_parts(n, n, row_ptr, col_idx, values)
     }
 
     /// `y_block[i] = (A·x)[rows.start + i]` over stored rows, with `x` in
-    /// stored order. Each row's value has the bits
-    /// [`CsrMatrix::mul_vec_range_into`] gives its source row.
+    /// stored order in a buffer of [`EllMatrix::buffer_len`] slots. Each
+    /// row's value has the bits [`CsrMatrix::mul_vec_range_into`] gives
+    /// its source row.
+    ///
+    /// # Panics
+    ///
+    /// When `x` holds fewer than [`EllMatrix::buffer_len`] slots.
     pub fn mul_vec_range_into(&self, x: &[f64], y_block: &mut [f64], rows: Range<usize>) {
-        debug_assert_eq!(x.len(), self.cols());
+        debug_assert_eq!(x.len(), self.buffer_len());
         debug_assert_eq!(y_block.len(), rows.len());
         debug_assert!(rows.end <= self.rows());
+        let mask = self.buffer_len() - 1;
+        let x = &x[..mask + 1];
         for (block, width) in &self.blocks {
             let lo = block.start.max(rows.start);
             let hi = block.end.min(rows.end);
             if lo >= hi {
                 continue;
             }
-            let y = &mut y_block[lo - rows.start..hi - rows.start];
-            let slots = self.row_ptr[lo]..self.row_ptr[hi];
+            let (y, w) = (&mut y_block[lo - rows.start..hi - rows.start], *width);
+            if w == 0 {
+                y.fill(0.0);
+                continue;
+            }
+            // The block's rows up to `sliced_end` lie in whole slices, the
+            // rest are leftover rows stored one after the other.
+            let sliced_end = block.start + block.len() / LANES * LANES;
+            let whole = if lo == block.start && hi == block.end {
+                block.start..sliced_end
+            } else {
+                // The range cuts the block: the slices it covers whole go
+                // through the lane kernel, the rows of a cut slice one at
+                // a time.
+                let sliced = lo..hi.min(sliced_end).max(lo);
+                let first = block.start + (lo - block.start).next_multiple_of(LANES);
+                let last = block.start + (sliced.end - block.start) / LANES * LANES;
+                let whole = if first < last {
+                    first..last
+                } else {
+                    sliced.end..sliced.end
+                };
+                for k in (sliced.start..whole.start).chain(whole.end..sliced.end) {
+                    let (first, stride) = self.row_slots(block, k);
+                    y[k - lo] = self.row_dot(first, stride, w, x, mask);
+                }
+                whole
+            };
+            let slots = self.row_ptr[whole.start]..self.row_ptr[whole.end];
             let (v, c) = (&self.values[slots.clone()], &self.col_idx[slots]);
-            match *width {
-                0 => y.fill(0.0),
-                1 => rows_of_width::<1>(1, v, c, x, y),
-                2 => rows_of_width::<2>(2, v, c, x, y),
-                3 => rows_of_width::<3>(3, v, c, x, y),
-                4 => rows_of_width::<4>(4, v, c, x, y),
-                5 => rows_of_width::<5>(5, v, c, x, y),
-                6 => rows_of_width::<6>(6, v, c, x, y),
-                7 => rows_of_width::<7>(7, v, c, x, y),
-                8 => rows_of_width::<8>(8, v, c, x, y),
-                w => rows_of_width::<0>(w, v, c, x, y),
+            let y_whole = &mut y[whole.start - lo..whole.end - lo];
+            match w {
+                1 => slices::<1>(1, v, c, x, mask, y_whole),
+                2 => slices::<2>(2, v, c, x, mask, y_whole),
+                3 => slices::<3>(3, v, c, x, mask, y_whole),
+                4 => slices::<4>(4, v, c, x, mask, y_whole),
+                5 => slices::<5>(5, v, c, x, mask, y_whole),
+                6 => slices::<6>(6, v, c, x, mask, y_whole),
+                7 => slices::<7>(7, v, c, x, mask, y_whole),
+                8 => slices::<8>(8, v, c, x, mask, y_whole),
+                w => slices::<0>(w, v, c, x, mask, y_whole),
+            }
+            for k in sliced_end.max(lo)..hi {
+                y[k - lo] = self.row_dot(self.row_ptr[k], 1, w, x, mask);
             }
         }
     }
+
+    /// One row's value from its `w` entries at slots `first + j·stride`:
+    /// added in order from `+0.0`, as the CSR kernel does.
+    #[inline(always)]
+    fn row_dot(&self, first: usize, stride: usize, w: usize, x: &[f64], mask: usize) -> f64 {
+        (0..w).fold(0.0, |acc, j| {
+            let slot = first + j * stride;
+            acc + self.values[slot] * x[self.col_idx[slot] as usize & mask]
+        })
+    }
 }
 
-/// The kernel of one fixed-width block: `y[i]` is row `i` of the block,
-/// whose `w` entries are `values[i·w..(i + 1)·w]`. `W` is the width, or
-/// 0 for the dynamic fallback that uses `w`.
+/// The kernel of whole 4-row slices of one fixed-width block: `y[4s + l]`
+/// is lane `l` of slice `s`, whose entry `k` sits at
+/// `values[s·4w + 4k + l]`. `W` is the width, or 0 for the dynamic
+/// fallback that uses `w`.
 ///
-/// Rows go two at a time: the pair's slots are one exact-size chunk (no
-/// per-slot bounds checks for a constant `W`) and its two accumulators
-/// are independent. Each accumulator starts at `+0.0` and adds the row's
-/// entries in order, as the CSR kernel does.
+/// Every access is provably in bounds: the slices are exact-size chunks,
+/// and a gather `x[c & mask]` on `x.len() == mask + 1` cannot overshoot.
+/// Each lane starts at `+0.0` and adds its row's entries in order, as
+/// the CSR kernel does.
 #[inline(always)]
-fn rows_of_width<const W: usize>(w: usize, values: &[f64], cols: &[u32], x: &[f64], y: &mut [f64]) {
+fn slices<const W: usize>(
+    w: usize,
+    values: &[f64],
+    cols: &[u32],
+    x: &[f64],
+    mask: usize,
+    y: &mut [f64],
+) {
     let w = if W == 0 { w } else { W };
     debug_assert_eq!(values.len(), w * y.len());
-    let mut y_pairs = y.chunks_exact_mut(2);
-    let mut v_pairs = values.chunks_exact(2 * w);
-    let mut c_pairs = cols.chunks_exact(2 * w);
-    for ((out, v), c) in (&mut y_pairs).zip(&mut v_pairs).zip(&mut c_pairs) {
-        let (mut a0, mut a1) = (0.0, 0.0);
+    debug_assert_eq!(x.len(), mask + 1);
+    let slices = values
+        .chunks_exact(LANES * w)
+        .zip(cols.chunks_exact(LANES * w));
+    for (out, (v, c)) in y.chunks_exact_mut(LANES).zip(slices) {
+        let mut acc = [0.0; LANES];
         for k in 0..w {
-            a0 += v[k] * x[c[k] as usize];
-            a1 += v[w + k] * x[c[w + k] as usize];
+            for lane in 0..LANES {
+                let slot = LANES * k + lane;
+                acc[lane] += v[slot] * x[c[slot] as usize & mask];
+            }
         }
-        out[0] = a0;
-        out[1] = a1;
-    }
-    if let [out] = y_pairs.into_remainder() {
-        *out = v_pairs
-            .remainder()
-            .iter()
-            .zip(c_pairs.remainder())
-            .fold(0.0, |acc, (&v, &c)| acc + v * x[c as usize]);
+        out.copy_from_slice(&acc);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::SpmvPool;
     use proptest::prelude::*;
 
-    /// `x` permuted into the matrix's stored order.
-    fn stored(ell: &EllMatrix, x: &[f64]) -> Vec<f64> {
-        ell.order().iter().map(|&r| x[r as usize]).collect()
+    /// `x` permuted into the matrix's stored order, in a product buffer
+    /// whose slots past the rows hold `pad`.
+    fn stored(ell: &EllMatrix, x: &[f64], pad: f64) -> Vec<f64> {
+        let mut s: Vec<f64> = ell.order().iter().map(|&r| x[r as usize]).collect();
+        s.resize(ell.buffer_len(), pad);
+        s
     }
 
     #[test]
@@ -262,6 +369,7 @@ mod tests {
         assert_eq!(ell.order(), &[1, 2, 3, 0]);
         assert_eq!(ell.blocks, vec![(0..1, 0), (1..3, 1), (3..4, 2)]);
         assert_eq!(ell.row_ptr, vec![0, 0, 1, 2, 4]);
+        // No block reaches a whole slice, so every row is row-major.
         // Columns are stored positions: source 0 → 3, 1 → 0, 2 → 1, 3 → 2.
         assert_eq!(ell.col_idx, vec![0, 2, 3, 1]);
         assert_eq!(ell.values, vec![-1.0, 4.0, 2.0, 1.5]);
@@ -277,7 +385,44 @@ mod tests {
     }
 
     #[test]
+    fn interleaves_whole_slices_and_keeps_leftover_rows_row_major() {
+        // Seven rows of width 2: rows 0–3 form one slice, rows 4–6 are
+        // left over. Row r holds (r, r) = r + 1 and (r, r + 1 mod 7) =
+        // −(r + 1).
+        let n = 7;
+        let trip = (0..n)
+            .flat_map(|r| [(r, r, r as f64 + 1.0), (r, (r + 1) % n, -(r as f64 + 1.0))])
+            .collect();
+        let csr = CsrMatrix::from_triplets(n, n, trip).unwrap();
+        let ell = EllMatrix::from_csr(&csr).unwrap();
+        assert_eq!(ell.blocks, vec![(0..7, 2)]);
+        assert_eq!(ell.buffer_len(), 8);
+        // Entry k of slice row l at 4k + l, then rows 4–6 one after the
+        // other, each in CSR column order.
+        assert_eq!(
+            ell.values,
+            vec![1.0, 2.0, 3.0, 4.0, -1.0, -2.0, -3.0, -4.0, 5.0, -5.0, 6.0, -6.0, -7.0, 7.0]
+        );
+        assert_eq!(ell.col_idx, vec![0, 1, 2, 3, 1, 2, 3, 4, 4, 5, 5, 6, 0, 6]);
+        assert_eq!(ell.to_csr(), csr);
+        // Every row range, cut anywhere, gives the CSR bits; the NaN pad
+        // of x is never read.
+        let x: Vec<f64> = (0..n).map(|i| 0.3 + i as f64 * 0.7).collect();
+        let mut yc = vec![0.0; n];
+        csr.mul_vec_range_into(&x, &mut yc, 0..n);
+        for lo in 0..=n {
+            for hi in lo..=n {
+                let mut y = vec![f64::NAN; hi - lo];
+                ell.mul_vec_range_into(&stored(&ell, &x, f64::NAN), &mut y, lo..hi);
+                assert_eq!(bits(&y), bits(&yc[lo..hi]), "rows {lo}..{hi}");
+            }
+        }
+    }
+
+    #[test]
     fn rows_wider_than_eight_take_the_dynamic_kernel() {
+        // Rows 1–11 hold one entry (two whole slices and three leftover
+        // rows), row 0 twelve.
         let n = 12;
         let mut trip: Vec<_> = (0..n).map(|c| (0, c, 0.25 + c as f64)).collect();
         trip.extend((1..n).map(|r| (r, r - 1, -1.5)));
@@ -287,8 +432,8 @@ mod tests {
         let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin()).collect();
         let (mut yc, mut ye) = (vec![0.0; n], vec![0.0; n]);
         csr.mul_vec_range_into(&x, &mut yc, 0..n);
-        ell.mul_vec_range_into(&stored(&ell, &x), &mut ye, 0..n);
-        assert_eq!(bits(&stored(&ell, &yc)), bits(&ye));
+        ell.mul_vec_range_into(&stored(&ell, &x, f64::NAN), &mut ye, 0..n);
+        assert_eq!(bits(&stored(&ell, &yc, 0.0)[..n]), bits(&ye));
     }
 
     /// A square matrix with every row's length drawn from `lens` and
@@ -324,23 +469,27 @@ mod tests {
 
         /// The sorted-row product equals the CSR product bit for bit: on
         /// random matrices with row lengths 0–12 (empty rows and the
-        /// dynamic kernel included), any range of stored rows, and signed
-        /// finite `x` with `−0.0` and exact zeros. Stored row `k` carries
-        /// the bits of source row `order[k]`.
+        /// dynamic kernel included), any range of stored rows (so ranges
+        /// that start or end inside a slice), signed finite `x` with
+        /// `−0.0` and exact zeros, and a NaN pad past the rows that is
+        /// never read. Stored row `k` carries the bits of source row
+        /// `order[k]`. A two-worker pool whose partition cuts a slice
+        /// gives the sequential product and leaves `y`'s pad unwritten.
         #[test]
         fn kernels_match_csr_bitwise(
-            lens in proptest::collection::vec(0usize..=12, 1..40),
+            lens in proptest::collection::vec(0usize..=12, 1..80),
             seed in 0u64..u64::MAX,
-            a in 0usize..40,
-            b in 0usize..40,
-            xs in proptest::collection::vec(-3.0f64..3.0, 40),
-            zeros in proptest::collection::vec(0usize..4, 40),
+            a in 0usize..80,
+            b in 0usize..80,
+            xs in proptest::collection::vec(-3.0f64..3.0, 80),
+            zeros in proptest::collection::vec(0usize..4, 80),
         ) {
             let n = lens.len();
             let csr = random_rows(&lens, seed);
             let ell = EllMatrix::from_csr(&csr).unwrap();
             prop_assert_eq!(ell.to_csr(), csr.clone());
             prop_assert_eq!(ell.nnz(), csr.nnz());
+            prop_assert!(ell.buffer_len().is_power_of_two() && ell.buffer_len() >= n);
             let order = ell.order();
             prop_assert!(order.windows(2).all(|p| {
                 let len = |r: u32| csr.row(r as usize).count();
@@ -355,14 +504,28 @@ mod tests {
                     _ => xs[i],
                 })
                 .collect();
+            let x_buf = stored(&ell, &x, f64::NAN);
             let (lo, hi) = (a.min(b) % (n + 1), a.max(b).min(n));
             let rows = lo.min(hi)..hi;
 
             let mut yc = vec![1.0; n];
             csr.mul_vec_range_into(&x, &mut yc, 0..n);
+            let expect = stored(&ell, &yc, f64::NAN);
             let mut ye = vec![1.0; rows.len()];
-            ell.mul_vec_range_into(&stored(&ell, &x), &mut ye, rows.clone());
-            prop_assert_eq!(bits(&ye), bits(&stored(&ell, &yc)[rows]));
+            ell.mul_vec_range_into(&x_buf, &mut ye, rows.clone());
+            prop_assert_eq!(bits(&ye), bits(&expect[rows]));
+
+            // Two workers, cut inside the first whole slice when there
+            // is one.
+            let cut = ell
+                .blocks
+                .iter()
+                .find(|(rows, _)| rows.len() >= LANES)
+                .map_or(a % (n + 1), |(rows, _)| rows.start + 1 + a % (LANES - 1));
+            let pool = SpmvPool::with_exact_threads(2);
+            let mut yp = vec![f64::NAN; ell.buffer_len()];
+            pool.mul_vec(&ell, &[0..cut, cut..n], &x_buf, &mut yp).unwrap();
+            prop_assert_eq!(bits(&yp), bits(&expect));
 
             // The partition balances stored entries and covers the rows.
             for parts in 1..=5 {

@@ -180,15 +180,7 @@ impl SpmvPool {
         x: &[f64],
         y: &[f64],
     ) -> Result<(), MarkovError> {
-        if x.len() != matrix.cols() || y.len() != matrix.rows() {
-            return Err(MarkovError::InvalidArgument(format!(
-                "pool mul_vec: x has {} (need {}), y has {} (need {})",
-                x.len(),
-                matrix.cols(),
-                y.len(),
-                matrix.rows()
-            )));
-        }
+        check_buffers("pool mul_vec", matrix, x, y)?;
         if self.is_sequential() {
             return Ok(());
         }
@@ -245,7 +237,9 @@ impl SpmvPool {
         }
     }
 
-    /// `y = A·x` over the pool. `partition` must come from
+    /// `y = A·x` over the pool. `x` and `y` hold
+    /// [`MatrixRef::buffer_lens`] slots; only `y[..rows]` is written.
+    /// `partition` must come from
     /// [`MatrixRef::partition`]`(pool.threads())` for this matrix (or
     /// any contiguous disjoint cover of the rows with one range per
     /// worker). Bit-identical to the sequential kernel.
@@ -264,7 +258,8 @@ impl SpmvPool {
         let matrix = matrix.into();
         self.check_dims(matrix, partition, x, y)?;
         if self.is_sequential() {
-            matrix.mul_vec_range_into(x, y, 0..matrix.rows());
+            let rows = 0..matrix.rows();
+            matrix.mul_vec_range_into(x, &mut y[rows.clone()], rows);
         } else {
             self.dispatch(matrix, partition, x, y);
         }
@@ -299,21 +294,33 @@ impl SpmvPool {
     }
 }
 
+/// The one buffer-length rule of every product: `x` and `y` hold
+/// [`MatrixRef::buffer_lens`] slots. (The callers check that their row
+/// ranges lie in `0..rows()`.)
+fn check_buffers(
+    what: &str,
+    matrix: MatrixRef<'_>,
+    x: &[f64],
+    y: &[f64],
+) -> Result<(), MarkovError> {
+    let (x_len, y_len) = matrix.buffer_lens();
+    if x.len() != x_len || y.len() != y_len {
+        return Err(MarkovError::InvalidArgument(format!(
+            "{what}: x has {} (need {x_len}), y has {} (need {y_len})",
+            x.len(),
+            y.len(),
+        )));
+    }
+    Ok(())
+}
+
 fn check_window(
     matrix: MatrixRef<'_>,
     x: &[f64],
     y: &[f64],
     window: &Range<usize>,
 ) -> Result<(), MarkovError> {
-    if x.len() != matrix.cols() || y.len() != matrix.rows() {
-        return Err(MarkovError::InvalidArgument(format!(
-            "windowed mul_vec: x has {} (need {}), y has {} (need {})",
-            x.len(),
-            matrix.cols(),
-            y.len(),
-            matrix.rows()
-        )));
-    }
+    check_buffers("windowed mul_vec", matrix, x, y)?;
     if window.start > window.end || window.end > matrix.rows() {
         return Err(MarkovError::InvalidArgument(format!(
             "window {}..{} out of range for {} rows",
@@ -455,19 +462,25 @@ mod tests {
         let csr = CsrMatrix::from_triplets(n, n, trip).unwrap();
         let ell = EllMatrix::from_csr(&csr).unwrap();
         let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.029).sin()).collect();
-        let stored =
-            |v: &[f64]| -> Vec<f64> { ell.order().iter().map(|&r| v[r as usize]).collect() };
+        // Stored order, padded to the product buffer with +0.0.
+        let stored = |v: &[f64]| -> Vec<f64> {
+            let mut s: Vec<f64> = ell.order().iter().map(|&r| v[r as usize]).collect();
+            s.resize(ell.buffer_len(), 0.0);
+            s
+        };
         let mut expect = vec![0.0; n];
         csr.mul_vec_into(&x, &mut expect).unwrap();
         for threads in 1..=8 {
             let pool = SpmvPool::with_exact_threads(threads);
             let pc = MatrixRef::from(&csr).partition(pool.threads());
             let pe = MatrixRef::from(&ell).partition(pool.threads());
-            let (mut yc, mut ye) = (vec![0.0; n], vec![0.0; n]);
+            let (mut yc, mut ye) = (vec![0.0; n], vec![0.0; ell.buffer_len()]);
             pool.mul_vec(&csr, &pc, &x, &mut yc).unwrap();
             pool.mul_vec(&ell, &pe, &stored(&x), &mut ye).unwrap();
             assert_eq!(bits(&yc), bits(&expect), "threads = {threads}");
             assert_eq!(bits(&ye), bits(&stored(&expect)), "threads = {threads}");
+            // Unpadded buffers are rejected.
+            assert!(pool.mul_vec(&ell, &pe, &x, &mut ye).is_err());
         }
     }
 

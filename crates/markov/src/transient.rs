@@ -69,6 +69,15 @@
 //! the measure's terms are taken through it. [`CurveCache`] keeps the set
 //! next to the cached sweep, so a plan group searches once.
 //!
+//! The iterates are product buffers of
+//! [`MatrixRef::buffer_lens`](crate::banded::MatrixRef::buffer_lens)
+//! slots. For sorted rows that is the row count rounded up to a power of
+//! two, so the kernel's gathers need no bounds check
+//! ([`crate::ell`]). The slots past the rows start at `+0.0` and stay
+//! there: no product reads or writes them, the steady-state test covers
+//! the rows only, and the stored iterate a cache extension continues
+//! from keeps the padded length.
+//!
 //! The curves are bit-identical to a sweep of the full chain. `Pᵀ ≥ 0`
 //! and α ≥ 0, so a dropped state's iterate entry is exactly `+0.0` from
 //! the first product on, and each term the restricted sweep skips (in a
@@ -224,12 +233,18 @@ fn state_map(reach: &Subset, pt: &TransitionMatrix) -> Option<Vec<u32>> {
     }
 }
 
-/// `full` on the swept rows.
-fn gather(map: Option<&[u32]>, full: &[f64]) -> Vec<f64> {
+/// `full` on the swept rows, in a product buffer of `len` slots whose
+/// slots past the rows hold `+0.0` (see [`MatrixRef::buffer_lens`]).
+///
+/// [`MatrixRef::buffer_lens`]: crate::banded::MatrixRef::buffer_lens
+fn gather(map: Option<&[u32]>, full: &[f64], len: usize) -> Vec<f64> {
+    let mut v = Vec::with_capacity(len);
     match map {
-        Some(map) => map.iter().map(|&i| full[i as usize]).collect(),
-        None => full.to_vec(),
+        Some(map) => v.extend(map.iter().map(|&i| full[i as usize])),
+        None => v.extend_from_slice(full),
     }
+    v.resize(len, 0.0);
+    v
 }
 
 /// The measure's non-zero entries as `(swept row, value)`, in state
@@ -381,7 +396,8 @@ struct CacheState {
     s: Vec<f64>,
     /// The iterate `alpha P^{iterations}` on the swept rows, kept so a
     /// later member with a larger right truncation point can continue
-    /// the sweep.
+    /// the sweep. It is a product buffer ([`gather`]): the slots past
+    /// the rows stay `+0.0`.
     v: Vec<f64>,
     converged_at: Option<usize>,
     window_deficit: f64,
@@ -401,8 +417,10 @@ impl CurveCache {
     }
 
     /// Approximate heap footprint of the cached sweep in bytes: the
-    /// iterate scalars `s`, the stored last iterate, the `α`/measure
-    /// copies and the cached `Pᵀ` values. Workspaces whose size is
+    /// iterate scalars `s`, the stored last iterate at its product-buffer
+    /// length (for sorted rows the row count rounded up to a power of
+    /// two), the `α`/measure copies and the cached `Pᵀ` values, the
+    /// measure's terms and the reachable set. Workspaces whose size is
     /// bounded by the chain (the Fox–Glynn buffers, the worker pool) are
     /// not charged. This is what a resident holder's warm-state budget
     /// accounts for a cache that outlives one plan group.
@@ -707,7 +725,7 @@ fn sweep_scalars(
             reach,
             terms: measure_terms(map.as_deref(), measure),
             s,
-            v: gather(map.as_deref(), alpha),
+            v: gather(map.as_deref(), alpha, pt.as_ref().buffer_lens().0),
             converged_at: None,
             window_deficit: 0.0,
             pt,
@@ -771,7 +789,7 @@ fn run_products(
     let mut next = vec![0.0; v.len()];
     let mut rows = match band {
         Some(_) => support_range(v),
-        None => 0..v.len(),
+        None => 0..pt.rows(),
     };
     let mut next_rows = 0..0;
     let mut probe = 0;
@@ -1655,7 +1673,10 @@ mod tests {
             assert_eq!(curve_bits(&a.points), curve_bits(&full), "γ = {gamma}");
             let state = auto_cache.state.as_ref().expect("sweep cached");
             let reach = Arc::clone(&state.reach);
-            assert!(state.v.len() < member.n_states(), "the sweep is restricted");
+            assert!(
+                state.pt.rows() < member.n_states(),
+                "the sweep is restricted"
+            );
             if gamma == 1.0 {
                 assert!(shared, "γ = 1 extends the γ = ½ sweep");
                 assert!(a.iterations < independent.iterations);
@@ -1666,6 +1687,48 @@ mod tests {
             }
             first_reach = Some(reach);
         }
+    }
+
+    #[test]
+    fn extended_family_sweep_continues_from_the_padded_iterate() {
+        // γ = ½ caches a sorted-row sweep whose iterate is a padded
+        // product buffer; γ = 1 reaches further and extends it from that
+        // buffer. The extension must carry the bits of a fresh sweep at
+        // the larger horizon, down to the stored iterate, with the pad
+        // still +0.0.
+        let (chain, alpha, empty) = fig8_shaped(1, 0.5);
+        let times = [800.0, 2500.0];
+        let opts = TransientOptions::default();
+        let padded = |cache: &CurveCache| {
+            let state = cache.state.as_ref().expect("sweep cached");
+            let rows = state.pt.rows();
+            let pad_is_zero = state.v[rows..].iter().all(|v| v.to_bits() == 0);
+            assert!(
+                state.pt.as_ell().is_some(),
+                "Fig. 8 shapes go to sorted rows"
+            );
+            assert_eq!(state.v.len(), rows.next_power_of_two());
+            assert!(state.v.len() > rows, "this chain's buffer has a pad");
+            assert!(pad_is_zero, "the pad stays +0.0");
+            (
+                state.s.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
+                state.v.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            )
+        };
+        let mut family = CurveCache::new();
+        let half = scaled_chain(&chain, 0.5);
+        measure_curve_cached(&half, &alpha, &times, &empty, &opts, &mut family).unwrap();
+        padded(&family);
+        let extended =
+            measure_curve_cached(&chain, &alpha, &times, &empty, &opts, &mut family).unwrap();
+        assert!(family.last_solve_shared(), "γ = 1 extends the γ = ½ sweep");
+        let mut alone = CurveCache::new();
+        let fresh =
+            measure_curve_cached(&chain, &alpha, &times, &empty, &opts, &mut alone).unwrap();
+        assert!(!alone.last_solve_shared());
+        assert!(extended.iterations > 0 && extended.iterations < fresh.iterations);
+        assert_eq!(curve_bits(&extended.points), curve_bits(&fresh.points));
+        assert_eq!(padded(&family), padded(&alone), "same scalars and iterate");
     }
 
     fn curve_bits(points: &[(f64, f64)]) -> Vec<(u64, u64)> {
