@@ -1,34 +1,60 @@
-//! Machine-readable performance baseline for the uniformisation hot
-//! path, written as `BENCH_uniformisation.json` under the output
-//! directory.
+//! Machine-readable counter baseline for the uniformisation hot path,
+//! written as `BENCH_uniformisation.json` under the output directory.
 //!
-//! On the paper's Fig. 8 two-well chain it records ns/op medians for a
-//! whole `Pr[battery empty at t]` curve through the representation/window
-//! engine matrix at several `Δ`: the CSR engine
+//! On the paper's Fig. 8 two-well chain it solves a whole
+//! `Pr[battery empty at t]` curve through the representation/window
+//! engine matrix ([`engine_matrix`]) at several `Δ`: the CSR engine
 //! (`persistent_pool_fused`), the banded engine over the full state
 //! space (`banded_full`), and the banded engine with the active window
-//! (`banded_windowed`). Each engine reports its `touched_entries` total,
-//! so the window savings are visible in the committed trajectory, and
-//! the windowed curve is asserted against the CSR engine's. `regress`
-//! gates those counters against the committed file.
+//! (`banded_windowed`). Each engine reports its `touched_entries` total
+//! and window deficit, so the window savings are visible in the
+//! committed trajectory, and the banded curves are asserted against the
+//! CSR engine's. `regress` gates those counters against the committed
+//! file. Wall-clock timings live in perfbench, not here.
 //!
-//! `--quick` is a smoke mode: one tiny `Δ`, a single repetition, and a
-//! tightened ε so the banded-windowed vs CSR agreement assertion at
-//! 1e-12 is backed by the engines' error *bounds* rather than luck.
+//! `--quick` is a smoke mode: one tiny `Δ` and a tightened ε so the
+//! banded-windowed vs CSR agreement assertion at 1e-12 is backed by the
+//! engines' error *bounds* rather than luck.
 //!
 //! The JSON is deliberately flat and stable so diffs of the committed
-//! baseline stay readable: each engine carries `median_ns_per_op`, each
-//! config carries `states` and `nnz`.
+//! baseline stay readable: each config carries `states`, `nnz` and
+//! `iterations`, each engine its counters.
 
 use super::config::Config;
-use super::{discretise_fig8 as discretise, median_ns, write_json};
-use markov::pool::SpmvPool;
+use super::{discretise_fig8 as discretise, write_json};
 use markov::transient::{measure_curve, CurveSolution, Representation, TransientOptions};
 
-/// One engine configuration of the uniformisation matrix.
-struct Engine {
-    name: &'static str,
-    opts: TransientOptions,
+/// The uniformisation engine matrix `baseline` records and `regress`
+/// gates, by committed name, each over `base`: the CSR engine, the
+/// banded engine over the full state space, and the banded engine with
+/// the active window.
+pub(crate) fn engine_matrix(base: TransientOptions) -> [(&'static str, TransientOptions); 3] {
+    [
+        (
+            "persistent_pool_fused",
+            TransientOptions {
+                representation: Representation::Csr,
+                active_window: false,
+                ..base
+            },
+        ),
+        (
+            "banded_full",
+            TransientOptions {
+                representation: Representation::Banded,
+                active_window: false,
+                ..base
+            },
+        ),
+        (
+            "banded_windowed",
+            TransientOptions {
+                representation: Representation::Banded,
+                active_window: true,
+                ..base
+            },
+        ),
+    ]
 }
 
 /// Runs the experiment.
@@ -37,14 +63,9 @@ struct Engine {
 ///
 /// Returns a human-readable message on any failure.
 pub fn run(cfg: &Config) -> Result<(), String> {
-    // The baseline requests ≥ 4 row workers. The pool clamps that to
-    // the machine's cores (the clamp is part of its behaviour), so the
-    // JSON records the effective worker count alongside the requested
-    // one.
-    let threads = cfg.threads.max(4);
     // Quick mode is a smoke run: correctness assertions at a tightened
     // ε (so the 1e-12 agreement bound follows from the engines' error
-    // budgets, not chance), one repetition, tiny chain.
+    // budgets, not chance) on a tiny chain.
     let deltas: &[f64] = if cfg.quick || cfg.fast {
         &[300.0]
     } else {
@@ -61,73 +82,29 @@ pub fn run(cfg: &Config) -> Result<(), String> {
     let t_query = 8000.0;
     let mut configs = Vec::new();
     for &delta in deltas {
-        let reps = match () {
-            _ if cfg.quick => 1,
-            _ if cfg.fast || delta < 50.0 => 3,
-            _ => 7,
-        };
         let disc = discretise(delta)?;
         let states = disc.stats().states;
         let nnz = disc.stats().generator_nonzeros;
-        let base = TransientOptions {
-            threads,
+        // At least 4 row workers, as `regress` runs them; the curves and
+        // counters do not depend on the count.
+        let engines = engine_matrix(TransientOptions {
+            threads: cfg.threads.max(4),
             epsilon,
             ..TransientOptions::default()
-        };
-        // What the engines actually run with: SpmvPool clamps to the
-        // machine's cores, and chains below the small-matrix threshold
-        // stay inline. On a single-core box every engine is therefore
-        // sequential, and the JSON must say so rather than imply a
-        // 4-worker pool ran.
-        let engine_workers = if states < markov::sparse::PARALLEL_SPMV_MIN_ROWS {
-            1
-        } else {
-            SpmvPool::clamped_threads(threads)
-        };
-        let engines = [
-            Engine {
-                name: "persistent_pool_fused",
-                opts: TransientOptions {
-                    representation: Representation::Csr,
-                    active_window: false,
-                    ..base
-                },
-            },
-            Engine {
-                name: "banded_full",
-                opts: TransientOptions {
-                    representation: Representation::Banded,
-                    active_window: false,
-                    ..base
-                },
-            },
-            Engine {
-                name: "banded_windowed",
-                opts: TransientOptions {
-                    representation: Representation::Banded,
-                    active_window: true,
-                    ..base
-                },
-            },
-        ];
-        let mut curves: Vec<CurveSolution> = Vec::new();
-        let mut medians: Vec<f64> = Vec::new();
-        for engine in &engines {
-            let run = || {
+        });
+        let curves = engines
+            .iter()
+            .map(|(_, opts)| {
                 measure_curve(
                     disc.chain(),
                     disc.alpha(),
                     &[t_query],
                     disc.empty_measure(),
-                    &engine.opts,
+                    opts,
                 )
-                .expect("engine curve")
-            };
-            curves.push(run());
-            medians.push(median_ns(reps, || {
-                run();
-            }));
-        }
+                .map_err(|e| e.to_string())
+            })
+            .collect::<Result<Vec<CurveSolution>, String>>()?;
         let csr = &curves[0];
         let windowed = &curves[2];
         let max_diff = (csr.points[0].1 - windowed.points[0].1).abs();
@@ -145,28 +122,22 @@ pub fn run(cfg: &Config) -> Result<(), String> {
             ));
         }
 
-        let speedup_windowed = medians[0] / medians[2];
         println!(
-            "uniformisation Δ={delta}: {states} states, {} iterations — csr {:.0} ns, \
-             banded {:.0} ns, windowed {:.0} ns ({speedup_windowed:.2}x vs csr, touched \
-             {} vs {}), sup-distance {max_diff:.2e}",
+            "uniformisation Δ={delta}: {states} states, {} iterations — touched csr {}, \
+             banded {}, windowed {}, sup-distance {max_diff:.2e}",
             csr.iterations,
-            medians[0],
-            medians[1],
-            medians[2],
-            windowed.touched_entries,
             csr.touched_entries,
+            curves[1].touched_entries,
+            windowed.touched_entries,
         );
         let engine_rows: Vec<String> = engines
             .iter()
-            .zip(medians.iter().zip(&curves))
-            .map(|(engine, (median, curve))| {
+            .zip(&curves)
+            .map(|((name, _), curve)| {
                 format!(
-                    "        {{\"name\": \"{}\", \"requested_threads\": {threads}, \
-                     \"effective_row_workers\": {engine_workers}, \
-                     \"median_ns_per_op\": {median:.0}, \
-                     \"touched_entries\": {}, \"window_deficit\": {:e}}}",
-                    engine.name, curve.touched_entries, curve.window_deficit
+                    "        {{\"name\": \"{name}\", \"touched_entries\": {}, \
+                     \"window_deficit\": {:e}}}",
+                    curve.touched_entries, curve.window_deficit
                 )
             })
             .collect();
@@ -174,33 +145,13 @@ pub fn run(cfg: &Config) -> Result<(), String> {
             "    {{\n      \"delta\": {delta},\n      \"states\": {states},\n      \
              \"nnz\": {nnz},\n      \"t_seconds\": {t_query},\n      \
              \"iterations\": {},\n      \"engines\": [\n{}\n      ],\n      \
-             \"speedup_windowed_vs_csr\": {speedup_windowed:.3},\n      \
              \"max_abs_curve_difference\": {max_diff:e}\n    }}",
             csr.iterations,
             engine_rows.join(",\n")
         ));
     }
-    // The note describes the machine that actually generated the file,
-    // so regenerating on real hardware cannot leave a stale 1-core
-    // claim next to multi-worker engine rows.
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let note = if cores == 1 {
-        "generated on a 1-core machine: every engine runs its sequential kernel \
-         (effective_row_workers 1), so the comparison isolates representation/window gains \
-         and under-sells multi-core pool gains; regenerate with bench-harness baseline \
-         --threads N --out . on real hardware"
-            .to_owned()
-    } else {
-        format!(
-            "generated on a {cores}-core machine with --threads {threads}; each engine row's \
-             effective_row_workers records the worker count that engine actually ran with"
-        )
-    };
     let body = format!(
         "{{\n  \"bench\": \"uniformisation\",\n  \"generated_by\": \"bench-harness baseline\",\n  \
-         \"threads\": {threads},\n  \"note\": \"{note}\",\n  \
          \"configs\": [\n{}\n  ]\n}}\n",
         configs.join(",\n")
     );

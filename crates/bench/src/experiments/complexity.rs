@@ -24,8 +24,8 @@ use units::{Charge, Current, Frequency, Rate, Time};
 pub fn run(cfg: &Config) -> Result<(), String> {
     let mut rows = Vec::new();
     println!(
-        "{:<10} {:>6} {:>9} {:>11} {:>8} {:>11} {:>9}",
-        "model", "Delta", "states", "gen-nnz", "t (s)", "iterations", "build (s)"
+        "{:<10} {:>6} {:>9} {:>11} {:>8} {:>11}",
+        "model", "Delta", "states", "gen-nnz", "t (s)", "iterations"
     );
 
     // Part 1: the c = 1 chain (cheap at every Δ).
@@ -79,7 +79,6 @@ pub fn run(cfg: &Config) -> Result<(), String> {
             "generator_nonzeros",
             "t_seconds",
             "iterations",
-            "wall_seconds",
         ],
         &rows,
     )
@@ -108,20 +107,18 @@ fn run_one(
     // ν = max exit rate and no steady-state early exit, as the paper's
     // iteration counts imply.
     let solver = cfg.accounting_discretisation_solver();
-    let started = std::time::Instant::now();
     let disc = solver.discretise(&scenario).map_err(|e| e.to_string())?;
     // The iteration count of the sweep is exactly the Fox–Glynn right
     // truncation point of Poisson(ν·t) — computed directly, so this
     // accounting experiment stays cheap even at Δ = 5 where the full
-    // transient solve takes minutes (fig8 records the real wall times).
+    // transient solve takes minutes.
     let nu = disc.chain().max_exit_rate();
     let iterations = markov::foxglynn::poisson_weights(nu * t_seconds, solver.transient().epsilon)
         .map_err(|e| e.to_string())?
         .right;
-    let wall = started.elapsed().as_secs_f64();
     let stats = disc.stats();
     println!(
-        "{name:<10} {delta:>6} {:>9} {:>11} {t_seconds:>8} {:>11} {wall:>9.2}",
+        "{name:<10} {delta:>6} {:>9} {:>11} {t_seconds:>8} {:>11}",
         stats.states, stats.generator_nonzeros, iterations
     );
     rows.push(vec![
@@ -131,7 +128,6 @@ fn run_one(
         format!("{}", stats.generator_nonzeros),
         format!("{t_seconds}"),
         format!("{iterations}"),
-        format!("{wall:.3}"),
     ]);
     Ok(())
 }

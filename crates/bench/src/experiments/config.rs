@@ -8,8 +8,7 @@ use markov::transient::TransientOptions;
 pub struct Config {
     /// Trade fidelity for runtime (coarser Δ, fewer simulation runs).
     pub fast: bool,
-    /// CI smoke mode: minimal sizes and repetitions, correctness
-    /// assertions only (timings are measured but not meaningful). The
+    /// CI smoke mode: minimal sizes, correctness assertions only. The
     /// `baseline` experiment uses this to assert banded-windowed vs CSR
     /// engine agreement on every push without a multi-minute run.
     pub quick: bool,

@@ -47,11 +47,10 @@ pub fn run(cfg: &Config) -> Result<(), String> {
         let dist = solver.solve(&scenario).map_err(|e| e.to_string())?;
         let d = dist.diagnostics();
         println!(
-            "Δ = {delta:>5}: {:>7} states, {:>9} generator non-zeros, {:>6} iterations, {:.1} s wall",
+            "Δ = {delta:>5}: {:>7} states, {:>9} generator non-zeros, {:>6} iterations",
             d.states.unwrap_or(0),
             d.generator_nonzeros.unwrap_or(0),
             d.iterations.unwrap_or(0),
-            d.wall_seconds
         );
         curves.push(dist.to_curve(format!("Delta={delta}")));
     }

@@ -1,4 +1,4 @@
-//! The parallel streaming Monte Carlo engine, measured and certified:
+//! The parallel streaming Monte Carlo engine, certified:
 //! `BENCH_mc.json`.
 //!
 //! The scenario is a linear (`c = 1`) on/off model small enough that
@@ -15,13 +15,9 @@
 //!   Wilson half-width;
 //! * **adaptive stopping** — the half-width-targeted rule runs more
 //!   replications than the initial round and lands under its target.
-//!
-//! Timings (collect-everything `LifetimeStudy` vs the O(grid) streaming
-//! engine, sequential vs pooled) are recorded but, as everywhere in this
-//! harness, not gated.
 
 use super::config::Config;
-use super::{median_ns, write_json};
+use super::write_json;
 use kibamrm::scenario::Scenario;
 use kibamrm::solver::{LifetimeSolver, SericolaSolver, SimulationSolver};
 use kibamrm::workload::Workload;
@@ -171,54 +167,11 @@ pub fn run(cfg: &Config) -> Result<(), String> {
          {adaptive_hw:.4} ≤ {adaptive_target}"
     );
 
-    // Perf section: the O(runs)-memory collect path vs the streaming
-    // engine, at a size where the difference matters.
-    let perf_runs = if cfg.quick {
-        GATE_RUNS
-    } else if cfg.fast {
-        20_000
-    } else {
-        100_000
-    };
-    let reps = if cfg.quick { 1 } else { 3 };
-    let perf_scenario = gate_scenario(perf_runs, GATE_SEED)?;
-    let collect_solver = SimulationSolver::new();
-    let collect_ns = median_ns(reps, || {
-        collect_solver.study(&perf_scenario).expect("collect study");
-    });
-    let seq_solver = SimulationSolver::new().with_threads(1);
-    let streaming_seq_ns = median_ns(reps, || {
-        seq_solver
-            .streaming_study(&perf_scenario)
-            .expect("streaming study");
-    });
-    let pooled_solver = SimulationSolver::new().with_threads(cfg.threads.max(1));
-    let streaming_par_ns = median_ns(reps, || {
-        pooled_solver
-            .streaming_study(&perf_scenario)
-            .expect("streaming study");
-    });
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let effective_threads = cfg.threads.max(1).min(cores);
-    println!(
-        "perf ({perf_runs} runs): collect {:.1} ms, streaming seq {:.1} ms \
-         ({:.2}x), streaming {} threads {:.1} ms ({:.2}x vs seq)",
-        collect_ns / 1e6,
-        streaming_seq_ns / 1e6,
-        collect_ns / streaming_seq_ns,
-        effective_threads,
-        streaming_par_ns / 1e6,
-        streaming_seq_ns / streaming_par_ns,
-    );
-
     let body = format!(
         "{{\n  \"bench\": \"mc\",\n  \"generated_by\": \"bench-harness mc\",\n  \
          \"scenario\": \"onoff-linear-72As, 24-point grid to 240 s\",\n  \
-         \"note\": \"generated on a {cores}-core machine; the gate facts \
-         (reproducibility, CI-band agreement, adaptive stopping) are \
-         machine-independent and re-checked by `bench-harness regress`; \
+         \"note\": \"the gate facts (reproducibility, CI-band agreement, adaptive \
+         stopping) are machine-independent and re-checked by `bench-harness regress`; \
          streaming memory is O(grid + threads) independent of the replication \
          count, the collect path is O(runs)\",\n  \
          \"gate\": {{\n    \"runs\": {},\n    \"seed\": {},\n    \
@@ -227,12 +180,7 @@ pub fn run(cfg: &Config) -> Result<(), String> {
          \"within_band\": {}\n  }},\n  \
          \"adaptive\": {{\n    \"initial_runs\": 200,\n    \
          \"target_half_width\": {adaptive_target},\n    \"runs_used\": {adaptive_runs},\n    \
-         \"max_half_width\": {adaptive_hw:.6e}\n  }},\n  \
-         \"perf\": {{\n    \"runs\": {perf_runs},\n    \"threads\": {effective_threads},\n    \
-         \"collect_ns\": {collect_ns:.0},\n    \"streaming_seq_ns\": {streaming_seq_ns:.0},\n    \
-         \"streaming_par_ns\": {streaming_par_ns:.0},\n    \
-         \"speedup_streaming_vs_collect\": {:.3},\n    \
-         \"speedup_par_vs_seq\": {:.3}\n  }}\n}}\n",
+         \"max_half_width\": {adaptive_hw:.6e}\n  }}\n}}\n",
         facts.runs,
         GATE_SEED,
         BAND_FACTOR,
@@ -240,8 +188,6 @@ pub fn run(cfg: &Config) -> Result<(), String> {
         facts.sup_distance,
         facts.wilson_band,
         facts.within_band(),
-        collect_ns / streaming_seq_ns,
-        streaming_seq_ns / streaming_par_ns,
     );
     write_json(cfg, "BENCH_mc.json", &body)
 }

@@ -24,7 +24,6 @@ use kibamrm::model::KibamRm;
 use kibamrm::report::{write_file, Curve};
 use kibamrm::workload::Workload;
 use std::path::PathBuf;
-use std::time::Instant;
 use units::{Charge, Current, Frequency, Rate};
 
 /// The paper's Fig. 8 two-well reference model (on/off workload,
@@ -50,21 +49,6 @@ pub fn discretise_fig8(delta: f64) -> Result<DiscretisedModel, String> {
         &DiscretisationOptions::with_delta(Charge::from_amp_seconds(delta)),
     )
     .map_err(|e| e.to_string())
-}
-
-/// Median wall time of `reps` calls, in ns per call (one warm-up call
-/// outside the samples).
-pub fn median_ns(reps: usize, mut op: impl FnMut()) -> f64 {
-    op();
-    let mut samples: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t = Instant::now();
-            op();
-            t.elapsed().as_nanos() as f64
-        })
-        .collect();
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    samples[samples.len() / 2]
 }
 
 /// Writes a JSON artefact under the output directory.

@@ -1,9 +1,10 @@
-//! `bench-harness regress --against DIR` — the CI perf/accuracy
+//! `bench-harness regress --against DIR` — the CI counter/accuracy
 //! regression gate.
 //!
 //! Re-runs the quick engine configurations and diffs them against the
 //! **committed** baselines (`BENCH_uniformisation.json`,
-//! `BENCH_sweep.json` in `--against`, default `.`), failing on:
+//! `BENCH_sweep.json`, `BENCH_mc.json` and `BENCH_service.json` in
+//! `--against`, default `.`), failing on:
 //!
 //! * **structure drift** — the derived chain's `states`/`nnz` no longer
 //!   match the committed config (someone changed the discretisation
@@ -50,14 +51,14 @@
 //!
 //! A machine-readable verdict is always written to
 //! `REGRESS_report.json` under `--out` (the CI artifact), then the run
-//! exits non-zero if any check failed. Timings are deliberately **not**
-//! gated — CI boxes are too noisy; the gate watches the
-//! machine-independent counters instead.
+//! exits non-zero if any check failed. Every gated fact is a
+//! machine-independent counter or a bit-identity; the baselines hold no
+//! timings (wall clock is measured by perfbench).
 
+use super::baseline::engine_matrix;
 use super::config::Config;
 use super::{discretise_fig8, sweep as sweep_experiment, write_json};
 use crate::json::Json;
-use markov::pool::SpmvPool;
 use markov::sparse::PARALLEL_SPMV_MIN_ROWS;
 use markov::transient::{
     measure_curve, measure_curve_budgeted, CurveCache, CurveSolution, Representation,
@@ -207,32 +208,7 @@ fn uniformisation_gate(cfg: &Config, committed: &Json, report: &mut Report) -> R
             epsilon: 1e-10,
             ..TransientOptions::default()
         };
-        let engines: [(&str, TransientOptions); 3] = [
-            (
-                "persistent_pool_fused",
-                TransientOptions {
-                    representation: Representation::Csr,
-                    active_window: false,
-                    ..base
-                },
-            ),
-            (
-                "banded_full",
-                TransientOptions {
-                    representation: Representation::Banded,
-                    active_window: false,
-                    ..base
-                },
-            ),
-            (
-                "banded_windowed",
-                TransientOptions {
-                    representation: Representation::Banded,
-                    active_window: true,
-                    ..base
-                },
-            ),
-        ];
+        let engines = engine_matrix(base);
         let committed_engines = config
             .get("engines")
             .and_then(Json::as_array)
@@ -285,11 +261,7 @@ fn uniformisation_gate(cfg: &Config, committed: &Json, report: &mut Report) -> R
         // (touched_entries bit-equal, not merely within the growth
         // limit) and produces *exactly* the same curve as the plain one.
         {
-            let opts = TransientOptions {
-                representation: Representation::Csr,
-                active_window: false,
-                ..base
-            };
+            let opts = engines[0].1;
             let plain = measure_curve(
                 disc.chain(),
                 disc.alpha(),
@@ -329,23 +301,17 @@ fn uniformisation_gate(cfg: &Config, committed: &Json, report: &mut Report) -> R
             epsilon: tight_epsilon,
             ..base
         };
-        let solve = |representation, active_window| {
+        let [csr, banded, windowed] = engine_matrix(tight).map(|(_, opts)| {
             measure_curve(
                 disc.chain(),
                 disc.alpha(),
                 &[t_query],
                 disc.empty_measure(),
-                &TransientOptions {
-                    representation,
-                    active_window,
-                    ..tight
-                },
+                &opts,
             )
             .map_err(|e| e.to_string())
-        };
-        let csr = solve(Representation::Csr, false)?;
-        let banded = solve(Representation::Banded, false)?;
-        let windowed = solve(Representation::Banded, true)?;
+        });
+        let (csr, banded, windowed) = (csr?, banded?, windowed?);
         let full_diff = (csr.points[0].1 - banded.points[0].1).abs();
         let window_diff = (csr.points[0].1 - windowed.points[0].1).abs();
         report.check(
@@ -448,8 +414,7 @@ fn worker_check(
         pooled && same_bits,
         format!(
             "{swept} swept rows (pool runs from {PARALLEL_SPMV_MIN_ROWS}): {pooled}, curve \
-             bits equal at 1 and 4 row workers ({} effective here): {same_bits}",
-            SpmvPool::clamped_threads(4),
+             bits equal at 1 and 4 row workers: {same_bits}"
         ),
     );
     Ok(())

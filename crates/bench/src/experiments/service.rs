@@ -9,16 +9,13 @@
 //! (and therefore the hit-rate the regression gate checks) is fully
 //! deterministic; `--quick` shrinks it to the CI gate size.
 //!
-//! Measured per run:
+//! Recorded per run (counters and exact facts; request latency is
+//! measured by perfbench):
 //!
 //! * **hit rate** — the fraction of admitted requests served without a
 //!   fresh solve (result-cache hits + single-flight joins). The name
 //!   erasure in [`Scenario::canonical_bytes`] is what makes per-device
 //!   labels free here.
-//! * **latency percentiles** — p50/p95/p99 over per-request wall times,
-//!   mixing cache hits (~µs) with cold solves (~ms): the p50 *is* the
-//!   service's value proposition, the p99 is the cold-solve cost that
-//!   remains.
 //! * **bit-identity** — after the trace, every distinct configuration is
 //!   re-queried and compared against an independent
 //!   `SolverRegistry::solve` under the same engine configuration; the
@@ -36,7 +33,7 @@ use kibamrm::scenario::Scenario;
 use kibamrm::service::{Answer, LifetimeService, QueryOptions, ServiceConfig, ServiceStats};
 use kibamrm::solver::{SolverOptions, SolverRegistry};
 use markov::transient::Representation;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use units::Charge;
 
 /// Hit-rate floor the regression gate enforces on the quick trace (the
@@ -91,8 +88,6 @@ pub(crate) struct TraceOutcome {
     pub distinct: usize,
     pub workers: usize,
     pub stats: ServiceStats,
-    /// Per-request wall times, sorted ascending.
-    pub latencies_ns: Vec<f64>,
     /// Sup-distance between the service's answers and independent fresh
     /// solves over every distinct configuration (must be exactly 0).
     pub sup_vs_fresh: f64,
@@ -116,16 +111,6 @@ impl TraceOutcome {
             return 0.0;
         }
         self.stats.degraded_served as f64 / self.deadline_requests as f64
-    }
-}
-
-impl TraceOutcome {
-    pub fn percentile_ns(&self, p: f64) -> f64 {
-        if self.latencies_ns.is_empty() {
-            return 0.0;
-        }
-        let idx = ((self.latencies_ns.len() as f64 - 1.0) * p).round() as usize;
-        self.latencies_ns[idx]
     }
 }
 
@@ -161,7 +146,7 @@ pub(crate) fn run_fleet_trace(
         .collect();
 
     let workers = workers.clamp(1, requests.max(1));
-    let mut latencies_ns: Vec<f64> = std::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
                 let (service, trace) = (&service, &trace);
@@ -170,23 +155,19 @@ pub(crate) fn run_fleet_trace(
                         .iter()
                         .skip(w)
                         .step_by(workers)
-                        .map(|scenario| {
-                            let t = Instant::now();
-                            let answer = service.query(scenario);
-                            let ns = t.elapsed().as_nanos() as f64;
-                            answer.map(|_| ns).map_err(|e| e.to_string())
+                        .try_for_each(|scenario| {
+                            service
+                                .query(scenario)
+                                .map(|_| ())
+                                .map_err(|e| e.to_string())
                         })
-                        .collect::<Result<Vec<f64>, String>>()
                 })
             })
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("trace worker panicked"))
-            .collect::<Result<Vec<Vec<f64>>, String>>()
-            .map(|per_worker| per_worker.into_iter().flatten().collect())
+            .try_for_each(|h| h.join().expect("trace worker panicked"))
     })?;
-    latencies_ns.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
 
     // Bit-identity: every distinct configuration, served (from cache or
     // freshly) vs an independent registry solve.
@@ -248,7 +229,6 @@ pub(crate) fn run_fleet_trace(
         distinct: configurations.len(),
         workers,
         stats: service.stats(),
-        latencies_ns,
         sup_vs_fresh,
         deadline_requests,
     })
@@ -350,7 +330,7 @@ pub fn run(cfg: &Config) -> Result<(), String> {
     println!(
         "service trace: {} requests over {} configurations ({} workers) — \
          hit rate {:.3} ({} hits, {} joined, {} misses, {} shed), warm \
-         {}h/{}m, p50 {:.0} µs, p95 {:.0} µs, p99 {:.0} µs, sup-distance {:e}",
+         {}h/{}m, sup-distance {:e}",
         outcome.requests,
         outcome.distinct,
         outcome.workers,
@@ -361,9 +341,6 @@ pub fn run(cfg: &Config) -> Result<(), String> {
         stats.shed,
         stats.warm_hits,
         stats.warm_misses,
-        outcome.percentile_ns(0.50) / 1e3,
-        outcome.percentile_ns(0.95) / 1e3,
-        outcome.percentile_ns(0.99) / 1e3,
         outcome.sup_vs_fresh,
     );
     println!(
@@ -402,16 +379,12 @@ pub fn run(cfg: &Config) -> Result<(), String> {
         snap.sup_vs_fresh,
     );
 
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
     let body = format!(
         "{{\n  \"bench\": \"service\",\n  \"generated_by\": \"bench-harness service\",\n  \
          \"engine\": \"csr, single-thread per solve (scenario_threads 1, row_threads 1)\",\n  \
-         \"note\": \"generated on a {cores}-core machine; deterministic fixed-seed fleet \
-         trace of per-device relabelled queries over power-of-two rate rescales and \
-         deltas of the Fig. 8 two-well scenario; latencies mix cache hits with cold \
-         solves; served answers are asserted bit-identical to independent fresh solves \
+         \"note\": \"deterministic fixed-seed fleet trace of per-device relabelled \
+         queries over power-of-two rate rescales and deltas of the Fig. 8 two-well \
+         scenario; served answers are asserted bit-identical to independent fresh solves \
          on every run; the deadline leg is deterministic (already-expired deadlines, \
          resident vs fresh-variant targets 1:1) and every degraded answer's explicit \
          error bound is checked; the snapshot leg writes the solved configurations to \
@@ -421,8 +394,8 @@ pub fn run(cfg: &Config) -> Result<(), String> {
          \"workers\": {},\n    \"hit_rate\": {:.4},\n    \"hits\": {},\n    \
          \"joined\": {},\n    \"misses\": {},\n    \"shed\": {},\n    \
          \"warm_hits\": {},\n    \"warm_misses\": {},\n    \"evictions\": {},\n    \
-         \"result_cache_bytes\": {},\n    \"p50_ns\": {:.0},\n    \"p95_ns\": {:.0},\n    \
-         \"p99_ns\": {:.0},\n    \"max_abs_difference_vs_fresh\": {:e}\n  }},\n  \
+         \"result_cache_bytes\": {},\n    \
+         \"max_abs_difference_vs_fresh\": {:e}\n  }},\n  \
          \"deadline_leg\": {{\n    \"requests\": {},\n    \"deadline_expired\": {},\n    \
          \"deadline_hit_rate\": {:.4},\n    \"degraded_served\": {},\n    \
          \"degraded_fraction\": {:.4},\n    \"retries\": {},\n    \
@@ -444,9 +417,6 @@ pub fn run(cfg: &Config) -> Result<(), String> {
         stats.warm_misses,
         stats.evictions,
         stats.result_cache_bytes,
-        outcome.percentile_ns(0.50),
-        outcome.percentile_ns(0.95),
-        outcome.percentile_ns(0.99),
         outcome.sup_vs_fresh,
         outcome.deadline_requests,
         stats.deadline_expired,

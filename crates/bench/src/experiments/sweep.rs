@@ -5,8 +5,8 @@
 //! The grids are the paper's headline use case — families of the Fig. 8
 //! two-well scenario spanning workload shape (Erlang stages), battery
 //! parameters `(c, k)`, discretisation step `Δ` and a rate-scale axis
-//! (the device run at `γ×` speed). Grid sizes 8/64/256 are measured
-//! twice per repetition:
+//! (the device run at `γ×` speed). Grids of 8/64/256 points are solved
+//! both ways:
 //!
 //! * **naive** — [`SolverRegistry::sweep_naive`], the pre-planner path:
 //!   every scenario re-derives its model, assembles its lattice, and
@@ -18,21 +18,19 @@
 //!   group costs roughly its most expensive member instead of the sum.
 //!
 //! Per group the ideal amortisation is `Σνᵢ / max νᵢ` over the rescale
-//! family (≈ 1.9 for the geometric scale axes used here); the measured
-//! speedups land close because the per-member residue (value refill +
-//! bitwise `P` comparison + Poisson remix) is `O(nnz)` against the
-//! `O(iterations·nnz)` sweep it replaces.
+//! family (≈ 1.9 for the geometric scale axes used here). The file
+//! records the plan's shape — groups, duplicates and the members that
+//! reused a shared sweep — not its wall time, which perfbench measures.
 //!
 //! Both paths run the same single-threaded CSR engine configuration so
-//! the comparison isolates planning gains (the active-window engine's
-//! trim schedule is horizon-dependent, which disables cross-ν sweep
-//! sharing by design — see DESIGN.md §8). The planned results are
-//! asserted **bit-identical** to the naive ones (sup-distance exactly 0)
-//! on every run; `--quick` is the CI gate mode (8-point grid, one
-//! repetition).
+//! the comparison isolates planning (the active-window engine's trim
+//! schedule is horizon-dependent, which disables cross-ν sweep sharing
+//! by design — see DESIGN.md §8). The planned results are asserted
+//! **bit-identical** to the naive ones (sup-distance exactly 0) on every
+//! run; `--quick` is the CI gate mode (8-point grid).
 
 use super::config::Config;
-use super::{median_ns, write_json};
+use super::write_json;
 use kibamrm::scenario::Scenario;
 use kibamrm::solver::{SolverOptions, SolverRegistry};
 use kibamrm::sweep::{ScenarioGrid, SweepPlan};
@@ -58,7 +56,7 @@ pub(crate) fn base_scenario() -> Result<Scenario, String> {
         .map_err(|e| e.to_string())
 }
 
-/// The measured grid at `points` ∈ {8, 64, 256}.
+/// The grid at `points` ∈ {8, 64, 256}.
 pub(crate) fn build_grid(points: usize, base: &Scenario) -> Result<ScenarioGrid, String> {
     let delta = Charge::from_amp_seconds;
     let erlang = |k: u32| {
@@ -132,8 +130,6 @@ struct GridRow {
     groups: usize,
     duplicates: usize,
     shared_solves: usize,
-    naive_ns: f64,
-    planned_ns: f64,
     sup: f64,
 }
 
@@ -164,11 +160,6 @@ pub fn run(cfg: &Config) -> Result<(), String> {
 
     let mut rows: Vec<GridRow> = Vec::new();
     for &points in sizes {
-        let reps = match points {
-            _ if cfg.quick => 1,
-            256 => 1,
-            _ => 3,
-        };
         let grid = build_grid(points, &base)?;
         let scenarios = grid.expand().map_err(|e| e.to_string())?;
         let plan = SweepPlan::build(&registry, &scenarios);
@@ -193,64 +184,40 @@ pub fn run(cfg: &Config) -> Result<(), String> {
             })
             .count();
 
-        let naive_ns = median_ns(reps, || {
-            registry.sweep_naive(&scenarios);
-        });
-        let planned_ns = median_ns(reps, || {
-            registry.sweep(&scenarios);
-        });
         println!(
-            "sweep {points:>3} points: {} groups, {} dup, {} shared — naive {:.0} ms, \
-             planned {:.0} ms ({:.2}x), sup-distance {sup:e}",
+            "sweep {points:>3} points: {} groups, {} dup, {} shared, sup-distance {sup:e}",
             plan.groups().len(),
             plan.n_duplicates(),
             shared_solves,
-            naive_ns / 1e6,
-            planned_ns / 1e6,
-            naive_ns / planned_ns,
         );
         rows.push(GridRow {
             points,
             groups: plan.groups().len(),
             duplicates: plan.n_duplicates(),
             shared_solves,
-            naive_ns,
-            planned_ns,
             sup,
         });
     }
 
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
     let grids: Vec<String> = rows
         .iter()
         .map(|r| {
             format!(
                 "    {{\n      \"points\": {},\n      \"groups\": {},\n      \
                  \"duplicates\": {},\n      \"shared_sweep_solves\": {},\n      \
-                 \"naive_ns_per_grid\": {:.0},\n      \"planned_ns_per_grid\": {:.0},\n      \
-                 \"speedup_planned_vs_naive\": {:.3},\n      \
                  \"max_abs_difference_vs_independent\": {:e}\n    }}",
-                r.points,
-                r.groups,
-                r.duplicates,
-                r.shared_solves,
-                r.naive_ns,
-                r.planned_ns,
-                r.naive_ns / r.planned_ns,
-                r.sup
+                r.points, r.groups, r.duplicates, r.shared_solves, r.sup
             )
         })
         .collect();
     let body = format!(
         "{{\n  \"bench\": \"sweep\",\n  \"generated_by\": \"bench-harness sweep\",\n  \
          \"engine\": \"csr, single-thread (scenario_threads 1, row_threads 1)\",\n  \
-         \"note\": \"generated on a {cores}-core machine; grids are \
-         workload × (c,k) × Δ × power-of-two rate-scale families of the Fig. 8 \
-         two-well scenario, so the planner amortises one uniformisation sweep per \
-         rescale family (ideal per-family gain Σν/maxν ≈ 1.9); planned results are \
-         asserted bit-identical to naive per-scenario solves on every run\",\n  \
+         \"note\": \"grids are workload × (c,k) × Δ × power-of-two rate-scale \
+         families of the Fig. 8 two-well scenario, so the planner amortises one \
+         uniformisation sweep per rescale family (ideal per-family gain Σν/maxν ≈ 1.9); \
+         planned results are asserted bit-identical to naive per-scenario solves on \
+         every run\",\n  \
          \"grids\": [\n{}\n  ]\n}}\n",
         grids.join(",\n")
     );

@@ -12,8 +12,7 @@
 //! * `touched_entries` of both engines and their ratio (the fraction of
 //!   work the window skips),
 //! * the trimmed-mass deficit (must stay within half the ε budget),
-//! * the sup-distance between the two curves (must stay within ε),
-//! * wall seconds for both engines.
+//! * the sup-distance between the two curves (must stay within ε).
 //!
 //! Results go to `window.csv`; the finest `Δ` rows are where the
 //! savings matter (the paper's accuracy knob is exactly "make `Δ`
@@ -25,7 +24,6 @@ use kibamrm::discretise::{DiscretisationOptions, DiscretisedModel};
 use kibamrm::model::KibamRm;
 use kibamrm::workload::Workload;
 use markov::transient::{measure_curve, Representation, TransientOptions};
-use std::time::Instant;
 use units::{Charge, Current, Frequency, Rate};
 
 /// Runs the experiment.
@@ -55,7 +53,7 @@ pub fn run(cfg: &Config) -> Result<(), String> {
     .map_err(|e| e.to_string())?;
 
     println!(
-        "{:<7} {:>8} {:>5} {:>6} {:>11} {:>14} {:>14} {:>7} {:>10} {:>9} {:>9}",
+        "{:<7} {:>8} {:>5} {:>6} {:>11} {:>14} {:>14} {:>7} {:>10}",
         "Delta",
         "states",
         "offs",
@@ -64,9 +62,7 @@ pub fn run(cfg: &Config) -> Result<(), String> {
         "csr_touched",
         "win_touched",
         "saved",
-        "deficit",
-        "csr (s)",
-        "win (s)"
+        "deficit"
     );
     let mut rows = Vec::new();
     for &delta in deltas {
@@ -82,8 +78,7 @@ pub fn run(cfg: &Config) -> Result<(), String> {
             ..TransientOptions::default()
         };
         let solve = |representation, active_window| {
-            let started = Instant::now();
-            let curve = measure_curve(
+            measure_curve(
                 disc.chain(),
                 disc.alpha(),
                 &times,
@@ -94,11 +89,10 @@ pub fn run(cfg: &Config) -> Result<(), String> {
                     ..base
                 },
             )
-            .map_err(|e| e.to_string())?;
-            Ok::<_, String>((curve, started.elapsed().as_secs_f64()))
+            .map_err(|e| e.to_string())
         };
-        let (csr, csr_secs) = solve(Representation::Csr, false)?;
-        let (win, win_secs) = solve(Representation::Banded, true)?;
+        let csr = solve(Representation::Csr, false)?;
+        let win = solve(Representation::Banded, true)?;
 
         let sup: f64 = csr
             .points
@@ -122,7 +116,7 @@ pub fn run(cfg: &Config) -> Result<(), String> {
         }
         let saved = 1.0 - win.touched_entries as f64 / csr.touched_entries.max(1) as f64;
         println!(
-            "{delta:<7} {:>8} {:>5} {:>6} {:>11} {:>14} {:>14} {:>6.1}% {:>10.2e} {csr_secs:>9.2} {win_secs:>9.2}",
+            "{delta:<7} {:>8} {:>5} {:>6} {:>11} {:>14} {:>14} {:>6.1}% {:>10.2e}",
             stats.states,
             stats.band_offsets,
             stats.bandwidth,
@@ -144,8 +138,6 @@ pub fn run(cfg: &Config) -> Result<(), String> {
             format!("{saved:.4}"),
             format!("{:e}", win.window_deficit),
             format!("{sup:e}"),
-            format!("{csr_secs:.3}"),
-            format!("{win_secs:.3}"),
         ]);
     }
     save_table(
@@ -163,8 +155,6 @@ pub fn run(cfg: &Config) -> Result<(), String> {
             "fraction_saved",
             "window_deficit",
             "sup_distance",
-            "csr_seconds",
-            "windowed_seconds",
         ],
         &rows,
     )

@@ -58,10 +58,16 @@ pub fn simulate_lifetime(
         };
         let dt = sojourn.min(horizon - t);
         let current = workload.current(state);
-        if let Some(d) = battery.depletion_after(&charge, current, dt)? {
-            return Ok(Some(t + d));
+        let end = battery.advance_state(&charge, current, dt)?;
+        // `depletion_after` reports a crossing only when the step starts
+        // or ends at or below zero; on every other event it would repeat
+        // the advance above just to return `None`.
+        if end.available.value() <= 0.0 || charge.available.value() <= 0.0 {
+            if let Some(d) = battery.depletion_after(&charge, current, dt)? {
+                return Ok(Some(t + d));
+            }
         }
-        charge = battery.advance_state(&charge, current, dt)?;
+        charge = end;
         t += dt;
         if t < horizon && exit > 0.0 {
             state = next_state(chain, state, rng)?;
@@ -231,6 +237,68 @@ mod tests {
         let lo = study.lifetime_quantile(0.05).unwrap();
         let hi = study.lifetime_quantile(0.95).unwrap();
         assert!(hi - lo < 0.25 * mean, "spread [{lo}, {hi}]");
+    }
+
+    /// The event loop with a separate depletion check before every
+    /// advance: the reference [`simulate_lifetime`] must match bit for bit.
+    fn simulate_lifetime_two_calls(
+        model: &KibamRm,
+        horizon: Time,
+        rng: &mut SimRng,
+    ) -> Result<Option<Time>, KibamRmError> {
+        let workload = model.workload();
+        let chain = workload.ctmc();
+        let battery = model.battery();
+        let mut state = sample_initial(chain, workload.initial(), rng)?;
+        let mut charge = battery.full_state();
+        let mut t = Time::ZERO;
+        while t < horizon {
+            let exit = chain.exit_rate(state);
+            let sojourn = if exit > 0.0 {
+                Time::from_seconds(rng.exponential(exit))
+            } else {
+                horizon - t
+            };
+            let dt = sojourn.min(horizon - t);
+            let current = workload.current(state);
+            if let Some(d) = battery.depletion_after(&charge, current, dt)? {
+                return Ok(Some(t + d));
+            }
+            charge = battery.advance_state(&charge, current, dt)?;
+            t += dt;
+            if t < horizon && exit > 0.0 {
+                state = next_state(chain, state, rng)?;
+            }
+        }
+        Ok(None)
+    }
+
+    #[test]
+    fn one_advance_per_event_keeps_the_bits() {
+        let w = Workload::on_off_erlang(Frequency::from_hertz(1.0), 1, Current::from_amps(0.96))
+            .unwrap();
+        let fig8 = KibamRm::new(
+            w,
+            Charge::from_amp_seconds(7200.0),
+            0.625,
+            Rate::per_second(4.5e-5),
+        )
+        .unwrap();
+        let horizon = Time::from_seconds(25_000.0);
+        for model in [&fig8, &on_off_linear()] {
+            for i in 0..32 {
+                let got = simulate_lifetime(model, horizon, &mut SimRng::stream(2007, i)).unwrap();
+                let want =
+                    simulate_lifetime_two_calls(model, horizon, &mut SimRng::stream(2007, i))
+                        .unwrap();
+                assert!(got.is_some(), "run {i} must deplete");
+                assert_eq!(
+                    got.map(|t| t.as_seconds().to_bits()),
+                    want.map(|t| t.as_seconds().to_bits()),
+                    "run {i}"
+                );
+            }
+        }
     }
 
     #[test]
