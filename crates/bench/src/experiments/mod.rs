@@ -16,7 +16,6 @@ pub mod regress;
 pub mod service;
 pub mod sweep;
 pub mod table1;
-pub mod window;
 
 use config::Config;
 use kibamrm::discretise::{DiscretisationOptions, DiscretisedModel};

@@ -14,9 +14,11 @@
 //!   ε (`--epsilon`, default `1e-13`, makes the bound follow from the
 //!   engines' error budgets; loosening it is how the gate is verified
 //!   to fire);
-//! * **work growth** — any engine's `touched_entries` exceeds the
-//!   committed value by more than 10 % (shrinking is an improvement and
-//!   passes);
+//! * **work drift** — any engine's `touched_entries` differs from the
+//!   committed value by more than 10 % either way: growth is a
+//!   regression, and shrinkage means a stale baseline (regenerate it
+//!   with `bench-harness baseline`), which would otherwise let later
+//!   growth through unnoticed;
 //! * **planner drift** — the quick sweep grid's planned results are not
 //!   bit-identical to naive per-scenario solves (sup-distance must be
 //!   exactly 0), or the plan no longer forms the committed number of
@@ -58,7 +60,7 @@
 use super::baseline::engine_matrix;
 use super::config::Config;
 use super::{discretise_fig8, sweep as sweep_experiment, write_json};
-use crate::json::Json;
+use kibamrm_net::json::Json;
 use markov::sparse::PARALLEL_SPMV_MIN_ROWS;
 use markov::transient::{
     measure_curve, measure_curve_budgeted, CurveCache, CurveSolution, Representation,
@@ -67,8 +69,8 @@ use markov::transient::{
 use markov::Budget;
 use std::path::Path;
 
-/// The tolerated relative growth in `touched_entries`.
-const TOUCHED_GROWTH_LIMIT: f64 = 0.10;
+/// The tolerated relative drift in `touched_entries`, either way.
+const TOUCHED_DRIFT_LIMIT: f64 = 0.10;
 /// The accuracy-drift bound on engine sup-distances.
 const DRIFT_BOUND: f64 = 1e-12;
 /// Committed Δ configs above this state count are skipped (the gate must
@@ -95,6 +97,17 @@ impl Report {
             .filter(|(_, ok, _)| !ok)
             .map(|(name, _, _)| name.as_str())
             .collect()
+    }
+}
+
+/// `get(key)` then `as_f64`, the lookup the gate lives on.
+trait Num {
+    fn num(&self, key: &str) -> Option<f64>;
+}
+
+impl Num for Json {
+    fn num(&self, key: &str) -> Option<f64> {
+        self.get(key).and_then(Json::as_f64)
     }
 }
 
@@ -233,17 +246,23 @@ fn uniformisation_gate(cfg: &Config, committed: &Json, report: &mut Report) -> R
             };
             let committed_touched = row.num("touched_entries").unwrap_or(0.0);
             let fresh = curve.touched_entries as f64;
-            let growth = if committed_touched > 0.0 {
+            let drift = if committed_touched > 0.0 {
                 fresh / committed_touched - 1.0
             } else {
                 0.0
             };
+            let stale = if drift < -TOUCHED_DRIFT_LIMIT {
+                "; the committed baseline is stale, regenerate it with \
+                 `bench-harness baseline` so growth is gated against the real work"
+            } else {
+                ""
+            };
             report.check(
                 &format!("touched {name} Δ={delta}"),
-                growth <= TOUCHED_GROWTH_LIMIT,
+                drift.abs() <= TOUCHED_DRIFT_LIMIT,
                 format!(
-                    "{fresh:.0} vs committed {committed_touched:.0} ({:+.1}%)",
-                    growth * 100.0
+                    "{fresh:.0} vs committed {committed_touched:.0} ({:+.1}%){stale}",
+                    drift * 100.0
                 ),
             );
         }
@@ -427,17 +446,16 @@ fn worker_check(
 /// gate rather than laundering the breakage).
 fn mc_gate(committed: &Json, report: &mut Report) -> Result<(), String> {
     use super::mc;
-    use crate::json::Json as J;
 
     let gate = committed
         .get("gate")
         .ok_or("committed BENCH_mc.json has no 'gate' object")?;
     let committed_runs = gate.num("runs").ok_or("gate without 'runs'")? as usize;
     let committed_seed = gate.num("seed").ok_or("gate without 'seed'")? as u64;
+    let holds = |key| gate.get(key).and_then(Json::as_bool) == Some(true);
     report.check(
         "mc committed facts",
-        gate.get("bit_identical_across_threads") == Some(&J::Bool(true))
-            && gate.get("within_band") == Some(&J::Bool(true)),
+        holds("bit_identical_across_threads") && holds("within_band"),
         format!(
             "committed bit_identical {:?}, within_band {:?}",
             gate.get("bit_identical_across_threads"),
@@ -645,14 +663,9 @@ fn service_gate(cfg: &Config, committed: &Json, report: &mut Report) -> Result<(
 /// Re-runs the quick sweep grid: bit-identity planned-vs-naive, and the
 /// plan still forms the committed number of groups.
 fn sweep_gate(_cfg: &Config, committed: &Json, report: &mut Report) -> Result<(), String> {
-    use kibamrm::solver::{SolverOptions, SolverRegistry};
     use kibamrm::sweep::SweepPlan;
 
-    let registry = SolverRegistry::with_default_backends().with_options(SolverOptions {
-        scenario_threads: 1,
-        row_threads: 1,
-        representation: Representation::Csr,
-    });
+    let registry = sweep_experiment::csr_registry();
     let base = sweep_experiment::base_scenario()?;
     let grid = sweep_experiment::build_grid(8, &base)?;
     let scenarios = grid.expand().map_err(|e| e.to_string())?;

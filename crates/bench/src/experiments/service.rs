@@ -31,8 +31,7 @@ use super::config::Config;
 use super::{sweep as sweep_experiment, write_json};
 use kibamrm::scenario::Scenario;
 use kibamrm::service::{Answer, LifetimeService, QueryOptions, ServiceConfig, ServiceStats};
-use kibamrm::solver::{SolverOptions, SolverRegistry};
-use markov::transient::Representation;
+use kibamrm::solver::SolverOptions;
 use std::time::Duration;
 use units::Charge;
 
@@ -48,16 +47,6 @@ pub(crate) const GATE_HIT_RATE_FLOOR: f64 = 0.85;
 /// against bit for bit.
 pub(crate) const GATE_DEADLINE_HIT_RATE: f64 = 0.5;
 pub(crate) const GATE_DEGRADED_FRACTION: f64 = 0.5;
-
-/// The engine configuration of both the service and the fresh reference
-/// solves (single-threaded CSR — the sweep bench's gated configuration).
-fn engine_options() -> SolverOptions {
-    SolverOptions {
-        scenario_threads: 1,
-        row_threads: 1,
-        representation: Representation::Csr,
-    }
-}
 
 /// The fleet's distinct physical configurations: power-of-two rate
 /// rescales × Δ variants of the Fig. 8 base (2 in quick mode, 8 in
@@ -126,9 +115,9 @@ pub(crate) fn run_fleet_trace(
 ) -> Result<TraceOutcome, String> {
     let configurations = fleet_configurations(quick)?;
     let service = LifetimeService::with_config(
-        SolverRegistry::with_default_backends(),
+        sweep_experiment::csr_registry(),
         ServiceConfig::default()
-            .with_options(engine_options())
+            .with_options(SolverOptions::sequential())
             // The bench measures caching, not shedding: admit everything.
             .with_max_in_flight(requests.max(1)),
     );
@@ -171,7 +160,7 @@ pub(crate) fn run_fleet_trace(
 
     // Bit-identity: every distinct configuration, served (from cache or
     // freshly) vs an independent registry solve.
-    let reference = SolverRegistry::with_default_backends().with_options(engine_options());
+    let reference = sweep_experiment::csr_registry();
     let mut sup_vs_fresh = 0.0f64;
     for scenario in &configurations {
         let served = service.query(scenario).map_err(|e| e.to_string())?;
@@ -259,9 +248,9 @@ pub(crate) struct SnapshotOutcome {
 pub(crate) fn run_snapshot_leg(quick: bool) -> Result<SnapshotOutcome, String> {
     let configurations = fleet_configurations(quick)?;
     let config = ServiceConfig::default()
-        .with_options(engine_options())
+        .with_options(SolverOptions::sequential())
         .with_max_in_flight(configurations.len().max(1));
-    let first_life = LifetimeService::with_config(SolverRegistry::with_default_backends(), config);
+    let first_life = LifetimeService::with_config(sweep_experiment::csr_registry(), config);
     for scenario in &configurations {
         first_life.query(scenario).map_err(|e| e.to_string())?;
     }
@@ -272,14 +261,14 @@ pub(crate) fn run_snapshot_leg(quick: bool) -> Result<SnapshotOutcome, String> {
     let written = first_life.save_snapshot(&path).map_err(|e| e.to_string())?;
 
     // The "restarted process": same backends, empty caches, then revive.
-    let second_life = LifetimeService::with_config(SolverRegistry::with_default_backends(), config);
+    let second_life = LifetimeService::with_config(sweep_experiment::csr_registry(), config);
     let load = second_life.load_snapshot(&path);
     if let Some(e) = &load.error {
         let _ = std::fs::remove_file(&path);
         return Err(format!("snapshot rejected on reload: {e}"));
     }
 
-    let reference = SolverRegistry::with_default_backends().with_options(engine_options());
+    let reference = sweep_experiment::csr_registry();
     let mut sup_vs_fresh = 0.0f64;
     for scenario in &configurations {
         let served = second_life.query(scenario).map_err(|e| e.to_string())?;

@@ -32,13 +32,33 @@
 use super::config::Config;
 use super::write_json;
 use kibamrm::scenario::Scenario;
-use kibamrm::solver::{SolverOptions, SolverRegistry};
+use kibamrm::solver::{
+    DiscretisationSolver, SericolaSolver, SimulationSolver, SolverOptions, SolverRegistry,
+};
 use kibamrm::sweep::{ScenarioGrid, SweepPlan};
 use kibamrm::workload::Workload;
 use kibamrm::KibamRmError;
 use kibamrm::LifetimeDistribution;
-use markov::transient::Representation;
+use markov::transient::{Representation, TransientOptions};
 use units::{Charge, Current, Frequency, Rate, Time};
+
+/// The default backends with the discretisation backend pinned to the
+/// CSR engine, run sequentially — the gated configuration of the sweep
+/// and service benches. One thread isolates planning gains from
+/// scenario/row parallelism, and CSR keeps the rescale fast path
+/// available (the active window's trim schedule is ν·t-dependent).
+pub(crate) fn csr_registry() -> SolverRegistry {
+    let mut registry = SolverRegistry::empty().with_options(SolverOptions::sequential());
+    registry.register(Box::new(SericolaSolver::new()));
+    registry.register(Box::new(DiscretisationSolver::new().with_transient(
+        TransientOptions {
+            representation: Representation::Csr,
+            ..TransientOptions::default()
+        },
+    )));
+    registry.register(Box::new(SimulationSolver::new()));
+    registry
+}
 
 /// The Fig. 8-style base scenario the grids vary.
 pub(crate) fn base_scenario() -> Result<Scenario, String> {
@@ -148,14 +168,7 @@ pub fn run(cfg: &Config) -> Result<(), String> {
     } else {
         &[8, 64, 256]
     };
-    // Single-thread, CSR-engine configuration: isolates planning gains
-    // from scenario/row parallelism and keeps the rescale fast path
-    // available (the active window's trim schedule is ν·t-dependent).
-    let registry = SolverRegistry::with_default_backends().with_options(SolverOptions {
-        scenario_threads: 1,
-        row_threads: 1,
-        representation: Representation::Csr,
-    });
+    let registry = csr_registry();
     let base = base_scenario()?;
 
     let mut rows: Vec<GridRow> = Vec::new();

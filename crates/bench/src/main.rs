@@ -15,7 +15,6 @@
 //!   complexity  state/non-zero/iteration counts of §5.3 & §6.1
 //!   calibrate   re-derive λ_burst = 182/h from P[send] = ¼
 //!   baseline    machine-readable BENCH_uniformisation.json
-//!   window      active-window savings: touched entries & deficit per Δ
 //!   sweep       planned vs naive batched sweeps → BENCH_sweep.json
 //!   mc          streaming Monte Carlo engine certification → BENCH_mc.json
 //!   service     resident query service under a fleet trace → BENCH_service.json
@@ -33,7 +32,6 @@
 #![forbid(unsafe_code)]
 
 mod experiments;
-mod json;
 
 use experiments::config::Config;
 
@@ -88,13 +86,12 @@ fn main() {
         "complexity" => experiments::complexity::run(&config),
         "calibrate" => experiments::calibrate::run(&config),
         "baseline" => experiments::baseline::run(&config),
-        "window" => experiments::window::run(&config),
         "sweep" => experiments::sweep::run(&config),
         "mc" => experiments::mc::run(&config),
         "service" => experiments::service::run(&config),
         "regress" => experiments::regress::run(&config),
         "all" => {
-            let runs: [(&str, fn(&Config) -> Result<(), String>); 14] = [
+            let runs: [(&str, fn(&Config) -> Result<(), String>); 13] = [
                 ("fig2", experiments::fig2::run),
                 ("table1", experiments::table1::run),
                 ("fig7", experiments::fig7::run),
@@ -105,7 +102,6 @@ fn main() {
                 ("complexity", experiments::complexity::run),
                 ("calibrate", experiments::calibrate::run),
                 ("baseline", experiments::baseline::run),
-                ("window", experiments::window::run),
                 ("sweep", experiments::sweep::run),
                 ("mc", experiments::mc::run),
                 ("service", experiments::service::run),
@@ -132,7 +128,7 @@ fn usage(problem: &str) -> ! {
     eprintln!("error: {problem}");
     eprintln!(
         "usage: bench-harness <fig2|table1|fig7|fig8|fig9|fig10|fig11|complexity|calibrate|\
-         baseline|window|sweep|mc|service|regress|all> [--fast] [--quick] [--out DIR] \
+         baseline|sweep|mc|service|regress|all> [--fast] [--quick] [--out DIR] \
          [--threads N] [--against DIR] [--epsilon X]"
     );
     std::process::exit(2);

@@ -1,7 +1,8 @@
 //! Deterministic fault injection for dependability testing.
 //!
 //! [`FaultInjectingSolver`] wraps any [`LifetimeSolver`] and injects a
-//! seeded, reproducible mixture of faults at every solve entry point:
+//! seeded, reproducible mixture of faults at the one solve entry point,
+//! [`LifetimeSolver::solve_in`]:
 //!
 //! * **errors** — a transient [`markov::MarkovError::NoConvergence`],
 //!   the class the service's retry loop re-attempts and its circuit
@@ -248,28 +249,15 @@ impl LifetimeSolver for FaultInjectingSolver {
         self.inner.capability(scenario)
     }
 
-    fn solve(&self, scenario: &Scenario) -> Result<LifetimeDistribution, KibamRmError> {
-        self.inject()?;
-        self.inner.solve(scenario)
-    }
-
-    fn solve_with(
+    fn solve_in(
         &self,
         scenario: &Scenario,
         options: &SolverOptions,
-    ) -> Result<LifetimeDistribution, KibamRmError> {
-        self.inject()?;
-        self.inner.solve_with(scenario, options)
-    }
-
-    fn solve_with_budget(
-        &self,
-        scenario: &Scenario,
-        options: &SolverOptions,
+        state: Option<&mut dyn GroupState>,
         budget: &Budget,
     ) -> Result<LifetimeDistribution, KibamRmError> {
         self.inject()?;
-        self.inner.solve_with_budget(scenario, options, budget)
+        self.inner.solve_in(scenario, options, state, budget)
     }
 
     fn sweep_fingerprint(&self, scenario: &Scenario) -> Option<u64> {
@@ -282,28 +270,6 @@ impl LifetimeSolver for FaultInjectingSolver {
 
     fn new_group_state(&self, options: &SolverOptions) -> Option<Box<dyn GroupState>> {
         self.inner.new_group_state(options)
-    }
-
-    fn solve_in_group(
-        &self,
-        scenario: &Scenario,
-        options: &SolverOptions,
-        state: &mut dyn GroupState,
-    ) -> Result<LifetimeDistribution, KibamRmError> {
-        self.inject()?;
-        self.inner.solve_in_group(scenario, options, state)
-    }
-
-    fn solve_in_group_budgeted(
-        &self,
-        scenario: &Scenario,
-        options: &SolverOptions,
-        state: &mut dyn GroupState,
-        budget: &Budget,
-    ) -> Result<LifetimeDistribution, KibamRmError> {
-        self.inject()?;
-        self.inner
-            .solve_in_group_budgeted(scenario, options, state, budget)
     }
 }
 

@@ -1096,25 +1096,27 @@ impl LifetimeService {
         let options = self.config.options;
         let slot = fingerprint
             .and_then(|fp| self.warm_slot(index, fp, |opts| solver.new_group_state(opts)));
-        let result = match slot {
-            Some(slot) => {
-                // Serialises same-group solves, exactly like a batch
-                // group's member order. A poisoned state (an earlier
-                // member panicked mid-solve) is replaced wholesale: a
-                // half-updated cache could violate bit-identity.
-                let mut state = match slot.lock() {
-                    Ok(guard) => guard,
-                    Err(poisoned) => {
-                        let mut guard = poisoned.into_inner();
-                        if let Some(fresh) = solver.new_group_state(&options) {
-                            *guard = fresh;
-                        }
-                        guard
-                    }
-                };
-                solver.solve_in_group_budgeted(scenario, &options, state.as_mut(), budget)
+        // Serialises same-group solves, exactly like a batch group's
+        // member order. A poisoned state (an earlier member panicked
+        // mid-solve) is replaced wholesale: a half-updated cache could
+        // violate bit-identity.
+        let mut state = slot.as_ref().map(|slot| match slot.lock() {
+            Ok(guard) => guard,
+            Err(poisoned) => {
+                let mut guard = poisoned.into_inner();
+                if let Some(fresh) = solver.new_group_state(&options) {
+                    *guard = fresh;
+                }
+                guard
             }
-            None => solver.solve_with_budget(scenario, &options, budget),
+        });
+        // An expired request reaches no backend, whether or not it has
+        // check points of its own.
+        let result = if budget.is_exhausted() {
+            Err(KibamRmError::DeadlineExceeded { completed: 0 })
+        } else {
+            let state = state.as_mut().map(|s| s.as_mut() as &mut dyn GroupState);
+            solver.solve_in(scenario, &options, state, budget)
         };
         guard.outcome = Some(match &result {
             Ok(_) => BreakerOutcome::Success,
@@ -1279,7 +1281,7 @@ impl LifetimeService {
         let fallback = scenario.with_simulation(runs, scenario.sim_seed());
         let budget = Budget::with_deadline(self.config.degraded_grace);
         let dist =
-            SimulationSolver::new().solve_with_budget(&fallback, &self.config.options, &budget)?;
+            SimulationSolver::new().solve_in(&fallback, &self.config.options, None, &budget)?;
         let diag = *dist.diagnostics();
         let actual_runs = diag.runs.unwrap_or(runs);
         Ok((dist, monte_carlo_bound(actual_runs), actual_runs))
@@ -1586,7 +1588,13 @@ mod tests {
         fn capability(&self, _s: &Scenario) -> Capability {
             Capability::Exact
         }
-        fn solve(&self, s: &Scenario) -> Result<LifetimeDistribution, KibamRmError> {
+        fn solve_in(
+            &self,
+            s: &Scenario,
+            _options: &SolverOptions,
+            _state: Option<&mut dyn GroupState>,
+            _budget: &Budget,
+        ) -> Result<LifetimeDistribution, KibamRmError> {
             self.solves.fetch_add(1, Ordering::SeqCst);
             let points = s
                 .times()
@@ -1619,7 +1627,13 @@ mod tests {
         fn capability(&self, _s: &Scenario) -> Capability {
             Capability::Exact
         }
-        fn solve(&self, s: &Scenario) -> Result<LifetimeDistribution, KibamRmError> {
+        fn solve_in(
+            &self,
+            s: &Scenario,
+            _options: &SolverOptions,
+            _state: Option<&mut dyn GroupState>,
+            _budget: &Budget,
+        ) -> Result<LifetimeDistribution, KibamRmError> {
             self.solves.fetch_add(1, Ordering::SeqCst);
             let _ = self.entered.send(());
             let (lock, cv) = &*self.release;
@@ -1806,7 +1820,13 @@ mod tests {
             fn capability(&self, _s: &Scenario) -> Capability {
                 Capability::Exact
             }
-            fn solve(&self, _s: &Scenario) -> Result<LifetimeDistribution, KibamRmError> {
+            fn solve_in(
+                &self,
+                _s: &Scenario,
+                _options: &SolverOptions,
+                _state: Option<&mut dyn GroupState>,
+                _budget: &Budget,
+            ) -> Result<LifetimeDistribution, KibamRmError> {
                 self.solves.fetch_add(1, Ordering::SeqCst);
                 Err(KibamRmError::InvalidWorkload("synthetic failure".into()))
             }
@@ -2053,7 +2073,13 @@ mod tests {
             fn capability(&self, _s: &Scenario) -> Capability {
                 Capability::Exact
             }
-            fn solve(&self, s: &Scenario) -> Result<LifetimeDistribution, KibamRmError> {
+            fn solve_in(
+                &self,
+                s: &Scenario,
+                _options: &SolverOptions,
+                _state: Option<&mut dyn GroupState>,
+                _budget: &Budget,
+            ) -> Result<LifetimeDistribution, KibamRmError> {
                 let n = self.solves.fetch_add(1, Ordering::SeqCst);
                 if n < self.failures {
                     return Err(KibamRmError::Markov(markov::MarkovError::NoConvergence(
@@ -2105,7 +2131,13 @@ mod tests {
             fn capability(&self, _s: &Scenario) -> Capability {
                 Capability::Exact
             }
-            fn solve(&self, s: &Scenario) -> Result<LifetimeDistribution, KibamRmError> {
+            fn solve_in(
+                &self,
+                s: &Scenario,
+                _options: &SolverOptions,
+                _state: Option<&mut dyn GroupState>,
+                _budget: &Budget,
+            ) -> Result<LifetimeDistribution, KibamRmError> {
                 self.solves.fetch_add(1, Ordering::SeqCst);
                 if self.failing.load(Ordering::SeqCst) {
                     return Err(KibamRmError::InvalidWorkload("injected hard fault".into()));

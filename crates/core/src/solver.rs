@@ -41,8 +41,8 @@ use crate::simulate::lifetime_study;
 use crate::simulate::streaming_lifetime_study_budgeted;
 use crate::sweep::SweepPlan;
 use crate::KibamRmError;
-use markov::transient::{CurveCache, Representation, TransientOptions};
-use markov::Budget;
+use markov::transient::{CurveCache, TransientOptions};
+pub use markov::Budget;
 use sim::engine::{McOptions, McPool};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -62,7 +62,8 @@ use units::Time;
 ///
 /// `sweep` divides `row_threads` by the number of active sweep workers
 /// before applying it, so the two layers compose without
-/// oversubscribing the machine.
+/// oversubscribing the machine. The storage format is not a run knob: it
+/// belongs to the backend ([`DiscretisationSolver::with_transient`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SolverOptions {
     /// Concurrent scenario solves in a sweep (default: available
@@ -72,14 +73,6 @@ pub struct SolverOptions {
     /// i.e. no cap beyond the machine itself, leaving each backend's
     /// own thread configuration in charge).
     pub row_threads: usize,
-    /// Storage-format selection for uniformisation-based backends
-    /// (default [`Representation::Auto`]: densely banded chains iterate
-    /// banded matrices with the active window, the rest — the
-    /// discretised Fig. 8 chains among them — length-sorted rows).
-    /// A non-`Auto` value overrides whatever the backend was configured
-    /// with; `Auto` defers to the backend's own
-    /// [`TransientOptions::representation`].
-    pub representation: Representation,
 }
 
 impl Default for SolverOptions {
@@ -90,7 +83,6 @@ impl Default for SolverOptions {
         SolverOptions {
             scenario_threads: cores,
             row_threads: cores,
-            representation: Representation::Auto,
         }
     }
 }
@@ -102,7 +94,6 @@ impl SolverOptions {
         SolverOptions {
             scenario_threads: 1,
             row_threads: 1,
-            representation: Representation::Auto,
         }
     }
 
@@ -173,53 +164,48 @@ pub trait LifetimeSolver: Send + Sync {
         self.capability(scenario).is_supported()
     }
 
-    /// Computes `t ↦ Pr[battery empty at t]` on the scenario's grid.
+    /// Computes `t ↦ Pr[battery empty at t]` on the scenario's grid
+    /// under the default options, with no group state and no deadline.
     ///
     /// # Errors
     ///
-    /// Backend-specific validation and numerical errors; solvers must
-    /// refuse (not mis-answer) scenarios they report as unsupported.
-    fn solve(&self, scenario: &Scenario) -> Result<LifetimeDistribution, KibamRmError>;
-
-    /// [`LifetimeSolver::solve`] under an explicit thread budget. The
-    /// default implementation ignores the budget (most backends are
-    /// single-threaded per solve); backends with internal row-level
-    /// parallelism override it.
-    ///
-    /// # Errors
-    ///
-    /// As for [`LifetimeSolver::solve`].
-    fn solve_with(
-        &self,
-        scenario: &Scenario,
-        options: &SolverOptions,
-    ) -> Result<LifetimeDistribution, KibamRmError> {
-        let _ = options;
-        self.solve(scenario)
+    /// As for [`LifetimeSolver::solve_in`].
+    fn solve(&self, scenario: &Scenario) -> Result<LifetimeDistribution, KibamRmError> {
+        self.solve_in(
+            scenario,
+            &SolverOptions::default(),
+            None,
+            &Budget::unlimited(),
+        )
     }
 
-    /// [`LifetimeSolver::solve_with`] under a cooperative
-    /// [`markov::Budget`]. Backends with iteration-granular check points
-    /// (discretisation, simulation) override this so an exhausted budget
-    /// interrupts the engine mid-solve; the default only fails fast on a
-    /// budget that is *already* exhausted and otherwise runs the solve
-    /// to completion.
+    /// The one way into a backend: computes `t ↦ Pr[battery empty at t]`
+    /// on the scenario's grid under a thread budget (`options`), through
+    /// warm group state when the caller holds one (`state`, created by
+    /// [`LifetimeSolver::new_group_state`] on this same backend), and
+    /// under a cooperative deadline (`budget`).
+    ///
+    /// Results are **bit-identical** whatever the state and the thread
+    /// budget: shared state is an optimisation, never an approximation.
+    /// A backend handed a state it does not recognise solves as if it
+    /// had none. A budget-interrupted solve must leave the state
+    /// consistent, so re-running the same member to completion is
+    /// bit-identical to never having cancelled. Backends without check
+    /// points of their own at least fail fast on a budget that is
+    /// already exhausted.
     ///
     /// # Errors
     ///
-    /// As for [`LifetimeSolver::solve_with`], plus
-    /// [`KibamRmError::DeadlineExceeded`] on budget exhaustion.
-    fn solve_with_budget(
+    /// Backend-specific validation and numerical errors (solvers must
+    /// refuse, not mis-answer, scenarios they report as unsupported),
+    /// plus [`KibamRmError::DeadlineExceeded`] on budget exhaustion.
+    fn solve_in(
         &self,
         scenario: &Scenario,
         options: &SolverOptions,
+        state: Option<&mut dyn GroupState>,
         budget: &Budget,
-    ) -> Result<LifetimeDistribution, KibamRmError> {
-        if budget.is_exhausted() {
-            return Err(KibamRmError::DeadlineExceeded { completed: 0 });
-        }
-        self.solve_with(scenario, options)
-    }
+    ) -> Result<LifetimeDistribution, KibamRmError>;
 
     /// A fingerprint of the solver-relevant **structure** of the
     /// scenario: two scenarios with equal fingerprints may share
@@ -256,77 +242,25 @@ pub trait LifetimeSolver: Send + Sync {
         None
     }
 
-    /// One member solve through warm group state (created by
-    /// [`LifetimeSolver::new_group_state`] on this same backend).
-    /// Implementations must return results **bit-identical** to
-    /// [`LifetimeSolver::solve_with`] on the same options — shared state
-    /// is an optimisation, never an approximation — and must fall back
-    /// to an independent solve when handed a state they do not
-    /// recognise.
-    ///
-    /// # Errors
-    ///
-    /// As for [`LifetimeSolver::solve_with`].
-    fn solve_in_group(
-        &self,
-        scenario: &Scenario,
-        options: &SolverOptions,
-        state: &mut dyn GroupState,
-    ) -> Result<LifetimeDistribution, KibamRmError> {
-        let _ = state;
-        self.solve_with(scenario, options)
-    }
-
-    /// [`LifetimeSolver::solve_in_group`] under a cooperative
-    /// [`markov::Budget`] — the member-solve entry point the resident
-    /// service uses for per-request deadlines. A budget-interrupted
-    /// solve must leave the group state in a consistent state: re-running
-    /// the same member to completion afterwards is bit-identical to
-    /// never having cancelled. The default only fails fast on an
-    /// already-exhausted budget; cooperative backends override it.
-    ///
-    /// # Errors
-    ///
-    /// As for [`LifetimeSolver::solve_in_group`], plus
-    /// [`KibamRmError::DeadlineExceeded`] on budget exhaustion.
-    fn solve_in_group_budgeted(
-        &self,
-        scenario: &Scenario,
-        options: &SolverOptions,
-        state: &mut dyn GroupState,
-        budget: &Budget,
-    ) -> Result<LifetimeDistribution, KibamRmError> {
-        if budget.is_exhausted() {
-            return Err(KibamRmError::DeadlineExceeded { completed: 0 });
-        }
-        self.solve_in_group(scenario, options, state)
-    }
-
     /// Solves a group of structurally identical scenarios (equal
     /// [`LifetimeSolver::sweep_fingerprint`]), returning one result per
     /// scenario in order. The default threads one
-    /// [`LifetimeSolver::new_group_state`] through
-    /// [`LifetimeSolver::solve_in_group`] member by member (falling back
-    /// to independent solves for stateless backends), so batch sweeps
-    /// and the resident service share one amortisation code path.
-    /// Results are **bit-identical** to [`LifetimeSolver::solve_with`]
-    /// on the same options — grouping is an optimisation, never an
-    /// approximation.
+    /// [`LifetimeSolver::new_group_state`] (none for stateless backends)
+    /// through [`LifetimeSolver::solve_in`] member by member, so batch
+    /// sweeps and the resident service share one amortisation code path.
     fn solve_group(
         &self,
         scenarios: &[&Scenario],
         options: &SolverOptions,
     ) -> Vec<Result<LifetimeDistribution, KibamRmError>> {
-        match self.new_group_state(options) {
-            Some(mut state) => scenarios
-                .iter()
-                .map(|s| self.solve_in_group(s, options, state.as_mut()))
-                .collect(),
-            None => scenarios
-                .iter()
-                .map(|s| self.solve_with(s, options))
-                .collect(),
-        }
+        let mut state = self.new_group_state(options);
+        scenarios
+            .iter()
+            .map(|s| {
+                let state = state.as_mut().map(|st| st.as_mut() as &mut dyn GroupState);
+                self.solve_in(s, options, state, &Budget::unlimited())
+            })
+            .collect()
     }
 }
 
@@ -400,21 +334,31 @@ impl DiscretisationSolver {
         opts.recovery_from_empty = self.recovery_from_empty;
         Ok(opts)
     }
+}
 
-    /// One member of a sweep-plan group: discretise through the group's
-    /// shared [`DiscretisationTemplate`] (building it on the first
-    /// member) and solve through the group's [`CurveCache`]. Results are
-    /// bit-identical to [`DiscretisationSolver::solve`]; the sharing only
-    /// skips work whose outcome is provably the same bits.
-    fn solve_grouped_one(
+impl LifetimeSolver for DiscretisationSolver {
+    fn name(&self) -> &'static str {
+        "discretisation"
+    }
+
+    fn capability(&self, _scenario: &Scenario) -> Capability {
+        Capability::Approximate
+    }
+
+    fn solve_in(
         &self,
         scenario: &Scenario,
-        template: &mut Option<DiscretisationTemplate>,
-        cache: &mut CurveCache,
+        options: &SolverOptions,
+        state: Option<&mut dyn GroupState>,
         budget: &Budget,
     ) -> Result<LifetimeDistribution, KibamRmError> {
         if self.recovery_from_empty {
-            return self.solve(scenario); // same refusal as the solo path
+            return Err(KibamRmError::InvalidDiscretisation(
+                "recovery-from-empty yields the transient Pr[empty at t], which is \
+                 not a lifetime CDF; use DiscretisationSolver::discretise and \
+                 empty_probability_curve for that measure"
+                    .into(),
+            ));
         }
         // Fail fast before building the derived CTMC (assembly has no
         // check points of its own). `is_exhausted` does not consume a
@@ -424,33 +368,38 @@ impl DiscretisationSolver {
         }
         let started = Instant::now();
         let model = scenario.to_model()?;
-        let opts = self.discretisation_options(scenario)?;
-        let disc = match template.as_ref() {
-            // A template mismatch (planner grouped too eagerly, or a
-            // fingerprint collision) falls back to a fresh build — the
-            // fallback also reproduces genuine validation errors.
-            Some(t) => DiscretisedModel::build_with_template(&model, &opts, t)
+        let mut opts = self.discretisation_options(scenario)?;
+        // Row-level parallelism is this backend's SpMV pool: the budget
+        // the registry hands down (already divided among concurrent
+        // sweep workers) caps it — it never raises a thread count this
+        // solver was explicitly configured with.
+        opts.transient.threads = opts.transient.threads.min(options.row_threads.max(1));
+
+        // Someone else's state (a caller's bookkeeping slip) counts as
+        // none: solve independently rather than mis-share.
+        let mut fresh = CurveCache::new();
+        let (template, cache) =
+            match state.and_then(|s| s.as_any_mut().downcast_mut::<DiscretisationGroupState>()) {
+                Some(st) => (Some(&mut st.template), &mut st.cache),
+                None => (None, &mut fresh),
+            };
+        let disc = match template {
+            // Later group members refill the shared template's values. A
+            // mismatch (planner grouped too eagerly, or a fingerprint
+            // collision) falls back to a fresh build — the fallback also
+            // reproduces genuine validation errors.
+            Some(Some(t)) => DiscretisedModel::build_with_template(&model, &opts, t)
                 .or_else(|_| DiscretisedModel::build(&model, &opts))?,
-            None => {
+            // The group's first member builds the template.
+            Some(slot) => {
                 let d = DiscretisedModel::build(&model, &opts)?;
-                *template = d.template(&model, &opts).ok();
+                *slot = d.template(&model, &opts).ok();
                 d
             }
+            None => DiscretisedModel::build(&model, &opts)?,
         };
         let curve = disc.empty_probability_curve_budgeted(scenario.times(), cache, budget)?;
-        self.distribution_from_curve(scenario, &disc, &curve, started)
-    }
 
-    /// Shared result assembly of the solo and grouped solve paths: the
-    /// curve zipped back onto the query grid plus the size/iteration
-    /// diagnostics.
-    fn distribution_from_curve(
-        &self,
-        scenario: &Scenario,
-        disc: &DiscretisedModel,
-        curve: &markov::transient::CurveSolution,
-        started: Instant,
-    ) -> Result<LifetimeDistribution, KibamRmError> {
         let stats = disc.stats();
         let points = scenario
             .times()
@@ -470,73 +419,6 @@ impl DiscretisationSolver {
                 half_width: None,
                 wall_seconds: started.elapsed().as_secs_f64(),
             },
-        )
-    }
-
-    /// The solver with a sweep-level thread budget applied, mirroring
-    /// what [`LifetimeSolver::solve_with`] does before solving.
-    fn with_budget(&self, options: &SolverOptions) -> DiscretisationSolver {
-        let mut solver = self.clone();
-        solver.transient.threads = solver.transient.threads.min(options.row_threads.max(1));
-        if options.representation != Representation::Auto {
-            solver.transient.representation = options.representation;
-        }
-        solver
-    }
-}
-
-impl LifetimeSolver for DiscretisationSolver {
-    fn name(&self) -> &'static str {
-        "discretisation"
-    }
-
-    fn capability(&self, _scenario: &Scenario) -> Capability {
-        Capability::Approximate
-    }
-
-    fn solve(&self, scenario: &Scenario) -> Result<LifetimeDistribution, KibamRmError> {
-        if self.recovery_from_empty {
-            return Err(KibamRmError::InvalidDiscretisation(
-                "recovery-from-empty yields the transient Pr[empty at t], which is \
-                 not a lifetime CDF; use DiscretisationSolver::discretise and \
-                 empty_probability_curve for that measure"
-                    .into(),
-            ));
-        }
-        let started = Instant::now();
-        let disc = self.discretise(scenario)?;
-        let curve = disc.empty_probability_curve(scenario.times())?;
-        self.distribution_from_curve(scenario, &disc, &curve, started)
-    }
-
-    fn solve_with(
-        &self,
-        scenario: &Scenario,
-        options: &SolverOptions,
-    ) -> Result<LifetimeDistribution, KibamRmError> {
-        // Row-level parallelism is this backend's SpMV pool: the budget
-        // the registry hands down (already divided among concurrent
-        // sweep workers) acts as a cap — it never raises a thread count
-        // this solver was explicitly configured with. An explicit
-        // (non-Auto) representation in the budget overrides the
-        // backend's; Auto leaves the backend's own choice in place.
-        self.with_budget(options).solve(scenario)
-    }
-
-    fn solve_with_budget(
-        &self,
-        scenario: &Scenario,
-        options: &SolverOptions,
-        budget: &Budget,
-    ) -> Result<LifetimeDistribution, KibamRmError> {
-        // A fresh template/cache pair reproduces the solo path bit for
-        // bit (grouping is an optimisation, never an approximation), so
-        // the budgeted solo solve reuses the grouped engine.
-        self.with_budget(options).solve_grouped_one(
-            scenario,
-            &mut None,
-            &mut CurveCache::new(),
-            budget,
         )
     }
 
@@ -571,38 +453,6 @@ impl LifetimeSolver for DiscretisationSolver {
             template: None,
             cache: CurveCache::new(),
         }))
-    }
-
-    fn solve_in_group(
-        &self,
-        scenario: &Scenario,
-        options: &SolverOptions,
-        state: &mut dyn GroupState,
-    ) -> Result<LifetimeDistribution, KibamRmError> {
-        self.solve_in_group_budgeted(scenario, options, state, &Budget::unlimited())
-    }
-
-    fn solve_in_group_budgeted(
-        &self,
-        scenario: &Scenario,
-        options: &SolverOptions,
-        state: &mut dyn GroupState,
-        budget: &Budget,
-    ) -> Result<LifetimeDistribution, KibamRmError> {
-        match state
-            .as_any_mut()
-            .downcast_mut::<DiscretisationGroupState>()
-        {
-            Some(st) => self.with_budget(options).solve_grouped_one(
-                scenario,
-                &mut st.template,
-                &mut st.cache,
-                budget,
-            ),
-            // Not our state (a caller's bookkeeping slip): solve
-            // independently rather than mis-share.
-            None => self.solve_with_budget(scenario, options, budget),
-        }
     }
 }
 
@@ -813,14 +663,43 @@ impl SimulationSolver {
         )
     }
 
-    /// One solve on a given pool (shared result assembly of the solo and
-    /// grouped paths).
-    fn solve_on(
+    /// This backend's worker count under a sweep-level thread budget:
+    /// the budget caps it, it never raises it.
+    fn capped_threads(&self, options: &SolverOptions) -> usize {
+        self.threads.min(options.row_threads.max(1))
+    }
+}
+
+impl LifetimeSolver for SimulationSolver {
+    fn name(&self) -> &'static str {
+        "simulation"
+    }
+
+    fn capability(&self, _scenario: &Scenario) -> Capability {
+        Capability::Approximate
+    }
+
+    fn solve_in(
         &self,
         scenario: &Scenario,
-        pool: &McPool,
+        options: &SolverOptions,
+        state: Option<&mut dyn GroupState>,
         budget: &Budget,
     ) -> Result<LifetimeDistribution, KibamRmError> {
+        // Replication-level parallelism is this backend's worker pool:
+        // the row-thread budget (already divided among concurrent sweep
+        // workers) caps it, exactly as it caps the SpMV pool of the
+        // discretisation backend. The answer does not depend on the cap
+        // — only the wall time does — nor on whose pool runs it, so
+        // someone else's state counts as none.
+        let fresh;
+        let pool = match state.and_then(|s| s.as_any_mut().downcast_mut::<SimulationGroupState>()) {
+            Some(st) => &st.pool,
+            None => {
+                fresh = McPool::new(self.capped_threads(options));
+                &fresh
+            }
+        };
         // Fail fast before building the model (`is_exhausted` does not
         // consume a deterministic check, keeping batch counting exact).
         if budget.is_exhausted() {
@@ -853,51 +732,6 @@ impl SimulationSolver {
         )
     }
 
-    /// The solver with a sweep-level thread budget applied: the budget
-    /// caps this backend's worker count, it never raises it.
-    fn with_budget(&self, options: &SolverOptions) -> SimulationSolver {
-        let mut solver = *self;
-        solver.threads = solver.threads.min(options.row_threads.max(1));
-        solver
-    }
-}
-
-impl LifetimeSolver for SimulationSolver {
-    fn name(&self) -> &'static str {
-        "simulation"
-    }
-
-    fn capability(&self, _scenario: &Scenario) -> Capability {
-        Capability::Approximate
-    }
-
-    fn solve(&self, scenario: &Scenario) -> Result<LifetimeDistribution, KibamRmError> {
-        self.solve_on(scenario, &McPool::new(self.threads), &Budget::unlimited())
-    }
-
-    fn solve_with(
-        &self,
-        scenario: &Scenario,
-        options: &SolverOptions,
-    ) -> Result<LifetimeDistribution, KibamRmError> {
-        // Replication-level parallelism is this backend's worker pool:
-        // the row-thread budget (already divided among concurrent sweep
-        // workers) caps it, exactly as it caps the SpMV pool of the
-        // discretisation backend. The answer does not depend on the cap
-        // — only the wall time does.
-        self.with_budget(options).solve(scenario)
-    }
-
-    fn solve_with_budget(
-        &self,
-        scenario: &Scenario,
-        options: &SolverOptions,
-        budget: &Budget,
-    ) -> Result<LifetimeDistribution, KibamRmError> {
-        let solver = self.with_budget(options);
-        solver.solve_on(scenario, &McPool::new(solver.threads), budget)
-    }
-
     fn sweep_fingerprint(&self, scenario: &Scenario) -> Option<u64> {
         if scenario.sim_runs() == 0 {
             // solve() refuses this scenario; don't group refusals.
@@ -917,32 +751,8 @@ impl LifetimeSolver for SimulationSolver {
         // service, for the process lifetime): workers spawn once, not
         // once per scenario.
         Some(Box::new(SimulationGroupState {
-            pool: McPool::new(self.with_budget(options).threads),
+            pool: McPool::new(self.capped_threads(options)),
         }))
-    }
-
-    fn solve_in_group(
-        &self,
-        scenario: &Scenario,
-        options: &SolverOptions,
-        state: &mut dyn GroupState,
-    ) -> Result<LifetimeDistribution, KibamRmError> {
-        self.solve_in_group_budgeted(scenario, options, state, &Budget::unlimited())
-    }
-
-    fn solve_in_group_budgeted(
-        &self,
-        scenario: &Scenario,
-        options: &SolverOptions,
-        state: &mut dyn GroupState,
-        budget: &Budget,
-    ) -> Result<LifetimeDistribution, KibamRmError> {
-        match state.as_any_mut().downcast_mut::<SimulationGroupState>() {
-            Some(st) => self
-                .with_budget(options)
-                .solve_on(scenario, &st.pool, budget),
-            None => self.solve_with_budget(scenario, options, budget),
-        }
     }
 }
 
@@ -1000,7 +810,17 @@ impl LifetimeSolver for SericolaSolver {
         }
     }
 
-    fn solve(&self, scenario: &Scenario) -> Result<LifetimeDistribution, KibamRmError> {
+    fn solve_in(
+        &self,
+        scenario: &Scenario,
+        _options: &SolverOptions,
+        _state: Option<&mut dyn GroupState>,
+        budget: &Budget,
+    ) -> Result<LifetimeDistribution, KibamRmError> {
+        // No check points inside the exact algorithm: fail fast only.
+        if budget.is_exhausted() {
+            return Err(KibamRmError::DeadlineExceeded { completed: 0 });
+        }
         let started = Instant::now();
         let model = scenario.to_model()?;
         let curve = exact_linear_curve(&model, scenario.times())?;
@@ -1154,7 +974,8 @@ impl SolverRegistry {
     /// Selection errors from [`SolverRegistry::auto`] plus the chosen
     /// backend's solve errors.
     pub fn solve(&self, scenario: &Scenario) -> Result<LifetimeDistribution, KibamRmError> {
-        self.auto(scenario)?.solve_with(scenario, &self.options)
+        self.auto(scenario)?
+            .solve_in(scenario, &self.options, None, &Budget::unlimited())
     }
 
     /// Solves a whole scenario grid through a structure-sharing
@@ -1216,7 +1037,7 @@ impl SolverRegistry {
             ..self.options
         };
         let solve_one = |s: &Scenario| match self.auto(s) {
-            Ok(solver) => solver.solve_with(s, &per_solve),
+            Ok(solver) => solver.solve_in(s, &per_solve, None, &Budget::unlimited()),
             Err(e) => Err(e),
         };
         if workers <= 1 || scenarios.len() <= 1 {
@@ -1287,7 +1108,7 @@ impl SolverRegistry {
                 let members: Vec<&Scenario> =
                     group.members().iter().map(|&i| &scenarios[i]).collect();
                 let mut results = if members.len() == 1 {
-                    vec![solver.solve_with(members[0], &per_solve)]
+                    vec![solver.solve_in(members[0], &per_solve, None, &Budget::unlimited())]
                 } else {
                     solver.solve_group(&members, &per_solve)
                 };
@@ -1413,6 +1234,7 @@ impl CrossValidation {
 mod tests {
     use super::*;
     use crate::workload::Workload;
+    use markov::transient::Representation;
     use units::{Charge, Current, Frequency};
 
     /// Small linear scenario: Sericola stays cheap (νt ≈ 500).
@@ -1437,6 +1259,19 @@ mod tests {
 
     fn two_well() -> Scenario {
         Scenario::paper_cell_phone().unwrap()
+    }
+
+    /// The independent reference of every discretisation bit-identity
+    /// check: the derived chain solved by the plain uniformisation
+    /// curve, outside `solve_in` and its caches.
+    fn reference_bits(solver: &DiscretisationSolver, s: &Scenario) -> Vec<u64> {
+        let disc = solver.discretise(s).unwrap();
+        let curve = disc.empty_probability_curve(s.times()).unwrap();
+        curve.points.iter().map(|p| p.1.to_bits()).collect()
+    }
+
+    fn bits(d: &LifetimeDistribution) -> Vec<u64> {
+        d.points().iter().map(|p| p.1.to_bits()).collect()
     }
 
     #[test]
@@ -1557,11 +1392,9 @@ mod tests {
             "{swept} rows"
         );
         let family = [fig8.with_rate_scale(0.5).unwrap(), fig8.clone()];
-        let bits =
-            |d: &LifetimeDistribution| d.points().iter().map(|p| p.1.to_bits()).collect::<Vec<_>>();
         let reference: Vec<_> = family
             .iter()
-            .map(|s| bits(&DiscretisationSolver::new().solve(s).unwrap()))
+            .map(|s| reference_bits(&DiscretisationSolver::new(), s))
             .collect();
         for threads in 1..=4 {
             let solver = DiscretisationSolver::new().with_threads(threads);
@@ -1570,7 +1403,6 @@ mod tests {
             let mut registry = SolverRegistry::empty().with_options(SolverOptions {
                 scenario_threads: 1,
                 row_threads: threads,
-                representation: Representation::Auto,
             });
             registry.register(Box::new(solver));
             for (slot, result) in registry.sweep(&family).iter().enumerate() {
@@ -1631,7 +1463,6 @@ mod tests {
         let opts = SolverOptions {
             scenario_threads: 4,
             row_threads: 8,
-            ..Default::default()
         };
         // 4 active sweep workers each get a cap of 8/4 = 2 row threads.
         assert_eq!(opts.row_threads_per_solve(4), 2);
@@ -1649,57 +1480,47 @@ mod tests {
 
         let registry = SolverRegistry::with_default_backends().with_options(opts);
         assert_eq!(*registry.options(), opts);
-        // solve_with on the discretisation backend honours the budget
-        // and produces the same curve as the plain solve.
+        // The thread budget only moves wall time: both row-parallel
+        // backends answer with the bits of their default-options solve.
         let s = two_well()
             .with_delta(Charge::from_milliamp_hours(50.0))
             .with_simulation(10, 1);
+        let unlimited = Budget::unlimited();
         let solver = DiscretisationSolver::new();
-        let budgeted = solver.solve_with(&s, &opts).unwrap();
-        let plain = solver.solve(&s).unwrap();
-        assert!(budgeted.max_difference(&plain).unwrap() < 1e-12);
-        // Backends without row-level parallelism ignore the budget.
+        let budgeted = solver.solve_in(&s, &opts, None, &unlimited).unwrap();
+        assert_eq!(bits(&budgeted), reference_bits(&solver, &s));
         let sim = SimulationSolver::new();
-        let a = sim.solve_with(&s, &opts).unwrap();
+        let a = sim.solve_in(&s, &opts, None, &unlimited).unwrap();
         let b = sim.solve(&s).unwrap();
-        assert!(a.max_difference(&b).unwrap() < 1e-15);
+        assert_eq!(a.points(), b.points());
     }
 
     #[test]
-    fn representation_override_flows_through_solve_with() {
-        // SolverOptions can pin the storage format; the curve must not
-        // depend on which representation computed it (within ε).
+    fn representation_choice_flows_through_with_transient() {
+        // The backend's uniformisation options pin the storage format;
+        // the curve must not depend on which representation computed it
+        // (within ε).
         let s = two_well()
             .with_delta(Charge::from_milliamp_hours(50.0))
             .with_simulation(10, 1);
-        let solver = DiscretisationSolver::new();
-        let auto = solver.solve(&s).unwrap();
-        let forced_csr = solver
-            .solve_with(
-                &s,
-                &SolverOptions {
-                    representation: Representation::Csr,
-                    ..SolverOptions::sequential()
-                },
-            )
-            .unwrap();
-        let forced_banded = solver
-            .solve_with(
-                &s,
-                &SolverOptions {
-                    representation: Representation::Banded,
-                    ..SolverOptions::sequential()
-                },
-            )
-            .unwrap();
+        let pinned = |representation| {
+            DiscretisationSolver::new().with_transient(TransientOptions {
+                representation,
+                ..TransientOptions::default()
+            })
+        };
+        let auto = DiscretisationSolver::new().solve(&s).unwrap();
+        let forced_csr = pinned(Representation::Csr).solve(&s).unwrap();
+        let forced_banded = pinned(Representation::Banded).solve(&s).unwrap();
         // Auto and forced-banded both run the active window (ε split),
         // so the provable bound against the full-ε CSR engine is 2ε
         // with the default ε = 1e-10.
         assert!(auto.max_difference(&forced_csr).unwrap() < 2e-10);
         assert!(forced_banded.max_difference(&forced_csr).unwrap() < 2e-10);
-        // Auto in the budget defers to the backend's own configuration.
-        let opts = SolverOptions::sequential();
-        assert_eq!(opts.representation, Representation::Auto);
+        assert_eq!(
+            pinned(Representation::Csr).transient().representation,
+            Representation::Csr
+        );
     }
 
     #[test]
@@ -1743,7 +1564,13 @@ mod tests {
             fn capability(&self, _s: &Scenario) -> Capability {
                 Capability::Exact
             }
-            fn solve(&self, _s: &Scenario) -> Result<LifetimeDistribution, KibamRmError> {
+            fn solve_in(
+                &self,
+                _s: &Scenario,
+                _options: &SolverOptions,
+                _state: Option<&mut dyn GroupState>,
+                _budget: &Budget,
+            ) -> Result<LifetimeDistribution, KibamRmError> {
                 let t = Time::from_seconds(5.0);
                 LifetimeDistribution::new(
                     "duplicate-grid",
@@ -1829,7 +1656,7 @@ mod tests {
         let swept = registry.sweep_with_threads(&batch, 2);
         for (s, r) in batch.iter().zip(&swept) {
             let independent = SimulationSolver::new()
-                .solve_with(s, &SolverOptions::sequential())
+                .solve_in(s, &SolverOptions::sequential(), None, &Budget::unlimited())
                 .unwrap();
             let r = r.as_ref().unwrap();
             assert_eq!(
@@ -1911,7 +1738,13 @@ mod tests {
             fn capability(&self, _s: &Scenario) -> Capability {
                 Capability::Unsupported("always refuses".into())
             }
-            fn solve(&self, _s: &Scenario) -> Result<LifetimeDistribution, KibamRmError> {
+            fn solve_in(
+                &self,
+                _s: &Scenario,
+                _options: &SolverOptions,
+                _state: Option<&mut dyn GroupState>,
+                _budget: &Budget,
+            ) -> Result<LifetimeDistribution, KibamRmError> {
                 unreachable!("never selected")
             }
         }
@@ -1951,7 +1784,13 @@ mod tests {
             fn capability(&self, _s: &Scenario) -> Capability {
                 Capability::Exact
             }
-            fn solve(&self, s: &Scenario) -> Result<LifetimeDistribution, KibamRmError> {
+            fn solve_in(
+                &self,
+                s: &Scenario,
+                _options: &SolverOptions,
+                _state: Option<&mut dyn GroupState>,
+                _budget: &Budget,
+            ) -> Result<LifetimeDistribution, KibamRmError> {
                 self.started.lock().unwrap().push(s.name().to_owned());
                 LifetimeDistribution::new(
                     "recording",
@@ -2084,14 +1923,14 @@ mod tests {
         let solver = DiscretisationSolver::new();
         let s = two_well();
         let options = SolverOptions::sequential();
-        let reference = solver.solve_with(&s, &options).unwrap();
+        let reference = reference_bits(&solver, &s);
         for k in [0, 1, 7] {
             let mut state = solver.new_group_state(&options).unwrap();
             let err = solver
-                .solve_in_group_budgeted(
+                .solve_in(
                     &s,
                     &options,
-                    state.as_mut(),
+                    Some(state.as_mut()),
                     &Budget::cancelled_after_checks(k),
                 )
                 .expect_err("budget must interrupt the sweep");
@@ -2103,9 +1942,9 @@ mod tests {
                 "k = {k}"
             );
             let rerun = solver
-                .solve_in_group_budgeted(&s, &options, state.as_mut(), &Budget::unlimited())
+                .solve_in(&s, &options, Some(state.as_mut()), &Budget::unlimited())
                 .unwrap();
-            assert_eq!(rerun.points(), reference.points(), "k = {k}");
+            assert_eq!(bits(&rerun), reference, "k = {k}");
         }
     }
 
@@ -2114,19 +1953,19 @@ mod tests {
         let solver = SimulationSolver::new().with_batch(100);
         let s = small_linear(); // 400 replications in 4 batches
         let options = SolverOptions::sequential();
-        let reference = solver.solve_with(&s, &options).unwrap();
+        let reference = solver.solve(&s).unwrap();
         let mut state = solver.new_group_state(&options).unwrap();
         let err = solver
-            .solve_in_group_budgeted(
+            .solve_in(
                 &s,
                 &options,
-                state.as_mut(),
+                Some(state.as_mut()),
                 &Budget::cancelled_after_checks(2),
             )
             .expect_err("budget must stop the batch loop");
         assert_eq!(err, KibamRmError::DeadlineExceeded { completed: 200 });
         let rerun = solver
-            .solve_in_group_budgeted(&s, &options, state.as_mut(), &Budget::unlimited())
+            .solve_in(&s, &options, Some(state.as_mut()), &Budget::unlimited())
             .unwrap();
         assert_eq!(rerun.points(), reference.points());
         assert_eq!(rerun.diagnostics().runs, Some(400));
@@ -2145,7 +1984,7 @@ mod tests {
             Box::new(SericolaSolver::new()),
         ] {
             let err = solver
-                .solve_with_budget(&s, &options, &expired)
+                .solve_in(&s, &options, None, &expired)
                 .expect_err("expired budget must refuse");
             assert_eq!(
                 err,
@@ -2160,19 +1999,59 @@ mod tests {
     fn budgeted_solo_solves_match_the_plain_paths_bit_for_bit() {
         let options = SolverOptions::sequential();
         let s = two_well();
-        let a = DiscretisationSolver::new()
-            .solve_with(&s, &options)
+        let solver = DiscretisationSolver::new();
+        let solved = solver
+            .solve_in(&s, &options, None, &Budget::unlimited())
             .unwrap();
-        let b = DiscretisationSolver::new()
-            .solve_with_budget(&s, &options, &Budget::unlimited())
-            .unwrap();
-        assert_eq!(a.points(), b.points());
+        assert_eq!(bits(&solved), reference_bits(&solver, &s));
+        // The simulation backend's plain path: the streaming study the
+        // solve summarises.
         let s = small_linear();
-        let a = SimulationSolver::new().solve_with(&s, &options).unwrap();
-        let b = SimulationSolver::new()
-            .solve_with_budget(&s, &options, &Budget::unlimited())
+        let solver = SimulationSolver::new();
+        let solved = solver
+            .solve_in(&s, &options, None, &Budget::unlimited())
             .unwrap();
-        assert_eq!(a.points(), b.points());
+        let study = solver.streaming_study(&s).unwrap();
+        let n = study.total_runs() as f64;
+        let plain: Vec<u64> = study
+            .cumulative_counts()
+            .into_iter()
+            .map(|count| (count as f64 / n).to_bits())
+            .collect();
+        assert_eq!(bits(&solved), plain);
+    }
+
+    #[test]
+    fn another_backends_group_state_solves_like_none() {
+        // A state handed to the wrong backend is a caller's bookkeeping
+        // slip: each backend must ignore it and answer with the bits of
+        // a stateless solve, not mis-share.
+        let options = SolverOptions::sequential();
+        let unlimited = Budget::unlimited();
+        let s = two_well().with_delta(Charge::from_milliamp_hours(50.0));
+        let disc = DiscretisationSolver::new();
+        let sim = SimulationSolver::new();
+        let mut sim_state = sim.new_group_state(&options).unwrap();
+        let foreign = disc
+            .solve_in(&s, &options, Some(sim_state.as_mut()), &unlimited)
+            .unwrap();
+        let stateless = disc.solve_in(&s, &options, None, &unlimited).unwrap();
+        assert_eq!(bits(&foreign), bits(&stateless));
+
+        let s = small_linear();
+        let mut disc_state = disc.new_group_state(&options).unwrap();
+        let foreign = sim
+            .solve_in(&s, &options, Some(disc_state.as_mut()), &unlimited)
+            .unwrap();
+        let stateless = sim.solve_in(&s, &options, None, &unlimited).unwrap();
+        assert_eq!(bits(&foreign), bits(&stateless));
+        // Neither state was touched: the discretisation state is still
+        // empty, so it holds no warm bytes.
+        let disc_state = disc_state
+            .as_any_mut()
+            .downcast_mut::<DiscretisationGroupState>()
+            .unwrap();
+        assert_eq!(disc_state.approx_bytes(), 0);
     }
 
     #[test]
@@ -2189,22 +2068,20 @@ mod tests {
             .map(|&g| base.with_rate_scale(g).unwrap())
             .collect();
         let members: Vec<&Scenario> = family.iter().collect();
-        let solver = DiscretisationSolver::new();
         for representation in [
             Representation::Auto,
             Representation::Banded,
             Representation::Csr,
         ] {
-            let options = SolverOptions {
+            let solver = DiscretisationSolver::new().with_transient(TransientOptions {
                 representation,
-                ..SolverOptions::sequential()
-            };
-            let grouped = solver.solve_group(&members, &options);
+                ..TransientOptions::default()
+            });
+            let grouped = solver.solve_group(&members, &SolverOptions::sequential());
             for (s, got) in members.iter().zip(&grouped) {
-                let solo = solver.solve_with(s, &options).unwrap();
                 assert_eq!(
-                    got.as_ref().unwrap().points(),
-                    solo.points(),
+                    bits(got.as_ref().unwrap()),
+                    reference_bits(&solver, s),
                     "{representation:?}"
                 );
             }

@@ -353,9 +353,11 @@ impl SweepPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::{Capability, LifetimeSolver, SolverOptions};
+    use crate::solver::{
+        Budget, Capability, DiscretisationSolver, GroupState, LifetimeSolver, SolverOptions,
+    };
     use crate::{LifetimeDistribution, SolveDiagnostics};
-    use markov::transient::Representation;
+    use markov::transient::{Representation, TransientOptions};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use units::{Current, Frequency, Time};
 
@@ -385,7 +387,6 @@ mod tests {
         SolverRegistry::with_default_backends().with_options(SolverOptions {
             scenario_threads: 1,
             row_threads: 1,
-            representation: Representation::Auto,
         })
     }
 
@@ -490,7 +491,13 @@ mod tests {
             fn capability(&self, _s: &Scenario) -> Capability {
                 Capability::Exact
             }
-            fn solve(&self, s: &Scenario) -> Result<LifetimeDistribution, KibamRmError> {
+            fn solve_in(
+                &self,
+                s: &Scenario,
+                _options: &SolverOptions,
+                _state: Option<&mut dyn GroupState>,
+                _budget: &Budget,
+            ) -> Result<LifetimeDistribution, KibamRmError> {
                 SOLVES.fetch_add(1, Ordering::SeqCst);
                 LifetimeDistribution::new(
                     "counting",
@@ -567,11 +574,15 @@ mod tests {
             } else {
                 Representation::Csr
             };
-            let registry = SolverRegistry::with_default_backends().with_options(SolverOptions {
+            let solver = DiscretisationSolver::new().with_transient(TransientOptions {
+                representation,
+                ..TransientOptions::default()
+            });
+            let mut registry = SolverRegistry::empty().with_options(SolverOptions {
                 scenario_threads: threads,
                 row_threads: 1, // deterministic accumulation across workers
-                representation,
             });
+            registry.register(Box::new(solver.clone()));
             let grid = ScenarioGrid::new(base())
                 .deltas(vec![
                     Charge::from_amp_seconds(300.0),
@@ -585,17 +596,19 @@ mod tests {
             let scenarios = grid.expand().unwrap();
             let planned = registry.sweep_with_threads(&scenarios, threads);
             for (s, p) in scenarios.iter().zip(&planned) {
-                let solver = registry.auto(s).unwrap();
+                // The independent reference: the derived chain solved by
+                // the plain uniformisation curve, outside every cache.
                 let independent = solver
-                    .solve_with(s, &SolverOptions {
-                        scenario_threads: 1,
-                        row_threads: 1,
-                        representation,
-                    })
+                    .discretise(s)
+                    .unwrap()
+                    .empty_probability_curve(s.times())
                     .unwrap();
-                let p = p.as_ref().unwrap();
+                let planned_bits: Vec<u64> =
+                    p.as_ref().unwrap().points().iter().map(|x| x.1.to_bits()).collect();
+                let independent_bits: Vec<u64> =
+                    independent.points.iter().map(|x| x.1.to_bits()).collect();
                 prop_assert!(
-                    p.points() == independent.points(),
+                    planned_bits == independent_bits,
                     "scenario {} differs from its independent solve",
                     s.name()
                 );

@@ -8,7 +8,9 @@
 use kibamrm::distribution::LifetimeDistribution;
 use kibamrm::scenario::Scenario;
 use kibamrm::service::LifetimeService;
-use kibamrm::solver::{Capability, LifetimeSolver, SolverRegistry};
+use kibamrm::solver::{
+    Budget, Capability, GroupState, LifetimeSolver, SolverOptions, SolverRegistry,
+};
 use kibamrm::workload::Workload;
 use kibamrm::KibamRmError;
 use kibamrm_net::{client, Json, NetConfig, Server, ServerControl};
@@ -33,7 +35,13 @@ impl LifetimeSolver for CountingSolver {
     fn capability(&self, _scenario: &Scenario) -> Capability {
         Capability::Exact
     }
-    fn solve(&self, scenario: &Scenario) -> Result<LifetimeDistribution, KibamRmError> {
+    fn solve_in(
+        &self,
+        scenario: &Scenario,
+        _options: &SolverOptions,
+        _state: Option<&mut dyn GroupState>,
+        _budget: &Budget,
+    ) -> Result<LifetimeDistribution, KibamRmError> {
         self.solves.fetch_add(1, Ordering::SeqCst);
         if !self.delay.is_zero() {
             std::thread::sleep(self.delay);

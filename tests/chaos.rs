@@ -19,7 +19,9 @@ use kibamrm::scenario::Scenario;
 use kibamrm::service::{
     Answer, LifetimeService, QueryOptions, RetryPolicy, ServiceConfig, ServiceError,
 };
-use kibamrm::solver::{Capability, LifetimeSolver, SolverRegistry};
+use kibamrm::solver::{
+    Budget, Capability, GroupState, LifetimeSolver, SolverOptions, SolverRegistry,
+};
 use kibamrm::workload::Workload;
 use kibamrm::KibamRmError;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -40,7 +42,18 @@ impl LifetimeSolver for Inner {
     fn capability(&self, _s: &Scenario) -> Capability {
         Capability::Exact
     }
-    fn solve(&self, s: &Scenario) -> Result<LifetimeDistribution, KibamRmError> {
+    fn solve_in(
+        &self,
+        s: &Scenario,
+        _options: &SolverOptions,
+        _state: Option<&mut dyn GroupState>,
+        budget: &Budget,
+    ) -> Result<LifetimeDistribution, KibamRmError> {
+        // No check points of its own, so it fails fast on a budget an
+        // injected delay has already spent, as the trait asks.
+        if budget.is_exhausted() {
+            return Err(KibamRmError::DeadlineExceeded { completed: 0 });
+        }
         self.solves.fetch_add(1, Ordering::SeqCst);
         let n = s.times().len() as f64;
         let bias = s.capacity().as_amp_seconds() % 1.0 / 10.0;

@@ -8,7 +8,9 @@
 use kibamrm::distribution::LifetimeDistribution;
 use kibamrm::scenario::Scenario;
 use kibamrm::service::{LifetimeService, ServiceConfig};
-use kibamrm::solver::{Capability, LifetimeSolver, SolverOptions, SolverRegistry};
+use kibamrm::solver::{
+    Budget, Capability, GroupState, LifetimeSolver, SolverOptions, SolverRegistry,
+};
 use kibamrm::workload::Workload;
 use kibamrm::KibamRmError;
 use proptest::prelude::*;
@@ -30,7 +32,13 @@ impl LifetimeSolver for CountingSolver {
     fn capability(&self, _scenario: &Scenario) -> Capability {
         Capability::Exact
     }
-    fn solve(&self, scenario: &Scenario) -> Result<LifetimeDistribution, KibamRmError> {
+    fn solve_in(
+        &self,
+        scenario: &Scenario,
+        _options: &SolverOptions,
+        _state: Option<&mut dyn GroupState>,
+        _budget: &Budget,
+    ) -> Result<LifetimeDistribution, KibamRmError> {
         self.solves.fetch_add(1, Ordering::SeqCst);
         let n = scenario.times().len() as f64;
         let bias = scenario.capacity().as_amp_seconds() % 1.0 / 10.0;
