@@ -8,8 +8,8 @@
 //! certified on every run (and re-checked by `bench-harness regress`):
 //!
 //! * **reproducibility** — the streaming study is bit-identical across
-//!   worker pools of 1, 2, 4 and 8 threads (counter-derived replication
-//!   streams + batch-ordered merging);
+//!   1, 2, 4 and 8 worker threads (counter-derived replication streams +
+//!   batch-ordered merging);
 //! * **CI-band agreement** — the fixed-seed sup distance between the
 //!   simulated and exact curves stays within 3× the study's largest
 //!   Wilson half-width;
@@ -19,7 +19,7 @@
 use super::config::Config;
 use super::write_json;
 use kibamrm::scenario::Scenario;
-use kibamrm::solver::{LifetimeSolver, SericolaSolver, SimulationSolver};
+use kibamrm::solver::{Budget, LifetimeSolver, SericolaSolver, SimulationSolver, SolverOptions};
 use kibamrm::workload::Workload;
 use units::{Charge, Current, Frequency, Time};
 
@@ -55,7 +55,7 @@ pub(crate) fn gate_scenario(runs: usize, seed: u64) -> Result<Scenario, String> 
 
 /// The three machine-independent gate facts, shared with `regress`.
 pub(crate) struct GateFacts {
-    /// Bit-identity held across worker pools of 1, 2, 4 and 8 threads.
+    /// Bit-identity held across 1, 2, 4 and 8 worker threads.
     pub bit_identical: bool,
     /// Fixed-seed sup distance of the simulated curve from the exact one.
     pub sup_distance: f64,
@@ -75,7 +75,7 @@ impl GateFacts {
 /// Runs the gate configuration and checks reproducibility + agreement.
 pub(crate) fn gate_facts(runs: usize, seed: u64) -> Result<GateFacts, String> {
     use kibamrm::simulate::streaming_lifetime_study;
-    use sim::engine::{McOptions, McPool};
+    use sim::engine::McOptions;
 
     let scenario = gate_scenario(runs, seed)?;
     let model = scenario.to_model().map_err(|e| e.to_string())?;
@@ -83,10 +83,10 @@ pub(crate) fn gate_facts(runs: usize, seed: u64) -> Result<GateFacts, String> {
         runs: runs as u64,
         ..McOptions::default()
     };
-    // Thread-count bit-identity: the engine guarantee the whole PR
-    // rests on. Unclamped pools (`with_exact_threads`) keep the check
-    // meaningful even on a single-core CI box — real worker threads,
-    // real out-of-order completions.
+    // Thread-count bit-identity: the guarantee the engine rests on.
+    // The engine takes the thread count as given (no clamp to the
+    // machine), which keeps the check meaningful even on a single-core
+    // CI box — real worker threads, real out-of-order completions.
     let run_with = |threads: usize| {
         streaming_lifetime_study(
             &model,
@@ -94,7 +94,8 @@ pub(crate) fn gate_facts(runs: usize, seed: u64) -> Result<GateFacts, String> {
             scenario.horizon(),
             scenario.sim_seed(),
             &opts,
-            &McPool::with_exact_threads(threads),
+            threads,
+            &Budget::unlimited(),
         )
         .map_err(|e| e.to_string())
     };
@@ -153,7 +154,11 @@ pub fn run(cfg: &Config) -> Result<(), String> {
     let adaptive_scenario = gate_scenario(200, GATE_SEED)?;
     let adaptive_solver = SimulationSolver::new().with_adaptive(adaptive_target, 1 << 16);
     let adaptive = adaptive_solver
-        .streaming_study(&adaptive_scenario)
+        .streaming_study(
+            &adaptive_scenario,
+            SolverOptions::default().row_threads,
+            &Budget::unlimited(),
+        )
         .map_err(|e| e.to_string())?;
     let adaptive_runs = adaptive.total_runs();
     let adaptive_hw = adaptive.max_half_width();

@@ -440,7 +440,7 @@ fn worker_check(
 }
 
 /// Re-runs the Monte Carlo gate configuration: the streaming engine must
-/// stay bit-identical across worker-pool sizes and inside the Wilson
+/// stay bit-identical across worker counts and inside the Wilson
 /// band of the exact curve, and the committed facts must have been
 /// recorded passing (a baseline regenerated in a broken state fails the
 /// gate rather than laundering the breakage).
@@ -487,7 +487,7 @@ fn mc_gate(committed: &Json, report: &mut Report) -> Result<(), String> {
         "mc thread bit-identity",
         facts.bit_identical,
         format!(
-            "streaming studies across worker pools 1/2/4/8 at {} runs",
+            "streaming studies across worker counts 1/2/4/8 at {} runs",
             facts.runs
         ),
     );

@@ -27,10 +27,12 @@
 //!    `(backend, sweep_fingerprint)`: the same warm
 //!    [`GroupState`] a batch sweep would
 //!    thread through a plan group — one `DiscretisationTemplate` +
-//!    `CurveCache` for a rate-rescale family, one `McPool` for
-//!    simulation traffic — now kept resident across requests. Same-group
-//!    solves serialise on the group state (exactly like a batch group's
-//!    member order); different groups solve concurrently.
+//!    `CurveCache` for a rate-rescale family — now kept resident across
+//!    requests. Same-group solves serialise on the group state (exactly
+//!    like a batch group's member order); different groups solve
+//!    concurrently. Backends without a fingerprint (the simulation
+//!    backend: each Monte Carlo query runs its own study) keep no warm
+//!    state and never wait on one another.
 //! 3. **Caching.** Solved distributions land in a bounded LRU keyed by
 //!    the scenario bytes, budgeted in bytes via
 //!    [`LifetimeDistribution::size_in_bytes`] (hits hand out `Arc`
@@ -371,9 +373,9 @@ pub struct ServiceConfig {
     /// [`LifetimeDistribution::size_in_bytes`]. `0` disables result
     /// caching (single-flight dedup still applies). Default: 32 MiB.
     pub cache_capacity_bytes: usize,
-    /// Entry budget of the warm group-state LRU (templates, curve
-    /// caches, worker pools). `0` disables warm-state reuse — every
-    /// solve assembles its own state. Default: 16.
+    /// Entry budget of the warm group-state LRU (discretisation
+    /// templates and curve caches). `0` disables warm-state reuse —
+    /// every solve assembles its own state. Default: 16.
     pub warm_capacity: usize,
     /// Per-solve thread budget handed to the backends (see
     /// [`SolverOptions`]).
@@ -1310,9 +1312,9 @@ impl LifetimeService {
         }
         inner.warm_misses += 1;
         // Create outside the lock? State construction is cheap for the
-        // current backends (pool workers spawn lazily on first use for
-        // small thread counts) — and creating inside the lock guarantees
-        // at most one state per group ever exists, which is the whole
+        // current backends (an empty template and cache, filled by the
+        // first solve) — and creating inside the lock guarantees at
+        // most one state per group ever exists, which is the whole
         // point of a live group.
         let state = Arc::new(Mutex::new(make(&self.config.options)?));
         while inner.warm.len() >= self.config.warm_capacity {
@@ -1883,6 +1885,32 @@ mod tests {
         assert_eq!(stats.warm_misses, 1);
         assert_eq!(stats.warm_hits, 2);
         assert_eq!(stats.warm_entries, 1);
+    }
+
+    #[test]
+    fn simulation_queries_share_no_warm_state() {
+        // Regression: every Monte Carlo scenario used to share one
+        // fingerprint and so one resident worker pool, whose mutex made
+        // concurrent MC queries wait on each other. Each MC query now
+        // solves on its own, with no warm state to create or find.
+        let mut registry = SolverRegistry::empty();
+        registry.register(Box::new(SimulationSolver::new()));
+        let service = LifetimeService::with_config(
+            registry,
+            ServiceConfig::default().with_options(SolverOptions::sequential()),
+        );
+        let (a, b) = (linear(1), linear(2));
+        let fresh = |s: &Scenario| {
+            SimulationSolver::new()
+                .solve_in(s, &SolverOptions::sequential(), None, &Budget::unlimited())
+                .unwrap()
+        };
+        assert_eq!(service.query(&a).unwrap().points(), fresh(&a).points());
+        assert_eq!(service.query(&b).unwrap().points(), fresh(&b).points());
+        let stats = service.stats();
+        assert_eq!(stats.misses, 2);
+        assert_eq!((stats.warm_hits, stats.warm_misses), (0, 0));
+        assert_eq!(stats.warm_entries, 0);
     }
 
     #[test]

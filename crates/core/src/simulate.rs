@@ -11,7 +11,7 @@
 //! * [`lifetime_study`] — the exact-order-statistics reference: every
 //!   observed lifetime is kept (O(runs) memory);
 //! * [`streaming_lifetime_study`] — the production path: replications
-//!   run on a [`sim::engine::McPool`] worker pool and fold into a
+//!   run on [`sim::engine::run_study`]'s scoped workers and fold into a
 //!   fixed-grid [`StreamingLifetimeStudy`] (O(grid) memory,
 //!   bit-identical for any thread count), with an optional adaptive
 //!   Wilson-half-width stopping rule.
@@ -19,7 +19,7 @@
 use crate::model::KibamRm;
 use crate::KibamRmError;
 use markov::Budget;
-use sim::engine::{EngineError, McOptions, McPool, Replication};
+use sim::engine::{run_study, EngineError, McOptions, Replication};
 use sim::replication::{run_replications, LifetimeStudy};
 use sim::rng::SimRng;
 use sim::streaming::StreamingLifetimeStudy;
@@ -112,17 +112,23 @@ pub fn lifetime_study(
     })
 }
 
-/// Runs the parallel streaming study: replications on `pool`'s workers,
-/// folded into a fixed-grid accumulator over `grid` (O(grid) memory),
-/// under `opts`' stopping rule. Results are bit-identical for any
-/// worker count, and agree replication by replication with
-/// [`lifetime_study`] on the same seed (both draw replication `i` from
-/// [`SimRng::stream`]`(seed, i)`).
+/// Runs the parallel streaming study: replications on up to `threads`
+/// workers, folded into a fixed-grid accumulator over `grid` (O(grid)
+/// memory), under `opts`' stopping rule and a cooperative [`Budget`].
+/// Results are bit-identical for any worker count, and agree
+/// replication by replication with [`lifetime_study`] on the same seed
+/// (both draw replication `i` from [`SimRng::stream`]`(seed, i)`).
+///
+/// The budget is checked once per batch checkpoint; an exhausted budget
+/// stops dispatching (the batches in flight finish first) and surfaces
+/// [`KibamRmError::DeadlineExceeded`] with the replications that merged
+/// into the study.
 ///
 /// # Errors
 ///
 /// [`KibamRmError::InvalidWorkload`] on empty/unsorted grids, a horizon
-/// short of the grid, or inconsistent engine options; the first
+/// short of the grid, or inconsistent engine options;
+/// [`KibamRmError::DeadlineExceeded`] on budget exhaustion; the first
 /// per-replication simulation error otherwise.
 pub fn streaming_lifetime_study(
     model: &KibamRm,
@@ -130,29 +136,7 @@ pub fn streaming_lifetime_study(
     horizon: Time,
     seed: u64,
     opts: &McOptions,
-    pool: &McPool,
-) -> Result<StreamingLifetimeStudy, KibamRmError> {
-    streaming_lifetime_study_budgeted(model, grid, horizon, seed, opts, pool, &Budget::unlimited())
-}
-
-/// [`streaming_lifetime_study`] under a cooperative [`Budget`]: the
-/// token is checked once per batch checkpoint, and an exhausted budget
-/// stops dispatching (draining in-flight batches first) and surfaces
-/// [`KibamRmError::DeadlineExceeded`] with the replications that merged
-/// into the study. With [`Budget::unlimited`] this is exactly
-/// [`streaming_lifetime_study`].
-///
-/// # Errors
-///
-/// As for [`streaming_lifetime_study`], plus
-/// [`KibamRmError::DeadlineExceeded`] on budget exhaustion.
-pub fn streaming_lifetime_study_budgeted(
-    model: &KibamRm,
-    grid: &[Time],
-    horizon: Time,
-    seed: u64,
-    opts: &McOptions,
-    pool: &McPool,
+    threads: usize,
     budget: &Budget,
 ) -> Result<StreamingLifetimeStudy, KibamRmError> {
     // The engine sees a plain `Replication`; the actual error object
@@ -168,7 +152,8 @@ pub fn streaming_lifetime_study_budgeted(
         }
     };
     let grid_seconds: Vec<f64> = grid.iter().map(|t| t.as_seconds()).collect();
-    pool.run_study_budgeted(
+    run_study(
+        threads,
         grid_seconds,
         horizon.as_seconds(),
         seed,
@@ -382,8 +367,9 @@ mod tests {
             runs: 300,
             ..McOptions::default()
         };
-        let pool = McPool::with_exact_threads(1);
-        let streaming = streaming_lifetime_study(&m, &grid, horizon, 1234, &opts, &pool).unwrap();
+        let streaming =
+            streaming_lifetime_study(&m, &grid, horizon, 1234, &opts, 1, &Budget::unlimited())
+                .unwrap();
         let exact = lifetime_study(&m, horizon, 300, 1234).unwrap();
         assert_eq!(streaming.total_runs(), 300);
         for (i, t) in grid.iter().enumerate() {
@@ -412,19 +398,13 @@ mod tests {
             batch: 32,
             ..McOptions::default()
         };
-        let reference =
-            streaming_lifetime_study(&m, &grid, horizon, 7, &opts, &McPool::with_exact_threads(1))
-                .unwrap();
+        let study = |threads| {
+            streaming_lifetime_study(&m, &grid, horizon, 7, &opts, threads, &Budget::unlimited())
+                .unwrap()
+        };
+        let reference = study(1);
         for threads in [2, 4] {
-            let study = streaming_lifetime_study(
-                &m,
-                &grid,
-                horizon,
-                7,
-                &opts,
-                &McPool::with_exact_threads(threads),
-            )
-            .unwrap();
+            let study = study(threads);
             assert_eq!(study, reference, "threads = {threads}");
         }
     }

@@ -38,12 +38,12 @@ use crate::discretise::{DiscretisationOptions, DiscretisationTemplate, Discretis
 use crate::distribution::{LifetimeDistribution, SolveDiagnostics};
 use crate::scenario::Scenario;
 use crate::simulate::lifetime_study;
-use crate::simulate::streaming_lifetime_study_budgeted;
+use crate::simulate::streaming_lifetime_study;
 use crate::sweep::SweepPlan;
 use crate::KibamRmError;
 use markov::transient::{CurveCache, TransientOptions};
 pub use markov::Budget;
-use sim::engine::{McOptions, McPool};
+use sim::engine::McOptions;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 use units::Time;
@@ -485,9 +485,9 @@ impl GroupState for DiscretisationGroupState {
 // --------------------------------------------------------------------
 
 /// Monte Carlo over the exact KiBaMRM dynamics as a solver — the
-/// parallel streaming engine ([`sim::engine::McPool`]).
+/// parallel streaming engine ([`sim::engine::run_study`]).
 ///
-/// Replications run on a worker pool in fixed batches whose partial
+/// Replications run on scoped workers in fixed batches whose partial
 /// accumulators merge in batch order, with per-replication
 /// counter-derived RNG streams — so a solve's result is **bit-identical
 /// for any thread count** (the same guarantee the SpMV pool gives the
@@ -627,46 +627,46 @@ impl SimulationSolver {
 
     /// The streaming study behind a solve: fixed-grid depletion counts
     /// over the scenario's query times plus moment sketches, produced by
-    /// the parallel engine under this solver's stopping rule (O(grid)
-    /// memory, bit-identical for any thread count).
+    /// the parallel engine under this solver's stopping rule and a
+    /// cooperative [`Budget`] (O(grid) memory, bit-identical for any
+    /// thread count).
+    ///
+    /// `threads` caps the worker count the way
+    /// [`SolverOptions::row_threads`] caps a solve's: the solver's own
+    /// [`with_threads`](SimulationSolver::with_threads) count and the
+    /// machine's available parallelism cap it further. Only the wall
+    /// time depends on it.
     ///
     /// # Errors
     ///
-    /// As for [`LifetimeSolver::solve`].
+    /// As for [`LifetimeSolver::solve_in`].
     pub fn streaming_study(
         &self,
         scenario: &Scenario,
-    ) -> Result<sim::streaming::StreamingLifetimeStudy, KibamRmError> {
-        let pool = McPool::new(self.threads);
-        self.streaming_study_on(scenario, &pool, &Budget::unlimited())
-    }
-
-    /// [`SimulationSolver::streaming_study`] on an existing worker pool
-    /// (what [`LifetimeSolver::solve_group`] shares across a sweep
-    /// group).
-    fn streaming_study_on(
-        &self,
-        scenario: &Scenario,
-        pool: &McPool,
+        threads: usize,
         budget: &Budget,
     ) -> Result<sim::streaming::StreamingLifetimeStudy, KibamRmError> {
         let model = scenario.to_model()?;
         let opts = self.engine_options(scenario)?;
-        streaming_lifetime_study_budgeted(
+        streaming_lifetime_study(
             &model,
             scenario.times(),
             self.effective_horizon(scenario),
             scenario.sim_seed(),
             &opts,
-            pool,
+            self.capped_threads(threads),
             budget,
         )
     }
 
-    /// This backend's worker count under a sweep-level thread budget:
-    /// the budget caps it, it never raises it.
-    fn capped_threads(&self, options: &SolverOptions) -> usize {
-        self.threads.min(options.row_threads.max(1))
+    /// This backend's worker count under a caller's thread cap: the cap
+    /// and the machine's available parallelism (replication simulation
+    /// is compute-bound) both limit it, neither raises it.
+    fn capped_threads(&self, cap: usize) -> usize {
+        let cores = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1);
+        self.threads.min(cap.max(1)).min(cores)
     }
 }
 
@@ -683,30 +683,23 @@ impl LifetimeSolver for SimulationSolver {
         &self,
         scenario: &Scenario,
         options: &SolverOptions,
-        state: Option<&mut dyn GroupState>,
+        _state: Option<&mut dyn GroupState>,
         budget: &Budget,
     ) -> Result<LifetimeDistribution, KibamRmError> {
-        // Replication-level parallelism is this backend's worker pool:
-        // the row-thread budget (already divided among concurrent sweep
-        // workers) caps it, exactly as it caps the SpMV pool of the
-        // discretisation backend. The answer does not depend on the cap
-        // — only the wall time does — nor on whose pool runs it, so
-        // someone else's state counts as none.
-        let fresh;
-        let pool = match state.and_then(|s| s.as_any_mut().downcast_mut::<SimulationGroupState>()) {
-            Some(st) => &st.pool,
-            None => {
-                fresh = McPool::new(self.capped_threads(options));
-                &fresh
-            }
-        };
         // Fail fast before building the model (`is_exhausted` does not
         // consume a deterministic check, keeping batch counting exact).
         if budget.is_exhausted() {
             return Err(KibamRmError::DeadlineExceeded { completed: 0 });
         }
         let started = Instant::now();
-        let study = self.streaming_study_on(scenario, pool, budget)?;
+        // Replication-level parallelism: the row-thread budget (already
+        // divided among concurrent sweep workers) caps the worker count,
+        // exactly as it caps the SpMV pool of the discretisation
+        // backend. The answer does not depend on the cap — only the wall
+        // time does. This backend keeps no group state: each solve runs
+        // its own study, so concurrent MC solves never wait on each
+        // other.
+        let study = self.streaming_study(scenario, options.row_threads, budget)?;
         // One prefix pass over the buckets, not per-point re-summing.
         let n = study.total_runs() as f64;
         let points = scenario
@@ -730,51 +723,6 @@ impl LifetimeSolver for SimulationSolver {
                 wall_seconds: started.elapsed().as_secs_f64(),
             },
         )
-    }
-
-    fn sweep_fingerprint(&self, scenario: &Scenario) -> Option<u64> {
-        if scenario.sim_runs() == 0 {
-            // solve() refuses this scenario; don't group refusals.
-            return None;
-        }
-        // Every simulation-backed scenario shares the same trajectory
-        // machinery (the worker pool); grouping them into one plan group
-        // lets a sweep spawn the pool once instead of once per scenario.
-        // Seeds are per-scenario counter-derived streams, so sharing the
-        // pool cannot couple members — results stay bit-identical to
-        // independent solves by construction.
-        Some(u64::from_le_bytes(*b"MCPOOL\0\0"))
-    }
-
-    fn new_group_state(&self, options: &SolverOptions) -> Option<Box<dyn GroupState>> {
-        // One worker pool for the whole group (and, in a resident
-        // service, for the process lifetime): workers spawn once, not
-        // once per scenario.
-        Some(Box::new(SimulationGroupState {
-            pool: McPool::new(self.capped_threads(options)),
-        }))
-    }
-}
-
-/// The simulation backend's warm group state: the long-lived
-/// [`McPool`]. Per-replication counter-derived RNG streams keep pooled
-/// solves bit-identical to independent ones, so the pool can serve any
-/// number of scenarios (and requests) without coupling them.
-#[derive(Debug)]
-pub struct SimulationGroupState {
-    pool: McPool,
-}
-
-impl SimulationGroupState {
-    /// Worker count of the resident pool.
-    pub fn threads(&self) -> usize {
-        self.pool.threads()
-    }
-}
-
-impl GroupState for SimulationGroupState {
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 
@@ -1010,65 +958,15 @@ impl SolverRegistry {
     }
 
     /// The pre-planner per-scenario sweep: auto-select and solve every
-    /// scenario independently, with no deduplication and no structure
-    /// sharing. Kept as the reference baseline the planner is benchmarked
-    /// (and property-tested) against.
+    /// scenario independently and in order, with no deduplication, no
+    /// structure sharing and no scenario-level parallelism (each solve
+    /// is [`SolverRegistry::solve`]). Kept as the reference baseline the
+    /// planner is benchmarked (and property-tested) against.
     pub fn sweep_naive(
         &self,
         scenarios: &[Scenario],
     ) -> Vec<Result<LifetimeDistribution, KibamRmError>> {
-        self.sweep_naive_with_threads(scenarios, self.options.scenario_threads)
-    }
-
-    /// [`SolverRegistry::sweep_naive`] with an explicit worker count.
-    ///
-    /// Each worker owns a disjoint slice of the result vector (no result
-    /// mutex), and the registry's row-thread budget is divided by the
-    /// active worker count, so scenario-level and row-level parallelism
-    /// compose without oversubscribing the machine.
-    pub fn sweep_naive_with_threads(
-        &self,
-        scenarios: &[Scenario],
-        threads: usize,
-    ) -> Vec<Result<LifetimeDistribution, KibamRmError>> {
-        let workers = threads.max(1).min(scenarios.len().max(1));
-        let per_solve = SolverOptions {
-            row_threads: self.options.row_threads_per_solve(workers),
-            ..self.options
-        };
-        let solve_one = |s: &Scenario| match self.auto(s) {
-            Ok(solver) => solver.solve_in(s, &per_solve, None, &Budget::unlimited()),
-            Err(e) => Err(e),
-        };
-        if workers <= 1 || scenarios.len() <= 1 {
-            return scenarios.iter().map(solve_one).collect();
-        }
-        let mut results: Vec<Option<Result<LifetimeDistribution, KibamRmError>>> =
-            (0..scenarios.len()).map(|_| None).collect();
-        let chunk = scenarios.len().div_ceil(workers);
-        // Workers write through disjoint `chunks_mut` slices — no shared
-        // lock, no post-hoc reassembly. Static contiguous chunking trades
-        // away dynamic load balancing: a grid sorted by cost (e.g. a Δ
-        // sweep fine-to-coarse) serialises its expensive scenarios in one
-        // worker's chunk, so cost-skewed grids should be shuffled by the
-        // caller (or solved with row_threads > 1, which the per-solve
-        // budget above keeps from oversubscribing).
-        std::thread::scope(|scope| {
-            for (scenario_chunk, result_chunk) in
-                scenarios.chunks(chunk).zip(results.chunks_mut(chunk))
-            {
-                let solve_one = &solve_one;
-                scope.spawn(move || {
-                    for (scenario, slot) in scenario_chunk.iter().zip(result_chunk.iter_mut()) {
-                        *slot = Some(solve_one(scenario));
-                    }
-                });
-            }
-        });
-        results
-            .into_iter()
-            .map(|r| r.expect("every chunk filled"))
-            .collect()
+        scenarios.iter().map(|s| self.solve(s)).collect()
     }
 
     /// Expands a [`crate::sweep::ScenarioGrid`] and solves it through the
@@ -1629,17 +1527,19 @@ mod tests {
         let study = solver.study(&long_lived).unwrap();
         assert_eq!(study.depleted_runs(), 0);
         assert_eq!(study.lifetime_quantile(0.5), None);
-        let streaming = solver.streaming_study(&long_lived).unwrap();
+        let streaming = solver
+            .streaming_study(&long_lived, 1, &Budget::unlimited())
+            .unwrap();
         assert_eq!(streaming.depleted_runs(), 0);
         assert!(streaming.max_half_width() > 0.0);
     }
 
     #[test]
-    fn simulation_groups_share_one_pool_and_match_independent_solves() {
-        // The sweep planner groups every simulation-backed scenario into
-        // one pool-sharing group; results must be bit-identical to
-        // independent solves (per-scenario counter-derived streams make
-        // this hold by construction).
+    fn simulation_scenarios_are_singleton_groups_and_match_independent_solves() {
+        // The simulation backend keeps no group state, so the sweep
+        // planner gives every simulation-backed scenario its own group;
+        // results must be bit-identical to independent solves
+        // (per-scenario counter-derived streams).
         let mut registry = SolverRegistry::empty();
         registry.register(Box::new(SimulationSolver::new()));
         let base = small_linear();
@@ -1650,8 +1550,8 @@ mod tests {
             base.clone(),
         ];
         let plan = crate::sweep::SweepPlan::build(&registry, &batch);
-        assert_eq!(plan.groups().len(), 1, "one pool-sharing group");
-        assert_eq!(plan.groups()[0].members().len(), 4);
+        assert_eq!(plan.groups().len(), 4, "one group per scenario");
+        assert!(plan.groups().iter().all(|g| g.members().len() == 1));
 
         let swept = registry.sweep_with_threads(&batch, 2);
         for (s, r) in batch.iter().zip(&swept) {
@@ -1667,15 +1567,10 @@ mod tests {
             );
         }
         // Different seeds really gave different curves (streams are
-        // per-scenario, not shared through the pool).
+        // per-scenario).
         assert_ne!(
             swept[0].as_ref().unwrap().points(),
             swept[1].as_ref().unwrap().points()
-        );
-        // A zero-run scenario opts out of grouping entirely.
-        assert_eq!(
-            SimulationSolver::new().sweep_fingerprint(&base.with_simulation(0, 1)),
-            None
         );
     }
 
@@ -1692,7 +1587,7 @@ mod tests {
             "adaptive rule must extend past the initial round"
         );
         assert!(runs <= 1 << 16);
-        let study = solver.streaming_study(&s).unwrap();
+        let study = solver.streaming_study(&s, 2, &Budget::unlimited()).unwrap();
         assert_eq!(study.total_runs() as usize, runs);
         assert!(
             study.max_half_width() <= 0.02,
@@ -1954,18 +1849,15 @@ mod tests {
         let s = small_linear(); // 400 replications in 4 batches
         let options = SolverOptions::sequential();
         let reference = solver.solve(&s).unwrap();
-        let mut state = solver.new_group_state(&options).unwrap();
+        // The backend keeps no group state: a group member solves with
+        // none.
+        assert!(solver.new_group_state(&options).is_none());
         let err = solver
-            .solve_in(
-                &s,
-                &options,
-                Some(state.as_mut()),
-                &Budget::cancelled_after_checks(2),
-            )
+            .solve_in(&s, &options, None, &Budget::cancelled_after_checks(2))
             .expect_err("budget must stop the batch loop");
         assert_eq!(err, KibamRmError::DeadlineExceeded { completed: 200 });
         let rerun = solver
-            .solve_in(&s, &options, Some(state.as_mut()), &Budget::unlimited())
+            .solve_in(&s, &options, None, &Budget::unlimited())
             .unwrap();
         assert_eq!(rerun.points(), reference.points());
         assert_eq!(rerun.diagnostics().runs, Some(400));
@@ -2011,7 +1903,7 @@ mod tests {
         let solved = solver
             .solve_in(&s, &options, None, &Budget::unlimited())
             .unwrap();
-        let study = solver.streaming_study(&s).unwrap();
+        let study = solver.streaming_study(&s, 2, &Budget::unlimited()).unwrap();
         let n = study.total_runs() as f64;
         let plain: Vec<u64> = study
             .cumulative_counts()
@@ -2026,27 +1918,36 @@ mod tests {
         // A state handed to the wrong backend is a caller's bookkeeping
         // slip: each backend must ignore it and answer with the bits of
         // a stateless solve, not mis-share.
+        struct Foreign;
+        impl GroupState for Foreign {
+            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+                self
+            }
+        }
         let options = SolverOptions::sequential();
         let unlimited = Budget::unlimited();
         let s = two_well().with_delta(Charge::from_milliamp_hours(50.0));
         let disc = DiscretisationSolver::new();
-        let sim = SimulationSolver::new();
-        let mut sim_state = sim.new_group_state(&options).unwrap();
         let foreign = disc
-            .solve_in(&s, &options, Some(sim_state.as_mut()), &unlimited)
+            .solve_in(&s, &options, Some(&mut Foreign), &unlimited)
             .unwrap();
         let stateless = disc.solve_in(&s, &options, None, &unlimited).unwrap();
         assert_eq!(bits(&foreign), bits(&stateless));
 
         let s = small_linear();
+        let sim = SimulationSolver::new();
+        let foreign = sim
+            .solve_in(&s, &options, Some(&mut Foreign), &unlimited)
+            .unwrap();
+        let stateless = sim.solve_in(&s, &options, None, &unlimited).unwrap();
+        assert_eq!(bits(&foreign), bits(&stateless));
+        // A discretisation state handed to the simulation backend is
+        // left untouched: it is still empty, so it holds no warm bytes.
         let mut disc_state = disc.new_group_state(&options).unwrap();
         let foreign = sim
             .solve_in(&s, &options, Some(disc_state.as_mut()), &unlimited)
             .unwrap();
-        let stateless = sim.solve_in(&s, &options, None, &unlimited).unwrap();
         assert_eq!(bits(&foreign), bits(&stateless));
-        // Neither state was touched: the discretisation state is still
-        // empty, so it holds no warm bytes.
         let disc_state = disc_state
             .as_any_mut()
             .downcast_mut::<DiscretisationGroupState>()

@@ -1,10 +1,10 @@
 //! The parallel streaming Monte Carlo engine.
 //!
-//! [`McPool`] executes replications on a persistent worker pool (spawned
-//! once, reused across studies — the zero-respawn discipline of
-//! `markov::pool::SpmvPool`) and folds them into a
-//! [`StreamingLifetimeStudy`], making 10⁶–10⁷ replications practical:
-//! memory stays O(time-grid + threads), never O(runs).
+//! [`run_study`] executes replications in batches on scoped workers
+//! (spawned per round with [`std::thread::scope`], joined before it
+//! returns) and folds them into a [`StreamingLifetimeStudy`], making
+//! 10⁶–10⁷ replications practical: memory stays O(time-grid + threads),
+//! never O(runs).
 //!
 //! # Determinism: bit-identical for any thread count
 //!
@@ -43,7 +43,6 @@ use std::fmt;
 use std::ops::Range;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 
 /// One replication's outcome, as reported by the experiment closure.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -150,28 +149,10 @@ impl McOptions {
     }
 }
 
-/// One unit of work: fold replications `reps` (streams derived from
-/// `master_seed`) into a fresh partial over the shared grid.
-///
-/// The experiment reference is lifetime-erased to `'static` because the
-/// pool outlives any single borrow; the *caller* guarantees the
-/// referent stays alive until the completion message for this job
-/// arrives ([`McPool::run_study`] blocks on exactly that, draining
-/// every in-flight job even on failure).
-struct Job {
-    experiment: &'static (dyn Fn(&mut SimRng) -> Replication + Sync),
-    grid: Arc<[f64]>,
-    horizon: f64,
-    master_seed: u64,
-    batch_index: usize,
-    reps: Range<u64>,
-}
-
 /// Why a batch produced no partial: an engine error, or a panic that
 /// unwound out of the experiment closure (its payload is carried back so
-/// the dispatcher can re-raise it on the caller's thread *after* every
-/// in-flight job is drained — re-raising earlier would end the
-/// experiment borrow while workers still hold it).
+/// the dispatcher can re-raise it on the caller's thread once every
+/// worker of the round has stopped).
 enum BatchFailure {
     Error(EngineError),
     Panicked(Box<dyn std::any::Any + Send>),
@@ -179,218 +160,159 @@ enum BatchFailure {
 
 type Completion = (usize, Result<StreamingLifetimeStudy, BatchFailure>);
 
-/// A persistent pool of Monte Carlo workers; see the module docs.
+/// Runs a study on up to `threads` workers: replications drawn from
+/// counter-derived streams of `master_seed`, folded into a
+/// [`StreamingLifetimeStudy`] over `grid` (censoring `horizon`), under
+/// `opts`' stopping rule and a cooperative [`Budget`]. The result is
+/// **bit-identical for any thread count** — see the module docs for
+/// why.
+///
+/// Each round spawns its workers inside [`std::thread::scope`] and joins
+/// them before the next round starts, so the experiment is an ordinary
+/// borrow. `threads ≤ 1` runs the same batches inline on the caller's
+/// thread. The count is taken as given (callers clamp it to the
+/// machine), so the thread-count tests exercise real workers anywhere.
+///
+/// The budget is checked once per batch checkpoint (the scheduling and
+/// merge quantum). An exhausted budget stops dispatching, lets the
+/// batches in flight finish, and returns
+/// [`EngineError::DeadlineExceeded`] with the replications merged so
+/// far. With [`Budget::unlimited`] the check is a single branch.
+///
+/// # Errors
+///
+/// [`EngineError::InvalidOptions`] and grid validation errors
+/// up front; [`EngineError::Aborted`] when the experiment returns
+/// [`Replication::Abort`] (the caller records the underlying error
+/// itself); [`EngineError::Streaming`] on NaN/negative lifetimes;
+/// [`EngineError::DeadlineExceeded`] when the budget expires.
+///
+/// # Panics
+///
+/// Re-raises a panic of the experiment on the caller's thread.
 ///
 /// # Examples
 ///
 /// ```
-/// use sim::engine::{McOptions, McPool, Replication};
+/// use markov::budget::Budget;
+/// use sim::engine::{run_study, McOptions, Replication};
 ///
 /// // Lifetimes ~ Exp(1), censored at 4.0.
 /// let experiment = |rng: &mut sim::rng::SimRng| {
 ///     let t = rng.exponential(1.0);
 ///     if t <= 4.0 { Replication::Depleted(t) } else { Replication::Censored }
 /// };
-/// let pool = McPool::with_exact_threads(2);
 /// let opts = McOptions { runs: 4000, ..McOptions::default() };
-/// let study = pool
-///     .run_study(vec![0.5, 1.0, 2.0], 4.0, 7, &opts, &experiment)
+/// let study = run_study(2, vec![0.5, 1.0, 2.0], 4.0, 7, &opts, &experiment, &Budget::unlimited())
 ///     .unwrap();
 /// assert_eq!(study.total_runs(), 4000);
 /// let p = study.empty_probability(1); // ≈ 1 − e⁻¹
 /// assert!((p - 0.632).abs() < 0.03);
 /// ```
-#[derive(Debug)]
-pub struct McPool {
-    /// Shared job queue: workers race to claim the next batch.
-    job_tx: Option<Sender<Job>>,
-    done_rx: Receiver<Completion>,
-    handles: Vec<JoinHandle<()>>,
-}
-
-// A resident holder (`kibamrm::service`) keeps one pool alive for the
-// process lifetime and migrates it between request threads, so the pool
-// must stay `Send` (it need not be `Sync`: the holder serialises
-// studies, matching `run_study`'s exclusive dispatch loop).
-const _: fn() = || {
-    fn assert_send<T: Send>() {}
-    assert_send::<McPool>();
-};
-
-impl McPool {
-    /// Spawns up to `threads` workers, clamped to the machine's
-    /// available parallelism (replication simulation is compute-bound);
-    /// none when the effective count is ≤ 1 — the caller's thread then
-    /// runs the same batch schedule inline.
-    pub fn new(threads: usize) -> McPool {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        McPool::with_exact_threads(threads.min(cores))
-    }
-
-    /// [`McPool::new`] without the available-parallelism clamp (the
-    /// thread-count bit-identity tests exercise real worker pools on
-    /// any machine).
-    pub fn with_exact_threads(threads: usize) -> McPool {
-        let workers = if threads > 1 { threads } else { 0 };
-        let (done_tx, done_rx) = channel::<Completion>();
-        let (job_tx, job_rx) = channel::<Job>();
-        let job_rx = Arc::new(Mutex::new(job_rx));
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let rx = Arc::clone(&job_rx);
-            let done = done_tx.clone();
-            handles.push(std::thread::spawn(move || worker_loop(&rx, &done)));
-        }
-        McPool {
-            job_tx: (workers > 0).then_some(job_tx),
-            done_rx,
-            handles,
-        }
-    }
-
-    /// Worker count (1 when the pool runs inline on the caller's
-    /// thread).
-    pub fn threads(&self) -> usize {
-        self.handles.len().max(1)
-    }
-
-    /// `true` when every batch runs inline on the caller's thread.
-    pub fn is_sequential(&self) -> bool {
-        self.handles.is_empty()
-    }
-
-    /// Runs a study: replications drawn from counter-derived streams of
-    /// `master_seed`, folded into a [`StreamingLifetimeStudy`] over
-    /// `grid` (censoring `horizon`), under `opts`' stopping rule. The
-    /// result is **bit-identical for any thread count** — see the
-    /// module docs for why.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::InvalidOptions`] and grid validation errors
-    /// up front; [`EngineError::Aborted`] when the experiment returns
-    /// [`Replication::Abort`] (the caller records the underlying error
-    /// itself); [`EngineError::Streaming`] on NaN/negative lifetimes.
-    pub fn run_study(
-        &self,
-        grid: Vec<f64>,
-        horizon: f64,
-        master_seed: u64,
-        opts: &McOptions,
-        experiment: &(dyn Fn(&mut SimRng) -> Replication + Sync),
-    ) -> Result<StreamingLifetimeStudy, EngineError> {
-        self.run_study_budgeted(
-            grid,
-            horizon,
+pub fn run_study(
+    threads: usize,
+    grid: Vec<f64>,
+    horizon: f64,
+    master_seed: u64,
+    opts: &McOptions,
+    experiment: &(dyn Fn(&mut SimRng) -> Replication + Sync),
+    budget: &Budget,
+) -> Result<StreamingLifetimeStudy, EngineError> {
+    opts.validate()?;
+    let mut merged = StreamingLifetimeStudy::new(grid, horizon)?;
+    let mut total: u64 = 0;
+    let mut round_end = opts.runs;
+    loop {
+        run_round(
+            threads,
+            &mut merged,
+            total..round_end,
             master_seed,
             opts,
             experiment,
-            &Budget::unlimited(),
-        )
-    }
-
-    /// [`run_study`](McPool::run_study) under a cooperative [`Budget`],
-    /// checked once per batch checkpoint (the scheduling and merge
-    /// quantum). An exhausted budget stops dispatching, **drains every
-    /// in-flight batch** — the invariant that keeps the lifetime-erased
-    /// experiment borrow sound — and returns
-    /// [`EngineError::DeadlineExceeded`] with the replications merged so
-    /// far. With [`Budget::unlimited`] the check is a single branch and
-    /// the study is bit-identical to the unbudgeted entry point.
-    ///
-    /// # Errors
-    ///
-    /// As for [`run_study`](McPool::run_study), plus
-    /// [`EngineError::DeadlineExceeded`] when the budget expires.
-    pub fn run_study_budgeted(
-        &self,
-        grid: Vec<f64>,
-        horizon: f64,
-        master_seed: u64,
-        opts: &McOptions,
-        experiment: &(dyn Fn(&mut SimRng) -> Replication + Sync),
-        budget: &Budget,
-    ) -> Result<StreamingLifetimeStudy, EngineError> {
-        opts.validate()?;
-        let mut merged = StreamingLifetimeStudy::new(grid, horizon)?;
-        let mut total: u64 = 0;
-        let mut round_end = opts.runs;
-        loop {
-            self.run_round(
-                &mut merged,
-                total..round_end,
-                master_seed,
-                opts,
-                experiment,
-                budget,
-            )?;
-            total = round_end;
-            let Some(target) = opts.target_half_width else {
-                break;
-            };
-            if merged.max_half_width() <= target || total >= opts.max_runs {
-                break;
-            }
-            // Doubling keeps the number of stopping checks logarithmic
-            // and the total work within 2× of the minimal sufficient
-            // count; checkpoints are fixed, so the stopping decision is
-            // thread-count independent.
-            round_end = total.saturating_mul(2).min(opts.max_runs);
+            budget,
+        )?;
+        total = round_end;
+        let Some(target) = opts.target_half_width else {
+            break;
+        };
+        if merged.max_half_width() <= target || total >= opts.max_runs {
+            break;
         }
-        Ok(merged)
+        // Doubling keeps the number of stopping checks logarithmic
+        // and the total work within 2× of the minimal sufficient
+        // count; checkpoints are fixed, so the stopping decision is
+        // thread-count independent.
+        round_end = total.saturating_mul(2).min(opts.max_runs);
+    }
+    Ok(merged)
+}
+
+/// Executes replications `reps` as consecutive batches and merges
+/// them into `merged` in batch order.
+fn run_round(
+    threads: usize,
+    merged: &mut StreamingLifetimeStudy,
+    reps: Range<u64>,
+    master_seed: u64,
+    opts: &McOptions,
+    experiment: &(dyn Fn(&mut SimRng) -> Replication + Sync),
+    budget: &Budget,
+) -> Result<(), EngineError> {
+    let batches: Vec<Range<u64>> = {
+        let mut out = Vec::new();
+        let mut start = reps.start;
+        while start < reps.end {
+            let end = (start + opts.batch).min(reps.end);
+            out.push(start..end);
+            start = end;
+        }
+        out
+    };
+    let workers = threads.min(batches.len());
+    if workers <= 1 {
+        // Inline path: same batch-partial-then-merge structure as
+        // the workers, so the floating-point operation sequence is
+        // identical — this is the bit-identity anchor.
+        for batch in batches {
+            if budget.check(merged.total_runs() as usize).is_err() {
+                return Err(EngineError::DeadlineExceeded {
+                    completed_runs: merged.total_runs(),
+                });
+            }
+            let partial = batch_partial(
+                merged.shared_grid(),
+                merged.horizon(),
+                master_seed,
+                batch,
+                experiment,
+            )?;
+            merged.merge(&partial)?;
+        }
+        return Ok(());
     }
 
-    /// Executes replications `reps` as consecutive batches and merges
-    /// them into `merged` in batch order.
-    fn run_round(
-        &self,
-        merged: &mut StreamingLifetimeStudy,
-        reps: Range<u64>,
-        master_seed: u64,
-        opts: &McOptions,
-        experiment: &(dyn Fn(&mut SimRng) -> Replication + Sync),
-        budget: &Budget,
-    ) -> Result<(), EngineError> {
-        let batches: Vec<Range<u64>> = {
-            let mut out = Vec::new();
-            let mut start = reps.start;
-            while start < reps.end {
-                let end = (start + opts.batch).min(reps.end);
-                out.push(start..end);
-                start = end;
-            }
-            out
-        };
-        let Some(job_tx) = &self.job_tx else {
-            // Inline path: same batch-partial-then-merge structure as
-            // the workers, so the floating-point operation sequence is
-            // identical — this is the bit-identity anchor.
-            for batch in batches {
-                if budget.check(merged.total_runs() as usize).is_err() {
-                    return Err(EngineError::DeadlineExceeded {
-                        completed_runs: merged.total_runs(),
-                    });
-                }
-                let partial = batch_partial(
-                    merged.shared_grid(),
-                    merged.horizon(),
-                    master_seed,
-                    batch,
-                    experiment,
-                )?;
-                merged.merge(&partial)?;
-            }
-            return Ok(());
-        };
-
-        // Workers claim batches from the shared queue; completions are
-        // merged in batch order. Dispatch stays at most `cap` batches
-        // ahead of the merge watermark, so out-of-order completions
-        // wait in a buffer of at most `cap` partials — memory is
-        // O(threads · grid) regardless of the replication count.
-        let cap = 2 * self.handles.len();
+    // Workers claim batches from one queue; completions are merged in
+    // batch order. Dispatch stays at most `cap` batches ahead of the
+    // merge watermark, so out-of-order completions wait in a buffer of
+    // at most `cap` partials — memory is O(threads · grid) regardless
+    // of the replication count.
+    let cap = 2 * workers;
+    let (job_tx, job_rx) = channel::<(usize, Range<u64>)>();
+    let job_rx = Mutex::new(job_rx);
+    let (grid, horizon) = (merged.shared_grid(), merged.horizon());
+    let failure = std::thread::scope(|scope| {
+        // Owned by this closure: however it exits, dropping the sender
+        // ends every worker loop before the scope joins them.
+        let job_tx = job_tx;
+        let (done_tx, done_rx) = channel::<Completion>();
+        for _ in 0..workers {
+            let (job_rx, grid, done_tx) = (&job_rx, &grid, done_tx.clone());
+            scope.spawn(move || {
+                worker_loop(job_rx, &done_tx, grid, horizon, master_seed, experiment);
+            });
+        }
+        drop(done_tx);
         let mut next = 0usize; // next batch to dispatch
         let mut watermark = 0usize; // batches merged so far
         let mut in_flight = 0usize;
@@ -399,9 +321,8 @@ impl McPool {
         loop {
             while failure.is_none() && next < batches.len() && next < watermark + cap {
                 // Budget checkpoint per dispatched batch. An exhausted
-                // budget stops dispatching but NOT draining: the loop
-                // below still collects every in-flight acknowledgement
-                // before returning (the Job soundness invariant).
+                // budget stops dispatching; the batches in flight still
+                // finish and are collected below.
                 if budget
                     .check(next.saturating_mul(opts.batch as usize))
                     .is_err()
@@ -411,30 +332,16 @@ impl McPool {
                     }));
                     break;
                 }
-                // SAFETY: lifetime erasure only — the referent outlives
-                // every job because this function collects all in-flight
-                // acknowledgements before returning (even on failure).
-                let experiment: &'static (dyn Fn(&mut SimRng) -> Replication + Sync) =
-                    unsafe { std::mem::transmute(experiment) };
-                let job = Job {
-                    experiment,
-                    grid: merged.shared_grid(),
-                    horizon: merged.horizon(),
-                    master_seed,
-                    batch_index: next,
-                    reps: batches[next].clone(),
-                };
-                job_tx.send(job).expect("mc worker hung up");
+                job_tx
+                    .send((next, batches[next].clone()))
+                    .expect("mc worker hung up");
                 next += 1;
                 in_flight += 1;
             }
             if in_flight == 0 {
                 break;
             }
-            // Collect every acknowledgement before returning — even on
-            // failure — so no worker still holds the experiment pointer
-            // when the borrow ends (this is what makes `Job` sound).
-            let (index, result) = self.done_rx.recv().expect("mc worker died");
+            let (index, result) = done_rx.recv().expect("mc worker died");
             in_flight -= 1;
             match result {
                 Err(f) => {
@@ -462,35 +369,26 @@ impl McPool {
                 }
             }
         }
-        match failure {
-            // Report what actually landed in the study, not what was
-            // dispatched: merged replications are the usable work.
-            Some(BatchFailure::Error(EngineError::DeadlineExceeded { .. })) => {
-                Err(EngineError::DeadlineExceeded {
-                    completed_runs: merged.total_runs(),
-                })
-            }
-            Some(BatchFailure::Error(e)) => Err(e),
-            // Every in-flight job is drained by now (the loop above only
-            // exits at in_flight == 0), so the experiment borrow is free
-            // and the worker's panic can resume on the caller's thread —
-            // the same observable behaviour as the inline path.
-            Some(BatchFailure::Panicked(payload)) => std::panic::resume_unwind(payload),
-            None => {
-                debug_assert_eq!(watermark, batches.len(), "every batch merged");
-                Ok(())
-            }
+        debug_assert!(
+            failure.is_some() || watermark == batches.len(),
+            "every batch merged"
+        );
+        failure
+    });
+    match failure {
+        // Report what actually landed in the study, not what was
+        // dispatched: merged replications are the usable work.
+        Some(BatchFailure::Error(EngineError::DeadlineExceeded { .. })) => {
+            Err(EngineError::DeadlineExceeded {
+                completed_runs: merged.total_runs(),
+            })
         }
-    }
-}
-
-impl Drop for McPool {
-    fn drop(&mut self) {
-        // Closing the job queue ends every worker loop.
-        self.job_tx = None;
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
+        Some(BatchFailure::Error(e)) => Err(e),
+        // The scope has joined every worker, so the panic resumes on
+        // the caller's thread — the same observable behaviour as the
+        // inline path.
+        Some(BatchFailure::Panicked(payload)) => std::panic::resume_unwind(payload),
+        None => Ok(()),
     }
 }
 
@@ -516,37 +414,37 @@ fn batch_partial(
     Ok(partial)
 }
 
-fn worker_loop(jobs: &Arc<Mutex<Receiver<Job>>>, done: &Sender<Completion>) {
+fn worker_loop(
+    jobs: &Mutex<Receiver<(usize, Range<u64>)>>,
+    done: &Sender<Completion>,
+    grid: &Arc<[f64]>,
+    horizon: f64,
+    master_seed: u64,
+    experiment: &(dyn Fn(&mut SimRng) -> Replication + Sync),
+) {
     loop {
         // Hold the queue lock only for the claim, not the computation.
         let claimed = { jobs.lock().expect("mc queue poisoned").recv() };
-        let Ok(job) = claimed else { return };
-        // The experiment referent is alive for the whole computation:
-        // the dispatcher blocks until our completion message (the
-        // `'static` on the field is erasure, not a real lifetime). A
-        // panicking experiment must still produce that message — a
-        // swallowed unwind would leave the dispatcher waiting forever —
-        // so the unwind is caught here and re-raised on the caller's
-        // thread once every in-flight job has drained. (AssertUnwindSafe:
-        // the only state crossing the boundary is the experiment's own
-        // captured state, which the panic already exposes on the inline
-        // path too.)
+        let Ok((batch_index, reps)) = claimed else {
+            return;
+        };
+        // A panicking experiment must still produce its completion
+        // message — a swallowed unwind would leave the dispatcher
+        // waiting forever — so the unwind is caught here and re-raised
+        // on the caller's thread once the round's workers are joined.
+        // (AssertUnwindSafe: the only state crossing the boundary is
+        // the experiment's own captured state, which the panic already
+        // exposes on the inline path too.)
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            batch_partial(
-                job.grid,
-                job.horizon,
-                job.master_seed,
-                job.reps,
-                job.experiment,
-            )
+            batch_partial(Arc::clone(grid), horizon, master_seed, reps, experiment)
         }));
         let result = match result {
             Ok(Ok(partial)) => Ok(partial),
             Ok(Err(e)) => Err(BatchFailure::Error(e)),
             Err(payload) => Err(BatchFailure::Panicked(payload)),
         };
-        if done.send((job.batch_index, result)).is_err() {
-            return; // pool dropped mid-flight
+        if done.send((batch_index, result)).is_err() {
+            return; // the dispatcher stopped listening
         }
     }
 }
@@ -570,6 +468,26 @@ mod tests {
         }
     }
 
+    /// [`run_study`] with no deadline.
+    fn study(
+        threads: usize,
+        grid: Vec<f64>,
+        horizon: f64,
+        seed: u64,
+        opts: &McOptions,
+        experiment: &(dyn Fn(&mut SimRng) -> Replication + Sync),
+    ) -> Result<StreamingLifetimeStudy, EngineError> {
+        run_study(
+            threads,
+            grid,
+            horizon,
+            seed,
+            opts,
+            experiment,
+            &Budget::unlimited(),
+        )
+    }
+
     #[test]
     fn study_results_are_bit_identical_across_thread_counts() {
         let grid = vec![0.25, 0.5, 1.0, 2.0, 3.0];
@@ -579,38 +497,28 @@ mod tests {
             ..McOptions::default()
         };
         let experiment = exponential_experiment(1.0, 3.0);
-        let reference = McPool::with_exact_threads(1)
-            .run_study(grid.clone(), 3.0, 2024, &opts, &experiment)
-            .unwrap();
+        let reference = study(1, grid.clone(), 3.0, 2024, &opts, &experiment).unwrap();
         for threads in 2..=8 {
-            let pool = McPool::with_exact_threads(threads);
-            assert!(!pool.is_sequential());
-            assert_eq!(pool.threads(), threads);
-            let study = pool
-                .run_study(grid.clone(), 3.0, 2024, &opts, &experiment)
-                .unwrap();
+            let got = study(threads, grid.clone(), 3.0, 2024, &opts, &experiment).unwrap();
             // PartialEq covers counts AND the f64 moment state: this is
             // bit-identity, not statistical agreement.
-            assert_eq!(study, reference, "threads = {threads}");
+            assert_eq!(got, reference, "threads = {threads}");
         }
     }
 
     #[test]
-    fn pool_survives_many_studies_and_matches_theory() {
-        let pool = McPool::with_exact_threads(4);
+    fn studies_match_theory() {
         let experiment = exponential_experiment(1.0, 5.0);
         let opts = McOptions {
             runs: 20_000,
             ..McOptions::default()
         };
         for seed in 0..5 {
-            let study = pool
-                .run_study(vec![0.5, 1.0, 2.0], 5.0, seed, &opts, &experiment)
-                .unwrap();
-            assert_eq!(study.total_runs(), 20_000);
+            let got = study(4, vec![0.5, 1.0, 2.0], 5.0, seed, &opts, &experiment).unwrap();
+            assert_eq!(got.total_runs(), 20_000);
             for (i, &t) in [0.5f64, 1.0, 2.0].iter().enumerate() {
                 let theory = 1.0 - (-t).exp();
-                let p = study.empty_probability(i);
+                let p = got.empty_probability(i);
                 assert!((p - theory).abs() < 0.02, "seed {seed}, t {t}: {p}");
             }
         }
@@ -626,18 +534,14 @@ mod tests {
             max_runs: 1 << 17,
         };
         let experiment = exponential_experiment(1.0, 2.0);
-        let a = McPool::with_exact_threads(1)
-            .run_study(grid.clone(), 2.0, 7, &opts, &experiment)
-            .unwrap();
+        let a = study(1, grid.clone(), 2.0, 7, &opts, &experiment).unwrap();
         // The target is met (it is reachable within the cap)…
         assert!(a.max_half_width() <= 0.01, "{}", a.max_half_width());
         // …and needed more than the initial round.
         assert!(a.total_runs() > 500, "{} runs", a.total_runs());
         assert!(a.total_runs() <= 1 << 17);
         // The stopping decision is part of the determinism guarantee.
-        let b = McPool::with_exact_threads(3)
-            .run_study(grid, 2.0, 7, &opts, &experiment)
-            .unwrap();
+        let b = study(3, grid, 2.0, 7, &opts, &experiment).unwrap();
         assert_eq!(a, b);
     }
 
@@ -649,16 +553,21 @@ mod tests {
             target_half_width: Some(1e-6), // unreachable
             max_runs: 1000,
         };
-        let study = McPool::with_exact_threads(2)
-            .run_study(vec![1.0], 2.0, 1, &opts, &exponential_experiment(1.0, 2.0))
-            .unwrap();
-        assert_eq!(study.total_runs(), 1000);
-        assert!(study.max_half_width() > 1e-6);
+        let got = study(
+            2,
+            vec![1.0],
+            2.0,
+            1,
+            &opts,
+            &exponential_experiment(1.0, 2.0),
+        )
+        .unwrap();
+        assert_eq!(got.total_runs(), 1000);
+        assert!(got.max_half_width() > 1e-6);
     }
 
     #[test]
-    fn abort_propagates_and_the_pool_stays_usable() {
-        let pool = McPool::with_exact_threads(2);
+    fn abort_propagates() {
         let opts = McOptions {
             runs: 1000,
             batch: 16,
@@ -671,24 +580,18 @@ mod tests {
                 Replication::Censored
             }
         };
-        let err = pool
-            .run_study(vec![1.0], 2.0, 5, &opts, &aborting)
-            .expect_err("must abort");
-        assert_eq!(err, EngineError::Aborted);
-        // The pool drained all in-flight work and accepts new studies.
-        let ok = pool
-            .run_study(vec![1.0], 2.0, 5, &opts, &exponential_experiment(1.0, 2.0))
-            .unwrap();
-        assert_eq!(ok.total_runs(), 1000);
+        for threads in [1usize, 2] {
+            let err = study(threads, vec![1.0], 2.0, 5, &opts, &aborting).expect_err("must abort");
+            assert_eq!(err, EngineError::Aborted, "threads = {threads}");
+        }
     }
 
     #[test]
     fn a_panicking_experiment_propagates_and_does_not_deadlock() {
-        // Regression: a panic unwinding out of a pooled experiment used
-        // to swallow the worker's completion message, deadlocking the
-        // dispatcher. It must propagate to the caller (like the inline
-        // path) and leave the pool serviceable.
-        let pool = McPool::with_exact_threads(3);
+        // Regression: a panic unwinding out of a worker's experiment
+        // used to swallow the worker's completion message, deadlocking
+        // the dispatcher. It must propagate to the caller, with its
+        // payload, like the inline path.
         let opts = McOptions {
             runs: 500,
             batch: 16,
@@ -701,23 +604,16 @@ mod tests {
             Replication::Censored
         };
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.run_study(vec![1.0], 2.0, 9, &opts, &panicking)
+            study(3, vec![1.0], 2.0, 9, &opts, &panicking)
         }));
         let payload = result.expect_err("panic must propagate, not deadlock");
         assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom in replication"));
-        // Workers caught the unwind and keep serving new studies.
-        let ok = pool
-            .run_study(vec![1.0], 2.0, 9, &opts, &exponential_experiment(1.0, 2.0))
-            .unwrap();
-        assert_eq!(ok.total_runs(), 500);
     }
 
     #[test]
     fn options_and_grid_are_validated() {
-        let pool = McPool::with_exact_threads(1);
         let experiment = exponential_experiment(1.0, 2.0);
-        let run =
-            |opts: McOptions, grid: Vec<f64>| pool.run_study(grid, 2.0, 1, &opts, &experiment);
+        let run = |opts: McOptions, grid: Vec<f64>| study(1, grid, 2.0, 1, &opts, &experiment);
         let default = McOptions::default();
         assert!(matches!(
             run(McOptions { runs: 0, ..default }, vec![1.0]),
@@ -768,7 +664,7 @@ mod tests {
     }
 
     #[test]
-    fn expired_budget_aborts_without_running_and_pool_stays_usable() {
+    fn expired_budget_aborts_without_running() {
         let opts = McOptions {
             runs: 10_000,
             batch: 64,
@@ -776,23 +672,17 @@ mod tests {
         };
         let experiment = exponential_experiment(1.0, 2.0);
         for threads in [1usize, 4] {
-            let pool = McPool::with_exact_threads(threads);
-            let err = pool
-                .run_study_budgeted(
-                    vec![1.0],
-                    2.0,
-                    1,
-                    &opts,
-                    &experiment,
-                    &Budget::cancelled_after_checks(0),
-                )
-                .expect_err("expired budget must abort");
+            let err = run_study(
+                threads,
+                vec![1.0],
+                2.0,
+                1,
+                &opts,
+                &experiment,
+                &Budget::cancelled_after_checks(0),
+            )
+            .expect_err("expired budget must abort");
             assert_eq!(err, EngineError::DeadlineExceeded { completed_runs: 0 });
-            // All in-flight work was drained; the pool accepts new studies.
-            let ok = pool
-                .run_study(vec![1.0], 2.0, 1, &opts, &experiment)
-                .unwrap();
-            assert_eq!(ok.total_runs(), 10_000);
         }
     }
 
@@ -805,17 +695,16 @@ mod tests {
             batch: 64,
             ..McOptions::default()
         };
-        let pool = McPool::with_exact_threads(1);
-        let err = pool
-            .run_study_budgeted(
-                vec![1.0],
-                2.0,
-                5,
-                &opts,
-                &exponential_experiment(1.0, 2.0),
-                &Budget::cancelled_after_checks(3),
-            )
-            .expect_err("budget must expire");
+        let err = run_study(
+            1,
+            vec![1.0],
+            2.0,
+            5,
+            &opts,
+            &exponential_experiment(1.0, 2.0),
+            &Budget::cancelled_after_checks(3),
+        )
+        .expect_err("budget must expire");
         assert_eq!(
             err,
             EngineError::DeadlineExceeded {
@@ -831,18 +720,17 @@ mod tests {
             batch: 32,
             ..McOptions::default()
         };
-        let pool = McPool::with_exact_threads(4);
         let budget = Budget::cancelled_after_checks(20);
-        let err = pool
-            .run_study_budgeted(
-                vec![1.0],
-                2.0,
-                5,
-                &opts,
-                &exponential_experiment(1.0, 2.0),
-                &budget,
-            )
-            .expect_err("budget must expire");
+        let err = run_study(
+            4,
+            vec![1.0],
+            2.0,
+            5,
+            &opts,
+            &exponential_experiment(1.0, 2.0),
+            &budget,
+        )
+        .expect_err("budget must expire");
         let EngineError::DeadlineExceeded { completed_runs } = err else {
             panic!("wrong error: {err}");
         };
@@ -852,37 +740,12 @@ mod tests {
         assert_eq!(completed_runs % 32, 0, "whole batches only");
     }
 
-    #[test]
-    fn unlimited_budget_is_bit_identical_to_unbudgeted() {
-        let opts = McOptions {
-            runs: 4000,
-            batch: 128,
-            ..McOptions::default()
-        };
-        let experiment = exponential_experiment(1.0, 3.0);
-        let pool = McPool::with_exact_threads(3);
-        let plain = pool
-            .run_study(vec![0.5, 1.0, 2.0], 3.0, 11, &opts, &experiment)
-            .unwrap();
-        let budgeted = pool
-            .run_study_budgeted(
-                vec![0.5, 1.0, 2.0],
-                3.0,
-                11,
-                &opts,
-                &experiment,
-                &Budget::unlimited(),
-            )
-            .unwrap();
-        assert_eq!(plain, budgeted);
-    }
-
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
 
         /// The satellite property: across random seeds, batch sizes,
-        /// replication counts and stopping rules, the study a worker
-        /// pool of 2–8 threads produces is bit-identical to the inline
+        /// replication counts and stopping rules, the study 2–8 worker
+        /// threads produce is bit-identical to the inline
         /// single-threaded study — counts, totals AND the f64 moment
         /// sketches.
         #[test]
@@ -902,14 +765,10 @@ mod tests {
                 max_runs: runs.max(4000),
             };
             let experiment = exponential_experiment(1.0, 2.0);
-            let reference = McPool::with_exact_threads(1)
-                .run_study(grid.clone(), 2.0, seed, &opts, &experiment)
-                .unwrap();
-            let study = McPool::with_exact_threads(threads)
-                .run_study(grid, 2.0, seed, &opts, &experiment)
-                .unwrap();
-            prop_assert!(study == reference,
-                "threads {} differ from inline: {:?} vs {:?}", threads, study, reference);
+            let reference = study(1, grid.clone(), 2.0, seed, &opts, &experiment).unwrap();
+            let got = study(threads, grid, 2.0, seed, &opts, &experiment).unwrap();
+            prop_assert!(got == reference,
+                "threads {} differ from inline: {:?} vs {:?}", threads, got, reference);
         }
     }
 
@@ -922,13 +781,9 @@ mod tests {
             ..McOptions::default()
         };
         let experiment = exponential_experiment(2.0, 10.0);
-        let a = McPool::with_exact_threads(8)
-            .run_study(vec![1.0, 2.0], 10.0, 3, &opts, &experiment)
-            .unwrap();
+        let a = study(8, vec![1.0, 2.0], 10.0, 3, &opts, &experiment).unwrap();
         assert_eq!(a.total_runs(), 7);
-        let b = McPool::with_exact_threads(1)
-            .run_study(vec![1.0, 2.0], 10.0, 3, &opts, &experiment)
-            .unwrap();
+        let b = study(1, vec![1.0, 2.0], 10.0, 3, &opts, &experiment).unwrap();
         assert_eq!(a, b);
     }
 }

@@ -17,10 +17,10 @@
 //!   intervals (O(runs) memory — the order-statistics reference);
 //! * [`streaming`] — O(grid)-memory lifetime studies: fixed-grid
 //!   depletion counts plus moment sketches, mergeable in batch order;
-//! * [`engine`] — the parallel streaming Monte Carlo engine: a
-//!   persistent worker pool executing replication batches, with an
-//!   adaptive Wilson-half-width stopping rule, **bit-identical for any
-//!   thread count**.
+//! * [`engine`] — the parallel streaming Monte Carlo engine: scoped
+//!   workers executing replication batches, with an adaptive
+//!   Wilson-half-width stopping rule, **bit-identical for any thread
+//!   count**.
 //!
 //! # Examples
 //!
@@ -44,19 +44,21 @@
 //! engine in O(grid) memory:
 //!
 //! ```
-//! use sim::engine::{McOptions, McPool, Replication};
+//! use markov::budget::Budget;
+//! use sim::engine::{run_study, McOptions, Replication};
 //!
-//! let pool = McPool::new(4);
 //! let opts = McOptions { runs: 1_000_000, ..McOptions::default() };
-//! let study = pool
-//!     .run_study(vec![0.5, 1.0, 2.0], 4.0, 7, &opts, &|rng| {
-//!         let t = rng.exponential(1.0);
-//!         if t <= 4.0 { Replication::Depleted(t) } else { Replication::Censored }
-//!     })
+//! let exponential = |rng: &mut sim::rng::SimRng| {
+//!     let t = rng.exponential(1.0);
+//!     if t <= 4.0 { Replication::Depleted(t) } else { Replication::Censored }
+//! };
+//! let study = run_study(4, vec![0.5, 1.0, 2.0], 4.0, 7, &opts, &exponential, &Budget::unlimited())
 //!     .unwrap();
 //! assert_eq!(study.total_runs(), 1_000_000);
 //! assert!((study.empty_probability(1) - (1.0 - (-1.0f64).exp())).abs() < 2e-3);
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub mod engine;
 pub mod replication;

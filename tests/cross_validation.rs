@@ -6,7 +6,7 @@
 
 use kibamrm::scenario::Scenario;
 use kibamrm::solver::{
-    DiscretisationSolver, LifetimeSolver, SericolaSolver, SimulationSolver, SolverRegistry,
+    Budget, DiscretisationSolver, LifetimeSolver, SericolaSolver, SimulationSolver, SolverRegistry,
 };
 use kibamrm::workload::Workload;
 use units::{Charge, Current, Frequency, Rate, Time};
@@ -129,7 +129,9 @@ fn simulation_stays_within_its_wilson_band_of_the_discretisation() {
     let scenario = simple_linear().with_simulation(2000, 81);
     let solver = SimulationSolver::new();
     let sim = solver.solve(&scenario).unwrap();
-    let study = solver.streaming_study(&scenario).unwrap();
+    let study = solver
+        .streaming_study(&scenario, 2, &Budget::unlimited())
+        .unwrap();
     assert_eq!(study.total_runs(), 2000);
     let disc = DiscretisationSolver::new().solve(&scenario).unwrap();
     let exact = SericolaSolver::new().solve(&scenario).unwrap();
