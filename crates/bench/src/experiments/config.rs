@@ -1,6 +1,6 @@
 //! Shared harness configuration.
 
-use kibamrm::solver::DiscretisationSolver;
+use kibamrm::solver::{DiscretisationSolver, SolverRegistry};
 use markov::transient::TransientOptions;
 
 /// Command-line configuration for every experiment.
@@ -14,7 +14,8 @@ pub struct Config {
     pub quick: bool,
     /// Output directory for CSV results.
     pub out_dir: String,
-    /// Worker threads for sparse matrix–vector products.
+    /// Worker threads: for the sparse matrix–vector products of a solo
+    /// solve, or for the scenarios of a sweep ([`Config::sweep_registry`]).
     pub threads: usize,
     /// Directory holding the committed `BENCH_*.json` baselines the
     /// `regress` gate diffs against (default: the current directory,
@@ -56,7 +57,24 @@ impl Config {
     /// A discretisation solver with this config's thread count and
     /// default numerics.
     pub fn discretisation_solver(&self) -> DiscretisationSolver {
-        DiscretisationSolver::new().with_threads(self.threads)
+        let transient = TransientOptions {
+            threads: self.threads,
+            ..TransientOptions::default()
+        };
+        DiscretisationSolver::new().with_transient(transient)
+    }
+
+    /// A registry holding only `solver`, whose sweeps spend this config's
+    /// threads on the scenarios: `threads` sweep workers, each solve on
+    /// one row worker. `auto()` resolves every scenario to `solver`.
+    pub fn sweep_registry(&self, solver: DiscretisationSolver) -> SolverRegistry {
+        let transient = TransientOptions {
+            threads: 1,
+            ..*solver.transient()
+        };
+        let mut registry = SolverRegistry::empty().with_sweep_threads(self.threads);
+        registry.register(Box::new(solver.with_transient(transient)));
+        registry
     }
 
     /// A discretisation solver matching the paper's iteration

@@ -9,7 +9,6 @@
 use super::config::Config;
 use super::save_curves;
 use kibamrm::scenario::Scenario;
-use kibamrm::solver::SolverRegistry;
 use kibamrm::workload::Workload;
 use units::{Charge, Rate, Time};
 
@@ -40,9 +39,7 @@ pub fn run(cfg: &Config) -> Result<(), String> {
             .map_err(|e| e.to_string())?,
     ];
 
-    let mut registry = SolverRegistry::empty();
-    registry.register(Box::new(cfg.discretisation_solver()));
-    let results = registry.sweep(&grid);
+    let results = cfg.sweep_registry(cfg.discretisation_solver()).sweep(&grid);
 
     let mut curves = Vec::new();
     let mut at_20h = Vec::new();

@@ -6,14 +6,13 @@
 //! * `C = 4500 As, c = 1` — only the available part exists (shortest).
 //!
 //! The three scenarios form a grid evaluated in one
-//! [`SolverRegistry::sweep`] call (discretisation backend only: the
-//! paper's figure compares approximations, and Sericola at νt ≈ 4·10⁴
-//! would be pointlessly slow).
+//! [`kibamrm::solver::SolverRegistry::sweep`] call (discretisation
+//! backend only: the paper's figure compares approximations, and
+//! Sericola at νt ≈ 4·10⁴ would be pointlessly slow).
 
 use super::config::Config;
 use super::save_curves;
 use kibamrm::scenario::Scenario;
-use kibamrm::solver::SolverRegistry;
 use kibamrm::workload::Workload;
 use units::{Charge, Current, Frequency, Rate, Time};
 
@@ -54,11 +53,9 @@ pub fn run(cfg: &Config) -> Result<(), String> {
         })
         .collect::<Result<_, String>>()?;
 
-    // A registry holding only the paper-accounting discretisation
-    // backend: auto() then resolves to it for every scenario.
-    let mut registry = SolverRegistry::empty();
-    registry.register(Box::new(cfg.paper_discretisation_solver()));
-    let results = registry.sweep(&grid);
+    let results = cfg
+        .sweep_registry(cfg.paper_discretisation_solver())
+        .sweep(&grid);
 
     let mut curves = Vec::new();
     let mut p_at_14000 = Vec::new();

@@ -19,7 +19,7 @@
 use super::config::Config;
 use super::write_json;
 use kibamrm::scenario::Scenario;
-use kibamrm::solver::{Budget, LifetimeSolver, SericolaSolver, SimulationSolver, SolverOptions};
+use kibamrm::solver::{Budget, LifetimeSolver, SericolaSolver, SimulationSolver};
 use kibamrm::workload::Workload;
 use units::{Charge, Current, Frequency, Time};
 
@@ -154,11 +154,7 @@ pub fn run(cfg: &Config) -> Result<(), String> {
     let adaptive_scenario = gate_scenario(200, GATE_SEED)?;
     let adaptive_solver = SimulationSolver::new().with_adaptive(adaptive_target, 1 << 16);
     let adaptive = adaptive_solver
-        .streaming_study(
-            &adaptive_scenario,
-            SolverOptions::default().row_threads,
-            &Budget::unlimited(),
-        )
+        .streaming_study(&adaptive_scenario, &Budget::unlimited())
         .map_err(|e| e.to_string())?;
     let adaptive_runs = adaptive.total_runs();
     let adaptive_hw = adaptive.max_half_width();

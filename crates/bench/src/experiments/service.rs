@@ -31,7 +31,6 @@ use super::config::Config;
 use super::{sweep as sweep_experiment, write_json};
 use kibamrm::scenario::Scenario;
 use kibamrm::service::{Answer, LifetimeService, QueryOptions, ServiceConfig, ServiceStats};
-use kibamrm::solver::SolverOptions;
 use std::time::Duration;
 use units::Charge;
 
@@ -116,10 +115,8 @@ pub(crate) fn run_fleet_trace(
     let configurations = fleet_configurations(quick)?;
     let service = LifetimeService::with_config(
         sweep_experiment::csr_registry(),
-        ServiceConfig::default()
-            .with_options(SolverOptions::sequential())
-            // The bench measures caching, not shedding: admit everything.
-            .with_max_in_flight(requests.max(1)),
+        // The bench measures caching, not shedding: admit everything.
+        ServiceConfig::default().with_max_in_flight(requests.max(1)),
     );
 
     // Fixed-seed LCG (MMIX constants): the trace is part of the gate.
@@ -247,9 +244,7 @@ pub(crate) struct SnapshotOutcome {
 /// everything against independent fresh solves.
 pub(crate) fn run_snapshot_leg(quick: bool) -> Result<SnapshotOutcome, String> {
     let configurations = fleet_configurations(quick)?;
-    let config = ServiceConfig::default()
-        .with_options(SolverOptions::sequential())
-        .with_max_in_flight(configurations.len().max(1));
+    let config = ServiceConfig::default().with_max_in_flight(configurations.len().max(1));
     let first_life = LifetimeService::with_config(sweep_experiment::csr_registry(), config);
     for scenario in &configurations {
         first_life.query(scenario).map_err(|e| e.to_string())?;
@@ -370,7 +365,7 @@ pub fn run(cfg: &Config) -> Result<(), String> {
 
     let body = format!(
         "{{\n  \"bench\": \"service\",\n  \"generated_by\": \"bench-harness service\",\n  \
-         \"engine\": \"csr, single-thread per solve (scenario_threads 1, row_threads 1)\",\n  \
+         \"engine\": \"csr, single-thread per solve (transient threads 1)\",\n  \
          \"note\": \"deterministic fixed-seed fleet trace of per-device relabelled \
          queries over power-of-two rate rescales and deltas of the Fig. 8 two-well \
          scenario; served answers are asserted bit-identical to independent fresh solves \

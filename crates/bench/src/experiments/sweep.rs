@@ -32,9 +32,7 @@
 use super::config::Config;
 use super::write_json;
 use kibamrm::scenario::Scenario;
-use kibamrm::solver::{
-    DiscretisationSolver, SericolaSolver, SimulationSolver, SolverOptions, SolverRegistry,
-};
+use kibamrm::solver::{DiscretisationSolver, SericolaSolver, SimulationSolver, SolverRegistry};
 use kibamrm::sweep::{ScenarioGrid, SweepPlan};
 use kibamrm::workload::Workload;
 use kibamrm::KibamRmError;
@@ -48,7 +46,7 @@ use units::{Charge, Current, Frequency, Rate, Time};
 /// scenario/row parallelism, and CSR keeps the rescale fast path
 /// available (the active window's trim schedule is ν·t-dependent).
 pub(crate) fn csr_registry() -> SolverRegistry {
-    let mut registry = SolverRegistry::empty().with_options(SolverOptions::sequential());
+    let mut registry = SolverRegistry::empty().with_sweep_threads(1);
     registry.register(Box::new(SericolaSolver::new()));
     registry.register(Box::new(DiscretisationSolver::new().with_transient(
         TransientOptions {
@@ -225,7 +223,7 @@ pub fn run(cfg: &Config) -> Result<(), String> {
         .collect();
     let body = format!(
         "{{\n  \"bench\": \"sweep\",\n  \"generated_by\": \"bench-harness sweep\",\n  \
-         \"engine\": \"csr, single-thread (scenario_threads 1, row_threads 1)\",\n  \
+         \"engine\": \"csr, single-thread (sweep_threads 1, transient threads 1)\",\n  \
          \"note\": \"grids are workload × (c,k) × Δ × power-of-two rate-scale \
          families of the Fig. 8 two-well scenario, so the planner amortises one \
          uniformisation sweep per rescale family (ideal per-family gain Σν/maxν ≈ 1.9); \

@@ -23,7 +23,7 @@
 use crate::distribution::LifetimeDistribution;
 use crate::error::KibamRmError;
 use crate::scenario::Scenario;
-use crate::solver::{Capability, GroupState, LifetimeSolver, SolverOptions};
+use crate::solver::{Capability, GroupState, LifetimeSolver};
 use markov::Budget;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -252,12 +252,11 @@ impl LifetimeSolver for FaultInjectingSolver {
     fn solve_in(
         &self,
         scenario: &Scenario,
-        options: &SolverOptions,
         state: Option<&mut dyn GroupState>,
         budget: &Budget,
     ) -> Result<LifetimeDistribution, KibamRmError> {
         self.inject()?;
-        self.inner.solve_in(scenario, options, state, budget)
+        self.inner.solve_in(scenario, state, budget)
     }
 
     fn sweep_fingerprint(&self, scenario: &Scenario) -> Option<u64> {
@@ -268,8 +267,8 @@ impl LifetimeSolver for FaultInjectingSolver {
         self.inner.sweep_cost(scenario)
     }
 
-    fn new_group_state(&self, options: &SolverOptions) -> Option<Box<dyn GroupState>> {
-        self.inner.new_group_state(options)
+    fn new_group_state(&self) -> Option<Box<dyn GroupState>> {
+        self.inner.new_group_state()
     }
 }
 

@@ -54,13 +54,6 @@ impl DiscretisationOptions {
         }
     }
 
-    /// Sets the number of worker threads for the matrix–vector products.
-    #[must_use]
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.transient.threads = threads;
-        self
-    }
-
     /// Enables recovery out of the empty states (see the field docs).
     #[must_use]
     pub fn with_recovery_from_empty(mut self) -> Self {

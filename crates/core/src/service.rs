@@ -67,7 +67,7 @@ use crate::scenario::Scenario;
 use crate::snapshot::{
     self, SnapshotEntry, SnapshotError, SnapshotLoadReport, SnapshotWriteReport,
 };
-use crate::solver::{GroupState, LifetimeSolver, SimulationSolver, SolverOptions, SolverRegistry};
+use crate::solver::{GroupState, LifetimeSolver, SimulationSolver, SolverRegistry};
 use crate::KibamRmError;
 use markov::Budget;
 use std::collections::HashMap;
@@ -377,9 +377,6 @@ pub struct ServiceConfig {
     /// templates and curve caches). `0` disables warm-state reuse —
     /// every solve assembles its own state. Default: 16.
     pub warm_capacity: usize,
-    /// Per-solve thread budget handed to the backends (see
-    /// [`SolverOptions`]).
-    pub options: SolverOptions,
     /// Consecutive solve failures per `(backend, fingerprint)` that trip
     /// its circuit breaker into the open state. `0` disables the
     /// breaker. Default: 5.
@@ -405,7 +402,6 @@ impl Default for ServiceConfig {
             max_in_flight: 2 * cores,
             cache_capacity_bytes: 32 << 20,
             warm_capacity: 16,
-            options: SolverOptions::default(),
             breaker_threshold: 5,
             breaker_cooldown: Duration::from_secs(5),
             degraded_grace: Duration::from_millis(250),
@@ -433,13 +429,6 @@ impl ServiceConfig {
     #[must_use]
     pub fn with_warm_capacity(mut self, entries: usize) -> Self {
         self.warm_capacity = entries;
-        self
-    }
-
-    /// Replaces the per-solve thread budget.
-    #[must_use]
-    pub fn with_options(mut self, options: SolverOptions) -> Self {
-        self.options = options;
         self
     }
 
@@ -1095,9 +1084,8 @@ impl LifetimeService {
             outcome: None,
         };
 
-        let options = self.config.options;
-        let slot = fingerprint
-            .and_then(|fp| self.warm_slot(index, fp, |opts| solver.new_group_state(opts)));
+        let slot =
+            fingerprint.and_then(|fp| self.warm_slot(index, fp, || solver.new_group_state()));
         // Serialises same-group solves, exactly like a batch group's
         // member order. A poisoned state (an earlier member panicked
         // mid-solve) is replaced wholesale: a half-updated cache could
@@ -1106,7 +1094,7 @@ impl LifetimeService {
             Ok(guard) => guard,
             Err(poisoned) => {
                 let mut guard = poisoned.into_inner();
-                if let Some(fresh) = solver.new_group_state(&options) {
+                if let Some(fresh) = solver.new_group_state() {
                     *guard = fresh;
                 }
                 guard
@@ -1118,7 +1106,7 @@ impl LifetimeService {
             Err(KibamRmError::DeadlineExceeded { completed: 0 })
         } else {
             let state = state.as_mut().map(|s| s.as_mut() as &mut dyn GroupState);
-            solver.solve_in(scenario, &options, state, budget)
+            solver.solve_in(scenario, state, budget)
         };
         guard.outcome = Some(match &result {
             Ok(_) => BreakerOutcome::Success,
@@ -1282,8 +1270,7 @@ impl LifetimeService {
         let runs = self.config.degraded_runs.max(1);
         let fallback = scenario.with_simulation(runs, scenario.sim_seed());
         let budget = Budget::with_deadline(self.config.degraded_grace);
-        let dist =
-            SimulationSolver::new().solve_in(&fallback, &self.config.options, None, &budget)?;
+        let dist = SimulationSolver::new().solve_in(&fallback, None, &budget)?;
         let diag = *dist.diagnostics();
         let actual_runs = diag.runs.unwrap_or(runs);
         Ok((dist, monte_carlo_bound(actual_runs), actual_runs))
@@ -1297,7 +1284,7 @@ impl LifetimeService {
         &self,
         index: usize,
         fingerprint: u64,
-        make: impl FnOnce(&SolverOptions) -> Option<Box<dyn GroupState>>,
+        make: impl FnOnce() -> Option<Box<dyn GroupState>>,
     ) -> Option<Arc<Mutex<Box<dyn GroupState>>>> {
         if self.config.warm_capacity == 0 {
             return None;
@@ -1316,7 +1303,7 @@ impl LifetimeService {
         // first solve) — and creating inside the lock guarantees at
         // most one state per group ever exists, which is the whole
         // point of a live group.
-        let state = Arc::new(Mutex::new(make(&self.config.options)?));
+        let state = Arc::new(Mutex::new(make()?));
         while inner.warm.len() >= self.config.warm_capacity {
             // DETERMINISM-OK: the minimum is taken over the total key
             // (last_used, group key) — ticks are already unique, and
@@ -1593,7 +1580,6 @@ mod tests {
         fn solve_in(
             &self,
             s: &Scenario,
-            _options: &SolverOptions,
             _state: Option<&mut dyn GroupState>,
             _budget: &Budget,
         ) -> Result<LifetimeDistribution, KibamRmError> {
@@ -1632,7 +1618,6 @@ mod tests {
         fn solve_in(
             &self,
             s: &Scenario,
-            _options: &SolverOptions,
             _state: Option<&mut dyn GroupState>,
             _budget: &Budget,
         ) -> Result<LifetimeDistribution, KibamRmError> {
@@ -1825,7 +1810,6 @@ mod tests {
             fn solve_in(
                 &self,
                 _s: &Scenario,
-                _options: &SolverOptions,
                 _state: Option<&mut dyn GroupState>,
                 _budget: &Budget,
             ) -> Result<LifetimeDistribution, KibamRmError> {
@@ -1852,14 +1836,8 @@ mod tests {
 
     #[test]
     fn real_registry_serves_bit_identical_answers_and_reuses_warm_state() {
-        // Sequential options keep grouped and independent solves
-        // unconditionally bit-identical (see the sweep contract).
-        let options = SolverOptions::sequential();
-        let registry = SolverRegistry::with_default_backends().with_options(options);
-        let service = LifetimeService::with_config(
-            SolverRegistry::with_default_backends(),
-            ServiceConfig::default().with_options(options),
-        );
+        let registry = SolverRegistry::with_default_backends();
+        let service = LifetimeService::new(SolverRegistry::with_default_backends());
         let base = Scenario::paper_cell_phone().unwrap();
         let family: Vec<Scenario> = [1.0, 0.5, 0.25]
             .iter()
@@ -1895,16 +1873,9 @@ mod tests {
         // solves on its own, with no warm state to create or find.
         let mut registry = SolverRegistry::empty();
         registry.register(Box::new(SimulationSolver::new()));
-        let service = LifetimeService::with_config(
-            registry,
-            ServiceConfig::default().with_options(SolverOptions::sequential()),
-        );
+        let service = LifetimeService::new(registry);
         let (a, b) = (linear(1), linear(2));
-        let fresh = |s: &Scenario| {
-            SimulationSolver::new()
-                .solve_in(s, &SolverOptions::sequential(), None, &Budget::unlimited())
-                .unwrap()
-        };
+        let fresh = |s: &Scenario| SimulationSolver::new().solve(s).unwrap();
         assert_eq!(service.query(&a).unwrap().points(), fresh(&a).points());
         assert_eq!(service.query(&b).unwrap().points(), fresh(&b).points());
         let stats = service.stats();
@@ -1915,12 +1886,9 @@ mod tests {
 
     #[test]
     fn warm_state_eviction_and_purge() {
-        let options = SolverOptions::sequential();
         let service = LifetimeService::with_config(
             SolverRegistry::with_default_backends(),
-            ServiceConfig::default()
-                .with_options(options)
-                .with_warm_capacity(1),
+            ServiceConfig::default().with_warm_capacity(1),
         );
         let base = Scenario::paper_cell_phone().unwrap();
         let coarse = base.with_delta(Charge::from_milliamp_hours(50.0));
@@ -1956,10 +1924,7 @@ mod tests {
             .simulation(20, 1)
             .build()
             .unwrap();
-        let service = LifetimeService::with_config(
-            SolverRegistry::with_default_backends(),
-            ServiceConfig::default().with_options(SolverOptions::sequential()),
-        );
+        let service = LifetimeService::new(SolverRegistry::with_default_backends());
         let a = service.query(&s).unwrap();
         let b = service.query(&s).unwrap();
         assert_eq!(a.points(), b.points());
@@ -1974,8 +1939,7 @@ mod tests {
         let cfg = ServiceConfig::default()
             .with_max_in_flight(3)
             .with_cache_capacity_bytes(1024)
-            .with_warm_capacity(2)
-            .with_options(SolverOptions::sequential());
+            .with_warm_capacity(2);
         assert_eq!(cfg.max_in_flight, 3);
         assert_eq!(cfg.cache_capacity_bytes, 1024);
         assert_eq!(cfg.warm_capacity, 2);
@@ -2104,7 +2068,6 @@ mod tests {
             fn solve_in(
                 &self,
                 s: &Scenario,
-                _options: &SolverOptions,
                 _state: Option<&mut dyn GroupState>,
                 _budget: &Budget,
             ) -> Result<LifetimeDistribution, KibamRmError> {
@@ -2162,7 +2125,6 @@ mod tests {
             fn solve_in(
                 &self,
                 s: &Scenario,
-                _options: &SolverOptions,
                 _state: Option<&mut dyn GroupState>,
                 _budget: &Budget,
             ) -> Result<LifetimeDistribution, KibamRmError> {
@@ -2262,12 +2224,8 @@ mod tests {
 
     #[test]
     fn service_deadline_cut_solve_then_full_solve_is_bit_identical() {
-        let options = SolverOptions::sequential();
-        let registry = SolverRegistry::with_default_backends().with_options(options);
-        let service = LifetimeService::with_config(
-            SolverRegistry::with_default_backends(),
-            ServiceConfig::default().with_options(options),
-        );
+        let registry = SolverRegistry::with_default_backends();
+        let service = LifetimeService::new(SolverRegistry::with_default_backends());
         let s = Scenario::paper_cell_phone().unwrap();
         // A 2 ms deadline lands mid-uniformisation on this model (it
         // takes much longer); on a pathologically fast machine the solve

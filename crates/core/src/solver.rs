@@ -48,63 +48,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 use units::Time;
 
-/// Thread-budget knobs for a solver run, composing the two layers of
-/// parallelism without oversubscription:
-///
-/// * **scenario-level** — how many scenarios a [`SolverRegistry::sweep`]
-///   solves concurrently;
-/// * **row-level** — a **cap** on the SpMV pool workers each individual
-///   solve may spawn ([`markov::pool::SpmvPool`] inside the
-///   uniformisation engine). The cap never *raises* a backend's own
-///   configured thread count (e.g.
-///   [`DiscretisationSolver::with_threads`]); it only bounds it, so a
-///   sweep can divide the machine between concurrent solves.
-///
-/// `sweep` divides `row_threads` by the number of active sweep workers
-/// before applying it, so the two layers compose without
-/// oversubscribing the machine. The storage format is not a run knob: it
-/// belongs to the backend ([`DiscretisationSolver::with_transient`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SolverOptions {
-    /// Concurrent scenario solves in a sweep (default: available
-    /// parallelism).
-    pub scenario_threads: usize,
-    /// Row-level worker cap per solve (default: available parallelism —
-    /// i.e. no cap beyond the machine itself, leaving each backend's
-    /// own thread configuration in charge).
-    pub row_threads: usize,
-}
-
-impl Default for SolverOptions {
-    fn default() -> Self {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        SolverOptions {
-            scenario_threads: cores,
-            row_threads: cores,
-        }
-    }
-}
-
-impl SolverOptions {
-    /// Fully sequential execution (one scenario at a time, one thread per
-    /// solve).
-    pub fn sequential() -> Self {
-        SolverOptions {
-            scenario_threads: 1,
-            row_threads: 1,
-        }
-    }
-
-    /// Row-level worker count for one solve when `active` scenarios run
-    /// concurrently: the row budget split across the active solves,
-    /// never below 1.
-    pub fn row_threads_per_solve(&self, active: usize) -> usize {
-        (self.row_threads / active.max(1)).max(1)
-    }
-}
-
 /// What a backend can do with a given scenario.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Capability {
@@ -164,29 +107,24 @@ pub trait LifetimeSolver: Send + Sync {
         self.capability(scenario).is_supported()
     }
 
-    /// Computes `t ↦ Pr[battery empty at t]` on the scenario's grid
-    /// under the default options, with no group state and no deadline.
+    /// Computes `t ↦ Pr[battery empty at t]` on the scenario's grid with
+    /// no group state and no deadline.
     ///
     /// # Errors
     ///
     /// As for [`LifetimeSolver::solve_in`].
     fn solve(&self, scenario: &Scenario) -> Result<LifetimeDistribution, KibamRmError> {
-        self.solve_in(
-            scenario,
-            &SolverOptions::default(),
-            None,
-            &Budget::unlimited(),
-        )
+        self.solve_in(scenario, None, &Budget::unlimited())
     }
 
     /// The one way into a backend: computes `t ↦ Pr[battery empty at t]`
-    /// on the scenario's grid under a thread budget (`options`), through
-    /// warm group state when the caller holds one (`state`, created by
-    /// [`LifetimeSolver::new_group_state`] on this same backend), and
-    /// under a cooperative deadline (`budget`).
+    /// on the scenario's grid, through warm group state when the caller
+    /// holds one (`state`, created by [`LifetimeSolver::new_group_state`]
+    /// on this same backend), and under a cooperative deadline
+    /// (`budget`). A backend's worker count is its own configuration.
     ///
-    /// Results are **bit-identical** whatever the state and the thread
-    /// budget: shared state is an optimisation, never an approximation.
+    /// Results are **bit-identical** whatever the state and the worker
+    /// count: shared state is an optimisation, never an approximation.
     /// A backend handed a state it does not recognise solves as if it
     /// had none. A budget-interrupted solve must leave the state
     /// consistent, so re-running the same member to completion is
@@ -202,7 +140,6 @@ pub trait LifetimeSolver: Send + Sync {
     fn solve_in(
         &self,
         scenario: &Scenario,
-        options: &SolverOptions,
         state: Option<&mut dyn GroupState>,
         budget: &Budget,
     ) -> Result<LifetimeDistribution, KibamRmError>;
@@ -237,8 +174,7 @@ pub trait LifetimeSolver: Send + Sync {
     /// sweep holds for one group and a resident service keeps alive
     /// across requests. `None` (the default) means the backend has no
     /// shareable state: every member solves independently.
-    fn new_group_state(&self, options: &SolverOptions) -> Option<Box<dyn GroupState>> {
-        let _ = options;
+    fn new_group_state(&self) -> Option<Box<dyn GroupState>> {
         None
     }
 
@@ -251,14 +187,13 @@ pub trait LifetimeSolver: Send + Sync {
     fn solve_group(
         &self,
         scenarios: &[&Scenario],
-        options: &SolverOptions,
     ) -> Vec<Result<LifetimeDistribution, KibamRmError>> {
-        let mut state = self.new_group_state(options);
+        let mut state = self.new_group_state();
         scenarios
             .iter()
             .map(|s| {
                 let state = state.as_mut().map(|st| st.as_mut() as &mut dyn GroupState);
-                self.solve_in(s, options, state, &Budget::unlimited())
+                self.solve_in(s, state, &Budget::unlimited())
             })
             .collect()
     }
@@ -281,17 +216,12 @@ impl DiscretisationSolver {
         DiscretisationSolver::default()
     }
 
-    /// Overrides the uniformisation options (threads, ε, ν factor…).
+    /// Overrides the uniformisation options (ε, ν factor, storage
+    /// format, and the row-worker count of the matrix–vector products,
+    /// [`TransientOptions::threads`]).
     #[must_use]
     pub fn with_transient(mut self, transient: TransientOptions) -> Self {
         self.transient = transient;
-        self
-    }
-
-    /// Sets the worker-thread count for matrix–vector products.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.transient.threads = threads;
         self
     }
 
@@ -348,7 +278,6 @@ impl LifetimeSolver for DiscretisationSolver {
     fn solve_in(
         &self,
         scenario: &Scenario,
-        options: &SolverOptions,
         state: Option<&mut dyn GroupState>,
         budget: &Budget,
     ) -> Result<LifetimeDistribution, KibamRmError> {
@@ -368,12 +297,7 @@ impl LifetimeSolver for DiscretisationSolver {
         }
         let started = Instant::now();
         let model = scenario.to_model()?;
-        let mut opts = self.discretisation_options(scenario)?;
-        // Row-level parallelism is this backend's SpMV pool: the budget
-        // the registry hands down (already divided among concurrent
-        // sweep workers) caps it — it never raises a thread count this
-        // solver was explicitly configured with.
-        opts.transient.threads = opts.transient.threads.min(options.row_threads.max(1));
+        let opts = self.discretisation_options(scenario)?;
 
         // Someone else's state (a caller's bookkeeping slip) counts as
         // none: solve independently rather than mis-share.
@@ -442,8 +366,7 @@ impl LifetimeSolver for DiscretisationSolver {
         crate::discretise::cost_estimate(&model, &opts, horizon).ok()
     }
 
-    fn new_group_state(&self, options: &SolverOptions) -> Option<Box<dyn GroupState>> {
-        let _ = options;
+    fn new_group_state(&self) -> Option<Box<dyn GroupState>> {
         // One template, one curve cache for the whole group: the banded
         // pattern, DIA offsets, state labels and Fox–Glynn workspace are
         // assembled on the first member; later members refill numeric
@@ -541,8 +464,9 @@ impl SimulationSolver {
         self
     }
 
-    /// Sets the worker-thread count for replication batches (results do
-    /// not depend on it — that is the engine's bit-identity guarantee).
+    /// Sets the worker-thread count for replication batches, clamped to
+    /// the machine's available parallelism (results do not depend on it
+    /// — that is the engine's bit-identity guarantee).
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
@@ -629,13 +553,8 @@ impl SimulationSolver {
     /// over the scenario's query times plus moment sketches, produced by
     /// the parallel engine under this solver's stopping rule and a
     /// cooperative [`Budget`] (O(grid) memory, bit-identical for any
-    /// thread count).
-    ///
-    /// `threads` caps the worker count the way
-    /// [`SolverOptions::row_threads`] caps a solve's: the solver's own
-    /// [`with_threads`](SimulationSolver::with_threads) count and the
-    /// machine's available parallelism cap it further. Only the wall
-    /// time depends on it.
+    /// thread count), on this solver's
+    /// [`with_threads`](SimulationSolver::with_threads) workers.
     ///
     /// # Errors
     ///
@@ -643,7 +562,6 @@ impl SimulationSolver {
     pub fn streaming_study(
         &self,
         scenario: &Scenario,
-        threads: usize,
         budget: &Budget,
     ) -> Result<sim::streaming::StreamingLifetimeStudy, KibamRmError> {
         let model = scenario.to_model()?;
@@ -654,19 +572,19 @@ impl SimulationSolver {
             self.effective_horizon(scenario),
             scenario.sim_seed(),
             &opts,
-            self.capped_threads(threads),
+            self.capped_threads(),
             budget,
         )
     }
 
-    /// This backend's worker count under a caller's thread cap: the cap
-    /// and the machine's available parallelism (replication simulation
-    /// is compute-bound) both limit it, neither raises it.
-    fn capped_threads(&self, cap: usize) -> usize {
+    /// This backend's worker count: the configured count, clamped to the
+    /// machine's available parallelism (replication simulation is
+    /// compute-bound, so more workers than cores only add switching).
+    fn capped_threads(&self) -> usize {
         let cores = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
-        self.threads.min(cap.max(1)).min(cores)
+        self.threads.min(cores)
     }
 }
 
@@ -682,7 +600,6 @@ impl LifetimeSolver for SimulationSolver {
     fn solve_in(
         &self,
         scenario: &Scenario,
-        options: &SolverOptions,
         _state: Option<&mut dyn GroupState>,
         budget: &Budget,
     ) -> Result<LifetimeDistribution, KibamRmError> {
@@ -692,14 +609,9 @@ impl LifetimeSolver for SimulationSolver {
             return Err(KibamRmError::DeadlineExceeded { completed: 0 });
         }
         let started = Instant::now();
-        // Replication-level parallelism: the row-thread budget (already
-        // divided among concurrent sweep workers) caps the worker count,
-        // exactly as it caps the SpMV pool of the discretisation
-        // backend. The answer does not depend on the cap — only the wall
-        // time does. This backend keeps no group state: each solve runs
-        // its own study, so concurrent MC solves never wait on each
-        // other.
-        let study = self.streaming_study(scenario, options.row_threads, budget)?;
+        // This backend keeps no group state: each solve runs its own
+        // study, so concurrent MC solves never wait on each other.
+        let study = self.streaming_study(scenario, budget)?;
         // One prefix pass over the buckets, not per-point re-summing.
         let n = study.total_runs() as f64;
         let points = scenario
@@ -761,7 +673,6 @@ impl LifetimeSolver for SericolaSolver {
     fn solve_in(
         &self,
         scenario: &Scenario,
-        _options: &SolverOptions,
         _state: Option<&mut dyn GroupState>,
         budget: &Budget,
     ) -> Result<LifetimeDistribution, KibamRmError> {
@@ -798,10 +709,11 @@ impl LifetimeSolver for SericolaSolver {
 // Registry: selection, dispatch, batch sweeps.
 // --------------------------------------------------------------------
 
-/// An ordered collection of solver backends.
+/// An ordered collection of solver backends, and the worker count its
+/// sweeps fan out over.
 pub struct SolverRegistry {
     solvers: Vec<Box<dyn LifetimeSolver>>,
-    options: SolverOptions,
+    sweep_threads: usize,
 }
 
 impl std::fmt::Debug for SolverRegistry {
@@ -822,24 +734,24 @@ impl Default for SolverRegistry {
 }
 
 impl SolverRegistry {
-    /// An empty registry.
+    /// An empty registry whose sweeps use every available core.
     pub fn empty() -> Self {
         SolverRegistry {
             solvers: Vec::new(),
-            options: SolverOptions::default(),
+            sweep_threads: std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1),
         }
     }
 
-    /// Replaces the thread-budget options (see [`SolverOptions`]).
+    /// Sets how many plan groups a [`SolverRegistry::sweep`] solves at
+    /// once (at least one). This is the sweep layer's only thread knob:
+    /// each backend keeps its own row or replication worker count, and
+    /// the answers depend on neither.
     #[must_use]
-    pub fn with_options(mut self, options: SolverOptions) -> Self {
-        self.options = options;
+    pub fn with_sweep_threads(mut self, threads: usize) -> Self {
+        self.sweep_threads = threads.max(1);
         self
-    }
-
-    /// The registry's thread-budget options.
-    pub fn options(&self) -> &SolverOptions {
-        &self.options
     }
 
     /// The standard set: Sericola (exact where it applies), then the
@@ -922,8 +834,7 @@ impl SolverRegistry {
     /// Selection errors from [`SolverRegistry::auto`] plus the chosen
     /// backend's solve errors.
     pub fn solve(&self, scenario: &Scenario) -> Result<LifetimeDistribution, KibamRmError> {
-        self.auto(scenario)?
-            .solve_in(scenario, &self.options, None, &Budget::unlimited())
+        self.auto(scenario)?.solve(scenario)
     }
 
     /// Solves a whole scenario grid through a structure-sharing
@@ -931,84 +842,26 @@ impl SolverRegistry {
     /// solve, one result **per input slot**), structurally identical
     /// scenarios are grouped so each group assembles its lattice pattern,
     /// DIA offsets and Fox–Glynn workspace once (and rate-rescaled
-    /// families share a single uniformisation sweep), and the groups fan
-    /// out over the registry's scenario-thread budget. Results come back
-    /// in input order, **bit-identical** to solving each scenario
-    /// independently (the cached fast paths are exact, and the answers do
-    /// not depend on the row-worker count); per-scenario failures do not
-    /// abort the batch.
+    /// families share a single uniformisation sweep), and the groups are
+    /// solved by [`with_sweep_threads`](SolverRegistry::with_sweep_threads)
+    /// workers taking them from one queue, longest estimated group first
+    /// ([`SweepPlan::run_order`]). Results come back in input order,
+    /// **bit-identical** to solving each scenario independently (the
+    /// cached fast paths are exact, and the answers depend on no worker
+    /// count); per-scenario failures do not abort the batch.
     pub fn sweep(&self, scenarios: &[Scenario]) -> Vec<Result<LifetimeDistribution, KibamRmError>> {
-        self.sweep_with_threads(scenarios, self.options.scenario_threads)
-    }
-
-    /// [`SolverRegistry::sweep`] with an explicit worker count.
-    ///
-    /// The workers take the plan's groups from one queue, longest
-    /// estimated group first ([`SweepPlan::run_order`]), and the
-    /// registry's row-thread budget is divided by the active worker
-    /// count, so scenario-level and row-level parallelism compose
-    /// without oversubscribing the machine.
-    pub fn sweep_with_threads(
-        &self,
-        scenarios: &[Scenario],
-        threads: usize,
-    ) -> Vec<Result<LifetimeDistribution, KibamRmError>> {
         let plan = SweepPlan::build(self, scenarios);
-        self.execute_plan(&plan, scenarios, threads)
-    }
-
-    /// The pre-planner per-scenario sweep: auto-select and solve every
-    /// scenario independently and in order, with no deduplication, no
-    /// structure sharing and no scenario-level parallelism (each solve
-    /// is [`SolverRegistry::solve`]). Kept as the reference baseline the
-    /// planner is benchmarked (and property-tested) against.
-    pub fn sweep_naive(
-        &self,
-        scenarios: &[Scenario],
-    ) -> Vec<Result<LifetimeDistribution, KibamRmError>> {
-        scenarios.iter().map(|s| self.solve(s)).collect()
-    }
-
-    /// Expands a [`crate::sweep::ScenarioGrid`] and solves it through the
-    /// planned sweep, returning the labelled result set.
-    ///
-    /// # Errors
-    ///
-    /// Grid expansion errors (invalid axis values); per-point solve
-    /// failures are reported inside the result set instead.
-    pub fn sweep_grid(
-        &self,
-        grid: &crate::sweep::ScenarioGrid,
-    ) -> Result<crate::distribution::SweepResultSet, KibamRmError> {
-        let scenarios = grid.expand()?;
-        let labels = scenarios.iter().map(|s| s.name().to_owned()).collect();
-        let results = self.sweep(&scenarios);
-        crate::distribution::SweepResultSet::new(labels, results)
-    }
-
-    /// Runs an already-built plan over `scenarios` (the slice the plan
-    /// was built from) with `threads` sweep workers.
-    fn execute_plan(
-        &self,
-        plan: &SweepPlan,
-        scenarios: &[Scenario],
-        threads: usize,
-    ) -> Vec<Result<LifetimeDistribution, KibamRmError>> {
         let order = plan.run_order();
-        let workers = threads.max(1).min(order.len().max(1));
-        let per_solve = SolverOptions {
-            row_threads: self.options.row_threads_per_solve(workers),
-            ..self.options
-        };
+        let workers = self.sweep_threads.min(order.len().max(1));
         let run_group =
             |group: &crate::sweep::PlanGroup| -> Vec<(usize, Result<LifetimeDistribution, KibamRmError>)> {
                 let solver = self.solver_at(group.solver_index());
                 let members: Vec<&Scenario> =
                     group.members().iter().map(|&i| &scenarios[i]).collect();
                 let mut results = if members.len() == 1 {
-                    vec![solver.solve_in(members[0], &per_solve, None, &Budget::unlimited())]
+                    vec![solver.solve(members[0])]
                 } else {
-                    solver.solve_group(&members, &per_solve)
+                    solver.solve_group(&members)
                 };
                 // A malformed backend returning the wrong count must not
                 // poison unrelated slots.
@@ -1027,10 +880,9 @@ impl SolverRegistry {
         // One queue, longest group first: every worker takes the next
         // group through a shared cursor as soon as it is free, and the
         // calling thread is one of the workers. A group's answers depend
-        // only on its members and `per_solve`, never on the thread that
-        // runs it, so scheduling cannot move a bit. The cursor only hands
-        // out indices (results come back through `join`), so `Relaxed`
-        // suffices.
+        // only on its members, never on the thread that runs it, so
+        // scheduling cannot move a bit. The cursor only hands out indices
+        // (results come back through `join`), so `Relaxed` suffices.
         let next = AtomicUsize::new(0);
         let drain = || {
             let mut out = Vec::new();
@@ -1069,6 +921,35 @@ impl SolverRegistry {
             .into_iter()
             .map(|r| r.expect("every slot filled"))
             .collect()
+    }
+
+    /// The pre-planner per-scenario sweep: auto-select and solve every
+    /// scenario independently and in order, with no deduplication, no
+    /// structure sharing and no scenario-level parallelism (each solve
+    /// is [`SolverRegistry::solve`]). Kept as the reference baseline the
+    /// planner is benchmarked (and property-tested) against.
+    pub fn sweep_naive(
+        &self,
+        scenarios: &[Scenario],
+    ) -> Vec<Result<LifetimeDistribution, KibamRmError>> {
+        scenarios.iter().map(|s| self.solve(s)).collect()
+    }
+
+    /// Expands a [`crate::sweep::ScenarioGrid`] and solves it through the
+    /// planned sweep, returning the labelled result set.
+    ///
+    /// # Errors
+    ///
+    /// Grid expansion errors (invalid axis values); per-point solve
+    /// failures are reported inside the result set instead.
+    pub fn sweep_grid(
+        &self,
+        grid: &crate::sweep::ScenarioGrid,
+    ) -> Result<crate::distribution::SweepResultSet, KibamRmError> {
+        let scenarios = grid.expand()?;
+        let labels = scenarios.iter().map(|s| s.name().to_owned()).collect();
+        let results = self.sweep(&scenarios);
+        crate::distribution::SweepResultSet::new(labels, results)
     }
 
     /// Runs **every** applicable backend on the scenario and reports the
@@ -1268,9 +1149,10 @@ mod tests {
     fn answers_do_not_depend_on_the_row_worker_count() {
         // Fig. 8 at Δ = 50 A·s sweeps more rows than the parallel-SpMV
         // threshold, so the row pool runs (given more than one core) and
-        // splits the rows between its workers. Every worker count gives
-        // the single-thread bits, solo and through a sweep whose
-        // rate-rescaled member extends the shared sweep.
+        // splits the rows between its workers. Every row-worker count
+        // gives the single-thread bits, solo and through one- and
+        // two-worker sweeps of two groups: a rate-rescale pair, whose
+        // second member extends the shared sweep, and a coarser Δ.
         let fig8 = Scenario::builder()
             .name("fig8")
             .workload(
@@ -1289,23 +1171,32 @@ mod tests {
             swept >= markov::sparse::PARALLEL_SPMV_MIN_ROWS,
             "{swept} rows"
         );
-        let family = [fig8.with_rate_scale(0.5).unwrap(), fig8.clone()];
-        let reference: Vec<_> = family
+        let batch = [
+            fig8.with_rate_scale(0.5).unwrap(),
+            fig8.clone(),
+            fig8.with_delta(Charge::from_amp_seconds(100.0)),
+        ];
+        let reference: Vec<_> = batch
             .iter()
             .map(|s| reference_bits(&DiscretisationSolver::new(), s))
             .collect();
         for threads in 1..=4 {
-            let solver = DiscretisationSolver::new().with_threads(threads);
+            let solver = DiscretisationSolver::new().with_transient(TransientOptions {
+                threads,
+                ..TransientOptions::default()
+            });
             let solo = solver.solve(&fig8).unwrap();
             assert_eq!(bits(&solo), reference[1], "{threads} row threads, solo");
-            let mut registry = SolverRegistry::empty().with_options(SolverOptions {
-                scenario_threads: 1,
-                row_threads: threads,
-            });
-            registry.register(Box::new(solver));
-            for (slot, result) in registry.sweep(&family).iter().enumerate() {
-                let swept = bits(result.as_ref().unwrap());
-                assert_eq!(swept, reference[slot], "{threads} row threads, slot {slot}");
+            for sweep_threads in [1, 2] {
+                let mut registry = SolverRegistry::empty().with_sweep_threads(sweep_threads);
+                registry.register(Box::new(solver.clone()));
+                for (slot, result) in registry.sweep(&batch).iter().enumerate() {
+                    assert_eq!(
+                        bits(result.as_ref().unwrap()),
+                        reference[slot],
+                        "{threads} row threads, {sweep_threads} sweep threads, slot {slot}"
+                    );
+                }
             }
         }
     }
@@ -1322,7 +1213,7 @@ mod tests {
 
     #[test]
     fn sweep_preserves_order_and_isolates_failures() {
-        let registry = SolverRegistry::with_default_backends();
+        let registry = SolverRegistry::with_default_backends().with_sweep_threads(3);
         let base = two_well().with_simulation(50, 1);
         // A grid over Δ, including the classic failure mode: a Δ that
         // divides neither well.
@@ -1331,7 +1222,7 @@ mod tests {
             base.with_delta(Charge::from_milliamp_hours(7.0)),
             base.with_delta(Charge::from_milliamp_hours(50.0)),
         ];
-        let results = registry.sweep_with_threads(&grid, 3);
+        let results = registry.sweep(&grid);
         assert_eq!(results.len(), 3);
         assert!(results[0].is_ok());
         assert!(matches!(
@@ -1344,7 +1235,7 @@ mod tests {
         let coarse = results[2].as_ref().unwrap().diagnostics().states.unwrap();
         assert!(fine > coarse);
         // Single-threaded path gives identical answers.
-        let serial = registry.sweep_with_threads(&grid, 1);
+        let serial = registry.with_sweep_threads(1).sweep(&grid);
         assert!(
             results[0]
                 .as_ref()
@@ -1357,40 +1248,44 @@ mod tests {
     }
 
     #[test]
-    fn solver_options_compose_without_oversubscription() {
-        let opts = SolverOptions {
-            scenario_threads: 4,
-            row_threads: 8,
-        };
-        // 4 active sweep workers each get a cap of 8/4 = 2 row threads.
-        assert_eq!(opts.row_threads_per_solve(4), 2);
-        // More workers than row budget: every solve stays sequential.
-        assert_eq!(opts.row_threads_per_solve(16), 1);
-        assert_eq!(opts.row_threads_per_solve(0), 8, "clamped to one worker");
-        assert_eq!(SolverOptions::sequential().scenario_threads, 1);
-        // The default budget is the machine itself — no cap beyond it,
-        // so registry.solve never lowers an explicitly configured
-        // backend (regression: it used to force row_threads = 1).
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        assert_eq!(SolverOptions::default().row_threads, cores);
+    fn stacked_worker_layers_keep_the_sequential_bits() {
+        // Each layer keeps its own worker count; stacking them never
+        // divides one by the other and only moves wall time. Eight row
+        // workers per solve inside a four-worker sweep answer with the
+        // bits of the plain uniformisation curve…
+        let s = two_well().with_delta(Charge::from_milliamp_hours(50.0));
+        let solver = DiscretisationSolver::new().with_transient(TransientOptions {
+            threads: 8,
+            ..TransientOptions::default()
+        });
+        let mut registry = SolverRegistry::empty().with_sweep_threads(4);
+        registry.register(Box::new(solver.clone()));
+        let swept = registry.sweep(std::slice::from_ref(&s));
+        assert_eq!(
+            bits(swept[0].as_ref().unwrap()),
+            reference_bits(&solver, &s)
+        );
 
-        let registry = SolverRegistry::with_default_backends().with_options(opts);
-        assert_eq!(*registry.options(), opts);
-        // The thread budget only moves wall time: both row-parallel
-        // backends answer with the bits of their default-options solve.
-        let s = two_well()
-            .with_delta(Charge::from_milliamp_hours(50.0))
-            .with_simulation(10, 1);
-        let unlimited = Budget::unlimited();
-        let solver = DiscretisationSolver::new();
-        let budgeted = solver.solve_in(&s, &opts, None, &unlimited).unwrap();
-        assert_eq!(bits(&budgeted), reference_bits(&solver, &s));
-        let sim = SimulationSolver::new();
-        let a = sim.solve_in(&s, &opts, None, &unlimited).unwrap();
-        let b = sim.solve(&s).unwrap();
-        assert_eq!(a.points(), b.points());
+        // …and an MC family run on three replication workers (clamped to
+        // the machine) inside a two-worker sweep carries, slot for slot,
+        // the bits of sequential solvers solving one scenario at a time.
+        let base = small_linear();
+        let family = [
+            base.with_simulation(300, 1),
+            base.with_simulation(300, 2),
+            base.with_simulation(500, 3),
+        ];
+        let mc = |threads| {
+            let mut registry = SolverRegistry::empty().with_sweep_threads(2);
+            let solver = SimulationSolver::new().with_threads(threads).with_batch(64);
+            registry.register(Box::new(solver));
+            registry
+        };
+        let sequential = mc(1).sweep_naive(&family);
+        for (slot, (got, want)) in mc(3).sweep(&family).iter().zip(&sequential).enumerate() {
+            let (got, want) = (got.as_ref().unwrap(), want.as_ref().unwrap());
+            assert_eq!(bits(got), bits(want), "slot {slot}");
+        }
     }
 
     #[test]
@@ -1465,7 +1360,6 @@ mod tests {
             fn solve_in(
                 &self,
                 _s: &Scenario,
-                _options: &SolverOptions,
                 _state: Option<&mut dyn GroupState>,
                 _budget: &Budget,
             ) -> Result<LifetimeDistribution, KibamRmError> {
@@ -1477,9 +1371,9 @@ mod tests {
                 )
             }
         }
-        let mut registry = SolverRegistry::empty();
+        let mut registry = SolverRegistry::empty().with_sweep_threads(2);
         registry.register(Box::new(DuplicateGrid));
-        let results = registry.sweep_with_threads(&[s.clone(), s], 2);
+        let results = registry.sweep(&[s.clone(), s]);
         assert_eq!(results.len(), 2);
         for r in &results {
             let err = r.as_ref().expect_err("duplicated grid must fail");
@@ -1528,7 +1422,7 @@ mod tests {
         assert_eq!(study.depleted_runs(), 0);
         assert_eq!(study.lifetime_quantile(0.5), None);
         let streaming = solver
-            .streaming_study(&long_lived, 1, &Budget::unlimited())
+            .streaming_study(&long_lived, &Budget::unlimited())
             .unwrap();
         assert_eq!(streaming.depleted_runs(), 0);
         assert!(streaming.max_half_width() > 0.0);
@@ -1540,7 +1434,7 @@ mod tests {
         // planner gives every simulation-backed scenario its own group;
         // results must be bit-identical to independent solves
         // (per-scenario counter-derived streams).
-        let mut registry = SolverRegistry::empty();
+        let mut registry = SolverRegistry::empty().with_sweep_threads(2);
         registry.register(Box::new(SimulationSolver::new()));
         let base = small_linear();
         let batch = vec![
@@ -1553,10 +1447,10 @@ mod tests {
         assert_eq!(plan.groups().len(), 4, "one group per scenario");
         assert!(plan.groups().iter().all(|g| g.members().len() == 1));
 
-        let swept = registry.sweep_with_threads(&batch, 2);
+        let swept = registry.sweep(&batch);
         for (s, r) in batch.iter().zip(&swept) {
             let independent = SimulationSolver::new()
-                .solve_in(s, &SolverOptions::sequential(), None, &Budget::unlimited())
+                .solve_in(s, None, &Budget::unlimited())
                 .unwrap();
             let r = r.as_ref().unwrap();
             assert_eq!(
@@ -1587,7 +1481,7 @@ mod tests {
             "adaptive rule must extend past the initial round"
         );
         assert!(runs <= 1 << 16);
-        let study = solver.streaming_study(&s, 2, &Budget::unlimited()).unwrap();
+        let study = solver.streaming_study(&s, &Budget::unlimited()).unwrap();
         assert_eq!(study.total_runs() as usize, runs);
         assert!(
             study.max_half_width() <= 0.02,
@@ -1636,7 +1530,6 @@ mod tests {
             fn solve_in(
                 &self,
                 _s: &Scenario,
-                _options: &SolverOptions,
                 _state: Option<&mut dyn GroupState>,
                 _budget: &Budget,
             ) -> Result<LifetimeDistribution, KibamRmError> {
@@ -1682,7 +1575,6 @@ mod tests {
             fn solve_in(
                 &self,
                 s: &Scenario,
-                _options: &SolverOptions,
                 _state: Option<&mut dyn GroupState>,
                 _budget: &Budget,
             ) -> Result<LifetimeDistribution, KibamRmError> {
@@ -1705,14 +1597,14 @@ mod tests {
         let batch: Vec<Scenario> = names.iter().map(|n| small_linear().with_name(*n)).collect();
         let started = |priced: bool| {
             let log = Log::default();
-            let mut registry = SolverRegistry::empty();
+            let mut registry = SolverRegistry::empty().with_sweep_threads(1);
             registry.register(Box::new(Recording {
                 priced,
                 started: log.clone(),
             }));
             let plan = SweepPlan::build(&registry, &batch);
             assert_eq!(plan.groups().len(), 5);
-            let results = registry.sweep_with_threads(&batch, 1);
+            let results = registry.sweep(&batch);
             assert!(results.iter().all(Result::is_ok));
             let started = log.lock().unwrap().clone();
             started
@@ -1817,17 +1709,11 @@ mod tests {
         // exactly the bits an uninterrupted solve would have.
         let solver = DiscretisationSolver::new();
         let s = two_well();
-        let options = SolverOptions::sequential();
         let reference = reference_bits(&solver, &s);
         for k in [0, 1, 7] {
-            let mut state = solver.new_group_state(&options).unwrap();
+            let mut state = solver.new_group_state().unwrap();
             let err = solver
-                .solve_in(
-                    &s,
-                    &options,
-                    Some(state.as_mut()),
-                    &Budget::cancelled_after_checks(k),
-                )
+                .solve_in(&s, Some(state.as_mut()), &Budget::cancelled_after_checks(k))
                 .expect_err("budget must interrupt the sweep");
             assert_eq!(
                 err,
@@ -1837,7 +1723,7 @@ mod tests {
                 "k = {k}"
             );
             let rerun = solver
-                .solve_in(&s, &options, Some(state.as_mut()), &Budget::unlimited())
+                .solve_in(&s, Some(state.as_mut()), &Budget::unlimited())
                 .unwrap();
             assert_eq!(bits(&rerun), reference, "k = {k}");
         }
@@ -1845,20 +1731,19 @@ mod tests {
 
     #[test]
     fn simulation_cancelled_in_group_then_rerun_is_bit_identical() {
-        let solver = SimulationSolver::new().with_batch(100);
+        // One worker runs the batches inline, so the budget's k-th check
+        // stops at an exact batch boundary.
+        let solver = SimulationSolver::new().with_threads(1).with_batch(100);
         let s = small_linear(); // 400 replications in 4 batches
-        let options = SolverOptions::sequential();
         let reference = solver.solve(&s).unwrap();
         // The backend keeps no group state: a group member solves with
         // none.
-        assert!(solver.new_group_state(&options).is_none());
+        assert!(solver.new_group_state().is_none());
         let err = solver
-            .solve_in(&s, &options, None, &Budget::cancelled_after_checks(2))
+            .solve_in(&s, None, &Budget::cancelled_after_checks(2))
             .expect_err("budget must stop the batch loop");
         assert_eq!(err, KibamRmError::DeadlineExceeded { completed: 200 });
-        let rerun = solver
-            .solve_in(&s, &options, None, &Budget::unlimited())
-            .unwrap();
+        let rerun = solver.solve_in(&s, None, &Budget::unlimited()).unwrap();
         assert_eq!(rerun.points(), reference.points());
         assert_eq!(rerun.diagnostics().runs, Some(400));
         let hw = rerun.diagnostics().half_width.unwrap();
@@ -1868,7 +1753,6 @@ mod tests {
     #[test]
     fn exhausted_budget_fails_fast_for_every_backend() {
         let s = small_linear();
-        let options = SolverOptions::sequential();
         let expired = Budget::cancelled_after_checks(0);
         for solver in [
             Box::new(DiscretisationSolver::new()) as Box<dyn LifetimeSolver>,
@@ -1876,7 +1760,7 @@ mod tests {
             Box::new(SericolaSolver::new()),
         ] {
             let err = solver
-                .solve_in(&s, &options, None, &expired)
+                .solve_in(&s, None, &expired)
                 .expect_err("expired budget must refuse");
             assert_eq!(
                 err,
@@ -1889,21 +1773,16 @@ mod tests {
 
     #[test]
     fn budgeted_solo_solves_match_the_plain_paths_bit_for_bit() {
-        let options = SolverOptions::sequential();
         let s = two_well();
         let solver = DiscretisationSolver::new();
-        let solved = solver
-            .solve_in(&s, &options, None, &Budget::unlimited())
-            .unwrap();
+        let solved = solver.solve_in(&s, None, &Budget::unlimited()).unwrap();
         assert_eq!(bits(&solved), reference_bits(&solver, &s));
         // The simulation backend's plain path: the streaming study the
         // solve summarises.
         let s = small_linear();
         let solver = SimulationSolver::new();
-        let solved = solver
-            .solve_in(&s, &options, None, &Budget::unlimited())
-            .unwrap();
-        let study = solver.streaming_study(&s, 2, &Budget::unlimited()).unwrap();
+        let solved = solver.solve_in(&s, None, &Budget::unlimited()).unwrap();
+        let study = solver.streaming_study(&s, &Budget::unlimited()).unwrap();
         let n = study.total_runs() as f64;
         let plain: Vec<u64> = study
             .cumulative_counts()
@@ -1924,28 +1803,23 @@ mod tests {
                 self
             }
         }
-        let options = SolverOptions::sequential();
         let unlimited = Budget::unlimited();
         let s = two_well().with_delta(Charge::from_milliamp_hours(50.0));
         let disc = DiscretisationSolver::new();
-        let foreign = disc
-            .solve_in(&s, &options, Some(&mut Foreign), &unlimited)
-            .unwrap();
-        let stateless = disc.solve_in(&s, &options, None, &unlimited).unwrap();
+        let foreign = disc.solve_in(&s, Some(&mut Foreign), &unlimited).unwrap();
+        let stateless = disc.solve_in(&s, None, &unlimited).unwrap();
         assert_eq!(bits(&foreign), bits(&stateless));
 
         let s = small_linear();
         let sim = SimulationSolver::new();
-        let foreign = sim
-            .solve_in(&s, &options, Some(&mut Foreign), &unlimited)
-            .unwrap();
-        let stateless = sim.solve_in(&s, &options, None, &unlimited).unwrap();
+        let foreign = sim.solve_in(&s, Some(&mut Foreign), &unlimited).unwrap();
+        let stateless = sim.solve_in(&s, None, &unlimited).unwrap();
         assert_eq!(bits(&foreign), bits(&stateless));
         // A discretisation state handed to the simulation backend is
         // left untouched: it is still empty, so it holds no warm bytes.
-        let mut disc_state = disc.new_group_state(&options).unwrap();
+        let mut disc_state = disc.new_group_state().unwrap();
         let foreign = sim
-            .solve_in(&s, &options, Some(disc_state.as_mut()), &unlimited)
+            .solve_in(&s, Some(disc_state.as_mut()), &unlimited)
             .unwrap();
         assert_eq!(bits(&foreign), bits(&stateless));
         let disc_state = disc_state
@@ -1978,7 +1852,7 @@ mod tests {
                 representation,
                 ..TransientOptions::default()
             });
-            let grouped = solver.solve_group(&members, &SolverOptions::sequential());
+            let grouped = solver.solve_group(&members);
             for (s, got) in members.iter().zip(&grouped) {
                 assert_eq!(
                     bits(got.as_ref().unwrap()),

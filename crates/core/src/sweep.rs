@@ -353,9 +353,7 @@ impl SweepPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::{
-        Budget, Capability, DiscretisationSolver, GroupState, LifetimeSolver, SolverOptions,
-    };
+    use crate::solver::{Budget, Capability, DiscretisationSolver, GroupState, LifetimeSolver};
     use crate::{LifetimeDistribution, SolveDiagnostics};
     use markov::transient::{Representation, TransientOptions};
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -379,15 +377,6 @@ mod tests {
             .simulation(40, 7)
             .build()
             .unwrap()
-    }
-
-    /// A registry whose options keep every solve deterministic across
-    /// worker counts (row_threads = 1 ⇒ identical accumulation order).
-    fn registry() -> SolverRegistry {
-        SolverRegistry::with_default_backends().with_options(SolverOptions {
-            scenario_threads: 1,
-            row_threads: 1,
-        })
     }
 
     #[test]
@@ -427,7 +416,7 @@ mod tests {
 
     #[test]
     fn plan_groups_by_structure_and_dedups_exact_repeats() {
-        let registry = registry();
+        let registry = SolverRegistry::with_default_backends();
         let s = base();
         let scaled = s.with_rate_scale(2.0).unwrap();
         let finer = s.with_delta(Charge::from_amp_seconds(150.0));
@@ -455,7 +444,7 @@ mod tests {
 
     #[test]
     fn planned_sweep_matches_independent_solves_bitwise() {
-        let registry = registry();
+        let registry = SolverRegistry::with_default_backends();
         let grid = ScenarioGrid::new(base())
             .deltas(vec![
                 Charge::from_amp_seconds(300.0),
@@ -494,7 +483,6 @@ mod tests {
             fn solve_in(
                 &self,
                 s: &Scenario,
-                _options: &SolverOptions,
                 _state: Option<&mut dyn GroupState>,
                 _budget: &Budget,
             ) -> Result<LifetimeDistribution, KibamRmError> {
@@ -506,12 +494,12 @@ mod tests {
                 )
             }
         }
-        let mut registry = SolverRegistry::empty();
+        let mut registry = SolverRegistry::empty().with_sweep_threads(2);
         registry.register(Box::new(Counting));
         let s = base();
         let other = s.with_name("other");
         let batch = vec![s.clone(), other.clone(), s.clone(), s, other];
-        let results = registry.sweep_with_threads(&batch, 2);
+        let results = registry.sweep(&batch);
         // Order preserved, one result slot per input.
         assert_eq!(results.len(), 5);
         for (i, r) in results.iter().enumerate() {
@@ -538,7 +526,7 @@ mod tests {
         }
         // A non-dividing Δ fails its own slots (duplicated too) without
         // poisoning the rest of the batch.
-        let registry = self::registry();
+        let registry = SolverRegistry::with_default_backends();
         let good = base();
         let bad = good.with_delta(Charge::from_amp_seconds(7.0));
         let results = registry.sweep(&[bad.clone(), good.clone(), bad]);
@@ -578,10 +566,7 @@ mod tests {
                 representation,
                 ..TransientOptions::default()
             });
-            let mut registry = SolverRegistry::empty().with_options(SolverOptions {
-                scenario_threads: threads,
-                row_threads: 1, // deterministic accumulation across workers
-            });
+            let mut registry = SolverRegistry::empty().with_sweep_threads(threads);
             registry.register(Box::new(solver.clone()));
             let grid = ScenarioGrid::new(base())
                 .deltas(vec![
@@ -594,7 +579,7 @@ mod tests {
                     2f64.powi(scale_exp + 2),
                 ]);
             let scenarios = grid.expand().unwrap();
-            let planned = registry.sweep_with_threads(&scenarios, threads);
+            let planned = registry.sweep(&scenarios);
             for (s, p) in scenarios.iter().zip(&planned) {
                 // The independent reference: the derived chain solved by
                 // the plain uniformisation curve, outside every cache.

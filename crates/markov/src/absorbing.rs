@@ -28,11 +28,6 @@ impl Default for AbsorbingOptions {
     }
 }
 
-/// Returns the absorbing-state indicator vector of the chain.
-pub fn absorbing_states(ctmc: &Ctmc) -> Vec<bool> {
-    (0..ctmc.n_states()).map(|i| ctmc.is_absorbing(i)).collect()
-}
-
 /// Probability, per start state, of eventually being absorbed in `target`
 /// (which must be a subset of the absorbing states).
 ///
@@ -152,12 +147,6 @@ mod tests {
         b.rate(0, 1, 2.0).unwrap();
         b.rate(1, 2, 4.0).unwrap();
         b.build().unwrap()
-    }
-
-    #[test]
-    fn absorbing_state_detection() {
-        let c = line();
-        assert_eq!(absorbing_states(&c), vec![false, false, true]);
     }
 
     #[test]

@@ -97,11 +97,6 @@ impl CtmcBuilder {
         self
     }
 
-    /// Number of accumulated (non-zero) transitions so far.
-    pub fn transition_count(&self) -> usize {
-        self.triplets.len()
-    }
-
     /// Finalises the chain.
     ///
     /// # Errors
@@ -262,12 +257,6 @@ impl Ctmc {
     #[inline]
     pub fn exit_rate(&self, i: usize) -> f64 {
         self.exit[i]
-    }
-
-    /// All exit rates.
-    #[inline]
-    pub fn exit_rates(&self) -> &[f64] {
-        &self.exit
     }
 
     /// The largest exit rate, i.e. the minimal uniformisation rate.
@@ -536,21 +525,6 @@ impl Ctmc {
         Subset::from_mask(&seen)
     }
 
-    /// Graphviz/DOT rendering of the chain with labels and rates, for
-    /// documentation and debugging of workload models.
-    pub fn to_dot(&self) -> String {
-        let mut out = String::from("digraph ctmc {\n  rankdir=LR;\n");
-        for i in 0..self.n {
-            let l = self.state_label(i);
-            out.push_str(&format!("  {i} [label=\"{l}\"];\n"));
-        }
-        for (i, j, r) in self.rates.iter() {
-            out.push_str(&format!("  {i} -> {j} [label=\"{r}\"];\n"));
-        }
-        out.push_str("}\n");
-        out
-    }
-
     /// Validates that `alpha` is a probability distribution over the state
     /// space (length `n`, entries in `[0,1]`, sum ≈ 1).
     ///
@@ -575,23 +549,6 @@ impl Ctmc {
             return Err(MarkovError::InvalidDistribution(format!("sums to {total}")));
         }
         Ok(())
-    }
-
-    /// The point distribution concentrated on `state`.
-    ///
-    /// # Errors
-    ///
-    /// [`MarkovError::StateOutOfRange`] when `state >= n_states()`.
-    pub fn point_distribution(&self, state: usize) -> Result<Vec<f64>, MarkovError> {
-        if state >= self.n {
-            return Err(MarkovError::StateOutOfRange {
-                state,
-                n_states: self.n,
-            });
-        }
-        let mut alpha = vec![0.0; self.n];
-        alpha[state] = 1.0;
-        Ok(alpha)
     }
 }
 
@@ -631,7 +588,6 @@ mod tests {
             Err(MarkovError::InvalidRate { .. })
         ));
         b.rate(0, 1, 0.0).unwrap(); // zero rates allowed, ignored
-        assert_eq!(b.transition_count(), 0);
         assert!(matches!(
             CtmcBuilder::new(0).build(),
             Err(MarkovError::EmptyChain)
@@ -653,7 +609,6 @@ mod tests {
         let c = two_state();
         assert_eq!(c.exit_rate(0), 2.0);
         assert_eq!(c.exit_rate(1), 3.0);
-        assert_eq!(c.exit_rates(), &[2.0, 3.0]);
         assert_eq!(c.max_exit_rate(), 3.0);
         assert!(!c.is_absorbing(0));
 
@@ -946,7 +901,6 @@ mod tests {
         assert_eq!(c.find_state("s3"), None, "out of range");
         assert_eq!(c.find_state("s01"), None, "non-canonical spelling");
         assert_eq!(c.find_state("x0"), None);
-        assert!(c.to_dot().contains("\"s2\""));
     }
 
     #[test]
@@ -966,15 +920,5 @@ mod tests {
         assert!(c.check_distribution(&[0.5]).is_err());
         assert!(c.check_distribution(&[0.7, 0.7]).is_err());
         assert!(c.check_distribution(&[-0.1, 1.1]).is_err());
-        assert_eq!(c.point_distribution(1).unwrap(), vec![0.0, 1.0]);
-        assert!(c.point_distribution(7).is_err());
-    }
-
-    #[test]
-    fn dot_export_mentions_labels_and_rates() {
-        let dot = two_state().to_dot();
-        assert!(dot.contains("digraph"));
-        assert!(dot.contains("\"on\""));
-        assert!(dot.contains("0 -> 1 [label=\"2\"]"));
     }
 }

@@ -8,7 +8,7 @@
 //! `C = 800 mAh, c = 1` curve of Fig. 10.
 
 use crate::ctmc::Ctmc;
-use crate::transient::{accumulated_measure, measure_curve, TransientOptions};
+use crate::transient::accumulated_measure;
 use crate::MarkovError;
 
 /// A CTMC equipped with one reward rate per state.
@@ -71,27 +71,6 @@ impl MarkovRewardModel {
     /// All reward rates.
     pub fn rewards(&self) -> &[f64] {
         &self.rewards
-    }
-
-    /// Expected instantaneous reward rate at time `t`, `E[r_{X(t)}]`: the
-    /// transient curve with the reward vector as its measure, at one time
-    /// point.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transient-solution errors.
-    pub fn expected_instantaneous_reward(
-        &self,
-        alpha: &[f64],
-        t: f64,
-        epsilon: f64,
-    ) -> Result<f64, MarkovError> {
-        let opts = TransientOptions {
-            epsilon,
-            ..TransientOptions::default()
-        };
-        let curve = measure_curve(&self.ctmc, alpha, &[t], &self.rewards, &opts)?;
-        Ok(curve.points[0].1)
     }
 
     /// Expected accumulated reward `E[Y(t)]` via the uniformisation
@@ -186,16 +165,6 @@ mod tests {
             .expected_accumulated_reward(&[0.5, 0.5], 2.0, 1e-12)
             .unwrap();
         assert!((y - (0.5 * 3.0 + 0.5 * 7.0) * 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn instantaneous_reward_converges_to_stationary_mix() {
-        // Stationary distribution of (1.0, 3.0) chain is (0.75, 0.25).
-        let m = MarkovRewardModel::new(two_state(1.0, 3.0), vec![8.0, 200.0]).unwrap();
-        let r = m
-            .expected_instantaneous_reward(&[1.0, 0.0], 100.0, 1e-12)
-            .unwrap();
-        assert!((r - (0.75 * 8.0 + 0.25 * 200.0)).abs() < 1e-6, "r = {r}");
     }
 
     #[test]

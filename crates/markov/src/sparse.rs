@@ -613,17 +613,6 @@ impl CsrMatrix {
             .collect()
     }
 
-    /// Applies `f` to every stored value (used to build `P = I + Q/ν`).
-    pub fn map_values(&self, f: impl Fn(f64) -> f64) -> CsrMatrix {
-        CsrMatrix {
-            rows: self.rows,
-            cols: self.cols,
-            row_ptr: self.row_ptr.clone(),
-            col_idx: self.col_idx.clone(),
-            values: self.values.iter().map(|&v| f(v)).collect(),
-        }
-    }
-
     /// The stored values in CSR order (row-major, columns increasing
     /// within each row) — the numeric half that pattern-sharing sweep
     /// plans re-solve per member while the structure stays fixed.
@@ -1126,9 +1115,6 @@ mod tests {
     fn row_sums_and_map() {
         let m = sample();
         assert_eq!(m.row_sums(), vec![3.0, 0.0, 7.0]);
-        let d = m.map_values(|v| 2.0 * v);
-        assert_eq!(d.get(2, 1), 8.0);
-        assert_eq!(d.nnz(), m.nnz());
     }
 
     #[test]

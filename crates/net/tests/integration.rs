@@ -8,9 +8,7 @@
 use kibamrm::distribution::LifetimeDistribution;
 use kibamrm::scenario::Scenario;
 use kibamrm::service::LifetimeService;
-use kibamrm::solver::{
-    Budget, Capability, GroupState, LifetimeSolver, SolverOptions, SolverRegistry,
-};
+use kibamrm::solver::{Budget, Capability, GroupState, LifetimeSolver, SolverRegistry};
 use kibamrm::workload::Workload;
 use kibamrm::KibamRmError;
 use kibamrm_net::{client, Json, NetConfig, Server, ServerControl};
@@ -38,7 +36,6 @@ impl LifetimeSolver for CountingSolver {
     fn solve_in(
         &self,
         scenario: &Scenario,
-        _options: &SolverOptions,
         _state: Option<&mut dyn GroupState>,
         _budget: &Budget,
     ) -> Result<LifetimeDistribution, KibamRmError> {

@@ -19,9 +19,7 @@ use kibamrm::scenario::Scenario;
 use kibamrm::service::{
     Answer, LifetimeService, QueryOptions, RetryPolicy, ServiceConfig, ServiceError,
 };
-use kibamrm::solver::{
-    Budget, Capability, GroupState, LifetimeSolver, SolverOptions, SolverRegistry,
-};
+use kibamrm::solver::{Budget, Capability, GroupState, LifetimeSolver, SolverRegistry};
 use kibamrm::workload::Workload;
 use kibamrm::KibamRmError;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -45,7 +43,6 @@ impl LifetimeSolver for Inner {
     fn solve_in(
         &self,
         s: &Scenario,
-        _options: &SolverOptions,
         _state: Option<&mut dyn GroupState>,
         budget: &Budget,
     ) -> Result<LifetimeDistribution, KibamRmError> {

@@ -130,7 +130,7 @@ fn simulation_stays_within_its_wilson_band_of_the_discretisation() {
     let solver = SimulationSolver::new();
     let sim = solver.solve(&scenario).unwrap();
     let study = solver
-        .streaming_study(&scenario, 2, &Budget::unlimited())
+        .streaming_study(&scenario, &Budget::unlimited())
         .unwrap();
     assert_eq!(study.total_runs(), 2000);
     let disc = DiscretisationSolver::new().solve(&scenario).unwrap();

@@ -8,9 +8,7 @@
 use kibamrm::distribution::LifetimeDistribution;
 use kibamrm::scenario::Scenario;
 use kibamrm::service::{LifetimeService, ServiceConfig};
-use kibamrm::solver::{
-    Budget, Capability, GroupState, LifetimeSolver, SolverOptions, SolverRegistry,
-};
+use kibamrm::solver::{Budget, Capability, GroupState, LifetimeSolver, SolverRegistry};
 use kibamrm::workload::Workload;
 use kibamrm::KibamRmError;
 use proptest::prelude::*;
@@ -35,7 +33,6 @@ impl LifetimeSolver for CountingSolver {
     fn solve_in(
         &self,
         scenario: &Scenario,
-        _options: &SolverOptions,
         _state: Option<&mut dyn GroupState>,
         _budget: &Budget,
     ) -> Result<LifetimeDistribution, KibamRmError> {
@@ -126,18 +123,14 @@ proptest! {
     /// Against the real backends: whatever mix of cached / fresh /
     /// rate-rescaled queries the service serves, every answer is
     /// bit-identical to an independent registry solve of the same
-    /// scenario under the same thread budget.
+    /// scenario.
     #[test]
     fn service_answers_match_fresh_solves_bitwise(
         quanta in 4u32..=10,
         gamma_pow in 0u32..=2,
     ) {
-        let options = SolverOptions::sequential();
-        let registry = SolverRegistry::with_default_backends().with_options(options);
-        let service = LifetimeService::with_config(
-            SolverRegistry::with_default_backends(),
-            ServiceConfig::default().with_options(options),
-        );
+        let registry = SolverRegistry::with_default_backends();
+        let service = LifetimeService::new(SolverRegistry::with_default_backends());
         let base = Scenario::builder()
             .name("service-bits")
             .workload(Workload::on_off_erlang(
