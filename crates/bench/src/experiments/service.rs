@@ -300,8 +300,11 @@ pub fn run(cfg: &Config) -> Result<(), String> {
     } else {
         96
     };
-    let workers = cfg.threads.clamp(1, 4);
-    let outcome = run_fleet_trace(quick, requests, workers)?;
+    // One client: the trace's hit/join counters then depend on nothing
+    // but the request order, so `BENCH_service.json` reproduces byte for
+    // byte on any machine. `regress` drives its quick trace with
+    // `--threads` clients to keep concurrency exercised.
+    let outcome = run_fleet_trace(quick, requests, 1)?;
     if outcome.sup_vs_fresh != 0.0 {
         return Err(format!(
             "service answers differ from independent solves: sup-distance \

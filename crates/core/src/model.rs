@@ -44,11 +44,6 @@ impl KibamRm {
         Ok(KibamRm { workload, battery })
     }
 
-    /// Couples `workload` to an already-built battery.
-    pub fn with_battery(workload: Workload, battery: Kibam) -> Self {
-        KibamRm { workload, battery }
-    }
-
     /// The workload half.
     pub fn workload(&self) -> &Workload {
         &self.workload
@@ -129,31 +124,6 @@ impl KibamRm {
             self.k() * factor,
         )
     }
-
-    /// The paper's reward rates `(r₁, r₂)` for workload state `i` at well
-    /// contents `(y₁, y₂)`, including the `h₂ > h₁ > 0` guard of §4.2.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn reward_rates(&self, i: usize, y1: Charge, y2: Charge) -> (f64, f64) {
-        let current = self.workload.current(i).as_amps();
-        let c = self.battery.c();
-        if c >= 1.0 {
-            return (-current, 0.0);
-        }
-        let h1 = y1.value() / c;
-        let h2 = y2.value() / (1.0 - c);
-        if h2 > h1 && h1 > 0.0 {
-            let flow = self.battery.k().value() * (h2 - h1);
-            (-current + flow, -flow)
-        } else if h1 > 0.0 || current == 0.0 {
-            (-current, 0.0)
-        } else {
-            // Battery empty: both rates vanish (absorbing).
-            (0.0, 0.0)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -197,34 +167,6 @@ mod tests {
         )
         .unwrap();
         assert!(m.is_linear());
-        let (r1, r2) = m.reward_rates(1, Charge::from_coulombs(100.0), Charge::ZERO);
-        assert_eq!(r1, -0.2);
-        assert_eq!(r2, 0.0);
-    }
-
-    #[test]
-    fn reward_rates_follow_kibam() {
-        let m = model();
-        // Unequal wells with headroom: recovery flows.
-        let y1 = Charge::from_coulombs(100.0);
-        let y2 = Charge::from_coulombs(1000.0);
-        let h1 = 100.0 / 0.625;
-        let h2 = 1000.0 / 0.375;
-        let flow = 4.5e-5 * (h2 - h1);
-        let (r1, r2) = m.reward_rates(1, y1, y2);
-        assert!((r1 - (-0.2 + flow)).abs() < 1e-12);
-        assert!((r2 + flow).abs() < 1e-12);
-        // Equalised wells: no flow.
-        let (r1, r2) = m.reward_rates(
-            0,
-            Charge::from_coulombs(625.0),
-            Charge::from_coulombs(375.0),
-        );
-        assert!((r1 + 0.008).abs() < 1e-12);
-        assert_eq!(r2, 0.0);
-        // Empty battery: rates vanish.
-        let (r1, r2) = m.reward_rates(1, Charge::ZERO, y2);
-        assert_eq!((r1, r2), (0.0, 0.0));
     }
 
     #[test]
@@ -275,17 +217,5 @@ mod tests {
         assert!(m.time_compressed(0.0).is_err());
         assert!(m.time_compressed(-2.0).is_err());
         assert!(m.time_compressed(f64::INFINITY).is_err());
-    }
-
-    #[test]
-    fn with_battery_constructor() {
-        let b = Kibam::new(
-            Charge::from_coulombs(7200.0),
-            0.625,
-            Rate::per_second(4.5e-5),
-        )
-        .unwrap();
-        let m = KibamRm::with_battery(Workload::simple_model().unwrap(), b);
-        assert_eq!(m.battery().capacity().as_coulombs(), 7200.0);
     }
 }

@@ -29,16 +29,6 @@ impl Curve {
     }
 }
 
-/// Renders one curve as a two-column CSV (`x,label`).
-pub fn curve_to_csv(x_name: &str, curve: &Curve) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{},{}", escape(x_name), escape(&curve.label));
-    for (x, y) in &curve.points {
-        let _ = writeln!(out, "{x},{y}");
-    }
-    out
-}
-
 /// Renders several curves that share an x-grid as a multi-column CSV.
 /// Curves with differing grids are aligned by row index; shorter curves
 /// leave blanks.
@@ -121,7 +111,7 @@ mod tests {
     #[test]
     fn single_curve_csv() {
         let c = Curve::new("p_empty", vec![(0.0, 0.0), (1.0, 0.5)]);
-        let csv = curve_to_csv("t", &c);
+        let csv = curves_to_csv("t", &[c]);
         assert_eq!(csv, "t,p_empty\n0,0\n1,0.5\n");
     }
 
@@ -178,7 +168,7 @@ mod tests {
     #[test]
     fn curve_headers_are_escaped() {
         let c = Curve::new("lifetime, minutes", vec![(0.0, 1.0)]);
-        let csv = curve_to_csv("t, s", &c);
+        let csv = curves_to_csv("t, s", std::slice::from_ref(&c));
         assert_eq!(
             csv.lines().next().unwrap(),
             "\"t, s\",\"lifetime, minutes\""
@@ -198,6 +188,6 @@ mod tests {
         let csv = curves_to_csv("t", &[]);
         assert_eq!(csv, "t\n");
         let c = Curve::new("empty", vec![]);
-        assert_eq!(curve_to_csv("t", &c), "t,empty\n");
+        assert_eq!(curves_to_csv("t", &[c]), "t,empty\n");
     }
 }

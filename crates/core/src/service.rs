@@ -682,18 +682,22 @@ impl Inner {
     }
 
     /// Inserts a solved distribution, evicting least-recently-used
-    /// entries until it fits. Oversized results (bigger than the whole
-    /// budget) are simply not cached.
+    /// entries until it fits, and reports whether it did. Oversized
+    /// results (bigger than the whole budget) are simply not cached. A
+    /// resident key keeps its entry: a snapshot can revive a key while
+    /// that key's flight is still solving, the two curves carry the same
+    /// bits, and replacing one with the other would charge the byte
+    /// ledger twice.
     fn insert_cached(
         &mut self,
         key: Vec<u8>,
         dist: LifetimeDistribution,
         family: Option<u64>,
         budget: usize,
-    ) {
+    ) -> bool {
         let bytes = dist.size_in_bytes();
-        if bytes > budget {
-            return;
+        if bytes > budget || self.cache.contains_key(&key) {
+            return false;
         }
         while self.cache_bytes + bytes > budget {
             // DETERMINISM-OK: the minimum is taken over the total key
@@ -724,6 +728,7 @@ impl Inner {
                 family,
             },
         );
+        true
     }
 }
 
@@ -1048,12 +1053,11 @@ impl LifetimeService {
     ///
     /// Requests arrive one at a time and each is solved against the
     /// group's warm state, so a rate-rescale family shares work here
-    /// exactly as in a batch sweep's `solve_group`: through the group's
-    /// `CurveCache`. On the CSR engine its reuse-and-extend path
-    /// collapses members with bitwise identical `Pᵀ` into one sweep;
-    /// on the active-window engine a rescaled member sweeps on its own
-    /// until the trim schedule no longer depends on the horizon
-    /// (DESIGN.md §13).
+    /// exactly as in a batch [`SolverRegistry::sweep`]: through the
+    /// group's `CurveCache`. On the length-sorted-row engine that `Auto`
+    /// picks for the served chains, its reuse-and-extend path collapses
+    /// members with bitwise identical `Pᵀ` into one sweep (DESIGN.md
+    /// §13).
     fn solve_attempt(
         &self,
         scenario: &Scenario,
@@ -1512,18 +1516,9 @@ impl LifetimeService {
         let Ok(dist) = LifetimeDistribution::new(method, points, entry.diagnostics) else {
             return false;
         };
-        if dist.size_in_bytes() > self.config.cache_capacity_bytes {
-            return false;
-        }
         let family = family_key(&scenario);
-        let mut inner = self.lock();
-        // A resident key keeps its live entry: replacing it would
-        // double-charge the byte ledger for nothing.
-        if inner.cache.contains_key(&key) {
-            return false;
-        }
-        inner.insert_cached(key, dist, family, self.config.cache_capacity_bytes);
-        true
+        self.lock()
+            .insert_cached(key, dist, family, self.config.cache_capacity_bytes)
     }
 }
 
@@ -2444,6 +2439,42 @@ mod tests {
         let load = strangers.load_snapshot(&path);
         assert_eq!((load.loaded, load.rejected), (0, 2));
         assert_eq!(strangers.stats().snapshot_rejected, 2);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn snapshot_revival_during_a_flight_charges_the_byte_ledger_once() {
+        // The snapshot revives key K while K's own flight is still
+        // solving; the flight then completes onto the resident entry.
+        let blocking_service = |gate: &Arc<(Mutex<bool>, Condvar)>| {
+            let (entered_tx, entered_rx) = mpsc::channel();
+            let mut registry = SolverRegistry::empty();
+            registry.register(Box::new(Blocking {
+                solves: Arc::new(AtomicUsize::new(0)),
+                entered: entered_tx,
+                release: Arc::clone(gate),
+            }));
+            (Arc::new(LifetimeService::new(registry)), entered_rx)
+        };
+        let s = linear(1);
+        let path = snap_path("revive-in-flight");
+        let (writer, _) = blocking_service(&Arc::new((Mutex::new(true), Condvar::new())));
+        let entry_bytes = writer.query(&s).unwrap().size_in_bytes();
+        writer.save_snapshot(&path).unwrap();
+
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let (service, entered) = blocking_service(&gate);
+        let owner = {
+            let (service, s) = (Arc::clone(&service), s.clone());
+            std::thread::spawn(move || service.query(&s))
+        };
+        entered.recv().expect("K's flight reached the backend");
+        assert_eq!(service.load_snapshot(&path).loaded, 1);
+        Blocking::release(&gate);
+        owner.join().unwrap().expect("the flight completes");
+        let stats = service.stats();
+        assert_eq!(stats.cached_entries, 1);
+        assert_eq!(stats.result_cache_bytes, entry_bytes, "K is charged once");
         let _ = std::fs::remove_file(&path);
     }
 

@@ -77,8 +77,8 @@ impl Capability {
 
 /// Warm per-group solver state: everything a backend can carry from one
 /// member solve to the next — assembled patterns, curve caches, worker
-/// pools. [`LifetimeSolver::solve_group`] threads one such state through
-/// a batch group, and [`crate::service::LifetimeService`] keeps them
+/// pools. [`SolverRegistry::sweep`] threads one such state through a
+/// batch group, and [`crate::service::LifetimeService`] keeps them
 /// **resident** across requests, so an online burst of structurally
 /// identical queries amortises exactly like a batch sweep.
 ///
@@ -147,8 +147,8 @@ pub trait LifetimeSolver: Send + Sync {
     /// A fingerprint of the solver-relevant **structure** of the
     /// scenario: two scenarios with equal fingerprints may share
     /// assembled artefacts (matrix patterns, workspaces, whole
-    /// uniformisation sweeps) when solved through
-    /// [`LifetimeSolver::solve_group`], and the sweep planner
+    /// uniformisation sweeps) when solved through one
+    /// [`LifetimeSolver::new_group_state`], and the sweep planner
     /// ([`crate::sweep::SweepPlan`]) groups a batch by this key. `None`
     /// (the default) opts the backend out of grouping — every scenario
     /// solves independently.
@@ -176,26 +176,6 @@ pub trait LifetimeSolver: Send + Sync {
     /// shareable state: every member solves independently.
     fn new_group_state(&self) -> Option<Box<dyn GroupState>> {
         None
-    }
-
-    /// Solves a group of structurally identical scenarios (equal
-    /// [`LifetimeSolver::sweep_fingerprint`]), returning one result per
-    /// scenario in order. The default threads one
-    /// [`LifetimeSolver::new_group_state`] (none for stateless backends)
-    /// through [`LifetimeSolver::solve_in`] member by member, so batch
-    /// sweeps and the resident service share one amortisation code path.
-    fn solve_group(
-        &self,
-        scenarios: &[&Scenario],
-    ) -> Vec<Result<LifetimeDistribution, KibamRmError>> {
-        let mut state = self.new_group_state();
-        scenarios
-            .iter()
-            .map(|s| {
-                let state = state.as_mut().map(|st| st.as_mut() as &mut dyn GroupState);
-                self.solve_in(s, state, &Budget::unlimited())
-            })
-            .collect()
     }
 }
 
@@ -367,11 +347,11 @@ impl LifetimeSolver for DiscretisationSolver {
     }
 
     fn new_group_state(&self) -> Option<Box<dyn GroupState>> {
-        // One template, one curve cache for the whole group: the banded
-        // pattern, DIA offsets, state labels and Fox–Glynn workspace are
-        // assembled on the first member; later members refill numeric
-        // values, and rate-rescaled members reuse the whole
-        // uniformisation sweep (see [`markov::transient::CurveCache`]).
+        // One template, one curve cache for the whole group: the lattice
+        // pattern, state labels and Fox–Glynn workspace are assembled on
+        // the first member; later members refill numeric values, and
+        // rate-rescaled members reuse the whole uniformisation sweep
+        // (see [`markov::transient::CurveCache`]).
         Some(Box::new(DiscretisationGroupState {
             template: None,
             cache: CurveCache::new(),
@@ -840,10 +820,10 @@ impl SolverRegistry {
     /// Solves a whole scenario grid through a structure-sharing
     /// [`SweepPlan`]: byte-identical scenarios are deduplicated (one
     /// solve, one result **per input slot**), structurally identical
-    /// scenarios are grouped so each group assembles its lattice pattern,
-    /// DIA offsets and Fox–Glynn workspace once (and rate-rescaled
-    /// families share a single uniformisation sweep), and the groups are
-    /// solved by [`with_sweep_threads`](SolverRegistry::with_sweep_threads)
+    /// scenarios are grouped so each group assembles its lattice pattern
+    /// and Fox–Glynn workspace once (and rate-rescaled families share a
+    /// single uniformisation sweep), and the groups are solved by
+    /// [`with_sweep_threads`](SolverRegistry::with_sweep_threads)
     /// workers taking them from one queue, longest estimated group first
     /// ([`SweepPlan::run_order`]). Results come back in input order,
     /// **bit-identical** to solving each scenario independently (the
@@ -856,25 +836,23 @@ impl SolverRegistry {
         let run_group =
             |group: &crate::sweep::PlanGroup| -> Vec<(usize, Result<LifetimeDistribution, KibamRmError>)> {
                 let solver = self.solver_at(group.solver_index());
-                let members: Vec<&Scenario> =
-                    group.members().iter().map(|&i| &scenarios[i]).collect();
-                let mut results = if members.len() == 1 {
-                    vec![solver.solve(members[0])]
+                // One warm state threads through the members in order, as
+                // the resident service threads its live one through
+                // requests. A singleton has nothing to share, so it solves
+                // with no state rather than build one only to drop it.
+                let mut state = if group.members().len() > 1 {
+                    solver.new_group_state()
                 } else {
-                    solver.solve_group(&members)
+                    None
                 };
-                // A malformed backend returning the wrong count must not
-                // poison unrelated slots.
-                while results.len() < members.len() {
-                    results.push(Err(KibamRmError::InvalidWorkload(format!(
-                        "backend '{}' returned {} results for a group of {}",
-                        solver.name(),
-                        results.len(),
-                        members.len()
-                    ))));
-                }
-                results.truncate(members.len());
-                group.members().iter().copied().zip(results).collect()
+                group
+                    .members()
+                    .iter()
+                    .map(|&i| {
+                        let state = state.as_mut().map(|st| st.as_mut() as &mut dyn GroupState);
+                        (i, solver.solve_in(&scenarios[i], state, &Budget::unlimited()))
+                    })
+                    .collect()
             };
 
         // One queue, longest group first: every worker takes the next
@@ -1564,6 +1542,15 @@ mod tests {
         struct Recording {
             priced: bool,
             started: Log,
+            // Member solves handed a group state, and states created.
+            stateful: Log,
+            states: std::sync::Arc<AtomicUsize>,
+        }
+        struct Warm;
+        impl GroupState for Warm {
+            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+                self
+            }
         }
         impl LifetimeSolver for Recording {
             fn name(&self) -> &'static str {
@@ -1575,15 +1562,24 @@ mod tests {
             fn solve_in(
                 &self,
                 s: &Scenario,
-                _state: Option<&mut dyn GroupState>,
+                state: Option<&mut dyn GroupState>,
                 _budget: &Budget,
             ) -> Result<LifetimeDistribution, KibamRmError> {
                 self.started.lock().unwrap().push(s.name().to_owned());
+                if state.is_some() {
+                    self.stateful.lock().unwrap().push(s.name().to_owned());
+                }
+                // A value per group, so a slot mix-up shows in the bits.
+                let cost: f64 = s.name().split(':').nth(1).unwrap().parse().unwrap();
                 LifetimeDistribution::new(
                     "recording",
-                    s.times().iter().map(|&t| (t, 0.5)).collect(),
+                    s.times().iter().map(|&t| (t, 1.0 / (1.0 + cost))).collect(),
                     SolveDiagnostics::default(),
                 )
+            }
+            fn new_group_state(&self) -> Option<Box<dyn GroupState>> {
+                self.states.fetch_add(1, Ordering::Relaxed);
+                Some(Box::new(Warm))
             }
             fn sweep_fingerprint(&self, s: &Scenario) -> Option<u64> {
                 Some(u64::from(s.name().as_bytes()[0]))
@@ -1596,17 +1592,29 @@ mod tests {
         let names = ["A:1", "B:5", "C:3", "D:5", "E:2:x", "E:2:y"];
         let batch: Vec<Scenario> = names.iter().map(|n| small_linear().with_name(*n)).collect();
         let started = |priced: bool| {
-            let log = Log::default();
+            let (log, stateful) = (Log::default(), Log::default());
+            let states = std::sync::Arc::new(AtomicUsize::new(0));
             let mut registry = SolverRegistry::empty().with_sweep_threads(1);
             registry.register(Box::new(Recording {
                 priced,
                 started: log.clone(),
+                stateful: stateful.clone(),
+                states: states.clone(),
             }));
             let plan = SweepPlan::build(&registry, &batch);
             assert_eq!(plan.groups().len(), 5);
             let results = registry.sweep(&batch);
-            assert!(results.iter().all(Result::is_ok));
             let started = log.lock().unwrap().clone();
+            // One state for the one multi-member group (E), none for the
+            // four singletons, and both E members solve through it.
+            assert_eq!(states.load(Ordering::Relaxed), 1);
+            assert_eq!(*stateful.lock().unwrap(), ["E:2:x", "E:2:y"]);
+            // The state never moves a bit: every slot matches stateless
+            // independent solves.
+            let naive = registry.sweep_naive(&batch);
+            for (got, want) in results.iter().zip(&naive) {
+                assert_eq!(bits(got.as_ref().unwrap()), bits(want.as_ref().unwrap()));
+            }
             started
         };
         // Falling group cost (E's members sum to 4); B and D tie at 5 and
@@ -1831,18 +1839,17 @@ mod tests {
 
     #[test]
     fn group_rescale_family_is_bit_identical_to_independent_solves() {
-        // A rate-rescale family solved as one group shares its template
-        // and `CurveCache`, and must return exactly the curves of k
-        // independent solves on every representation — grouping is an
-        // optimisation, never an approximation. The banded leg runs the
-        // active-window engine, whose members each sweep on their own;
-        // the CSR leg collapses the family into one extended sweep.
+        // A rate-rescale family swept as one plan group shares its
+        // template and `CurveCache`, and must return exactly the curves
+        // of k independent solves on every representation — grouping is
+        // an optimisation, never an approximation. The banded leg runs
+        // the active-window engine, whose members each sweep on their
+        // own; the CSR leg collapses the family into one extended sweep.
         let base = two_well().with_delta(Charge::from_milliamp_hours(50.0));
         let family: Vec<Scenario> = [0.25, 0.5, 1.0, 2.0]
             .iter()
             .map(|&g| base.with_rate_scale(g).unwrap())
             .collect();
-        let members: Vec<&Scenario> = family.iter().collect();
         for representation in [
             Representation::Auto,
             Representation::Banded,
@@ -1852,8 +1859,12 @@ mod tests {
                 representation,
                 ..TransientOptions::default()
             });
-            let grouped = solver.solve_group(&members);
-            for (s, got) in members.iter().zip(&grouped) {
+            let mut registry = SolverRegistry::empty();
+            registry.register(Box::new(solver.clone()));
+            let plan = SweepPlan::build(&registry, &family);
+            assert_eq!(plan.groups().len(), 1, "one family, one group");
+            let swept = registry.sweep(&family);
+            for (s, got) in family.iter().zip(&swept) {
                 assert_eq!(
                     bits(got.as_ref().unwrap()),
                     reference_bits(&solver, s),

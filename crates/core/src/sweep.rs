@@ -343,11 +343,6 @@ impl SweepPlan {
             .filter(|s| matches!(s, PlanSlot::DuplicateOf(_)))
             .count()
     }
-
-    /// Number of scenarios that actually solve (group members).
-    pub fn n_solved(&self) -> usize {
-        self.groups.iter().map(|g| g.members.len()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -426,7 +421,6 @@ mod tests {
         // Slot 2 duplicates slot 0.
         assert!(matches!(plan.slot(2), PlanSlot::DuplicateOf(0)));
         assert_eq!(plan.n_duplicates(), 1);
-        assert_eq!(plan.n_solved(), 4);
         // base + ×2 share a group (same pattern); finer Δ does not;
         // the linear scenario goes to Sericola which opts out of
         // grouping (singleton).

@@ -102,11 +102,6 @@ impl Budget {
         }
     }
 
-    /// Whether this is the no-op [`unlimited`](Budget::unlimited) token.
-    pub fn is_unlimited(&self) -> bool {
-        self.state.is_none()
-    }
-
     /// Requests cancellation: every subsequent check on any clone of
     /// this budget fails. No-op on an unlimited budget.
     pub fn cancel(&self) {
@@ -191,7 +186,6 @@ mod tests {
     #[test]
     fn unlimited_never_fails() {
         let b = Budget::unlimited();
-        assert!(b.is_unlimited());
         assert!(!b.is_exhausted());
         for i in 0..1000 {
             assert!(b.check(i).is_ok());

@@ -19,11 +19,10 @@
 //!   matrix–vector products serves every time point of a curve
 //!   `t ↦ m·π(t)` for a measure `m`, with steady-state detection, and a
 //!   [`transient::CurveCache`] shares that sweep across a plan group;
-//! * [`steady_state`] — Grassmann–Taksar–Heyman elimination (dense) and
-//!   Gauss–Seidel (sparse) stationary solvers, used to calibrate the
-//!   paper's burst workload (`λ_burst = 182/h`);
-//! * [`absorbing`] — absorption probabilities and mean time to absorption,
-//!   giving mean battery lifetimes directly from the discretised chain;
+//! * [`steady_state`] — the Grassmann–Taksar–Heyman stationary solver,
+//!   used to calibrate the paper's burst workload (`λ_burst = 182/h`);
+//! * [`absorbing`] — mean time to absorption, giving mean battery
+//!   lifetimes directly from the discretised chain;
 //! * [`budget`] — cooperative cancellation tokens (shared cancel flag +
 //!   deadline) that the uniformisation sweep checks once per product,
 //!   surfacing [`MarkovError::DeadlineExceeded`] with the work done;

@@ -264,21 +264,6 @@ pub fn reward_exceeds_curve(
     Ok(results)
 }
 
-/// Convenience wrapper: the CDF `Pr{Y(t) ≤ y} = 1 − Pr{Y(t) > y}`.
-///
-/// # Errors
-///
-/// Same as [`reward_exceeds_probability`].
-pub fn reward_cdf(
-    mrm: &MarkovRewardModel,
-    alpha: &[f64],
-    t: f64,
-    y: f64,
-    opts: &PerformabilityOptions,
-) -> Result<f64, MarkovError> {
-    Ok(1.0 - reward_exceeds_probability(mrm, alpha, t, y, opts)?)
-}
-
 /// One level of the Sericola recursion: builds all `b⁽ʲ⁾(n,·)` from
 /// `b⁽ʲ⁾(n−1,·)`.
 fn advance_level(
@@ -567,14 +552,6 @@ mod tests {
         assert!(curve.iter().all(|(_, p)| (0.0..=1.0).contains(p)));
         // Empty grids rejected.
         assert!(reward_exceeds_curve(&mrm, &alpha, &[], y, &opts()).is_err());
-    }
-
-    #[test]
-    fn reward_cdf_complements() {
-        let mrm = MarkovRewardModel::new(on_off(1.0, 1.0), vec![1.0, 0.0]).unwrap();
-        let p = reward_exceeds_probability(&mrm, &[1.0, 0.0], 2.0, 1.0, &opts()).unwrap();
-        let c = reward_cdf(&mrm, &[1.0, 0.0], 2.0, 1.0, &opts()).unwrap();
-        assert!((p + c - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -1,10 +1,9 @@
-//! Stationary distributions: GTH elimination (dense) and Gauss–Seidel
-//! (sparse).
+//! Stationary distributions by GTH elimination on the dense generator.
 //!
 //! The paper calibrates its burst workload so that the steady-state
 //! probability of sending matches the simple model
-//! (`λ_burst = 182/h ⇒ P[send] = ¼`); these solvers reproduce that
-//! calibration and back the workload test-suite.
+//! (`λ_burst = 182/h ⇒ P[send] = ¼`); this solver reproduces that
+//! calibration and backs the workload test-suite.
 
 use crate::ctmc::Ctmc;
 use crate::MarkovError;
@@ -84,78 +83,6 @@ pub fn stationary_gth(ctmc: &Ctmc) -> Result<Vec<f64>, MarkovError> {
     Ok(pi)
 }
 
-/// Options for [`stationary_gauss_seidel`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GaussSeidelOptions {
-    /// Stop when the sup-norm change of a sweep falls below this.
-    pub tolerance: f64,
-    /// Maximum number of sweeps before giving up.
-    pub max_sweeps: usize,
-}
-
-impl Default for GaussSeidelOptions {
-    fn default() -> Self {
-        GaussSeidelOptions {
-            tolerance: 1e-12,
-            max_sweeps: 100_000,
-        }
-    }
-}
-
-/// Computes the stationary distribution of an irreducible CTMC by
-/// Gauss–Seidel iteration on the balance equations
-/// `π_j q_j = Σ_{i≠j} π_i q_{ij}`, using only `O(nnz)` memory.
-///
-/// # Errors
-///
-/// [`MarkovError::NoConvergence`] when `max_sweeps` is exhausted, or
-/// [`MarkovError::InvalidArgument`] when some state has zero exit rate
-/// (the chain is then absorbing, not irreducible).
-pub fn stationary_gauss_seidel(
-    ctmc: &Ctmc,
-    opts: &GaussSeidelOptions,
-) -> Result<Vec<f64>, MarkovError> {
-    let n = ctmc.n_states();
-    if n == 1 {
-        return Ok(vec![1.0]);
-    }
-    if (0..n).any(|i| ctmc.exit_rate(i) == 0.0) {
-        return Err(MarkovError::InvalidArgument(
-            "stationary distribution undefined: chain has absorbing states".into(),
-        ));
-    }
-    // Incoming-rate view: row j of the transpose lists (i, q_ij).
-    let incoming = ctmc.rates().transpose();
-    let mut pi = vec![1.0 / n as f64; n];
-    for _sweep in 0..opts.max_sweeps {
-        let mut delta: f64 = 0.0;
-        for j in 0..n {
-            let mut acc = 0.0;
-            for (i, rate) in incoming.row(j) {
-                acc += pi[i] * rate;
-            }
-            let new = acc / ctmc.exit_rate(j);
-            delta = delta.max((new - pi[j]).abs());
-            pi[j] = new;
-        }
-        // Normalise every sweep to prevent drift toward 0 or ∞.
-        let total: f64 = pi.iter().sum();
-        if total <= 0.0 {
-            return Err(MarkovError::NoConvergence("mass vanished".into()));
-        }
-        for p in &mut pi {
-            *p /= total;
-        }
-        if delta < opts.tolerance {
-            return Ok(pi);
-        }
-    }
-    Err(MarkovError::NoConvergence(format!(
-        "Gauss-Seidel did not reach tolerance in {} sweeps",
-        opts.max_sweeps
-    )))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,44 +156,6 @@ mod tests {
     fn singleton_chain() {
         let chain = CtmcBuilder::new(1).build().unwrap();
         assert_eq!(stationary_gth(&chain).unwrap(), vec![1.0]);
-        assert_eq!(
-            stationary_gauss_seidel(&chain, &GaussSeidelOptions::default()).unwrap(),
-            vec![1.0]
-        );
-    }
-
-    #[test]
-    fn gauss_seidel_matches_gth() {
-        let chain = birth_death(20, 1.3, 1.0);
-        let exact = stationary_gth(&chain).unwrap();
-        let approx = stationary_gauss_seidel(&chain, &GaussSeidelOptions::default()).unwrap();
-        for i in 0..20 {
-            assert!((exact[i] - approx[i]).abs() < 1e-9, "state {i}");
-        }
-    }
-
-    #[test]
-    fn gauss_seidel_rejects_absorbing() {
-        let mut b = CtmcBuilder::new(2);
-        b.rate(0, 1, 1.0).unwrap();
-        let chain = b.build().unwrap();
-        assert!(matches!(
-            stationary_gauss_seidel(&chain, &GaussSeidelOptions::default()),
-            Err(MarkovError::InvalidArgument(_))
-        ));
-    }
-
-    #[test]
-    fn gauss_seidel_iteration_limit() {
-        let chain = birth_death(10, 1.0, 1.0);
-        let opts = GaussSeidelOptions {
-            tolerance: 0.0,
-            max_sweeps: 3,
-        };
-        assert!(matches!(
-            stationary_gauss_seidel(&chain, &opts),
-            Err(MarkovError::NoConvergence(_))
-        ));
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!   KiBaM and modified-KiBaM differential equations;
 //! * [`roots`] — bracketing root finders (bisection, Brent) for battery
 //!   depletion times;
-//! * [`special`] — `ln Γ`, log-factorials, log-binomials and Poisson
-//!   probabilities, the raw material of Fox–Glynn and Sericola;
+//! * [`special`] — `ln Γ`, log-factorials and Poisson probabilities,
+//!   the raw material of Fox–Glynn and Sericola;
 //! * [`stats`] — empirical CDFs, moments, Kolmogorov–Smirnov distances and
 //!   binomial confidence intervals for simulation output analysis.
 //!

@@ -177,45 +177,6 @@ pub fn brent(
     Err(RootError::MaxIterations)
 }
 
-/// Expands `[a, a+step]` to the right until `f` changes sign, then returns
-/// the bracket `(lo, hi)`. Used to bracket battery depletion times whose
-/// rough scale is unknown.
-///
-/// # Errors
-///
-/// [`RootError::NoBracket`] if no sign change is found before `hi_limit`,
-/// [`RootError::BadInput`] for non-positive `step`.
-pub fn bracket_forward(
-    f: impl Fn(f64) -> f64,
-    a: f64,
-    step: f64,
-    hi_limit: f64,
-) -> Result<(f64, f64), RootError> {
-    if !(step > 0.0) {
-        return Err(RootError::BadInput(format!(
-            "step must be positive, got {step}"
-        )));
-    }
-    let fa = f(a);
-    if fa == 0.0 {
-        return Ok((a, a));
-    }
-    let mut lo = a;
-    let mut flo = fa;
-    let mut width = step;
-    while lo < hi_limit {
-        let hi = (lo + width).min(hi_limit);
-        let fhi = f(hi);
-        if fhi == 0.0 || flo * fhi < 0.0 {
-            return Ok((lo, hi));
-        }
-        lo = hi;
-        flo = fhi;
-        width *= 2.0;
-    }
-    Err(RootError::NoBracket { fa, fb: flo })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -278,30 +239,6 @@ mod tests {
             bisect(|x| x - 0.3, 0.0, 1.0, 1e-15, 3),
             Err(RootError::MaxIterations)
         );
-    }
-
-    #[test]
-    fn bracket_forward_finds_depletion_scale() {
-        // Root at x = 1000; start stepping from 0 with step 1.
-        let f = |x: f64| 1000.0 - x;
-        let (lo, hi) = bracket_forward(f, 0.0, 1.0, 1e9).unwrap();
-        assert!(lo <= 1000.0 && 1000.0 <= hi);
-        let r = brent(f, lo, hi, 1e-10, 200).unwrap();
-        assert!((r - 1000.0).abs() < 1e-8);
-    }
-
-    #[test]
-    fn bracket_forward_failure_modes() {
-        assert!(matches!(
-            bracket_forward(|_| 1.0, 0.0, 1.0, 100.0),
-            Err(RootError::NoBracket { .. })
-        ));
-        assert!(matches!(
-            bracket_forward(|x| x, 0.0, 0.0, 100.0),
-            Err(RootError::BadInput(_))
-        ));
-        // Root exactly at the start.
-        assert_eq!(bracket_forward(|x| x, 0.0, 1.0, 10.0).unwrap(), (0.0, 0.0));
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Special functions: `ln Γ`, log-factorials, log-binomials and Poisson
-//! probabilities.
+//! Special functions: `ln Γ`, log-factorials, Poisson probabilities and
+//! the error function.
 //!
 //! Uniformisation needs Poisson probabilities `e^{-λ}λ^n/n!` for `λ·t` up
 //! to ≈ 5·10⁴ (the paper reports > 46 000 iterations for the Fig. 8 curve),
@@ -64,14 +64,6 @@ pub fn ln_factorial(n: u64) -> f64 {
     }
 }
 
-/// `ln C(n, k)`; returns `-∞` when `k > n`.
-pub fn ln_binomial(n: u64, k: u64) -> f64 {
-    if k > n {
-        return f64::NEG_INFINITY;
-    }
-    ln_factorial(n) - ln_factorial(k) - ln_factorial(n - k)
-}
-
 /// `ln Pr{Poisson(λ) = n}` = `-λ + n ln λ - ln n!`, valid for `λ > 0`.
 /// For `λ = 0` returns `0` at `n = 0` and `-∞` otherwise.
 pub fn poisson_ln_pmf(lambda: f64, n: u64) -> f64 {
@@ -126,11 +118,6 @@ fn erfc_abs(x: f64) -> f64 {
     }
 }
 
-/// Standard normal CDF `Φ(x)`.
-pub fn normal_cdf(x: f64) -> f64 {
-    0.5 * (1.0 + erf(x / std::f64::consts::SQRT_2))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,16 +151,6 @@ mod tests {
                 "n = {n}: {a} vs {b}"
             );
         }
-    }
-
-    #[test]
-    fn ln_binomial_pascal_row() {
-        // C(10, k) = 1 10 45 120 210 252 ...
-        let expect = [1.0, 10.0, 45.0, 120.0, 210.0, 252.0];
-        for (k, &e) in expect.iter().enumerate() {
-            assert!((ln_binomial(10, k as u64).exp() - e).abs() < 1e-9);
-        }
-        assert_eq!(ln_binomial(3, 5), f64::NEG_INFINITY);
     }
 
     #[test]
@@ -231,13 +208,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn normal_cdf_symmetry_and_values() {
-        assert!((normal_cdf(0.0) - 0.5).abs() < 1e-12);
-        assert!((normal_cdf(1.959963984540054) - 0.975).abs() < 1e-8);
-        assert!((normal_cdf(-1.959963984540054) - 0.025).abs() < 1e-8);
-    }
-
     proptest! {
         #[test]
         fn ln_gamma_recurrence(x in 0.1f64..50.0) {
@@ -245,14 +215,6 @@ mod tests {
             let lhs = ln_gamma(x + 1.0);
             let rhs = x.ln() + ln_gamma(x);
             prop_assert!((lhs - rhs).abs() < 1e-9 * lhs.abs().max(1.0));
-        }
-
-        #[test]
-        fn binomial_symmetry(n in 0u64..300, k in 0u64..300) {
-            prop_assume!(k <= n);
-            let a = ln_binomial(n, k);
-            let b = ln_binomial(n, n - k);
-            prop_assert!((a - b).abs() < 1e-9);
         }
 
         #[test]

@@ -10,8 +10,8 @@
 //!   sampling, plus the counter-derived per-replication streams
 //!   ([`rng::SimRng::stream`]) the parallel engine's determinism rests
 //!   on;
-//! * [`trajectory`] — CTMC path sampling: states, sojourn times, jump
-//!   counting, time-bounded generation;
+//! * [`trajectory`] — CTMC jump sampling: the start state from `α` and
+//!   each successor from the embedded jump chain;
 //! * [`replication`] — replication management: fixed-count experiments,
 //!   exact empirical lifetime distributions and Wilson confidence
 //!   intervals (O(runs) memory — the order-statistics reference);
@@ -23,22 +23,6 @@
 //!   count**.
 //!
 //! # Examples
-//!
-//! Estimating a two-state chain's occupancy by simulation:
-//!
-//! ```
-//! use markov::ctmc::CtmcBuilder;
-//! use sim::rng::SimRng;
-//! use sim::trajectory::sample_path;
-//!
-//! let mut b = CtmcBuilder::new(2);
-//! b.rate(0, 1, 1.0).unwrap();
-//! b.rate(1, 0, 1.0).unwrap();
-//! let chain = b.build().unwrap();
-//! let mut rng = SimRng::seed_from(42);
-//! let path = sample_path(&chain, 0, 100.0, &mut rng).unwrap();
-//! assert!(path.total_time() >= 100.0 - 1e-12);
-//! ```
 //!
 //! Streaming a million exponential lifetimes through the parallel
 //! engine in O(grid) memory:

@@ -88,11 +88,6 @@ impl SimRng {
         // Floating-point slack: land on the last positive weight.
         weights.iter().rposition(|&w| w > 0.0)
     }
-
-    /// Derives an independent child stream (for per-replication seeding).
-    pub fn fork(&mut self) -> SimRng {
-        SimRng::seed_from(self.inner.random::<u64>())
-    }
 }
 
 #[cfg(test)]
@@ -207,15 +202,5 @@ mod tests {
         assert_ne!(mix64(0), 0);
         let ones = (mix64(1) ^ mix64(2)).count_ones();
         assert!((20..=44).contains(&ones), "avalanche too weak: {ones}");
-    }
-
-    #[test]
-    fn fork_streams_diverge() {
-        let mut parent = SimRng::seed_from(6);
-        let mut c1 = parent.fork();
-        let mut c2 = parent.fork();
-        let a: Vec<f64> = (0..10).map(|_| c1.uniform()).collect();
-        let b: Vec<f64> = (0..10).map(|_| c2.uniform()).collect();
-        assert_ne!(a, b);
     }
 }

@@ -124,12 +124,6 @@ impl StreamingLifetimeStudy {
         })
     }
 
-    /// An empty study sharing this study's grid and horizon (the
-    /// per-batch partial the parallel engine folds into).
-    pub fn fresh_partial(&self) -> StreamingLifetimeStudy {
-        StreamingLifetimeStudy::from_shared_grid(self.shared_grid(), self.horizon)
-    }
-
     /// The shared grid storage (cheap to hand to worker threads; the
     /// values behind the [`Arc`] are immutable).
     pub(crate) fn shared_grid(&self) -> Arc<[f64]> {
@@ -301,18 +295,6 @@ impl StreamingLifetimeStudy {
         self.moments.mean()
     }
 
-    /// Unbiased variance of the observed lifetimes; `None` when no run
-    /// depleted.
-    pub fn variance_observed_lifetime(&self) -> Option<f64> {
-        self.moments.variance()
-    }
-
-    /// Smallest / largest observed lifetime; `None` when no run
-    /// depleted.
-    pub fn observed_range(&self) -> Option<(f64, f64)> {
-        Some((self.moments.min()?, self.moments.max()?))
-    }
-
     /// The `q`-quantile of the lifetime at **grid resolution**: the
     /// smallest grid time `t_i` with `P̂r[empty at t_i] ≥ q` (an upper
     /// bound within one grid cell of the order-statistics quantile).
@@ -386,7 +368,6 @@ mod tests {
         // Moments agree with the exact study's observed sample.
         let m = s.mean_observed_lifetime().unwrap();
         assert!((m - exact.mean_observed_lifetime().unwrap()).abs() < 1e-12);
-        assert_eq!(s.observed_range(), Some((5.0, 45.0)));
     }
 
     #[test]
@@ -403,8 +384,6 @@ mod tests {
         assert!(s.curve().iter().all(|&(_, p)| p == 0.0));
         assert!(s.max_half_width() > 0.0, "all-zero curve keeps Wilson CI");
         assert_eq!(s.mean_observed_lifetime(), None);
-        assert_eq!(s.variance_observed_lifetime(), None);
-        assert_eq!(s.observed_range(), None);
     }
 
     #[test]
@@ -441,7 +420,7 @@ mod tests {
         // Fold in two halves through fresh partials, then merge.
         let mut merged = StreamingLifetimeStudy::new(grid(), 50.0).unwrap();
         for half in outcomes.chunks(100) {
-            let mut part = merged.fresh_partial();
+            let mut part = StreamingLifetimeStudy::new(grid(), 50.0).unwrap();
             for o in half {
                 part.fold(*o).unwrap();
             }
@@ -459,7 +438,7 @@ mod tests {
         // And the same partition merged again is bit-identical.
         let mut again = StreamingLifetimeStudy::new(grid(), 50.0).unwrap();
         for half in outcomes.chunks(100) {
-            let mut part = again.fresh_partial();
+            let mut part = StreamingLifetimeStudy::new(grid(), 50.0).unwrap();
             for o in half {
                 part.fold(*o).unwrap();
             }

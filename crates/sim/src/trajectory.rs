@@ -1,118 +1,13 @@
-//! CTMC path sampling.
+//! CTMC jump sampling.
 //!
-//! A sampled path is a sequence of `(state, sojourn)` pairs covering
-//! `[0, horizon]`; the last sojourn is truncated at the horizon. Sampling
-//! uses the standard competing-exponentials construction: in state `i`,
-//! wait `Exp(q_i)`, then jump to `j` with probability `q_{ij}/q_i`.
+//! The simulator walks a workload chain by the standard
+//! competing-exponentials construction: in state `i`, wait `Exp(q_i)`,
+//! then jump to `j` with probability `q_{ij}/q_i`. This module samples
+//! the start state from `α` and each jump; the caller draws the sojourns.
 
 use crate::rng::SimRng;
 use markov::ctmc::Ctmc;
 use markov::MarkovError;
-
-/// One visit of a sampled CTMC path.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Visit {
-    /// The state visited.
-    pub state: usize,
-    /// Time spent there (the last visit is truncated at the horizon).
-    pub sojourn: f64,
-}
-
-/// A sampled path over `[0, horizon]`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Path {
-    visits: Vec<Visit>,
-}
-
-impl Path {
-    /// The sequence of visits.
-    pub fn visits(&self) -> &[Visit] {
-        &self.visits
-    }
-
-    /// Total covered time (equals the horizon unless the path was
-    /// generated with an early-stop predicate).
-    pub fn total_time(&self) -> f64 {
-        self.visits.iter().map(|v| v.sojourn).sum()
-    }
-
-    /// Number of jumps (visits minus one).
-    pub fn jumps(&self) -> usize {
-        self.visits.len().saturating_sub(1)
-    }
-
-    /// Time spent in `state`.
-    pub fn occupation_time(&self, state: usize) -> f64 {
-        self.visits
-            .iter()
-            .filter(|v| v.state == state)
-            .map(|v| v.sojourn)
-            .sum()
-    }
-
-    /// The state occupied at time `t` (`None` beyond the covered span).
-    pub fn state_at(&self, t: f64) -> Option<usize> {
-        let mut acc = 0.0;
-        for v in &self.visits {
-            acc += v.sojourn;
-            if t < acc {
-                return Some(v.state);
-            }
-        }
-        None
-    }
-}
-
-/// Samples a path of `ctmc` from `initial` over `[0, horizon]`.
-///
-/// # Errors
-///
-/// [`MarkovError::StateOutOfRange`] for a bad initial state,
-/// [`MarkovError::InvalidArgument`] for a non-positive horizon.
-pub fn sample_path(
-    ctmc: &Ctmc,
-    initial: usize,
-    horizon: f64,
-    rng: &mut SimRng,
-) -> Result<Path, MarkovError> {
-    if initial >= ctmc.n_states() {
-        return Err(MarkovError::StateOutOfRange {
-            state: initial,
-            n_states: ctmc.n_states(),
-        });
-    }
-    if !(horizon > 0.0) || !horizon.is_finite() {
-        return Err(MarkovError::InvalidArgument(format!(
-            "horizon must be positive and finite, got {horizon}"
-        )));
-    }
-    let mut visits = Vec::new();
-    let mut state = initial;
-    let mut remaining = horizon;
-    loop {
-        let q = ctmc.exit_rate(state);
-        if q == 0.0 {
-            // Absorbing: stay for the rest of the horizon.
-            visits.push(Visit {
-                state,
-                sojourn: remaining,
-            });
-            break;
-        }
-        let sojourn = rng.exponential(q);
-        if sojourn >= remaining {
-            visits.push(Visit {
-                state,
-                sojourn: remaining,
-            });
-            break;
-        }
-        visits.push(Visit { state, sojourn });
-        remaining -= sojourn;
-        state = next_state(ctmc, state, rng)?;
-    }
-    Ok(Path { visits })
-}
 
 /// Samples the successor of `state` according to the embedded jump chain.
 ///
@@ -155,65 +50,12 @@ pub fn sample_initial(ctmc: &Ctmc, alpha: &[f64], rng: &mut SimRng) -> Result<us
 mod tests {
     use super::*;
     use markov::ctmc::CtmcBuilder;
-    use markov::steady_state::stationary_gth;
 
     fn two_state(a: f64, b: f64) -> Ctmc {
         let mut builder = CtmcBuilder::new(2);
         builder.rate(0, 1, a).unwrap();
         builder.rate(1, 0, b).unwrap();
         builder.build().unwrap()
-    }
-
-    #[test]
-    fn path_covers_horizon() {
-        let chain = two_state(1.0, 2.0);
-        let mut rng = SimRng::seed_from(1);
-        let path = sample_path(&chain, 0, 50.0, &mut rng).unwrap();
-        assert!((path.total_time() - 50.0).abs() < 1e-9);
-        assert_eq!(path.visits()[0].state, 0);
-        assert!(path.jumps() > 0);
-    }
-
-    #[test]
-    fn occupation_matches_stationary_long_run() {
-        let chain = two_state(1.0, 3.0);
-        let pi = stationary_gth(&chain).unwrap();
-        let mut rng = SimRng::seed_from(2);
-        let horizon = 200_000.0;
-        let path = sample_path(&chain, 0, horizon, &mut rng).unwrap();
-        let frac0 = path.occupation_time(0) / horizon;
-        assert!((frac0 - pi[0]).abs() < 0.01, "{frac0} vs {}", pi[0]);
-    }
-
-    #[test]
-    fn absorbing_state_ends_path() {
-        let mut b = CtmcBuilder::new(2);
-        b.rate(0, 1, 5.0).unwrap();
-        let chain = b.build().unwrap();
-        let mut rng = SimRng::seed_from(3);
-        let path = sample_path(&chain, 0, 100.0, &mut rng).unwrap();
-        assert_eq!(path.visits().last().unwrap().state, 1);
-        assert_eq!(path.jumps(), 1);
-        assert!((path.total_time() - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn state_at_walks_visits() {
-        let path = Path {
-            visits: vec![
-                Visit {
-                    state: 0,
-                    sojourn: 2.0,
-                },
-                Visit {
-                    state: 1,
-                    sojourn: 3.0,
-                },
-            ],
-        };
-        assert_eq!(path.state_at(1.0), Some(0));
-        assert_eq!(path.state_at(2.5), Some(1));
-        assert_eq!(path.state_at(6.0), None);
     }
 
     #[test]
@@ -251,16 +93,30 @@ mod tests {
     fn input_validation() {
         let chain = two_state(1.0, 1.0);
         let mut rng = SimRng::seed_from(6);
-        assert!(sample_path(&chain, 5, 1.0, &mut rng).is_err());
-        assert!(sample_path(&chain, 0, 0.0, &mut rng).is_err());
-        assert!(sample_path(&chain, 0, f64::INFINITY, &mut rng).is_err());
+        assert!(sample_initial(&chain, &[1.0], &mut rng).is_err());
+        assert!(sample_initial(&chain, &[0.0, 0.0], &mut rng).is_err());
+        assert!(sample_initial(&chain, &[f64::NAN, 1.0], &mut rng).is_err());
     }
 
     #[test]
     fn deterministic_given_seed() {
-        let chain = two_state(1.3, 0.7);
-        let p1 = sample_path(&chain, 0, 100.0, &mut SimRng::seed_from(9)).unwrap();
-        let p2 = sample_path(&chain, 0, 100.0, &mut SimRng::seed_from(9)).unwrap();
-        assert_eq!(p1, p2);
+        let mut b = CtmcBuilder::new(3);
+        b.rate(0, 1, 1.3).unwrap();
+        b.rate(0, 2, 0.7).unwrap();
+        b.rate(1, 0, 1.0).unwrap();
+        b.rate(2, 0, 1.0).unwrap();
+        let chain = b.build().unwrap();
+        let walk = |seed| {
+            let mut rng = SimRng::seed_from(seed);
+            let mut state = sample_initial(&chain, &[0.2, 0.5, 0.3], &mut rng).unwrap();
+            let mut states = vec![state];
+            for _ in 0..200 {
+                state = next_state(&chain, state, &mut rng).unwrap();
+                states.push(state);
+            }
+            states
+        };
+        assert_eq!(walk(9), walk(9));
+        assert_ne!(walk(9), walk(10));
     }
 }
