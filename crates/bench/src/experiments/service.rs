@@ -385,8 +385,7 @@ pub fn run(cfg: &Config) -> Result<(), String> {
          \"max_abs_difference_vs_fresh\": {:e}\n  }},\n  \
          \"deadline_leg\": {{\n    \"requests\": {},\n    \"deadline_expired\": {},\n    \
          \"deadline_hit_rate\": {:.4},\n    \"degraded_served\": {},\n    \
-         \"degraded_fraction\": {:.4},\n    \"retries\": {},\n    \
-         \"breaker_open\": {}\n  }},\n  \
+         \"degraded_fraction\": {:.4}\n  }},\n  \
          \"snapshot\": {{\n    \"distinct_configurations\": {},\n    \
          \"entries_written\": {},\n    \"snapshot_bytes\": {},\n    \
          \"loaded\": {},\n    \"rejected\": {},\n    \
@@ -410,8 +409,6 @@ pub fn run(cfg: &Config) -> Result<(), String> {
         outcome.deadline_hit_rate(),
         stats.degraded_served,
         outcome.degraded_fraction(),
-        stats.retries,
-        stats.breaker_open,
         snap.distinct,
         snap.entries_written,
         snap.snapshot_bytes,

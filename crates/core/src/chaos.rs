@@ -4,9 +4,8 @@
 //! seeded, reproducible mixture of faults at the one solve entry point,
 //! [`LifetimeSolver::solve_in`]:
 //!
-//! * **errors** — a transient [`markov::MarkovError::NoConvergence`],
-//!   the class the service's retry loop re-attempts and its circuit
-//!   breaker counts;
+//! * **errors** — a [`markov::MarkovError::NoConvergence`], which the
+//!   service reports like any other solve error;
 //! * **panics** — an unwind out of the backend, exercising the
 //!   service's poisoned-lock and flight-cleanup paths;
 //! * **delays** — a bounded sleep before the real solve, widening race
@@ -39,7 +38,7 @@ use std::time::Duration;
 pub struct ChaosConfig {
     /// Seed of the deterministic per-call fault sequence.
     pub seed: u64,
-    /// Probability a call fails with a transient solve error.
+    /// Probability a call fails with a solve error.
     pub error_rate: f64,
     /// Probability a call panics.
     pub panic_rate: f64,
@@ -62,7 +61,7 @@ impl ChaosConfig {
         }
     }
 
-    /// Sets the transient-error rate.
+    /// Sets the error rate.
     ///
     /// # Panics
     ///
@@ -165,9 +164,8 @@ enum Fault {
 /// Everything observable about the backend — name, capability,
 /// fingerprint, group state — is delegated unchanged, so a wrapped
 /// solver is registry- and service-transparent: groups form the same
-/// way, the breaker attributes failures to the *inner* backend's name,
-/// and when no fault fires the answer is bit-identical to the unwrapped
-/// solve.
+/// way, and when no fault fires the answer is bit-identical to the
+/// unwrapped solve.
 pub struct FaultInjectingSolver {
     inner: Box<dyn LifetimeSolver>,
     config: ChaosConfig,
@@ -219,7 +217,7 @@ impl FaultInjectingSolver {
         match self.draw() {
             Fault::None => Ok(()),
             Fault::Error(n) => Err(KibamRmError::Markov(markov::MarkovError::NoConvergence(
-                format!("chaos: injected transient fault (call #{n})"),
+                format!("chaos: injected fault (call #{n})"),
             ))),
             Fault::Panic(n) => panic!("chaos: injected panic (call #{n})"),
             Fault::Delay(d) => {
@@ -361,7 +359,6 @@ mod tests {
             KibamRmError::Markov(markov::MarkovError::NoConvergence(_))
         ));
         assert!(err.to_string().contains("chaos"));
-        assert!(crate::service::ServiceError::Solve(err).retryable());
         assert_eq!((ledger.calls(), ledger.errors()), (1, 1));
     }
 

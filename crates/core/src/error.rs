@@ -60,7 +60,7 @@ impl std::error::Error for KibamRmError {
 impl From<markov::MarkovError> for KibamRmError {
     fn from(e: markov::MarkovError) -> Self {
         // Deadline interruptions are a first-class outcome at this
-        // layer (the service degrades or retries on them), so they are
+        // layer (the service degrades on them), so they are
         // lifted out of the generic Markov wrapper at the boundary.
         match e {
             markov::MarkovError::DeadlineExceeded { completed } => {

@@ -101,45 +101,6 @@ pub enum ServiceError {
         /// replications) the interrupted solve completed.
         completed: usize,
     },
-    /// The circuit breaker for the request's `(backend, fingerprint)` is
-    /// open after repeated backend failures: the query was shed fast,
-    /// without touching the backend, until a half-open probe succeeds.
-    CircuitOpen {
-        /// The backend whose breaker is open.
-        backend: &'static str,
-    },
-}
-
-impl ServiceError {
-    /// Whether retrying the *same* request later can reasonably succeed.
-    ///
-    /// * [`Overloaded`](ServiceError::Overloaded) — yes: admission
-    ///   pressure drains as in-flight solves finish.
-    /// * [`CircuitOpen`](ServiceError::CircuitOpen) — yes: the breaker
-    ///   half-opens after its cooldown and lets a probe through.
-    /// * [`DeadlineExceeded`](ServiceError::DeadlineExceeded) — no: the
-    ///   request's own time budget was consumed; an unchanged retry fails
-    ///   the same way. Raise the deadline or allow degradation instead.
-    /// * [`Solve`](ServiceError::Solve) — only for transient numerical
-    ///   failures (non-convergence); validation errors are permanent.
-    pub fn retryable(&self) -> bool {
-        match self {
-            ServiceError::Overloaded { .. } | ServiceError::CircuitOpen { .. } => true,
-            ServiceError::DeadlineExceeded { .. } => false,
-            ServiceError::Solve(e) => transient_solve_error(e),
-        }
-    }
-}
-
-/// Transient solve failures — the class the service's bounded-backoff
-/// retry loop re-attempts. Validation errors are deterministic and
-/// excluded; numerical non-convergence (and injected chaos faults, which
-/// reuse that variant) may clear on retry.
-fn transient_solve_error(e: &KibamRmError) -> bool {
-    matches!(
-        e,
-        KibamRmError::Markov(markov::MarkovError::NoConvergence(_))
-    )
 }
 
 impl fmt::Display for ServiceError {
@@ -153,10 +114,6 @@ impl fmt::Display for ServiceError {
             ServiceError::DeadlineExceeded { completed } => write!(
                 f,
                 "request deadline exceeded after {completed} units of completed work"
-            ),
-            ServiceError::CircuitOpen { backend } => write!(
-                f,
-                "circuit breaker open for backend '{backend}': shedding until a probe succeeds"
             ),
         }
     }
@@ -182,85 +139,25 @@ impl From<KibamRmError> for ServiceError {
     }
 }
 
-/// Bounded exponential backoff for transient solve failures
-/// ([`QueryOptions::retry`]). `max_retries == 0` (the default) disables
-/// retrying entirely.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Re-attempts after the first failed solve (0 = never retry).
-    pub max_retries: u32,
-    /// Backoff before the first retry; doubles per attempt.
-    pub initial_backoff: Duration,
-    /// Backoff ceiling (the exponential curve saturates here).
-    pub max_backoff: Duration,
-}
-
-impl RetryPolicy {
-    /// No retries (the default).
-    pub const fn none() -> Self {
-        RetryPolicy {
-            max_retries: 0,
-            initial_backoff: Duration::from_millis(10),
-            max_backoff: Duration::from_millis(640),
-        }
-    }
-
-    /// Up to `max_retries` re-attempts with the default backoff curve
-    /// (10 ms doubling to a 640 ms ceiling).
-    pub const fn retries(max_retries: u32) -> Self {
-        RetryPolicy {
-            max_retries,
-            initial_backoff: Duration::from_millis(10),
-            max_backoff: Duration::from_millis(640),
-        }
-    }
-
-    /// Replaces the backoff curve.
-    #[must_use]
-    pub const fn with_backoff(mut self, initial: Duration, max: Duration) -> Self {
-        self.initial_backoff = initial;
-        self.max_backoff = max;
-        self
-    }
-
-    /// The backoff before retry `attempt` (1-based): `initial·2^(n−1)`,
-    /// saturating at [`max_backoff`](RetryPolicy::max_backoff).
-    fn backoff_for(&self, attempt: u32) -> Duration {
-        let doublings = attempt.saturating_sub(1).min(20);
-        self.initial_backoff
-            .saturating_mul(1u32 << doublings)
-            .min(self.max_backoff)
-    }
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy::none()
-    }
-}
-
 /// Per-request quality-of-service knobs for
-/// [`LifetimeService::query_with`]. The default (`no deadline, no
-/// degradation, no retries`) reproduces [`LifetimeService::query`]
-/// exactly.
+/// [`LifetimeService::query_with`]. The default (no deadline, no
+/// degradation) reproduces [`LifetimeService::query`] exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct QueryOptions {
     /// Wall-clock budget for this request. The exact solve is cancelled
     /// cooperatively (at iteration granularity) when it expires; the
-    /// deadline instant is fixed once per request, so retries and
-    /// degraded fallbacks share it rather than extending it.
+    /// deadline instant is fixed once per request, so degraded fallbacks
+    /// share it rather than extending it.
     pub deadline: Option<Duration>,
     /// Allow a degraded answer when the exact solve cannot finish in
     /// time: a resident same-family curve at a different Δ, or a fast
     /// Monte Carlo estimate — always tagged
     /// [`Answer::Degraded`] with an explicit error bound.
     pub degraded_ok: bool,
-    /// Retry policy for transient solve failures.
-    pub retry: RetryPolicy,
 }
 
 impl QueryOptions {
-    /// The default options (no deadline, exact answers only, no retry).
+    /// The default options (no deadline, exact answers only).
     pub fn new() -> Self {
         QueryOptions::default()
     }
@@ -278,13 +175,6 @@ impl QueryOptions {
         self.degraded_ok = true;
         self
     }
-
-    /// Sets the retry policy for transient failures.
-    #[must_use]
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
 }
 
 /// Where a degraded answer came from.
@@ -298,8 +188,8 @@ pub enum DegradedSource {
         /// Δ-independent backends, whose curve is the exact answer).
         delta: Option<Charge>,
     },
-    /// A fast Monte Carlo estimate computed under the degraded grace
-    /// budget ([`ServiceConfig::degraded_grace`]).
+    /// A fast Monte Carlo estimate computed under a short grace budget
+    /// after the request's deadline expired.
     FastSimulation {
         /// Replications behind the estimate.
         runs: usize,
@@ -377,21 +267,16 @@ pub struct ServiceConfig {
     /// templates and curve caches). `0` disables warm-state reuse —
     /// every solve assembles its own state. Default: 16.
     pub warm_capacity: usize,
-    /// Consecutive solve failures per `(backend, fingerprint)` that trip
-    /// its circuit breaker into the open state. `0` disables the
-    /// breaker. Default: 5.
-    pub breaker_threshold: u32,
-    /// How long an open breaker sheds before half-opening for a single
-    /// probe request. Default: 5 s.
-    pub breaker_cooldown: Duration,
-    /// Wall-clock grace granted to the fast-Monte-Carlo degradation tier
-    /// after the request's own deadline expired (the fallback must not
-    /// itself run unbounded). Default: 250 ms.
-    pub degraded_grace: Duration,
-    /// Replications of the fast-Monte-Carlo degradation tier. Default:
-    /// 256 (95 % DKW sup-norm band ≈ 0.085).
-    pub degraded_runs: usize,
 }
+
+/// Wall-clock grace granted to the fast-Monte-Carlo degradation tier
+/// after the request's own deadline expired (the fallback must not
+/// itself run unbounded).
+const DEGRADED_GRACE: Duration = Duration::from_millis(250);
+
+/// Replications of the fast-Monte-Carlo degradation tier (95 % DKW
+/// sup-norm band ≈ 0.085).
+const DEGRADED_RUNS: usize = 256;
 
 impl Default for ServiceConfig {
     fn default() -> Self {
@@ -402,10 +287,6 @@ impl Default for ServiceConfig {
             max_in_flight: 2 * cores,
             cache_capacity_bytes: 32 << 20,
             warm_capacity: 16,
-            breaker_threshold: 5,
-            breaker_cooldown: Duration::from_secs(5),
-            degraded_grace: Duration::from_millis(250),
-            degraded_runs: 256,
         }
     }
 }
@@ -429,23 +310,6 @@ impl ServiceConfig {
     #[must_use]
     pub fn with_warm_capacity(mut self, entries: usize) -> Self {
         self.warm_capacity = entries;
-        self
-    }
-
-    /// Replaces the circuit-breaker policy (`threshold == 0` disables).
-    #[must_use]
-    pub fn with_breaker(mut self, threshold: u32, cooldown: Duration) -> Self {
-        self.breaker_threshold = threshold;
-        self.breaker_cooldown = cooldown;
-        self
-    }
-
-    /// Replaces the degraded-fallback policy (grace budget and
-    /// replication count of the fast-Monte-Carlo tier).
-    #[must_use]
-    pub fn with_degraded_fallback(mut self, grace: Duration, runs: usize) -> Self {
-        self.degraded_grace = grace;
-        self.degraded_runs = runs;
         self
     }
 }
@@ -477,9 +341,8 @@ pub struct ServiceStats {
     /// never cached, deduplicated or joined.
     pub uncacheable: u64,
     /// Solves that failed in the backend ([`ServiceError::Solve`];
-    /// errors are never cached). Deadline expiries and breaker sheds are
-    /// not backend failures: they count in `deadline_expired` and
-    /// `breaker_open` instead.
+    /// errors are never cached). Deadline expiries are not backend
+    /// failures: they count in `deadline_expired` instead.
     pub errors: u64,
     /// Requests whose deadline expired before an exact answer arrived
     /// (whether or not a degraded answer was then served).
@@ -487,10 +350,6 @@ pub struct ServiceStats {
     /// Requests answered by a degradation tier instead of an exact
     /// solve.
     pub degraded_served: u64,
-    /// Transient-failure retries performed by the bounded-backoff loop.
-    pub retries: u64,
-    /// Queries shed by an open circuit breaker.
-    pub breaker_open: u64,
     /// Snapshot entries revived into the result cache by
     /// [`LifetimeService::load_snapshot`].
     pub snapshot_loaded: u64,
@@ -599,51 +458,6 @@ struct WarmEntry {
     last_used: u64,
 }
 
-/// Circuit-breaker state machine for one `(backend, fingerprint)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum BreakerState {
-    /// Healthy: solves pass through; consecutive failures are counted.
-    Closed,
-    /// Tripped: queries shed fast with [`ServiceError::CircuitOpen`]
-    /// until `until`, when the next query becomes the half-open probe.
-    Open {
-        /// End of the cooldown.
-        until: Instant,
-    },
-    /// One probe solve is in progress; everything else sheds. The
-    /// probe's outcome closes (success) or re-opens (failure) the
-    /// breaker.
-    HalfOpen,
-}
-
-/// Per-`(backend, fingerprint)` failure ledger behind the service lock.
-struct Breaker {
-    consecutive_failures: u32,
-    state: BreakerState,
-}
-
-impl Default for Breaker {
-    fn default() -> Self {
-        Breaker {
-            consecutive_failures: 0,
-            state: BreakerState::Closed,
-        }
-    }
-}
-
-/// How one solve attempt ended, as the breaker sees it.
-enum BreakerOutcome {
-    /// The backend answered: reset the failure count, close the breaker.
-    Success,
-    /// The backend failed (error or panic): count it; trip at the
-    /// threshold, re-open from half-open.
-    Failure,
-    /// The *request's* deadline expired mid-solve — says nothing about
-    /// backend health. A half-open probe cut short re-opens with no
-    /// cooldown so the next request can probe immediately.
-    Neutral,
-}
-
 /// Everything behind the service mutex. The lock is held only for map
 /// lookups and counter bumps — never across a solve.
 #[derive(Default)]
@@ -652,7 +466,6 @@ struct Inner {
     cache_bytes: usize,
     warm: HashMap<(usize, u64), WarmEntry>,
     flights: HashMap<Vec<u8>, Arc<Flight>>,
-    breakers: HashMap<(usize, u64), Breaker>,
     in_flight: usize,
     /// Monotone LRU clock: bumped on every cache/warm touch.
     tick: u64,
@@ -668,8 +481,6 @@ struct Inner {
     errors: u64,
     deadline_expired: u64,
     degraded_served: u64,
-    retries: u64,
-    breaker_open: u64,
     snapshot_loaded: u64,
     snapshot_rejected: u64,
     snapshot_written: u64,
@@ -743,6 +554,12 @@ fn family_key(scenario: &Scenario) -> Option<u64> {
     Some(h.finish())
 }
 
+/// The cooperative budget of one request's solve: its deadline instant,
+/// or none.
+fn request_budget(deadline: Option<Instant>) -> Budget {
+    deadline.map_or_else(Budget::unlimited, Budget::with_deadline_at)
+}
+
 /// The sup-norm bound a Monte Carlo curve of `runs` completed
 /// replications is served with: its 95 % Dvoretzky–Kiefer–Wolfowitz band.
 fn monte_carlo_bound(runs: usize) -> f64 {
@@ -787,11 +604,6 @@ impl LifetimeService {
         }
     }
 
-    /// The service's sizing knobs.
-    pub fn config(&self) -> &ServiceConfig {
-        &self.config
-    }
-
     /// The registry queries are routed through.
     pub fn registry(&self) -> &SolverRegistry {
         &self.registry
@@ -809,16 +621,14 @@ impl LifetimeService {
     /// `(backend, fingerprint)` — whichever is cheapest. Blocks until
     /// the answer (or the flight it joined) is ready. Equivalent to
     /// [`query_with`](LifetimeService::query_with) under the default
-    /// [`QueryOptions`] (no deadline, exact answers only, no retry).
+    /// [`QueryOptions`] (no deadline, exact answers only).
     ///
     /// # Errors
     ///
     /// [`ServiceError::Overloaded`] when the query would start a solve
     /// beyond the admission bound (nothing was computed);
-    /// [`ServiceError::CircuitOpen`] when the backend's breaker is
-    /// shedding; [`ServiceError::Solve`] for backend-selection and solve
-    /// failures (shared verbatim with every joined request; never
-    /// cached).
+    /// [`ServiceError::Solve`] for backend-selection and solve failures
+    /// (shared verbatim with every joined request; never cached).
     pub fn query(&self, scenario: &Scenario) -> Result<LifetimeDistribution, ServiceError> {
         self.query_with(scenario, &QueryOptions::default())
             .map(Answer::into_distribution)
@@ -826,10 +636,9 @@ impl LifetimeService {
 
     /// [`query`](LifetimeService::query) with per-request
     /// quality-of-service knobs: a wall-clock deadline (cancelling the
-    /// exact solve cooperatively at iteration granularity), graceful
-    /// degradation on expiry, and bounded-backoff retry of transient
-    /// failures. The request's deadline instant is fixed on entry —
-    /// retries and fallbacks spend the same budget, never extend it.
+    /// exact solve cooperatively at iteration granularity) and graceful
+    /// degradation on expiry. The request's deadline instant is fixed on
+    /// entry — fallbacks spend the same budget, never extend it.
     ///
     /// # Errors
     ///
@@ -884,7 +693,9 @@ impl LifetimeService {
                 // running for its owner and other joiners.
                 None => Err(ServiceError::DeadlineExceeded { completed: 0 }),
             },
-            Admission::Solve(flight) => self.run_flight(scenario, key, &flight, opts, deadline),
+            Admission::Solve(flight) => {
+                self.run_flight(scenario, key, &flight, &request_budget(deadline))
+            }
         };
         match outcome {
             Ok(dist) => Ok(Answer::Exact(dist)),
@@ -903,8 +714,7 @@ impl LifetimeService {
         scenario: &Scenario,
         key: Vec<u8>,
         flight: &Arc<Flight>,
-        opts: &QueryOptions,
-        deadline: Option<Instant>,
+        budget: &Budget,
     ) -> Result<LifetimeDistribution, ServiceError> {
         struct FlightGuard<'a> {
             service: &'a LifetimeService,
@@ -938,7 +748,7 @@ impl LifetimeService {
             flight,
             done: false,
         };
-        let result = self.solve_with_policy(scenario, opts, deadline);
+        let result = self.solve_in_group(scenario, budget);
         guard.done = true;
         let mut inner = self.lock();
         inner.flights.remove(&guard.key);
@@ -954,7 +764,7 @@ impl LifetimeService {
                 );
             }
             // Only backend failures count as errors: deadline expiries
-            // and breaker sheds have their own ledger entries.
+            // have their own ledger entry.
             Err(ServiceError::Solve(_)) => inner.errors += 1,
             Err(_) => {}
         }
@@ -992,7 +802,7 @@ impl LifetimeService {
         }
         let result = {
             let _guard = InFlightGuard(self);
-            self.solve_with_policy(scenario, opts, deadline)
+            self.solve_in_group(scenario, &request_budget(deadline))
         };
         match result {
             Ok(dist) => Ok(Answer::Exact(dist)),
@@ -1010,43 +820,9 @@ impl LifetimeService {
         }
     }
 
-    /// The retry loop around one request's solve attempts: transient
-    /// failures back off exponentially (bounded, and never past the
-    /// request's deadline) and re-attempt up to the policy's budget;
-    /// everything else — success, permanent errors, deadline expiry,
-    /// open breakers — returns immediately.
-    fn solve_with_policy(
-        &self,
-        scenario: &Scenario,
-        opts: &QueryOptions,
-        deadline: Option<Instant>,
-    ) -> Result<LifetimeDistribution, ServiceError> {
-        let budget = match deadline {
-            Some(d) => Budget::with_deadline_at(d),
-            None => Budget::unlimited(),
-        };
-        let mut attempt = 0u32;
-        loop {
-            let result = self.solve_attempt(scenario, &budget);
-            let transient =
-                matches!(&result, Err(ServiceError::Solve(e)) if transient_solve_error(e));
-            let expired = deadline.is_some_and(|d| Instant::now() >= d);
-            if !transient || attempt >= opts.retry.max_retries || expired {
-                return result;
-            }
-            attempt += 1;
-            self.lock().retries += 1;
-            let mut backoff = opts.retry.backoff_for(attempt);
-            if let Some(d) = deadline {
-                backoff = backoff.min(d.saturating_duration_since(Instant::now()));
-            }
-            std::thread::sleep(backoff);
-        }
-    }
-
     /// One solve through the live group for the scenario's
-    /// `(backend, fingerprint)`: check the group's circuit breaker, lock
-    /// its warm state (creating or resurrecting it as needed) and run
+    /// `(backend, fingerprint)`: lock its warm state (creating or
+    /// resurrecting it as needed) and run
     /// the same grouped member solve a batch sweep would — under the
     /// request's cooperative budget. Backends without a fingerprint or
     /// warm state solve independently.
@@ -1058,7 +834,7 @@ impl LifetimeService {
     /// picks for the served chains, its reuse-and-extend path collapses
     /// members with bitwise identical `Pᵀ` into one sweep (DESIGN.md
     /// §13).
-    fn solve_attempt(
+    fn solve_in_group(
         &self,
         scenario: &Scenario,
         budget: &Budget,
@@ -1066,28 +842,6 @@ impl LifetimeService {
         let index = self.registry.auto_index(scenario)?;
         let solver = self.registry.solver_at(index);
         let fingerprint = solver.sweep_fingerprint(scenario);
-        let breaker_key = (index, fingerprint.unwrap_or(0));
-        self.breaker_admit(breaker_key, solver.name())?;
-
-        // Records the attempt's outcome even if the backend panics (a
-        // panic counts as a failure): the drop path runs during unwind.
-        struct BreakerGuard<'a> {
-            service: &'a LifetimeService,
-            key: (usize, u64),
-            outcome: Option<BreakerOutcome>,
-        }
-        impl Drop for BreakerGuard<'_> {
-            fn drop(&mut self) {
-                let outcome = self.outcome.take().unwrap_or(BreakerOutcome::Failure);
-                self.service.breaker_record(self.key, outcome);
-            }
-        }
-        let mut guard = BreakerGuard {
-            service: self,
-            key: breaker_key,
-            outcome: None,
-        };
-
         let slot =
             fingerprint.and_then(|fp| self.warm_slot(index, fp, || solver.new_group_state()));
         // Serialises same-group solves, exactly like a batch group's
@@ -1106,80 +860,13 @@ impl LifetimeService {
         });
         // An expired request reaches no backend, whether or not it has
         // check points of its own.
-        let result = if budget.is_exhausted() {
-            Err(KibamRmError::DeadlineExceeded { completed: 0 })
-        } else {
-            let state = state.as_mut().map(|s| s.as_mut() as &mut dyn GroupState);
-            solver.solve_in(scenario, state, budget)
-        };
-        guard.outcome = Some(match &result {
-            Ok(_) => BreakerOutcome::Success,
-            Err(KibamRmError::DeadlineExceeded { .. }) => BreakerOutcome::Neutral,
-            Err(_) => BreakerOutcome::Failure,
-        });
-        result.map_err(ServiceError::from)
-    }
-
-    /// Breaker admission for one attempt: pass when closed, become the
-    /// probe when the cooldown has elapsed, shed fast otherwise.
-    fn breaker_admit(&self, key: (usize, u64), backend: &'static str) -> Result<(), ServiceError> {
-        if self.config.breaker_threshold == 0 {
-            return Ok(());
+        if budget.is_exhausted() {
+            return Err(ServiceError::DeadlineExceeded { completed: 0 });
         }
-        let mut inner = self.lock();
-        let breaker = inner.breakers.entry(key).or_default();
-        match breaker.state {
-            BreakerState::Closed => Ok(()),
-            BreakerState::Open { until } => {
-                if Instant::now() >= until {
-                    // This request becomes the half-open probe.
-                    breaker.state = BreakerState::HalfOpen;
-                    Ok(())
-                } else {
-                    inner.breaker_open += 1;
-                    Err(ServiceError::CircuitOpen { backend })
-                }
-            }
-            BreakerState::HalfOpen => {
-                // A probe is already in progress; shed until it reports.
-                inner.breaker_open += 1;
-                Err(ServiceError::CircuitOpen { backend })
-            }
-        }
-    }
-
-    /// Folds one attempt's outcome into the breaker state machine.
-    fn breaker_record(&self, key: (usize, u64), outcome: BreakerOutcome) {
-        if self.config.breaker_threshold == 0 {
-            return;
-        }
-        let mut inner = self.lock();
-        let breaker = inner.breakers.entry(key).or_default();
-        match outcome {
-            BreakerOutcome::Success => {
-                breaker.consecutive_failures = 0;
-                breaker.state = BreakerState::Closed;
-            }
-            BreakerOutcome::Failure => {
-                breaker.consecutive_failures = breaker.consecutive_failures.saturating_add(1);
-                let tripped = breaker.consecutive_failures >= self.config.breaker_threshold;
-                if tripped || breaker.state == BreakerState::HalfOpen {
-                    breaker.state = BreakerState::Open {
-                        until: Instant::now() + self.config.breaker_cooldown,
-                    };
-                }
-            }
-            BreakerOutcome::Neutral => {
-                // A deadline expiry says nothing about backend health;
-                // an interrupted probe re-opens with no cooldown so the
-                // next request probes immediately.
-                if breaker.state == BreakerState::HalfOpen {
-                    breaker.state = BreakerState::Open {
-                        until: Instant::now(),
-                    };
-                }
-            }
-        }
+        let state = state.as_mut().map(|s| s.as_mut() as &mut dyn GroupState);
+        solver
+            .solve_in(scenario, state, budget)
+            .map_err(ServiceError::from)
     }
 
     /// A request whose deadline expired before an exact answer: record
@@ -1261,9 +948,8 @@ impl LifetimeService {
         Some((dist, bound, delta))
     }
 
-    /// Tier 2: a fast Monte Carlo estimate with
-    /// [`ServiceConfig::degraded_runs`] replications under the
-    /// [`ServiceConfig::degraded_grace`] budget, bounded by the DKW band
+    /// Tier 2: a fast Monte Carlo estimate with [`DEGRADED_RUNS`]
+    /// replications under the [`DEGRADED_GRACE`] budget, bounded by the DKW band
     /// over the runs it completed. Bypasses the registry (and any chaos
     /// wrapping of it): the fallback must stay dependable when backends
     /// are not.
@@ -1271,13 +957,11 @@ impl LifetimeService {
         &self,
         scenario: &Scenario,
     ) -> Result<(LifetimeDistribution, f64, usize), ServiceError> {
-        let runs = self.config.degraded_runs.max(1);
-        let fallback = scenario.with_simulation(runs, scenario.sim_seed());
-        let budget = Budget::with_deadline(self.config.degraded_grace);
+        let fallback = scenario.with_simulation(DEGRADED_RUNS, scenario.sim_seed());
+        let budget = Budget::with_deadline(DEGRADED_GRACE);
         let dist = SimulationSolver::new().solve_in(&fallback, None, &budget)?;
-        let diag = *dist.diagnostics();
-        let actual_runs = diag.runs.unwrap_or(runs);
-        Ok((dist, monte_carlo_bound(actual_runs), actual_runs))
+        let runs = dist.diagnostics().runs.unwrap_or(DEGRADED_RUNS);
+        Ok((dist, monte_carlo_bound(runs), runs))
     }
 
     /// The live-group handle for `(backend index, fingerprint)`:
@@ -1350,8 +1034,6 @@ impl LifetimeService {
             errors: inner.errors,
             deadline_expired: inner.deadline_expired,
             degraded_served: inner.degraded_served,
-            retries: inner.retries,
-            breaker_open: inner.breaker_open,
             snapshot_loaded: inner.snapshot_loaded,
             snapshot_rejected: inner.snapshot_rejected,
             snapshot_written: inner.snapshot_written,
@@ -1939,9 +1621,10 @@ mod tests {
         assert_eq!(cfg.cache_capacity_bytes, 1024);
         assert_eq!(cfg.warm_capacity, 2);
         let service = LifetimeService::with_config(SolverRegistry::with_default_backends(), cfg);
-        assert_eq!(*service.config(), cfg);
         assert!(service.registry().find("sericola").is_some());
-        assert!(format!("{service:?}").contains("LifetimeService"));
+        let debug = format!("{service:?}");
+        assert!(debug.contains("LifetimeService"));
+        assert!(debug.contains("max_in_flight: 3"), "{debug}");
         let err = ServiceError::Overloaded {
             in_flight: 9,
             limit: 8,
@@ -1965,7 +1648,6 @@ mod tests {
             ServiceError::DeadlineExceeded { completed: 0 }
         ));
         assert!(err.to_string().contains("deadline exceeded"));
-        assert!(!err.retryable(), "the budget is spent: retrying is futile");
         assert_eq!(
             solves.load(Ordering::SeqCst),
             0,
@@ -2029,7 +1711,7 @@ mod tests {
                     bound > 0.0 && bound < 1.0,
                     "a Monte Carlo answer carries a real bound, got {bound}"
                 );
-                assert_eq!(runs, ServiceConfig::default().degraded_runs);
+                assert_eq!(runs, DEGRADED_RUNS);
                 // The sup-norm band over the completed runs, never tighter
                 // than the widest pointwise Wilson interval.
                 assert_eq!(bound, sim::dkw_half_width(runs as u64, 0.05));
@@ -2043,142 +1725,6 @@ mod tests {
         assert_eq!(stats.deadline_expired, 1);
         assert_eq!(stats.degraded_served, 1);
         assert_eq!(stats.cached_entries, 0, "degraded answers are never cached");
-    }
-
-    #[test]
-    fn transient_failures_retry_with_backoff_then_succeed() {
-        /// Fails with a transient (retryable) error `failures` times,
-        /// then answers.
-        struct Flaky {
-            solves: Arc<AtomicUsize>,
-            failures: usize,
-        }
-        impl LifetimeSolver for Flaky {
-            fn name(&self) -> &'static str {
-                "flaky"
-            }
-            fn capability(&self, _s: &Scenario) -> Capability {
-                Capability::Exact
-            }
-            fn solve_in(
-                &self,
-                s: &Scenario,
-                _state: Option<&mut dyn GroupState>,
-                _budget: &Budget,
-            ) -> Result<LifetimeDistribution, KibamRmError> {
-                let n = self.solves.fetch_add(1, Ordering::SeqCst);
-                if n < self.failures {
-                    return Err(KibamRmError::Markov(markov::MarkovError::NoConvergence(
-                        "injected transient fault".into(),
-                    )));
-                }
-                let points = s.times().iter().map(|&t| (t, 0.25)).collect();
-                LifetimeDistribution::new("flaky", points, Default::default())
-            }
-        }
-        let solves = Arc::new(AtomicUsize::new(0));
-        let mut registry = SolverRegistry::empty();
-        registry.register(Box::new(Flaky {
-            solves: Arc::clone(&solves),
-            failures: 2,
-        }));
-        let service = LifetimeService::new(registry);
-        let s = linear(1);
-        // Without a retry policy the transient error surfaces — and is
-        // classified retryable so the caller knows a retry makes sense.
-        let err = service
-            .query_with(&s, &QueryOptions::new())
-            .expect_err("first attempt fails");
-        assert!(err.retryable());
-        solves.store(0, Ordering::SeqCst);
-        // With a budget of two retries the third attempt answers.
-        let opts = QueryOptions::new().with_retry(
-            RetryPolicy::retries(2)
-                .with_backoff(Duration::from_millis(1), Duration::from_millis(4)),
-        );
-        let answer = service.query_with(&s, &opts).unwrap();
-        assert!(!answer.is_degraded());
-        assert_eq!(answer.bound(), None);
-        assert_eq!(solves.load(Ordering::SeqCst), 3, "two retries, one success");
-        assert_eq!(service.stats().retries, 2);
-    }
-
-    #[test]
-    fn breaker_trips_sheds_and_recovers_through_half_open() {
-        /// Fails (permanently, non-retryable) while `failing` is set.
-        struct Toggle {
-            solves: Arc<AtomicUsize>,
-            failing: Arc<std::sync::atomic::AtomicBool>,
-        }
-        impl LifetimeSolver for Toggle {
-            fn name(&self) -> &'static str {
-                "toggle"
-            }
-            fn capability(&self, _s: &Scenario) -> Capability {
-                Capability::Exact
-            }
-            fn solve_in(
-                &self,
-                s: &Scenario,
-                _state: Option<&mut dyn GroupState>,
-                _budget: &Budget,
-            ) -> Result<LifetimeDistribution, KibamRmError> {
-                self.solves.fetch_add(1, Ordering::SeqCst);
-                if self.failing.load(Ordering::SeqCst) {
-                    return Err(KibamRmError::InvalidWorkload("injected hard fault".into()));
-                }
-                let points = s.times().iter().map(|&t| (t, 0.5)).collect();
-                LifetimeDistribution::new("toggle", points, Default::default())
-            }
-        }
-        let solves = Arc::new(AtomicUsize::new(0));
-        let failing = Arc::new(std::sync::atomic::AtomicBool::new(true));
-        let mut registry = SolverRegistry::empty();
-        registry.register(Box::new(Toggle {
-            solves: Arc::clone(&solves),
-            failing: Arc::clone(&failing),
-        }));
-        let cooldown = Duration::from_millis(25);
-        let service = LifetimeService::with_config(
-            registry,
-            ServiceConfig::default().with_breaker(2, cooldown),
-        );
-        // Two consecutive failures trip the breaker…
-        assert!(service.query(&linear(1)).is_err());
-        assert!(service.query(&linear(2)).is_err());
-        // …so the third request sheds without touching the backend.
-        let err = service.query(&linear(3)).expect_err("breaker is open");
-        assert!(matches!(
-            err,
-            ServiceError::CircuitOpen { backend: "toggle" }
-        ));
-        assert!(err.to_string().contains("circuit breaker open"));
-        assert!(err.retryable(), "open breakers heal: retry later is sane");
-        assert_eq!(
-            solves.load(Ordering::SeqCst),
-            2,
-            "shed query computed nothing"
-        );
-        assert_eq!(service.stats().breaker_open, 1);
-        // After the cooldown one probe goes through; it fails, so the
-        // breaker re-opens and the follow-up sheds again.
-        std::thread::sleep(cooldown + Duration::from_millis(5));
-        assert!(matches!(
-            service.query(&linear(4)).expect_err("probe fails"),
-            ServiceError::Solve(_)
-        ));
-        assert!(matches!(
-            service.query(&linear(5)).expect_err("re-opened"),
-            ServiceError::CircuitOpen { .. }
-        ));
-        // Heal the backend: the next probe closes the breaker for good.
-        failing.store(false, Ordering::SeqCst);
-        std::thread::sleep(cooldown + Duration::from_millis(5));
-        assert!(service.query(&linear(6)).is_ok());
-        assert!(service.query(&linear(7)).is_ok());
-        let stats = service.stats();
-        assert_eq!(stats.breaker_open, 2);
-        assert_eq!(stats.errors, 3, "two trips plus the failed probe");
     }
 
     #[test]
@@ -2243,54 +1789,55 @@ mod tests {
     }
 
     #[test]
-    fn retryable_classification_spans_every_variant() {
-        assert!(ServiceError::Overloaded {
-            in_flight: 2,
-            limit: 1
-        }
-        .retryable());
-        assert!(ServiceError::CircuitOpen { backend: "x" }.retryable());
-        assert!(!ServiceError::DeadlineExceeded { completed: 3 }.retryable());
-        assert!(
-            ServiceError::Solve(KibamRmError::Markov(markov::MarkovError::NoConvergence(
-                "t".into()
-            )))
-            .retryable()
-        );
-        assert!(!ServiceError::Solve(KibamRmError::InvalidWorkload("x".into())).retryable());
-        assert!(!ServiceError::Solve(KibamRmError::DeadlineExceeded { completed: 1 }).retryable());
-        // Display and source round-trips for the new variants.
+    fn error_display_and_source_span_every_variant() {
         let deadline = ServiceError::DeadlineExceeded { completed: 41 };
         assert!(deadline.to_string().contains("41"));
         assert!(std::error::Error::source(&deadline).is_none());
-        let open = ServiceError::CircuitOpen { backend: "disc" };
-        assert!(open.to_string().contains("disc"));
-        assert!(std::error::Error::source(&open).is_none());
+        // A solve error displays and chains the backend's error verbatim;
+        // a backend's deadline lifts into the service's own variant.
+        let solve: ServiceError = KibamRmError::InvalidWorkload("bad rate".into()).into();
+        assert!(solve.to_string().contains("bad rate"));
+        assert!(std::error::Error::source(&solve).is_some());
+        let lifted: ServiceError = KibamRmError::DeadlineExceeded { completed: 3 }.into();
+        assert_eq!(lifted, ServiceError::DeadlineExceeded { completed: 3 });
     }
 
     #[test]
-    fn query_options_and_retry_policy_builders() {
+    fn query_options_builders() {
         let opts = QueryOptions::new()
             .with_deadline(Duration::from_secs(1))
-            .allow_degraded()
-            .with_retry(RetryPolicy::retries(3));
+            .allow_degraded();
         assert_eq!(opts.deadline, Some(Duration::from_secs(1)));
         assert!(opts.degraded_ok);
-        assert_eq!(opts.retry.max_retries, 3);
-        let policy = RetryPolicy::retries(4)
-            .with_backoff(Duration::from_millis(2), Duration::from_millis(5));
-        assert_eq!(policy.backoff_for(1), Duration::from_millis(2));
-        assert_eq!(policy.backoff_for(2), Duration::from_millis(4));
-        assert_eq!(policy.backoff_for(3), Duration::from_millis(5), "capped");
-        assert_eq!(policy.backoff_for(64), Duration::from_millis(5), "capped");
-        assert_eq!(RetryPolicy::default().max_retries, 0);
-        let cfg = ServiceConfig::default()
-            .with_breaker(7, Duration::from_secs(2))
-            .with_degraded_fallback(Duration::from_millis(100), 64);
-        assert_eq!(cfg.breaker_threshold, 7);
-        assert_eq!(cfg.breaker_cooldown, Duration::from_secs(2));
-        assert_eq!(cfg.degraded_grace, Duration::from_millis(100));
-        assert_eq!(cfg.degraded_runs, 64);
+        assert_eq!(QueryOptions::new(), QueryOptions::default());
+    }
+
+    #[test]
+    fn deterministic_solve_failures_are_reported_verbatim_every_time() {
+        // Every solve is a pure function of its scenario, so each query
+        // must report the same backend error; none may be replaced by a
+        // shed telling the client to retry a request that cannot succeed.
+        let service = LifetimeService::new(SolverRegistry::with_default_backends());
+        let bad = Scenario::paper_cell_phone()
+            .unwrap()
+            .with_delta(Charge::from_coulombs(7.3));
+        let messages: Vec<String> = (0..6)
+            .map(|_| match service.query(&bad) {
+                Err(ServiceError::Solve(e @ KibamRmError::InvalidDiscretisation(_))) => {
+                    e.to_string()
+                }
+                other => panic!("expected the discretisation error, got {other:?}"),
+            })
+            .collect();
+        assert!(
+            messages[0].contains("does not evenly divide"),
+            "{}",
+            messages[0]
+        );
+        assert!(messages.iter().all(|m| *m == messages[0]), "{messages:?}");
+        let stats = service.stats();
+        assert_eq!((stats.misses, stats.errors), (6, 6));
+        assert_eq!(stats.cached_entries, 0);
     }
 
     /// A unique temp path for one snapshot test.

@@ -18,11 +18,11 @@
 //!    by name (`429` + `Retry-After`) before it can saturate the
 //!    global admission bound that protects everyone else.
 //! 5. **The service's own ladder.** Admission, single-flight,
-//!    deadlines, degradation and breakers live in
-//!    [`LifetimeService`]; this layer only maps its typed errors onto
-//!    HTTP statuses (`Overloaded`/`CircuitOpen` → `503` +
-//!    `Retry-After`, deadline → `504`, degraded answers tagged in the
-//!    `200` envelope with their explicit error bound).
+//!    deadlines and degradation live in [`LifetimeService`]; this layer
+//!    only maps its typed errors onto HTTP statuses (`Overloaded` →
+//!    `503` + `Retry-After`, deadline → `504`, solve failure → `500`,
+//!    degraded answers tagged in the `200` envelope with their explicit
+//!    error bound).
 //!
 //! Shutdown is a drain, not a drop: the acceptor stops listening,
 //! in-flight connections get [`NetConfig::drain_deadline`] to finish,
@@ -35,7 +35,7 @@ use crate::json::{self, Json};
 use crate::quota::{QuotaDecision, QuotaLedger};
 use kibamrm::scenario::Scenario;
 use kibamrm::service::{
-    Answer, DegradedSource, LifetimeService, QueryOptions, RetryPolicy, ServiceError, ServiceStats,
+    Answer, DegradedSource, LifetimeService, QueryOptions, ServiceError, ServiceStats,
 };
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -118,8 +118,6 @@ pub struct NetStats {
     pub quota_refused: u64,
     /// `503` answers from [`ServiceError::Overloaded`].
     pub shed_overloaded: u64,
-    /// `503` answers from [`ServiceError::CircuitOpen`].
-    pub shed_circuit_open: u64,
     /// `504` answers from [`ServiceError::DeadlineExceeded`].
     pub deadline_exceeded: u64,
     /// `500` answers (backend solve failures).
@@ -141,7 +139,6 @@ struct Counters {
     rejected_bad_request: AtomicU64,
     quota_refused: AtomicU64,
     shed_overloaded: AtomicU64,
-    shed_circuit_open: AtomicU64,
     deadline_exceeded: AtomicU64,
     internal_errors: AtomicU64,
     not_found: AtomicU64,
@@ -159,7 +156,6 @@ impl Counters {
             rejected_bad_request: self.rejected_bad_request.load(Ordering::Relaxed),
             quota_refused: self.quota_refused.load(Ordering::Relaxed),
             shed_overloaded: self.shed_overloaded.load(Ordering::Relaxed),
-            shed_circuit_open: self.shed_circuit_open.load(Ordering::Relaxed),
             deadline_exceeded: self.deadline_exceeded.load(Ordering::Relaxed),
             internal_errors: self.internal_errors.load(Ordering::Relaxed),
             not_found: self.not_found.load(Ordering::Relaxed),
@@ -518,18 +514,6 @@ fn query_response(shared: &Shared, peer: &SocketAddr, request: &Request) -> Resp
             )
             .retry_after(1)
         }
-        Err(ServiceError::CircuitOpen { backend }) => {
-            shared
-                .counters
-                .shed_circuit_open
-                .fetch_add(1, Ordering::Relaxed);
-            let cooldown = shared.service.config().breaker_cooldown.as_secs().max(1);
-            Response::json(
-                503,
-                error_body("circuit_open", &format!("backend '{backend}' is shedding")),
-            )
-            .retry_after(cooldown)
-        }
         Err(ServiceError::DeadlineExceeded { completed }) => {
             shared
                 .counters
@@ -570,7 +554,8 @@ fn quota_key(shared: &Shared, peer: &SocketAddr, request: &Request) -> String {
 
 /// Parses the `/query` body: either raw scenario config text, or a
 /// JSON envelope `{"scenario": "<config>", "deadline_ms": …,
-/// "degraded_ok": …, "retries": …}` mirroring [`QueryOptions`].
+/// "degraded_ok": …}` mirroring [`QueryOptions`]. Other keys are
+/// ignored.
 fn parse_query_body(body: &[u8]) -> Result<(Scenario, QueryOptions), String> {
     let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
     let trimmed = text.trim_start();
@@ -599,14 +584,6 @@ fn parse_query_body(body: &[u8]) -> Result<(Scenario, QueryOptions), String> {
         {
             options = options.allow_degraded();
         }
-    }
-    if let Some(retries) = envelope.get("retries") {
-        let n = retries
-            .as_f64()
-            .filter(|v| v.is_finite() && *v >= 0.0 && *v <= 16.0 && v.fract() == 0.0)
-            .ok_or_else(|| "\"retries\" must be an integer between 0 and 16".to_string())?;
-        // CAST-OK: the filter above pins `n` to an integer in 0..=16.
-        options = options.with_retry(RetryPolicy::retries(n as u32));
     }
     Ok((scenario, options))
 }
@@ -690,8 +667,6 @@ fn stats_body(s: &ServiceStats, n: &NetStats, quota_clients: usize) -> String {
         ("errors", s.errors),
         ("deadline_expired", s.deadline_expired),
         ("degraded_served", s.degraded_served),
-        ("retries", s.retries),
-        ("breaker_open", s.breaker_open),
         ("snapshot_loaded", s.snapshot_loaded),
         ("snapshot_rejected", s.snapshot_rejected),
         ("snapshot_written", s.snapshot_written),
@@ -717,7 +692,6 @@ fn stats_body(s: &ServiceStats, n: &NetStats, quota_clients: usize) -> String {
         ("rejected_bad_request", n.rejected_bad_request),
         ("quota_refused", n.quota_refused),
         ("shed_overloaded", n.shed_overloaded),
-        ("shed_circuit_open", n.shed_circuit_open),
         ("deadline_exceeded", n.deadline_exceeded),
         ("internal_errors", n.internal_errors),
         ("not_found", n.not_found),
@@ -809,11 +783,16 @@ mod tests {
         // JSON envelope with options.
         let mut envelope = String::from("{\"scenario\":");
         json::write_string(&mut envelope, &config);
-        envelope.push_str(",\"deadline_ms\": 250, \"degraded_ok\": true, \"retries\": 2}");
+        envelope.push_str(",\"deadline_ms\": 250, \"degraded_ok\": true}");
         let (_, o) = parse_query_body(envelope.as_bytes()).unwrap();
         assert_eq!(o.deadline, Some(Duration::from_millis(250)));
         assert!(o.degraded_ok);
-        assert_eq!(o.retry.max_retries, 2);
+        // Unknown keys are ignored, the retired "retries" knob included.
+        let mut envelope = String::from("{\"scenario\":");
+        json::write_string(&mut envelope, &config);
+        envelope.push_str(",\"retries\": 2.5}");
+        let (_, o) = parse_query_body(envelope.as_bytes()).unwrap();
+        assert_eq!(o, QueryOptions::default());
     }
 
     #[test]
@@ -832,10 +811,6 @@ mod tests {
             .unwrap()
             .to_config_string()
             .unwrap();
-        let mut envelope = String::from("{\"scenario\":");
-        json::write_string(&mut envelope, &config);
-        envelope.push_str(",\"retries\": 2.5}");
-        assert!(parse_query_body(envelope.as_bytes()).is_err());
         let mut envelope = String::from("{\"scenario\":");
         json::write_string(&mut envelope, &config);
         envelope.push_str(",\"deadline_ms\": 1e300}");

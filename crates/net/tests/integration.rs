@@ -187,7 +187,7 @@ fn query_answers_are_bit_identical_to_direct_solves() {
     // JSON envelope body — same scenario, cache hit, same bits.
     let mut envelope = String::from("{\"scenario\": ");
     kibamrm_net::json::write_string(&mut envelope, &config_text(101.25));
-    envelope.push_str(", \"deadline_ms\": 60000, \"retries\": 1}");
+    envelope.push_str(", \"deadline_ms\": 60000}");
     let r2 = client::post_query(addr, envelope.as_bytes(), T).unwrap();
     assert_eq!(r2.status, 200, "{}", r2.body_string());
     assert_eq!(points_bits(&r2.body), direct_bits);
@@ -462,6 +462,30 @@ fn snapshot_route_without_persistence_is_a_typed_refusal() {
     let r = client::request(addr, "POST", "/admin/snapshot", &[], b"", T).unwrap();
     assert_eq!(r.status, 400);
     assert!(r.body_string().contains("no_snapshot_path"));
+    control.shutdown();
+    run.join().unwrap();
+}
+
+#[test]
+fn deterministic_solve_failures_answer_500_every_time() {
+    // A Δ that does not divide the wells fails the same way on every
+    // solve, so every answer is the same `500`: the sixth must not turn
+    // into a `503` + `Retry-After` for a request that can never succeed.
+    let service = Arc::new(LifetimeService::new(SolverRegistry::with_default_backends()));
+    let (control, addr, run) = start(service, NetConfig::default());
+    let config = Scenario::paper_cell_phone()
+        .unwrap()
+        .with_delta(Charge::from_coulombs(7.3))
+        .to_config_string()
+        .unwrap();
+    for i in 0..6 {
+        let r = client::post_query(addr, config.as_bytes(), T).unwrap();
+        assert_eq!(r.status, 500, "query {i}: {}", r.body_string());
+        assert!(r.body_string().contains("solve_failed"), "query {i}");
+        assert!(r.header("retry-after").is_none(), "query {i}");
+    }
+    assert_eq!(control.net_stats().internal_errors, 6);
+
     control.shutdown();
     run.join().unwrap();
 }

@@ -241,8 +241,8 @@ pub fn dkw_half_width(samples: u64, alpha: f64) -> f64 {
 /// The 97.5 % standard-normal quantile, for 95 % two-sided intervals.
 pub const Z_95: f64 = 1.959963984540054;
 
-/// Streaming (single-pass) sample moments: count, mean, min/max and the
-/// centred sum of squares, updated by Welford's recurrence and mergeable
+/// Streaming (single-pass) sample moments: count, mean and the centred
+/// sum of squares, updated by Welford's recurrence and mergeable
 /// by Chan's pairwise rule — the `O(1)`-memory replacement for collecting
 /// samples into a `Vec` first.
 ///
@@ -267,34 +267,18 @@ pub const Z_95: f64 = 1.959963984540054;
 /// assert_eq!(m.mean(), Some(5.0));
 /// assert!((m.variance().unwrap() - 32.0 / 7.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct StreamingMoments {
     count: u64,
     mean: f64,
     /// Centred sum of squares `Σ (x − mean)²` (a.k.a. Welford's `M2`).
     m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Default for StreamingMoments {
-    fn default() -> Self {
-        // Not derivable: min/max must start at ±∞, not 0.0, or the
-        // first pushed sample loses the extrema race.
-        StreamingMoments::new()
-    }
 }
 
 impl StreamingMoments {
     /// An empty accumulator.
     pub fn new() -> Self {
-        StreamingMoments {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
+        StreamingMoments::default()
     }
 
     /// Folds one sample in (Welford's recurrence).
@@ -309,8 +293,6 @@ impl StreamingMoments {
         let delta = x - self.mean;
         self.mean += delta / self.count as f64;
         self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
     }
 
     /// Merges another accumulator in (Chan's parallel update). The
@@ -332,8 +314,6 @@ impl StreamingMoments {
         self.mean += delta * (n2 / n);
         self.m2 += other.m2 + delta * delta * (n1 * n2 / n);
         self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 
     /// Number of samples folded in.
@@ -359,16 +339,6 @@ impl StreamingMoments {
     /// Sample standard deviation (`None` when empty).
     pub fn std_dev(&self) -> Option<f64> {
         self.variance().map(f64::sqrt)
-    }
-
-    /// Smallest sample (`None` when empty).
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest sample (`None` when empty).
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
     }
 }
 
@@ -510,8 +480,6 @@ mod tests {
         let mut m = StreamingMoments::new();
         assert_eq!(m.mean(), None);
         assert_eq!(m.variance(), None);
-        assert_eq!(m.min(), None);
-        assert_eq!(m.max(), None);
         for x in xs {
             m.push(x);
         }
@@ -519,8 +487,6 @@ mod tests {
         assert!((m.mean().unwrap() - mean(&xs).unwrap()).abs() < 1e-12);
         assert!((m.variance().unwrap() - variance(&xs).unwrap()).abs() < 1e-12);
         assert!((m.std_dev().unwrap() - std_dev(&xs).unwrap()).abs() < 1e-12);
-        assert_eq!(m.min(), Some(2.0));
-        assert_eq!(m.max(), Some(9.0));
         // Singletons have zero variance, matching `variance`.
         let mut one = StreamingMoments::new();
         one.push(3.0);
@@ -552,8 +518,6 @@ mod tests {
         assert_eq!(merged.count(), whole.count());
         assert!((merged.mean().unwrap() - whole.mean().unwrap()).abs() < 1e-9);
         assert!((merged.variance().unwrap() - whole.variance().unwrap()).abs() < 1e-9);
-        assert_eq!(merged.min(), whole.min());
-        assert_eq!(merged.max(), whole.max());
         // Merging an empty accumulator is the identity.
         let mut m = merge_parts(128);
         let before = m.clone();

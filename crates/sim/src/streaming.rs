@@ -10,7 +10,7 @@
 //!   depletions between the last grid point and the censoring horizon —
 //!   giving the exact integer `#{lifetimes ≤ t_i}` at every grid point
 //!   (identical to what the exact study reports there);
-//! * **moment sketches** — count/mean/M2/min/max of the observed
+//! * **moment sketches** — count/mean/M2 of the observed
 //!   lifetimes via [`numerics::stats::StreamingMoments`].
 //!
 //! Memory is `O(grid)`, independent of the replication count. Two

@@ -18,9 +18,8 @@
 //!
 //! A second act demonstrates the per-request quality-of-service knobs
 //! (`QueryOptions`): deadlines that expire before an exact solve
-//! finishes, degraded answers with explicit error bounds, and the
-//! `ServiceError::retryable` classification a fleet controller would
-//! branch on.
+//! finishes, degraded answers with explicit error bounds, and the typed
+//! deadline error a strict request gets instead.
 //!
 //! A third act puts the same fleet on a socket: the hardened HTTP front
 //! (`kibamrm-net`) serves the same resident service on an ephemeral
@@ -161,12 +160,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    // Without `allow_degraded` the expiry surfaces as a typed error; the
-    // `retryable` classification tells the controller what to do next —
-    // here: nothing, the request's own budget was spent.
+    // Without `allow_degraded` the expiry surfaces as a typed error.
     let strict = QueryOptions::new().with_deadline(Duration::ZERO);
     if let Err(e) = service.query_with(&base.with_delta(Charge::from_amp_seconds(60.0)), &strict) {
-        println!("  strict deadline: {e} (retryable: {})", e.retryable());
+        println!("  strict deadline: {e}");
     }
 
     let stats = service.stats();
@@ -189,9 +186,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("  hit rate           {:.3}", stats.hit_rate());
     println!(
-        "  dependability      {} deadline-expired, {} degraded-served, \
-         {} retries, {} breaker-sheds",
-        stats.deadline_expired, stats.degraded_served, stats.retries, stats.breaker_open
+        "  dependability      {} deadline-expired, {} degraded-served, {} errors",
+        stats.deadline_expired, stats.degraded_served, stats.errors
     );
 
     // ---- Act three: the fleet over HTTP, with a noisy neighbour ----

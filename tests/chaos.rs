@@ -16,9 +16,7 @@
 use kibamrm::chaos::{ChaosConfig, FaultInjectingSolver};
 use kibamrm::distribution::LifetimeDistribution;
 use kibamrm::scenario::Scenario;
-use kibamrm::service::{
-    Answer, LifetimeService, QueryOptions, RetryPolicy, ServiceConfig, ServiceError,
-};
+use kibamrm::service::{Answer, LifetimeService, QueryOptions, ServiceConfig, ServiceError};
 use kibamrm::solver::{Budget, Capability, GroupState, LifetimeSolver, SolverRegistry};
 use kibamrm::workload::Workload;
 use kibamrm::KibamRmError;
@@ -204,13 +202,7 @@ fn chaos_storm_never_wedges_across_thread_counts() {
             .with_error_rate(0.2)
             .with_panic_rate(0.1)
             .with_delay(0.2, Duration::from_millis(1));
-        // Breaker off: this test wants raw fault traffic, not shedding.
-        let service = chaotic_service(
-            config,
-            ServiceConfig::default()
-                .with_max_in_flight(64)
-                .with_breaker(0, Duration::ZERO),
-        );
+        let service = chaotic_service(config, ServiceConfig::default().with_max_in_flight(64));
         let per_thread = 24;
         let tally = storm(
             &service,
@@ -234,72 +226,12 @@ fn chaos_storm_never_wedges_across_thread_counts() {
 }
 
 #[test]
-fn chaos_with_retries_heals_transient_faults() {
-    let config = ChaosConfig::passthrough(42).with_error_rate(0.5);
-    let service = chaotic_service(
-        config,
-        ServiceConfig::default().with_breaker(0, Duration::ZERO),
-    );
-    let opts = QueryOptions::new().with_retry(
-        RetryPolicy::retries(6).with_backoff(Duration::from_micros(100), Duration::from_millis(1)),
-    );
-    let tally = storm(&service, 2, 24, opts, |answer| {
-        assert!(!answer.is_degraded());
-    });
-    let stats = service.stats();
-    assert!(
-        stats.retries > 0,
-        "a 50 % transient fault rate must trigger retries: {stats:?}"
-    );
-    assert!(
-        tally.ok * 10 >= 48 * 9,
-        "six retries against 50 % faults heal almost everything, got {tally:?}"
-    );
-    assert_drained_and_unpoisoned(&service, 48 + 6 * 64);
-}
-
-#[test]
-fn chaos_breaker_sheds_instead_of_hammering_a_dead_backend() {
-    // Everything fails: the breaker must trip and convert most traffic
-    // into fast CircuitOpen sheds instead of full failing solves.
-    let config = ChaosConfig::passthrough(7).with_error_rate(1.0);
-    let service = chaotic_service(
-        config,
-        ServiceConfig::default().with_breaker(3, Duration::from_secs(30)),
-    );
-    let mut circuit_open = 0;
-    for i in 0..32 {
-        match service.query(&pool_scenario(i % 6)) {
-            Err(ServiceError::CircuitOpen { backend }) => {
-                assert_eq!(backend, "inner", "sheds name the wrapped backend");
-                circuit_open += 1;
-            }
-            Err(ServiceError::Solve(_)) => {}
-            other => panic!("a dead backend cannot answer: {other:?}"),
-        }
-    }
-    let stats = service.stats();
-    assert_eq!(
-        stats.errors, 3,
-        "the breaker admits exactly `threshold` solves"
-    );
-    assert_eq!(circuit_open, 29, "everything after the trip sheds fast");
-    assert_eq!(stats.breaker_open, 29);
-    assert_eq!(stats.in_flight, 0);
-}
-
-#[test]
 fn chaos_deadlines_degrade_instead_of_failing() {
     // Heavy injected delay + a tight deadline: exact solves time out,
     // but degraded answers (fast Monte Carlo — the cache starts cold)
     // keep the service useful, each with an explicit bound.
     let config = ChaosConfig::passthrough(13).with_delay(1.0, Duration::from_millis(40));
-    let service = chaotic_service(
-        config,
-        ServiceConfig::default()
-            .with_breaker(0, Duration::ZERO)
-            .with_degraded_fallback(Duration::from_millis(250), 64),
-    );
+    let service = chaotic_service(config, ServiceConfig::default());
     let opts = QueryOptions::new()
         .with_deadline(Duration::from_millis(4))
         .allow_degraded();

@@ -7,7 +7,7 @@
 
 use kibamrm::distribution::LifetimeDistribution;
 use kibamrm::scenario::Scenario;
-use kibamrm::service::{LifetimeService, ServiceConfig};
+use kibamrm::service::LifetimeService;
 use kibamrm::solver::{Budget, Capability, GroupState, LifetimeSolver, SolverRegistry};
 use kibamrm::workload::Workload;
 use kibamrm::KibamRmError;
@@ -155,7 +155,7 @@ proptest! {
         prop_assert!(sup == 0.0, "sup-distance is {}, must be exactly 0", sup);
     }
 
-    /// Under seeded fault injection (transient errors and panics from a
+    /// Under seeded fault injection (errors and panics from a
     /// `FaultInjectingSolver`-wrapped backend) and any thread count 1–8,
     /// the service stays dependable: every request ends in an answer, a
     /// typed error or the injected panic; no flight leaks; anything the
@@ -179,12 +179,7 @@ proptest! {
         );
         let mut registry = SolverRegistry::empty();
         registry.register(Box::new(chaos));
-        // Breaker off: this property wants raw fault traffic (the
-        // breaker's own behaviour is covered by the chaos suite).
-        let service = Arc::new(LifetimeService::with_config(
-            registry,
-            ServiceConfig::default().with_breaker(0, std::time::Duration::ZERO),
-        ));
+        let service = Arc::new(LifetimeService::new(registry));
 
         let per_thread = 8usize;
         let barrier = Arc::new(Barrier::new(threads));
