@@ -53,13 +53,6 @@ impl DiscretisationOptions {
             recovery_from_empty: false,
         }
     }
-
-    /// Enables recovery out of the empty states (see the field docs).
-    #[must_use]
-    pub fn with_recovery_from_empty(mut self) -> Self {
-        self.recovery_from_empty = true;
-        self
-    }
 }
 
 /// Size statistics of a discretised chain (the quantities the paper
@@ -1030,8 +1023,10 @@ mod tests {
             Rate::per_second(4.5e-5),
         )
         .unwrap();
-        let opts = DiscretisationOptions::with_delta(Charge::from_amp_seconds(300.0))
-            .with_recovery_from_empty();
+        let opts = DiscretisationOptions {
+            recovery_from_empty: true,
+            ..DiscretisationOptions::with_delta(Charge::from_amp_seconds(300.0))
+        };
         let d = DiscretisedModel::build(&m, &opts).unwrap();
         // Empty states with bound charge left are *not* absorbing any more…
         let s = d.state_index(0, 0, 5).unwrap();

@@ -95,8 +95,7 @@ pub use distribution::{LifetimeDistribution, SolveDiagnostics, SweepEntry, Sweep
 pub use error::KibamRmError;
 pub use scenario::{Scenario, ScenarioBuilder};
 pub use service::{
-    Answer, DegradedSource, LifetimeService, QueryOptions, ServiceConfig, ServiceError,
-    ServiceStats,
+    Answer, LifetimeService, QueryOptions, ServiceConfig, ServiceError, ServiceStats,
 };
 pub use snapshot::{SnapshotError, SnapshotLoadReport, SnapshotWriteReport};
 pub use solver::{

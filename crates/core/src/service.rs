@@ -72,11 +72,10 @@ use crate::KibamRmError;
 use markov::Budget;
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::path::Path;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-use units::{Charge, Time};
+use units::Time;
 
 /// Errors from [`LifetimeService::query`].
 #[derive(Debug, Clone, PartialEq)]
@@ -145,14 +144,13 @@ impl From<KibamRmError> for ServiceError {
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct QueryOptions {
     /// Wall-clock budget for this request. The exact solve is cancelled
-    /// cooperatively (at iteration granularity) when it expires; the
-    /// deadline instant is fixed once per request, so degraded fallbacks
-    /// share it rather than extending it.
+    /// cooperatively (at iteration granularity) when it expires. The
+    /// deadline instant is fixed once per request; a degraded fallback
+    /// runs under its own fixed grace after it.
     pub deadline: Option<Duration>,
     /// Allow a degraded answer when the exact solve cannot finish in
-    /// time: a resident same-family curve at a different Δ, or a fast
-    /// Monte Carlo estimate — always tagged
-    /// [`Answer::Degraded`] with an explicit error bound.
+    /// time: a fast Monte Carlo estimate, tagged [`Answer::Degraded`]
+    /// with its DKW sup-norm bound.
     pub degraded_ok: bool,
 }
 
@@ -177,25 +175,6 @@ impl QueryOptions {
     }
 }
 
-/// Where a degraded answer came from.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum DegradedSource {
-    /// A resident curve of the same structural family (identical
-    /// workload, battery, grid and simulation settings) solved at a
-    /// different discretisation step.
-    CachedFamily {
-        /// The Δ the cached curve was solved at (`None` for
-        /// Δ-independent backends, whose curve is the exact answer).
-        delta: Option<Charge>,
-    },
-    /// A fast Monte Carlo estimate computed under a short grace budget
-    /// after the request's deadline expired.
-    FastSimulation {
-        /// Replications behind the estimate.
-        runs: usize,
-    },
-}
-
 /// The outcome of a [`LifetimeService::query_with`] request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Answer {
@@ -203,26 +182,23 @@ pub enum Answer {
     /// [`SolverRegistry::solve`] of the same scenario.
     Exact(LifetimeDistribution),
     /// A degraded answer served because the deadline expired before the
-    /// exact solve finished. Never cached; always carries an explicit
-    /// error bound.
+    /// exact solve finished: a fast Monte Carlo estimate of the same
+    /// scenario (its run count is in
+    /// [`SolveDiagnostics::runs`](crate::distribution::SolveDiagnostics::runs)).
+    /// Never cached.
     Degraded {
-        /// The degraded curve.
+        /// The Monte Carlo curve.
         dist: LifetimeDistribution,
-        /// Explicit sup-norm error bound of the degraded curve: the 95 %
-        /// Dvoretzky–Kiefer–Wolfowitz band over the completed runs for
-        /// Monte Carlo answers (it holds at every time point at once,
-        /// unlike the pointwise Wilson
-        /// [`SolveDiagnostics::half_width`](crate::distribution::SolveDiagnostics::half_width)),
-        /// one discretisation level (`Δ/capacity`) for family variants,
-        /// `0` when the variant is exact.
+        /// Sup-norm error bound of the curve: the 95 %
+        /// Dvoretzky–Kiefer–Wolfowitz band over its runs (it holds at
+        /// every time point at once, unlike the pointwise Wilson
+        /// [`SolveDiagnostics::half_width`](crate::distribution::SolveDiagnostics::half_width)).
         bound: f64,
-        /// Which degradation tier produced it.
-        source: DegradedSource,
     },
 }
 
 impl Answer {
-    /// The distribution, whichever tier produced it.
+    /// The distribution, exact or degraded.
     pub fn distribution(&self) -> &LifetimeDistribution {
         match self {
             Answer::Exact(d) | Answer::Degraded { dist: d, .. } => d,
@@ -269,12 +245,12 @@ pub struct ServiceConfig {
     pub warm_capacity: usize,
 }
 
-/// Wall-clock grace granted to the fast-Monte-Carlo degradation tier
-/// after the request's own deadline expired (the fallback must not
+/// Wall-clock grace granted to the fast Monte Carlo fallback after the
+/// request's own deadline expired (the fallback must not
 /// itself run unbounded).
 const DEGRADED_GRACE: Duration = Duration::from_millis(250);
 
-/// Replications of the fast-Monte-Carlo degradation tier (95 % DKW
+/// Replications of the fast Monte Carlo fallback (95 % DKW
 /// sup-norm band ≈ 0.085).
 const DEGRADED_RUNS: usize = 256;
 
@@ -347,8 +323,8 @@ pub struct ServiceStats {
     /// Requests whose deadline expired before an exact answer arrived
     /// (whether or not a degraded answer was then served).
     pub deadline_expired: u64,
-    /// Requests answered by a degradation tier instead of an exact
-    /// solve.
+    /// Requests answered by a degraded Monte Carlo estimate instead of
+    /// an exact solve.
     pub degraded_served: u64,
     /// Snapshot entries revived into the result cache by
     /// [`LifetimeService::load_snapshot`].
@@ -440,11 +416,6 @@ struct CacheEntry {
     dist: LifetimeDistribution,
     bytes: usize,
     last_used: u64,
-    /// Hash of the scenario's Δ-erased canonical bytes: entries sharing
-    /// it form one structural family (identical workload, battery, grid
-    /// and simulation settings; only the discretisation step differs) —
-    /// the lookup key of the cached-family degradation tier.
-    family: Option<u64>,
 }
 
 /// One resident warm group state. The `Arc<Mutex<…>>` is the live-group
@@ -499,13 +470,7 @@ impl Inner {
     /// that key's flight is still solving, the two curves carry the same
     /// bits, and replacing one with the other would charge the byte
     /// ledger twice.
-    fn insert_cached(
-        &mut self,
-        key: Vec<u8>,
-        dist: LifetimeDistribution,
-        family: Option<u64>,
-        budget: usize,
-    ) -> bool {
+    fn insert_cached(&mut self, key: Vec<u8>, dist: LifetimeDistribution, budget: usize) -> bool {
         let bytes = dist.size_in_bytes();
         if bytes > budget || self.cache.contains_key(&key) {
             return false;
@@ -536,22 +501,10 @@ impl Inner {
                 dist,
                 bytes,
                 last_used,
-                family,
             },
         );
         true
     }
-}
-
-/// Hash of the scenario's Δ-erased canonical bytes — the structural
-/// family key of the cached-family degradation tier. Two scenarios with
-/// equal family keys differ at most in name and discretisation step.
-fn family_key(scenario: &Scenario) -> Option<u64> {
-    let erased = scenario.with_delta(Charge::from_coulombs(1.0));
-    let bytes = erased.canonical_bytes().ok()?;
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    bytes.hash(&mut h);
-    Some(h.finish())
 }
 
 /// The cooperative budget of one request's solve: its deadline instant,
@@ -560,10 +513,18 @@ fn request_budget(deadline: Option<Instant>) -> Budget {
     deadline.map_or_else(Budget::unlimited, Budget::with_deadline_at)
 }
 
-/// The sup-norm bound a Monte Carlo curve of `runs` completed
-/// replications is served with: its 95 % Dvoretzky–Kiefer–Wolfowitz band.
-fn monte_carlo_bound(runs: usize) -> f64 {
-    sim::dkw_half_width(runs as u64, 0.05)
+/// The degraded answer: a Monte Carlo estimate with [`DEGRADED_RUNS`]
+/// replications under the [`DEGRADED_GRACE`] budget, bounded by its
+/// 95 % Dvoretzky–Kiefer–Wolfowitz band. Bypasses the registry (and any
+/// chaos wrapping of it): the fallback must stay dependable when
+/// backends are not.
+fn fast_simulation(scenario: &Scenario) -> Result<Answer, KibamRmError> {
+    let fallback = scenario.with_simulation(DEGRADED_RUNS, scenario.sim_seed());
+    let budget = Budget::with_deadline(DEGRADED_GRACE);
+    let dist = SimulationSolver::new().solve_in(&fallback, None, &budget)?;
+    let runs = dist.diagnostics().runs.unwrap_or(DEGRADED_RUNS);
+    let bound = sim::dkw_half_width(runs as u64, 0.05);
+    Ok(Answer::Degraded { dist, bound })
 }
 
 /// The resident query service; see the module docs for the lifecycle.
@@ -638,7 +599,7 @@ impl LifetimeService {
     /// quality-of-service knobs: a wall-clock deadline (cancelling the
     /// exact solve cooperatively at iteration granularity) and graceful
     /// degradation on expiry. The request's deadline instant is fixed on
-    /// entry — fallbacks spend the same budget, never extend it.
+    /// entry; the degraded fallback gets a fixed 250 ms grace after it.
     ///
     /// # Errors
     ///
@@ -756,12 +717,7 @@ impl LifetimeService {
         match &result {
             Ok(dist) => {
                 let key = std::mem::take(&mut guard.key);
-                inner.insert_cached(
-                    key,
-                    dist.clone(),
-                    family_key(scenario),
-                    self.config.cache_capacity_bytes,
-                );
+                inner.insert_cached(key, dist.clone(), self.config.cache_capacity_bytes);
             }
             // Only backend failures count as errors: deadline expiries
             // have their own ledger entry.
@@ -870,7 +826,9 @@ impl LifetimeService {
     }
 
     /// A request whose deadline expired before an exact answer: record
-    /// it, then serve a degraded answer when the request allows one.
+    /// it, then, when the request allows it, serve a fast Monte Carlo
+    /// estimate with its DKW bound (never cached). When that fails too
+    /// the original deadline error stands.
     fn handle_deadline(
         &self,
         scenario: &Scenario,
@@ -881,87 +839,10 @@ impl LifetimeService {
         if !opts.degraded_ok {
             return Err(ServiceError::DeadlineExceeded { completed });
         }
-        self.degrade(scenario, completed)
-    }
-
-    /// The degradation ladder: a resident same-family curve first (free),
-    /// a fast Monte Carlo estimate under the grace budget second. Both
-    /// carry explicit error bounds; neither is ever cached. When every
-    /// tier fails the original deadline error stands.
-    fn degrade(&self, scenario: &Scenario, completed: usize) -> Result<Answer, ServiceError> {
-        if let Some((dist, bound, delta)) = self.family_fallback(scenario) {
-            self.lock().degraded_served += 1;
-            return Ok(Answer::Degraded {
-                dist,
-                bound,
-                source: DegradedSource::CachedFamily { delta },
-            });
-        }
-        match self.fast_simulation(scenario) {
-            Ok((dist, bound, runs)) => {
-                self.lock().degraded_served += 1;
-                Ok(Answer::Degraded {
-                    dist,
-                    bound,
-                    source: DegradedSource::FastSimulation { runs },
-                })
-            }
-            Err(_) => Err(ServiceError::DeadlineExceeded { completed }),
-        }
-    }
-
-    /// Tier 1: the most recently used resident curve of the scenario's
-    /// structural family (same workload, battery, grid and simulation
-    /// settings; different Δ). Returns the curve, its error bound and
-    /// the Δ it was solved at.
-    fn family_fallback(
-        &self,
-        scenario: &Scenario,
-    ) -> Option<(LifetimeDistribution, f64, Option<Charge>)> {
-        let family = family_key(scenario)?;
-        let capacity = scenario.capacity();
-        let mut inner = self.lock();
-        let tick = inner.next_tick();
-        // DETERMINISM-OK: the maximum is taken over the total key
-        // (last_used, canonical bytes) — ticks are already unique, and
-        // the tie-break pins the chosen family curve even if they were
-        // not, so hash order cannot pick it.
-        let entry = inner
-            .cache
-            .iter_mut()
-            .filter(|(_, e)| e.family == Some(family))
-            .max_by_key(|(k, e)| (e.last_used, k.as_slice()))
-            .map(|(_, e)| e)?;
-        entry.last_used = tick;
-        let dist = entry.dist.clone();
-        let diag = *dist.diagnostics();
-        let (bound, delta) = match (diag.half_width, diag.delta) {
-            // A Monte Carlo family curve: the DKW band over its runs.
-            (Some(_), d) => (monte_carlo_bound(diag.runs.unwrap_or(0)), d),
-            // A discretisation curve at a different Δ: one level of
-            // charge as a fraction of capacity — the resolution scale of
-            // the §5 approximation error.
-            (None, Some(d)) => ((d.as_coulombs() / capacity.as_coulombs()).abs(), Some(d)),
-            // A Δ-independent exact backend: the variant is the answer.
-            (None, None) => (0.0, None),
-        };
-        Some((dist, bound, delta))
-    }
-
-    /// Tier 2: a fast Monte Carlo estimate with [`DEGRADED_RUNS`]
-    /// replications under the [`DEGRADED_GRACE`] budget, bounded by the DKW band
-    /// over the runs it completed. Bypasses the registry (and any chaos
-    /// wrapping of it): the fallback must stay dependable when backends
-    /// are not.
-    fn fast_simulation(
-        &self,
-        scenario: &Scenario,
-    ) -> Result<(LifetimeDistribution, f64, usize), ServiceError> {
-        let fallback = scenario.with_simulation(DEGRADED_RUNS, scenario.sim_seed());
-        let budget = Budget::with_deadline(DEGRADED_GRACE);
-        let dist = SimulationSolver::new().solve_in(&fallback, None, &budget)?;
-        let runs = dist.diagnostics().runs.unwrap_or(DEGRADED_RUNS);
-        Ok((dist, monte_carlo_bound(runs), runs))
+        let answer =
+            fast_simulation(scenario).map_err(|_| ServiceError::DeadlineExceeded { completed })?;
+        self.lock().degraded_served += 1;
+        Ok(answer)
     }
 
     /// The live-group handle for `(backend index, fingerprint)`:
@@ -1198,9 +1079,8 @@ impl LifetimeService {
         let Ok(dist) = LifetimeDistribution::new(method, points, entry.diagnostics) else {
             return false;
         };
-        let family = family_key(&scenario);
         self.lock()
-            .insert_cached(key, dist, family, self.config.cache_capacity_bytes)
+            .insert_cached(key, dist, self.config.cache_capacity_bytes)
     }
 }
 
@@ -1662,30 +1542,24 @@ mod tests {
     }
 
     #[test]
-    fn deadline_with_degraded_ok_serves_cached_family_variant() {
+    fn deadline_with_a_resident_delta_variant_still_simulates() {
         let (service, solves) = counting_service(32 << 20);
         let s = linear(1);
         let exact = service.query(&s).unwrap();
-        // Same structural family, different Δ — and no time to solve it.
+        // The same scenario at another Δ is resident, but a curve solved
+        // at one Δ carries no checked bound for another: the expired
+        // request gets the Monte Carlo estimate.
         let coarse = s.with_delta(Charge::from_amp_seconds(2.0));
         let opts = QueryOptions::new()
             .with_deadline(Duration::ZERO)
             .allow_degraded();
         let answer = service.query_with(&coarse, &opts).unwrap();
-        assert!(answer.is_degraded());
-        match answer {
-            Answer::Degraded {
-                ref dist,
-                bound,
-                source: DegradedSource::CachedFamily { delta },
-            } => {
-                assert_eq!(dist.points(), exact.points(), "served the family variant");
-                // The counting backend is Δ-independent: exact bound.
-                assert_eq!(bound, 0.0);
-                assert_eq!(delta, None);
-            }
-            ref other => panic!("expected a cached-family answer, got {other:?}"),
-        }
+        let Answer::Degraded { ref dist, bound } = answer else {
+            panic!("expected a degraded answer, got {answer:?}");
+        };
+        assert_eq!(dist.method(), "simulation");
+        assert_ne!(dist.points(), exact.points());
+        assert_eq!(bound, sim::dkw_half_width(DEGRADED_RUNS as u64, 0.05));
         assert_eq!(solves.load(Ordering::SeqCst), 1, "only the first solve ran");
         let stats = service.stats();
         assert_eq!(stats.deadline_expired, 1);
@@ -1701,16 +1575,14 @@ mod tests {
             .allow_degraded();
         let answer = service.query_with(&linear(7), &opts).unwrap();
         match answer {
-            Answer::Degraded {
-                ref dist,
-                bound,
-                source: DegradedSource::FastSimulation { runs },
-            } => {
+            Answer::Degraded { ref dist, bound } => {
+                assert_eq!(dist.method(), "simulation");
                 assert_eq!(dist.points().len(), 8);
                 assert!(
                     bound > 0.0 && bound < 1.0,
                     "a Monte Carlo answer carries a real bound, got {bound}"
                 );
+                let runs = dist.diagnostics().runs.expect("a simulated curve");
                 assert_eq!(runs, DEGRADED_RUNS);
                 // The sup-norm band over the completed runs, never tighter
                 // than the widest pointwise Wilson interval.

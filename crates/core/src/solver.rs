@@ -187,7 +187,6 @@ pub trait LifetimeSolver: Send + Sync {
 #[derive(Debug, Clone, Default)]
 pub struct DiscretisationSolver {
     transient: TransientOptions,
-    recovery_from_empty: bool,
 }
 
 impl DiscretisationSolver {
@@ -202,19 +201,6 @@ impl DiscretisationSolver {
     #[must_use]
     pub fn with_transient(mut self, transient: TransientOptions) -> Self {
         self.transient = transient;
-        self
-    }
-
-    /// Enables the paper's §5.2 recovery-from-empty extension for
-    /// chains built with [`DiscretisationSolver::discretise`]. The
-    /// measure then becomes the transient `Pr[empty at t]` — no longer
-    /// monotone, hence not a lifetime CDF — so
-    /// [`LifetimeSolver::solve`] refuses this configuration instead of
-    /// returning a distribution whose quantile/mean operations would be
-    /// silently meaningless.
-    #[must_use]
-    pub fn with_recovery_from_empty(mut self) -> Self {
-        self.recovery_from_empty = true;
         self
     }
 
@@ -241,7 +227,6 @@ impl DiscretisationSolver {
     ) -> Result<DiscretisationOptions, KibamRmError> {
         let mut opts = DiscretisationOptions::with_delta(scenario.effective_delta()?);
         opts.transient = self.transient;
-        opts.recovery_from_empty = self.recovery_from_empty;
         Ok(opts)
     }
 }
@@ -261,14 +246,6 @@ impl LifetimeSolver for DiscretisationSolver {
         state: Option<&mut dyn GroupState>,
         budget: &Budget,
     ) -> Result<LifetimeDistribution, KibamRmError> {
-        if self.recovery_from_empty {
-            return Err(KibamRmError::InvalidDiscretisation(
-                "recovery-from-empty yields the transient Pr[empty at t], which is \
-                 not a lifetime CDF; use DiscretisationSolver::discretise and \
-                 empty_probability_curve for that measure"
-                    .into(),
-            ));
-        }
         // Fail fast before building the derived CTMC (assembly has no
         // check points of its own). `is_exhausted` does not consume a
         // deterministic check, so iteration counting stays exact.
@@ -327,19 +304,12 @@ impl LifetimeSolver for DiscretisationSolver {
     }
 
     fn sweep_fingerprint(&self, scenario: &Scenario) -> Option<u64> {
-        if self.recovery_from_empty {
-            // solve() refuses this configuration; don't group refusals.
-            return None;
-        }
         let model = scenario.to_model().ok()?;
         let opts = self.discretisation_options(scenario).ok()?;
         crate::discretise::structural_fingerprint(&model, &opts).ok()
     }
 
     fn sweep_cost(&self, scenario: &Scenario) -> Option<f64> {
-        if self.recovery_from_empty {
-            return None;
-        }
         let model = scenario.to_model().ok()?;
         let opts = self.discretisation_options(scenario).ok()?;
         let horizon = *scenario.times().last()?;
@@ -1079,17 +1049,6 @@ mod tests {
         assert!(approx.diagnostics().iterations.unwrap() > 0);
         assert_eq!(sim.diagnostics().runs, Some(400));
         assert_eq!(exact.diagnostics().states, None);
-    }
-
-    #[test]
-    fn recovery_from_empty_refuses_the_cdf_facade() {
-        // The transient Pr[empty at t] is not a lifetime CDF; solve()
-        // must refuse rather than hand out meaningless quantiles.
-        let solver = DiscretisationSolver::new().with_recovery_from_empty();
-        let err = solver.solve(&small_linear());
-        assert!(matches!(err, Err(KibamRmError::InvalidDiscretisation(_))));
-        // The derived chain itself remains reachable for that measure.
-        assert!(solver.discretise(&two_well()).is_ok());
     }
 
     #[test]

@@ -34,9 +34,7 @@ use crate::http::{read_request, HttpError, HttpLimits, Request, Response};
 use crate::json::{self, Json};
 use crate::quota::{QuotaDecision, QuotaLedger};
 use kibamrm::scenario::Scenario;
-use kibamrm::service::{
-    Answer, DegradedSource, LifetimeService, QueryOptions, ServiceError, ServiceStats,
-};
+use kibamrm::service::{Answer, LifetimeService, QueryOptions, ServiceError, ServiceStats};
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
@@ -596,23 +594,9 @@ fn answer_body(answer: &Answer) -> String {
     out.push_str("{\"status\":");
     match answer {
         Answer::Exact(_) => out.push_str("\"exact\""),
-        Answer::Degraded { bound, source, .. } => {
+        Answer::Degraded { bound, .. } => {
             out.push_str("\"degraded\",\"bound\":");
             json::write_f64(&mut out, *bound);
-            out.push_str(",\"source\":");
-            match source {
-                DegradedSource::CachedFamily { delta } => {
-                    out.push_str("{\"kind\":\"cached-family\"");
-                    if let Some(d) = delta {
-                        out.push_str(",\"delta_as\":");
-                        json::write_f64(&mut out, d.as_amp_seconds());
-                    }
-                    out.push('}');
-                }
-                DegradedSource::FastSimulation { runs } => {
-                    out.push_str(&format!("{{\"kind\":\"fast-simulation\",\"runs\":{runs}}}"));
-                }
-            }
         }
     }
     let dist = answer.distribution();

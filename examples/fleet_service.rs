@@ -33,7 +33,7 @@
 //! Run with: `cargo run --release --example fleet_service`
 
 use kibamrm::scenario::Scenario;
-use kibamrm::service::{Answer, DegradedSource, LifetimeService, QueryOptions, ServiceConfig};
+use kibamrm::service::{Answer, LifetimeService, QueryOptions, ServiceConfig};
 use kibamrm::solver::SolverRegistry;
 use kibamrm::workload::Workload;
 use std::sync::Arc;
@@ -102,12 +102,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     });
 
-    // ---- Act two: deadlines, degradation and retry classification ----
+    // ---- Act two: deadlines and degradation ----
     //
     // A fleet controller rarely wants to wait for a cold exact solve on
     // an interactive path. `query_with` takes per-request QoS knobs: a
-    // deadline, permission to degrade, and a retry policy for transient
-    // faults.
+    // deadline and permission to degrade.
     println!("\ndeadline queries:");
 
     // A resident configuration answers exactly within any deadline — a
@@ -131,33 +130,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // A *fresh* Δ-variant cannot be solved exactly in 1 ms — the solve
-    // is cancelled cooperatively and the service falls back to the
-    // degradation ladder: a resident same-family curve (free, bound =
-    // one discretisation level) or a fast Monte Carlo estimate (bound =
-    // the DKW band over its runs). The bound is always explicit.
+    // is cancelled cooperatively and the service falls back to a fast
+    // Monte Carlo estimate, bounded by the DKW band over its runs.
     let fresh = base.with_delta(Charge::from_amp_seconds(75.0));
     match service.query_with(&fresh, &opts)? {
         Answer::Exact(_) => println!("  fresh Δ-variant: solved exactly (fast machine!)"),
-        Answer::Degraded {
-            dist,
-            bound,
-            source,
-        } => {
-            let source = match source {
-                DegradedSource::CachedFamily { delta: Some(d) } => {
-                    format!("family curve at Δ = {:.0} As", d.as_amp_seconds())
-                }
-                DegradedSource::CachedFamily { delta: None } => "exact family curve".into(),
-                DegradedSource::FastSimulation { runs } => {
-                    format!("fast Monte Carlo ({runs} runs)")
-                }
-            };
-            println!(
-                "  fresh Δ-variant: degraded answer from {source}, \
-                 sup-error ≤ {bound:.4} (median {})",
-                median_of(&dist)
-            );
-        }
+        Answer::Degraded { dist, bound } => println!(
+            "  fresh Δ-variant: degraded answer from fast Monte Carlo ({} runs), \
+             sup-error ≤ {bound:.4} (median {})",
+            dist.diagnostics().runs.unwrap_or(0),
+            median_of(&dist)
+        ),
     }
 
     // Without `allow_degraded` the expiry surfaces as a typed error.

@@ -263,3 +263,38 @@ fn chaos_deadlines_degrade_instead_of_failing() {
     assert!(stats.deadline_expired >= stats.degraded_served);
     assert_eq!(stats.in_flight, 0);
 }
+
+#[test]
+fn degraded_answers_lie_within_their_bound_of_the_exact_curve() {
+    // The pool scenarios are linear (c = 1), so Sericola's exact curve
+    // is an independent reference for the fast Monte Carlo estimate an
+    // expired request is served: the DKW bound it advertises must hold
+    // against it in sup norm, at each scenario's own seed.
+    let service = LifetimeService::new(SolverRegistry::with_default_backends());
+    let exact = SolverRegistry::with_default_backends();
+    let opts = QueryOptions::new()
+        .with_deadline(Duration::ZERO)
+        .allow_degraded();
+    for i in 0..6 {
+        let scenario = pool_scenario(i);
+        let answer = service
+            .query_with(&scenario, &opts)
+            .expect("degraded answer");
+        let Answer::Degraded { dist, bound } = answer else {
+            panic!("an expired deadline cannot be answered exactly: {answer:?}");
+        };
+        assert!(
+            bound.is_finite() && bound > 0.0 && bound < 1.0,
+            "bound {bound} is not a probability error bound"
+        );
+        let reference = exact.solve(&scenario).unwrap();
+        assert_eq!(reference.method(), "sericola");
+        let error = dist.max_difference(&reference).unwrap();
+        assert!(
+            error <= bound,
+            "scenario {i}: sup |MC - Sericola| = {error} exceeds the served bound {bound}"
+        );
+    }
+    let stats = service.stats();
+    assert_eq!((stats.deadline_expired, stats.degraded_served), (6, 6));
+}
