@@ -4,7 +4,7 @@
 //! The scenario is a linear (`c = 1`) on/off model small enough that
 //! Sericola's exact algorithm provides a zero-error reference curve, so
 //! the simulation's disagreement with it is *purely* statistical and the
-//! Wilson band is the whole story. Three machine-independent claims are
+//! Wilson band is the whole story. Two machine-independent claims are
 //! certified on every run (and re-checked by `bench-harness regress`):
 //!
 //! * **reproducibility** — the streaming study is bit-identical across
@@ -12,14 +12,12 @@
 //!   batch-ordered merging);
 //! * **CI-band agreement** — the fixed-seed sup distance between the
 //!   simulated and exact curves stays within 3× the study's largest
-//!   Wilson half-width;
-//! * **adaptive stopping** — the half-width-targeted rule runs more
-//!   replications than the initial round and lands under its target.
+//!   Wilson half-width.
 
 use super::config::Config;
 use super::write_json;
 use kibamrm::scenario::Scenario;
-use kibamrm::solver::{Budget, LifetimeSolver, SericolaSolver, SimulationSolver};
+use kibamrm::solver::{Budget, LifetimeSolver, SericolaSolver};
 use kibamrm::workload::Workload;
 use units::{Charge, Current, Frequency, Time};
 
@@ -53,7 +51,7 @@ pub(crate) fn gate_scenario(runs: usize, seed: u64) -> Result<Scenario, String> 
         .map_err(|e| e.to_string())
 }
 
-/// The three machine-independent gate facts, shared with `regress`.
+/// The machine-independent gate facts, shared with `regress`.
 pub(crate) struct GateFacts {
     /// Bit-identity held across 1, 2, 4 and 8 worker threads.
     pub bit_identical: bool,
@@ -75,14 +73,9 @@ impl GateFacts {
 /// Runs the gate configuration and checks reproducibility + agreement.
 pub(crate) fn gate_facts(runs: usize, seed: u64) -> Result<GateFacts, String> {
     use kibamrm::simulate::streaming_lifetime_study;
-    use sim::engine::McOptions;
 
     let scenario = gate_scenario(runs, seed)?;
     let model = scenario.to_model().map_err(|e| e.to_string())?;
-    let opts = McOptions {
-        runs: runs as u64,
-        ..McOptions::default()
-    };
     // Thread-count bit-identity: the guarantee the engine rests on.
     // The engine takes the thread count as given (no clamp to the
     // machine), which keeps the check meaningful even on a single-core
@@ -93,7 +86,7 @@ pub(crate) fn gate_facts(runs: usize, seed: u64) -> Result<GateFacts, String> {
             scenario.times(),
             scenario.horizon(),
             scenario.sim_seed(),
-            &opts,
+            runs as u64,
             threads,
             &Budget::unlimited(),
         )
@@ -148,40 +141,16 @@ pub fn run(cfg: &Config) -> Result<(), String> {
         facts.runs, facts.sup_distance, facts.wilson_band
     );
 
-    // Adaptive stopping on the same scenario: target a 0.02 half-width
-    // from a deliberately small initial round.
-    let adaptive_target = 0.02;
-    let adaptive_scenario = gate_scenario(200, GATE_SEED)?;
-    let adaptive_solver = SimulationSolver::new().with_adaptive(adaptive_target, 1 << 16);
-    let adaptive = adaptive_solver
-        .streaming_study(&adaptive_scenario, &Budget::unlimited())
-        .map_err(|e| e.to_string())?;
-    let adaptive_runs = adaptive.total_runs();
-    let adaptive_hw = adaptive.max_half_width();
-    if adaptive_runs <= 200 || adaptive_hw > adaptive_target {
-        return Err(format!(
-            "adaptive rule misbehaved: {adaptive_runs} runs, half-width {adaptive_hw}"
-        ));
-    }
-    println!(
-        "adaptive: 200 initial runs grew to {adaptive_runs} to reach half-width \
-         {adaptive_hw:.4} ≤ {adaptive_target}"
-    );
-
     let body = format!(
         "{{\n  \"bench\": \"mc\",\n  \"generated_by\": \"bench-harness mc\",\n  \
          \"scenario\": \"onoff-linear-72As, 24-point grid to 240 s\",\n  \
-         \"note\": \"the gate facts (reproducibility, CI-band agreement, adaptive \
-         stopping) are machine-independent and re-checked by `bench-harness regress`; \
-         streaming memory is O(grid + threads) independent of the replication \
-         count, the collect path is O(runs)\",\n  \
+         \"note\": \"the gate facts (reproducibility, CI-band agreement) are \
+         machine-independent and re-checked by `bench-harness regress`; streaming \
+         memory is O(grid + threads) independent of the replication count\",\n  \
          \"gate\": {{\n    \"runs\": {},\n    \"seed\": {},\n    \
          \"band_factor\": {},\n    \"bit_identical_across_threads\": {},\n    \
          \"sup_distance_vs_exact\": {:.6e},\n    \"wilson_band\": {:.6e},\n    \
-         \"within_band\": {}\n  }},\n  \
-         \"adaptive\": {{\n    \"initial_runs\": 200,\n    \
-         \"target_half_width\": {adaptive_target},\n    \"runs_used\": {adaptive_runs},\n    \
-         \"max_half_width\": {adaptive_hw:.6e}\n  }}\n}}\n",
+         \"within_band\": {}\n  }}\n}}\n",
         facts.runs,
         GATE_SEED,
         BAND_FACTOR,

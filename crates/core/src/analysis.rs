@@ -115,8 +115,9 @@ mod tests {
     use super::*;
     use crate::discretise::{DiscretisationOptions, DiscretisedModel};
     use crate::distribution::{LifetimeDistribution, SolveDiagnostics};
-    use crate::simulate::lifetime_study;
+    use crate::simulate::streaming_lifetime_study;
     use crate::workload::Workload;
+    use markov::Budget;
     use units::{Charge, Current, Frequency, Rate};
 
     /// A 100×-downscaled Fig. 7 battery (C = 72 As, lifetime ≈ 150 s):
@@ -155,13 +156,15 @@ mod tests {
         // Triple cross-validation, part 1: Sericola vs Monte Carlo.
         let m = linear_on_off();
         let horizon = Time::from_seconds(400.0);
-        let study = lifetime_study(&m, horizon, 1500, 2024).unwrap();
         let times: Vec<Time> = (6..=24)
             .map(|i| Time::from_seconds(i as f64 * 10.0))
             .collect();
+        let study =
+            streaming_lifetime_study(&m, &times, horizon, 2024, 1500, 1, &Budget::unlimited())
+                .unwrap();
         let exact = exact_linear_curve(&m, &times).unwrap();
-        for (t, p) in &exact {
-            let sim = study.empty_probability(*t);
+        for (i, (t, p)) in exact.iter().enumerate() {
+            let sim = study.empty_probability(i);
             // Binomial error at 1500 runs ≈ 0.013 (1σ); allow 4σ.
             assert!((p - sim).abs() < 0.05, "t = {t}: exact {p} vs sim {sim}");
         }

@@ -145,8 +145,9 @@ impl From<KibamRmError> for ServiceError {
 pub struct QueryOptions {
     /// Wall-clock budget for this request. The exact solve is cancelled
     /// cooperatively (at iteration granularity) when it expires. The
-    /// deadline instant is fixed once per request; a degraded fallback
-    /// runs under its own fixed grace after it.
+    /// deadline instant is fixed once per request. A degraded fallback
+    /// runs after it, to completion: its cost is that of its simulation
+    /// runs and no deadline bounds it.
     pub deadline: Option<Duration>,
     /// Allow a degraded answer when the exact solve cannot finish in
     /// time: a fast Monte Carlo estimate, tagged [`Answer::Degraded`]
@@ -244,11 +245,6 @@ pub struct ServiceConfig {
     /// every solve assembles its own state. Default: 16.
     pub warm_capacity: usize,
 }
-
-/// Wall-clock grace granted to the fast Monte Carlo fallback after the
-/// request's own deadline expired (the fallback must not
-/// itself run unbounded).
-const DEGRADED_GRACE: Duration = Duration::from_millis(250);
 
 /// Replications of the fast Monte Carlo fallback (95 % DKW
 /// sup-norm band ≈ 0.085).
@@ -514,16 +510,15 @@ fn request_budget(deadline: Option<Instant>) -> Budget {
 }
 
 /// The degraded answer: a Monte Carlo estimate with [`DEGRADED_RUNS`]
-/// replications under the [`DEGRADED_GRACE`] budget, bounded by its
-/// 95 % Dvoretzky–Kiefer–Wolfowitz band. Bypasses the registry (and any
-/// chaos wrapping of it): the fallback must stay dependable when
-/// backends are not.
+/// replications, bounded by their 95 % Dvoretzky–Kiefer–Wolfowitz band.
+/// It runs all of them, with no budget: they are one engine batch, and
+/// the engine checks a budget only before each batch, so no grace could
+/// stop it once started. Bypasses the registry (and any chaos wrapping
+/// of it): the fallback must stay dependable when backends are not.
 fn fast_simulation(scenario: &Scenario) -> Result<Answer, KibamRmError> {
     let fallback = scenario.with_simulation(DEGRADED_RUNS, scenario.sim_seed());
-    let budget = Budget::with_deadline(DEGRADED_GRACE);
-    let dist = SimulationSolver::new().solve_in(&fallback, None, &budget)?;
-    let runs = dist.diagnostics().runs.unwrap_or(DEGRADED_RUNS);
-    let bound = sim::dkw_half_width(runs as u64, 0.05);
+    let dist = SimulationSolver::new().solve(&fallback)?;
+    let bound = sim::dkw_half_width(DEGRADED_RUNS as u64, 0.05);
     Ok(Answer::Degraded { dist, bound })
 }
 
@@ -599,7 +594,8 @@ impl LifetimeService {
     /// quality-of-service knobs: a wall-clock deadline (cancelling the
     /// exact solve cooperatively at iteration granularity) and graceful
     /// degradation on expiry. The request's deadline instant is fixed on
-    /// entry; the degraded fallback gets a fixed 250 ms grace after it.
+    /// entry; the degraded fallback runs its simulation to completion
+    /// after it, so its cost is not bounded by the deadline.
     ///
     /// # Errors
     ///
@@ -1584,7 +1580,7 @@ mod tests {
                 );
                 let runs = dist.diagnostics().runs.expect("a simulated curve");
                 assert_eq!(runs, DEGRADED_RUNS);
-                // The sup-norm band over the completed runs, never tighter
+                // The sup-norm band over its runs, never tighter
                 // than the widest pointwise Wilson interval.
                 assert_eq!(bound, sim::dkw_half_width(runs as u64, 0.05));
                 let half_width = dist.diagnostics().half_width.expect("a simulated curve");

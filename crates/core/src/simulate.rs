@@ -6,21 +6,19 @@
 //! evolve by the *closed-form* solution, with exact depletion detection.
 //! No discretisation error enters at all; the only error is statistical.
 //!
-//! Two drivers share [`simulate_lifetime`]:
-//!
-//! * [`lifetime_study`] — the exact-order-statistics reference: every
-//!   observed lifetime is kept (O(runs) memory);
-//! * [`streaming_lifetime_study`] — the production path: replications
-//!   run on [`sim::engine::run_study`]'s scoped workers and fold into a
-//!   fixed-grid [`StreamingLifetimeStudy`] (O(grid) memory,
-//!   bit-identical for any thread count), with an optional adaptive
-//!   Wilson-half-width stopping rule.
+//! [`simulate_lifetime`] runs one replication;
+//! [`streaming_lifetime_study`] runs a fixed count of them on
+//! [`sim::engine::run_study`]'s scoped workers and folds them into a
+//! fixed-grid [`StreamingLifetimeStudy`] (O(grid) memory, bit-identical
+//! for any thread count). Replication `i` draws from
+//! [`SimRng::stream`]`(seed, i)`, so a caller that needs every observed
+//! lifetime (order statistics, say) gets the same replications by
+//! calling [`simulate_lifetime`] on those streams itself.
 
 use crate::model::KibamRm;
 use crate::KibamRmError;
 use markov::Budget;
-use sim::engine::{run_study, EngineError, McOptions, Replication};
-use sim::replication::{run_replications, LifetimeStudy};
+use sim::engine::{run_study, EngineError, Replication};
 use sim::rng::SimRng;
 use sim::streaming::StreamingLifetimeStudy;
 use sim::trajectory::{next_state, sample_initial};
@@ -76,48 +74,15 @@ pub fn simulate_lifetime(
     Ok(None)
 }
 
-/// Runs `runs` independent lifetime simulations (the paper uses 1000) and
-/// returns the empirical study with every observed lifetime kept.
+/// Runs `runs` independent lifetime simulations (the paper uses 1000)
+/// as the parallel streaming study: replications on up to `threads`
+/// workers, folded into a fixed-grid accumulator over `grid` (O(grid)
+/// memory), under a cooperative [`Budget`]. Results are bit-identical
+/// for any worker count.
 ///
 /// A study where no run depleted is returned as the valid all-zero curve
 /// (`depleted_runs() == 0`), **not** an error — one long-lived scenario
 /// must not abort a whole sweep.
-///
-/// # Errors
-///
-/// Propagates the first simulation error; [`KibamRmError::InvalidWorkload`]
-/// for a zero replication count.
-pub fn lifetime_study(
-    model: &KibamRm,
-    horizon: Time,
-    runs: usize,
-    seed: u64,
-) -> Result<LifetimeStudy, KibamRmError> {
-    if runs == 0 {
-        return Err(KibamRmError::InvalidWorkload(
-            "a lifetime study needs at least one replication".into(),
-        ));
-    }
-    let outcomes: Vec<Result<Option<f64>, KibamRmError>> = run_replications(runs, seed, |rng| {
-        simulate_lifetime(model, horizon, rng).map(|o| o.map(|t| t.as_seconds()))
-    });
-    let mut flat = Vec::with_capacity(outcomes.len());
-    for o in outcomes {
-        flat.push(o?);
-    }
-    LifetimeStudy::new(&flat, horizon.as_seconds()).map_err(|e| {
-        // Only NaN lifetimes reach this branch now (all-censored is a
-        // valid study and `runs > 0` was checked above).
-        KibamRmError::InvalidWorkload(format!("simulated lifetimes are malformed: {e}"))
-    })
-}
-
-/// Runs the parallel streaming study: replications on up to `threads`
-/// workers, folded into a fixed-grid accumulator over `grid` (O(grid)
-/// memory), under `opts`' stopping rule and a cooperative [`Budget`].
-/// Results are bit-identical for any worker count, and agree
-/// replication by replication with [`lifetime_study`] on the same seed
-/// (both draw replication `i` from [`SimRng::stream`]`(seed, i)`).
 ///
 /// The budget is checked once per batch checkpoint; an exhausted budget
 /// stops dispatching (the batches in flight finish first) and surfaces
@@ -127,7 +92,7 @@ pub fn lifetime_study(
 /// # Errors
 ///
 /// [`KibamRmError::InvalidWorkload`] on empty/unsorted grids, a horizon
-/// short of the grid, or inconsistent engine options;
+/// short of the grid, or a zero replication count;
 /// [`KibamRmError::DeadlineExceeded`] on budget exhaustion; the first
 /// per-replication simulation error otherwise.
 pub fn streaming_lifetime_study(
@@ -135,10 +100,15 @@ pub fn streaming_lifetime_study(
     grid: &[Time],
     horizon: Time,
     seed: u64,
-    opts: &McOptions,
+    runs: u64,
     threads: usize,
     budget: &Budget,
 ) -> Result<StreamingLifetimeStudy, KibamRmError> {
+    if runs == 0 {
+        return Err(KibamRmError::InvalidWorkload(
+            "a lifetime study needs at least one replication".into(),
+        ));
+    }
     // The engine sees a plain `Replication`; the actual error object
     // crosses back through this mutex (first writer wins).
     let first_error: Mutex<Option<KibamRmError>> = Mutex::new(None);
@@ -157,7 +127,7 @@ pub fn streaming_lifetime_study(
         grid_seconds,
         horizon.as_seconds(),
         seed,
-        opts,
+        runs,
         &experiment,
         budget,
     )
@@ -193,6 +163,43 @@ mod tests {
         .unwrap()
     }
 
+    /// Every replication's outcome in seconds, replication `i` drawn
+    /// from `SimRng::stream(seed, i)` as the streaming study draws it.
+    fn outcomes(model: &KibamRm, horizon: Time, runs: u64, seed: u64) -> Vec<Option<f64>> {
+        (0..runs)
+            .map(|i| {
+                simulate_lifetime(model, horizon, &mut SimRng::stream(seed, i))
+                    .unwrap()
+                    .map(|t| t.as_seconds())
+            })
+            .collect()
+    }
+
+    /// The order-statistics `q`-quantile of the lifetime (left-continuous
+    /// inverse over all runs, censored ones included); `None` when fewer
+    /// than a `q` fraction of runs depleted.
+    fn quantile(outcomes: &[Option<f64>], q: f64) -> Option<f64> {
+        let mut observed: Vec<f64> = outcomes.iter().flatten().copied().collect();
+        observed.sort_by(f64::total_cmp);
+        let depleted = observed.len() as f64 / outcomes.len() as f64;
+        if observed.is_empty() || q > depleted {
+            return None;
+        }
+        let k = (q / depleted * observed.len() as f64).ceil() as usize;
+        Some(observed[k.clamp(1, observed.len()) - 1])
+    }
+
+    /// The streaming study with no deadline, on one worker.
+    fn study(
+        model: &KibamRm,
+        grid: &[Time],
+        horizon: Time,
+        runs: u64,
+        seed: u64,
+    ) -> Result<StreamingLifetimeStudy, KibamRmError> {
+        streaming_lifetime_study(model, grid, horizon, seed, runs, 1, &Budget::unlimited())
+    }
+
     #[test]
     fn single_run_reproducible() {
         let m = on_off_linear();
@@ -208,19 +215,19 @@ mod tests {
         // §6.1: the lifetime is nearly deterministic around 15 000 s
         // (7200 As at 0.96 A drawn half the time).
         let m = on_off_linear();
-        let study = lifetime_study(&m, Time::from_seconds(25_000.0), 300, 1234).unwrap();
-        assert_eq!(study.total_runs(), 300);
+        let runs = outcomes(&m, Time::from_seconds(25_000.0), 300, 1234);
+        assert_eq!(runs.len(), 300);
         assert_eq!(
-            study.depleted_runs(),
+            runs.iter().flatten().count(),
             300,
             "all runs must deplete by 25 000 s"
         );
-        let mean = study.mean_observed_lifetime().unwrap();
+        let mean = runs.iter().flatten().sum::<f64>() / 300.0;
         assert!((mean - 15_000.0).abs() < 300.0, "mean = {mean}");
         // The paper notes the distribution is close to deterministic: the
         // 5%—95% spread stays within ±10 % of the mean.
-        let lo = study.lifetime_quantile(0.05).unwrap();
-        let hi = study.lifetime_quantile(0.95).unwrap();
+        let lo = quantile(&runs, 0.05).unwrap();
+        let hi = quantile(&runs, 0.95).unwrap();
         assert!(hi - lo < 0.25 * mean, "spread [{lo}, {hi}]");
     }
 
@@ -301,8 +308,8 @@ mod tests {
                 Rate::per_second(0.0),
             )
             .unwrap();
-            let study = lifetime_study(&m, Time::from_seconds(25_000.0), 200, 99).unwrap();
-            study.lifetime_quantile(0.9).unwrap() - study.lifetime_quantile(0.1).unwrap()
+            let runs = outcomes(&m, Time::from_seconds(25_000.0), 200, 99);
+            quantile(&runs, 0.9).unwrap() - quantile(&runs, 0.1).unwrap()
         };
         let s1 = spread_for(1);
         let s8 = spread_for(8);
@@ -324,14 +331,13 @@ mod tests {
         )
         .unwrap();
         let horizon = Time::from_seconds(25_000.0);
-        let m_lin = lifetime_study(&linear, horizon, 150, 5)
-            .unwrap()
-            .mean_observed_lifetime()
-            .unwrap();
-        let m_two = lifetime_study(&two_well, horizon, 150, 5)
-            .unwrap()
-            .mean_observed_lifetime()
-            .unwrap();
+        let mean = |model: &KibamRm| {
+            study(model, &[horizon], horizon, 150, 5)
+                .unwrap()
+                .mean_observed_lifetime()
+                .unwrap()
+        };
+        let (m_lin, m_two) = (mean(&linear), mean(&two_well));
         assert!(m_two < m_lin, "two-well {m_two} vs linear {m_lin}");
         // But longer than the available-charge-only battery (recovery
         // transfers bound charge): 4500 As / 0.48 A = 9375 s.
@@ -346,42 +352,39 @@ mod tests {
         assert_eq!(out, None);
         // Regression: an all-censored study used to abort with an error;
         // it is the valid all-zero curve.
-        let study = lifetime_study(&m, Time::from_seconds(100.0), 10, 1).unwrap();
-        assert_eq!(study.total_runs(), 10);
-        assert_eq!(study.depleted_runs(), 0);
-        assert_eq!(study.empty_probability(100.0), 0.0);
-        assert_eq!(study.mean_observed_lifetime(), None);
-        assert_eq!(study.lifetime_quantile(0.5), None);
+        let horizon = Time::from_seconds(100.0);
+        let zero = study(&m, &[horizon], horizon, 10, 1).unwrap();
+        assert_eq!(zero.total_runs(), 10);
+        assert_eq!(zero.depleted_runs(), 0);
+        assert_eq!(zero.empty_probability(0), 0.0);
+        assert_eq!(zero.mean_observed_lifetime(), None);
+        assert_eq!(zero.lifetime_quantile(0.5), None);
         // Zero replications stay an error.
-        assert!(lifetime_study(&m, Time::from_seconds(100.0), 0, 1).is_err());
+        assert!(study(&m, &[horizon], horizon, 0, 1).is_err());
     }
 
     #[test]
-    fn streaming_study_matches_the_exact_study_at_grid_points() {
+    fn streaming_study_matches_the_simulated_outcomes_at_grid_points() {
         let m = on_off_linear();
         let horizon = Time::from_seconds(25_000.0);
         let grid: Vec<Time> = (1..=10)
             .map(|i| Time::from_seconds(i as f64 * 2500.0))
             .collect();
-        let opts = McOptions {
-            runs: 300,
-            ..McOptions::default()
-        };
-        let streaming =
-            streaming_lifetime_study(&m, &grid, horizon, 1234, &opts, 1, &Budget::unlimited())
-                .unwrap();
-        let exact = lifetime_study(&m, horizon, 300, 1234).unwrap();
+        let streaming = study(&m, &grid, horizon, 300, 1234).unwrap();
+        let runs = outcomes(&m, horizon, 300, 1234);
         assert_eq!(streaming.total_runs(), 300);
         for (i, t) in grid.iter().enumerate() {
+            let depleted = runs.iter().flatten().filter(|&&x| x <= t.as_seconds());
             assert_eq!(
                 streaming.depleted_at(i) as usize,
-                exact.depleted_at(t.as_seconds()),
+                depleted.count(),
                 "same replications, same counts at t = {t}"
             );
         }
+        let observed: Vec<f64> = runs.iter().flatten().copied().collect();
         let (a, b) = (
             streaming.mean_observed_lifetime().unwrap(),
-            exact.mean_observed_lifetime().unwrap(),
+            observed.iter().sum::<f64>() / observed.len() as f64,
         );
         assert!((a - b).abs() < 1e-6, "{a} vs {b}");
     }
@@ -393,13 +396,10 @@ mod tests {
         let grid: Vec<Time> = (1..=5)
             .map(|i| Time::from_seconds(i as f64 * 5000.0))
             .collect();
-        let opts = McOptions {
-            runs: 120,
-            batch: 32,
-            ..McOptions::default()
-        };
+        // Three batches, the last one short: the workers really split
+        // the study.
         let study = |threads| {
-            streaming_lifetime_study(&m, &grid, horizon, 7, &opts, threads, &Budget::unlimited())
+            streaming_lifetime_study(&m, &grid, horizon, 7, 600, threads, &Budget::unlimited())
                 .unwrap()
         };
         let reference = study(1);

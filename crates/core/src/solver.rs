@@ -10,8 +10,7 @@
 //!   scenario;
 //! * [`SimulationSolver`] — parallel streaming Monte Carlo over the
 //!   exact KiBaMRM dynamics; applies to every scenario, statistical
-//!   error only (with an optional adaptive stopping rule that runs
-//!   until the Wilson confidence band is tight enough);
+//!   error only;
 //! * [`SericolaSolver`] — the exact algorithm; applies only to linear
 //!   (`c = 1`) scenarios, where it is the gold standard.
 //!
@@ -37,13 +36,11 @@ use crate::analysis::exact_linear_curve;
 use crate::discretise::{DiscretisationOptions, DiscretisationTemplate, DiscretisedModel};
 use crate::distribution::{LifetimeDistribution, SolveDiagnostics};
 use crate::scenario::Scenario;
-use crate::simulate::lifetime_study;
 use crate::simulate::streaming_lifetime_study;
 use crate::sweep::SweepPlan;
 use crate::KibamRmError;
 use markov::transient::{CurveCache, TransientOptions};
 pub use markov::Budget;
-use sim::engine::McOptions;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 use units::Time;
@@ -367,30 +364,23 @@ impl GroupState for DiscretisationGroupState {
 /// uniformisation engine). Memory is O(time-grid), independent of the
 /// replication count, which makes 10⁶–10⁷ replications practical.
 ///
-/// The default stopping rule runs exactly the scenario's
-/// [`sim_runs`](Scenario::sim_runs); [`SimulationSolver::with_adaptive`]
-/// instead doubles the replication count until the largest 95 % Wilson
-/// half-width over the query grid drops below a target (or a cap).
+/// A solve runs exactly the scenario's [`sim_runs`](Scenario::sim_runs)
+/// replications. For a target sup-norm band `ε` at confidence `1−α`,
+/// `⌈ln(2/α)/(2ε²)⌉` runs suffice (the Dvoretzky–Kiefer–Wolfowitz
+/// count, [`sim::dkw_half_width`]'s inverse).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimulationSolver {
     horizon: Option<Time>,
     threads: usize,
-    batch: u64,
-    target_half_width: Option<f64>,
-    max_runs: u64,
 }
 
 impl Default for SimulationSolver {
     fn default() -> Self {
-        let defaults = McOptions::default();
         SimulationSolver {
             horizon: None,
             threads: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
-            batch: defaults.batch,
-            target_half_width: None,
-            max_runs: defaults.max_runs,
         }
     }
 }
@@ -404,7 +394,7 @@ impl SimulationSolver {
 
     /// Extends the simulation horizon beyond the scenario's last query
     /// time (useful when the tail of the *observed* lifetimes matters,
-    /// e.g. for [`SimulationSolver::study`] quantiles). A horizon
+    /// e.g. for the [`SimulationSolver::streaming_study`] mean). A horizon
     /// shorter than the query grid is ignored: the empirical CDF is
     /// only valid up to the horizon, so shortening it would silently
     /// flatline the tail of the answer.
@@ -423,28 +413,6 @@ impl SimulationSolver {
         self
     }
 
-    /// Enables adaptive stopping: after the scenario's `sim_runs`
-    /// initial replications, the engine keeps doubling the replication
-    /// count until the largest 95 % Wilson half-width over the query
-    /// grid is at most `target_half_width`, or `max_runs` replications
-    /// have been spent. The solve's `runs` diagnostic reports the count
-    /// actually used.
-    #[must_use]
-    pub fn with_adaptive(mut self, target_half_width: f64, max_runs: u64) -> Self {
-        self.target_half_width = Some(target_half_width);
-        self.max_runs = max_runs;
-        self
-    }
-
-    /// Sets the replications-per-batch scheduling quantum (the merge
-    /// unit of the parallel engine; results do not depend on it beyond
-    /// floating-point reassociation of the moment sketches).
-    #[must_use]
-    pub fn with_batch(mut self, batch: u64) -> Self {
-        self.batch = batch;
-        self
-    }
-
     /// The simulation horizon for `scenario`: never short of the query
     /// grid (empirical CDF values past the horizon would be silently
     /// wrong).
@@ -453,7 +421,9 @@ impl SimulationSolver {
             .map_or(scenario.horizon(), |h| h.max(scenario.horizon()))
     }
 
-    fn engine_options(&self, scenario: &Scenario) -> Result<McOptions, KibamRmError> {
+    /// The scenario's replication count, refusing zero with a message
+    /// that names the fix.
+    fn runs(scenario: &Scenario) -> Result<u64, KibamRmError> {
         if scenario.sim_runs() == 0 {
             return Err(KibamRmError::InvalidWorkload(
                 "scenario requests zero simulation replications; set a positive \
@@ -461,50 +431,16 @@ impl SimulationSolver {
                     .into(),
             ));
         }
-        let runs = scenario.sim_runs() as u64;
-        Ok(McOptions {
-            runs,
-            batch: self.batch.max(1),
-            target_half_width: self.target_half_width,
-            // The cap never truncates the initial round the scenario
-            // asked for.
-            max_runs: self.max_runs.max(runs),
-        })
-    }
-
-    /// The exact empirical reference study (order-statistics quantiles
-    /// of *observed* lifetimes, confidence intervals, …). Keeps every
-    /// lifetime — O(runs) memory — and always runs **exactly** the
-    /// scenario's `sim_runs` replications: the adaptive stopping rule
-    /// applies only to the streaming paths
-    /// ([`LifetimeSolver::solve`] / [`SimulationSolver::streaming_study`]),
-    /// so under `with_adaptive` this study describes the solve's *initial
-    /// round*, not its full replication count. An all-censored study is
-    /// returned as the valid all-zero curve.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulation errors and the zero-replication refusal.
-    pub fn study(
-        &self,
-        scenario: &Scenario,
-    ) -> Result<sim::replication::LifetimeStudy, KibamRmError> {
-        let model = scenario.to_model()?;
-        self.engine_options(scenario)?; // zero-runs refusal
-        lifetime_study(
-            &model,
-            self.effective_horizon(scenario),
-            scenario.sim_runs(),
-            scenario.sim_seed(),
-        )
+        Ok(scenario.sim_runs() as u64)
     }
 
     /// The streaming study behind a solve: fixed-grid depletion counts
     /// over the scenario's query times plus moment sketches, produced by
-    /// the parallel engine under this solver's stopping rule and a
-    /// cooperative [`Budget`] (O(grid) memory, bit-identical for any
-    /// thread count), on this solver's
-    /// [`with_threads`](SimulationSolver::with_threads) workers.
+    /// the parallel engine from the scenario's `sim_runs` replications
+    /// under a cooperative [`Budget`] (O(grid) memory, bit-identical for
+    /// any thread count), on this solver's
+    /// [`with_threads`](SimulationSolver::with_threads) workers. An
+    /// all-censored study is the valid all-zero curve.
     ///
     /// # Errors
     ///
@@ -515,13 +451,13 @@ impl SimulationSolver {
         budget: &Budget,
     ) -> Result<sim::streaming::StreamingLifetimeStudy, KibamRmError> {
         let model = scenario.to_model()?;
-        let opts = self.engine_options(scenario)?;
+        let runs = SimulationSolver::runs(scenario)?;
         streaming_lifetime_study(
             &model,
             scenario.times(),
             self.effective_horizon(scenario),
             scenario.sim_seed(),
-            &opts,
+            runs,
             self.capped_threads(),
             budget,
         )
@@ -1214,7 +1150,7 @@ mod tests {
         ];
         let mc = |threads| {
             let mut registry = SolverRegistry::empty().with_sweep_threads(2);
-            let solver = SimulationSolver::new().with_threads(threads).with_batch(64);
+            let solver = SimulationSolver::new().with_threads(threads);
             registry.register(Box::new(solver));
             registry
         };
@@ -1352,16 +1288,13 @@ mod tests {
         assert_eq!(zero.diagnostics().runs, Some(25));
         assert!(results[1].as_ref().unwrap().points().last().unwrap().1 > 0.5);
 
-        // The study views agree: zero depletions, unidentified
+        // The study view agrees: zero depletions, unidentified
         // quantiles, but a real (positive) confidence band.
-        let solver = SimulationSolver::new();
-        let study = solver.study(&long_lived).unwrap();
-        assert_eq!(study.depleted_runs(), 0);
-        assert_eq!(study.lifetime_quantile(0.5), None);
-        let streaming = solver
+        let streaming = SimulationSolver::new()
             .streaming_study(&long_lived, &Budget::unlimited())
             .unwrap();
         assert_eq!(streaming.depleted_runs(), 0);
+        assert_eq!(streaming.lifetime_quantile(0.5), None);
         assert!(streaming.max_half_width() > 0.0);
     }
 
@@ -1403,36 +1336,6 @@ mod tests {
             swept[0].as_ref().unwrap().points(),
             swept[1].as_ref().unwrap().points()
         );
-    }
-
-    #[test]
-    fn adaptive_stopping_meets_the_band_and_reports_true_runs() {
-        let s = small_linear().with_simulation(100, 7);
-        let solver = SimulationSolver::new()
-            .with_adaptive(0.02, 1 << 16)
-            .with_batch(64);
-        let dist = solver.solve(&s).unwrap();
-        let runs = dist.diagnostics().runs.unwrap();
-        assert!(
-            runs > 100,
-            "adaptive rule must extend past the initial round"
-        );
-        assert!(runs <= 1 << 16);
-        let study = solver.streaming_study(&s, &Budget::unlimited()).unwrap();
-        assert_eq!(study.total_runs() as usize, runs);
-        assert!(
-            study.max_half_width() <= 0.02,
-            "band {} misses the target",
-            study.max_half_width()
-        );
-        // More replications than requested, but the curve still matches
-        // the fixed-run solve statistically (same model, same streams up
-        // to the shared prefix).
-        let fixed = SimulationSolver::new().solve(&s).unwrap();
-        assert!(dist.max_difference(&fixed).unwrap() < 0.1);
-        // The adaptive solve is itself deterministic.
-        let again = solver.solve(&s).unwrap();
-        assert_eq!(dist.points(), again.points());
     }
 
     #[test]
@@ -1700,16 +1603,16 @@ mod tests {
     fn simulation_cancelled_in_group_then_rerun_is_bit_identical() {
         // One worker runs the batches inline, so the budget's k-th check
         // stops at an exact batch boundary.
-        let solver = SimulationSolver::new().with_threads(1).with_batch(100);
-        let s = small_linear(); // 400 replications in 4 batches
+        let solver = SimulationSolver::new().with_threads(1);
+        let s = small_linear(); // 400 replications: batches of 256 and 144
         let reference = solver.solve(&s).unwrap();
         // The backend keeps no group state: a group member solves with
         // none.
         assert!(solver.new_group_state().is_none());
         let err = solver
-            .solve_in(&s, None, &Budget::cancelled_after_checks(2))
+            .solve_in(&s, None, &Budget::cancelled_after_checks(1))
             .expect_err("budget must stop the batch loop");
-        assert_eq!(err, KibamRmError::DeadlineExceeded { completed: 200 });
+        assert_eq!(err, KibamRmError::DeadlineExceeded { completed: 256 });
         let rerun = solver.solve_in(&s, None, &Budget::unlimited()).unwrap();
         assert_eq!(rerun.points(), reference.points());
         assert_eq!(rerun.diagnostics().runs, Some(400));

@@ -12,8 +12,8 @@
 //!   depletion times;
 //! * [`special`] — `ln Γ`, log-factorials and Poisson probabilities,
 //!   the raw material of Fox–Glynn and Sericola;
-//! * [`stats`] — empirical CDFs, moments, Kolmogorov–Smirnov distances and
-//!   binomial confidence intervals for simulation output analysis.
+//! * [`stats`] — Wilson and Dvoretzky–Kiefer–Wolfowitz confidence bands
+//!   and streaming moments for simulation output analysis.
 //!
 //! # Examples
 //!

@@ -1,7 +1,7 @@
 //! The parallel streaming Monte Carlo engine.
 //!
 //! [`run_study`] executes replications in batches on scoped workers
-//! (spawned per round with [`std::thread::scope`], joined before it
+//! (spawned with [`std::thread::scope`], joined before it
 //! returns) and folds them into a [`StreamingLifetimeStudy`], making
 //! 10⁶–10⁷ replications practical: memory stays O(time-grid + threads),
 //! never O(runs).
@@ -9,31 +9,25 @@
 //! # Determinism: bit-identical for any thread count
 //!
 //! Three choices make a study's result a pure function of
-//! `(grid, horizon, seed, options, experiment)` — independent of how
+//! `(grid, horizon, seed, runs, experiment)` — independent of how
 //! many workers computed it:
 //!
 //! 1. **Counter-derived streams.** Replication `r` always draws from
 //!    [`SimRng::stream`]`(master_seed, r)`; workers claim replication
 //!    *indices*, they never share a sequential generator.
 //! 2. **Fixed batch schedule.** Replications are grouped into batches of
-//!    [`McOptions::batch`] consecutive indices. The schedule depends
-//!    only on the round structure, never on the worker count.
+//!    256 consecutive indices. The schedule depends only on the run
+//!    count, never on the worker count.
 //! 3. **In-order merging.** Batch partials are merged into the study in
 //!    batch-index order (out-of-order completions wait in a bounded
 //!    buffer). The sequential path uses the *same* batch-then-merge
 //!    structure, so `threads = 1` and `threads = 8` perform the exact
 //!    same floating-point operations in the same order.
 //!
-//! # The adaptive stopping rule
-//!
-//! With [`McOptions::target_half_width`] set, the engine runs in
-//! *rounds*: the first round is [`McOptions::runs`] replications, and
-//! while the largest 95 % Wilson half-width over the grid exceeds the
-//! target, the replication count doubles (capped at
-//! [`McOptions::max_runs`]). Round boundaries are fixed checkpoints
-//! derived from the merged study, so the stopping decision — and hence
-//! the final replication count — is itself deterministic across thread
-//! counts.
+//! The run count is fixed up front. For a target sup-norm band `ε` at
+//! confidence `1−α`, the Dvoretzky–Kiefer–Wolfowitz count
+//! `⌈ln(2/α)/(2ε²)⌉` ([`numerics::stats::dkw_half_width`]'s inverse)
+//! is known before the first replication runs.
 
 use crate::rng::SimRng;
 use crate::streaming::{StreamingError, StreamingLifetimeStudy};
@@ -64,8 +58,6 @@ pub enum EngineError {
     Aborted,
     /// A grid/lifetime/merge error from the accumulator.
     Streaming(StreamingError),
-    /// Inconsistent [`McOptions`].
-    InvalidOptions(String),
     /// A cooperative [`Budget`] check failed at a batch checkpoint: the
     /// study was cancelled or ran past its deadline. Carries the
     /// replications merged before the interruption.
@@ -80,7 +72,6 @@ impl fmt::Display for EngineError {
         match self {
             EngineError::Aborted => write!(f, "experiment aborted the study"),
             EngineError::Streaming(e) => write!(f, "{e}"),
-            EngineError::InvalidOptions(why) => write!(f, "invalid engine options: {why}"),
             EngineError::DeadlineExceeded { completed_runs } => {
                 write!(f, "deadline exceeded after {completed_runs} replications")
             }
@@ -96,63 +87,15 @@ impl From<StreamingError> for EngineError {
     }
 }
 
-/// Replication budget and stopping rule for one study.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct McOptions {
-    /// Replications of the first round (the paper's default is 1000).
-    /// With no target half-width this is the exact total.
-    pub runs: u64,
-    /// Replications per batch — the scheduling and merge quantum. Small
-    /// enough for load balancing, large enough that claiming a batch
-    /// (one channel send/recv) is negligible against simulating it.
-    pub batch: u64,
-    /// Adaptive stopping: keep doubling the replication count until the
-    /// largest 95 % Wilson half-width over the grid drops to this
-    /// target (or `max_runs` is hit). `None` runs exactly `runs`.
-    pub target_half_width: Option<f64>,
-    /// Hard replication cap for the adaptive rule.
-    pub max_runs: u64,
-}
-
-impl Default for McOptions {
-    fn default() -> Self {
-        McOptions {
-            runs: 1000,
-            batch: 256,
-            target_half_width: None,
-            max_runs: 1 << 20,
-        }
-    }
-}
-
-impl McOptions {
-    fn validate(&self) -> Result<(), EngineError> {
-        let bad = |why: String| Err(EngineError::InvalidOptions(why));
-        if self.runs == 0 {
-            return bad("runs must be positive".into());
-        }
-        if self.batch == 0 {
-            return bad("batch must be positive".into());
-        }
-        if let Some(target) = self.target_half_width {
-            if !(target > 0.0) || !target.is_finite() {
-                return bad(format!("target half-width must be positive, got {target}"));
-            }
-            if self.max_runs < self.runs {
-                return bad(format!(
-                    "max_runs {} below the initial round of {} runs",
-                    self.max_runs, self.runs
-                ));
-            }
-        }
-        Ok(())
-    }
-}
+/// Replications per batch — the scheduling, merge and budget-check
+/// quantum. Small enough for load balancing, large enough that claiming
+/// a batch (one channel send/recv) is negligible against simulating it.
+const BATCH: u64 = 256;
 
 /// Why a batch produced no partial: an engine error, or a panic that
 /// unwound out of the experiment closure (its payload is carried back so
 /// the dispatcher can re-raise it on the caller's thread once every
-/// worker of the round has stopped).
+/// worker has stopped).
 enum BatchFailure {
     Error(EngineError),
     Panicked(Box<dyn std::any::Any + Send>),
@@ -160,18 +103,19 @@ enum BatchFailure {
 
 type Completion = (usize, Result<StreamingLifetimeStudy, BatchFailure>);
 
-/// Runs a study on up to `threads` workers: replications drawn from
-/// counter-derived streams of `master_seed`, folded into a
-/// [`StreamingLifetimeStudy`] over `grid` (censoring `horizon`), under
-/// `opts`' stopping rule and a cooperative [`Budget`]. The result is
+/// Runs a study of `runs` replications on up to `threads` workers:
+/// replications drawn from counter-derived streams of `master_seed`,
+/// folded into a [`StreamingLifetimeStudy`] over `grid` (censoring
+/// `horizon`), under a cooperative [`Budget`]. The result is
 /// **bit-identical for any thread count** — see the module docs for
-/// why.
+/// why. Zero runs give the empty study.
 ///
-/// Each round spawns its workers inside [`std::thread::scope`] and joins
-/// them before the next round starts, so the experiment is an ordinary
-/// borrow. `threads ≤ 1` runs the same batches inline on the caller's
-/// thread. The count is taken as given (callers clamp it to the
-/// machine), so the thread-count tests exercise real workers anywhere.
+/// The workers are spawned inside [`std::thread::scope`] and joined
+/// before it returns, so the experiment is an ordinary borrow.
+/// `threads ≤ 1`, or a study of one batch, runs the same batches inline
+/// on the caller's thread. The count is taken as given (callers clamp
+/// it to the machine), so the thread-count tests exercise real workers
+/// anywhere.
 ///
 /// The budget is checked once per batch checkpoint (the scheduling and
 /// merge quantum). An exhausted budget stops dispatching, lets the
@@ -181,11 +125,11 @@ type Completion = (usize, Result<StreamingLifetimeStudy, BatchFailure>);
 ///
 /// # Errors
 ///
-/// [`EngineError::InvalidOptions`] and grid validation errors
-/// up front; [`EngineError::Aborted`] when the experiment returns
-/// [`Replication::Abort`] (the caller records the underlying error
-/// itself); [`EngineError::Streaming`] on NaN/negative lifetimes;
-/// [`EngineError::DeadlineExceeded`] when the budget expires.
+/// Grid validation errors up front; [`EngineError::Aborted`] when the
+/// experiment returns [`Replication::Abort`] (the caller records the
+/// underlying error itself); [`EngineError::Streaming`] on
+/// NaN/negative lifetimes; [`EngineError::DeadlineExceeded`] when the
+/// budget expires.
 ///
 /// # Panics
 ///
@@ -195,15 +139,14 @@ type Completion = (usize, Result<StreamingLifetimeStudy, BatchFailure>);
 ///
 /// ```
 /// use markov::budget::Budget;
-/// use sim::engine::{run_study, McOptions, Replication};
+/// use sim::engine::{run_study, Replication};
 ///
 /// // Lifetimes ~ Exp(1), censored at 4.0.
 /// let experiment = |rng: &mut sim::rng::SimRng| {
 ///     let t = rng.exponential(1.0);
 ///     if t <= 4.0 { Replication::Depleted(t) } else { Replication::Censored }
 /// };
-/// let opts = McOptions { runs: 4000, ..McOptions::default() };
-/// let study = run_study(2, vec![0.5, 1.0, 2.0], 4.0, 7, &opts, &experiment, &Budget::unlimited())
+/// let study = run_study(2, vec![0.5, 1.0, 2.0], 4.0, 7, 4000, &experiment, &Budget::unlimited())
 ///     .unwrap();
 /// assert_eq!(study.total_runs(), 4000);
 /// let p = study.empty_probability(1); // ≈ 1 − e⁻¹
@@ -214,61 +157,15 @@ pub fn run_study(
     grid: Vec<f64>,
     horizon: f64,
     master_seed: u64,
-    opts: &McOptions,
+    runs: u64,
     experiment: &(dyn Fn(&mut SimRng) -> Replication + Sync),
     budget: &Budget,
 ) -> Result<StreamingLifetimeStudy, EngineError> {
-    opts.validate()?;
     let mut merged = StreamingLifetimeStudy::new(grid, horizon)?;
-    let mut total: u64 = 0;
-    let mut round_end = opts.runs;
-    loop {
-        run_round(
-            threads,
-            &mut merged,
-            total..round_end,
-            master_seed,
-            opts,
-            experiment,
-            budget,
-        )?;
-        total = round_end;
-        let Some(target) = opts.target_half_width else {
-            break;
-        };
-        if merged.max_half_width() <= target || total >= opts.max_runs {
-            break;
-        }
-        // Doubling keeps the number of stopping checks logarithmic
-        // and the total work within 2× of the minimal sufficient
-        // count; checkpoints are fixed, so the stopping decision is
-        // thread-count independent.
-        round_end = total.saturating_mul(2).min(opts.max_runs);
-    }
-    Ok(merged)
-}
-
-/// Executes replications `reps` as consecutive batches and merges
-/// them into `merged` in batch order.
-fn run_round(
-    threads: usize,
-    merged: &mut StreamingLifetimeStudy,
-    reps: Range<u64>,
-    master_seed: u64,
-    opts: &McOptions,
-    experiment: &(dyn Fn(&mut SimRng) -> Replication + Sync),
-    budget: &Budget,
-) -> Result<(), EngineError> {
-    let batches: Vec<Range<u64>> = {
-        let mut out = Vec::new();
-        let mut start = reps.start;
-        while start < reps.end {
-            let end = (start + opts.batch).min(reps.end);
-            out.push(start..end);
-            start = end;
-        }
-        out
-    };
+    let batches: Vec<Range<u64>> = (0..runs)
+        .step_by(BATCH as usize)
+        .map(|start| start..(start + BATCH).min(runs))
+        .collect();
     let workers = threads.min(batches.len());
     if workers <= 1 {
         // Inline path: same batch-partial-then-merge structure as
@@ -289,7 +186,7 @@ fn run_round(
             )?;
             merged.merge(&partial)?;
         }
-        return Ok(());
+        return Ok(merged);
     }
 
     // Workers claim batches from one queue; completions are merged in
@@ -323,10 +220,7 @@ fn run_round(
                 // Budget checkpoint per dispatched batch. An exhausted
                 // budget stops dispatching; the batches in flight still
                 // finish and are collected below.
-                if budget
-                    .check(next.saturating_mul(opts.batch as usize))
-                    .is_err()
-                {
+                if budget.check(next.saturating_mul(BATCH as usize)).is_err() {
                     failure = Some(BatchFailure::Error(EngineError::DeadlineExceeded {
                         completed_runs: 0, // patched with the merged total below
                     }));
@@ -388,7 +282,7 @@ fn run_round(
         // the caller's thread — the same observable behaviour as the
         // inline path.
         Some(BatchFailure::Panicked(payload)) => std::panic::resume_unwind(payload),
-        None => Ok(()),
+        None => Ok(merged),
     }
 }
 
@@ -431,7 +325,7 @@ fn worker_loop(
         // A panicking experiment must still produce its completion
         // message — a swallowed unwind would leave the dispatcher
         // waiting forever — so the unwind is caught here and re-raised
-        // on the caller's thread once the round's workers are joined.
+        // on the caller's thread once every worker is joined.
         // (AssertUnwindSafe: the only state crossing the boundary is
         // the experiment's own captured state, which the panic already
         // exposes on the inline path too.)
@@ -474,7 +368,7 @@ mod tests {
         grid: Vec<f64>,
         horizon: f64,
         seed: u64,
-        opts: &McOptions,
+        runs: u64,
         experiment: &(dyn Fn(&mut SimRng) -> Replication + Sync),
     ) -> Result<StreamingLifetimeStudy, EngineError> {
         run_study(
@@ -482,7 +376,7 @@ mod tests {
             grid,
             horizon,
             seed,
-            opts,
+            runs,
             experiment,
             &Budget::unlimited(),
         )
@@ -491,15 +385,10 @@ mod tests {
     #[test]
     fn study_results_are_bit_identical_across_thread_counts() {
         let grid = vec![0.25, 0.5, 1.0, 2.0, 3.0];
-        let opts = McOptions {
-            runs: 5000,
-            batch: 128,
-            ..McOptions::default()
-        };
         let experiment = exponential_experiment(1.0, 3.0);
-        let reference = study(1, grid.clone(), 3.0, 2024, &opts, &experiment).unwrap();
+        let reference = study(1, grid.clone(), 3.0, 2024, 5000, &experiment).unwrap();
         for threads in 2..=8 {
-            let got = study(threads, grid.clone(), 3.0, 2024, &opts, &experiment).unwrap();
+            let got = study(threads, grid.clone(), 3.0, 2024, 5000, &experiment).unwrap();
             // PartialEq covers counts AND the f64 moment state: this is
             // bit-identity, not statistical agreement.
             assert_eq!(got, reference, "threads = {threads}");
@@ -509,12 +398,8 @@ mod tests {
     #[test]
     fn studies_match_theory() {
         let experiment = exponential_experiment(1.0, 5.0);
-        let opts = McOptions {
-            runs: 20_000,
-            ..McOptions::default()
-        };
         for seed in 0..5 {
-            let got = study(4, vec![0.5, 1.0, 2.0], 5.0, seed, &opts, &experiment).unwrap();
+            let got = study(4, vec![0.5, 1.0, 2.0], 5.0, seed, 20_000, &experiment).unwrap();
             assert_eq!(got.total_runs(), 20_000);
             for (i, &t) in [0.5f64, 1.0, 2.0].iter().enumerate() {
                 let theory = 1.0 - (-t).exp();
@@ -525,54 +410,7 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_rule_stops_at_the_target_and_is_deterministic() {
-        let grid = vec![0.5, 1.0, 2.0];
-        let opts = McOptions {
-            runs: 500,
-            batch: 64,
-            target_half_width: Some(0.01),
-            max_runs: 1 << 17,
-        };
-        let experiment = exponential_experiment(1.0, 2.0);
-        let a = study(1, grid.clone(), 2.0, 7, &opts, &experiment).unwrap();
-        // The target is met (it is reachable within the cap)…
-        assert!(a.max_half_width() <= 0.01, "{}", a.max_half_width());
-        // …and needed more than the initial round.
-        assert!(a.total_runs() > 500, "{} runs", a.total_runs());
-        assert!(a.total_runs() <= 1 << 17);
-        // The stopping decision is part of the determinism guarantee.
-        let b = study(3, grid, 2.0, 7, &opts, &experiment).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn adaptive_rule_respects_the_run_cap() {
-        let opts = McOptions {
-            runs: 100,
-            batch: 32,
-            target_half_width: Some(1e-6), // unreachable
-            max_runs: 1000,
-        };
-        let got = study(
-            2,
-            vec![1.0],
-            2.0,
-            1,
-            &opts,
-            &exponential_experiment(1.0, 2.0),
-        )
-        .unwrap();
-        assert_eq!(got.total_runs(), 1000);
-        assert!(got.max_half_width() > 1e-6);
-    }
-
-    #[test]
     fn abort_propagates() {
-        let opts = McOptions {
-            runs: 1000,
-            batch: 16,
-            ..McOptions::default()
-        };
         let aborting = |rng: &mut SimRng| {
             if rng.uniform() < 0.01 {
                 Replication::Abort
@@ -581,7 +419,7 @@ mod tests {
             }
         };
         for threads in [1usize, 2] {
-            let err = study(threads, vec![1.0], 2.0, 5, &opts, &aborting).expect_err("must abort");
+            let err = study(threads, vec![1.0], 2.0, 5, 1000, &aborting).expect_err("must abort");
             assert_eq!(err, EngineError::Aborted, "threads = {threads}");
         }
     }
@@ -592,11 +430,6 @@ mod tests {
         // used to swallow the worker's completion message, deadlocking
         // the dispatcher. It must propagate to the caller, with its
         // payload, like the inline path.
-        let opts = McOptions {
-            runs: 500,
-            batch: 16,
-            ..McOptions::default()
-        };
         let panicking = |rng: &mut SimRng| {
             if rng.uniform() < 0.05 {
                 panic!("boom in replication");
@@ -604,72 +437,32 @@ mod tests {
             Replication::Censored
         };
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            study(3, vec![1.0], 2.0, 9, &opts, &panicking)
+            study(3, vec![1.0], 2.0, 9, 500, &panicking)
         }));
         let payload = result.expect_err("panic must propagate, not deadlock");
         assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom in replication"));
     }
 
     #[test]
-    fn options_and_grid_are_validated() {
+    fn grid_is_validated_and_zero_runs_give_the_empty_study() {
         let experiment = exponential_experiment(1.0, 2.0);
-        let run = |opts: McOptions, grid: Vec<f64>| study(1, grid, 2.0, 1, &opts, &experiment);
-        let default = McOptions::default();
-        assert!(matches!(
-            run(McOptions { runs: 0, ..default }, vec![1.0]),
-            Err(EngineError::InvalidOptions(_))
-        ));
-        assert!(matches!(
-            run(
-                McOptions {
-                    batch: 0,
-                    ..default
-                },
-                vec![1.0]
-            ),
-            Err(EngineError::InvalidOptions(_))
-        ));
-        assert!(matches!(
-            run(
-                McOptions {
-                    target_half_width: Some(-0.5),
-                    ..default
-                },
-                vec![1.0]
-            ),
-            Err(EngineError::InvalidOptions(_))
-        ));
-        assert!(matches!(
-            run(
-                McOptions {
-                    runs: 100,
-                    target_half_width: Some(0.1),
-                    max_runs: 50,
-                    ..default
-                },
-                vec![1.0]
-            ),
-            Err(EngineError::InvalidOptions(_))
-        ));
         // Grid validation flows through from the accumulator.
         assert!(matches!(
-            run(default, vec![2.0, 1.0]),
+            study(1, vec![2.0, 1.0], 2.0, 1, 1000, &experiment),
             Err(EngineError::Streaming(StreamingError::InvalidGrid(_)))
         ));
+        // A run count of zero schedules no batch: the empty study.
+        for threads in [1usize, 4] {
+            let empty = study(threads, vec![1.0], 2.0, 1, 0, &experiment).unwrap();
+            assert_eq!(empty.total_runs(), 0, "threads = {threads}");
+            assert_eq!(empty.empty_probability(0), 0.0);
+        }
         // Errors display.
         assert!(EngineError::Aborted.to_string().contains("aborted"));
-        assert!(EngineError::InvalidOptions("x".into())
-            .to_string()
-            .contains("x"));
     }
 
     #[test]
     fn expired_budget_aborts_without_running() {
-        let opts = McOptions {
-            runs: 10_000,
-            batch: 64,
-            ..McOptions::default()
-        };
         let experiment = exponential_experiment(1.0, 2.0);
         for threads in [1usize, 4] {
             let err = run_study(
@@ -677,7 +470,7 @@ mod tests {
                 vec![1.0],
                 2.0,
                 1,
-                &opts,
+                10_000,
                 &experiment,
                 &Budget::cancelled_after_checks(0),
             )
@@ -690,17 +483,12 @@ mod tests {
     fn inline_budget_cancels_at_an_exact_batch_boundary() {
         // Inline path: one check per batch, so cancelled_after_checks(k)
         // merges exactly k full batches before stopping.
-        let opts = McOptions {
-            runs: 1000,
-            batch: 64,
-            ..McOptions::default()
-        };
         let err = run_study(
             1,
             vec![1.0],
             2.0,
             5,
-            &opts,
+            1000,
             &exponential_experiment(1.0, 2.0),
             &Budget::cancelled_after_checks(3),
         )
@@ -708,25 +496,20 @@ mod tests {
         assert_eq!(
             err,
             EngineError::DeadlineExceeded {
-                completed_runs: 3 * 64
+                completed_runs: 3 * BATCH
             }
         );
     }
 
     #[test]
     fn cancelled_budget_reports_partial_work_from_the_pool() {
-        let opts = McOptions {
-            runs: 50_000,
-            batch: 32,
-            ..McOptions::default()
-        };
         let budget = Budget::cancelled_after_checks(20);
         let err = run_study(
             4,
             vec![1.0],
             2.0,
             5,
-            &opts,
+            50_000,
             &exponential_experiment(1.0, 2.0),
             &budget,
         )
@@ -737,36 +520,27 @@ mod tests {
         // Some batches may still have been in flight (unmerged) at the
         // checkpoint; the reported work is what landed in the study.
         assert!(completed_runs < 50_000, "ran to completion");
-        assert_eq!(completed_runs % 32, 0, "whole batches only");
+        assert_eq!(completed_runs % BATCH, 0, "whole batches only");
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
 
-        /// The satellite property: across random seeds, batch sizes,
-        /// replication counts and stopping rules, the study 2–8 worker
-        /// threads produce is bit-identical to the inline
-        /// single-threaded study — counts, totals AND the f64 moment
-        /// sketches.
+        /// The determinism property: across random seeds and replication
+        /// counts, the study 2–8 worker threads produce is bit-identical
+        /// to the inline single-threaded study — counts, totals AND the
+        /// f64 moment sketches.
         #[test]
         fn studies_are_bit_identical_across_thread_counts(
             threads in 2usize..=8,
             seed in 0u64..1000,
-            batch in 1u64..200,
             runs in 1u64..2000,
-            adaptive_sel in 0u64..2,
         ) {
             use proptest::prelude::*;
             let grid = vec![0.25, 0.5, 1.0, 2.0];
-            let opts = McOptions {
-                runs,
-                batch,
-                target_half_width: (adaptive_sel == 1).then_some(0.05),
-                max_runs: runs.max(4000),
-            };
             let experiment = exponential_experiment(1.0, 2.0);
-            let reference = study(1, grid.clone(), 2.0, seed, &opts, &experiment).unwrap();
-            let got = study(threads, grid, 2.0, seed, &opts, &experiment).unwrap();
+            let reference = study(1, grid.clone(), 2.0, seed, runs, &experiment).unwrap();
+            let got = study(threads, grid, 2.0, seed, runs, &experiment).unwrap();
             prop_assert!(got == reference,
                 "threads {} differ from inline: {:?} vs {:?}", threads, got, reference);
         }
@@ -774,16 +548,14 @@ mod tests {
 
     #[test]
     fn short_final_batch_and_tiny_runs_work() {
-        // runs not a multiple of batch, fewer runs than workers.
-        let opts = McOptions {
-            runs: 7,
-            batch: 3,
-            ..McOptions::default()
-        };
+        // A run count that is not a multiple of the batch, and fewer
+        // batches (or runs) than workers.
         let experiment = exponential_experiment(2.0, 10.0);
-        let a = study(8, vec![1.0, 2.0], 10.0, 3, &opts, &experiment).unwrap();
-        assert_eq!(a.total_runs(), 7);
-        let b = study(1, vec![1.0, 2.0], 10.0, 3, &opts, &experiment).unwrap();
-        assert_eq!(a, b);
+        for runs in [7, 2 * BATCH + 7] {
+            let a = study(8, vec![1.0, 2.0], 10.0, 3, runs, &experiment).unwrap();
+            assert_eq!(a.total_runs(), runs);
+            let b = study(1, vec![1.0, 2.0], 10.0, 3, runs, &experiment).unwrap();
+            assert_eq!(a, b, "runs = {runs}");
+        }
     }
 }

@@ -12,15 +12,11 @@
 //!   on;
 //! * [`trajectory`] — CTMC jump sampling: the start state from `α` and
 //!   each successor from the embedded jump chain;
-//! * [`replication`] — replication management: fixed-count experiments,
-//!   exact empirical lifetime distributions and Wilson confidence
-//!   intervals (O(runs) memory — the order-statistics reference);
 //! * [`streaming`] — O(grid)-memory lifetime studies: fixed-grid
 //!   depletion counts plus moment sketches, mergeable in batch order;
-//! * [`engine`] — the parallel streaming Monte Carlo engine: scoped
-//!   workers executing replication batches, with an adaptive
-//!   Wilson-half-width stopping rule, **bit-identical for any thread
-//!   count**.
+//! * [`engine`] — the one Monte Carlo entry point: a fixed run count
+//!   executed in replication batches on scoped workers,
+//!   **bit-identical for any thread count**.
 //!
 //! # Examples
 //!
@@ -29,14 +25,13 @@
 //!
 //! ```
 //! use markov::budget::Budget;
-//! use sim::engine::{run_study, McOptions, Replication};
+//! use sim::engine::{run_study, Replication};
 //!
-//! let opts = McOptions { runs: 1_000_000, ..McOptions::default() };
 //! let exponential = |rng: &mut sim::rng::SimRng| {
 //!     let t = rng.exponential(1.0);
 //!     if t <= 4.0 { Replication::Depleted(t) } else { Replication::Censored }
 //! };
-//! let study = run_study(4, vec![0.5, 1.0, 2.0], 4.0, 7, &opts, &exponential, &Budget::unlimited())
+//! let study = run_study(4, vec![0.5, 1.0, 2.0], 4.0, 7, 1_000_000, &exponential, &Budget::unlimited())
 //!     .unwrap();
 //! assert_eq!(study.total_runs(), 1_000_000);
 //! assert!((study.empty_probability(1) - (1.0 - (-1.0f64).exp())).abs() < 2e-3);
@@ -45,7 +40,6 @@
 #![forbid(unsafe_code)]
 
 pub mod engine;
-pub mod replication;
 pub mod rng;
 pub mod streaming;
 pub mod trajectory;

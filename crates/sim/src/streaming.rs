@@ -1,7 +1,8 @@
 //! Streaming (O(grid)-memory) lifetime studies.
 //!
-//! [`crate::replication::LifetimeStudy`] keeps every observed lifetime,
-//! so 10⁷ replications cost 80 MB before analysis starts.
+//! The paper's simulation curves are empirical CDFs read on a query
+//! grid. Keeping every observed lifetime to draw them would cost 80 MB
+//! per 10⁷ replications before analysis starts, so
 //! [`StreamingLifetimeStudy`] folds each replication outcome into
 //! fixed-size state the moment it is produced:
 //!
@@ -9,7 +10,8 @@
 //!   lifetimes in `(t_{i−1}, t_i]`, an overflow bucket catches
 //!   depletions between the last grid point and the censoring horizon —
 //!   giving the exact integer `#{lifetimes ≤ t_i}` at every grid point
-//!   (identical to what the exact study reports there);
+//!   (the empirical CDF of all outcomes, censored ones included, read
+//!   at `t_i`);
 //! * **moment sketches** — count/mean/M2 of the observed
 //!   lifetimes via [`numerics::stats::StreamingMoments`].
 //!
@@ -280,8 +282,9 @@ impl StreamingLifetimeStudy {
             .collect()
     }
 
-    /// The largest 95 % Wilson half-width over the grid — the adaptive
-    /// stopping rule's error measure (0 before any replication).
+    /// The largest 95 % Wilson half-width over the grid (0 before any
+    /// replication). Each interval covers its own grid point only; the
+    /// sup-norm band is [`numerics::stats::dkw_half_width`].
     pub fn max_half_width(&self) -> f64 {
         self.cumulative_counts()
             .into_iter()
@@ -336,8 +339,7 @@ mod tests {
     }
 
     #[test]
-    fn counts_match_the_exact_study_at_grid_points() {
-        use crate::replication::LifetimeStudy;
+    fn counts_match_the_outcomes_at_grid_points() {
         let outcomes = [
             Some(5.0),
             Some(10.0), // exactly on a grid point: counts at that point
@@ -351,13 +353,18 @@ mod tests {
         for o in outcomes {
             s.fold(o).unwrap();
         }
-        let exact = LifetimeStudy::new(&outcomes, 50.0).unwrap();
         assert_eq!(s.total_runs(), 7);
         assert_eq!(s.depleted_runs(), 5);
         for (i, &t) in grid().iter().enumerate() {
-            assert_eq!(s.depleted_at(i) as usize, exact.depleted_at(t), "t = {t}");
-            assert_eq!(s.empty_probability(i), exact.empty_probability(t));
-            assert_eq!(s.confidence_half_width(i), exact.confidence_half_width(t));
+            // The empirical CDF of the outcomes at t: censored runs
+            // count in the denominator only.
+            let depleted = outcomes.iter().flatten().filter(|&&x| x <= t).count() as u64;
+            assert_eq!(s.depleted_at(i), depleted, "t = {t}");
+            assert_eq!(s.empty_probability(i), depleted as f64 / 7.0);
+            assert_eq!(
+                s.confidence_half_width(i),
+                wilson_ci_half_width(depleted, 7, Z_95)
+            );
         }
         assert_eq!(
             s.cumulative_counts(),
@@ -365,9 +372,9 @@ mod tests {
             "prefix sums over buckets"
         );
         assert_eq!(s.curve()[1], (20.0, 3.0 / 7.0));
-        // Moments agree with the exact study's observed sample.
+        // Moments agree with the observed sample.
         let m = s.mean_observed_lifetime().unwrap();
-        assert!((m - exact.mean_observed_lifetime().unwrap()).abs() < 1e-12);
+        assert!((m - (5.0 + 10.0 + 15.0 + 35.0 + 45.0) / 5.0).abs() < 1e-12);
     }
 
     #[test]
@@ -460,6 +467,42 @@ mod tests {
         // Beyond the depleted fraction: unidentified.
         assert_eq!(s.lifetime_quantile(0.9), None);
         assert_eq!(s.lifetime_quantile(1.5), None);
+    }
+
+    proptest::proptest! {
+        /// The documented quantile: the smallest grid time at or after
+        /// the order-statistics quantile of the same outcomes (the
+        /// smallest observed lifetime `x` with `#{lifetimes ≤ x}/n ≥ q`,
+        /// censored runs counting in `n` only), or `None` when that
+        /// quantile is unidentified or lies past the last grid point.
+        #[test]
+        fn quantile_is_the_first_grid_time_at_or_after_the_order_statistic(
+            raw in proptest::collection::vec(-20.0f64..50.0, 1..80),
+            q in 0.001f64..=1.0,
+            k in 0usize..80,
+        ) {
+            use proptest::prelude::*;
+            // Negative draws are censored runs; flooring the rest puts
+            // ties and exact grid hits into the sample.
+            let outcomes: Vec<Option<f64>> =
+                raw.iter().map(|&x| (x >= 0.0).then(|| x.floor())).collect();
+            // Every other case asks for a level k/n the empirical CDF
+            // reaches exactly, where `≥` and `>` part ways.
+            let n = outcomes.len();
+            let q = if k % 2 == 0 { q } else { (k / 2).clamp(1, n) as f64 / n as f64 };
+            let mut s = StreamingLifetimeStudy::new(grid(), 50.0).unwrap();
+            for &o in &outcomes {
+                s.fold(o).unwrap();
+            }
+            let mut observed: Vec<f64> = outcomes.iter().flatten().copied().collect();
+            observed.sort_by(f64::total_cmp);
+            let order_statistic = (1..=observed.len())
+                .find(|&k| k as f64 / n as f64 >= q)
+                .map(|k| observed[k - 1]);
+            let expected =
+                order_statistic.and_then(|x| grid().into_iter().find(|&t| t >= x));
+            prop_assert_eq!(s.lifetime_quantile(q), expected);
+        }
     }
 
     #[test]

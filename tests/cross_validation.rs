@@ -5,10 +5,12 @@
 //! `Scenario` → `LifetimeSolver` → `LifetimeDistribution` pipeline.
 
 use kibamrm::scenario::Scenario;
+use kibamrm::simulate::simulate_lifetime;
 use kibamrm::solver::{
     Budget, DiscretisationSolver, LifetimeSolver, SericolaSolver, SimulationSolver, SolverRegistry,
 };
 use kibamrm::workload::Workload;
+use sim::rng::SimRng;
 use units::{Charge, Current, Frequency, Rate, Time};
 
 fn simple_linear() -> Scenario {
@@ -182,11 +184,23 @@ fn on_off_two_wells_methods_agree_roughly() {
         .unwrap();
     let approx = DiscretisationSolver::new().solve(&scenario).unwrap();
     let median_approx = approx.median().expect("median reached").as_seconds();
-    let study = SimulationSolver::new()
-        .with_horizon(Time::from_seconds(25_000.0))
-        .study(&scenario)
-        .unwrap();
-    let median_sim = study.lifetime_quantile(0.5).unwrap();
+    // The simulated median is an order statistic: collect the 800
+    // lifetimes the simulation backend would draw (replication `i` on
+    // stream `i` of the scenario's seed) and take the left-continuous
+    // inverse of their empirical CDF.
+    let model = scenario.to_model().unwrap();
+    let horizon = Time::from_seconds(25_000.0);
+    let mut lifetimes: Vec<f64> = (0..scenario.sim_runs() as u64)
+        .map(|i| {
+            let mut rng = SimRng::stream(scenario.sim_seed(), i);
+            simulate_lifetime(&model, horizon, &mut rng)
+                .unwrap()
+                .expect("every run depletes by 25 000 s")
+                .as_seconds()
+        })
+        .collect();
+    lifetimes.sort_by(f64::total_cmp);
+    let median_sim = lifetimes[(0.5 * lifetimes.len() as f64).ceil() as usize - 1];
     let rel = (median_approx - median_sim).abs() / median_sim;
     assert!(
         rel < 0.05,
