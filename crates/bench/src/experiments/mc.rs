@@ -79,7 +79,7 @@ pub(crate) fn gate_facts(runs: usize, seed: u64) -> Result<GateFacts, String> {
     // Thread-count bit-identity: the guarantee the engine rests on.
     // The engine takes the thread count as given (no clamp to the
     // machine), which keeps the check meaningful even on a single-core
-    // CI box — real worker threads, real out-of-order completions.
+    // CI box — real worker threads, claiming batches in any order.
     let run_with = |threads: usize| {
         streaming_lifetime_study(
             &model,

@@ -288,7 +288,7 @@ impl ServiceConfig {
 
 /// A point-in-time snapshot of the service's counters and occupancy
 /// ([`LifetimeService::stats`]). Counters are cumulative since
-/// construction and survive [`LifetimeService::purge`].
+/// construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServiceStats {
     /// Queries answered from the result cache (no solve, no wait).
@@ -921,17 +921,6 @@ impl LifetimeService {
         }
     }
 
-    /// Drops every cached distribution and warm group state (counters
-    /// and in-flight solves are untouched; dropped entries do not count
-    /// as evictions). In-progress solves keep their group state alive
-    /// through their own handles and finish normally.
-    pub fn purge(&self) {
-        let mut inner = self.lock();
-        inner.cache.clear();
-        inner.cache_bytes = 0;
-        inner.warm.clear();
-    }
-
     /// Writes the current result cache to `path` as a crash-safe
     /// snapshot (see [`crate::snapshot`] for the format and the atomic
     /// write protocol). Entries are written least-recently-used first,
@@ -1438,7 +1427,7 @@ mod tests {
     }
 
     #[test]
-    fn warm_state_eviction_and_purge() {
+    fn warm_state_eviction() {
         let service = LifetimeService::with_config(
             SolverRegistry::with_default_backends(),
             ServiceConfig::default().with_warm_capacity(1),
@@ -1452,14 +1441,6 @@ mod tests {
         let stats = service.stats();
         assert_eq!(stats.warm_evictions, 1);
         assert_eq!(stats.warm_entries, 1);
-        service.purge();
-        let stats = service.stats();
-        assert_eq!((stats.cached_entries, stats.warm_entries), (0, 0));
-        assert_eq!(stats.result_cache_bytes, 0);
-        // Counters survive; the next identical query is a miss again.
-        assert_eq!(stats.misses, 2);
-        service.query(&base).unwrap();
-        assert_eq!(service.stats().misses, 3);
     }
 
     #[test]

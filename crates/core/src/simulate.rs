@@ -9,8 +9,10 @@
 //! [`simulate_lifetime`] runs one replication;
 //! [`streaming_lifetime_study`] runs a fixed count of them on
 //! [`sim::engine::run_study`]'s scoped workers and folds them into a
-//! fixed-grid [`StreamingLifetimeStudy`] (O(grid) memory, bit-identical
-//! for any thread count). Replication `i` draws from
+//! fixed-grid [`StreamingLifetimeStudy`] (O(threads · grid) memory plus
+//! 24 B per 256-run batch, bit-identical for any thread count). A
+//! replication's simulation error comes back through the engine as
+//! itself. Replication `i` draws from
 //! [`SimRng::stream`]`(seed, i)`, so a caller that needs every observed
 //! lifetime (order statistics, say) gets the same replications by
 //! calling [`simulate_lifetime`] on those streams itself.
@@ -18,11 +20,10 @@
 use crate::model::KibamRm;
 use crate::KibamRmError;
 use markov::Budget;
-use sim::engine::{run_study, EngineError, Replication};
+use sim::engine::{run_study, EngineError};
 use sim::rng::SimRng;
 use sim::streaming::StreamingLifetimeStudy;
 use sim::trajectory::{next_state, sample_initial};
-use std::sync::Mutex;
 use units::Time;
 
 /// Simulates one battery lifetime, up to `horizon`.
@@ -76,25 +77,27 @@ pub fn simulate_lifetime(
 
 /// Runs `runs` independent lifetime simulations (the paper uses 1000)
 /// as the parallel streaming study: replications on up to `threads`
-/// workers, folded into a fixed-grid accumulator over `grid` (O(grid)
-/// memory), under a cooperative [`Budget`]. Results are bit-identical
-/// for any worker count.
+/// workers, folded into a fixed-grid accumulator over `grid`
+/// (O(threads · grid) memory plus 24 B per 256-run batch), under a
+/// cooperative [`Budget`]. Results are bit-identical for any worker
+/// count.
 ///
 /// A study where no run depleted is returned as the valid all-zero curve
 /// (`depleted_runs() == 0`), **not** an error — one long-lived scenario
 /// must not abort a whole sweep.
 ///
-/// The budget is checked once per batch checkpoint; an exhausted budget
-/// stops dispatching (the batches in flight finish first) and surfaces
-/// [`KibamRmError::DeadlineExceeded`] with the replications that merged
-/// into the study.
+/// The budget is checked once per claimed batch; an exhausted budget
+/// stops the claiming (batches already running finish first) and
+/// surfaces [`KibamRmError::DeadlineExceeded`] with the replications of
+/// the completed batches.
 ///
 /// # Errors
 ///
 /// [`KibamRmError::InvalidWorkload`] on empty/unsorted grids, a horizon
 /// short of the grid, or a zero replication count;
-/// [`KibamRmError::DeadlineExceeded`] on budget exhaustion; the first
-/// per-replication simulation error otherwise.
+/// [`KibamRmError::DeadlineExceeded`] on budget exhaustion; otherwise
+/// the simulation error of the lowest-index failing replication batch,
+/// the same at every thread count.
 pub fn streaming_lifetime_study(
     model: &KibamRm,
     grid: &[Time],
@@ -109,17 +112,8 @@ pub fn streaming_lifetime_study(
             "a lifetime study needs at least one replication".into(),
         ));
     }
-    // The engine sees a plain `Replication`; the actual error object
-    // crosses back through this mutex (first writer wins).
-    let first_error: Mutex<Option<KibamRmError>> = Mutex::new(None);
-    let experiment = |rng: &mut SimRng| match simulate_lifetime(model, horizon, rng) {
-        Ok(Some(t)) => Replication::Depleted(t.as_seconds()),
-        Ok(None) => Replication::Censored,
-        Err(e) => {
-            let mut slot = first_error.lock().expect("error mutex poisoned");
-            slot.get_or_insert(e);
-            Replication::Abort
-        }
+    let experiment = |rng: &mut SimRng| {
+        simulate_lifetime(model, horizon, rng).map(|t| t.map(|t| t.as_seconds()))
     };
     let grid_seconds: Vec<f64> = grid.iter().map(|t| t.as_seconds()).collect();
     run_study(
@@ -132,16 +126,13 @@ pub fn streaming_lifetime_study(
         budget,
     )
     .map_err(|e| match e {
-        EngineError::Aborted => first_error
-            .into_inner()
-            .expect("error mutex poisoned")
-            .unwrap_or_else(|| {
-                KibamRmError::InvalidWorkload("simulation aborted without an error".into())
-            }),
+        EngineError::Experiment(e) => e,
         EngineError::DeadlineExceeded { completed_runs } => KibamRmError::DeadlineExceeded {
             completed: completed_runs as usize,
         },
-        other => KibamRmError::InvalidWorkload(format!("simulation engine: {other}")),
+        EngineError::Streaming(e) => {
+            KibamRmError::InvalidWorkload(format!("simulation engine: {e}"))
+        }
     })
 }
 

@@ -357,12 +357,14 @@ impl GroupState for DiscretisationGroupState {
 /// Monte Carlo over the exact KiBaMRM dynamics as a solver — the
 /// parallel streaming engine ([`sim::engine::run_study`]).
 ///
-/// Replications run on scoped workers in fixed batches whose partial
-/// accumulators merge in batch order, with per-replication
-/// counter-derived RNG streams — so a solve's result is **bit-identical
-/// for any thread count** (the same guarantee the SpMV pool gives the
-/// uniformisation engine). Memory is O(time-grid), independent of the
-/// replication count, which makes 10⁶–10⁷ replications practical.
+/// Scoped workers (the calling thread among them) claim fixed 256-run
+/// batches from one atomic cursor and draw per-replication
+/// counter-derived RNG streams; depletion counts add exactly and the
+/// per-batch moment partials merge in batch order — so a solve's result
+/// is **bit-identical for any thread count** (the same guarantee the
+/// SpMV pool gives the uniformisation engine). Memory is
+/// O(threads · time-grid) plus 24 B per batch (about 0.9 MB at 10⁷
+/// replications), which makes 10⁶–10⁷ replications practical.
 ///
 /// A solve runs exactly the scenario's [`sim_runs`](Scenario::sim_runs)
 /// replications. For a target sup-norm band `ε` at confidence `1−α`,
@@ -435,10 +437,10 @@ impl SimulationSolver {
     }
 
     /// The streaming study behind a solve: fixed-grid depletion counts
-    /// over the scenario's query times plus moment sketches, produced by
+    /// over the scenario's query times plus a moment sketch, produced by
     /// the parallel engine from the scenario's `sim_runs` replications
-    /// under a cooperative [`Budget`] (O(grid) memory, bit-identical for
-    /// any thread count), on this solver's
+    /// under a cooperative [`Budget`] (bit-identical for any thread
+    /// count), on this solver's
     /// [`with_threads`](SimulationSolver::with_threads) workers. An
     /// all-censored study is the valid all-zero curve.
     ///
@@ -779,7 +781,12 @@ impl SolverRegistry {
             let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(drain)).collect();
             let mut solved = drain();
             for helper in helpers {
-                solved.extend(helper.join().expect("sweep worker panicked"));
+                // A backend's panic reaches the caller with its payload.
+                solved.extend(
+                    helper
+                        .join()
+                        .unwrap_or_else(|payload| std::panic::resume_unwind(payload)),
+                );
             }
             solved
         });
@@ -1393,6 +1400,61 @@ mod tests {
         assert!(registry.cross_validate(&small_linear()).is_err());
         // Debug formatting lists backend names.
         assert!(format!("{registry:?}").contains("refuser"));
+    }
+
+    #[test]
+    fn sweep_reraises_a_helper_panic_with_its_message() {
+        // The backend panics only off the calling thread, and the calling
+        // thread's first solve waits until a helper has started one, so a
+        // helper claims a group and panics.
+        struct PanicsOffCaller {
+            caller: std::thread::ThreadId,
+            rendezvous: std::sync::Barrier,
+            met: std::sync::atomic::AtomicBool,
+        }
+        impl LifetimeSolver for PanicsOffCaller {
+            fn name(&self) -> &'static str {
+                "panics-off-caller"
+            }
+            fn capability(&self, _s: &Scenario) -> Capability {
+                Capability::Exact
+            }
+            fn solve_in(
+                &self,
+                s: &Scenario,
+                _state: Option<&mut dyn GroupState>,
+                _budget: &Budget,
+            ) -> Result<LifetimeDistribution, KibamRmError> {
+                if std::thread::current().id() != self.caller {
+                    self.rendezvous.wait();
+                    panic!("backend failed off the calling thread");
+                }
+                if !self.met.swap(true, Ordering::Relaxed) {
+                    self.rendezvous.wait();
+                }
+                LifetimeDistribution::new(
+                    "panics-off-caller",
+                    s.times().iter().map(|&t| (t, 0.5)).collect(),
+                    SolveDiagnostics::default(),
+                )
+            }
+        }
+        let batch: Vec<Scenario> = (0..8)
+            .map(|i| small_linear().with_name(format!("s{i}")))
+            .collect();
+        let mut registry = SolverRegistry::empty().with_sweep_threads(2);
+        registry.register(Box::new(PanicsOffCaller {
+            caller: std::thread::current().id(),
+            rendezvous: std::sync::Barrier::new(2),
+            met: Default::default(),
+        }));
+        let payload =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| registry.sweep(&batch)))
+                .expect_err("the helper's panic reaches the caller");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"backend failed off the calling thread")
+        );
     }
 
     #[test]

@@ -51,10 +51,9 @@ pub fn dkw_half_width(samples: u64, alpha: f64) -> f64 {
 /// The 97.5 % standard-normal quantile, for 95 % two-sided intervals.
 pub const Z_95: f64 = 1.959963984540054;
 
-/// Streaming (single-pass) sample moments: count, mean and the centred
-/// sum of squares, updated by Welford's recurrence and mergeable
-/// by Chan's pairwise rule — the `O(1)`-memory replacement for collecting
-/// samples into a `Vec` first.
+/// Streaming (single-pass) sample moments: count and mean, updated by
+/// Welford's recurrence and mergeable by Chan's pairwise rule — the
+/// `O(1)`-memory replacement for collecting samples into a `Vec` first.
 ///
 /// Merging is **deterministic**: `a.merge(&b)` is a fixed sequence of
 /// floating-point operations, so folding the same partition of a sample
@@ -75,14 +74,11 @@ pub const Z_95: f64 = 1.959963984540054;
 /// }
 /// assert_eq!(m.count(), 8);
 /// assert_eq!(m.mean(), Some(5.0));
-/// assert!((m.variance().unwrap() - 32.0 / 7.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct StreamingMoments {
     count: u64,
     mean: f64,
-    /// Centred sum of squares `Σ (x − mean)²` (a.k.a. Welford's `M2`).
-    m2: f64,
 }
 
 impl StreamingMoments {
@@ -100,9 +96,7 @@ impl StreamingMoments {
     pub fn push(&mut self, x: f64) {
         debug_assert!(!x.is_nan(), "streaming moments fed NaN");
         self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
+        self.mean += (x - self.mean) / self.count as f64;
     }
 
     /// Merges another accumulator in (Chan's parallel update). The
@@ -117,12 +111,9 @@ impl StreamingMoments {
             *self = other.clone();
             return;
         }
-        let n1 = self.count as f64;
         let n2 = other.count as f64;
-        let n = n1 + n2;
-        let delta = other.mean - self.mean;
-        self.mean += delta * (n2 / n);
-        self.m2 += other.m2 + delta * delta * (n1 * n2 / n);
+        let n = self.count as f64 + n2;
+        self.mean += (other.mean - self.mean) * (n2 / n);
         self.count += other.count;
     }
 
@@ -134,21 +125,6 @@ impl StreamingMoments {
     /// Sample mean (`None` when empty).
     pub fn mean(&self) -> Option<f64> {
         (self.count > 0).then_some(self.mean)
-    }
-
-    /// Unbiased sample variance (n−1 denominator; 0 for singletons,
-    /// `None` when empty).
-    pub fn variance(&self) -> Option<f64> {
-        match self.count {
-            0 => None,
-            1 => Some(0.0),
-            n => Some(self.m2 / (n - 1) as f64),
-        }
-    }
-
-    /// Sample standard deviation (`None` when empty).
-    pub fn std_dev(&self) -> Option<f64> {
-        self.variance().map(f64::sqrt)
     }
 }
 
@@ -202,21 +178,13 @@ mod tests {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         let mut m = StreamingMoments::new();
         assert_eq!(m.mean(), None);
-        assert_eq!(m.variance(), None);
         for x in xs {
             m.push(x);
         }
         assert_eq!(m.count(), 8);
-        // The two-pass batch estimators over the same sample.
+        // The batch estimator over the same sample.
         let mean = xs.iter().sum::<f64>() / 8.0;
-        let variance = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / 7.0;
         assert!((m.mean().unwrap() - mean).abs() < 1e-12);
-        assert!((m.variance().unwrap() - variance).abs() < 1e-12);
-        assert!((m.std_dev().unwrap() - variance.sqrt()).abs() < 1e-12);
-        // Singletons have zero variance (the n−1 estimator's convention).
-        let mut one = StreamingMoments::new();
-        one.push(3.0);
-        assert_eq!(one.variance(), Some(0.0));
     }
 
     #[test]
@@ -243,7 +211,6 @@ mod tests {
         let merged = merge_parts(64);
         assert_eq!(merged.count(), whole.count());
         assert!((merged.mean().unwrap() - whole.mean().unwrap()).abs() < 1e-9);
-        assert!((merged.variance().unwrap() - whole.variance().unwrap()).abs() < 1e-9);
         // Merging an empty accumulator is the identity.
         let mut m = merge_parts(128);
         let before = m.clone();

@@ -1,10 +1,11 @@
 //! The parallel streaming Monte Carlo engine.
 //!
-//! [`run_study`] executes replications in batches on scoped workers
-//! (spawned with [`std::thread::scope`], joined before it
-//! returns) and folds them into a [`StreamingLifetimeStudy`], making
-//! 10⁶–10⁷ replications practical: memory stays O(time-grid + threads),
-//! never O(runs).
+//! [`run_study`] executes replications in fixed batches on scoped
+//! workers (spawned with [`std::thread::scope`] and joined before it
+//! returns; the calling thread is one of them) and folds them into a
+//! [`StreamingLifetimeStudy`], making 10⁶–10⁷ replications practical:
+//! memory is O(threads · grid) for the depletion counts plus one
+//! 24-byte moment partial per 256-run batch (about 0.9 MB at 10⁷ runs).
 //!
 //! # Determinism: bit-identical for any thread count
 //!
@@ -12,17 +13,18 @@
 //! `(grid, horizon, seed, runs, experiment)` — independent of how
 //! many workers computed it:
 //!
-//! 1. **Counter-derived streams.** Replication `r` always draws from
-//!    [`SimRng::stream`]`(master_seed, r)`; workers claim replication
+//! 1. **Counter-derived streams.** The `r`-th replication always draws
+//!    from [`SimRng::stream`]`(master_seed, r)`; workers claim replication
 //!    *indices*, they never share a sequential generator.
-//! 2. **Fixed batch schedule.** Replications are grouped into batches of
-//!    256 consecutive indices. The schedule depends only on the run
+//! 2. **Fixed batch schedule.** Every batch holds 256 consecutive
+//!    replication indices (the last one may be short). The schedule depends only on the run
 //!    count, never on the worker count.
-//! 3. **In-order merging.** Batch partials are merged into the study in
-//!    batch-index order (out-of-order completions wait in a bounded
-//!    buffer). The sequential path uses the *same* batch-then-merge
-//!    structure, so `threads = 1` and `threads = 8` perform the exact
-//!    same floating-point operations in the same order.
+//! 3. **Exact counts, ordered moments.** Integer depletion counts add
+//!    exactly in any order, so each worker sums its own. The
+//!    floating-point moment sketch is kept per batch, and the partials
+//!    are merged in batch-index order once the workers have joined, so
+//!    one worker and eight perform the same floating-point operations
+//!    in the same order.
 //!
 //! The run count is fixed up front. For a target sup-norm band `ε` at
 //! confidence `1−α`, the Dvoretzky–Kiefer–Wolfowitz count
@@ -32,45 +34,32 @@
 use crate::rng::SimRng;
 use crate::streaming::{StreamingError, StreamingLifetimeStudy};
 use markov::budget::Budget;
-use std::collections::BTreeMap;
+use numerics::stats::StreamingMoments;
 use std::fmt;
-use std::ops::Range;
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-/// One replication's outcome, as reported by the experiment closure.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Replication {
-    /// The battery emptied at the given time (`≤` horizon).
-    Depleted(f64),
-    /// The battery outlived the horizon.
-    Censored,
-    /// Abort the whole study (the caller records the underlying error
-    /// itself — e.g. in a mutex the experiment closure captures — and
-    /// the engine returns [`EngineError::Aborted`]).
-    Abort,
-}
-
-/// Errors from the streaming engine.
+/// Errors from the streaming engine; `E` is the experiment's own error.
 #[derive(Debug, Clone, PartialEq)]
-pub enum EngineError {
-    /// The experiment returned [`Replication::Abort`].
-    Aborted,
-    /// A grid/lifetime/merge error from the accumulator.
+pub enum EngineError<E> {
+    /// The experiment failed: the error of the lowest-index failing
+    /// batch (its first failing replication), whatever the thread count.
+    Experiment(E),
+    /// A grid/lifetime error from the accumulator.
     Streaming(StreamingError),
-    /// A cooperative [`Budget`] check failed at a batch checkpoint: the
-    /// study was cancelled or ran past its deadline. Carries the
-    /// replications merged before the interruption.
+    /// A cooperative [`Budget`] check failed when a batch was claimed:
+    /// the study was cancelled or ran past its deadline. Carries the
+    /// replications of the batches that completed.
     DeadlineExceeded {
-        /// Replications folded into the study before the budget expired.
+        /// The number of replications folded into the study before the
+        /// budget expired.
         completed_runs: u64,
     },
 }
 
-impl fmt::Display for EngineError {
+impl<E: fmt::Display> fmt::Display for EngineError<E> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            EngineError::Aborted => write!(f, "experiment aborted the study"),
+            EngineError::Experiment(e) => write!(f, "experiment failed: {e}"),
             EngineError::Streaming(e) => write!(f, "{e}"),
             EngineError::DeadlineExceeded { completed_runs } => {
                 write!(f, "deadline exceeded after {completed_runs} replications")
@@ -79,72 +68,88 @@ impl fmt::Display for EngineError {
     }
 }
 
-impl std::error::Error for EngineError {}
+impl<E: fmt::Debug + fmt::Display> std::error::Error for EngineError<E> {}
 
-impl From<StreamingError> for EngineError {
+impl<E> From<StreamingError> for EngineError<E> {
     fn from(e: StreamingError) -> Self {
         EngineError::Streaming(e)
     }
 }
 
-/// Replications per batch — the scheduling, merge and budget-check
-/// quantum. Small enough for load balancing, large enough that claiming
-/// a batch (one channel send/recv) is negligible against simulating it.
+/// The number of replications per batch — the scheduling, moment-merge
+/// and budget-check quantum. Small enough for load balancing, large
+/// enough that claiming a batch (one atomic add) is negligible against
+/// simulating it.
 const BATCH: u64 = 256;
 
-/// Why a batch produced no partial: an engine error, or a panic that
-/// unwound out of the experiment closure (its payload is carried back so
-/// the dispatcher can re-raise it on the caller's thread once every
-/// worker has stopped).
-enum BatchFailure {
-    Error(EngineError),
-    Panicked(Box<dyn std::any::Any + Send>),
+/// What one worker hands back once the cursor runs dry or it fails: the
+/// depletion counts of the replications it folded, the moment partial of
+/// each batch it completed, and the batch it failed on (it claims no
+/// batch after a failure).
+struct Drained<E> {
+    counts: StreamingLifetimeStudy,
+    moments: Vec<(usize, StreamingMoments)>,
+    failure: Option<(usize, EngineError<E>)>,
 }
 
-type Completion = (usize, Result<StreamingLifetimeStudy, BatchFailure>);
+/// Raises the stop flag when its worker unwinds, so a panicking
+/// experiment stops the other workers claiming, as an error does.
+struct StopOnPanic<'a>(&'a AtomicBool);
+
+impl Drop for StopOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
+}
 
 /// Runs a study of `runs` replications on up to `threads` workers:
 /// replications drawn from counter-derived streams of `master_seed`,
 /// folded into a [`StreamingLifetimeStudy`] over `grid` (censoring
-/// `horizon`), under a cooperative [`Budget`]. The result is
-/// **bit-identical for any thread count** — see the module docs for
-/// why. Zero runs give the empty study.
+/// `horizon`), under a cooperative [`Budget`]. The experiment returns
+/// the replication's lifetime (`Some`), censoring (`None`) or its own
+/// error. The result is **bit-identical for any thread count** — see
+/// the module docs for why. Zero runs give the empty study.
 ///
-/// The workers are spawned inside [`std::thread::scope`] and joined
-/// before it returns, so the experiment is an ordinary borrow.
-/// `threads ≤ 1`, or a study of one batch, runs the same batches inline
-/// on the caller's thread. The count is taken as given (callers clamp
-/// it to the machine), so the thread-count tests exercise real workers
-/// anywhere.
+/// `min(threads, batches)` workers claim batch indices from one atomic
+/// cursor; the calling thread is one of them, so `threads ≤ 1` runs the
+/// same loop with no helper spawned. The count is taken as given
+/// (callers clamp it to the machine), so the thread-count tests
+/// exercise real workers anywhere.
 ///
-/// The budget is checked once per batch checkpoint (the scheduling and
-/// merge quantum). An exhausted budget stops dispatching, lets the
-/// batches in flight finish, and returns
-/// [`EngineError::DeadlineExceeded`] with the replications merged so
-/// far. With [`Budget::unlimited`] the check is a single branch.
+/// The budget is checked once per claimed batch. An exhausted budget
+/// stops the claiming; batches already running finish, and the study
+/// reports [`EngineError::DeadlineExceeded`] with the replications of
+/// the completed batches. With [`Budget::unlimited`] the check is a
+/// single branch.
 ///
 /// # Errors
 ///
-/// Grid validation errors up front; [`EngineError::Aborted`] when the
-/// experiment returns [`Replication::Abort`] (the caller records the
-/// underlying error itself); [`EngineError::Streaming`] on
-/// NaN/negative lifetimes; [`EngineError::DeadlineExceeded`] when the
-/// budget expires.
+/// Grid validation errors up front. Otherwise the failure of the
+/// lowest-index failing batch: [`EngineError::Experiment`] with the
+/// experiment's error, [`EngineError::Streaming`] on NaN/negative
+/// lifetimes, or [`EngineError::DeadlineExceeded`] when the budget
+/// expired at that claim. Every lower batch was claimed earlier and ran
+/// to completion, so an experiment error is the same at every thread
+/// count.
 ///
 /// # Panics
 ///
-/// Re-raises a panic of the experiment on the caller's thread.
+/// Re-raises a panic of the experiment on the caller's thread, with its
+/// payload.
 ///
 /// # Examples
 ///
 /// ```
 /// use markov::budget::Budget;
-/// use sim::engine::{run_study, Replication};
+/// use sim::engine::run_study;
+/// use std::convert::Infallible;
 ///
 /// // Lifetimes ~ Exp(1), censored at 4.0.
-/// let experiment = |rng: &mut sim::rng::SimRng| {
+/// let experiment = |rng: &mut sim::rng::SimRng| -> Result<_, Infallible> {
 ///     let t = rng.exponential(1.0);
-///     if t <= 4.0 { Replication::Depleted(t) } else { Replication::Censored }
+///     Ok((t <= 4.0).then_some(t))
 /// };
 /// let study = run_study(2, vec![0.5, 1.0, 2.0], 4.0, 7, 4000, &experiment, &Budget::unlimited())
 ///     .unwrap();
@@ -152,193 +157,102 @@ type Completion = (usize, Result<StreamingLifetimeStudy, BatchFailure>);
 /// let p = study.empty_probability(1); // ≈ 1 − e⁻¹
 /// assert!((p - 0.632).abs() < 0.03);
 /// ```
-pub fn run_study(
+pub fn run_study<E: Send>(
     threads: usize,
     grid: Vec<f64>,
     horizon: f64,
     master_seed: u64,
     runs: u64,
-    experiment: &(dyn Fn(&mut SimRng) -> Replication + Sync),
+    experiment: &(dyn Fn(&mut SimRng) -> Result<Option<f64>, E> + Sync),
     budget: &Budget,
-) -> Result<StreamingLifetimeStudy, EngineError> {
-    let mut merged = StreamingLifetimeStudy::new(grid, horizon)?;
-    let batches: Vec<Range<u64>> = (0..runs)
-        .step_by(BATCH as usize)
-        .map(|start| start..(start + BATCH).min(runs))
-        .collect();
-    let workers = threads.min(batches.len());
-    if workers <= 1 {
-        // Inline path: same batch-partial-then-merge structure as
-        // the workers, so the floating-point operation sequence is
-        // identical — this is the bit-identity anchor.
-        for batch in batches {
-            if budget.check(merged.total_runs() as usize).is_err() {
-                return Err(EngineError::DeadlineExceeded {
-                    completed_runs: merged.total_runs(),
-                });
-            }
-            let partial = batch_partial(
-                merged.shared_grid(),
-                merged.horizon(),
-                master_seed,
-                batch,
-                experiment,
-            )?;
-            merged.merge(&partial)?;
-        }
-        return Ok(merged);
-    }
-
-    // Workers claim batches from one queue; completions are merged in
-    // batch order. Dispatch stays at most `cap` batches ahead of the
-    // merge watermark, so out-of-order completions wait in a buffer of
-    // at most `cap` partials — memory is O(threads · grid) regardless
-    // of the replication count.
-    let cap = 2 * workers;
-    let (job_tx, job_rx) = channel::<(usize, Range<u64>)>();
-    let job_rx = Mutex::new(job_rx);
-    let (grid, horizon) = (merged.shared_grid(), merged.horizon());
-    let failure = std::thread::scope(|scope| {
-        // Owned by this closure: however it exits, dropping the sender
-        // ends every worker loop before the scope joins them.
-        let job_tx = job_tx;
-        let (done_tx, done_rx) = channel::<Completion>();
-        for _ in 0..workers {
-            let (job_rx, grid, done_tx) = (&job_rx, &grid, done_tx.clone());
-            scope.spawn(move || {
-                worker_loop(job_rx, &done_tx, grid, horizon, master_seed, experiment);
-            });
-        }
-        drop(done_tx);
-        let mut next = 0usize; // next batch to dispatch
-        let mut watermark = 0usize; // batches merged so far
-        let mut in_flight = 0usize;
-        let mut pending: BTreeMap<usize, StreamingLifetimeStudy> = BTreeMap::new();
-        let mut failure: Option<BatchFailure> = None;
-        loop {
-            while failure.is_none() && next < batches.len() && next < watermark + cap {
-                // Budget checkpoint per dispatched batch. An exhausted
-                // budget stops dispatching; the batches in flight still
-                // finish and are collected below.
-                if budget.check(next.saturating_mul(BATCH as usize)).is_err() {
-                    failure = Some(BatchFailure::Error(EngineError::DeadlineExceeded {
-                        completed_runs: 0, // patched with the merged total below
-                    }));
-                    break;
-                }
-                job_tx
-                    .send((next, batches[next].clone()))
-                    .expect("mc worker hung up");
-                next += 1;
-                in_flight += 1;
-            }
-            if in_flight == 0 {
+) -> Result<StreamingLifetimeStudy, EngineError<E>> {
+    let mut study = StreamingLifetimeStudy::new(grid, horizon)?;
+    let batches = runs.div_ceil(BATCH) as usize;
+    let batch = |index: usize| {
+        let start = index as u64 * BATCH;
+        start..(start + BATCH).min(runs)
+    };
+    // The cursor only hands out indices and the flag only stops the
+    // claiming (results come back through `join`), so `Relaxed`
+    // suffices for both.
+    let next = AtomicUsize::new(0);
+    let stop = AtomicBool::new(false);
+    let drain = || {
+        let _stop_on_panic = StopOnPanic(&stop);
+        let mut done = Drained {
+            counts: study.clone(), // empty, sharing the grid
+            moments: Vec::new(),
+            failure: None,
+        };
+        while !stop.load(Ordering::Relaxed) {
+            let index = next.fetch_add(1, Ordering::Relaxed);
+            if index >= batches {
                 break;
             }
-            let (index, result) = done_rx.recv().expect("mc worker died");
-            in_flight -= 1;
-            match result {
-                Err(f) => {
-                    // First failure wins, except that a panic always
-                    // displaces a plain error — swallowing a panic
-                    // payload would hide the bug that caused it.
-                    let panicked = matches!(f, BatchFailure::Panicked(_));
-                    if failure.is_none()
-                        || (panicked && !matches!(failure, Some(BatchFailure::Panicked(_))))
-                    {
-                        failure = Some(f);
-                    }
-                }
-                Ok(partial) => {
-                    pending.insert(index, partial);
-                }
-            }
-            if failure.is_none() {
-                while let Some(partial) = pending.remove(&watermark) {
-                    if let Err(e) = merged.merge(&partial) {
-                        failure.get_or_insert(BatchFailure::Error(e.into()));
-                        break;
-                    }
-                    watermark += 1;
+            let counts = &mut done.counts;
+            let ran = budget
+                .check(counts.total_runs() as usize)
+                .map_err(|_| EngineError::DeadlineExceeded { completed_runs: 0 })
+                .and_then(|()| {
+                    batch(index).try_for_each(|r| {
+                        let outcome = experiment(&mut SimRng::stream(master_seed, r))
+                            .map_err(EngineError::Experiment)?;
+                        Ok(counts.fold(outcome)?)
+                    })
+                });
+            match ran {
+                Ok(()) => done
+                    .moments
+                    .push((index, std::mem::take(&mut done.counts.moments))),
+                Err(e) => {
+                    stop.store(true, Ordering::Relaxed);
+                    done.failure = Some((index, e));
                 }
             }
         }
-        debug_assert!(
-            failure.is_some() || watermark == batches.len(),
-            "every batch merged"
-        );
-        failure
+        done
+    };
+    let mut drained = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..threads.min(batches))
+            .map(|_| scope.spawn(drain))
+            .collect();
+        let mut drained = vec![drain()];
+        for helper in helpers {
+            drained.push(
+                helper
+                    .join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload)),
+            );
+        }
+        drained
     });
+
+    let mut parts: Vec<(usize, StreamingMoments)> = drained
+        .iter_mut()
+        .flat_map(|d| std::mem::take(&mut d.moments))
+        .collect();
+    let failure = drained
+        .iter_mut()
+        .filter_map(|d| d.failure.take())
+        .min_by_key(|&(index, _)| index);
     match failure {
-        // Report what actually landed in the study, not what was
-        // dispatched: merged replications are the usable work.
-        Some(BatchFailure::Error(EngineError::DeadlineExceeded { .. })) => {
-            Err(EngineError::DeadlineExceeded {
-                completed_runs: merged.total_runs(),
-            })
-        }
-        Some(BatchFailure::Error(e)) => Err(e),
-        // The scope has joined every worker, so the panic resumes on
-        // the caller's thread — the same observable behaviour as the
-        // inline path.
-        Some(BatchFailure::Panicked(payload)) => std::panic::resume_unwind(payload),
-        None => Ok(merged),
-    }
-}
-
-/// Folds the replications of one batch into a fresh partial. Shared by
-/// the inline and worker paths — bit-identity across thread counts
-/// reduces to "same batches, same merge order".
-fn batch_partial(
-    grid: Arc<[f64]>,
-    horizon: f64,
-    master_seed: u64,
-    reps: Range<u64>,
-    experiment: &(dyn Fn(&mut SimRng) -> Replication + Sync),
-) -> Result<StreamingLifetimeStudy, EngineError> {
-    let mut partial = StreamingLifetimeStudy::from_shared_grid(grid, horizon);
-    for r in reps {
-        let mut rng = SimRng::stream(master_seed, r);
-        match experiment(&mut rng) {
-            Replication::Depleted(t) => partial.fold(Some(t))?,
-            Replication::Censored => partial.fold(None)?,
-            Replication::Abort => return Err(EngineError::Aborted),
-        }
-    }
-    Ok(partial)
-}
-
-fn worker_loop(
-    jobs: &Mutex<Receiver<(usize, Range<u64>)>>,
-    done: &Sender<Completion>,
-    grid: &Arc<[f64]>,
-    horizon: f64,
-    master_seed: u64,
-    experiment: &(dyn Fn(&mut SimRng) -> Replication + Sync),
-) {
-    loop {
-        // Hold the queue lock only for the claim, not the computation.
-        let claimed = { jobs.lock().expect("mc queue poisoned").recv() };
-        let Ok((batch_index, reps)) = claimed else {
-            return;
-        };
-        // A panicking experiment must still produce its completion
-        // message — a swallowed unwind would leave the dispatcher
-        // waiting forever — so the unwind is caught here and re-raised
-        // on the caller's thread once every worker is joined.
-        // (AssertUnwindSafe: the only state crossing the boundary is
-        // the experiment's own captured state, which the panic already
-        // exposes on the inline path too.)
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            batch_partial(Arc::clone(grid), horizon, master_seed, reps, experiment)
-        }));
-        let result = match result {
-            Ok(Ok(partial)) => Ok(partial),
-            Ok(Err(e)) => Err(BatchFailure::Error(e)),
-            Err(payload) => Err(BatchFailure::Panicked(payload)),
-        };
-        if done.send((batch_index, result)).is_err() {
-            return; // the dispatcher stopped listening
+        Some((_, EngineError::DeadlineExceeded { .. })) => Err(EngineError::DeadlineExceeded {
+            completed_runs: parts
+                .iter()
+                .map(|&(index, _)| batch(index))
+                .map(|reps| reps.end - reps.start)
+                .sum(),
+        }),
+        Some((_, e)) => Err(e),
+        None => {
+            for d in &drained {
+                study.merge(&d.counts);
+            }
+            parts.sort_unstable_by_key(|&(index, _)| index);
+            for (_, m) in &parts {
+                study.moments.merge(m);
+            }
+            Ok(study)
         }
     }
 }
@@ -346,31 +260,28 @@ fn worker_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::convert::Infallible;
 
     /// Exp(rate) lifetimes censored at `horizon`.
     fn exponential_experiment(
         rate: f64,
         horizon: f64,
-    ) -> impl Fn(&mut SimRng) -> Replication + Sync {
+    ) -> impl Fn(&mut SimRng) -> Result<Option<f64>, Infallible> + Sync {
         move |rng: &mut SimRng| {
             let t = rng.exponential(rate);
-            if t <= horizon {
-                Replication::Depleted(t)
-            } else {
-                Replication::Censored
-            }
+            Ok((t <= horizon).then_some(t))
         }
     }
 
     /// [`run_study`] with no deadline.
-    fn study(
+    fn study<E: Send>(
         threads: usize,
         grid: Vec<f64>,
         horizon: f64,
         seed: u64,
         runs: u64,
-        experiment: &(dyn Fn(&mut SimRng) -> Replication + Sync),
-    ) -> Result<StreamingLifetimeStudy, EngineError> {
+        experiment: &(dyn Fn(&mut SimRng) -> Result<Option<f64>, E> + Sync),
+    ) -> Result<StreamingLifetimeStudy, EngineError<E>> {
         run_study(
             threads,
             grid,
@@ -410,31 +321,70 @@ mod tests {
     }
 
     #[test]
-    fn abort_propagates() {
-        let aborting = |rng: &mut SimRng| {
-            if rng.uniform() < 0.01 {
-                Replication::Abort
+    fn experiment_errors_propagate() {
+        // Every replication whose first draw falls under 0.01 fails,
+        // reporting that draw; the study reports the first of them.
+        let failing = |rng: &mut SimRng| {
+            let u = rng.uniform();
+            if u < 0.01 {
+                Err(u)
             } else {
-                Replication::Censored
+                Ok(None)
             }
         };
+        let first = (0..1000)
+            .map(|r| SimRng::stream(5, r).uniform())
+            .find(|&u| u < 0.01)
+            .expect("some replication fails");
         for threads in [1usize, 2] {
-            let err = study(threads, vec![1.0], 2.0, 5, 1000, &aborting).expect_err("must abort");
-            assert_eq!(err, EngineError::Aborted, "threads = {threads}");
+            let err = study(threads, vec![1.0], 2.0, 5, 1000, &failing).expect_err("must fail");
+            assert_eq!(err, EngineError::Experiment(first), "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn the_lowest_failing_batch_reports_its_error_at_every_thread_count() {
+        // Two failing replications: the last of batch 1 and the first of
+        // batch 2. With several workers, batch 1's failure waits until
+        // batch 2 has failed on another worker, so the higher batch
+        // fails first in time; batch 1's error is reported all the same.
+        let draw = |r: u64| SimRng::stream(11, r).uniform();
+        let (low, high) = (draw(2 * BATCH - 1), draw(2 * BATCH));
+        for threads in [1usize, 2, 4] {
+            let high_failed = AtomicBool::new(false);
+            let failing = |rng: &mut SimRng| {
+                let u = rng.uniform();
+                if u == high {
+                    high_failed.store(true, Ordering::Relaxed);
+                    return Err(u.to_bits());
+                }
+                if u == low {
+                    while threads > 1 && !high_failed.load(Ordering::Relaxed) {
+                        std::thread::yield_now();
+                    }
+                    return Err(u.to_bits());
+                }
+                Ok(Some(u))
+            };
+            let err =
+                study(threads, vec![0.5], 1.0, 11, 5 * BATCH, &failing).expect_err("must fail");
+            assert_eq!(
+                err,
+                EngineError::Experiment(low.to_bits()),
+                "threads = {threads}"
+            );
         }
     }
 
     #[test]
     fn a_panicking_experiment_propagates_and_does_not_deadlock() {
-        // Regression: a panic unwinding out of a worker's experiment
-        // used to swallow the worker's completion message, deadlocking
-        // the dispatcher. It must propagate to the caller, with its
-        // payload, like the inline path.
-        let panicking = |rng: &mut SimRng| {
+        // A panic unwinding out of a worker's experiment must reach the
+        // caller with its payload, like one on the calling thread.
+        let panicking = |rng: &mut SimRng| -> Result<Option<f64>, Infallible> {
             if rng.uniform() < 0.05 {
                 panic!("boom in replication");
             }
-            Replication::Censored
+            Ok(None)
         };
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             study(3, vec![1.0], 2.0, 9, 500, &panicking)
@@ -458,7 +408,8 @@ mod tests {
             assert_eq!(empty.empty_probability(0), 0.0);
         }
         // Errors display.
-        assert!(EngineError::Aborted.to_string().contains("aborted"));
+        let err: EngineError<&str> = EngineError::Experiment("no charge");
+        assert!(err.to_string().contains("no charge"));
     }
 
     #[test]
@@ -481,8 +432,8 @@ mod tests {
 
     #[test]
     fn inline_budget_cancels_at_an_exact_batch_boundary() {
-        // Inline path: one check per batch, so cancelled_after_checks(k)
-        // merges exactly k full batches before stopping.
+        // One worker: one check per batch, so cancelled_after_checks(k)
+        // completes exactly k full batches before stopping.
         let err = run_study(
             1,
             vec![1.0],
@@ -517,8 +468,8 @@ mod tests {
         let EngineError::DeadlineExceeded { completed_runs } = err else {
             panic!("wrong error: {err}");
         };
-        // Some batches may still have been in flight (unmerged) at the
-        // checkpoint; the reported work is what landed in the study.
+        // Batches already running at the failed check still finish; the
+        // reported work is what they completed.
         assert!(completed_runs < 50_000, "ran to completion");
         assert_eq!(completed_runs % BATCH, 0, "whole batches only");
     }
@@ -528,8 +479,8 @@ mod tests {
 
         /// The determinism property: across random seeds and replication
         /// counts, the study 2–8 worker threads produce is bit-identical
-        /// to the inline single-threaded study — counts, totals AND the
-        /// f64 moment sketches.
+        /// to the single-threaded study — counts, totals AND the f64
+        /// moment sketches.
         #[test]
         fn studies_are_bit_identical_across_thread_counts(
             threads in 2usize..=8,
@@ -542,7 +493,7 @@ mod tests {
             let reference = study(1, grid.clone(), 2.0, seed, runs, &experiment).unwrap();
             let got = study(threads, grid, 2.0, seed, runs, &experiment).unwrap();
             prop_assert!(got == reference,
-                "threads {} differ from inline: {:?} vs {:?}", threads, got, reference);
+                "threads {} differ from one worker: {:?} vs {:?}", threads, got, reference);
         }
     }
 

@@ -13,23 +13,26 @@
 //! * [`trajectory`] — CTMC jump sampling: the start state from `α` and
 //!   each successor from the embedded jump chain;
 //! * [`streaming`] — O(grid)-memory lifetime studies: fixed-grid
-//!   depletion counts plus moment sketches, mergeable in batch order;
+//!   depletion counts plus a moment sketch;
 //! * [`engine`] — the one Monte Carlo entry point: a fixed run count
-//!   executed in replication batches on scoped workers,
-//!   **bit-identical for any thread count**.
+//!   executed in 256-run batches that scoped workers claim from one
+//!   atomic cursor (the calling thread among them), **bit-identical for
+//!   any thread count**. Memory is O(threads · grid) plus 24 B per
+//!   batch.
 //!
 //! # Examples
 //!
 //! Streaming a million exponential lifetimes through the parallel
-//! engine in O(grid) memory:
+//! engine, censored at 4.0, with no way to fail:
 //!
 //! ```
 //! use markov::budget::Budget;
-//! use sim::engine::{run_study, Replication};
+//! use sim::engine::run_study;
+//! use std::convert::Infallible;
 //!
-//! let exponential = |rng: &mut sim::rng::SimRng| {
+//! let exponential = |rng: &mut sim::rng::SimRng| -> Result<_, Infallible> {
 //!     let t = rng.exponential(1.0);
-//!     if t <= 4.0 { Replication::Depleted(t) } else { Replication::Censored }
+//!     Ok((t <= 4.0).then_some(t))
 //! };
 //! let study = run_study(4, vec![0.5, 1.0, 2.0], 4.0, 7, 1_000_000, &exponential, &Budget::unlimited())
 //!     .unwrap();

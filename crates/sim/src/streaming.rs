@@ -12,17 +12,17 @@
 //!   giving the exact integer `#{lifetimes ≤ t_i}` at every grid point
 //!   (the empirical CDF of all outcomes, censored ones included, read
 //!   at `t_i`);
-//! * **moment sketches** — count/mean/M2 of the observed
-//!   lifetimes via [`numerics::stats::StreamingMoments`].
+//! * **a moment sketch** — count and mean of the observed lifetimes via
+//!   [`numerics::stats::StreamingMoments`].
 //!
-//! Memory is `O(grid)`, independent of the replication count. Two
-//! studies over the same grid [`merge`](StreamingLifetimeStudy::merge)
-//! in O(grid): counts add exactly (integers), moments merge by Chan's
-//! rule. The parallel engine ([`crate::engine`]) exploits this by
-//! folding fixed-size replication batches independently and merging the
-//! partials **in batch order** — a reduction tree that depends only on
-//! the batch schedule, never on which worker computed what, which is
-//! what makes its results bit-identical across thread counts.
+//! Memory is `O(grid)`, independent of the replication count. The
+//! parallel engine ([`crate::engine`]) gives each worker one study for
+//! its depletion counts, which add exactly in any order, and keeps the
+//! moment sketch of every batch apart, merging those **in batch order**
+//! (Chan's rule) once the workers have joined — a reduction that
+//! depends only on the batch schedule, never on which worker computed
+//! what, which is what makes its results bit-identical across thread
+//! counts.
 
 use numerics::stats::{wilson_ci_half_width, StreamingMoments, Z_95};
 use std::fmt;
@@ -36,8 +36,6 @@ pub enum StreamingError {
     InvalidGrid(String),
     /// A folded lifetime was NaN or negative.
     InvalidLifetime(String),
-    /// Two studies over different grids were merged.
-    GridMismatch,
 }
 
 impl fmt::Display for StreamingError {
@@ -45,9 +43,6 @@ impl fmt::Display for StreamingError {
         match self {
             StreamingError::InvalidGrid(why) => write!(f, "invalid time grid: {why}"),
             StreamingError::InvalidLifetime(why) => write!(f, "invalid lifetime: {why}"),
-            StreamingError::GridMismatch => {
-                write!(f, "streaming studies over different grids cannot merge")
-            }
         }
     }
 }
@@ -84,8 +79,10 @@ pub struct StreamingLifetimeStudy {
     buckets: Vec<u64>,
     /// All replications, censored included.
     total: u64,
-    /// Moment sketch over the observed (depleted) lifetimes.
-    moments: StreamingMoments,
+    /// Moment sketch over the observed (depleted) lifetimes. The engine
+    /// takes it out after every batch and merges the per-batch sketches
+    /// in batch order.
+    pub(crate) moments: StreamingMoments,
 }
 
 impl StreamingLifetimeStudy {
@@ -126,26 +123,6 @@ impl StreamingLifetimeStudy {
         })
     }
 
-    /// The shared grid storage (cheap to hand to worker threads; the
-    /// values behind the [`Arc`] are immutable).
-    pub(crate) fn shared_grid(&self) -> Arc<[f64]> {
-        Arc::clone(&self.grid)
-    }
-
-    /// An empty study over an already-validated shared grid — what
-    /// worker threads build their batch partials from without touching
-    /// (and racing on) the caller's merged study.
-    pub(crate) fn from_shared_grid(grid: Arc<[f64]>, horizon: f64) -> StreamingLifetimeStudy {
-        let buckets = vec![0; grid.len() + 1];
-        StreamingLifetimeStudy {
-            grid,
-            horizon,
-            buckets,
-            total: 0,
-            moments: StreamingMoments::new(),
-        }
-    }
-
     /// Folds one replication outcome in: an observed lifetime
     /// (`Some(t)`) or censoring at the horizon (`None`). O(log grid).
     ///
@@ -179,35 +156,20 @@ impl StreamingLifetimeStudy {
         Ok(())
     }
 
-    /// Merges another study over the **same** grid in (O(grid)). Counts
-    /// add exactly; moments merge deterministically (Chan), so a fixed
-    /// merge order reproduces fixed bits — see the module docs.
-    ///
-    /// # Errors
-    ///
-    /// [`StreamingError::GridMismatch`] when the grids or horizons
-    /// differ.
-    pub fn merge(&mut self, other: &StreamingLifetimeStudy) -> Result<(), StreamingError> {
-        let same_grid = Arc::ptr_eq(&self.grid, &other.grid) || self.grid == other.grid;
-        if !same_grid || self.horizon != other.horizon {
-            return Err(StreamingError::GridMismatch);
-        }
+    /// Adds the depletion counts of another study over the **same**
+    /// grid and merges its moment sketch (Chan), in O(grid). Counts add
+    /// exactly; the moment merge is a fixed operation sequence, so a
+    /// fixed merge order reproduces fixed bits — see the module docs.
+    pub(crate) fn merge(&mut self, other: &StreamingLifetimeStudy) {
+        debug_assert!(
+            self.grid == other.grid && self.horizon == other.horizon,
+            "merged studies must share the grid and horizon"
+        );
         for (b, o) in self.buckets.iter_mut().zip(&other.buckets) {
             *b += o;
         }
         self.total += other.total;
         self.moments.merge(&other.moments);
-        Ok(())
-    }
-
-    /// The query grid.
-    pub fn grid(&self) -> &[f64] {
-        &self.grid
-    }
-
-    /// The censoring horizon.
-    pub fn horizon(&self) -> f64 {
-        self.horizon
     }
 
     /// Number of replications folded in (censored included).
@@ -221,8 +183,9 @@ impl StreamingLifetimeStudy {
         self.buckets.iter().sum()
     }
 
-    /// The exact number of runs depleted by grid time `grid()[i]` — the
-    /// binomial success count every estimate at that point derives from.
+    /// The exact number of runs depleted by grid time `t_i` (the `i`-th
+    /// grid time) — the binomial success count every estimate at that
+    /// point derives from.
     ///
     /// # Panics
     ///
@@ -249,8 +212,8 @@ impl StreamingLifetimeStudy {
             .collect()
     }
 
-    /// The estimate `P̂r[battery empty at grid()[i]]` (0 when nothing has
-    /// been folded yet).
+    /// The estimate `P̂r[battery empty at t_i]` at the `i`-th grid time
+    /// (0 when nothing has been folded yet).
     ///
     /// # Panics
     ///
@@ -270,16 +233,6 @@ impl StreamingLifetimeStudy {
     /// Panics when `i` is out of grid range.
     pub fn confidence_half_width(&self, i: usize) -> f64 {
         wilson_ci_half_width(self.depleted_at(i), self.total, Z_95)
-    }
-
-    /// The whole curve as `(t, probability)` pairs.
-    pub fn curve(&self) -> Vec<(f64, f64)> {
-        let n = self.total as f64;
-        self.cumulative_counts()
-            .into_iter()
-            .zip(self.grid.iter())
-            .map(|(c, &t)| (t, if self.total == 0 { 0.0 } else { c as f64 / n }))
-            .collect()
     }
 
     /// The largest 95 % Wilson half-width over the grid (0 before any
@@ -371,7 +324,6 @@ mod tests {
             vec![2, 3, 3, 4],
             "prefix sums over buckets"
         );
-        assert_eq!(s.curve()[1], (20.0, 3.0 / 7.0));
         // Moments agree with the observed sample.
         let m = s.mean_observed_lifetime().unwrap();
         assert!((m - (5.0 + 10.0 + 15.0 + 35.0 + 45.0) / 5.0).abs() < 1e-12);
@@ -388,25 +340,22 @@ mod tests {
         s.fold(None).unwrap();
         assert_eq!(s.total_runs(), 2);
         assert_eq!(s.depleted_runs(), 0);
-        assert!(s.curve().iter().all(|&(_, p)| p == 0.0));
+        assert_eq!(s.cumulative_counts(), vec![0; 4]);
         assert!(s.max_half_width() > 0.0, "all-zero curve keeps Wilson CI");
         assert_eq!(s.mean_observed_lifetime(), None);
     }
 
     #[test]
-    fn rejects_bad_lifetimes_and_mismatched_merges() {
+    fn rejects_bad_lifetimes() {
         let mut s = StreamingLifetimeStudy::new(grid(), 50.0).unwrap();
-        assert!(s.fold(Some(f64::NAN)).is_err());
+        assert!(matches!(
+            s.fold(Some(f64::NAN)),
+            Err(StreamingError::InvalidLifetime(_))
+        ));
         assert!(s.fold(Some(-1.0)).is_err());
-        let other = StreamingLifetimeStudy::new(vec![1.0, 2.0], 50.0).unwrap();
-        assert!(matches!(s.merge(&other), Err(StreamingError::GridMismatch)));
-        let horizon = StreamingLifetimeStudy::new(grid(), 60.0).unwrap();
-        assert!(s.merge(&horizon).is_err());
-        // Equal-valued grids merge even without shared storage.
-        let same = StreamingLifetimeStudy::new(grid(), 50.0).unwrap();
-        assert!(s.merge(&same).is_ok());
         // Errors display something readable.
-        assert!(StreamingError::GridMismatch.to_string().contains("grids"));
+        let err = s.fold(Some(-1.0)).unwrap_err();
+        assert!(err.to_string().contains("invalid lifetime"), "{err}");
     }
 
     #[test]
@@ -431,7 +380,7 @@ mod tests {
             for o in half {
                 part.fold(*o).unwrap();
             }
-            merged.merge(&part).unwrap();
+            merged.merge(&part);
         }
         assert_eq!(merged.total_runs(), whole.total_runs());
         assert_eq!(merged.cumulative_counts(), whole.cumulative_counts());
@@ -449,7 +398,7 @@ mod tests {
             for o in half {
                 part.fold(*o).unwrap();
             }
-            again.merge(&part).unwrap();
+            again.merge(&part);
         }
         assert_eq!(again, merged);
     }
