@@ -66,13 +66,15 @@ impl WorkloadBuilder {
         self
     }
 
-    /// Builds the workload.
+    /// Builds the workload through [`Workload::new`], which checks the
+    /// state names.
     ///
     /// # Errors
     ///
     /// [`KibamRmError::InvalidWorkload`] when no states were declared, a
-    /// name is duplicated or unknown, the initial state is unknown, or a
-    /// rate/current is invalid.
+    /// transition or the initial state names an unknown state, a
+    /// rate/current is invalid, or a state name is empty, holds
+    /// whitespace or `#`, or is declared twice.
     pub fn build(self) -> Result<Workload, KibamRmError> {
         if self.states.is_empty() {
             return Err(KibamRmError::InvalidWorkload("no states declared".into()));
@@ -83,15 +85,6 @@ impl WorkloadBuilder {
                 .position(|(n, _)| n == name)
                 .ok_or_else(|| KibamRmError::InvalidWorkload(format!("unknown state '{name}'")))
         };
-        // Duplicate names make name-based lookups ambiguous.
-        for (i, (name, _)) in self.states.iter().enumerate() {
-            if self.states.iter().skip(i + 1).any(|(n, _)| n == name) {
-                return Err(KibamRmError::InvalidWorkload(format!(
-                    "duplicate state name '{name}'"
-                )));
-            }
-        }
-
         let mut ctmc = CtmcBuilder::new(self.states.len());
         for (i, (name, _)) in self.states.iter().enumerate() {
             ctmc.label(i, name);
@@ -167,6 +160,20 @@ mod tests {
             .state("a", Current::ZERO)
             .state("a", Current::ZERO);
         assert!(matches!(b.build(), Err(KibamRmError::InvalidWorkload(_))));
+    }
+
+    #[test]
+    fn unserialisable_state_names_are_refused() {
+        // Names a config line cannot carry are refused at build time,
+        // with the offending name in the message.
+        for bad in ["", "has space", "tab\there", "line\nbreak", "pr#7"] {
+            let err = WorkloadBuilder::new()
+                .state(bad, Current::ZERO)
+                .build()
+                .expect_err("unserialisable name");
+            assert!(matches!(err, KibamRmError::InvalidWorkload(_)), "{err}");
+            assert!(err.to_string().contains(&format!("{bad:?}")), "{err}");
+        }
     }
 
     #[test]

@@ -283,22 +283,17 @@ impl Scenario {
     /// back by [`Scenario::from_config_str`]; all quantities are written
     /// in SI units (coulombs, amperes, seconds).
     ///
+    /// State labels need no check here: [`Workload::new`] refuses any
+    /// the line format cannot carry.
+    ///
     /// # Errors
     ///
-    /// [`KibamRmError::InvalidWorkload`] when a state name or the
-    /// scenario name contains whitespace or `#`, or the scenario is
-    /// named the literal `-` (all unrepresentable in the line format).
+    /// [`KibamRmError::InvalidWorkload`] when the scenario name contains
+    /// whitespace or `#`, or is the literal `-` (all unrepresentable in
+    /// the line format).
     pub fn to_config_string(&self) -> Result<String, KibamRmError> {
         use std::fmt::Write as _;
         let ctmc = self.workload.ctmc();
-        for i in 0..ctmc.n_states() {
-            let label = ctmc.state_label(i);
-            if label.contains(char::is_whitespace) || label.contains('#') {
-                return Err(KibamRmError::InvalidWorkload(format!(
-                    "state name {label:?} cannot be serialised (whitespace/'#')"
-                )));
-            }
-        }
         // The name rides on a whitespace-separated line too, and "-" is
         // the empty-name sentinel.
         if self.name.contains(char::is_whitespace) || self.name.contains('#') || self.name == "-" {
@@ -372,9 +367,10 @@ impl Scenario {
     ///
     /// # Errors
     ///
-    /// As for [`Scenario::to_config_string`] (workload state labels the
-    /// line format cannot carry); such scenarios are still solvable,
-    /// just not keyable — the service serves them uncached.
+    /// None for a built scenario: the erased name is written as the `-`
+    /// sentinel, and [`Workload::new`] has already refused every state
+    /// label the line format cannot carry. The `Result` is kept for
+    /// source compatibility.
     pub fn canonical_bytes(&self) -> Result<Vec<u8>, KibamRmError> {
         self.with_name("")
             .to_config_string()
@@ -387,8 +383,9 @@ impl Scenario {
     /// # Errors
     ///
     /// [`KibamRmError::InvalidWorkload`] for syntax errors, unknown
-    /// state references or missing sections; plus the usual validation
-    /// errors of [`ScenarioBuilder::build`].
+    /// state references, a repeated state name (refused by
+    /// [`Workload::new`]) or missing sections; plus the usual
+    /// validation errors of [`ScenarioBuilder::build`].
     pub fn from_config_str(text: &str) -> Result<Scenario, KibamRmError> {
         let bad = |msg: String| KibamRmError::InvalidWorkload(msg);
         let parse_f64 = |tok: &str, what: &str| -> Result<f64, KibamRmError> {
@@ -470,14 +467,6 @@ impl Scenario {
 
         if states.is_empty() {
             return Err(bad("config declares no states".into()));
-        }
-        // Duplicate names would make every later reference silently bind
-        // to the first occurrence — a different chain than the config
-        // describes.
-        for (i, (label, _)) in states.iter().enumerate() {
-            if states.iter().skip(i + 1).any(|(l, _)| l == label) {
-                return Err(bad(format!("duplicate state '{label}' in config")));
-            }
         }
         let index_of = |label: &str| -> Result<usize, KibamRmError> {
             states
@@ -938,19 +927,44 @@ mod tests {
     }
 
     #[test]
-    fn canonical_bytes_propagate_unserialisable_state_labels() {
-        let w = crate::builder::WorkloadBuilder::new()
-            .state("has space", Current::ZERO)
-            .build()
-            .unwrap();
-        let s = Scenario::builder()
-            .workload(w)
-            .capacity(Charge::from_coulombs(100.0))
-            .linear()
-            .time_grid(Time::from_hours(1.0), 2)
-            .build()
-            .unwrap();
-        assert!(s.canonical_bytes().is_err(), "unkeyable, not mis-keyed");
+    fn canonical_bytes_succeed_for_paper_and_grid_scenarios() {
+        // Every built workload's labels ride a config line, so every
+        // built scenario has a key: the paper workloads with their named
+        // states, and each point a grid expands (workload, capacity,
+        // battery, Δ and rate-scale axes, names with '/', '=' and ',').
+        let paper = [
+            Workload::on_off_erlang(Frequency::from_hertz(1.0), 3, Current::from_amps(0.96))
+                .unwrap(),
+            Workload::simple_model().unwrap(),
+            Workload::burst_model().unwrap(),
+        ];
+        for w in &paper {
+            assert!(base()
+                .with_workload(w.clone())
+                .unwrap()
+                .canonical_bytes()
+                .is_ok());
+        }
+        let grid = crate::sweep::ScenarioGrid::new(base())
+            .workloads(
+                ["erlang", "simple", "burst"]
+                    .into_iter()
+                    .map(String::from)
+                    .zip(paper)
+                    .collect(),
+            )
+            .capacities(vec![
+                Charge::from_milliamp_hours(400.0),
+                Charge::from_milliamp_hours(800.0),
+            ])
+            .kibams(vec![(0.625, Rate::per_second(4.5e-5)), (1.0, Rate::ZERO)])
+            .deltas(vec![Charge::from_milliamp_hours(25.0)])
+            .rate_scales(vec![0.5, 1.0, 2.0]);
+        let points = grid.expand().unwrap();
+        assert_eq!(points.len(), 36);
+        for s in &points {
+            assert!(s.canonical_bytes().is_ok(), "{} has no key", s.name());
+        }
     }
 
     #[test]
@@ -984,18 +998,14 @@ mod tests {
 
     #[test]
     fn unserialisable_names_are_rejected() {
-        let w = crate::builder::WorkloadBuilder::new()
+        // A state name the line format cannot carry never reaches a
+        // scenario: the workload is refused when it is built.
+        let err = crate::builder::WorkloadBuilder::new()
             .state("has space", Current::ZERO)
             .build()
-            .unwrap();
-        let s = Scenario::builder()
-            .workload(w)
-            .capacity(Charge::from_coulombs(100.0))
-            .linear()
-            .time_grid(Time::from_hours(1.0), 2)
-            .build()
-            .unwrap();
-        assert!(s.to_config_string().is_err());
+            .expect_err("unserialisable state name");
+        assert!(matches!(err, KibamRmError::InvalidWorkload(_)));
+        assert!(err.to_string().contains("\"has space\""), "{err}");
         // The scenario *name* is line-encoded too: whitespace, '#' and
         // the empty-name sentinel '-' are all unrepresentable.
         let base = Scenario::paper_cell_phone().unwrap();

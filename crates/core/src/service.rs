@@ -16,7 +16,7 @@
 //!    queue quietly eating the machine. Queries answered from cache, or
 //!    joined onto an in-flight solve, are never shed: they cost no new
 //!    work.
-//! 2. **Incremental online planning.** Requests are keyed by
+//! 2. **Incremental online planning.** Every request is keyed by
 //!    [`Scenario::canonical_bytes`] (byte-identity, name erased).
 //!    A key already being solved **joins** that flight — single-flight
 //!    semantics: the second identical request blocks on the first solve
@@ -37,9 +37,9 @@
 //!    the scenario bytes, budgeted in bytes via
 //!    [`LifetimeDistribution::size_in_bytes`] (hits hand out `Arc`
 //!    views, never deep copies). Warm group states live in a second,
-//!    smaller LRU keyed by `(backend, fingerprint)`. Both caches evict
-//!    explicitly (least-recently-used first) and export their counters
-//!    through [`ServiceStats`].
+//!    smaller LRU of 16 entries keyed by `(backend, fingerprint)`. Both
+//!    caches evict explicitly (least-recently-used first) and export
+//!    their counters through [`ServiceStats`].
 //!
 //! **Bit-identity invariant.** Every shared fast path — the result
 //! cache, single-flight joins, warm group state — returns the same bits
@@ -240,11 +240,11 @@ pub struct ServiceConfig {
     /// [`LifetimeDistribution::size_in_bytes`]. `0` disables result
     /// caching (single-flight dedup still applies). Default: 32 MiB.
     pub cache_capacity_bytes: usize,
-    /// Entry budget of the warm group-state LRU (discretisation
-    /// templates and curve caches). `0` disables warm-state reuse —
-    /// every solve assembles its own state. Default: 16.
-    pub warm_capacity: usize,
 }
+
+/// Entry budget of the warm group-state LRU (discretisation templates
+/// and curve caches): one entry per live `(backend, fingerprint)` group.
+const WARM_CAPACITY: usize = 16;
 
 /// Replications of the fast Monte Carlo fallback (95 % DKW
 /// sup-norm band ≈ 0.085).
@@ -258,7 +258,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             max_in_flight: 2 * cores,
             cache_capacity_bytes: 32 << 20,
-            warm_capacity: 16,
         }
     }
 }
@@ -277,18 +276,12 @@ impl ServiceConfig {
         self.cache_capacity_bytes = bytes;
         self
     }
-
-    /// Replaces the warm-state entry budget.
-    #[must_use]
-    pub fn with_warm_capacity(mut self, entries: usize) -> Self {
-        self.warm_capacity = entries;
-        self
-    }
 }
 
 /// A point-in-time snapshot of the service's counters and occupancy
 /// ([`LifetimeService::stats`]). Counters are cumulative since
-/// construction.
+/// construction. Every query is keyed, so each one that is not shed
+/// counts in exactly one of `hits`, `joined` and `misses`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServiceStats {
     /// Queries answered from the result cache (no solve, no wait).
@@ -308,10 +301,6 @@ pub struct ServiceStats {
     pub warm_misses: u64,
     /// Warm group states evicted to make room (LRU order).
     pub warm_evictions: u64,
-    /// Queries whose scenario has no canonical byte key
-    /// ([`Scenario::canonical_bytes`] failed): admitted and solved, but
-    /// never cached, deduplicated or joined.
-    pub uncacheable: u64,
     /// Solves that failed in the backend ([`ServiceError::Solve`];
     /// errors are never cached). Deadline expiries are not backend
     /// failures: they count in `deadline_expired` instead.
@@ -344,11 +333,12 @@ pub struct ServiceStats {
 
 impl ServiceStats {
     /// Fraction of admitted queries served without starting a solve:
-    /// `(hits + joined) / (hits + joined + misses + uncacheable)`.
-    /// `0` when nothing was admitted yet.
+    /// `(hits + joined) / (hits + joined + misses)`. Every query is
+    /// keyed, so these three count every admitted one. `0` when nothing
+    /// was admitted yet.
     pub fn hit_rate(&self) -> f64 {
         let served = self.hits + self.joined;
-        let admitted = served + self.misses + self.uncacheable;
+        let admitted = served + self.misses;
         if admitted == 0 {
             0.0
         } else {
@@ -444,7 +434,6 @@ struct Inner {
     warm_hits: u64,
     warm_misses: u64,
     warm_evictions: u64,
-    uncacheable: u64,
     errors: u64,
     deadline_expired: u64,
     degraded_served: u64,
@@ -608,9 +597,10 @@ impl LifetimeService {
         opts: &QueryOptions,
     ) -> Result<Answer, ServiceError> {
         let deadline = opts.deadline.map(|d| Instant::now() + d);
-        let Ok(key) = scenario.canonical_bytes() else {
-            return self.query_uncacheable(scenario, opts, deadline);
-        };
+        // Every built scenario has a key (`Workload::new` refuses state
+        // labels a config line cannot carry), so this error is
+        // unreachable; it maps to a solve error rather than a panic.
+        let key = scenario.canonical_bytes().map_err(ServiceError::Solve)?;
         let admission = {
             let mut inner = self.lock();
             if inner.cache.contains_key(&key) {
@@ -725,53 +715,6 @@ impl LifetimeService {
         result
     }
 
-    /// A scenario without a canonical key: admitted (and counted against
-    /// the in-flight budget) but never cached, deduplicated or joined.
-    fn query_uncacheable(
-        &self,
-        scenario: &Scenario,
-        opts: &QueryOptions,
-        deadline: Option<Instant>,
-    ) -> Result<Answer, ServiceError> {
-        {
-            let mut inner = self.lock();
-            let limit = self.config.max_in_flight.max(1);
-            if inner.in_flight >= limit {
-                inner.shed += 1;
-                return Err(ServiceError::Overloaded {
-                    in_flight: inner.in_flight,
-                    limit,
-                });
-            }
-            inner.in_flight += 1;
-            inner.uncacheable += 1;
-        }
-        struct InFlightGuard<'a>(&'a LifetimeService);
-        impl Drop for InFlightGuard<'_> {
-            fn drop(&mut self) {
-                self.0.lock().in_flight -= 1;
-            }
-        }
-        let result = {
-            let _guard = InFlightGuard(self);
-            self.solve_in_group(scenario, &request_budget(deadline))
-        };
-        match result {
-            Ok(dist) => Ok(Answer::Exact(dist)),
-            Err(e) => {
-                if matches!(e, ServiceError::Solve(_)) {
-                    self.lock().errors += 1;
-                }
-                match e {
-                    ServiceError::DeadlineExceeded { completed } => {
-                        self.handle_deadline(scenario, opts, completed)
-                    }
-                    other => Err(other),
-                }
-            }
-        }
-    }
-
     /// One solve through the live group for the scenario's
     /// `(backend, fingerprint)`: lock its warm state (creating or
     /// resurrecting it as needed) and run
@@ -844,16 +787,13 @@ impl LifetimeService {
     /// The live-group handle for `(backend index, fingerprint)`:
     /// resident state when there is one, a freshly created (and
     /// LRU-inserted) state otherwise. `None` when the backend has no
-    /// warm state or warm caching is disabled.
+    /// warm state.
     fn warm_slot(
         &self,
         index: usize,
         fingerprint: u64,
         make: impl FnOnce() -> Option<Box<dyn GroupState>>,
     ) -> Option<Arc<Mutex<Box<dyn GroupState>>>> {
-        if self.config.warm_capacity == 0 {
-            return None;
-        }
         let mut inner = self.lock();
         let tick = inner.next_tick();
         if let Some(entry) = inner.warm.get_mut(&(index, fingerprint)) {
@@ -869,7 +809,7 @@ impl LifetimeService {
         // most one state per group ever exists, which is the whole
         // point of a live group.
         let state = Arc::new(Mutex::new(make()?));
-        while inner.warm.len() >= self.config.warm_capacity {
+        while inner.warm.len() >= WARM_CAPACITY {
             // DETERMINISM-OK: the minimum is taken over the total key
             // (last_used, group key) — ticks are already unique, and
             // the tie-break pins the victim even if they were not, so
@@ -907,7 +847,6 @@ impl LifetimeService {
             warm_hits: inner.warm_hits,
             warm_misses: inner.warm_misses,
             warm_evictions: inner.warm_evictions,
-            uncacheable: inner.uncacheable,
             errors: inner.errors,
             deadline_expired: inner.deadline_expired,
             degraded_served: inner.degraded_served,
@@ -1086,7 +1025,7 @@ mod tests {
     use crate::workload::Workload;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::mpsc;
-    use units::{Charge, Current, Frequency, Time};
+    use units::{Charge, Current, Frequency, Rate, Time};
 
     /// A cheap linear scenario (Sericola backend, no warm state).
     fn linear(seed: u64) -> Scenario {
@@ -1428,55 +1367,34 @@ mod tests {
 
     #[test]
     fn warm_state_eviction() {
-        let service = LifetimeService::with_config(
-            SolverRegistry::with_default_backends(),
-            ServiceConfig::default().with_warm_capacity(1),
-        );
-        let base = Scenario::paper_cell_phone().unwrap();
-        let coarse = base.with_delta(Charge::from_milliamp_hours(50.0));
-        service.query(&base).unwrap();
-        // A different Δ is a different fingerprint: with capacity 1 the
-        // first group is evicted.
-        service.query(&coarse).unwrap();
-        let stats = service.stats();
-        assert_eq!(stats.warm_evictions, 1);
-        assert_eq!(stats.warm_entries, 1);
-    }
-
-    #[test]
-    fn unkeyable_scenarios_are_served_uncached() {
-        let w = crate::builder::WorkloadBuilder::new()
-            .state("has space", Current::from_amps(0.5))
-            .build()
-            .unwrap();
-        let s = Scenario::builder()
-            .workload(w)
-            .capacity(Charge::from_coulombs(100.0))
-            .linear()
-            .time_grid(Time::from_seconds(400.0), 4)
-            .delta(Charge::from_coulombs(0.5))
-            .simulation(20, 1)
-            .build()
-            .unwrap();
         let service = LifetimeService::new(SolverRegistry::with_default_backends());
-        let a = service.query(&s).unwrap();
-        let b = service.query(&s).unwrap();
-        assert_eq!(a.points(), b.points());
+        // One more fingerprint than the warm budget holds: tiny two-well
+        // batteries whose lattices differ in size, so each is its own
+        // group and each solve is cheap.
+        let base = Scenario::paper_cell_phone()
+            .unwrap()
+            .with_kibam(0.5, Rate::per_second(4.5e-5))
+            .unwrap()
+            .with_delta(Charge::from_milliamp_hours(10.0));
+        for levels in 1..=WARM_CAPACITY + 1 {
+            let capacity = Charge::from_milliamp_hours(20.0 * levels as f64);
+            service
+                .query(&base.with_capacity(capacity).unwrap())
+                .unwrap();
+        }
         let stats = service.stats();
-        assert_eq!(stats.uncacheable, 2, "served, but never cached");
-        assert_eq!(stats.cached_entries, 0);
-        assert_eq!(stats.hits + stats.misses, 0);
+        assert_eq!(stats.warm_misses, WARM_CAPACITY as u64 + 1);
+        assert_eq!(stats.warm_evictions, 1);
+        assert_eq!(stats.warm_entries, WARM_CAPACITY);
     }
 
     #[test]
     fn config_knobs_and_display() {
         let cfg = ServiceConfig::default()
             .with_max_in_flight(3)
-            .with_cache_capacity_bytes(1024)
-            .with_warm_capacity(2);
+            .with_cache_capacity_bytes(1024);
         assert_eq!(cfg.max_in_flight, 3);
         assert_eq!(cfg.cache_capacity_bytes, 1024);
-        assert_eq!(cfg.warm_capacity, 2);
         let service = LifetimeService::with_config(SolverRegistry::with_default_backends(), cfg);
         assert!(service.registry().find("sericola").is_some());
         let debug = format!("{service:?}");

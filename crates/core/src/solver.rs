@@ -41,7 +41,8 @@ use crate::sweep::SweepPlan;
 use crate::KibamRmError;
 use markov::transient::{CurveCache, TransientOptions};
 pub use markov::Budget;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use sim::engine::StopOnPanic;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Instant;
 use units::Time;
 
@@ -334,14 +335,6 @@ impl LifetimeSolver for DiscretisationSolver {
 pub struct DiscretisationGroupState {
     template: Option<DiscretisationTemplate>,
     cache: CurveCache,
-}
-
-impl DiscretisationGroupState {
-    /// Approximate heap footprint of the warm state in bytes — what a
-    /// resident holder's warm-budget accounting charges for this group.
-    pub fn approx_bytes(&self) -> usize {
-        self.cache.approx_bytes()
-    }
 }
 
 impl GroupState for DiscretisationGroupState {
@@ -737,6 +730,11 @@ impl SolverRegistry {
     /// **bit-identical** to solving each scenario independently (the
     /// cached fast paths are exact, and the answers depend on no worker
     /// count); per-scenario failures do not abort the batch.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a backend's panic on the caller's thread, with its
+    /// payload. No worker claims a group after one has panicked.
     pub fn sweep(&self, scenarios: &[Scenario]) -> Vec<Result<LifetimeDistribution, KibamRmError>> {
         let plan = SweepPlan::build(self, scenarios);
         let order = plan.run_order();
@@ -767,12 +765,21 @@ impl SolverRegistry {
         // group through a shared cursor as soon as it is free, and the
         // calling thread is one of the workers. A group's answers depend
         // only on its members, never on the thread that runs it, so
-        // scheduling cannot move a bit. The cursor only hands out indices
+        // scheduling cannot move a bit. A worker whose backend panics
+        // raises the stop flag as it unwinds, and no worker claims a
+        // group once the flag is up: the panic reaches the caller
+        // without the rest of the grid being solved first. The cursor
+        // only hands out indices and the flag only stops the claiming
         // (results come back through `join`), so `Relaxed` suffices.
         let next = AtomicUsize::new(0);
+        let stop = AtomicBool::new(false);
         let drain = || {
+            let _stop_on_panic = StopOnPanic(&stop);
             let mut out = Vec::new();
-            while let Some(group) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
+            while !stop.load(Ordering::Relaxed) {
+                let Some(group) = order.get(next.fetch_add(1, Ordering::Relaxed)) else {
+                    break;
+                };
                 out.extend(run_group(group));
             }
             out
@@ -1458,6 +1465,80 @@ mod tests {
     }
 
     #[test]
+    fn sweep_workers_claim_no_group_after_a_helper_panics() {
+        // The helper panics on the first group it claims. The calling
+        // thread's first solve returns only once the helper thread has
+        // exited: the helper parks the only sender of a channel in a
+        // thread-local, which drops with the thread, after the unwind
+        // has passed the stop guard. So when the caller next looks at
+        // the cursor, the flag is already up.
+        use std::cell::RefCell;
+        use std::sync::mpsc;
+        thread_local! {
+            static PARKED: RefCell<Option<mpsc::Sender<()>>> = const { RefCell::new(None) };
+        }
+        struct PanicsOffCaller {
+            caller: std::thread::ThreadId,
+            sender: std::sync::Mutex<Option<mpsc::Sender<()>>>,
+            helper_exited: std::sync::Mutex<mpsc::Receiver<()>>,
+            caller_solves: std::sync::Arc<AtomicUsize>,
+        }
+        impl LifetimeSolver for PanicsOffCaller {
+            fn name(&self) -> &'static str {
+                "panics-off-caller"
+            }
+            fn capability(&self, _s: &Scenario) -> Capability {
+                Capability::Exact
+            }
+            fn solve_in(
+                &self,
+                s: &Scenario,
+                _state: Option<&mut dyn GroupState>,
+                _budget: &Budget,
+            ) -> Result<LifetimeDistribution, KibamRmError> {
+                if std::thread::current().id() != self.caller {
+                    let sender = self.sender.lock().unwrap().take();
+                    PARKED.with(|parked| *parked.borrow_mut() = sender);
+                    panic!("backend failed off the calling thread");
+                }
+                if self.caller_solves.fetch_add(1, Ordering::Relaxed) == 0 {
+                    // Disconnected once the helper thread has exited.
+                    let _ = self.helper_exited.lock().unwrap().recv();
+                }
+                LifetimeDistribution::new(
+                    "panics-off-caller",
+                    s.times().iter().map(|&t| (t, 0.5)).collect(),
+                    SolveDiagnostics::default(),
+                )
+            }
+        }
+        let batch: Vec<Scenario> = (0..8)
+            .map(|i| small_linear().with_name(format!("s{i}")))
+            .collect();
+        let (sender, helper_exited) = mpsc::channel();
+        let caller_solves = std::sync::Arc::new(AtomicUsize::new(0));
+        let mut registry = SolverRegistry::empty().with_sweep_threads(2);
+        registry.register(Box::new(PanicsOffCaller {
+            caller: std::thread::current().id(),
+            sender: std::sync::Mutex::new(Some(sender)),
+            helper_exited: std::sync::Mutex::new(helper_exited),
+            caller_solves: std::sync::Arc::clone(&caller_solves),
+        }));
+        let payload =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| registry.sweep(&batch)))
+                .expect_err("the helper's panic reaches the caller");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"backend failed off the calling thread")
+        );
+        assert_eq!(
+            caller_solves.load(Ordering::Relaxed),
+            1,
+            "the caller claimed a group after the helper had panicked"
+        );
+    }
+
+    #[test]
     fn sweep_starts_groups_in_falling_cost_then_plan_order() {
         // Scenario names read `group:cost[:member]`; the backend groups by
         // the first field, prices by the second, and records the order in
@@ -1748,7 +1829,7 @@ mod tests {
         let stateless = sim.solve_in(&s, None, &unlimited).unwrap();
         assert_eq!(bits(&foreign), bits(&stateless));
         // A discretisation state handed to the simulation backend is
-        // left untouched: it is still empty, so it holds no warm bytes.
+        // left untouched: it still holds no template.
         let mut disc_state = disc.new_group_state().unwrap();
         let foreign = sim
             .solve_in(&s, Some(disc_state.as_mut()), &unlimited)
@@ -1758,7 +1839,7 @@ mod tests {
             .as_any_mut()
             .downcast_mut::<DiscretisationGroupState>()
             .unwrap();
-        assert_eq!(disc_state.approx_bytes(), 0);
+        assert!(disc_state.template.is_none());
     }
 
     #[test]

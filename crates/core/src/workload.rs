@@ -14,6 +14,31 @@ use crate::KibamRmError;
 use markov::ctmc::{Ctmc, CtmcBuilder};
 use units::{Current, Frequency, Rate};
 
+/// Refuses custom state labels the config line format cannot carry:
+/// an empty one, one holding whitespace or `#` (the parser splits on
+/// the first and strips comments from the second), or a repeated one
+/// (every reference would bind to its first occurrence).
+fn check_labels(ctmc: &Ctmc) -> Result<(), KibamRmError> {
+    if !ctmc.has_custom_labels() {
+        return Ok(());
+    }
+    for i in 0..ctmc.n_states() {
+        let label = ctmc.state_label(i);
+        if label.is_empty() || label.contains(char::is_whitespace) || label.contains('#') {
+            return Err(KibamRmError::InvalidWorkload(format!(
+                "state name {label:?} cannot be written to a config line \
+                 (empty, whitespace or '#')"
+            )));
+        }
+        if (0..i).any(|j| ctmc.state_label(j) == label) {
+            return Err(KibamRmError::InvalidWorkload(format!(
+                "duplicate state '{label}'"
+            )));
+        }
+    }
+    Ok(())
+}
+
 /// A CTMC workload with per-state current draw.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
@@ -23,17 +48,24 @@ pub struct Workload {
 }
 
 impl Workload {
-    /// Builds a workload from parts.
+    /// Builds a workload from parts. Every workload is built here, so
+    /// every workload's state labels can ride the config line format
+    /// ([`crate::scenario::Scenario::to_config_string`]): a scenario
+    /// over it always has a canonical key.
     ///
     /// # Errors
     ///
     /// [`KibamRmError::InvalidWorkload`] when lengths mismatch, a current
-    /// is negative/non-finite, or `initial` is not a distribution.
+    /// is negative/non-finite, `initial` is not a distribution, or a
+    /// custom state label is empty, holds whitespace or `#`, or repeats
+    /// another (the message names the label). Default `s{i}` labels are
+    /// not checked: they are valid by construction.
     pub fn new(
         ctmc: Ctmc,
         currents: Vec<Current>,
         initial: Vec<f64>,
     ) -> Result<Self, KibamRmError> {
+        check_labels(&ctmc)?;
         if currents.len() != ctmc.n_states() {
             return Err(KibamRmError::InvalidWorkload(format!(
                 "{} currents for {} states",
@@ -355,6 +387,41 @@ mod tests {
         )
         .is_err());
         assert!(Workload::new(c, vec![Current::ZERO; 3], vec![0.5, 0.0, 0.0]).is_err());
+    }
+
+    #[test]
+    fn unserialisable_ctmc_labels_are_refused() {
+        // Labels set on the chain itself pass through the same check as
+        // builder names: empty, whitespace, '#' and repeated labels are
+        // refused, each named in the message.
+        let two_state = |labels: &[(usize, &str)]| {
+            let mut builder = CtmcBuilder::new(2);
+            builder.rate(0, 1, 1.0).unwrap();
+            for &(i, label) in labels {
+                builder.label(i, label);
+            }
+            Workload::new(
+                builder.build().unwrap(),
+                vec![Current::ZERO; 2],
+                vec![1.0, 0.0],
+            )
+        };
+        for (labels, named) in [
+            (&[(0, ""), (1, "off")][..], "\"\""),
+            (&[(0, "on"), (1, "has space")], "\"has space\""),
+            (&[(0, "on"), (1, "pr#7")], "\"pr#7\""),
+            (&[(0, "on"), (1, "on")], "'on'"),
+            // State 1 keeps its default label `s1`.
+            (&[(0, "s1")], "'s1'"),
+        ] {
+            let err = two_state(labels).expect_err("unserialisable label");
+            assert!(matches!(err, KibamRmError::InvalidWorkload(_)), "{err}");
+            assert!(err.to_string().contains(named), "{err}");
+        }
+        assert!(two_state(&[(0, "on"), (1, "off")]).is_ok());
+        // Default labels need no check.
+        let unlabelled = two_state(&[]).unwrap();
+        assert!(!unlabelled.ctmc().has_custom_labels());
     }
 
     #[test]

@@ -133,11 +133,6 @@ impl Subset {
             p => Some(p as usize),
         }
     }
-
-    /// Heap bytes held by the two index maps.
-    pub(crate) fn heap_bytes(&self) -> usize {
-        (self.kept.len() + self.position.len()) * std::mem::size_of::<u32>()
-    }
 }
 
 /// A sparse `rows × cols` matrix in compressed-sparse-row format.

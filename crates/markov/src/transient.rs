@@ -415,35 +415,6 @@ impl CurveCache {
     pub fn last_solve_shared(&self) -> bool {
         self.last_shared
     }
-
-    /// Approximate heap footprint of the cached sweep in bytes: the
-    /// iterate scalars `s`, the stored last iterate at its product-buffer
-    /// length (for sorted rows the row count rounded up to a power of
-    /// two), the `α`/measure copies and the cached `Pᵀ` values, the
-    /// measure's terms and the reachable set. Workspaces whose size is
-    /// bounded by the chain (the Fox–Glynn buffers, the worker pool) are
-    /// not charged. This is what a resident holder's warm-state budget
-    /// accounts for a cache that outlives one plan group.
-    pub fn approx_bytes(&self) -> usize {
-        let f64s = std::mem::size_of::<f64>();
-        self.state.as_ref().map_or(0, |st| {
-            (st.s.len() + st.v.len() + st.alpha.len() + st.measure.len()) * f64s
-                + st.pt.entries_per_product() * f64s
-                + st.terms.len() * std::mem::size_of::<(u32, f64)>()
-                + st.reach.heap_bytes()
-        })
-    }
-
-    /// Drops the cached sweep while keeping the reusable workspaces (the
-    /// Fox–Glynn buffers and the SpMV worker pool), so a long-lived
-    /// cache can shed its O(iterations) memory without paying the
-    /// worker-respawn cost on the next solve. A cleared cache behaves
-    /// exactly like a fresh one: [`measure_curve_cached`] rebuilds the
-    /// sweep on the next call, bit-identically.
-    pub fn clear(&mut self) {
-        self.state = None;
-        self.last_shared = false;
-    }
 }
 
 // A `CurveCache` moves between request threads when it is held as
@@ -1406,7 +1377,7 @@ mod tests {
     }
 
     #[test]
-    fn cache_footprint_accounting_and_clear() {
+    fn cache_shares_its_sweep_on_a_repeat() {
         let n = 80;
         let chain = lattice_chain(n, 0.8, 0.2);
         let alpha = point_mass(n, n - 1);
@@ -1415,26 +1386,14 @@ mod tests {
         let times = [20.0];
         let opts = TransientOptions::default();
         let mut cache = CurveCache::new();
-        assert_eq!(cache.approx_bytes(), 0, "empty cache charges nothing");
         let first =
             measure_curve_cached(&chain, &alpha, &times, &measure, &opts, &mut cache).unwrap();
-        let warm = cache.approx_bytes();
-        // The sweep stores ≥ iterations+1 scalars plus two state-sized
-        // iterates plus the matrix values.
-        assert!(warm >= (first.iterations + 1 + 2 * n) * std::mem::size_of::<f64>());
-        // clear() sheds the sweep but keeps the cache usable: the next
-        // solve rebuilds from scratch, bit-identically.
-        cache.clear();
-        assert_eq!(cache.approx_bytes(), 0);
-        assert!(!cache.last_solve_shared());
-        let rebuilt =
+        assert!(!cache.last_solve_shared(), "an empty cache sweeps itself");
+        // An immediate repeat shares the sweep, bit-identically.
+        let repeat =
             measure_curve_cached(&chain, &alpha, &times, &measure, &opts, &mut cache).unwrap();
-        assert!(!cache.last_solve_shared());
-        assert_eq!(rebuilt.points, first.points);
-        assert_eq!(rebuilt.iterations, first.iterations);
-        // And an immediate repeat shares again.
-        measure_curve_cached(&chain, &alpha, &times, &measure, &opts, &mut cache).unwrap();
         assert!(cache.last_solve_shared());
+        assert_eq!(repeat.points, first.points);
     }
 
     #[test]

@@ -647,7 +647,6 @@ fn stats_body(s: &ServiceStats, n: &NetStats, quota_clients: usize) -> String {
         ("warm_hits", s.warm_hits),
         ("warm_misses", s.warm_misses),
         ("warm_evictions", s.warm_evictions),
-        ("uncacheable", s.uncacheable),
         ("errors", s.errors),
         ("deadline_expired", s.deadline_expired),
         ("degraded_served", s.degraded_served),

@@ -93,8 +93,10 @@ struct Drained<E> {
 }
 
 /// Raises the stop flag when its worker unwinds, so a panicking
-/// experiment stops the other workers claiming, as an error does.
-struct StopOnPanic<'a>(&'a AtomicBool);
+/// worker stops the other workers claiming, as an error does here. Any
+/// claim loop over one atomic cursor can hold one per worker and check
+/// the flag before each claim; the planned scenario sweep does.
+pub struct StopOnPanic<'a>(pub &'a AtomicBool);
 
 impl Drop for StopOnPanic<'_> {
     fn drop(&mut self) {

@@ -128,31 +128,31 @@ impl StreamingLifetimeStudy {
     ///
     /// # Errors
     ///
-    /// [`StreamingError::InvalidLifetime`] on NaN or negative lifetimes
-    /// (a lifetime beyond the horizon is clamped into the overflow
-    /// bucket only in release builds; debug builds assert, since the
-    /// experiment's own censoring should have produced `None`).
+    /// [`StreamingError::InvalidLifetime`] on NaN or negative lifetimes,
+    /// which leave the study unchanged, run count included (a lifetime
+    /// beyond the horizon is clamped into the overflow bucket only in
+    /// release builds; debug builds assert, since the experiment's own
+    /// censoring should have produced `None`).
     pub fn fold(&mut self, outcome: Option<f64>) -> Result<(), StreamingError> {
-        self.total += 1;
-        let Some(lifetime) = outcome else {
-            return Ok(());
-        };
-        if lifetime.is_nan() || lifetime < 0.0 {
-            return Err(StreamingError::InvalidLifetime(format!(
-                "observed lifetime {lifetime}"
-            )));
+        if let Some(lifetime) = outcome {
+            if lifetime.is_nan() || lifetime < 0.0 {
+                return Err(StreamingError::InvalidLifetime(format!(
+                    "observed lifetime {lifetime}"
+                )));
+            }
+            debug_assert!(
+                lifetime <= self.horizon * (1.0 + 1e-12),
+                "lifetime {lifetime} beyond the censoring horizon {} — the experiment \
+                 should have censored it",
+                self.horizon
+            );
+            // First grid index with grid[i] ≥ lifetime ⇒ bucket i; beyond
+            // the grid ⇒ overflow bucket grid.len().
+            let bucket = self.grid.partition_point(|&g| g < lifetime);
+            self.buckets[bucket] += 1;
+            self.moments.push(lifetime);
         }
-        debug_assert!(
-            lifetime <= self.horizon * (1.0 + 1e-12),
-            "lifetime {lifetime} beyond the censoring horizon {} — the experiment \
-             should have censored it",
-            self.horizon
-        );
-        // First grid index with grid[i] ≥ lifetime ⇒ bucket i; beyond
-        // the grid ⇒ overflow bucket grid.len().
-        let bucket = self.grid.partition_point(|&g| g < lifetime);
-        self.buckets[bucket] += 1;
-        self.moments.push(lifetime);
+        self.total += 1;
         Ok(())
     }
 
@@ -356,6 +356,11 @@ mod tests {
         // Errors display something readable.
         let err = s.fold(Some(-1.0)).unwrap_err();
         assert!(err.to_string().contains("invalid lifetime"), "{err}");
+        // A rejected outcome is not a run.
+        assert_eq!(s.total_runs(), 0);
+        s.fold(None).unwrap();
+        assert!(s.fold(Some(f64::NAN)).is_err());
+        assert_eq!(s.total_runs(), 1);
     }
 
     #[test]
