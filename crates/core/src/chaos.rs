@@ -250,7 +250,7 @@ impl LifetimeSolver for FaultInjectingSolver {
     fn solve_in(
         &self,
         scenario: &Scenario,
-        state: Option<&mut dyn GroupState>,
+        state: Option<&mut GroupState>,
         budget: &Budget,
     ) -> Result<LifetimeDistribution, KibamRmError> {
         self.inject()?;
@@ -263,10 +263,6 @@ impl LifetimeSolver for FaultInjectingSolver {
 
     fn sweep_cost(&self, scenario: &Scenario) -> Option<f64> {
         self.inner.sweep_cost(scenario)
-    }
-
-    fn new_group_state(&self) -> Option<Box<dyn GroupState>> {
-        self.inner.new_group_state()
     }
 }
 

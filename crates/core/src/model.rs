@@ -74,56 +74,6 @@ impl KibamRm {
     pub fn is_linear(&self) -> bool {
         self.battery.c() >= 1.0
     }
-
-    /// An exactly time-compressed copy of the model: every workload rate
-    /// and the flow constant `k` are multiplied by `factor` while the
-    /// capacity is divided by it (currents unchanged). The KiBaM dynamics
-    /// are invariant under this rescaling, so
-    ///
-    /// ```text
-    /// Pr[compressed battery empty at t] = Pr[original empty at factor·t]
-    /// ```
-    ///
-    /// **exactly** — useful to study slow workloads at a fraction of the
-    /// numerical cost (uniformisation iterations scale with `νt`, and
-    /// Sericola's algorithm with `(νt)²`).
-    ///
-    /// # Errors
-    ///
-    /// [`KibamRmError::InvalidBattery`] for a non-positive/non-finite
-    /// factor, or propagated construction errors.
-    pub fn time_compressed(&self, factor: f64) -> Result<KibamRm, KibamRmError> {
-        if !(factor > 0.0) || !factor.is_finite() {
-            return Err(KibamRmError::InvalidBattery(format!(
-                "compression factor must be positive and finite, got {factor}"
-            )));
-        }
-        let old = self.workload.ctmc();
-        let mut b = markov::ctmc::CtmcBuilder::new(old.n_states());
-        if old.has_custom_labels() {
-            for i in 0..old.n_states() {
-                b.label(i, old.state_label(i).as_ref());
-            }
-        }
-        for (i, j, r) in old.rates().iter() {
-            b.rate(i, j, r * factor)
-                .map_err(|e| KibamRmError::InvalidWorkload(e.to_string()))?;
-        }
-        let chain = b
-            .build()
-            .map_err(|e| KibamRmError::InvalidWorkload(e.to_string()))?;
-        let workload = Workload::new(
-            chain,
-            self.workload.currents().to_vec(),
-            self.workload.initial().to_vec(),
-        )?;
-        KibamRm::new(
-            workload,
-            self.capacity() / factor,
-            self.c(),
-            self.k() * factor,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -171,51 +121,41 @@ mod tests {
 
     #[test]
     fn time_compression_invariance() {
-        use crate::discretise::{DiscretisationOptions, DiscretisedModel};
+        use crate::scenario::Scenario;
+        use crate::solver::{DiscretisationSolver, LifetimeSolver};
         use units::Time;
         // C = 160 mAh, c = 0.625 → wells of 100 and 60 mAh; Δ = 10 mAh
-        // divides both, and Δ/factor divides the compressed wells.
-        let original = KibamRm::new(
-            Workload::simple_model().unwrap(),
-            Charge::from_milliamp_hours(160.0),
-            0.625,
-            Rate::per_second(4.5e-5),
-        )
-        .unwrap();
+        // divides both. Running the device 8× faster keeps the lattice
+        // and scales the derived generator by exactly 8, so the fast
+        // battery empties by t/8 exactly as the original does by t. With
+        // a power-of-two factor `P = I + Q/ν` and `ν·t` are unchanged,
+        // so the curves agree bit for bit.
+        let original = Scenario::builder()
+            .name("simple")
+            .workload(Workload::simple_model().unwrap())
+            .capacity(Charge::from_milliamp_hours(160.0))
+            .kibam(0.625, Rate::per_second(4.5e-5))
+            .times([2.0, 5.0, 8.0].map(Time::from_hours).to_vec())
+            .delta(Charge::from_milliamp_hours(10.0))
+            .build()
+            .unwrap();
         let factor = 8.0;
-        let fast = original.time_compressed(factor).unwrap();
-        // Matching Δ keeps the two derived chains isomorphic (levels
-        // identical, rates scaled), so the curves must agree exactly.
-        let d_orig = DiscretisedModel::build(
-            &original,
-            &DiscretisationOptions::with_delta(Charge::from_milliamp_hours(10.0)),
-        )
-        .unwrap();
-        let d_fast = DiscretisedModel::build(
-            &fast,
-            &DiscretisationOptions::with_delta(Charge::from_milliamp_hours(10.0 / factor)),
-        )
-        .unwrap();
-        assert_eq!(d_orig.stats().states, d_fast.stats().states);
-        for hours in [2.0, 5.0, 8.0] {
-            let p_orig = d_orig
-                .empty_probability_at(Time::from_hours(hours))
-                .unwrap();
-            let p_fast = d_fast
-                .empty_probability_at(Time::from_hours(hours / factor))
-                .unwrap();
-            assert!(
-                (p_orig - p_fast).abs() < 1e-9,
-                "t = {hours} h: {p_orig} vs {p_fast}"
-            );
-        }
-    }
-
-    #[test]
-    fn time_compression_validation() {
-        let m = model();
-        assert!(m.time_compressed(0.0).is_err());
-        assert!(m.time_compressed(-2.0).is_err());
-        assert!(m.time_compressed(f64::INFINITY).is_err());
+        let fast = original
+            .with_rate_scale(factor)
+            .unwrap()
+            .with_times(
+                [2.0, 5.0, 8.0]
+                    .map(|h| Time::from_hours(h / factor))
+                    .to_vec(),
+            )
+            .unwrap();
+        let solver = DiscretisationSolver::new();
+        let slow = solver.solve(&original).unwrap();
+        let quick = solver.solve(&fast).unwrap();
+        assert_eq!(slow.diagnostics().states, quick.diagnostics().states);
+        let bits = |d: &crate::LifetimeDistribution| -> Vec<u64> {
+            d.points().iter().map(|p| p.1.to_bits()).collect()
+        };
+        assert_eq!(bits(&slow), bits(&quick));
     }
 }

@@ -411,7 +411,7 @@ struct CacheEntry {
 /// only unlists it — an in-progress solve keeps its state alive through
 /// the `Arc` and finishes normally.
 struct WarmEntry {
-    state: Arc<Mutex<Box<dyn GroupState>>>,
+    state: Arc<Mutex<GroupState>>,
     last_used: u64,
 }
 
@@ -719,8 +719,8 @@ impl LifetimeService {
     /// `(backend, fingerprint)`: lock its warm state (creating or
     /// resurrecting it as needed) and run
     /// the same grouped member solve a batch sweep would — under the
-    /// request's cooperative budget. Backends without a fingerprint or
-    /// warm state solve independently.
+    /// request's cooperative budget. Backends without a fingerprint
+    /// solve independently.
     ///
     /// Requests arrive one at a time and each is solved against the
     /// group's warm state, so a rate-rescale family shares work here
@@ -737,8 +737,7 @@ impl LifetimeService {
         let index = self.registry.auto_index(scenario)?;
         let solver = self.registry.solver_at(index);
         let fingerprint = solver.sweep_fingerprint(scenario);
-        let slot =
-            fingerprint.and_then(|fp| self.warm_slot(index, fp, || solver.new_group_state()));
+        let slot = fingerprint.map(|fp| self.warm_slot(index, fp));
         // Serialises same-group solves, exactly like a batch group's
         // member order. A poisoned state (an earlier member panicked
         // mid-solve) is replaced wholesale: a half-updated cache could
@@ -747,9 +746,7 @@ impl LifetimeService {
             Ok(guard) => guard,
             Err(poisoned) => {
                 let mut guard = poisoned.into_inner();
-                if let Some(fresh) = solver.new_group_state() {
-                    *guard = fresh;
-                }
+                *guard = GroupState::default();
                 guard
             }
         });
@@ -758,9 +755,8 @@ impl LifetimeService {
         if budget.is_exhausted() {
             return Err(ServiceError::DeadlineExceeded { completed: 0 });
         }
-        let state = state.as_mut().map(|s| s.as_mut() as &mut dyn GroupState);
         solver
-            .solve_in(scenario, state, budget)
+            .solve_in(scenario, state.as_deref_mut(), budget)
             .map_err(ServiceError::from)
     }
 
@@ -785,30 +781,23 @@ impl LifetimeService {
     }
 
     /// The live-group handle for `(backend index, fingerprint)`:
-    /// resident state when there is one, a freshly created (and
-    /// LRU-inserted) state otherwise. `None` when the backend has no
-    /// warm state.
-    fn warm_slot(
-        &self,
-        index: usize,
-        fingerprint: u64,
-        make: impl FnOnce() -> Option<Box<dyn GroupState>>,
-    ) -> Option<Arc<Mutex<Box<dyn GroupState>>>> {
+    /// resident state when there is one, a fresh (and LRU-inserted)
+    /// state otherwise.
+    fn warm_slot(&self, index: usize, fingerprint: u64) -> Arc<Mutex<GroupState>> {
         let mut inner = self.lock();
         let tick = inner.next_tick();
         if let Some(entry) = inner.warm.get_mut(&(index, fingerprint)) {
             entry.last_used = tick;
             let state = Arc::clone(&entry.state);
             inner.warm_hits += 1;
-            return Some(state);
+            return state;
         }
         inner.warm_misses += 1;
-        // Create outside the lock? State construction is cheap for the
-        // current backends (an empty template and cache, filled by the
-        // first solve) — and creating inside the lock guarantees at
-        // most one state per group ever exists, which is the whole
-        // point of a live group.
-        let state = Arc::new(Mutex::new(make()?));
+        // Create outside the lock? A fresh state is cheap (an empty
+        // template and cache, filled by the first solve) — and creating
+        // inside the lock guarantees at most one state per group ever
+        // exists, which is the whole point of a live group.
+        let state = Arc::new(Mutex::new(GroupState::default()));
         while inner.warm.len() >= WARM_CAPACITY {
             // DETERMINISM-OK: the minimum is taken over the total key
             // (last_used, group key) — ticks are already unique, and
@@ -832,7 +821,7 @@ impl LifetimeService {
                 last_used: tick,
             },
         );
-        Some(state)
+        state
     }
 
     /// A snapshot of the counters and current occupancy.
@@ -1061,7 +1050,7 @@ mod tests {
         fn solve_in(
             &self,
             s: &Scenario,
-            _state: Option<&mut dyn GroupState>,
+            _state: Option<&mut GroupState>,
             _budget: &Budget,
         ) -> Result<LifetimeDistribution, KibamRmError> {
             self.solves.fetch_add(1, Ordering::SeqCst);
@@ -1099,7 +1088,7 @@ mod tests {
         fn solve_in(
             &self,
             s: &Scenario,
-            _state: Option<&mut dyn GroupState>,
+            _state: Option<&mut GroupState>,
             _budget: &Budget,
         ) -> Result<LifetimeDistribution, KibamRmError> {
             self.solves.fetch_add(1, Ordering::SeqCst);
@@ -1291,7 +1280,7 @@ mod tests {
             fn solve_in(
                 &self,
                 _s: &Scenario,
-                _state: Option<&mut dyn GroupState>,
+                _state: Option<&mut GroupState>,
                 _budget: &Budget,
             ) -> Result<LifetimeDistribution, KibamRmError> {
                 self.solves.fetch_add(1, Ordering::SeqCst);

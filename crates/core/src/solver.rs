@@ -73,21 +73,27 @@ impl Capability {
     }
 }
 
-/// Warm per-group solver state: everything a backend can carry from one
-/// member solve to the next — assembled patterns, curve caches, worker
-/// pools. [`SolverRegistry::sweep`] threads one such state through a
-/// batch group, and [`crate::service::LifetimeService`] keeps them
+/// Warm per-group solver state: what one member solve of a group of
+/// structurally identical scenarios (equal
+/// [`LifetimeSolver::sweep_fingerprint`]) leaves for the next — the
+/// shared [`DiscretisationTemplate`] (pattern, offsets, labels —
+/// value-refilled per member) and the [`CurveCache`] (Fox–Glynn
+/// workspace, SpMV pool, and the reusable uniformisation sweep of a
+/// rate-rescale family). [`SolverRegistry::sweep`] threads one through
+/// a batch group, and [`crate::service::LifetimeService`] keeps them
 /// **resident** across requests, so an online burst of structurally
 /// identical queries amortises exactly like a batch sweep.
 ///
-/// The state is opaque to callers; a backend downcasts its own state
-/// back out via [`GroupState::as_any_mut`]. States must be `Send`
-/// (a resident service migrates them between request threads), but need
-/// not be `Sync` — the holder serialises access, mirroring how a batch
-/// group solves its members in sequence.
-pub trait GroupState: Send {
-    /// Downcasting hook for the owning backend ([`std::any::Any`]).
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any;
+/// The state is opaque to callers: create one with
+/// [`GroupState::default`] and hand it to every member solve. Backends
+/// without shareable work (simulation, Sericola) ignore it. A state is
+/// `Send` (a resident service migrates it between request threads) but
+/// not shared: the holder serialises access, mirroring how a batch group
+/// solves its members in sequence.
+#[derive(Debug, Default)]
+pub struct GroupState {
+    template: Option<DiscretisationTemplate>,
+    cache: CurveCache,
 }
 
 /// A battery-lifetime computation backend.
@@ -117,18 +123,17 @@ pub trait LifetimeSolver: Send + Sync {
 
     /// The one way into a backend: computes `t ↦ Pr[battery empty at t]`
     /// on the scenario's grid, through warm group state when the caller
-    /// holds one (`state`, created by [`LifetimeSolver::new_group_state`]
-    /// on this same backend), and under a cooperative deadline
-    /// (`budget`). A backend's worker count is its own configuration.
+    /// holds one (`state`, shared only by scenarios of equal
+    /// [`LifetimeSolver::sweep_fingerprint`] on this same backend), and
+    /// under a cooperative deadline (`budget`). A backend's worker count
+    /// is its own configuration.
     ///
     /// Results are **bit-identical** whatever the state and the worker
     /// count: shared state is an optimisation, never an approximation.
-    /// A backend handed a state it does not recognise solves as if it
-    /// had none. A budget-interrupted solve must leave the state
-    /// consistent, so re-running the same member to completion is
-    /// bit-identical to never having cancelled. Backends without check
-    /// points of their own at least fail fast on a budget that is
-    /// already exhausted.
+    /// A budget-interrupted solve must leave the state consistent, so
+    /// re-running the same member to completion is bit-identical to
+    /// never having cancelled. Backends without check points of their
+    /// own at least fail fast on a budget that is already exhausted.
     ///
     /// # Errors
     ///
@@ -138,18 +143,17 @@ pub trait LifetimeSolver: Send + Sync {
     fn solve_in(
         &self,
         scenario: &Scenario,
-        state: Option<&mut dyn GroupState>,
+        state: Option<&mut GroupState>,
         budget: &Budget,
     ) -> Result<LifetimeDistribution, KibamRmError>;
 
     /// A fingerprint of the solver-relevant **structure** of the
     /// scenario: two scenarios with equal fingerprints may share
     /// assembled artefacts (matrix patterns, workspaces, whole
-    /// uniformisation sweeps) when solved through one
-    /// [`LifetimeSolver::new_group_state`], and the sweep planner
-    /// ([`crate::sweep::SweepPlan`]) groups a batch by this key. `None`
-    /// (the default) opts the backend out of grouping — every scenario
-    /// solves independently.
+    /// uniformisation sweeps) when solved through one [`GroupState`],
+    /// and the sweep planner ([`crate::sweep::SweepPlan`]) groups a
+    /// batch by this key. `None` (the default) opts the backend out of
+    /// grouping — every scenario solves independently.
     fn sweep_fingerprint(&self, scenario: &Scenario) -> Option<u64> {
         let _ = scenario;
         None
@@ -163,16 +167,6 @@ pub trait LifetimeSolver: Send + Sync {
     /// groups start first, in plan order.
     fn sweep_cost(&self, scenario: &Scenario) -> Option<f64> {
         let _ = scenario;
-        None
-    }
-
-    /// Creates the warm state a group of structurally identical
-    /// scenarios (equal [`LifetimeSolver::sweep_fingerprint`]) threads
-    /// through its member solves — the group-resource handle a batch
-    /// sweep holds for one group and a resident service keeps alive
-    /// across requests. `None` (the default) means the backend has no
-    /// shareable state: every member solves independently.
-    fn new_group_state(&self) -> Option<Box<dyn GroupState>> {
         None
     }
 }
@@ -241,7 +235,7 @@ impl LifetimeSolver for DiscretisationSolver {
     fn solve_in(
         &self,
         scenario: &Scenario,
-        state: Option<&mut dyn GroupState>,
+        state: Option<&mut GroupState>,
         budget: &Budget,
     ) -> Result<LifetimeDistribution, KibamRmError> {
         // Fail fast before building the derived CTMC (assembly has no
@@ -254,14 +248,11 @@ impl LifetimeSolver for DiscretisationSolver {
         let model = scenario.to_model()?;
         let opts = self.discretisation_options(scenario)?;
 
-        // Someone else's state (a caller's bookkeeping slip) counts as
-        // none: solve independently rather than mis-share.
         let mut fresh = CurveCache::new();
-        let (template, cache) =
-            match state.and_then(|s| s.as_any_mut().downcast_mut::<DiscretisationGroupState>()) {
-                Some(st) => (Some(&mut st.template), &mut st.cache),
-                None => (None, &mut fresh),
-            };
+        let (template, cache) = match state {
+            Some(st) => (Some(&mut st.template), &mut st.cache),
+            None => (None, &mut fresh),
+        };
         let disc = match template {
             // Later group members refill the shared template's values. A
             // mismatch (planner grouped too eagerly, or a fingerprint
@@ -312,34 +303,6 @@ impl LifetimeSolver for DiscretisationSolver {
         let opts = self.discretisation_options(scenario).ok()?;
         let horizon = *scenario.times().last()?;
         crate::discretise::cost_estimate(&model, &opts, horizon).ok()
-    }
-
-    fn new_group_state(&self) -> Option<Box<dyn GroupState>> {
-        // One template, one curve cache for the whole group: the lattice
-        // pattern, state labels and Fox–Glynn workspace are assembled on
-        // the first member; later members refill numeric values, and
-        // rate-rescaled members reuse the whole uniformisation sweep
-        // (see [`markov::transient::CurveCache`]).
-        Some(Box::new(DiscretisationGroupState {
-            template: None,
-            cache: CurveCache::new(),
-        }))
-    }
-}
-
-/// The discretisation backend's warm group state: the shared
-/// [`DiscretisationTemplate`] (pattern, offsets, labels — value-refilled
-/// per member) and the [`CurveCache`] (Fox–Glynn workspace, SpMV pool,
-/// and the reusable uniformisation sweep of a rate-rescale family).
-#[derive(Debug, Default)]
-pub struct DiscretisationGroupState {
-    template: Option<DiscretisationTemplate>,
-    cache: CurveCache,
-}
-
-impl GroupState for DiscretisationGroupState {
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 
@@ -481,7 +444,7 @@ impl LifetimeSolver for SimulationSolver {
     fn solve_in(
         &self,
         scenario: &Scenario,
-        _state: Option<&mut dyn GroupState>,
+        _state: Option<&mut GroupState>,
         budget: &Budget,
     ) -> Result<LifetimeDistribution, KibamRmError> {
         // Fail fast before building the model (`is_exhausted` does not
@@ -554,7 +517,7 @@ impl LifetimeSolver for SericolaSolver {
     fn solve_in(
         &self,
         scenario: &Scenario,
-        _state: Option<&mut dyn GroupState>,
+        _state: Option<&mut GroupState>,
         budget: &Budget,
     ) -> Result<LifetimeDistribution, KibamRmError> {
         // No check points inside the exact algorithm: fail fast only.
@@ -719,11 +682,12 @@ impl SolverRegistry {
     }
 
     /// Solves a whole scenario grid through a structure-sharing
-    /// [`SweepPlan`]: byte-identical scenarios are deduplicated (one
-    /// solve, one result **per input slot**), structurally identical
-    /// scenarios are grouped so each group assembles its lattice pattern
-    /// and Fox–Glynn workspace once (and rate-rescaled families share a
-    /// single uniformisation sweep), and the groups are solved by
+    /// [`SweepPlan`]: scenarios with equal [`Scenario::canonical_bytes`]
+    /// (equal up to their names) are deduplicated (one solve, one result
+    /// **per input slot**), structurally identical scenarios are grouped
+    /// so each group assembles its lattice pattern and Fox–Glynn
+    /// workspace once (and rate-rescaled families share a single
+    /// uniformisation sweep), and the groups are solved by
     /// [`with_sweep_threads`](SolverRegistry::with_sweep_threads)
     /// workers taking them from one queue, longest estimated group first
     /// ([`SweepPlan::run_order`]). Results come back in input order,
@@ -746,18 +710,12 @@ impl SolverRegistry {
                 // the resident service threads its live one through
                 // requests. A singleton has nothing to share, so it solves
                 // with no state rather than build one only to drop it.
-                let mut state = if group.members().len() > 1 {
-                    solver.new_group_state()
-                } else {
-                    None
-                };
+                let mut state = (group.members().len() > 1).then(GroupState::default);
+                let unlimited = Budget::unlimited();
                 group
                     .members()
                     .iter()
-                    .map(|&i| {
-                        let state = state.as_mut().map(|st| st.as_mut() as &mut dyn GroupState);
-                        (i, solver.solve_in(&scenarios[i], state, &Budget::unlimited()))
-                    })
+                    .map(|&i| (i, solver.solve_in(&scenarios[i], state.as_mut(), &unlimited)))
                     .collect()
             };
 
@@ -1247,7 +1205,7 @@ mod tests {
             fn solve_in(
                 &self,
                 _s: &Scenario,
-                _state: Option<&mut dyn GroupState>,
+                _state: Option<&mut GroupState>,
                 _budget: &Budget,
             ) -> Result<LifetimeDistribution, KibamRmError> {
                 let t = Time::from_seconds(5.0);
@@ -1384,7 +1342,7 @@ mod tests {
             fn solve_in(
                 &self,
                 _s: &Scenario,
-                _state: Option<&mut dyn GroupState>,
+                _state: Option<&mut GroupState>,
                 _budget: &Budget,
             ) -> Result<LifetimeDistribution, KibamRmError> {
                 unreachable!("never selected")
@@ -1429,7 +1387,7 @@ mod tests {
             fn solve_in(
                 &self,
                 s: &Scenario,
-                _state: Option<&mut dyn GroupState>,
+                _state: Option<&mut GroupState>,
                 _budget: &Budget,
             ) -> Result<LifetimeDistribution, KibamRmError> {
                 if std::thread::current().id() != self.caller {
@@ -1446,8 +1404,14 @@ mod tests {
                 )
             }
         }
+        // Distinct seeds keep the eight inputs distinct for the planner;
+        // the backend ignores them.
         let batch: Vec<Scenario> = (0..8)
-            .map(|i| small_linear().with_name(format!("s{i}")))
+            .map(|i| {
+                small_linear()
+                    .with_name(format!("s{i}"))
+                    .with_simulation(400, i)
+            })
             .collect();
         let mut registry = SolverRegistry::empty().with_sweep_threads(2);
         registry.register(Box::new(PanicsOffCaller {
@@ -1493,7 +1457,7 @@ mod tests {
             fn solve_in(
                 &self,
                 s: &Scenario,
-                _state: Option<&mut dyn GroupState>,
+                _state: Option<&mut GroupState>,
                 _budget: &Budget,
             ) -> Result<LifetimeDistribution, KibamRmError> {
                 if std::thread::current().id() != self.caller {
@@ -1512,8 +1476,14 @@ mod tests {
                 )
             }
         }
+        // Distinct seeds keep the eight inputs distinct for the planner;
+        // the backend ignores them.
         let batch: Vec<Scenario> = (0..8)
-            .map(|i| small_linear().with_name(format!("s{i}")))
+            .map(|i| {
+                small_linear()
+                    .with_name(format!("s{i}"))
+                    .with_simulation(400, i)
+            })
             .collect();
         let (sender, helper_exited) = mpsc::channel();
         let caller_solves = std::sync::Arc::new(AtomicUsize::new(0));
@@ -1547,15 +1517,8 @@ mod tests {
         struct Recording {
             priced: bool,
             started: Log,
-            // Member solves handed a group state, and states created.
+            // Member solves handed a group state.
             stateful: Log,
-            states: std::sync::Arc<AtomicUsize>,
-        }
-        struct Warm;
-        impl GroupState for Warm {
-            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-                self
-            }
         }
         impl LifetimeSolver for Recording {
             fn name(&self) -> &'static str {
@@ -1567,7 +1530,7 @@ mod tests {
             fn solve_in(
                 &self,
                 s: &Scenario,
-                state: Option<&mut dyn GroupState>,
+                state: Option<&mut GroupState>,
                 _budget: &Budget,
             ) -> Result<LifetimeDistribution, KibamRmError> {
                 self.started.lock().unwrap().push(s.name().to_owned());
@@ -1582,10 +1545,6 @@ mod tests {
                     SolveDiagnostics::default(),
                 )
             }
-            fn new_group_state(&self) -> Option<Box<dyn GroupState>> {
-                self.states.fetch_add(1, Ordering::Relaxed);
-                Some(Box::new(Warm))
-            }
             fn sweep_fingerprint(&self, s: &Scenario) -> Option<u64> {
                 Some(u64::from(s.name().as_bytes()[0]))
             }
@@ -1595,24 +1554,26 @@ mod tests {
             }
         }
         let names = ["A:1", "B:5", "C:3", "D:5", "E:2:x", "E:2:y"];
-        let batch: Vec<Scenario> = names.iter().map(|n| small_linear().with_name(*n)).collect();
+        // Distinct seeds keep the inputs distinct for the planner; the
+        // backend ignores them.
+        let batch: Vec<Scenario> = (0..)
+            .zip(names)
+            .map(|(i, n)| small_linear().with_name(n).with_simulation(400, i))
+            .collect();
         let started = |priced: bool| {
             let (log, stateful) = (Log::default(), Log::default());
-            let states = std::sync::Arc::new(AtomicUsize::new(0));
             let mut registry = SolverRegistry::empty().with_sweep_threads(1);
             registry.register(Box::new(Recording {
                 priced,
                 started: log.clone(),
                 stateful: stateful.clone(),
-                states: states.clone(),
             }));
             let plan = SweepPlan::build(&registry, &batch);
             assert_eq!(plan.groups().len(), 5);
             let results = registry.sweep(&batch);
             let started = log.lock().unwrap().clone();
-            // One state for the one multi-member group (E), none for the
-            // four singletons, and both E members solve through it.
-            assert_eq!(states.load(Ordering::Relaxed), 1);
+            // Only the one multi-member group (E) solves through a state,
+            // both of its members; the four singletons solve with none.
             assert_eq!(*stateful.lock().unwrap(), ["E:2:x", "E:2:y"]);
             // The state never moves a bit: every slot matches stateless
             // independent solves.
@@ -1724,9 +1685,9 @@ mod tests {
         let s = two_well();
         let reference = reference_bits(&solver, &s);
         for k in [0, 1, 7] {
-            let mut state = solver.new_group_state().unwrap();
+            let mut state = GroupState::default();
             let err = solver
-                .solve_in(&s, Some(state.as_mut()), &Budget::cancelled_after_checks(k))
+                .solve_in(&s, Some(&mut state), &Budget::cancelled_after_checks(k))
                 .expect_err("budget must interrupt the sweep");
             assert_eq!(
                 err,
@@ -1736,7 +1697,7 @@ mod tests {
                 "k = {k}"
             );
             let rerun = solver
-                .solve_in(&s, Some(state.as_mut()), &Budget::unlimited())
+                .solve_in(&s, Some(&mut state), &Budget::unlimited())
                 .unwrap();
             assert_eq!(bits(&rerun), reference, "k = {k}");
         }
@@ -1749,9 +1710,6 @@ mod tests {
         let solver = SimulationSolver::new().with_threads(1);
         let s = small_linear(); // 400 replications: batches of 256 and 144
         let reference = solver.solve(&s).unwrap();
-        // The backend keeps no group state: a group member solves with
-        // none.
-        assert!(solver.new_group_state().is_none());
         let err = solver
             .solve_in(&s, None, &Budget::cancelled_after_checks(1))
             .expect_err("budget must stop the batch loop");
@@ -1807,39 +1765,17 @@ mod tests {
 
     #[test]
     fn another_backends_group_state_solves_like_none() {
-        // A state handed to the wrong backend is a caller's bookkeeping
-        // slip: each backend must ignore it and answer with the bits of
-        // a stateless solve, not mis-share.
-        struct Foreign;
-        impl GroupState for Foreign {
-            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-                self
-            }
-        }
+        // The simulation backend has nothing to share: handed a group
+        // state, it answers with the bits of a stateless solve and leaves
+        // the state untouched (it still holds no template).
         let unlimited = Budget::unlimited();
-        let s = two_well().with_delta(Charge::from_milliamp_hours(50.0));
-        let disc = DiscretisationSolver::new();
-        let foreign = disc.solve_in(&s, Some(&mut Foreign), &unlimited).unwrap();
-        let stateless = disc.solve_in(&s, None, &unlimited).unwrap();
-        assert_eq!(bits(&foreign), bits(&stateless));
-
         let s = small_linear();
         let sim = SimulationSolver::new();
-        let foreign = sim.solve_in(&s, Some(&mut Foreign), &unlimited).unwrap();
+        let mut state = GroupState::default();
+        let stated = sim.solve_in(&s, Some(&mut state), &unlimited).unwrap();
         let stateless = sim.solve_in(&s, None, &unlimited).unwrap();
-        assert_eq!(bits(&foreign), bits(&stateless));
-        // A discretisation state handed to the simulation backend is
-        // left untouched: it still holds no template.
-        let mut disc_state = disc.new_group_state().unwrap();
-        let foreign = sim
-            .solve_in(&s, Some(disc_state.as_mut()), &unlimited)
-            .unwrap();
-        assert_eq!(bits(&foreign), bits(&stateless));
-        let disc_state = disc_state
-            .as_any_mut()
-            .downcast_mut::<DiscretisationGroupState>()
-            .unwrap();
-        assert!(disc_state.template.is_none());
+        assert_eq!(bits(&stated), bits(&stateless));
+        assert!(state.template.is_none());
     }
 
     #[test]

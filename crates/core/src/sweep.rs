@@ -9,8 +9,10 @@
 //! structure** so that [`crate::solver::SolverRegistry::sweep`] can
 //! amortise everything the group has in common:
 //!
-//! * **byte-identical scenarios** are deduplicated — one solve, one
-//!   result per input slot, order preserved;
+//! * **scenarios equal up to their names** (equal
+//!   [`Scenario::canonical_bytes`], the key the resident service caches
+//!   under) are deduplicated — one solve, one result per input slot,
+//!   order preserved;
 //! * **structurally identical scenarios** (equal
 //!   [`LifetimeSolver::sweep_fingerprint`](crate::solver::LifetimeSolver::sweep_fingerprint)
 //!   — same workload CTMC pattern, same lattice dimensions) share one
@@ -52,6 +54,7 @@ use crate::scenario::Scenario;
 use crate::solver::SolverRegistry;
 use crate::workload::Workload;
 use crate::KibamRmError;
+use std::collections::hash_map::{Entry, HashMap};
 use units::{Charge, Rate};
 
 /// A labelled cartesian product of scenario variations — the input shape
@@ -211,8 +214,9 @@ impl ScenarioGrid {
 pub enum PlanSlot {
     /// Solved inside some plan group.
     Grouped,
-    /// Byte-identical to an earlier scenario: its result is cloned from
-    /// the canonical slot, which is never itself a duplicate.
+    /// Equal to an earlier scenario up to its name (equal
+    /// [`Scenario::canonical_bytes`]): its result is cloned from the
+    /// canonical slot, which is never itself a duplicate.
     DuplicateOf(usize),
     /// No registered backend supports the scenario; the selection error
     /// is reported in this slot.
@@ -250,11 +254,11 @@ impl PlanGroup {
     }
 }
 
-/// A structure-sharing execution plan for a scenario batch: duplicates
-/// collapsed, the rest grouped by `(backend, structural fingerprint)`.
-/// Built by [`SweepPlan::build`] and executed by
-/// [`SolverRegistry::sweep`]; the accessors exist so benchmarks and tests
-/// can inspect how much sharing a grid admits.
+/// A structure-sharing execution plan for a scenario batch: scenarios
+/// equal up to their names collapsed, the rest grouped by
+/// `(backend, structural fingerprint)`. Built by [`SweepPlan::build`]
+/// and executed by [`SolverRegistry::sweep`]; the accessors exist so
+/// benchmarks and tests can inspect how much sharing a grid admits.
 #[derive(Debug)]
 pub struct SweepPlan {
     slots: Vec<PlanSlot>,
@@ -262,47 +266,56 @@ pub struct SweepPlan {
 }
 
 impl SweepPlan {
-    /// Plans `scenarios` against `registry`: deduplicates byte-identical
-    /// scenarios (first occurrence is canonical), auto-selects a backend
-    /// per unique scenario, and groups scenarios whose selected backend
-    /// reports equal
+    /// Plans `scenarios` against `registry`: auto-selects a backend per
+    /// scenario, deduplicates scenarios with equal
+    /// [`Scenario::canonical_bytes`] (the first occurrence is canonical),
+    /// and groups the unique scenarios whose selected backend reports
+    /// equal
     /// [`sweep_fingerprint`](crate::solver::LifetimeSolver::sweep_fingerprint)s.
-    /// Backends returning `None` yield singleton groups.
+    /// Backends returning `None` yield singleton groups. Selection comes
+    /// first, so every unsupported slot reports its own scenario's name.
     pub fn build(registry: &SolverRegistry, scenarios: &[Scenario]) -> SweepPlan {
         let mut slots: Vec<PlanSlot> = Vec::with_capacity(scenarios.len());
-        let mut canonical: Vec<usize> = Vec::new();
+        let mut canonical: HashMap<Vec<u8>, usize> = HashMap::new();
         let mut groups: Vec<PlanGroup> = Vec::new();
         for (i, scenario) in scenarios.iter().enumerate() {
-            if let Some(&j) = canonical.iter().find(|&&j| scenarios[j] == *scenario) {
-                slots.push(PlanSlot::DuplicateOf(j));
-                continue;
-            }
-            canonical.push(i);
-            match registry.auto_index(scenario) {
-                Err(e) => slots.push(PlanSlot::Unsupported(e)),
-                Ok(solver_index) => {
-                    slots.push(PlanSlot::Grouped);
-                    let solver = registry.solver_at(solver_index);
-                    let fingerprint = solver.sweep_fingerprint(scenario);
-                    let cost = solver.sweep_cost(scenario);
-                    let existing = fingerprint.and_then(|fp| {
-                        groups
-                            .iter_mut()
-                            .find(|g| g.solver_index == solver_index && g.fingerprint == Some(fp))
-                    });
-                    match existing {
-                        Some(group) => {
-                            group.members.push(i);
-                            group.cost = group.cost.zip(cost).map(|(a, b)| a + b);
-                        }
-                        None => groups.push(PlanGroup {
-                            solver_index,
-                            fingerprint,
-                            cost,
-                            members: vec![i],
-                        }),
-                    }
+            let keyed = registry
+                .auto_index(scenario)
+                .and_then(|index| Ok((index, scenario.canonical_bytes()?)));
+            let (solver_index, key) = match keyed {
+                Ok(keyed) => keyed,
+                Err(e) => {
+                    slots.push(PlanSlot::Unsupported(e));
+                    continue;
                 }
+            };
+            match canonical.entry(key) {
+                Entry::Occupied(first) => {
+                    slots.push(PlanSlot::DuplicateOf(*first.get()));
+                    continue;
+                }
+                Entry::Vacant(slot) => slot.insert(i),
+            };
+            slots.push(PlanSlot::Grouped);
+            let solver = registry.solver_at(solver_index);
+            let fingerprint = solver.sweep_fingerprint(scenario);
+            let cost = solver.sweep_cost(scenario);
+            let existing = fingerprint.and_then(|fp| {
+                groups
+                    .iter_mut()
+                    .find(|g| g.solver_index == solver_index && g.fingerprint == Some(fp))
+            });
+            match existing {
+                Some(group) => {
+                    group.members.push(i);
+                    group.cost = group.cost.zip(cost).map(|(a, b)| a + b);
+                }
+                None => groups.push(PlanGroup {
+                    solver_index,
+                    fingerprint,
+                    cost,
+                    members: vec![i],
+                }),
             }
         }
         SweepPlan { slots, groups }
@@ -335,8 +348,8 @@ impl SweepPlan {
         order
     }
 
-    /// Number of input slots that are byte-identical duplicates of an
-    /// earlier slot.
+    /// Number of input slots that duplicate an earlier slot up to its
+    /// name.
     pub fn n_duplicates(&self) -> usize {
         self.slots
             .iter()
@@ -463,8 +476,7 @@ mod tests {
     #[test]
     fn duplicates_get_one_solve_but_one_result_slot_each() {
         // The regression the planner fixes: sweep() used to re-solve
-        // byte-identical scenarios. Count actual solves with a custom
-        // backend.
+        // repeated scenarios. Count actual solves with a custom backend.
         static SOLVES: AtomicUsize = AtomicUsize::new(0);
         struct Counting;
         impl LifetimeSolver for Counting {
@@ -477,7 +489,7 @@ mod tests {
             fn solve_in(
                 &self,
                 s: &Scenario,
-                _state: Option<&mut dyn GroupState>,
+                _state: Option<&mut GroupState>,
                 _budget: &Budget,
             ) -> Result<LifetimeDistribution, KibamRmError> {
                 SOLVES.fetch_add(1, Ordering::SeqCst);
@@ -491,11 +503,17 @@ mod tests {
         let mut registry = SolverRegistry::empty().with_sweep_threads(2);
         registry.register(Box::new(Counting));
         let s = base();
-        let other = s.with_name("other");
-        let batch = vec![s.clone(), other.clone(), s.clone(), s, other];
+        // A different question, and a name-only variant of `s`, which
+        // asks the same one.
+        let other = s.with_simulation(400, 8).with_name("other");
+        let renamed = s.with_name("renamed");
+        let batch = vec![s.clone(), other.clone(), s.clone(), renamed, s, other];
+        let plan = SweepPlan::build(&registry, &batch);
+        assert!(matches!(plan.slot(3), PlanSlot::DuplicateOf(0)));
+        assert_eq!(plan.n_duplicates(), 4);
         let results = registry.sweep(&batch);
         // Order preserved, one result slot per input.
-        assert_eq!(results.len(), 5);
+        assert_eq!(results.len(), 6);
         for (i, r) in results.iter().enumerate() {
             let d = r.as_ref().unwrap();
             assert_eq!(d.method(), "counting", "slot {i}");
@@ -508,15 +526,17 @@ mod tests {
     #[test]
     fn planned_sweep_isolates_failures_and_unsupported_slots() {
         // An empty registry reports the selection error per slot,
-        // including for duplicates of an unsupported scenario.
+        // including for duplicates of an unsupported scenario; a
+        // name-only variant's error names the variant.
         let registry = SolverRegistry::empty();
         let s = base();
-        let results = registry.sweep(&[s.clone(), s]);
-        assert_eq!(results.len(), 2);
-        for r in &results {
-            assert!(r
-                .as_ref()
-                .is_err_and(|e| e.to_string().contains("registry is empty")));
+        let batch = [s.clone(), s.clone(), s.with_name("renamed")];
+        let results = registry.sweep(&batch);
+        assert_eq!(results.len(), 3);
+        for (r, input) in results.iter().zip(&batch) {
+            let e = r.as_ref().expect_err("no backend").to_string();
+            assert!(e.contains("registry is empty"), "{e}");
+            assert!(e.contains(&format!("'{}'", input.name())), "{e}");
         }
         // A non-dividing Δ fails its own slots (duplicated too) without
         // poisoning the rest of the batch.

@@ -1,9 +1,9 @@
 //! Cooperative cancellation for the long-running engines.
 //!
-//! A [`Budget`] is a shared token — an atomic cancel flag plus an
-//! optional wall-clock deadline — that the iteration-granular hot loops
-//! check cooperatively: the uniformisation sweep in [`crate::transient`]
-//! once per matrix–vector product, and the Monte Carlo batch loop in the
+//! A [`Budget`] is a shared token carrying an optional wall-clock
+//! deadline, which the iteration-granular hot loops check
+//! cooperatively: the uniformisation sweep in [`crate::transient`] once
+//! per matrix–vector product, and the Monte Carlo batch loop in the
 //! `sim` crate once per batch checkpoint. When a check fails the engine
 //! abandons the remaining work and surfaces
 //! [`MarkovError::DeadlineExceeded`] carrying the work it completed, so
@@ -21,15 +21,13 @@
 //! point work in the same order as an unbudgeted engine.
 
 use crate::MarkovError;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The shared state behind an active budget.
 #[derive(Debug)]
 struct BudgetState {
-    /// Set by [`Budget::cancel`]; checked first (cheapest).
-    cancelled: AtomicBool,
     /// Wall-clock point after which every check fails.
     deadline: Option<Instant>,
     /// Deterministic test mode: number of further checks allowed to
@@ -37,12 +35,13 @@ struct BudgetState {
     checks_left: AtomicU64,
 }
 
-/// A shared cancellation token with an optional deadline, checked at
-/// iteration granularity by the long-running engines.
+/// A shared deadline token, checked at iteration granularity by the
+/// long-running engines.
 ///
-/// `Clone` is O(1) and shares the underlying state: clone a budget into
-/// a worker, keep the original, and [`cancel`](Budget::cancel) from
-/// either side.
+/// `Clone` is O(1) and shares the underlying state: a budget cloned into
+/// a worker expires with the original, and the deterministic check
+/// count of [`Budget::cancelled_after_checks`] is spent by all clones
+/// together.
 #[derive(Debug, Clone, Default)]
 pub struct Budget {
     state: Option<Arc<BudgetState>>,
@@ -56,32 +55,17 @@ impl Budget {
         Budget { state: None }
     }
 
-    /// A cancellable budget with no deadline: fails only after
-    /// [`cancel`](Budget::cancel) is called (from any clone).
-    pub fn cancellable() -> Self {
-        Budget {
-            state: Some(Arc::new(BudgetState {
-                cancelled: AtomicBool::new(false),
-                deadline: None,
-                checks_left: AtomicU64::new(u64::MAX),
-            })),
-        }
-    }
-
-    /// A budget that expires `timeout` from now (and is additionally
-    /// cancellable).
+    /// A budget that expires `timeout` from now.
     pub fn with_deadline(timeout: Duration) -> Self {
         Budget::with_deadline_at(Instant::now() + timeout)
     }
 
-    /// A budget that expires at `deadline` (and is additionally
-    /// cancellable). Sharing one instant across retry attempts keeps
-    /// the *request's* deadline fixed while individual attempts come
-    /// and go.
+    /// A budget that expires at `deadline`, a fixed instant: a request
+    /// that waits before its solve starts keeps the deadline it arrived
+    /// with.
     pub fn with_deadline_at(deadline: Instant) -> Self {
         Budget {
             state: Some(Arc::new(BudgetState {
-                cancelled: AtomicBool::new(false),
                 deadline: Some(deadline),
                 checks_left: AtomicU64::new(u64::MAX),
             })),
@@ -95,24 +79,10 @@ impl Budget {
     pub fn cancelled_after_checks(k: u64) -> Self {
         Budget {
             state: Some(Arc::new(BudgetState {
-                cancelled: AtomicBool::new(false),
                 deadline: None,
                 checks_left: AtomicU64::new(k),
             })),
         }
-    }
-
-    /// Requests cancellation: every subsequent check on any clone of
-    /// this budget fails. No-op on an unlimited budget.
-    pub fn cancel(&self) {
-        if let Some(state) = &self.state {
-            state.cancelled.store(true, Ordering::Release);
-        }
-    }
-
-    /// The configured deadline, when one was set.
-    pub fn deadline(&self) -> Option<Instant> {
-        self.state.as_ref().and_then(|s| s.deadline)
     }
 
     /// Whether the budget is already exhausted, without consuming a
@@ -122,9 +92,6 @@ impl Budget {
         let Some(state) = &self.state else {
             return false;
         };
-        if state.cancelled.load(Ordering::Acquire) {
-            return true;
-        }
         if state.checks_left.load(Ordering::Relaxed) == 0 {
             return true;
         }
@@ -133,8 +100,8 @@ impl Budget {
 
     /// One cooperative check point. Returns
     /// [`MarkovError::DeadlineExceeded`] — reporting `completed` units
-    /// of work done so far — when the budget is cancelled, past its
-    /// deadline, or out of deterministic checks.
+    /// of work done so far — when the budget is past its deadline or out
+    /// of deterministic checks.
     ///
     /// # Errors
     ///
@@ -151,9 +118,6 @@ impl Budget {
     /// the unlimited fast path stays a single branch.
     #[cold]
     fn check_active(&self, state: &BudgetState, completed: usize) -> Result<(), MarkovError> {
-        if state.cancelled.load(Ordering::Acquire) {
-            return Err(MarkovError::DeadlineExceeded { completed });
-        }
         // Deterministic counter: decrement one permit per check; a
         // budget out of permits stays exhausted (saturating at zero).
         if state
@@ -172,8 +136,8 @@ impl Budget {
     }
 }
 
-// Budgets cross thread boundaries by design: the service hands one to a
-// solve running on another thread and cancels it from the caller's.
+// Budgets cross thread boundaries by design: a solve's row and
+// replication workers check clones of the request's budget.
 const _: fn() = || {
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Budget>();
@@ -190,21 +154,6 @@ mod tests {
         for i in 0..1000 {
             assert!(b.check(i).is_ok());
         }
-        b.cancel(); // no-op
-        assert!(b.check(0).is_ok());
-    }
-
-    #[test]
-    fn cancel_is_shared_across_clones() {
-        let b = Budget::cancellable();
-        let clone = b.clone();
-        assert!(b.check(0).is_ok());
-        clone.cancel();
-        assert!(b.is_exhausted());
-        assert_eq!(
-            b.check(7),
-            Err(MarkovError::DeadlineExceeded { completed: 7 })
-        );
     }
 
     #[test]
@@ -237,7 +186,6 @@ mod tests {
         let b = Budget::with_deadline(Duration::from_secs(3600));
         assert!(!b.is_exhausted());
         assert!(b.check(0).is_ok());
-        assert!(b.deadline().is_some());
     }
 
     #[test]

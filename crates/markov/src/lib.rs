@@ -23,9 +23,9 @@
 //!   used to calibrate the paper's burst workload (`λ_burst = 182/h`);
 //! * [`absorbing`] — mean time to absorption, giving mean battery
 //!   lifetimes directly from the discretised chain;
-//! * [`budget`] — cooperative cancellation tokens (shared cancel flag +
-//!   deadline) that the uniformisation sweep checks once per product,
-//!   surfacing [`MarkovError::DeadlineExceeded`] with the work done;
+//! * [`budget`] — cooperative deadline tokens that the uniformisation
+//!   sweep checks once per product, surfacing
+//!   [`MarkovError::DeadlineExceeded`] with the work done;
 //! * [`mrm`] — homogeneous Markov reward models, whose expected rewards
 //!   are the transient sweep with the reward vector as the measure;
 //! * [`sericola`] — Sericola's exact uniformisation-based algorithm for the

@@ -116,7 +116,6 @@ use crate::pool::SpmvPool;
 use crate::sparse::Subset;
 use crate::MarkovError;
 use std::ops::Range;
-use std::sync::Arc;
 
 /// Which storage format the uniformisation sweep iterates with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -335,16 +334,13 @@ pub fn measure_curve(
 /// Cross-solve cache for [`measure_curve_cached`]: what a sweep-plan
 /// group shares between structurally identical solves.
 ///
-/// Three layers, reused under progressively stronger conditions:
+/// Two layers, reused under progressively stronger conditions:
 ///
 /// 1. **Workspaces** — the Fox–Glynn buffers and the SpMV worker pool
 ///    survive across solves whenever the thread budget matches (always
 ///    true within a plan group), so a group spawns its workers once, not
 ///    once per member.
-/// 2. **The reachable set** of the sub-chain the sorted-row and CSR
-///    engines sweep, reused while the chain's structural fingerprint and
-///    `α` match.
-/// 3. **The iterate scalars** `s_n = m·(αPⁿ)` — the expensive part, and
+/// 2. **The iterate scalars** `s_n = m·(αPⁿ)` — the expensive part, and
 ///    reused only when bitwise identity with an independent solve is
 ///    provable: the member's `Pᵀ` must equal the cached one bit for bit
 ///    (true across rate-rescaled scenario families, `Q' = γQ` with `γ` a
@@ -361,7 +357,10 @@ pub fn measure_curve(
 ///
 /// Every member emits its own `Pᵀ`; on a banded chain the structure
 /// probe finds the same offsets for every member of a pattern, so the
-/// bitwise comparison of layer 3 still holds across the group.
+/// bitwise comparison of layer 2 still holds across the group. Every
+/// member also searches its own reachable set: the search costs what a
+/// hash of the pattern would, and the reuse test compares the sets
+/// exactly.
 ///
 /// Reused members report only the matrix products *this call* performed
 /// in `iterations`/`touched_entries` (zero for a pure remix) and inherit
@@ -378,18 +377,13 @@ pub struct CurveCache {
 #[derive(Debug)]
 struct CacheState {
     opts: TransientOptions,
-    /// Structural fingerprint of the source chain `pt` was built from —
-    /// with `alpha`, the key of the reachable set.
-    source_fp: u64,
     pt: TransitionMatrix,
     nu: f64,
     t_max: f64,
     alpha: Vec<f64>,
     measure: Vec<f64>,
-    /// The states reachable from `alpha` on the `source_fp` pattern; a
-    /// later member with the same pattern and `alpha` reuses it instead
-    /// of searching again.
-    reach: Arc<Subset>,
+    /// The states reachable from `alpha`: the rows `pt` keeps.
+    reach: Subset,
     /// The measure's terms on the swept rows ([`measure_terms`]).
     terms: Vec<(u32, f64)>,
     /// `s[n] = measure · (alpha Pⁿ)` for `n = 0..=iterations`.
@@ -621,17 +615,8 @@ fn sweep_scalars(
 
     // Pᵀ straight from the generator in the representation Auto picks
     // (banded or sorted rows) — never a P temporary, never a transpose
-    // copy. Within a plan group the cached reachable set skips the
-    // search: it depends only on the pattern and α.
-    let member_fp = ctmc.structural_fingerprint();
-    let reach = match cache
-        .state
-        .as_ref()
-        .filter(|st| st.source_fp == member_fp && st.alpha == alpha)
-    {
-        Some(st) => Arc::clone(&st.reach),
-        None => Arc::new(ctmc.reachable_from(alpha)?),
-    };
+    // copy — on the states reachable from α.
+    let reach = ctmc.reachable_from(alpha)?;
     let (pt, nu) = build_transposed(ctmc, opts, &reach)?;
     if nu == 0.0 || t_max == 0.0 {
         return Ok((nu, None));
@@ -688,7 +673,6 @@ fn sweep_scalars(
         s.push(dot(alpha, measure));
         let mut state = CacheState {
             opts: *opts,
-            source_fp: member_fp,
             nu,
             t_max,
             alpha: alpha.to_vec(),
@@ -1615,7 +1599,6 @@ mod tests {
             ..auto
         };
         let (mut auto_cache, mut csr_cache) = (CurveCache::new(), CurveCache::new());
-        let mut first_reach = None;
         for gamma in [0.5, 1.0] {
             let member = scaled_chain(&chain, gamma);
             let a = measure_curve_cached(&member, &alpha, &times, &empty, &auto, &mut auto_cache)
@@ -1631,7 +1614,6 @@ mod tests {
             let full = full_chain_curve(&member, &alpha, &times, &empty, &auto);
             assert_eq!(curve_bits(&a.points), curve_bits(&full), "γ = {gamma}");
             let state = auto_cache.state.as_ref().expect("sweep cached");
-            let reach = Arc::clone(&state.reach);
             assert!(
                 state.pt.rows() < member.n_states(),
                 "the sweep is restricted"
@@ -1640,11 +1622,7 @@ mod tests {
                 assert!(shared, "γ = 1 extends the γ = ½ sweep");
                 assert!(a.iterations < independent.iterations);
                 assert_eq!(a.iterations, b.iterations);
-                // One search serves the family.
-                let first: &Arc<Subset> = first_reach.as_ref().expect("γ = ½ ran first");
-                assert!(Arc::ptr_eq(first, &reach));
             }
-            first_reach = Some(reach);
         }
     }
 

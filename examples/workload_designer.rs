@@ -6,7 +6,7 @@
 //! 1. build a custom workload with [`kibamrm::builder::WorkloadBuilder`];
 //! 2. sanity-check it with steady-state analysis and CSRL-style
 //!    time-bounded reachability;
-//! 3. compress time exactly to make the numerics cheap;
+//! 3. run the device on a faster clock to make the numerics cheap;
 //! 4. describe the question once as a [`kibamrm::scenario::Scenario`],
 //!    serialise it to its config text, and cross-validate every
 //!    applicable solver with `SolverRegistry::cross_validate`;
@@ -57,33 +57,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("Pr[first uplink within {:>4.0} h] = {p:.3}", t / 3600.0);
     }
 
-    // 3. A 1200 mAh battery would last weeks — compress time 24× so an
-    //    hour of compressed analysis equals a day of real operation.
-    //    (Scenario validation happens in build(); the compression uses
-    //    the model layer's exact rescaling.)
-    let real = kibamrm::model::KibamRm::new(
-        workload,
-        Charge::from_milliamp_hours(1200.0),
-        0.625,
-        Rate::per_second(4.5e-5),
-    )?;
-    let compressed = real.time_compressed(24.0)?;
-    println!(
-        "\ncompressed battery: {:.1} mAh (exact rescaling, lifetimes ×1/24)",
-        compressed.capacity().as_milliamp_hours()
-    );
+    // 3. A 1200 mAh battery would last weeks — run the device 24× faster
+    //    so an hour of compressed analysis equals a day of real operation.
+    //    `with_rate_scale` multiplies every rate, every current and k by
+    //    24: the same process on a faster clock, so F₂₄(t) = F(24t).
+    let real = Scenario::builder()
+        .name("gps-tracker")
+        .workload(workload)
+        .capacity(Charge::from_milliamp_hours(1200.0))
+        .kibam(0.625, Rate::per_second(4.5e-5))
+        .time_grid(Time::from_hours(30.0), 60)
+        .delta(Charge::from_milliamp_hours(30.0))
+        .simulation(400, 99)
+        .build()?;
+    let scenario = real.with_rate_scale(24.0)?.with_name("gps-tracker-24x");
+    println!("\ndevice clock ×24 (exact rescaling, lifetimes ×1/24)");
 
     // 4. One scenario, every applicable method. The config text is what
     //    you would store in a fleet-management database.
-    let scenario = Scenario::builder()
-        .name("gps-tracker-24x")
-        .workload(compressed.workload().clone())
-        .capacity(compressed.capacity())
-        .kibam(compressed.c(), compressed.k())
-        .time_grid(Time::from_hours(30.0), 60)
-        .delta(Charge::from_milliamp_hours(1.25))
-        .simulation(400, 99)
-        .build()?;
     println!("\nscenario config:\n{}", scenario.to_config_string()?);
 
     let cv = SolverRegistry::with_default_backends().cross_validate(&scenario)?;

@@ -41,7 +41,7 @@ impl LifetimeSolver for Inner {
     fn solve_in(
         &self,
         s: &Scenario,
-        _state: Option<&mut dyn GroupState>,
+        _state: Option<&mut GroupState>,
         budget: &Budget,
     ) -> Result<LifetimeDistribution, KibamRmError> {
         // No check points of its own, so it fails fast on a budget an

@@ -33,7 +33,7 @@ impl LifetimeSolver for CountingSolver {
     fn solve_in(
         &self,
         scenario: &Scenario,
-        _state: Option<&mut dyn GroupState>,
+        _state: Option<&mut GroupState>,
         _budget: &Budget,
     ) -> Result<LifetimeDistribution, KibamRmError> {
         self.solves.fetch_add(1, Ordering::SeqCst);
