@@ -113,9 +113,11 @@ fn run_one(
     // accounting experiment stays cheap even at Δ = 5 where the full
     // transient solve takes minutes.
     let nu = disc.chain().max_exit_rate();
-    let iterations = markov::foxglynn::poisson_weights(nu * t_seconds, solver.transient().epsilon)
-        .map_err(|e| e.to_string())?
-        .right;
+    let mut window = markov::foxglynn::FoxGlynnCache::new();
+    window
+        .compute(nu * t_seconds, solver.transient().epsilon)
+        .map_err(|e| e.to_string())?;
+    let iterations = window.right();
     let stats = disc.stats();
     println!(
         "{name:<10} {delta:>6} {:>9} {:>11} {t_seconds:>8} {:>11}",

@@ -244,119 +244,6 @@ impl LifetimeDistribution {
     }
 }
 
-/// One labelled slot of a grid sweep.
-#[derive(Debug, Clone)]
-pub struct SweepEntry {
-    /// The expanded scenario's label (its grid-point name).
-    pub label: String,
-    /// The solve outcome for that point.
-    pub result: Result<LifetimeDistribution, KibamRmError>,
-}
-
-/// The labelled result set of a grid sweep: one entry per expanded
-/// scenario, in grid order, with the cross-grid summary tables the
-/// paper's comparisons are made of (quantiles and mean lifetimes per
-/// point). Built by
-/// [`SolverRegistry::sweep_grid`](crate::solver::SolverRegistry::sweep_grid).
-#[derive(Debug, Clone)]
-pub struct SweepResultSet {
-    entries: Vec<SweepEntry>,
-}
-
-impl SweepResultSet {
-    /// Pairs labels with results (both in grid order).
-    ///
-    /// # Errors
-    ///
-    /// [`KibamRmError::InvalidWorkload`] when the lengths differ.
-    pub fn new(
-        labels: Vec<String>,
-        results: Vec<Result<LifetimeDistribution, KibamRmError>>,
-    ) -> Result<Self, KibamRmError> {
-        if labels.len() != results.len() {
-            return Err(KibamRmError::InvalidWorkload(format!(
-                "{} labels for {} sweep results",
-                labels.len(),
-                results.len()
-            )));
-        }
-        Ok(SweepResultSet {
-            entries: labels
-                .into_iter()
-                .zip(results)
-                .map(|(label, result)| SweepEntry { label, result })
-                .collect(),
-        })
-    }
-
-    /// Number of grid points.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` for an empty grid.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// All entries, in grid order.
-    pub fn entries(&self) -> &[SweepEntry] {
-        &self.entries
-    }
-
-    /// The distribution computed for `label`, when that point succeeded.
-    pub fn get(&self, label: &str) -> Option<&LifetimeDistribution> {
-        self.entries
-            .iter()
-            .find(|e| e.label == label)
-            .and_then(|e| e.result.as_ref().ok())
-    }
-
-    /// The successful points as `(label, distribution)` pairs.
-    pub fn distributions(&self) -> impl Iterator<Item = (&str, &LifetimeDistribution)> {
-        self.entries
-            .iter()
-            .filter_map(|e| e.result.as_ref().ok().map(|d| (e.label.as_str(), d)))
-    }
-
-    /// The failed points as `(label, error)` pairs.
-    pub fn failures(&self) -> impl Iterator<Item = (&str, &KibamRmError)> {
-        self.entries
-            .iter()
-            .filter_map(|e| e.result.as_ref().err().map(|err| (e.label.as_str(), err)))
-    }
-
-    /// Mean lifetime per grid point (`None` for failed points) — the
-    /// one-number-per-point comparison table.
-    pub fn mean_table(&self) -> Vec<(&str, Option<Time>)> {
-        self.entries
-            .iter()
-            .map(|e| {
-                (
-                    e.label.as_str(),
-                    e.result.as_ref().ok().map(LifetimeDistribution::mean),
-                )
-            })
-            .collect()
-    }
-
-    /// Quantile crossings per grid point: for each entry, the times at
-    /// which its CDF reaches each requested level (`None` when the point
-    /// failed or its curve never reaches the level on the grid).
-    pub fn quantile_table(&self, levels: &[f64]) -> Vec<(&str, Vec<Option<Time>>)> {
-        self.entries
-            .iter()
-            .map(|e| {
-                let row = match &e.result {
-                    Ok(d) => levels.iter().map(|&q| d.quantile(q)).collect(),
-                    Err(_) => vec![None; levels.len()],
-                };
-                (e.label.as_str(), row)
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -466,45 +353,6 @@ mod tests {
         assert!(a.max_difference(&c).is_err());
         let d = dist(&[(0.0, 0.1), (2.0, 0.5)]);
         assert!(a.max_difference(&d).is_err());
-    }
-
-    #[test]
-    fn sweep_result_set_tables_and_lookup() {
-        let a = dist(&[(10.0, 0.0), (20.0, 0.5), (30.0, 1.0)]);
-        let b = dist(&[(10.0, 0.2), (20.0, 0.8), (30.0, 1.0)]);
-        let err = KibamRmError::InvalidDiscretisation("Δ divides nothing".into());
-        let set = SweepResultSet::new(
-            vec!["fine".into(), "coarse".into(), "broken".into()],
-            vec![Ok(a.clone()), Ok(b), Err(err)],
-        )
-        .unwrap();
-        assert_eq!(set.len(), 3);
-        assert!(!set.is_empty());
-        assert_eq!(set.entries().len(), 3);
-        assert_eq!(set.get("fine").unwrap().points(), a.points());
-        assert!(set.get("broken").is_none());
-        assert!(set.get("missing").is_none());
-        assert_eq!(set.distributions().count(), 2);
-        let failures: Vec<_> = set.failures().collect();
-        assert_eq!(failures.len(), 1);
-        assert_eq!(failures[0].0, "broken");
-
-        let means = set.mean_table();
-        assert_eq!(means.len(), 3);
-        assert!(
-            means[0].1.unwrap() > means[1].1.unwrap(),
-            "a survives longer"
-        );
-        assert!(means[2].1.is_none());
-
-        let q = set.quantile_table(&[0.5, 0.99]);
-        assert_eq!(q[0].0, "fine");
-        assert!((q[0].1[0].unwrap().as_seconds() - 20.0).abs() < 1e-9);
-        assert!(q[0].1[1].is_some());
-        assert_eq!(q[2].1, vec![None, None]);
-
-        // Length mismatch is rejected.
-        assert!(SweepResultSet::new(vec!["x".into()], vec![]).is_err());
     }
 
     #[test]

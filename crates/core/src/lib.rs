@@ -91,7 +91,7 @@ pub mod workload;
 mod error;
 
 pub use chaos::{ChaosConfig, ChaosLedger, FaultInjectingSolver};
-pub use distribution::{LifetimeDistribution, SolveDiagnostics, SweepEntry, SweepResultSet};
+pub use distribution::{LifetimeDistribution, SolveDiagnostics};
 pub use error::KibamRmError;
 pub use scenario::{Scenario, ScenarioBuilder};
 pub use service::{

@@ -292,8 +292,6 @@ impl Scenario {
     /// whitespace or `#`, or is the literal `-` (all unrepresentable in
     /// the line format).
     pub fn to_config_string(&self) -> Result<String, KibamRmError> {
-        use std::fmt::Write as _;
-        let ctmc = self.workload.ctmc();
         // The name rides on a whitespace-separated line too, and "-" is
         // the empty-name sentinel.
         if self.name.contains(char::is_whitespace) || self.name.contains('#') || self.name == "-" {
@@ -303,17 +301,22 @@ impl Scenario {
                 self.name
             )));
         }
+        let name = if self.name.is_empty() {
+            "-"
+        } else {
+            &self.name
+        };
+        Ok(self.write_config(name))
+    }
+
+    /// The one config writer: [`Scenario::to_config_string`] passes the
+    /// checked display name, [`Scenario::key`] the `-` sentinel.
+    fn write_config(&self, name: &str) -> String {
+        use std::fmt::Write as _;
+        let ctmc = self.workload.ctmc();
         let mut out = String::new();
         let _ = writeln!(out, "# kibamrm scenario v1");
-        let _ = writeln!(
-            out,
-            "name {}",
-            if self.name.is_empty() {
-                "-"
-            } else {
-                &self.name
-            }
-        );
+        let _ = writeln!(out, "name {name}");
         let _ = writeln!(out, "capacity_c {}", self.capacity.as_coulombs());
         let _ = writeln!(out, "c {}", self.c);
         let _ = writeln!(out, "k_per_s {}", self.k.as_per_second());
@@ -348,7 +351,7 @@ impl Scenario {
             let _ = write!(out, " {}", t.as_seconds());
         }
         let _ = writeln!(out);
-        Ok(out)
+        out
     }
 
     /// The canonical byte encoding of this scenario — the byte-identity
@@ -372,9 +375,14 @@ impl Scenario {
     /// label the line format cannot carry. The `Result` is kept for
     /// source compatibility.
     pub fn canonical_bytes(&self) -> Result<Vec<u8>, KibamRmError> {
-        self.with_name("")
-            .to_config_string()
-            .map(String::into_bytes)
+        Ok(self.key())
+    }
+
+    /// The canonical key ([`Scenario::canonical_bytes`]) without the
+    /// `Result`: writing it cannot fail, so the sweep planner and the
+    /// service carry no error arm for it.
+    pub(crate) fn key(&self) -> Vec<u8> {
+        self.write_config("-").into_bytes()
     }
 
     /// Parses a scenario from the config format written by
@@ -902,6 +910,18 @@ mod tests {
             built.canonical_bytes().unwrap(),
             reparsed.canonical_bytes().unwrap()
         );
+        // The key is the config text with the name line written as the
+        // `-` sentinel, and it parses back to itself: snapshot revival
+        // rebuilds scenarios from stored keys.
+        let text = built.to_config_string().unwrap();
+        assert!(text.contains("\nname path-one\n"));
+        assert_eq!(
+            built.key(),
+            text.replace("\nname path-one\n", "\nname -\n").into_bytes()
+        );
+        let revived =
+            Scenario::from_config_str(std::str::from_utf8(&built.key()).unwrap()).unwrap();
+        assert_eq!(revived.key(), built.key());
 
         // The display name is erased from the key (it never changes the
         // answer) — even names the config line format cannot carry.

@@ -420,26 +420,25 @@ struct WarmEntry {
 #[derive(Default)]
 struct Inner {
     cache: HashMap<Vec<u8>, CacheEntry>,
-    cache_bytes: usize,
     warm: HashMap<(usize, u64), WarmEntry>,
     flights: HashMap<Vec<u8>, Arc<Flight>>,
-    in_flight: usize,
     /// Monotone LRU clock: bumped on every cache/warm touch.
     tick: u64,
-    hits: u64,
-    misses: u64,
-    joined: u64,
-    shed: u64,
-    evictions: u64,
-    warm_hits: u64,
-    warm_misses: u64,
-    warm_evictions: u64,
-    errors: u64,
-    deadline_expired: u64,
-    degraded_served: u64,
-    snapshot_loaded: u64,
-    snapshot_rejected: u64,
-    snapshot_written: u64,
+    /// The ledger: every counter, plus `in_flight` and
+    /// `result_cache_bytes`. Its `cached_entries` and `warm_entries`
+    /// stay zero here; [`LifetimeService::stats`] reads them off the maps.
+    stats: ServiceStats,
+}
+
+/// The least-recently-used key of `map` (`None` when it is empty): the
+/// one eviction rule of the result cache and the warm-state table.
+fn lru_victim<K: Ord + Clone, V>(map: &HashMap<K, V>, last_used: impl Fn(&V) -> u64) -> Option<K> {
+    // DETERMINISM-OK: the minimum is taken over the total key
+    // (last_used, key) — ticks are already unique, and the tie-break
+    // pins the victim even if they were not, so hash order cannot pick it.
+    map.iter()
+        .min_by_key(|&(k, v)| (last_used(v), k))
+        .map(|(k, _)| k.clone())
 }
 
 impl Inner {
@@ -460,26 +459,17 @@ impl Inner {
         if bytes > budget || self.cache.contains_key(&key) {
             return false;
         }
-        while self.cache_bytes + bytes > budget {
-            // DETERMINISM-OK: the minimum is taken over the total key
-            // (last_used, canonical bytes) — ticks are already unique,
-            // and the tie-break pins the victim even if they were not,
-            // so hash order cannot pick it.
-            let Some(victim) = self
-                .cache
-                .iter()
-                .min_by_key(|(k, e)| (e.last_used, k.as_slice()))
-                .map(|(k, _)| k.clone())
-            else {
+        while self.stats.result_cache_bytes + bytes > budget {
+            let Some(victim) = lru_victim(&self.cache, |e| e.last_used) else {
                 break;
             };
             if let Some(evicted) = self.cache.remove(&victim) {
-                self.cache_bytes -= evicted.bytes;
-                self.evictions += 1;
+                self.stats.result_cache_bytes -= evicted.bytes;
+                self.stats.evictions += 1;
             }
         }
         let last_used = self.next_tick();
-        self.cache_bytes += bytes;
+        self.stats.result_cache_bytes += bytes;
         self.cache.insert(
             key,
             CacheEntry {
@@ -597,34 +587,31 @@ impl LifetimeService {
         opts: &QueryOptions,
     ) -> Result<Answer, ServiceError> {
         let deadline = opts.deadline.map(|d| Instant::now() + d);
-        // Every built scenario has a key (`Workload::new` refuses state
-        // labels a config line cannot carry), so this error is
-        // unreachable; it maps to a solve error rather than a panic.
-        let key = scenario.canonical_bytes().map_err(ServiceError::Solve)?;
+        let key = scenario.key();
         let admission = {
             let mut inner = self.lock();
             if inner.cache.contains_key(&key) {
                 let tick = inner.next_tick();
-                inner.hits += 1;
+                inner.stats.hits += 1;
                 // PANIC-OK: the key was checked resident two lines up
                 // and the same lock guard has been held throughout.
                 let entry = inner.cache.get_mut(&key).expect("checked key");
                 entry.last_used = tick;
                 Admission::Hit(entry.dist.clone())
             } else if let Some(flight) = inner.flights.get(&key).map(Arc::clone) {
-                inner.joined += 1;
+                inner.stats.joined += 1;
                 Admission::Join(flight)
             } else {
                 let limit = self.config.max_in_flight.max(1);
-                if inner.in_flight >= limit {
-                    inner.shed += 1;
+                if inner.stats.in_flight >= limit {
+                    inner.stats.shed += 1;
                     return Err(ServiceError::Overloaded {
-                        in_flight: inner.in_flight,
+                        in_flight: inner.stats.in_flight,
                         limit,
                     });
                 }
-                inner.in_flight += 1;
-                inner.misses += 1;
+                inner.stats.in_flight += 1;
+                inner.stats.misses += 1;
                 let flight = Arc::new(Flight::new());
                 inner.flights.insert(key.clone(), Arc::clone(&flight));
                 Admission::Solve(flight)
@@ -679,8 +666,8 @@ impl LifetimeService {
                 // forever. The panic keeps propagating to the caller.
                 let mut inner = self.service.lock();
                 inner.flights.remove(&self.key);
-                inner.in_flight -= 1;
-                inner.errors += 1;
+                inner.stats.in_flight -= 1;
+                inner.stats.errors += 1;
                 drop(inner);
                 self.flight
                     .complete(Err(ServiceError::Solve(KibamRmError::InvalidWorkload(
@@ -699,7 +686,7 @@ impl LifetimeService {
         guard.done = true;
         let mut inner = self.lock();
         inner.flights.remove(&guard.key);
-        inner.in_flight -= 1;
+        inner.stats.in_flight -= 1;
         match &result {
             Ok(dist) => {
                 let key = std::mem::take(&mut guard.key);
@@ -707,7 +694,7 @@ impl LifetimeService {
             }
             // Only backend failures count as errors: deadline expiries
             // have their own ledger entry.
-            Err(ServiceError::Solve(_)) => inner.errors += 1,
+            Err(ServiceError::Solve(_)) => inner.stats.errors += 1,
             Err(_) => {}
         }
         drop(inner);
@@ -770,13 +757,13 @@ impl LifetimeService {
         opts: &QueryOptions,
         completed: usize,
     ) -> Result<Answer, ServiceError> {
-        self.lock().deadline_expired += 1;
+        self.lock().stats.deadline_expired += 1;
         if !opts.degraded_ok {
             return Err(ServiceError::DeadlineExceeded { completed });
         }
         let answer =
             fast_simulation(scenario).map_err(|_| ServiceError::DeadlineExceeded { completed })?;
-        self.lock().degraded_served += 1;
+        self.lock().stats.degraded_served += 1;
         Ok(answer)
     }
 
@@ -789,30 +776,21 @@ impl LifetimeService {
         if let Some(entry) = inner.warm.get_mut(&(index, fingerprint)) {
             entry.last_used = tick;
             let state = Arc::clone(&entry.state);
-            inner.warm_hits += 1;
+            inner.stats.warm_hits += 1;
             return state;
         }
-        inner.warm_misses += 1;
+        inner.stats.warm_misses += 1;
         // Create outside the lock? A fresh state is cheap (an empty
         // template and cache, filled by the first solve) — and creating
         // inside the lock guarantees at most one state per group ever
         // exists, which is the whole point of a live group.
         let state = Arc::new(Mutex::new(GroupState::default()));
         while inner.warm.len() >= WARM_CAPACITY {
-            // DETERMINISM-OK: the minimum is taken over the total key
-            // (last_used, group key) — ticks are already unique, and
-            // the tie-break pins the victim even if they were not, so
-            // hash order cannot pick it.
-            let Some(victim) = inner
-                .warm
-                .iter()
-                .min_by_key(|(&k, e)| (e.last_used, k))
-                .map(|(&k, _)| k)
-            else {
+            let Some(victim) = lru_victim(&inner.warm, |e| e.last_used) else {
                 break;
             };
             inner.warm.remove(&victim);
-            inner.warm_evictions += 1;
+            inner.stats.warm_evictions += 1;
         }
         inner.warm.insert(
             (index, fingerprint),
@@ -828,24 +806,9 @@ impl LifetimeService {
     pub fn stats(&self) -> ServiceStats {
         let inner = self.lock();
         ServiceStats {
-            hits: inner.hits,
-            misses: inner.misses,
-            joined: inner.joined,
-            shed: inner.shed,
-            evictions: inner.evictions,
-            warm_hits: inner.warm_hits,
-            warm_misses: inner.warm_misses,
-            warm_evictions: inner.warm_evictions,
-            errors: inner.errors,
-            deadline_expired: inner.deadline_expired,
-            degraded_served: inner.degraded_served,
-            snapshot_loaded: inner.snapshot_loaded,
-            snapshot_rejected: inner.snapshot_rejected,
-            snapshot_written: inner.snapshot_written,
-            in_flight: inner.in_flight,
             cached_entries: inner.cache.len(),
-            result_cache_bytes: inner.cache_bytes,
             warm_entries: inner.warm.len(),
+            ..inner.stats
         }
     }
 
@@ -888,7 +851,7 @@ impl LifetimeService {
         };
         let bytes = snapshot::encode(&entries)?;
         snapshot::write_atomic(path, &bytes)?;
-        self.lock().snapshot_written += 1;
+        self.lock().stats.snapshot_written += 1;
         Ok(SnapshotWriteReport {
             entries: entries.len(),
             bytes: bytes.len(),
@@ -925,7 +888,7 @@ impl LifetimeService {
             Err(e) => {
                 report.rejected = 1;
                 report.error = Some(SnapshotError::Io(e));
-                self.lock().snapshot_rejected += 1;
+                self.lock().stats.snapshot_rejected += 1;
                 return report;
             }
         };
@@ -934,7 +897,7 @@ impl LifetimeService {
             Err(e) => {
                 report.rejected = 1;
                 report.error = Some(e);
-                self.lock().snapshot_rejected += 1;
+                self.lock().stats.snapshot_rejected += 1;
                 return report;
             }
         };
@@ -946,8 +909,8 @@ impl LifetimeService {
             }
         }
         let mut inner = self.lock();
-        inner.snapshot_loaded += report.loaded as u64;
-        inner.snapshot_rejected += report.rejected as u64;
+        inner.stats.snapshot_loaded += report.loaded as u64;
+        inner.stats.snapshot_rejected += report.rejected as u64;
         report
     }
 
@@ -960,9 +923,6 @@ impl LifetimeService {
             return false;
         };
         let Ok(scenario) = Scenario::from_config_str(text) else {
-            return false;
-        };
-        let Ok(key) = scenario.canonical_bytes() else {
             return false;
         };
         // Intern the backend name against this build's registry: a
@@ -992,6 +952,7 @@ impl LifetimeService {
         let Ok(dist) = LifetimeDistribution::new(method, points, entry.diagnostics) else {
             return false;
         };
+        let key = scenario.key();
         self.lock()
             .insert_cached(key, dist, self.config.cache_capacity_bytes)
     }

@@ -791,23 +791,6 @@ impl SolverRegistry {
         scenarios.iter().map(|s| self.solve(s)).collect()
     }
 
-    /// Expands a [`crate::sweep::ScenarioGrid`] and solves it through the
-    /// planned sweep, returning the labelled result set.
-    ///
-    /// # Errors
-    ///
-    /// Grid expansion errors (invalid axis values); per-point solve
-    /// failures are reported inside the result set instead.
-    pub fn sweep_grid(
-        &self,
-        grid: &crate::sweep::ScenarioGrid,
-    ) -> Result<crate::distribution::SweepResultSet, KibamRmError> {
-        let scenarios = grid.expand()?;
-        let labels = scenarios.iter().map(|s| s.name().to_owned()).collect();
-        let results = self.sweep(&scenarios);
-        crate::distribution::SweepResultSet::new(labels, results)
-    }
-
     /// Runs **every** applicable backend on the scenario and reports the
     /// pairwise sup-distances — the paper's §6 triple cross-check as an
     /// API, so users can validate their own models before trusting a

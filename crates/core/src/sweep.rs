@@ -43,11 +43,13 @@
 //!     ])
 //!     .rate_scales(vec![0.5, 1.0, 2.0]);
 //! assert_eq!(grid.len(), 6);
-//! let results = SolverRegistry::with_default_backends()
-//!     .sweep_grid(&grid)
-//!     .unwrap();
+//! let scenarios = grid.expand().unwrap();
+//! let results = SolverRegistry::with_default_backends().sweep(&scenarios);
 //! assert_eq!(results.len(), 6);
-//! assert!(results.failures().next().is_none());
+//! for (scenario, result) in scenarios.iter().zip(&results) {
+//!     let median = result.as_ref().unwrap().quantile(0.5);
+//!     println!("{}: median {median:?}", scenario.name());
+//! }
 //! ```
 
 use crate::scenario::Scenario;
@@ -62,8 +64,9 @@ use units::{Charge, Rate};
 ///
 /// Axes left empty keep the base scenario's value. Each expanded point is
 /// named `base[/w=…][/C=…][/ck=…][/d=…][/x=…]` (only the active axes
-/// appear), so sweep results stay attributable; see
-/// [`crate::distribution::SweepResultSet`].
+/// appear), so sweep results stay attributable: [`ScenarioGrid::expand`]
+/// and [`SolverRegistry::sweep`] both keep grid order, so the `i`-th result
+/// belongs to the `i`-th expanded scenario's name.
 #[derive(Debug, Clone)]
 pub struct ScenarioGrid {
     base: Scenario,
@@ -279,17 +282,14 @@ impl SweepPlan {
         let mut canonical: HashMap<Vec<u8>, usize> = HashMap::new();
         let mut groups: Vec<PlanGroup> = Vec::new();
         for (i, scenario) in scenarios.iter().enumerate() {
-            let keyed = registry
-                .auto_index(scenario)
-                .and_then(|index| Ok((index, scenario.canonical_bytes()?)));
-            let (solver_index, key) = match keyed {
-                Ok(keyed) => keyed,
+            let solver_index = match registry.auto_index(scenario) {
+                Ok(index) => index,
                 Err(e) => {
                     slots.push(PlanSlot::Unsupported(e));
                     continue;
                 }
             };
-            match canonical.entry(key) {
+            match canonical.entry(scenario.key()) {
                 Entry::Occupied(first) => {
                     slots.push(PlanSlot::DuplicateOf(*first.get()));
                     continue;

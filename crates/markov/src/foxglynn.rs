@@ -5,72 +5,14 @@
 //! Uniformisation evaluates `π(t) = Σ_n ψ(n; νt)·αPⁿ` where
 //! `ψ(n; λ) = e^{-λ}λⁿ/n!`. For the paper's experiments `λ = νt` reaches
 //! ≈ 4.6·10⁴, so the summation must be truncated to the `O(√λ)` window
-//! around the mode that carries all but `ε` of the mass — that window is
-//! exactly what [`poisson_weights`] returns.
+//! around the mode that carries all but `ε` of the mass. [`FoxGlynnCache`]
+//! is the one way to compute that window: [`FoxGlynnCache::compute`] fills
+//! it in place, and [`FoxGlynnCache::weight`] and
+//! [`FoxGlynnCache::right`] read it. A caller wanting one window makes a
+//! fresh cache; a caller evaluating many keeps one and reuses its buffers.
 
 use crate::MarkovError;
 use numerics::special::poisson_ln_pmf;
-
-/// A truncated, renormalised window of Poisson probabilities.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PoissonWeights {
-    /// First retained index `L` (left truncation point).
-    pub left: usize,
-    /// Last retained index `R` (right truncation point, inclusive).
-    pub right: usize,
-    /// `weights[i] ≈ Pr{Poisson(λ) = left + i}`, renormalised to sum to 1.
-    pub weights: Vec<f64>,
-    /// Probability mass captured before renormalisation (`≥ 1 − ε`).
-    pub mass_covered: f64,
-}
-
-impl PoissonWeights {
-    /// The weight of index `n`, zero outside the window.
-    pub fn weight(&self, n: usize) -> f64 {
-        if n < self.left || n > self.right {
-            0.0
-        } else {
-            self.weights[n - self.left]
-        }
-    }
-
-    /// Number of retained terms.
-    pub fn len(&self) -> usize {
-        self.weights.len()
-    }
-
-    /// `true` when no terms are retained (cannot happen for valid input).
-    pub fn is_empty(&self) -> bool {
-        self.weights.is_empty()
-    }
-}
-
-/// Computes the truncated Poisson distribution for rate `lambda`,
-/// discarding at most `epsilon` of the total mass (split between the two
-/// tails), then renormalising.
-///
-/// The evaluation starts from the exact log-pmf at the mode
-/// `m = ⌊λ⌋` and extends outward with the multiplicative recurrences
-/// `ψ(n+1) = ψ(n)·λ/(n+1)` and `ψ(n−1) = ψ(n)·n/λ`, entirely in the linear
-/// domain — the mode value anchors the scale so no overflow is possible.
-///
-/// # Errors
-///
-/// [`MarkovError::InvalidArgument`] when `lambda` is negative/NaN or
-/// `epsilon ∉ (0, 1)`.
-///
-/// # Examples
-///
-/// ```
-/// let w = markov::foxglynn::poisson_weights(2.0, 1e-12).unwrap();
-/// assert!((w.weight(0) - (-2.0f64).exp()).abs() < 1e-12);
-/// assert!((w.weights.iter().sum::<f64>() - 1.0).abs() < 1e-14);
-/// ```
-pub fn poisson_weights(lambda: f64, epsilon: f64) -> Result<PoissonWeights, MarkovError> {
-    let mut cache = FoxGlynnCache::new();
-    cache.compute(lambda, epsilon)?;
-    Ok(cache.to_weights())
-}
 
 /// A reusable Fox–Glynn workspace for evaluating many Poisson windows
 /// with **zero allocations after the first** — the curve engine's answer
@@ -141,24 +83,30 @@ impl FoxGlynnCache {
         }
     }
 
-    /// Copies the last computed window out as an owned [`PoissonWeights`].
-    pub fn to_weights(&self) -> PoissonWeights {
-        PoissonWeights {
-            left: self.left,
-            right: self.right,
-            weights: self.weights.clone(),
-            mass_covered: self.mass_covered,
-        }
-    }
-
-    /// Computes the truncated, renormalised Poisson window for `lambda`
-    /// into the cache's buffers, replacing the previous window. Semantics
-    /// and error conditions are exactly those of [`poisson_weights`].
+    /// Computes the truncated Poisson distribution for rate `lambda` into
+    /// the cache's buffers, replacing the previous window: at most
+    /// `epsilon` of the total mass is discarded (split between the two
+    /// tails), then the window is renormalised.
+    ///
+    /// The evaluation starts from the exact log-pmf at the mode
+    /// `m = ⌊λ⌋` and extends outward with the multiplicative recurrences
+    /// `ψ(n+1) = ψ(n)·λ/(n+1)` and `ψ(n−1) = ψ(n)·n/λ`, entirely in the
+    /// linear domain — the mode value anchors the scale so no overflow is
+    /// possible.
     ///
     /// # Errors
     ///
     /// [`MarkovError::InvalidArgument`] when `lambda` is negative/NaN or
     /// `epsilon ∉ (0, 1)`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// let mut w = markov::foxglynn::FoxGlynnCache::new();
+    /// w.compute(2.0, 1e-12).unwrap();
+    /// assert!((w.weight(0) - (-2.0f64).exp()).abs() < 1e-12);
+    /// assert!((w.weights().iter().sum::<f64>() - 1.0).abs() < 1e-14);
+    /// ```
     pub fn compute(&mut self, lambda: f64, epsilon: f64) -> Result<(), MarkovError> {
         if !lambda.is_finite() || lambda < 0.0 {
             return Err(MarkovError::InvalidArgument(format!(
@@ -255,23 +203,28 @@ mod tests {
     use super::*;
     use numerics::special::poisson_pmf;
 
+    /// A fresh cache holding the one window for `lambda`.
+    fn window(lambda: f64, epsilon: f64) -> FoxGlynnCache {
+        let mut cache = FoxGlynnCache::new();
+        cache.compute(lambda, epsilon).unwrap();
+        cache
+    }
+
     #[test]
     fn zero_lambda_degenerate() {
-        let w = poisson_weights(0.0, 1e-10).unwrap();
-        assert_eq!(w.left, 0);
-        assert_eq!(w.right, 0);
-        assert_eq!(w.weights, vec![1.0]);
+        let w = window(0.0, 1e-10);
+        assert_eq!(w.left(), 0);
+        assert_eq!(w.right(), 0);
+        assert_eq!(w.weights(), &[1.0]);
         assert_eq!(w.weight(0), 1.0);
         assert_eq!(w.weight(1), 0.0);
-        assert_eq!(w.len(), 1);
-        assert!(!w.is_empty());
     }
 
     #[test]
     fn small_lambda_matches_direct_pmf() {
-        let w = poisson_weights(3.5, 1e-14).unwrap();
-        assert_eq!(w.left, 0, "small λ keeps the full left tail");
-        for n in 0..w.right {
+        let w = window(3.5, 1e-14);
+        assert_eq!(w.left(), 0, "small λ keeps the full left tail");
+        for n in 0..w.right() {
             let direct = poisson_pmf(3.5, n as u64);
             assert!(
                 (w.weight(n) - direct).abs() < 1e-12,
@@ -284,13 +237,13 @@ mod tests {
     #[test]
     fn weights_sum_to_one() {
         for &lambda in &[0.1f64, 1.0, 17.3, 400.0, 46_000.0] {
-            let w = poisson_weights(lambda, 1e-10).unwrap();
-            let total: f64 = w.weights.iter().sum();
+            let w = window(lambda, 1e-10);
+            let total: f64 = w.weights().iter().sum();
             assert!((total - 1.0).abs() < 1e-12, "λ = {lambda}");
             assert!(
-                w.mass_covered > 1.0 - 1e-9,
+                w.mass_covered() > 1.0 - 1e-9,
                 "λ = {lambda}: {}",
-                w.mass_covered
+                w.mass_covered()
             );
         }
     }
@@ -298,29 +251,29 @@ mod tests {
     #[test]
     fn window_is_mode_centred_and_sqrt_sized() {
         let lambda = 40_000.0;
-        let w = poisson_weights(lambda, 1e-10).unwrap();
+        let w = window(lambda, 1e-10);
         let mode = lambda as usize;
-        assert!(w.left < mode && mode < w.right);
+        assert!(w.left() < mode && mode < w.right());
         // Window should be O(√λ): ≈ ±7σ for ε = 1e-10 (σ = 200).
-        let width = (w.right - w.left) as f64;
+        let width = (w.right() - w.left()) as f64;
         assert!(width > 4.0 * lambda.sqrt(), "window too narrow: {width}");
         assert!(width < 20.0 * lambda.sqrt(), "window too wide: {width}");
         // The paper's regime: > 36 000 iterations needed at λ ≈ 38 000 means
         // R must exceed λ.
-        assert!(w.right as f64 > lambda);
+        assert!(w.right() as f64 > lambda);
     }
 
     #[test]
     fn truncated_mass_within_epsilon() {
         let lambda = 1000.0;
         let eps = 1e-8;
-        let w = poisson_weights(lambda, eps).unwrap();
+        let w = window(lambda, eps);
         // Mass outside the window, computed directly.
         let mut outside = 0.0;
-        for n in 0..w.left {
+        for n in 0..w.left() {
             outside += poisson_pmf(lambda, n as u64);
         }
-        for n in (w.right + 1)..(w.right + 2000) {
+        for n in (w.right() + 1)..(w.right() + 2000) {
             outside += poisson_pmf(lambda, n as u64);
         }
         assert!(outside <= eps * 1.01, "outside mass {outside} > ε = {eps}");
@@ -328,10 +281,11 @@ mod tests {
 
     #[test]
     fn invalid_inputs_rejected() {
-        assert!(poisson_weights(-1.0, 1e-10).is_err());
-        assert!(poisson_weights(f64::NAN, 1e-10).is_err());
-        assert!(poisson_weights(1.0, 0.0).is_err());
-        assert!(poisson_weights(1.0, 1.0).is_err());
+        let mut cache = FoxGlynnCache::new();
+        assert!(cache.compute(-1.0, 1e-10).is_err());
+        assert!(cache.compute(f64::NAN, 1e-10).is_err());
+        assert!(cache.compute(1.0, 0.0).is_err());
+        assert!(cache.compute(1.0, 1.0).is_err());
     }
 
     #[test]
@@ -343,17 +297,16 @@ mod tests {
         let right_max = cache.right();
         for &lambda in &[17.3, 400.0, 4_000.0, 46_000.0] {
             cache.compute(lambda, 1e-10).unwrap();
-            let fresh = poisson_weights(lambda, 1e-10).unwrap();
-            assert_eq!(cache.left(), fresh.left, "λ = {lambda}");
-            assert_eq!(cache.right(), fresh.right, "λ = {lambda}");
-            assert_eq!(cache.weights(), fresh.weights.as_slice(), "λ = {lambda}");
-            assert_eq!(cache.mass_covered(), fresh.mass_covered);
+            let fresh = window(lambda, 1e-10);
+            assert_eq!(cache.left(), fresh.left(), "λ = {lambda}");
+            assert_eq!(cache.right(), fresh.right(), "λ = {lambda}");
+            assert_eq!(cache.weights(), fresh.weights(), "λ = {lambda}");
+            assert_eq!(cache.mass_covered(), fresh.mass_covered());
             assert!(cache.right() <= right_max, "λ_max bounds every window");
-            assert_eq!(cache.weight(fresh.left), fresh.weights[0]);
-            assert_eq!(cache.weight(fresh.right + 1), 0.0);
-            assert_eq!(cache.to_weights(), fresh);
+            assert_eq!(cache.weight(fresh.left()), fresh.weights()[0]);
+            assert_eq!(cache.weight(fresh.right() + 1), 0.0);
         }
-        // Degenerate and invalid inputs behave like poisson_weights.
+        // Degenerate and invalid inputs behave like a fresh cache.
         cache.compute(0.0, 1e-10).unwrap();
         assert_eq!(cache.weights(), &[1.0]);
         assert!(cache.compute(-1.0, 1e-10).is_err());
@@ -362,7 +315,7 @@ mod tests {
 
     #[test]
     fn weight_outside_window_is_zero() {
-        let w = poisson_weights(500.0, 1e-10).unwrap();
+        let w = window(500.0, 1e-10);
         assert_eq!(w.weight(0), 0.0);
         assert_eq!(w.weight(10_000), 0.0);
     }

@@ -35,7 +35,7 @@
 //! the right truncation point of the Poisson window and `K` the number of
 //! distinct reward rates.
 
-use crate::foxglynn::poisson_weights;
+use crate::foxglynn::FoxGlynnCache;
 use crate::mrm::MarkovRewardModel;
 use crate::sparse::CsrMatrix;
 use crate::MarkovError;
@@ -155,7 +155,7 @@ pub fn reward_exceeds_curve(
         j_star: usize,
         ln_x: f64,
         ln_1mx: f64,
-        weights: crate::foxglynn::PoissonWeights,
+        window: FoxGlynnCache,
     }
     let mut results: Vec<(f64, f64)> = times.iter().map(|&t| (t, 0.0)).collect();
     let mut active: Vec<Active> = Vec::new();
@@ -187,12 +187,14 @@ pub fn reward_exceeds_curve(
             .expect("ratio lies in [r_min, r_max) by the guards above");
         let x = (y - classes[j_star + 1] * t) / ((classes[j_star] - classes[j_star + 1]) * t);
         debug_assert!((0.0..1.0).contains(&x), "x = {x}");
+        let mut window = FoxGlynnCache::new();
+        window.compute(nu * t, opts.epsilon)?;
         active.push(Active {
             out,
             j_star,
             ln_x: if x > 0.0 { x.ln() } else { f64::NEG_INFINITY },
             ln_1mx: (1.0 - x).ln(),
-            weights: poisson_weights(nu * t, opts.epsilon)?,
+            window,
         });
     }
     if active.is_empty() {
@@ -201,7 +203,7 @@ pub fn reward_exceeds_curve(
 
     let r_right = active
         .iter()
-        .map(|a| a.weights.right)
+        .map(|a| a.window.right())
         .max()
         .expect("nonempty");
     let n_states = ctmc.n_states();
@@ -235,7 +237,7 @@ pub fn reward_exceeds_curve(
             .collect();
 
         for a in &active {
-            let wn = a.weights.weight(n);
+            let wn = a.window.weight(n);
             if wn == 0.0 {
                 continue;
             }

@@ -8,8 +8,9 @@
 //! * the request head (request line + headers) is read into a buffer
 //!   capped at [`HttpLimits::max_head_bytes`]; one byte past the cap is
 //!   a typed [`HttpError::TooLarge`], not a growing allocation;
-//! * the body requires an explicit `Content-Length` (checked against
-//!   [`HttpLimits::max_body_bytes`] **before** any body allocation);
+//! * the body requires exactly one explicit, digits-only
+//!   `Content-Length` (checked against [`HttpLimits::max_body_bytes`]
+//!   **before** any body allocation);
 //!   `Transfer-Encoding` is refused outright — chunked decoding is an
 //!   attack surface the service does not need;
 //! * every socket read honours the stream's read timeout: a slow-loris
@@ -148,11 +149,19 @@ pub fn read_request<R: Read>(stream: &mut R, limits: &HttpLimits) -> Result<Requ
             "Transfer-Encoding is not accepted; send Content-Length".into(),
         ));
     }
-    let content_length = match headers.iter().find(|(n, _)| n == "content-length") {
-        None => 0,
-        Some((_, v)) => v
-            .parse::<usize>()
-            .map_err(|_| HttpError::Malformed(format!("bad Content-Length {v:?}")))?,
+    // RFC 9112 §6.3: a repeated Content-Length, or one that is not a
+    // plain run of digits (`usize::from_str` would take "+5"), leaves the
+    // body's framing ambiguous, so the message is invalid.
+    let mut lengths = headers.iter().filter(|(n, _)| n == "content-length");
+    let content_length = match (lengths.next(), lengths.next()) {
+        (None, _) => 0,
+        (Some(_), Some(_)) => {
+            return Err(HttpError::Malformed("repeated Content-Length".into()));
+        }
+        (Some((_, v)), None) => match v.parse::<usize>() {
+            Ok(n) if v.bytes().all(|b| b.is_ascii_digit()) => n,
+            _ => return Err(HttpError::Malformed(format!("bad Content-Length {v:?}"))),
+        },
     };
     if content_length > limits.max_body_bytes {
         return Err(HttpError::TooLarge {
@@ -461,6 +470,24 @@ mod tests {
                 "{bad:?} gave {err:?}"
             );
         }
+    }
+
+    #[test]
+    fn content_length_must_be_one_run_of_digits() {
+        for bad in [
+            &b"POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 5\r\n\r\nhello"[..],
+            b"POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 2\r\n\r\nhello",
+            b"POST / HTTP/1.1\r\nContent-Length: +5\r\n\r\nhello",
+            b"POST / HTTP/1.1\r\nContent-Length:\r\n\r\n",
+        ] {
+            let err = parse(bad).expect_err("must reject");
+            assert!(
+                matches!(err, HttpError::Malformed(_)),
+                "{bad:?} gave {err:?}"
+            );
+        }
+        let req = parse(b"POST / HTTP/1.1\r\nContent-Length: 05\r\n\r\nhello").unwrap();
+        assert_eq!(req.body, b"hello");
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! height. These integrators serve both to evaluate the modified model and
 //! to cross-validate the closed form.
 //!
-//! Three schemes are provided: fixed-step [`euler`] and [`rk4`], and the
-//! adaptive Runge–Kutta–Fehlberg 4(5) pair [`rkf45`] with PI step control.
+//! Two schemes are provided: fixed-step classical Runge–Kutta [`rk4`], and
+//! the adaptive Runge–Kutta–Fehlberg 4(5) pair [`rkf45`] with PI step
+//! control.
 
 use std::fmt;
 
@@ -121,43 +122,6 @@ fn check_input(
         )));
     }
     Ok(())
-}
-
-/// Forward-Euler integration with fixed step `h` from `t0` to `t1`.
-///
-/// First-order accurate; provided mainly as a baseline for convergence
-/// tests of the higher-order schemes.
-///
-/// # Errors
-///
-/// [`OdeError::BadInput`] on dimension mismatch or non-positive `h`/span.
-pub fn euler(
-    system: &impl OdeSystem,
-    y0: &[f64],
-    t0: f64,
-    t1: f64,
-    h: f64,
-) -> Result<Trajectory, OdeError> {
-    check_input(system, y0, t0, t1, h)?;
-    let dim = system.dim();
-    let mut y = y0.to_vec();
-    let mut dydt = vec![0.0; dim];
-    let mut t = t0;
-    let mut traj = Trajectory {
-        times: vec![t0],
-        states: vec![y.clone()],
-    };
-    while t < t1 {
-        let step = h.min(t1 - t);
-        system.deriv(t, &y, &mut dydt);
-        for (yi, di) in y.iter_mut().zip(&dydt) {
-            *yi += step * di;
-        }
-        t += step;
-        traj.times.push(t);
-        traj.states.push(y.clone());
-    }
-    Ok(traj)
 }
 
 /// Classical fourth-order Runge–Kutta with fixed step `h`.
@@ -380,18 +344,6 @@ mod tests {
     }
 
     #[test]
-    fn euler_converges_first_order() {
-        let sys = decay();
-        let coarse = euler(&sys, &[1.0], 0.0, 1.0, 0.1).unwrap();
-        let fine = euler(&sys, &[1.0], 0.0, 1.0, 0.01).unwrap();
-        let exact = (-1.0f64).exp();
-        let e_coarse = (coarse.last().1[0] - exact).abs();
-        let e_fine = (fine.last().1[0] - exact).abs();
-        // Error should shrink roughly 10× for 10× smaller steps.
-        assert!(e_fine < e_coarse / 5.0, "{e_coarse} vs {e_fine}");
-    }
-
-    #[test]
     fn rk4_matches_exponential() {
         let sys = decay();
         let traj = rk4(&sys, &[1.0], 0.0, 2.0, 0.01).unwrap();
@@ -439,7 +391,7 @@ mod tests {
     fn bad_inputs_rejected() {
         let sys = decay();
         assert!(matches!(
-            euler(&sys, &[1.0, 2.0], 0.0, 1.0, 0.1),
+            rk4(&sys, &[1.0, 2.0], 0.0, 1.0, 0.1),
             Err(OdeError::BadInput(_))
         ));
         assert!(matches!(
