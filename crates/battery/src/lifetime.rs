@@ -3,9 +3,9 @@
 //!
 //! The driver walks the load profile segment by segment (every segment has
 //! constant current), asks the model for the first depletion instant
-//! within each segment, and otherwise advances the battery state exactly
-//! to the segment boundary. This is how the paper computes Table 1 and the
-//! Fig. 2 trajectory.
+//! within each segment (a method every model implements itself), and
+//! otherwise advances the battery state exactly to the segment boundary.
+//! This is how the paper computes Table 1 and the Fig. 2 trajectory.
 
 use crate::load::LoadProfile;
 use crate::BatteryError;
@@ -14,10 +14,11 @@ use units::{Charge, Current, Time};
 /// A battery model that can be discharged with piecewise-constant
 /// currents.
 ///
-/// Implementors provide state evolution over a constant-current interval;
-/// the default [`DischargeModel::depletion_within`] locates depletion by
-/// sampling + bisection through [`DischargeModel::advance`], which models
-/// with closed forms (KiBaM) override with exact logic.
+/// Implementors provide state evolution over a constant-current interval
+/// and locate depletion within one
+/// ([`DischargeModel::depletion_within`]). Every model here answers the
+/// latter with its own closed form or bracketed root search, so the
+/// trait carries no generic fallback.
 pub trait DischargeModel {
     /// The battery state (e.g. the two KiBaM well contents).
     type State: Clone + std::fmt::Debug;
@@ -50,53 +51,16 @@ pub trait DischargeModel {
     /// First instant within `[0, dt]` at which the battery becomes empty
     /// under constant `current`, or `None` if it survives.
     ///
-    /// The default implementation samples the segment at 32 interior
-    /// points to bracket the first sign change of the available charge and
-    /// refines by bisection; exact models should override.
-    ///
     /// # Errors
     ///
-    /// Propagates [`DischargeModel::advance`] errors.
+    /// Implementations reject invalid currents/steps and report solver
+    /// failures.
     fn depletion_within(
         &self,
         state: &Self::State,
         current: Current,
         dt: Time,
-    ) -> Result<Option<Time>, BatteryError> {
-        if self.is_empty(state) {
-            return Ok(Some(Time::ZERO));
-        }
-        const SAMPLES: usize = 32;
-        let step = dt / SAMPLES as f64;
-        let mut lo = Time::ZERO;
-        let mut hi = None;
-        for s in 1..=SAMPLES {
-            let t = step * s as f64;
-            let probe = self.advance(state, current, t)?;
-            if self.is_empty(&probe) {
-                hi = Some(t);
-                break;
-            }
-            lo = t;
-        }
-        let Some(mut hi) = hi else {
-            return Ok(None);
-        };
-        // Bisection on the advance map.
-        for _ in 0..80 {
-            if (hi - lo).as_seconds() <= 1e-9 * dt.as_seconds().max(1.0) {
-                break;
-            }
-            let mid = (lo + hi) / 2.0;
-            let probe = self.advance(state, current, mid)?;
-            if self.is_empty(&probe) {
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-        }
-        Ok(Some(hi))
-    }
+    ) -> Result<Option<Time>, BatteryError>;
 }
 
 /// Computes the battery lifetime under `load`, searching up to `horizon`.
@@ -356,45 +320,5 @@ mod tests {
         let b = paper_battery();
         let load = ConstantLoad::new(Current::from_amps(0.1)).unwrap();
         assert!(discharge_trajectory(&b, &load, Time::from_seconds(10.0), Time::ZERO).is_err());
-    }
-
-    #[test]
-    fn default_depletion_bisection_close_to_exact() {
-        // Wrap the KiBaM in a newtype that keeps the default bisection
-        // detector, and compare with the exact override.
-        struct Wrapped(Kibam);
-        impl DischargeModel for Wrapped {
-            type State = crate::kibam::KibamState;
-            fn initial_state(&self) -> Self::State {
-                self.0.initial_state()
-            }
-            fn advance(
-                &self,
-                s: &Self::State,
-                i: Current,
-                dt: Time,
-            ) -> Result<Self::State, BatteryError> {
-                self.0.advance_state(s, i, dt)
-            }
-            fn available_charge(&self, s: &Self::State) -> Charge {
-                s.available
-            }
-        }
-        let exact = paper_battery();
-        let wrapped = Wrapped(paper_battery());
-        let i = Current::from_amps(0.96);
-        let dt = Time::from_seconds(10_000.0);
-        let d_exact = exact
-            .depletion_within(&exact.initial_state(), i, dt)
-            .unwrap()
-            .unwrap();
-        let d_bisect = wrapped
-            .depletion_within(&wrapped.initial_state(), i, dt)
-            .unwrap()
-            .unwrap();
-        assert!(
-            (d_exact.as_seconds() - d_bisect.as_seconds()).abs() < 1e-3,
-            "{d_exact} vs {d_bisect}"
-        );
     }
 }

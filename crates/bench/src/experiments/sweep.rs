@@ -126,18 +126,20 @@ pub(crate) fn build_grid(points: usize, base: &Scenario) -> Result<ScenarioGrid,
 
 pub(crate) type SweepResults = Vec<Result<LifetimeDistribution, KibamRmError>>;
 
-/// The largest pointwise |a − b| across all slots; errors if any slot
-/// failed or the outcome kinds differ.
+/// The largest pointwise |a − b| across all slots, each slot through
+/// [`LifetimeDistribution::max_difference`]; errors if the slot counts
+/// differ, any slot failed, or a pair of slots has different time grids.
 pub(crate) fn sup_distance(a: &SweepResults, b: &SweepResults) -> Result<f64, String> {
+    if a.len() != b.len() {
+        return Err(format!("{} slots against {}", a.len(), b.len()));
+    }
     let mut sup = 0.0f64;
     for (i, (x, y)) in a.iter().zip(b).enumerate() {
         let (x, y) = match (x, y) {
             (Ok(x), Ok(y)) => (x, y),
             (Err(e), _) | (_, Err(e)) => return Err(format!("slot {i} failed: {e}")),
         };
-        for ((_, px), (_, py)) in x.points().iter().zip(y.points()) {
-            sup = sup.max((px - py).abs());
-        }
+        sup = sup.max(x.max_difference(y).map_err(|e| format!("slot {i}: {e}"))?);
     }
     Ok(sup)
 }

@@ -3,8 +3,10 @@
 //! The paper's three workloads ship as constructors on
 //! [`crate::workload::Workload`]; real devices need their own. The
 //! builder keeps the invariants (every state needs a current; rates are
-//! validated; exactly one initial state unless a distribution is given)
-//! while staying pleasant to use:
+//! validated; each `(from, to)` transition is declared once; one
+//! initial state) while staying pleasant to use. It is also the one
+//! assembler behind [`crate::scenario::Scenario::from_config_str`], so
+//! config text and code refuse the same workloads:
 //!
 //! ```
 //! use kibamrm::builder::WorkloadBuilder;
@@ -34,7 +36,9 @@ use units::{Current, Rate};
 pub struct WorkloadBuilder {
     states: Vec<(String, Current)>,
     transitions: Vec<(String, String, Rate)>,
-    initial: Option<String>,
+    /// Initial weights by state name; a later entry for a state wins.
+    /// Empty means a point mass on the first state.
+    initial: Vec<(String, f64)>,
 }
 
 impl WorkloadBuilder {
@@ -62,7 +66,16 @@ impl WorkloadBuilder {
     /// Selects the initial state by name (defaults to the first state).
     #[must_use]
     pub fn initial(mut self, name: &str) -> Self {
-        self.initial = Some(name.to_owned());
+        self.initial = vec![(name.to_owned(), 1.0)];
+        self
+    }
+
+    /// Gives state `name` initial probability `p` (a config `initial`
+    /// line); a later call for the same state wins. The weights are
+    /// checked as a distribution at build time.
+    #[must_use]
+    pub(crate) fn initial_probability(mut self, name: &str, p: f64) -> Self {
+        self.initial.push((name.to_owned(), p));
         self
     }
 
@@ -73,11 +86,22 @@ impl WorkloadBuilder {
     ///
     /// [`KibamRmError::InvalidWorkload`] when no states were declared, a
     /// transition or the initial state names an unknown state, a
-    /// rate/current is invalid, or a state name is empty, holds
-    /// whitespace or `#`, or is declared twice.
+    /// `(from, to)` transition is declared twice (it would otherwise be
+    /// summed), a rate/current is invalid, or a state name is empty,
+    /// holds whitespace or `#`, or is declared twice.
     pub fn build(self) -> Result<Workload, KibamRmError> {
         if self.states.is_empty() {
             return Err(KibamRmError::InvalidWorkload("no states declared".into()));
+        }
+        for (i, (from, to, _)) in self.transitions.iter().enumerate() {
+            if self.transitions[i + 1..]
+                .iter()
+                .any(|(f, t, _)| f == from && t == to)
+            {
+                return Err(KibamRmError::InvalidWorkload(format!(
+                    "duplicate transition '{from} {to}'"
+                )));
+            }
         }
         let index_of = |name: &str| -> Result<usize, KibamRmError> {
             self.states
@@ -99,12 +123,13 @@ impl WorkloadBuilder {
             .build()
             .map_err(|e| KibamRmError::InvalidWorkload(e.to_string()))?;
 
-        let initial_idx = match &self.initial {
-            Some(name) => index_of(name)?,
-            None => 0,
-        };
         let mut alpha = vec![0.0; self.states.len()];
-        alpha[initial_idx] = 1.0;
+        if self.initial.is_empty() {
+            alpha[0] = 1.0;
+        }
+        for (name, p) in &self.initial {
+            alpha[index_of(name)?] = *p;
+        }
         let currents: Vec<Current> = self.states.iter().map(|(_, c)| *c).collect();
         Workload::new(chain, currents, alpha)
     }
@@ -160,6 +185,13 @@ mod tests {
             .state("a", Current::ZERO)
             .state("a", Current::ZERO);
         assert!(matches!(b.build(), Err(KibamRmError::InvalidWorkload(_))));
+        // A repeated transition is refused, naming the pair, not summed.
+        let err = radio()
+            .transition("scan", "tx", Rate::per_hour(5.0))
+            .build()
+            .expect_err("repeated transition");
+        assert!(matches!(err, KibamRmError::InvalidWorkload(_)), "{err}");
+        assert!(err.to_string().contains("scan tx"), "{err}");
     }
 
     #[test]

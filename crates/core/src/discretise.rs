@@ -672,20 +672,28 @@ impl DiscretisedModel {
     }
 }
 
-fn level_count(u: f64, delta: f64, what: &str) -> Result<usize, KibamRmError> {
+/// The level count `u/Δ + 1` of a well holding `u` when `Δ` splits it
+/// into whole quanta, at least one; a zero well (c = 1) is the single
+/// level j = 0. `None` when `Δ` does not divide the well. The lattice
+/// builder and the default-Δ search share this one test.
+pub(crate) fn whole_levels(u: f64, delta: f64) -> Option<usize> {
     if u == 0.0 {
-        // Degenerate well (c = 1): a single level j = 0.
-        return Ok(1);
+        return Some(1);
     }
     let levels = u / delta;
     let rounded = levels.round();
-    if (levels - rounded).abs() > 1e-6 * levels.max(1.0) || rounded < 1.0 {
-        return Err(KibamRmError::InvalidDiscretisation(format!(
+    ((levels - rounded).abs() <= 1e-6 * levels.max(1.0) && rounded >= 1.0)
+        .then_some(rounded as usize + 1)
+}
+
+fn level_count(u: f64, delta: f64, what: &str) -> Result<usize, KibamRmError> {
+    whole_levels(u, delta).ok_or_else(|| {
+        KibamRmError::InvalidDiscretisation(format!(
             "Δ = {delta} does not evenly divide the {what} = {u} \
-             (u/Δ = {levels}); choose Δ so that both wells split into whole quanta"
-        )));
-    }
-    Ok(rounded as usize + 1)
+             (u/Δ = {}); choose Δ so that both wells split into whole quanta",
+            u / delta
+        ))
+    })
 }
 
 #[cfg(test)]

@@ -33,10 +33,11 @@
 //! assert_eq!(parsed.times().len(), scenario.times().len());
 //! ```
 
+use crate::builder::WorkloadBuilder;
+use crate::discretise::whole_levels;
 use crate::model::KibamRm;
 use crate::workload::Workload;
 use crate::KibamRmError;
-use markov::ctmc::CtmcBuilder;
 use units::{Charge, Current, Rate, Time};
 
 /// Default simulation replication count (the paper's 1000).
@@ -390,10 +391,11 @@ impl Scenario {
     ///
     /// # Errors
     ///
-    /// [`KibamRmError::InvalidWorkload`] for syntax errors, unknown
-    /// state references, a repeated state name (refused by
-    /// [`Workload::new`]) or missing sections; plus the usual
-    /// validation errors of [`ScenarioBuilder::build`].
+    /// [`KibamRmError::InvalidWorkload`] for syntax errors or missing
+    /// sections; the workload lines build through [`WorkloadBuilder`],
+    /// so unknown state references and a repeated state name or
+    /// `(from, to)` transition are refused as the builder refuses them;
+    /// plus the usual validation errors of [`ScenarioBuilder::build`].
     pub fn from_config_str(text: &str) -> Result<Scenario, KibamRmError> {
         let bad = |msg: String| KibamRmError::InvalidWorkload(msg);
         let parse_f64 = |tok: &str, what: &str| -> Result<f64, KibamRmError> {
@@ -408,9 +410,7 @@ impl Scenario {
         let mut delta = None;
         let mut sim_runs = DEFAULT_SIM_RUNS;
         let mut sim_seed = DEFAULT_SIM_SEED;
-        let mut states: Vec<(String, Current)> = Vec::new();
-        let mut transitions: Vec<(String, String, f64)> = Vec::new();
-        let mut initial: Vec<(String, f64)> = Vec::new();
+        let mut workload = WorkloadBuilder::new();
         let mut times: Vec<Time> = Vec::new();
 
         for (lineno, raw) in text.lines().enumerate() {
@@ -449,20 +449,20 @@ impl Scenario {
                         .map_err(|_| bad(format!("line {}: bad sim_seed", lineno + 1)))?;
                 }
                 "state" => {
-                    let label = next("state name")?.to_owned();
+                    let label = next("state name")?;
                     let amps = parse_f64(next("current")?, "current")?;
-                    states.push((label, Current::from_amps(amps)));
+                    workload = workload.state(label, Current::from_amps(amps));
                 }
                 "transition" => {
-                    let from = next("source state")?.to_owned();
-                    let to = next("target state")?.to_owned();
+                    let from = next("source state")?;
+                    let to = next("target state")?;
                     let rate = parse_f64(next("rate")?, "rate")?;
-                    transitions.push((from, to, rate));
+                    workload = workload.transition(from, to, Rate::per_second(rate));
                 }
                 "initial" => {
-                    let label = next("state name")?.to_owned();
+                    let label = next("state name")?;
                     let p = parse_f64(next("probability")?, "probability")?;
-                    initial.push((label, p));
+                    workload = workload.initial_probability(label, p);
                 }
                 "times_s" => {
                     for t in tok.by_ref() {
@@ -473,48 +473,9 @@ impl Scenario {
             }
         }
 
-        if states.is_empty() {
-            return Err(bad("config declares no states".into()));
-        }
-        let index_of = |label: &str| -> Result<usize, KibamRmError> {
-            states
-                .iter()
-                .position(|(l, _)| l == label)
-                .ok_or_else(|| bad(format!("unknown state '{label}'")))
-        };
-        let mut b = CtmcBuilder::new(states.len());
-        for (i, (label, _)) in states.iter().enumerate() {
-            b.label(i, label);
-        }
-        // Duplicate transition lines would be silently summed by the
-        // sparse assembly — reject them like duplicate states.
-        for (i, (from, to, _)) in transitions.iter().enumerate() {
-            if transitions
-                .iter()
-                .skip(i + 1)
-                .any(|(f, t, _)| f == from && t == to)
-            {
-                return Err(bad(format!("duplicate transition '{from} {to}' in config")));
-            }
-        }
-        for (from, to, rate) in &transitions {
-            b.rate(index_of(from)?, index_of(to)?, *rate)
-                .map_err(|e| bad(e.to_string()))?;
-        }
-        let ctmc = b.build().map_err(|e| bad(e.to_string()))?;
-        let mut alpha = vec![0.0; states.len()];
-        if initial.is_empty() {
-            alpha[0] = 1.0;
-        }
-        for (label, p) in &initial {
-            alpha[index_of(label)?] = *p;
-        }
-        let currents: Vec<Current> = states.iter().map(|(_, cur)| *cur).collect();
-        let workload = Workload::new(ctmc, currents, alpha)?;
-
         let mut builder = Scenario::builder()
             .name(name)
-            .workload(workload)
+            .workload(workload.build()?)
             .capacity(Charge::from_coulombs(
                 capacity.ok_or_else(|| bad("config is missing 'capacity_c'".into()))?,
             ))
@@ -686,20 +647,14 @@ fn validate_times(times: &[Time]) -> Result<(), KibamRmError> {
     Ok(())
 }
 
-/// Finds a default `Δ = C/n` whose quanta divide both wells evenly,
+/// Finds a default `Δ = C/n` whose quanta divide both wells evenly (the
+/// lattice builder's own test, so it never picks a Δ the build refuses),
 /// preferring finer grids (n from 1024 up, then coarser fallbacks).
 fn default_delta(capacity: Charge, c: f64) -> Result<Charge, KibamRmError> {
     let cap = capacity.value();
     let divides = |n: usize| {
         let d = cap / n as f64;
-        let ok = |u: f64| {
-            if u == 0.0 {
-                return true;
-            }
-            let levels = u / d;
-            (levels - levels.round()).abs() <= 1e-6 * levels.max(1.0)
-        };
-        ok(c * cap) && ok((1.0 - c) * cap)
+        whole_levels(c * cap, d).is_some() && whole_levels((1.0 - c) * cap, d).is_some()
     };
     // Scan a window of quanta counts: fine enough for a good
     // approximation, coarse enough to stay cheap.
@@ -854,6 +809,18 @@ mod tests {
                 "Δ = {d} vs well {u}"
             );
         }
+        // A bound well under one quantum for every candidate Δ: the
+        // lattice builder refuses such a Δ, so the default search must
+        // refuse too rather than hand one out.
+        let tiny_bound_well = Scenario::builder()
+            .workload(Workload::simple_model().unwrap())
+            .capacity(Charge::from_milliamp_hours(800.0))
+            .kibam(1.0 - 1e-12, Rate::per_second(4.5e-5))
+            .time_grid(Time::from_hours(30.0), 30)
+            .build()
+            .unwrap();
+        let refused = tiny_bound_well.effective_delta();
+        assert!(refused.is_err(), "{refused:?}");
     }
 
     #[test]

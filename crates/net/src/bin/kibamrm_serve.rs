@@ -28,8 +28,6 @@ use std::time::Duration;
 
 struct Args {
     addr: String,
-    snapshot: Option<PathBuf>,
-    snapshot_interval: Option<Duration>,
     net: NetConfig,
     max_in_flight: Option<usize>,
     cache_bytes: Option<usize>,
@@ -38,8 +36,6 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         addr: "127.0.0.1:0".to_string(),
-        snapshot: None,
-        snapshot_interval: None,
         net: NetConfig::default(),
         max_in_flight: None,
         cache_bytes: None,
@@ -49,10 +45,10 @@ fn parse_args() -> Result<Args, String> {
         let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
         match flag.as_str() {
             "--addr" => args.addr = value("--addr")?,
-            "--snapshot" => args.snapshot = Some(PathBuf::from(value("--snapshot")?)),
+            "--snapshot" => args.net.snapshot_path = Some(PathBuf::from(value("--snapshot")?)),
             "--snapshot-interval-ms" => {
                 let ms: u64 = parse(&value("--snapshot-interval-ms")?)?;
-                args.snapshot_interval = Some(Duration::from_millis(ms));
+                args.net.snapshot_interval = Some(Duration::from_millis(ms));
             }
             "--max-connections" => args.net.max_connections = parse(&value("--max-connections")?)?,
             "--max-in-flight" => args.max_in_flight = Some(parse(&value("--max-in-flight")?)?),
@@ -83,7 +79,7 @@ fn parse<T: std::str::FromStr>(text: &str) -> Result<T, String> {
 }
 
 fn main() {
-    let mut args = match parse_args() {
+    let args = match parse_args() {
         Ok(a) => a,
         Err(e) => {
             eprintln!("kibamrm-serve: {e}");
@@ -103,7 +99,7 @@ fn main() {
     ));
 
     // Warm start: load the previous snapshot, tolerating any corruption.
-    if let Some(path) = &args.snapshot {
+    if let Some(path) = &args.net.snapshot_path {
         let report = service.load_snapshot(path);
         if let Some(error) = &report.error {
             eprintln!("snapshot load: cold start ({error})");
@@ -114,9 +110,6 @@ fn main() {
             );
         }
     }
-    args.net.snapshot_path = args.snapshot.clone();
-    args.net.snapshot_interval = args.snapshot_interval;
-
     let server = match Server::bind(args.addr.as_str(), service, args.net) {
         Ok(s) => s,
         Err(e) => {

@@ -1,17 +1,22 @@
 //! A minimal blocking HTTP/1.1 client — just enough to exercise the
 //! server from tests, the chaos harness and the fleet example without
 //! pulling a dependency. One request per connection (`Connection:
-//! close`), bounded response parsing, socket timeouts on both
-//! directions.
+//! close`), socket timeouts on both directions, and responses read
+//! through the server's own bounded reader ([`crate::http`]): one
+//! digits-only `Content-Length`, no `Transfer-Encoding`, no bytes past
+//! the declared body.
 
-use std::io::{Read, Write};
+use crate::http::{self, HttpError, HttpLimits};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-/// Cap on the response head (status line + headers).
-const MAX_RESPONSE_HEAD: usize = 16 << 10;
-/// Cap on the response body we are willing to buffer.
-const MAX_RESPONSE_BODY: usize = 4 << 20;
+/// Response bounds: a 16 KiB head, 64 headers, a 4 MiB body.
+const LIMITS: HttpLimits = HttpLimits {
+    max_head_bytes: 16 << 10,
+    max_body_bytes: 4 << 20,
+    max_headers: 64,
+};
 
 /// One parsed response.
 #[derive(Debug, Clone)]
@@ -40,10 +45,6 @@ impl HttpResponse {
     }
 }
 
-fn bad(msg: &str) -> std::io::Error {
-    std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string())
-}
-
 /// Performs one request and reads the full response.
 ///
 /// # Errors
@@ -56,7 +57,7 @@ pub fn request(
     headers: &[(&str, &str)],
     body: &[u8],
     timeout: Duration,
-) -> std::io::Result<HttpResponse> {
+) -> io::Result<HttpResponse> {
     let stream = TcpStream::connect_timeout(&addr, timeout)?;
     stream.set_read_timeout(Some(timeout))?;
     stream.set_write_timeout(Some(timeout))?;
@@ -75,7 +76,7 @@ pub fn request_on(
     target: &str,
     headers: &[(&str, &str)],
     body: &[u8],
-) -> std::io::Result<HttpResponse> {
+) -> io::Result<HttpResponse> {
     let mut head = format!("{method} {target} HTTP/1.1\r\nconnection: close\r\n");
     for (name, value) in headers {
         head.push_str(&format!("{name}: {value}\r\n"));
@@ -90,68 +91,24 @@ pub fn request_on(
 ///
 /// # Errors
 ///
-/// Socket errors or malformed/oversized responses.
-pub fn read_response<R: Read>(stream: &mut R) -> std::io::Result<HttpResponse> {
-    // Head: read until the blank line, bounded.
-    let mut buffer = Vec::new();
-    let mut chunk = [0u8; 1024];
-    let head_end = loop {
-        if let Some(pos) = find_blank_line(&buffer) {
-            break pos;
-        }
-        if buffer.len() > MAX_RESPONSE_HEAD {
-            return Err(bad("response head too large"));
-        }
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(bad("connection closed before response head"));
-        }
-        // PANIC-OK: `Read` guarantees `n <= chunk.len()`.
-        buffer.extend_from_slice(&chunk[..n]);
-    };
-    // PANIC-OK: `head_end` is a `windows(4)` position inside `buffer`.
-    let head = std::str::from_utf8(&buffer[..head_end]).map_err(|_| bad("head not UTF-8"))?;
-    let mut lines = head.split("\r\n");
-    let status_line = lines.next().ok_or_else(|| bad("empty head"))?;
-    let mut parts = status_line.splitn(3, ' ');
-    let version = parts.next().unwrap_or("");
-    if !version.starts_with("HTTP/1.") {
-        return Err(bad("not an HTTP/1.x response"));
-    }
-    let status: u16 = parts
-        .next()
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| bad("bad status code"))?;
-    let mut headers = Vec::new();
-    let mut content_length = 0usize;
-    for line in lines {
-        if line.is_empty() {
-            continue;
-        }
-        let (name, value) = line.split_once(':').ok_or_else(|| bad("bad header"))?;
-        let name = name.trim().to_ascii_lowercase();
-        let value = value.trim().to_string();
-        if name == "content-length" {
-            content_length = value.parse().map_err(|_| bad("bad content-length"))?;
-            if content_length > MAX_RESPONSE_BODY {
-                return Err(bad("response body too large"));
-            }
-        }
-        headers.push((name, value));
-    }
-    // Body: the leftover bytes plus the rest of the declared length.
-    // PANIC-OK: `head_end` is a `windows(4)` position, so
-    // `head_end + 4 <= buffer.len()`.
-    let mut body = buffer[head_end + 4..].to_vec();
-    while body.len() < content_length {
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(bad("connection closed mid-body"));
-        }
-        // PANIC-OK: `Read` guarantees `n <= chunk.len()`.
-        body.extend_from_slice(&chunk[..n]);
-    }
-    body.truncate(content_length);
+/// The socket's own error; [`io::ErrorKind::TimedOut`] when a read
+/// times out; [`io::ErrorKind::InvalidData`] for a response the bounded
+/// reader refuses (bad status line, bad framing, over a bound, or cut
+/// short).
+pub fn read_response<R: Read>(stream: &mut R) -> io::Result<HttpResponse> {
+    parse_response(stream).map_err(|e| match e {
+        HttpError::Io(e) => e,
+        HttpError::Timeout => io::Error::new(io::ErrorKind::TimedOut, e.to_string()),
+        other => io::Error::new(io::ErrorKind::InvalidData, other.to_string()),
+    })
+}
+
+fn parse_response<R: Read>(stream: &mut R) -> Result<HttpResponse, HttpError> {
+    let (head, leftover) = http::read_head(stream, &LIMITS)?;
+    let (status_line, header_lines) = http::split_head(&head)?;
+    let status = parse_status_line(status_line)?;
+    let headers = http::parse_headers(header_lines, &LIMITS)?;
+    let body = http::read_body(stream, &headers, leftover, &LIMITS)?;
     Ok(HttpResponse {
         status,
         headers,
@@ -159,8 +116,17 @@ pub fn read_response<R: Read>(stream: &mut R) -> std::io::Result<HttpResponse> {
     })
 }
 
-fn find_blank_line(buffer: &[u8]) -> Option<usize> {
-    buffer.windows(4).position(|w| w == b"\r\n\r\n")
+/// The status code of an `HTTP/1.x NNN reason` line.
+fn parse_status_line(line: &str) -> Result<u16, HttpError> {
+    let mut parts = line.splitn(3, ' ');
+    if !parts.next().is_some_and(|v| v.starts_with("HTTP/1.")) {
+        return Err(HttpError::Malformed("not an HTTP/1.x response".into()));
+    }
+    parts
+        .next()
+        .filter(|s| s.len() == 3 && s.bytes().all(|b| b.is_ascii_digit()))
+        .and_then(|s| s.parse().ok())
+        .ok_or_else(|| HttpError::Malformed("bad status code".into()))
 }
 
 /// `GET` a target (no body).
@@ -168,7 +134,7 @@ fn find_blank_line(buffer: &[u8]) -> Option<usize> {
 /// # Errors
 ///
 /// As [`request`].
-pub fn get(addr: SocketAddr, target: &str, timeout: Duration) -> std::io::Result<HttpResponse> {
+pub fn get(addr: SocketAddr, target: &str, timeout: Duration) -> io::Result<HttpResponse> {
     request(addr, "GET", target, &[], b"", timeout)
 }
 
@@ -177,11 +143,7 @@ pub fn get(addr: SocketAddr, target: &str, timeout: Duration) -> std::io::Result
 /// # Errors
 ///
 /// As [`request`].
-pub fn post_query(
-    addr: SocketAddr,
-    body: &[u8],
-    timeout: Duration,
-) -> std::io::Result<HttpResponse> {
+pub fn post_query(addr: SocketAddr, body: &[u8], timeout: Duration) -> io::Result<HttpResponse> {
     request(addr, "POST", "/query", &[], body, timeout)
 }
 
@@ -206,6 +168,10 @@ mod tests {
             &b"SMTP ready\r\n\r\n"[..],
             b"HTTP/1.1 abc Bad\r\n\r\n",
             b"HTTP/1.1 200 OK\r\ncontent-length: 10\r\n\r\nshort",
+            // Ambiguous framing, refused as the server refuses it.
+            b"HTTP/1.1 200 OK\r\ncontent-length: 2\r\ncontent-length: 5\r\n\r\nhello",
+            b"HTTP/1.1 200 OK\r\ncontent-length: +5\r\n\r\nhello",
+            b"HTTP/1.1 200 OK\r\ncontent-length: 2\r\n\r\nhello",
         ] {
             let mut cursor = wire;
             assert!(read_response(&mut cursor).is_err());

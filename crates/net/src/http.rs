@@ -1,16 +1,16 @@
-//! A strict, bounded HTTP/1.1 request parser and response writer.
+//! A strict, bounded HTTP/1.1 message reader and response writer.
 //!
 //! This is not a general HTTP implementation — it is the smallest
 //! subset the lifetime service needs, built so that *arbitrary bytes on
 //! the socket can never panic, never allocate unboundedly, and never
 //! pin a worker thread*:
 //!
-//! * the request head (request line + headers) is read into a buffer
+//! * the message head (start line + headers) is read into a buffer
 //!   capped at [`HttpLimits::max_head_bytes`]; one byte past the cap is
 //!   a typed [`HttpError::TooLarge`], not a growing allocation;
 //! * the body requires exactly one explicit, digits-only
 //!   `Content-Length` (checked against [`HttpLimits::max_body_bytes`]
-//!   **before** any body allocation);
+//!   **before** any body allocation), and bytes past it are refused;
 //!   `Transfer-Encoding` is refused outright — chunked decoding is an
 //!   attack surface the service does not need;
 //! * every socket read honours the stream's read timeout: a slow-loris
@@ -19,6 +19,12 @@
 //! * header count is capped, header names are validated as ASCII
 //!   tokens, and nothing in the parser trusts a length it has not
 //!   checked.
+//!
+//! [`read_request`] is the server's entry point. It is four crate-visible
+//! steps (`read_head`, `split_head`, `parse_headers`, `read_body`), and
+//! [`crate::client::read_response`] runs the same steps under its own
+//! limits, parsing only the status line itself, so requests and
+//! responses are framed by one rule.
 
 use std::fmt;
 use std::io::{self, Read};
@@ -27,7 +33,7 @@ use std::io::{self, Read};
 /// for attacks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HttpLimits {
-    /// Cap on the request head (request line + all headers + CRLFs).
+    /// Cap on the message head (start line + all headers + CRLFs).
     pub max_head_bytes: usize,
     /// Cap on the declared `Content-Length`.
     pub max_body_bytes: usize,
@@ -75,7 +81,7 @@ impl Request {
     }
 }
 
-/// Why a request could not be read. Every variant maps to a specific
+/// Why a message could not be read. Every variant maps to a specific
 /// response (or to closing the connection) in the server.
 #[derive(Debug)]
 pub enum HttpError {
@@ -91,10 +97,10 @@ pub enum HttpError {
     },
     /// The bytes do not parse as the supported HTTP subset.
     Malformed(String),
-    /// The request uses a feature the server deliberately refuses
+    /// The message uses a feature this reader deliberately refuses
     /// (currently: any `Transfer-Encoding`).
     Unsupported(String),
-    /// A socket read timed out mid-request (slow-loris) .
+    /// A socket read timed out mid-message (slow-loris).
     Timeout,
     /// The socket failed.
     Io(io::Error),
@@ -105,10 +111,10 @@ impl fmt::Display for HttpError {
         match self {
             HttpError::Closed => write!(f, "connection closed"),
             HttpError::TooLarge { what, limit } => {
-                write!(f, "request {what} exceeds the {limit}-byte limit")
+                write!(f, "message {what} exceeds the {limit}-byte limit")
             }
-            HttpError::Malformed(msg) => write!(f, "malformed request: {msg}"),
-            HttpError::Unsupported(msg) => write!(f, "unsupported request: {msg}"),
+            HttpError::Malformed(msg) => write!(f, "malformed message: {msg}"),
+            HttpError::Unsupported(msg) => write!(f, "unsupported message: {msg}"),
             HttpError::Timeout => write!(f, "socket read timed out"),
             HttpError::Io(e) => write!(f, "socket error: {e}"),
         }
@@ -136,14 +142,150 @@ fn io_error(e: io::Error) -> HttpError {
 
 /// Reads and parses one request from `stream` under `limits`.
 ///
+/// Errors come in the order a reader meets them: the request line,
+/// then the headers, then the body's framing.
+///
 /// # Errors
 ///
 /// See [`HttpError`]; no variant panics and none allocates beyond the
 /// configured caps.
 pub fn read_request<R: Read>(stream: &mut R, limits: &HttpLimits) -> Result<Request, HttpError> {
     let (head, leftover) = read_head(stream, limits)?;
-    let (method, target, headers) = parse_head(&head, limits)?;
+    let (request_line, header_lines) = split_head(&head)?;
+    let (method, target) = parse_request_line(request_line)?;
+    let headers = parse_headers(header_lines, limits)?;
+    let body = read_body(stream, &headers, leftover, limits)?;
+    Ok(Request {
+        method,
+        target,
+        headers,
+        body,
+    })
+}
 
+/// Reads until the `\r\n\r\n` head terminator (bounded); returns the
+/// head bytes and any body bytes that arrived in the same reads.
+pub(crate) fn read_head<R: Read>(
+    stream: &mut R,
+    limits: &HttpLimits,
+) -> Result<(Vec<u8>, Vec<u8>), HttpError> {
+    let mut buf: Vec<u8> = Vec::new();
+    let mut chunk = [0u8; 1024];
+    loop {
+        if let Some(end) = find_head_end(&buf) {
+            let leftover = buf.split_off(end);
+            return Ok((buf, leftover));
+        }
+        if buf.len() >= limits.max_head_bytes {
+            return Err(HttpError::TooLarge {
+                what: "head",
+                limit: limits.max_head_bytes,
+            });
+        }
+        let want = (limits.max_head_bytes - buf.len() + 4).min(chunk.len());
+        // PANIC-OK: `want` is clamped to `chunk.len()` one line up.
+        match stream.read(&mut chunk[..want]) {
+            Ok(0) => {
+                if buf.is_empty() {
+                    return Err(HttpError::Closed);
+                }
+                return Err(HttpError::Malformed("connection closed mid-head".into()));
+            }
+            // PANIC-OK: `Read` guarantees `n <= chunk.len()`.
+            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(io_error(e)),
+        }
+    }
+}
+
+/// Index just past the first `\r\n\r\n`, when present.
+fn find_head_end(buf: &[u8]) -> Option<usize> {
+    buf.windows(4).position(|w| w == b"\r\n\r\n").map(|i| i + 4)
+}
+
+/// Splits head bytes (as [`read_head`] returns them) into the start
+/// line and the header lines.
+pub(crate) fn split_head(
+    head: &[u8],
+) -> Result<(&str, std::str::Split<'_, &'static str>), HttpError> {
+    let text =
+        std::str::from_utf8(head).map_err(|_| HttpError::Malformed("head is not UTF-8".into()))?;
+    let text = text
+        .strip_suffix("\r\n\r\n")
+        .ok_or_else(|| HttpError::Malformed("missing head terminator".into()))?;
+    let mut lines = text.split("\r\n");
+    let start_line = lines
+        .next()
+        .ok_or_else(|| HttpError::Malformed("empty head".into()))?;
+    Ok((start_line, lines))
+}
+
+/// Parses a request line into (method, target).
+fn parse_request_line(line: &str) -> Result<(String, String), HttpError> {
+    let mut parts = line.split(' ');
+    let method = parts
+        .next()
+        .filter(|m| !m.is_empty() && m.bytes().all(|b| b.is_ascii_uppercase()))
+        .ok_or_else(|| HttpError::Malformed("bad method token".into()))?;
+    let target = parts
+        .next()
+        .filter(|t| t.starts_with('/') && !t.bytes().any(|b| b.is_ascii_control()))
+        .ok_or_else(|| HttpError::Malformed("bad request target".into()))?;
+    let version = parts
+        .next()
+        .ok_or_else(|| HttpError::Malformed("missing HTTP version".into()))?;
+    if parts.next().is_some() {
+        return Err(HttpError::Malformed(
+            "extra tokens on the request line".into(),
+        ));
+    }
+    if version != "HTTP/1.1" && version != "HTTP/1.0" {
+        return Err(HttpError::Unsupported(format!("version {version:?}")));
+    }
+    Ok((method.to_string(), target.to_string()))
+}
+
+/// Parses header lines into `(name, value)` pairs: at most
+/// `limits.max_headers`, names ASCII tokens (lower-cased), values
+/// trimmed.
+pub(crate) fn parse_headers<'a>(
+    lines: impl Iterator<Item = &'a str>,
+    limits: &HttpLimits,
+) -> Result<Vec<(String, String)>, HttpError> {
+    let mut headers = Vec::new();
+    for line in lines {
+        if headers.len() >= limits.max_headers {
+            return Err(HttpError::TooLarge {
+                what: "headers",
+                limit: limits.max_headers,
+            });
+        }
+        let (name, value) = line
+            .split_once(':')
+            .ok_or_else(|| HttpError::Malformed(format!("header line without ':': {line:?}")))?;
+        if name.is_empty()
+            || !name
+                .bytes()
+                .all(|b| b.is_ascii_alphanumeric() || b == b'-' || b == b'_')
+        {
+            return Err(HttpError::Malformed(format!("bad header name {name:?}")));
+        }
+        headers.push((name.to_ascii_lowercase(), value.trim().to_string()));
+    }
+    Ok(headers)
+}
+
+/// Reads the body `headers` frame, starting from `leftover` (the body
+/// bytes [`read_head`] drained): exactly one digits-only
+/// `Content-Length` (none means empty), capped before allocating; no
+/// `Transfer-Encoding`; no bytes past the declared length.
+pub(crate) fn read_body<R: Read>(
+    stream: &mut R,
+    headers: &[(String, String)],
+    leftover: Vec<u8>,
+    limits: &HttpLimits,
+) -> Result<Vec<u8>, HttpError> {
     if headers.iter().any(|(n, _)| n == "transfer-encoding") {
         return Err(HttpError::Unsupported(
             "Transfer-Encoding is not accepted; send Content-Length".into(),
@@ -193,112 +335,7 @@ pub fn read_request<R: Read>(stream: &mut R, limits: &HttpLimits) -> Result<Requ
             Err(e) => return Err(io_error(e)),
         }
     }
-
-    Ok(Request {
-        method,
-        target,
-        headers,
-        body,
-    })
-}
-
-/// Reads until the `\r\n\r\n` head terminator (bounded); returns the
-/// head bytes and any body bytes that arrived in the same reads.
-fn read_head<R: Read>(
-    stream: &mut R,
-    limits: &HttpLimits,
-) -> Result<(Vec<u8>, Vec<u8>), HttpError> {
-    let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 1024];
-    loop {
-        if let Some(end) = find_head_end(&buf) {
-            let leftover = buf.split_off(end);
-            return Ok((buf, leftover));
-        }
-        if buf.len() >= limits.max_head_bytes {
-            return Err(HttpError::TooLarge {
-                what: "head",
-                limit: limits.max_head_bytes,
-            });
-        }
-        let want = (limits.max_head_bytes - buf.len() + 4).min(chunk.len());
-        // PANIC-OK: `want` is clamped to `chunk.len()` one line up.
-        match stream.read(&mut chunk[..want]) {
-            Ok(0) => {
-                if buf.is_empty() {
-                    return Err(HttpError::Closed);
-                }
-                return Err(HttpError::Malformed("connection closed mid-head".into()));
-            }
-            // PANIC-OK: `Read` guarantees `n <= chunk.len()`.
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(io_error(e)),
-        }
-    }
-}
-
-/// Index just past the first `\r\n\r\n`, when present.
-fn find_head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n").map(|i| i + 4)
-}
-
-/// Parses the head bytes into (method, target, headers).
-fn parse_head(
-    head: &[u8],
-    limits: &HttpLimits,
-) -> Result<(String, String, Vec<(String, String)>), HttpError> {
-    let text = std::str::from_utf8(head)
-        .map_err(|_| HttpError::Malformed("request head is not UTF-8".into()))?;
-    let text = text
-        .strip_suffix("\r\n\r\n")
-        .ok_or_else(|| HttpError::Malformed("missing head terminator".into()))?;
-    let mut lines = text.split("\r\n");
-    let request_line = lines
-        .next()
-        .ok_or_else(|| HttpError::Malformed("empty request".into()))?;
-    let mut parts = request_line.split(' ');
-    let method = parts
-        .next()
-        .filter(|m| !m.is_empty() && m.bytes().all(|b| b.is_ascii_uppercase()))
-        .ok_or_else(|| HttpError::Malformed("bad method token".into()))?;
-    let target = parts
-        .next()
-        .filter(|t| t.starts_with('/') && !t.bytes().any(|b| b.is_ascii_control()))
-        .ok_or_else(|| HttpError::Malformed("bad request target".into()))?;
-    let version = parts
-        .next()
-        .ok_or_else(|| HttpError::Malformed("missing HTTP version".into()))?;
-    if parts.next().is_some() {
-        return Err(HttpError::Malformed(
-            "extra tokens on the request line".into(),
-        ));
-    }
-    if version != "HTTP/1.1" && version != "HTTP/1.0" {
-        return Err(HttpError::Unsupported(format!("version {version:?}")));
-    }
-
-    let mut headers = Vec::new();
-    for line in lines {
-        if headers.len() >= limits.max_headers {
-            return Err(HttpError::TooLarge {
-                what: "headers",
-                limit: limits.max_headers,
-            });
-        }
-        let (name, value) = line
-            .split_once(':')
-            .ok_or_else(|| HttpError::Malformed(format!("header line without ':': {line:?}")))?;
-        if name.is_empty()
-            || !name
-                .bytes()
-                .all(|b| b.is_ascii_alphanumeric() || b == b'-' || b == b'_')
-        {
-            return Err(HttpError::Malformed(format!("bad header name {name:?}")));
-        }
-        headers.push((name.to_ascii_lowercase(), value.trim().to_string()));
-    }
-    Ok((method.to_string(), target.to_string(), headers))
+    Ok(body)
 }
 
 /// A response under construction.

@@ -20,14 +20,15 @@
 //! - [`quota`] — per-client token buckets: a noisy neighbour is shed by
 //!   name (`429` + `Retry-After`) *before* it can saturate the global
 //!   admission bound that protects everyone else.
-//! - [`http`] — strict bounded HTTP/1.1 request parsing: head/body
+//! - [`http`] — strict bounded HTTP/1.1 message reading: head/body
 //!   caps, `Content-Length` enforcement, typed errors, never a panic
 //!   and never an unbounded allocation on arbitrary bytes.
 //! - [`json`] — a bounded JSON parser (depth-capped) for the request
 //!   envelope, and shortest-round-trip `f64` writers so the curves a
 //!   client reads back are bit-exact.
 //! - [`client`] — a minimal blocking client for tests, the chaos
-//!   harness and the examples.
+//!   harness and the examples; it reads responses through [`http`]'s
+//!   steps, so both directions share one framing rule.
 //!
 //! # Quick start
 //!

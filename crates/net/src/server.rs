@@ -42,6 +42,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+/// Requests served per keep-alive connection before it is closed
+/// (bounds how long one socket can monopolise a worker).
+const MAX_REQUESTS_PER_CONNECTION: usize = 128;
+
 /// Sizing and policy knobs of the HTTP front.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetConfig {
@@ -54,10 +58,6 @@ pub struct NetConfig {
     pub write_timeout: Duration,
     /// Request parsing bounds.
     pub limits: HttpLimits,
-    /// Requests served per keep-alive connection before it is closed
-    /// (bounds how long one socket can monopolise a worker). Default:
-    /// 128.
-    pub max_requests_per_connection: usize,
     /// Per-client sustained admission rate, requests/second.
     /// `0` disables quotas. Default: 0.
     pub quota_rate: f64,
@@ -86,7 +86,6 @@ impl Default for NetConfig {
             read_timeout: Duration::from_secs(2),
             write_timeout: Duration::from_secs(2),
             limits: HttpLimits::default(),
-            max_requests_per_connection: 128,
             quota_rate: 0.0,
             quota_burst: 8.0,
             quota_key_header: None,
@@ -372,7 +371,7 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream, peer: SocketAddr) {
             }
         };
         let wants_close = request.wants_close();
-        let at_cap = served + 1 >= shared.config.max_requests_per_connection;
+        let at_cap = served + 1 >= MAX_REQUESTS_PER_CONNECTION;
         let response = route(shared, &peer, &request);
         let close = wants_close || at_cap;
         shared.counters.requests.fetch_add(1, Ordering::Relaxed);

@@ -1,11 +1,12 @@
 //! Property fuzz over every parser the network boundary exposes to
-//! attacker-controlled bytes: the HTTP request parser, the JSON
-//! envelope parser, and the scenario config parser. The invariant is
+//! attacker-controlled bytes: the HTTP request and response readers,
+//! the JSON envelope parser, and the scenario config parser. The invariant is
 //! the same everywhere: **arbitrary bytes never panic, never allocate
 //! unboundedly, and fail only with the parser's typed error** — the
 //! process keeps serving no matter what arrives on the socket.
 
 use kibamrm::Scenario;
+use kibamrm_net::client::read_response;
 use kibamrm_net::http::read_request;
 use kibamrm_net::{HttpLimits, Json};
 use proptest::prelude::*;
@@ -30,7 +31,8 @@ proptest! {
 
     /// The HTTP parser survives arbitrary bytes: a typed error or a
     /// valid request, never a panic, and the parsed body never exceeds
-    /// the configured cap.
+    /// the configured cap. The client's response reader, which shares
+    /// the parser's steps, survives the same bytes.
     #[test]
     fn http_parser_survives_arbitrary_bytes(
         raw in collection::vec(0u8..=255u8, 0..600),
@@ -42,6 +44,9 @@ proptest! {
             max_headers: 8,
         };
         let wire = http_flavoured(&raw, shape);
+        if let Err(e) = read_response(&mut Cursor::new(&wire)) {
+            let _ = e.to_string();
+        }
         let mut cursor = Cursor::new(wire);
         match read_request(&mut cursor, &limits) {
             Ok(request) => {
