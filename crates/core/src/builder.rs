@@ -284,7 +284,10 @@ mod tests {
             &DiscretisationOptions::with_delta(Charge::from_milliamp_hours(25.0)),
         )
         .unwrap();
-        let p = disc.empty_probability_at(Time::from_hours(10.0)).unwrap();
+        let curve = disc
+            .empty_probability_curve(&[Time::from_hours(10.0)])
+            .unwrap();
+        let p = curve.points[0].1;
         assert!((0.0..=1.0).contains(&p));
     }
 }

@@ -20,6 +20,14 @@
 //! ```
 //!
 //! computed by the uniformisation curve engine of the `markov` crate.
+//!
+//! The lattice is sized before anything is allocated: a `Δ` whose
+//! lattice would exceed `MAX_STATES` = 2²² (4,194,304) states is refused
+//! with [`KibamRmError::InvalidDiscretisation`]. The largest chain the
+//! paper's experiments need, the two-well Fig. 8 chain at Δ = 5 A·s, has
+//! 974,882 states; the cap is 4.3× that and still admits Fig. 8 at
+//! Δ = 2.5 A·s (3,893,762 states). Without it one request with a tiny
+//! `Δ` overflows the state count or asks the build for gigabytes.
 
 use crate::model::KibamRm;
 use crate::KibamRmError;
@@ -35,13 +43,6 @@ pub struct DiscretisationOptions {
     pub delta: Charge,
     /// Options handed to the uniformisation engine.
     pub transient: TransientOptions,
-    /// Include bound→available recovery transitions *out of* the
-    /// battery-empty (`j₁ = 0`) states. The paper keeps those states
-    /// absorbing — lifetime is the *first* emptying — but notes the
-    /// recovery transitions "could easily be included"; with this flag
-    /// the computed measure becomes `Pr[battery empty **at** time t]`
-    /// (the battery may come back), which is no longer monotone in `t`.
-    pub recovery_from_empty: bool,
 }
 
 impl DiscretisationOptions {
@@ -50,7 +51,6 @@ impl DiscretisationOptions {
         DiscretisationOptions {
             delta,
             transient: TransientOptions::default(),
-            recovery_from_empty: false,
         }
     }
 }
@@ -62,21 +62,62 @@ impl DiscretisationOptions {
 pub struct CtmcStats {
     /// Number of states of the derived CTMC.
     pub states: usize,
-    /// Number of off-diagonal non-zero rates.
-    pub off_diagonal_nonzeros: usize,
     /// Number of non-zero generator entries including the diagonal.
     pub generator_nonzeros: usize,
-    /// Number of distinct diagonals the off-diagonal rate matrix
-    /// occupies. The lattice structure makes this a small constant
-    /// (workload hops, consumption, recovery — each a fixed index
-    /// delta). Whether banded (DIA) storage pays also depends on how
-    /// full those diagonals are: the Fig. 8 chains' five are too sparse,
-    /// and `Auto` runs them as length-sorted rows instead.
-    pub band_offsets: usize,
-    /// Largest `|column − row|` over the stored rates — how far one
-    /// uniformisation product can move probability mass, i.e. the
-    /// per-iteration growth bound of the active window.
-    pub bandwidth: usize,
+}
+
+/// The most states a derived chain may have (see the module docs).
+pub(crate) const MAX_STATES: usize = 1 << 22;
+
+/// The state count `|S|·(u₁/Δ + 1)·(u₂/Δ + 1)` of the lattice over wells
+/// `u1` and `u2`, estimated in `f64` so that nothing overflows. The build
+/// refuses, and the default-Δ search skips, a `Δ` whose estimate is above
+/// [`MAX_STATES`].
+pub(crate) fn state_estimate(n_workload: usize, u1: f64, u2: f64, delta: f64) -> f64 {
+    n_workload as f64 * (u1 / delta + 1.0) * (u2 / delta + 1.0)
+}
+
+/// The lattice `S × {0..J₁} × {0..J₂}`: its dimensions and its one flat
+/// state index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Lattice {
+    n_workload: usize,
+    j1_levels: usize,
+    j2_levels: usize,
+}
+
+impl Lattice {
+    /// The lattice of `model` at quantum `delta` (positive and finite).
+    /// Its size is checked against [`MAX_STATES`] before any level count
+    /// is cast to an integer.
+    fn new(model: &KibamRm, delta: f64) -> Result<Self, KibamRmError> {
+        let c = model.c();
+        let capacity = model.capacity().value();
+        let (u1, u2) = (c * capacity, (1.0 - c) * capacity);
+        let n_workload = model.workload().n_states();
+        let estimate = state_estimate(n_workload, u1, u2, delta);
+        if !(estimate <= MAX_STATES as f64) {
+            return Err(KibamRmError::InvalidDiscretisation(format!(
+                "Δ = {delta} gives a lattice of about {estimate:.4e} states, \
+                 above the cap of {MAX_STATES} states; choose a coarser Δ"
+            )));
+        }
+        Ok(Lattice {
+            n_workload,
+            j1_levels: level_count(u1, delta, "available well (c·C)")?,
+            j2_levels: level_count(u2, delta, "bound well ((1−c)·C)")?,
+        })
+    }
+
+    fn states(&self) -> usize {
+        self.n_workload * self.j1_levels * self.j2_levels
+    }
+
+    /// Flat index of the derived state `(workload i, j₁, j₂)`.
+    #[inline]
+    fn index(&self, i: usize, j1: usize, j2: usize) -> usize {
+        (j1 * self.j2_levels + j2) * self.n_workload + i
+    }
 }
 
 /// The paper's derived CTMC for one KiBaMRM and one `Δ`.
@@ -87,9 +128,7 @@ pub struct DiscretisedModel {
     empty_measure: Vec<f64>,
     stats: CtmcStats,
     transient: TransientOptions,
-    n_workload: usize,
-    j1_levels: usize,
-    j2_levels: usize,
+    lattice: Lattice,
     delta: f64,
 }
 
@@ -98,15 +137,12 @@ pub struct DiscretisedModel {
 /// the template-based refill speak through this, so the emitted entries —
 /// and therefore the assembled values — are identical bit for bit.
 struct LatticeSpec {
-    n_workload: usize,
-    j1_levels: usize,
-    j2_levels: usize,
+    lattice: Lattice,
     delta: f64,
     c: f64,
     k: f64,
     currents: Vec<f64>,
     workload_rates: Vec<Vec<(usize, f64)>>,
-    recovery_from_empty: bool,
 }
 
 impl LatticeSpec {
@@ -118,28 +154,17 @@ impl LatticeSpec {
                 opts.delta
             )));
         }
-        let c = model.c();
-        let capacity = model.capacity().value();
-        let j1_levels = level_count(c * capacity, delta, "available well (c·C)")?;
-        let j2_levels = level_count((1.0 - c) * capacity, delta, "bound well ((1−c)·C)")?;
-        let n_workload = model.workload().n_states();
+        let lattice = Lattice::new(model, delta)?;
         Ok(LatticeSpec {
-            n_workload,
-            j1_levels,
-            j2_levels,
+            lattice,
             delta,
-            c,
+            c: model.c(),
             k: model.k().value(),
             currents: model.workload().currents_amps(),
-            workload_rates: (0..n_workload)
+            workload_rates: (0..lattice.n_workload)
                 .map(|i| model.workload().ctmc().rates().row(i).collect())
                 .collect(),
-            recovery_from_empty: opts.recovery_from_empty,
         })
-    }
-
-    fn n_states(&self) -> usize {
-        self.n_workload * self.j1_levels * self.j2_levels
     }
 
     /// An upper bound on the derived chain's largest exit rate (the
@@ -156,17 +181,12 @@ impl LatticeSpec {
                 row.iter().map(|&(_, rate)| rate).sum::<f64>() + current.max(0.0) / self.delta
             })
             .fold(0.0, f64::max);
-        let transfer = if self.k > 0.0 && self.j2_levels > 1 {
-            self.k * (self.j2_levels - 1) as f64 / (1.0 - self.c)
+        let transfer = if self.k > 0.0 && self.lattice.j2_levels > 1 {
+            self.k * (self.lattice.j2_levels - 1) as f64 / (1.0 - self.c)
         } else {
             0.0
         };
         workload + transfer
-    }
-
-    #[inline]
-    fn index(&self, i: usize, j1: usize, j2: usize) -> usize {
-        (j1 * self.j2_levels + j2) * self.n_workload + i
     }
 
     /// Enumerates every transition of the derived chain, in a fixed
@@ -177,36 +197,25 @@ impl LatticeSpec {
     /// sort), and once more per sweep-group member to refill values
     /// through a recorded slot permutation.
     fn emit_all(&self, emit: &mut dyn FnMut(usize, usize, f64)) {
-        let (c, k, delta) = (self.c, self.k, self.delta);
-        // Optional paper extension (§5.2): recovery transitions out of
-        // the empty states. The device is dead there — no workload
-        // moves, no consumption — but bound charge keeps equalising.
-        if self.recovery_from_empty && k > 0.0 && self.j1_levels > 1 {
-            for j2 in 1..self.j2_levels {
-                let rate = k * (j2 as f64 / (1.0 - c));
-                for i in 0..self.n_workload {
-                    emit(self.index(i, 0, j2), self.index(i, 1, j2 - 1), rate);
-                }
-            }
-        }
-        for j1 in 1..self.j1_levels {
-            // j1 = 0 rows stay absorbing (unless recovery_from_empty).
-            for j2 in 0..self.j2_levels {
-                for i in 0..self.n_workload {
-                    let from = self.index(i, j1, j2);
+        let (c, k, delta, lattice) = (self.c, self.k, self.delta, self.lattice);
+        for j1 in 1..lattice.j1_levels {
+            // j1 = 0 rows stay absorbing.
+            for j2 in 0..lattice.j2_levels {
+                for i in 0..lattice.n_workload {
+                    let from = lattice.index(i, j1, j2);
                     // 1. Workload transitions.
                     for &(to_state, rate) in &self.workload_rates[i] {
-                        emit(from, self.index(to_state, j1, j2), rate);
+                        emit(from, lattice.index(to_state, j1, j2), rate);
                     }
                     // 2. Consumption of one charge quantum.
                     if self.currents[i] > 0.0 {
-                        emit(from, self.index(i, j1 - 1, j2), self.currents[i] / delta);
+                        emit(from, lattice.index(i, j1 - 1, j2), self.currents[i] / delta);
                     }
                     // 3. Bound → available transfer.
-                    if k > 0.0 && j2 > 0 && j1 + 1 < self.j1_levels {
+                    if k > 0.0 && j2 > 0 && j1 + 1 < lattice.j1_levels {
                         let rate = k * (j2 as f64 / (1.0 - c) - j1 as f64 / c);
                         if rate > 0.0 {
-                            emit(from, self.index(i, j1 + 1, j2 - 1), rate);
+                            emit(from, lattice.index(i, j1 + 1, j2 - 1), rate);
                         }
                     }
                 }
@@ -219,19 +228,17 @@ impl LatticeSpec {
     /// dimensions, the workload CTMC's transition pattern, which states
     /// draw current, whether transfer happens at all, the
     /// available-charge fraction `c` (whose exact value decides which
-    /// lattice cells have a positive transfer rate), and the
-    /// recovery-from-empty flag. Equal fingerprints ⇒ identical pattern,
-    /// which is what sweep plans group scenarios by.
+    /// lattice cells have a positive transfer rate). Equal fingerprints ⇒
+    /// identical pattern, which is what sweep plans group scenarios by.
     fn fingerprint(&self, workload_ctmc: &Ctmc) -> u64 {
         markov::sparse::fnv1a_u64(
             [
                 workload_ctmc.structural_fingerprint(),
-                self.n_workload as u64,
-                self.j1_levels as u64,
-                self.j2_levels as u64,
+                self.lattice.n_workload as u64,
+                self.lattice.j1_levels as u64,
+                self.lattice.j2_levels as u64,
                 self.c.to_bits(),
                 u64::from(self.k > 0.0),
-                u64::from(self.recovery_from_empty),
             ]
             .into_iter()
             .chain(self.currents.iter().map(|&cur| u64::from(cur > 0.0))),
@@ -246,7 +253,8 @@ impl LatticeSpec {
 ///
 /// # Errors
 ///
-/// The same validation errors as [`DiscretisedModel::build`] (bad `Δ`).
+/// The same validation errors as [`DiscretisedModel::build`] (bad `Δ`,
+/// oversized lattice).
 pub fn structural_fingerprint(
     model: &KibamRm,
     opts: &DiscretisationOptions,
@@ -264,23 +272,24 @@ pub fn structural_fingerprint(
 ///
 /// # Errors
 ///
-/// The same validation errors as [`DiscretisedModel::build`] (bad `Δ`).
+/// The same validation errors as [`DiscretisedModel::build`] (bad `Δ`,
+/// oversized lattice).
 pub(crate) fn cost_estimate(
     model: &KibamRm,
     opts: &DiscretisationOptions,
     horizon: Time,
 ) -> Result<f64, KibamRmError> {
     let spec = LatticeSpec::new(model, opts)?;
-    Ok(spec.n_states() as f64 * spec.exit_rate_bound() * horizon.as_seconds())
+    Ok(spec.lattice.states() as f64 * spec.exit_rate_bound() * horizon.as_seconds())
 }
 
 /// The reusable structural skeleton of a derived chain: the CSR pattern
 /// (carried by the representative chain), the emit-order → CSR-slot
-/// permutation, the DIA/bandwidth metadata and the lattice dimensions.
+/// permutation, the size statistics and the lattice dimensions.
 /// Built once per sweep-plan group from its first member
 /// ([`DiscretisedModel::template`]); every later member refills only the
 /// numeric rate values ([`DiscretisedModel::build_with_template`]) — no
-/// counting pass, no per-row sorts, no offset detection.
+/// counting pass and no per-row sorts.
 #[derive(Debug, Clone)]
 pub struct DiscretisationTemplate {
     fingerprint: u64,
@@ -289,9 +298,7 @@ pub struct DiscretisationTemplate {
     /// the CSR slot its rate lands in.
     slots: Vec<u32>,
     stats: CtmcStats,
-    n_workload: usize,
-    j1_levels: usize,
-    j2_levels: usize,
+    lattice: Lattice,
 }
 
 impl DiscretisationTemplate {
@@ -307,16 +314,16 @@ impl DiscretisedModel {
     ///
     /// # Errors
     ///
-    /// [`KibamRmError::InvalidDiscretisation`] when `Δ` is non-positive
-    /// or does not evenly divide the well capacities `cC` and `(1−c)C`
-    /// (within 10⁻⁶ relative); [`KibamRmError::Markov`] if assembly
+    /// [`KibamRmError::InvalidDiscretisation`] when `Δ` is non-positive,
+    /// does not evenly divide the well capacities `cC` and `(1−c)C`
+    /// (within 10⁻⁶ relative) or gives a lattice above the state cap
+    /// (see the module docs); [`KibamRmError::Markov`] if assembly
     /// fails.
     pub fn build(model: &KibamRm, opts: &DiscretisationOptions) -> Result<Self, KibamRmError> {
         let spec = LatticeSpec::new(model, opts)?;
-        let n_states = spec.n_states();
+        let n_states = spec.lattice.states();
         let mut assembler = CsrAssembler::new(n_states, n_states).map_err(KibamRmError::Markov)?;
         spec.emit_all(&mut |from, _to, _rate| assembler.count(from));
-        let off_diagonal = assembler.counted();
         let mut filler = assembler.into_filler();
         let mut fill_err = None;
         spec.emit_all(&mut |from, to, rate| {
@@ -333,13 +340,9 @@ impl DiscretisedModel {
         // Diagonal entries exist for every state with outgoing rate plus
         // nothing for absorbing rows (their diagonal is zero).
         let diagonal_nonzeros = (0..n_states).filter(|&s| chain.exit_rate(s) > 0.0).count();
-        let offsets = markov::banded::BandedMatrix::detect_offsets(chain.rates());
         let stats = CtmcStats {
             states: n_states,
-            off_diagonal_nonzeros: off_diagonal,
             generator_nonzeros: chain.n_transitions() + diagonal_nonzeros,
-            band_offsets: offsets.len(),
-            bandwidth: offsets.iter().map(|o| o.unsigned_abs()).max().unwrap_or(0),
         };
         Ok(DiscretisedModel::assemble(chain, stats, &spec, model, opts))
     }
@@ -353,18 +356,19 @@ impl DiscretisedModel {
         model: &KibamRm,
         opts: &DiscretisationOptions,
     ) -> Self {
-        let n_states = spec.n_states();
+        let lattice = spec.lattice;
+        let n_states = lattice.states();
         // Initial distribution: workload initial × full battery (top
         // levels of both wells).
         let mut alpha = vec![0.0; n_states];
         for (i, &a) in model.workload().initial().iter().enumerate() {
-            alpha[spec.index(i, spec.j1_levels - 1, spec.j2_levels - 1)] = a;
+            alpha[lattice.index(i, lattice.j1_levels - 1, lattice.j2_levels - 1)] = a;
         }
         // The battery is empty in every state with j1 = 0.
         let mut empty_measure = vec![0.0; n_states];
-        for j2 in 0..spec.j2_levels {
-            for i in 0..spec.n_workload {
-                empty_measure[spec.index(i, 0, j2)] = 1.0;
+        for j2 in 0..lattice.j2_levels {
+            for i in 0..lattice.n_workload {
+                empty_measure[lattice.index(i, 0, j2)] = 1.0;
             }
         }
         DiscretisedModel {
@@ -373,9 +377,7 @@ impl DiscretisedModel {
             empty_measure,
             stats,
             transient: opts.transient,
-            n_workload: spec.n_workload,
-            j1_levels: spec.j1_levels,
-            j2_levels: spec.j2_levels,
+            lattice,
             delta: spec.delta,
         }
     }
@@ -422,9 +424,7 @@ impl DiscretisedModel {
             chain: self.chain.clone(),
             slots,
             stats: self.stats,
-            n_workload: self.n_workload,
-            j1_levels: self.j1_levels,
-            j2_levels: self.j2_levels,
+            lattice: self.lattice,
         })
     }
 
@@ -448,10 +448,7 @@ impl DiscretisedModel {
     ) -> Result<Self, KibamRmError> {
         let spec = LatticeSpec::new(model, opts)?;
         if spec.fingerprint(model.workload().ctmc()) != template.fingerprint
-            || spec.n_states() != template.stats.states
-            || spec.n_workload != template.n_workload
-            || spec.j1_levels != template.j1_levels
-            || spec.j2_levels != template.j2_levels
+            || spec.lattice != template.lattice
         {
             return Err(KibamRmError::InvalidDiscretisation(
                 "scenario structure does not match the sweep-group template".into(),
@@ -516,12 +513,12 @@ impl DiscretisedModel {
 
     /// Number of `j₁` levels (`cC/Δ + 1`).
     pub fn j1_levels(&self) -> usize {
-        self.j1_levels
+        self.lattice.j1_levels
     }
 
     /// Number of `j₂` levels (`(1−c)C/Δ + 1`; 1 when `c = 1`).
     pub fn j2_levels(&self) -> usize {
-        self.j2_levels
+        self.lattice.j2_levels
     }
 
     /// The initial distribution over the derived chain.
@@ -598,15 +595,6 @@ impl DiscretisedModel {
         )?)
     }
 
-    /// `Pr[battery empty at t]` for one time point.
-    ///
-    /// # Errors
-    ///
-    /// Propagates uniformisation errors.
-    pub fn empty_probability_at(&self, t: Time) -> Result<f64, KibamRmError> {
-        Ok(self.empty_probability_curve(&[t])?.points[0].1)
-    }
-
     /// The expected well contents `(E[Y₁(t)], E[Y₂(t)])` over a time
     /// grid, read off the derived chain with the level-valued measures
     /// `j_d·Δ`. Shares one matrix–vector sweep for both wells and all
@@ -623,10 +611,11 @@ impl DiscretisedModel {
         let n = self.stats.states;
         let mut y1_measure = vec![0.0; n];
         let mut y2_measure = vec![0.0; n];
-        for j1 in 0..self.j1_levels {
-            for j2 in 0..self.j2_levels {
-                for i in 0..self.n_workload {
-                    let idx = (j1 * self.j2_levels + j2) * self.n_workload + i;
+        let lattice = self.lattice;
+        for j1 in 0..lattice.j1_levels {
+            for j2 in 0..lattice.j2_levels {
+                for i in 0..lattice.n_workload {
+                    let idx = lattice.index(i, j1, j2);
                     y1_measure[idx] = j1 as f64 * self.delta;
                     y2_measure[idx] = j2 as f64 * self.delta;
                 }
@@ -662,13 +651,14 @@ impl DiscretisedModel {
     /// [`KibamRmError::InvalidDiscretisation`] when any coordinate is out
     /// of range.
     pub fn state_index(&self, i: usize, j1: usize, j2: usize) -> Result<usize, KibamRmError> {
-        if i >= self.n_workload || j1 >= self.j1_levels || j2 >= self.j2_levels {
+        let lattice = self.lattice;
+        if i >= lattice.n_workload || j1 >= lattice.j1_levels || j2 >= lattice.j2_levels {
             return Err(KibamRmError::InvalidDiscretisation(format!(
                 "state ({i}, {j1}, {j2}) out of range ({}, {}, {})",
-                self.n_workload, self.j1_levels, self.j2_levels
+                lattice.n_workload, lattice.j1_levels, lattice.j2_levels
             )));
         }
-        Ok((j1 * self.j2_levels + j2) * self.n_workload + i)
+        Ok(lattice.index(i, j1, j2))
     }
 }
 
@@ -757,24 +747,6 @@ mod tests {
         // Δ = 5 would give 901 × 541 × 2 = 974 882 states and ≈ 3.2·10⁶
         // non-zeros (checked in the bench harness, too slow for a unit
         // test build).
-    }
-
-    #[test]
-    fn bandwidth_metadata_reflects_the_lattice_stencil() {
-        // Two-well on/off at Δ = 300: j2_levels = 10, 2 workload states.
-        // Offsets: workload hop ±1, consumption −(10·2), recovery +(9·2).
-        let d = on_off_two_well(300.0);
-        assert_eq!(d.stats().band_offsets, 4);
-        assert_eq!(d.stats().bandwidth, 20);
-        // Linear chain: no recovery, consumption hops one j1 level
-        // (j2_levels = 1, so offset −2); workload hop ±1.
-        let lin = on_off_linear(300.0);
-        assert_eq!(lin.stats().band_offsets, 3);
-        assert_eq!(lin.stats().bandwidth, 2);
-        // The stencil is Δ-independent even though the state count grows.
-        let fine = on_off_two_well(100.0);
-        assert_eq!(fine.stats().band_offsets, 4);
-        assert_eq!(fine.stats().bandwidth, 2 * fine.j2_levels());
     }
 
     #[test]
@@ -877,6 +849,35 @@ mod tests {
     }
 
     #[test]
+    fn oversized_lattices_are_refused_before_allocation() {
+        let w = Workload::on_off_erlang(Frequency::from_hertz(1.0), 1, Current::from_amps(0.96))
+            .unwrap();
+        let m = KibamRm::new(
+            w,
+            Charge::from_amp_seconds(7200.0),
+            0.625,
+            Rate::per_second(4.5e-5),
+        )
+        .unwrap();
+        // 10⁻⁶ C overflows the state count, 0.1 C asks for 2.4·10⁹
+        // states, and 10⁻³⁰⁰ C overflows a level count.
+        for delta in [1e-6, 0.1, 1e-300] {
+            let opts = DiscretisationOptions::with_delta(Charge::from_coulombs(delta));
+            for err in [
+                DiscretisedModel::build(&m, &opts).err(),
+                structural_fingerprint(&m, &opts).err(),
+            ] {
+                match err {
+                    Some(KibamRmError::InvalidDiscretisation(msg)) => {
+                        assert!(msg.contains("4194304 states"), "Δ = {delta}: {msg}")
+                    }
+                    other => panic!("Δ = {delta}: {other:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
     fn empty_states_are_absorbing() {
         let d = on_off_two_well(300.0);
         for j2 in 0..d.j2_levels() {
@@ -956,12 +957,9 @@ mod tests {
     fn linear_case_mean_lifetime_anchor() {
         // Coarse Δ already puts the CDF's centre near 15000 s (§6.1).
         let d = on_off_linear(100.0);
-        let p_below = d
-            .empty_probability_at(Time::from_seconds(12_000.0))
-            .unwrap();
-        let p_above = d
-            .empty_probability_at(Time::from_seconds(18_000.0))
-            .unwrap();
+        let times = [Time::from_seconds(12_000.0), Time::from_seconds(18_000.0)];
+        let curve = d.empty_probability_curve(&times).unwrap();
+        let (p_below, p_above) = (curve.points[0].1, curve.points[1].1);
         assert!(p_below < 0.5, "p(12000) = {p_below}");
         assert!(p_above > 0.5, "p(18000) = {p_above}");
     }
@@ -1016,49 +1014,6 @@ mod tests {
         assert!(
             (drained.as_coulombs() - expect).abs() < 0.15 * expect,
             "drained {drained} vs {expect}"
-        );
-    }
-
-    #[test]
-    fn recovery_from_empty_extension() {
-        // Paper §5.2: "the recovery transitions could easily be included".
-        let w = Workload::on_off_erlang(Frequency::from_hertz(1.0), 1, Current::from_amps(0.96))
-            .unwrap();
-        let m = KibamRm::new(
-            w,
-            Charge::from_amp_seconds(7200.0),
-            0.625,
-            Rate::per_second(4.5e-5),
-        )
-        .unwrap();
-        let opts = DiscretisationOptions {
-            recovery_from_empty: true,
-            ..DiscretisationOptions::with_delta(Charge::from_amp_seconds(300.0))
-        };
-        let d = DiscretisedModel::build(&m, &opts).unwrap();
-        // Empty states with bound charge left are *not* absorbing any more…
-        let s = d.state_index(0, 0, 5).unwrap();
-        assert!(!d.chain().is_absorbing(s));
-        let rate = d.chain().rates().get(s, d.state_index(0, 1, 4).unwrap());
-        assert!((rate - 4.5e-5 * (5.0 / 0.375)).abs() < 1e-15);
-        // …but the fully drained corner still is.
-        let corner = d.state_index(0, 0, 0).unwrap();
-        assert!(d.chain().is_absorbing(corner));
-
-        // With recovery allowed, "empty at t" sits below the absorbing
-        // first-passage probability at late times.
-        let absorbing = DiscretisedModel::build(
-            &m,
-            &DiscretisationOptions::with_delta(Charge::from_amp_seconds(300.0)),
-        )
-        .unwrap();
-        let t = Time::from_seconds(16_000.0);
-        let p_at = d.empty_probability_at(t).unwrap();
-        let p_by = absorbing.empty_probability_at(t).unwrap();
-        assert!(p_at <= p_by + 1e-12, "at {p_at} vs by {p_by}");
-        assert!(
-            p_at < p_by - 0.01,
-            "recovery should visibly drain the empty states"
         );
     }
 

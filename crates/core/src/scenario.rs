@@ -34,7 +34,7 @@
 //! ```
 
 use crate::builder::WorkloadBuilder;
-use crate::discretise::whole_levels;
+use crate::discretise::{state_estimate, whole_levels, MAX_STATES};
 use crate::model::KibamRm;
 use crate::workload::Workload;
 use crate::KibamRmError;
@@ -130,17 +130,18 @@ impl Scenario {
 
     /// The discretisation step to use: the pinned one, or a default that
     /// splits the capacity into ~`2⁷`–`2¹³` quanta such that both wells
-    /// divide evenly.
+    /// divide evenly and the lattice stays under the state cap.
     ///
     /// # Errors
     ///
     /// [`KibamRmError::InvalidDiscretisation`] when no default divides
-    /// both wells (an irrational `c`); pin `Δ` explicitly then.
+    /// both wells (an irrational `c`) under the state cap; pin `Δ`
+    /// explicitly then.
     pub fn effective_delta(&self) -> Result<Charge, KibamRmError> {
         if let Some(d) = self.delta {
             return Ok(d);
         }
-        default_delta(self.capacity, self.c)
+        default_delta(self.capacity, self.c, self.workload.n_states())
     }
 
     /// Simulation replication count.
@@ -647,30 +648,35 @@ fn validate_times(times: &[Time]) -> Result<(), KibamRmError> {
     Ok(())
 }
 
-/// Finds a default `Δ = C/n` whose quanta divide both wells evenly (the
-/// lattice builder's own test, so it never picks a Δ the build refuses),
-/// preferring finer grids (n from 1024 up, then coarser fallbacks).
-fn default_delta(capacity: Charge, c: f64) -> Result<Charge, KibamRmError> {
+/// Finds a default `Δ = C/n` whose quanta divide both wells evenly and
+/// whose lattice of `n_workload` workload states stays under the state
+/// cap (the lattice builder's own tests, so it never picks a Δ the build
+/// refuses), preferring finer grids (n from 1024 up, then coarser
+/// fallbacks).
+fn default_delta(capacity: Charge, c: f64, n_workload: usize) -> Result<Charge, KibamRmError> {
     let cap = capacity.value();
-    let divides = |n: usize| {
+    let (u1, u2) = (c * cap, (1.0 - c) * cap);
+    let admits = |n: usize| {
         let d = cap / n as f64;
-        whole_levels(c * cap, d).is_some() && whole_levels((1.0 - c) * cap, d).is_some()
+        whole_levels(u1, d).is_some()
+            && whole_levels(u2, d).is_some()
+            && state_estimate(n_workload, u1, u2, d) <= MAX_STATES as f64
     };
     // Scan a window of quanta counts: fine enough for a good
     // approximation, coarse enough to stay cheap.
     for n in 1024..=8192 {
-        if divides(n) {
+        if admits(n) {
             return Ok(Charge::from_coulombs(cap / n as f64));
         }
     }
     for n in (128..1024).rev() {
-        if divides(n) {
+        if admits(n) {
             return Ok(Charge::from_coulombs(cap / n as f64));
         }
     }
     Err(KibamRmError::InvalidDiscretisation(format!(
-        "no default Δ divides both wells for c = {c}; pin Δ explicitly \
-         on the scenario"
+        "no default Δ divides both wells for c = {c} under the state cap; \
+         pin Δ explicitly on the scenario"
     )))
 }
 
@@ -821,6 +827,20 @@ mod tests {
             .unwrap();
         let refused = tiny_bound_well.effective_delta();
         assert!(refused.is_err(), "{refused:?}");
+        // c = 511/1023: the first n from 1024 up that passes the
+        // whole-quanta test is 2044, whose lattice of the 5-state burst
+        // workload (5·1022·1024 states) is above the state cap, so the
+        // search falls back to n = 1023.
+        let awkward_c = Scenario::builder()
+            .workload(Workload::burst_model().unwrap())
+            .capacity(Charge::from_milliamp_hours(800.0))
+            .kibam(511.0 / 1023.0, Rate::per_second(4.5e-5))
+            .time_grid(Time::from_hours(30.0), 30)
+            .build()
+            .unwrap();
+        let d = awkward_c.effective_delta().unwrap().value();
+        let n = awkward_c.capacity().value() / d;
+        assert!((n - 1023.0).abs() < 1e-9, "C/Δ = {n}");
     }
 
     #[test]

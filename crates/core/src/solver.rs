@@ -41,8 +41,6 @@ use crate::sweep::SweepPlan;
 use crate::KibamRmError;
 use markov::transient::{CurveCache, TransientOptions};
 pub use markov::Budget;
-use sim::engine::StopOnPanic;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Instant;
 use units::Time;
 
@@ -702,7 +700,6 @@ impl SolverRegistry {
     pub fn sweep(&self, scenarios: &[Scenario]) -> Vec<Result<LifetimeDistribution, KibamRmError>> {
         let plan = SweepPlan::build(self, scenarios);
         let order = plan.run_order();
-        let workers = self.sweep_threads.min(order.len().max(1));
         let run_group =
             |group: &crate::sweep::PlanGroup| -> Vec<(usize, Result<LifetimeDistribution, KibamRmError>)> {
                 let solver = self.solver_at(group.solver_index());
@@ -719,45 +716,20 @@ impl SolverRegistry {
                     .collect()
             };
 
-        // One queue, longest group first: every worker takes the next
-        // group through a shared cursor as soon as it is free, and the
-        // calling thread is one of the workers. A group's answers depend
-        // only on its members, never on the thread that runs it, so
-        // scheduling cannot move a bit. A worker whose backend panics
-        // raises the stop flag as it unwinds, and no worker claims a
-        // group once the flag is up: the panic reaches the caller
-        // without the rest of the grid being solved first. The cursor
-        // only hands out indices and the flag only stops the claiming
-        // (results come back through `join`), so `Relaxed` suffices.
-        let next = AtomicUsize::new(0);
-        let stop = AtomicBool::new(false);
-        let drain = || {
-            let _stop_on_panic = StopOnPanic(&stop);
-            let mut out = Vec::new();
-            while !stop.load(Ordering::Relaxed) {
-                let Some(group) = order.get(next.fetch_add(1, Ordering::Relaxed)) else {
-                    break;
-                };
-                out.extend(run_group(group));
-            }
-            out
-        };
-        let solved = std::thread::scope(|scope| {
-            let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(drain)).collect();
-            let mut solved = drain();
-            for helper in helpers {
-                // A backend's panic reaches the caller with its payload.
-                solved.extend(
-                    helper
-                        .join()
-                        .unwrap_or_else(|payload| std::panic::resume_unwind(payload)),
-                );
-            }
-            solved
+        // One queue, longest group first: every worker, the calling
+        // thread among them, takes the next group as soon as it is free.
+        // A group's answers depend only on its members, never on the
+        // thread that runs it, so scheduling cannot move a bit. No worker
+        // claims a group once a backend has panicked, so the panic
+        // reaches the caller without the rest of the grid being solved
+        // first.
+        let solved = sim::engine::claim_all(self.sweep_threads, order.len(), Vec::new, |out, k| {
+            out.extend(run_group(order[k]));
+            true
         });
         let mut results: Vec<Option<Result<LifetimeDistribution, KibamRmError>>> =
             (0..scenarios.len()).map(|_| None).collect();
-        for (i, r) in solved {
+        for (i, r) in solved.into_iter().flatten() {
             results[i] = Some(r);
         }
         // Duplicates copy their canonical slot's result; unsupported
@@ -853,6 +825,7 @@ mod tests {
     use super::*;
     use crate::workload::Workload;
     use markov::transient::Representation;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use units::{Charge, Current, Frequency};
 
     /// Small linear scenario: Sericola stays cheap (νt ≈ 500).

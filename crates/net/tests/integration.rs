@@ -484,7 +484,22 @@ fn deterministic_solve_failures_answer_500_every_time() {
         assert!(r.body_string().contains("solve_failed"), "query {i}");
         assert!(r.header("retry-after").is_none(), "query {i}");
     }
-    assert_eq!(control.net_stats().internal_errors, 6);
+    // A Δ so fine that the lattice would outgrow the state cap (10⁻⁶ C
+    // overflows the state count, 10⁻³⁰⁰ C a level count) is refused the
+    // same way, before anything is allocated.
+    for delta in [1e-6, 1e-300] {
+        let config = Scenario::paper_cell_phone()
+            .unwrap()
+            .with_delta(Charge::from_coulombs(delta))
+            .to_config_string()
+            .unwrap();
+        let r = client::post_query(addr, config.as_bytes(), T).unwrap();
+        let body = r.body_string();
+        assert_eq!(r.status, 500, "Δ = {delta}: {body}");
+        assert!(body.contains("solve_failed"), "Δ = {delta}: {body}");
+        assert!(body.contains("4194304 states"), "Δ = {delta}: {body}");
+    }
+    assert_eq!(control.net_stats().internal_errors, 8);
 
     control.shutdown();
     run.join().unwrap();

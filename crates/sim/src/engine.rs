@@ -93,10 +93,8 @@ struct Drained<E> {
 }
 
 /// Raises the stop flag when its worker unwinds, so a panicking
-/// worker stops the other workers claiming, as an error does here. Any
-/// claim loop over one atomic cursor can hold one per worker and check
-/// the flag before each claim; the planned scenario sweep does.
-pub struct StopOnPanic<'a>(pub &'a AtomicBool);
+/// worker stops the other workers claiming, as a refused item does.
+struct StopOnPanic<'a>(&'a AtomicBool);
 
 impl Drop for StopOnPanic<'_> {
     fn drop(&mut self) {
@@ -104,6 +102,62 @@ impl Drop for StopOnPanic<'_> {
             self.0.store(true, Ordering::Relaxed);
         }
     }
+}
+
+/// Runs `work` over the items `0..items` on `min(workers, items)`
+/// workers, but always on the calling thread (so `workers ≤ 1` spawns no
+/// helper): each worker claims the next index from one atomic cursor
+/// as soon as it is free and folds its claims into its own `init()`
+/// state. Returns the workers' states, the caller's first.
+///
+/// Every worker checks one stop flag before each claim. `work`
+/// returning `false` raises it, and so does a worker that panics, as it
+/// unwinds; no item is claimed after that. This is the scheduler of
+/// both [`run_study`] and the planned scenario sweep.
+///
+/// # Panics
+///
+/// Re-raises a worker's panic on the caller's thread, with its payload,
+/// once the workers have joined.
+pub fn claim_all<S: Send>(
+    workers: usize,
+    items: usize,
+    init: impl Fn() -> S + Sync,
+    work: impl Fn(&mut S, usize) -> bool + Sync,
+) -> Vec<S> {
+    // The cursor only hands out indices and the flag only stops the
+    // claiming (results come back through `join`), so `Relaxed`
+    // suffices for both.
+    let next = AtomicUsize::new(0);
+    let stop = AtomicBool::new(false);
+    let drain = || {
+        let _stop_on_panic = StopOnPanic(&stop);
+        let mut state = init();
+        while !stop.load(Ordering::Relaxed) {
+            let index = next.fetch_add(1, Ordering::Relaxed);
+            if index >= items {
+                break;
+            }
+            if !work(&mut state, index) {
+                stop.store(true, Ordering::Relaxed);
+            }
+        }
+        state
+    };
+    std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers.min(items))
+            .map(|_| scope.spawn(drain))
+            .collect();
+        let mut states = vec![drain()];
+        for helper in helpers {
+            states.push(
+                helper
+                    .join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload)),
+            );
+        }
+        states
+    })
 }
 
 /// Runs a study of `runs` replications on up to `threads` workers:
@@ -114,9 +168,9 @@ impl Drop for StopOnPanic<'_> {
 /// error. The result is **bit-identical for any thread count** — see
 /// the module docs for why. Zero runs give the empty study.
 ///
-/// `min(threads, batches)` workers claim batch indices from one atomic
-/// cursor; the calling thread is one of them, so `threads ≤ 1` runs the
-/// same loop with no helper spawned. The count is taken as given
+/// `min(threads, batches)` workers claim batch indices through
+/// [`claim_all`]; the calling thread is one of them, so `threads ≤ 1`
+/// runs the same loop with no helper spawned. The count is taken as given
 /// (callers clamp it to the machine), so the thread-count tests
 /// exercise real workers anywhere.
 ///
@@ -174,23 +228,15 @@ pub fn run_study<E: Send>(
         let start = index as u64 * BATCH;
         start..(start + BATCH).min(runs)
     };
-    // The cursor only hands out indices and the flag only stops the
-    // claiming (results come back through `join`), so `Relaxed`
-    // suffices for both.
-    let next = AtomicUsize::new(0);
-    let stop = AtomicBool::new(false);
-    let drain = || {
-        let _stop_on_panic = StopOnPanic(&stop);
-        let mut done = Drained {
+    let mut drained = claim_all(
+        threads,
+        batches,
+        || Drained {
             counts: study.clone(), // empty, sharing the grid
             moments: Vec::new(),
             failure: None,
-        };
-        while !stop.load(Ordering::Relaxed) {
-            let index = next.fetch_add(1, Ordering::Relaxed);
-            if index >= batches {
-                break;
-            }
+        },
+        |done, index| {
             let counts = &mut done.counts;
             let ran = budget
                 .check(counts.total_runs() as usize)
@@ -203,31 +249,18 @@ pub fn run_study<E: Send>(
                     })
                 });
             match ran {
-                Ok(()) => done
-                    .moments
-                    .push((index, std::mem::take(&mut done.counts.moments))),
+                Ok(()) => {
+                    done.moments
+                        .push((index, std::mem::take(&mut done.counts.moments)));
+                    true
+                }
                 Err(e) => {
-                    stop.store(true, Ordering::Relaxed);
                     done.failure = Some((index, e));
+                    false
                 }
             }
-        }
-        done
-    };
-    let mut drained = std::thread::scope(|scope| {
-        let helpers: Vec<_> = (1..threads.min(batches))
-            .map(|_| scope.spawn(drain))
-            .collect();
-        let mut drained = vec![drain()];
-        for helper in helpers {
-            drained.push(
-                helper
-                    .join()
-                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload)),
-            );
-        }
-        drained
-    });
+        },
+    );
 
     let mut parts: Vec<(usize, StreamingMoments)> = drained
         .iter_mut()
