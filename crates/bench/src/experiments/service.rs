@@ -22,17 +22,23 @@
 //!   sup-distance must be **exactly 0** (the cross-request cache is an
 //!   optimisation, never an approximation). The same check runs in
 //!   `bench-harness regress` against the committed baseline.
+//! * **degraded distance** — the largest sup-distance between a
+//!   deadline-leg degraded answer and an independent 4000-run study of
+//!   the same scenario, which must stay within the answer's bound plus
+//!   the study's DKW half-width.
 //!
-//! Both paths run the single-threaded CSR engine configuration the sweep
-//! bench gates on, so grouped (warm-state) and independent solves are
-//! unconditionally comparable.
+//! Every service and every fresh solve it is compared with runs the
+//! shipped engine, [`SolverRegistry::with_default_backends`], so the
+//! gate checks what a deployed `kibamrm-serve` answers.
 
 use super::config::Config;
-use super::{sweep as sweep_experiment, write_json};
+use super::write_json;
 use kibamrm::scenario::Scenario;
 use kibamrm::service::{Answer, LifetimeService, QueryOptions, ServiceConfig, ServiceStats};
+use kibamrm::solver::{LifetimeSolver, SimulationSolver, SolverRegistry};
+use kibamrm::workload::Workload;
 use std::time::Duration;
-use units::Charge;
+use units::{Charge, Current, Frequency, Rate, Time};
 
 /// Hit-rate floor the regression gate enforces on the quick trace (the
 /// trace is deterministic: 24 requests over 2 configurations leave at
@@ -48,11 +54,31 @@ pub(crate) const GATE_HIT_RATE_FLOOR: f64 = 0.85;
 pub(crate) const GATE_DEADLINE_HIT_RATE: f64 = 0.5;
 pub(crate) const GATE_DEGRADED_FRACTION: f64 = 0.5;
 
+/// Replications of the independent Monte Carlo reference each degraded
+/// answer is checked against.
+const REFERENCE_RUNS: usize = 4000;
+
+/// The Fig. 8 two-well base scenario the fleet's configurations vary.
+fn base_scenario() -> Result<Scenario, String> {
+    Scenario::builder()
+        .name("fig8")
+        .workload(
+            Workload::on_off_erlang(Frequency::from_hertz(1.0), 1, Current::from_amps(0.96))
+                .map_err(|e| e.to_string())?,
+        )
+        .capacity(Charge::from_amp_seconds(7200.0))
+        .kibam(0.625, Rate::per_second(4.5e-5))
+        .time_grid(Time::from_seconds(8000.0), 16)
+        .delta(Charge::from_amp_seconds(300.0))
+        .build()
+        .map_err(|e| e.to_string())
+}
+
 /// The fleet's distinct physical configurations: power-of-two rate
 /// rescales × Δ variants of the Fig. 8 base (2 in quick mode, 8 in
-/// full mode).
-pub(crate) fn fleet_configurations(quick: bool) -> Result<Vec<Scenario>, String> {
-    let base = sweep_experiment::base_scenario()?;
+/// full mode), each with its rate scale γ.
+fn fleet_configurations(quick: bool) -> Result<Vec<(f64, Scenario)>, String> {
+    let base = base_scenario()?;
     let (scales, deltas): (&[f64], &[f64]) = if quick {
         (&[1.0, 0.5], &[300.0])
     } else {
@@ -61,11 +87,12 @@ pub(crate) fn fleet_configurations(quick: bool) -> Result<Vec<Scenario>, String>
     let mut configurations = Vec::new();
     for &delta in deltas {
         for &gamma in scales {
-            configurations.push(
+            configurations.push((
+                gamma,
                 base.with_delta(Charge::from_amp_seconds(delta))
                     .with_rate_scale(gamma)
                     .map_err(|e| e.to_string())?,
-            );
+            ));
         }
     }
     Ok(configurations)
@@ -83,6 +110,12 @@ pub(crate) struct TraceOutcome {
     /// Requests in the deterministic deadline leg (half against resident
     /// configurations, half against fresh Δ-variants).
     pub deadline_requests: usize,
+    /// The largest sup-distance between a degraded answer and its
+    /// independent reference study.
+    pub max_degraded_distance: f64,
+    /// What that distance may reach: the degraded answer's own bound
+    /// plus the reference study's 95 % DKW half-width.
+    pub degraded_allowance: f64,
 }
 
 impl TraceOutcome {
@@ -113,9 +146,10 @@ pub(crate) fn run_fleet_trace(
     requests: usize,
     workers: usize,
 ) -> Result<TraceOutcome, String> {
-    let configurations = fleet_configurations(quick)?;
+    let (scales, configurations): (Vec<f64>, Vec<Scenario>) =
+        fleet_configurations(quick)?.into_iter().unzip();
     let service = LifetimeService::with_config(
-        sweep_experiment::csr_registry(),
+        SolverRegistry::with_default_backends(),
         // The bench measures caching, not shedding: admit everything.
         ServiceConfig::default().with_max_in_flight(requests.max(1)),
     );
@@ -158,7 +192,7 @@ pub(crate) fn run_fleet_trace(
 
     // Bit-identity: every distinct configuration, served (from cache or
     // freshly) vs an independent registry solve.
-    let reference = sweep_experiment::csr_registry();
+    let reference = SolverRegistry::with_default_backends();
     let mut sup_vs_fresh = 0.0f64;
     for scenario in &configurations {
         let served = service.query(scenario).map_err(|e| e.to_string())?;
@@ -176,16 +210,22 @@ pub(crate) fn run_fleet_trace(
     //   deadline;
     // * one against a fresh Δ-variant — the exact solve fails fast on
     //   the exhausted budget and the service serves a fast Monte Carlo
-    //   estimate (256 runs of the variant's own seed under a 250 ms
-    //   grace) with its DKW bound.
+    //   estimate (256 runs of the variant's own seed, run to completion)
+    //   with its DKW bound. The bound is then held to an independent
+    //   4000-run study of the same variant at another seed: the two
+    //   curves may differ by the bound plus the study's own DKW
+    //   half-width.
     //
-    // Realised rates: deadline-hit 1/2, degraded-served 1/2, exactly,
-    // as long as the 256 runs finish inside the grace.
+    // Realised rates: deadline-hit 1/2, degraded-served 1/2, exactly.
     let opts = QueryOptions::new()
         .with_deadline(Duration::ZERO)
         .allow_degraded();
+    let reference_band = sim::dkw_half_width(REFERENCE_RUNS as u64, 0.05);
     let mut deadline_requests = 0usize;
-    for scenario in &configurations {
+    let mut max_degraded_distance = 0.0f64;
+    let mut degraded_allowance = f64::INFINITY;
+    let mut checked: Vec<Scenario> = Vec::new();
+    for (gamma, scenario) in scales.iter().zip(&configurations) {
         let resident = service
             .query_with(scenario, &opts)
             .map_err(|e| e.to_string())?;
@@ -193,18 +233,50 @@ pub(crate) fn run_fleet_trace(
         if resident.is_degraded() {
             return Err("a resident configuration must serve exact within any deadline".into());
         }
-        let variant = scenario.with_delta(Charge::from_amp_seconds(75.0));
+        // The variant is asked where its lifetime curve rises: between
+        // 11 125 s and 13 000 s at γ = 1, and 1/γ times later at rate
+        // scale γ (the whole process runs at γ× speed).
+        let variant = scenario
+            .with_delta(Charge::from_amp_seconds(75.0))
+            .with_times(
+                (1..=16)
+                    .map(|i| Time::from_seconds((11_000.0 + 125.0 * f64::from(i)) / gamma))
+                    .collect(),
+            )
+            .map_err(|e| e.to_string())?;
         let answer = service
             .query_with(&variant, &opts)
             .map_err(|e| e.to_string())?;
         deadline_requests += 1;
         match answer {
-            Answer::Degraded { bound, .. } => {
+            Answer::Degraded { dist, bound } => {
                 if !(bound.is_finite() && bound > 0.0 && bound < 1.0) {
                     return Err(format!(
                         "degraded answer carries a non-probability error bound {bound}"
                     ));
                 }
+                // The Δ variants of one γ coincide, and so do their
+                // (Δ-independent) simulated answers: check each once.
+                if checked.contains(&variant) {
+                    continue;
+                }
+                let study =
+                    variant.with_simulation(REFERENCE_RUNS, variant.sim_seed().wrapping_add(1));
+                let reference = SimulationSolver::new()
+                    .solve(&study)
+                    .map_err(|e| e.to_string())?;
+                let distance = dist.max_difference(&reference).map_err(|e| e.to_string())?;
+                let allowance = bound + reference_band;
+                if !(distance <= allowance) {
+                    return Err(format!(
+                        "degraded answer lies {distance:.4} from a {REFERENCE_RUNS}-run \
+                         reference, beyond its bound {bound:.4} plus the reference's \
+                         {reference_band:.4}"
+                    ));
+                }
+                max_degraded_distance = max_degraded_distance.max(distance);
+                degraded_allowance = degraded_allowance.min(allowance);
+                checked.push(variant);
             }
             Answer::Exact(_) => {
                 return Err("an expired-deadline solve of a fresh variant cannot be exact".into())
@@ -219,6 +291,8 @@ pub(crate) fn run_fleet_trace(
         stats: service.stats(),
         sup_vs_fresh,
         deadline_requests,
+        max_degraded_distance,
+        degraded_allowance,
     })
 }
 
@@ -245,9 +319,12 @@ pub(crate) struct SnapshotOutcome {
 /// into a second fresh service (a simulated restart), and re-query
 /// everything against independent fresh solves.
 pub(crate) fn run_snapshot_leg(quick: bool) -> Result<SnapshotOutcome, String> {
-    let configurations = fleet_configurations(quick)?;
+    let configurations: Vec<Scenario> = fleet_configurations(quick)?
+        .into_iter()
+        .map(|(_, scenario)| scenario)
+        .collect();
     let config = ServiceConfig::default().with_max_in_flight(configurations.len().max(1));
-    let first_life = LifetimeService::with_config(sweep_experiment::csr_registry(), config);
+    let first_life = LifetimeService::with_config(SolverRegistry::with_default_backends(), config);
     for scenario in &configurations {
         first_life.query(scenario).map_err(|e| e.to_string())?;
     }
@@ -258,14 +335,14 @@ pub(crate) fn run_snapshot_leg(quick: bool) -> Result<SnapshotOutcome, String> {
     let written = first_life.save_snapshot(&path).map_err(|e| e.to_string())?;
 
     // The "restarted process": same backends, empty caches, then revive.
-    let second_life = LifetimeService::with_config(sweep_experiment::csr_registry(), config);
+    let second_life = LifetimeService::with_config(SolverRegistry::with_default_backends(), config);
     let load = second_life.load_snapshot(&path);
     if let Some(e) = &load.error {
         let _ = std::fs::remove_file(&path);
         return Err(format!("snapshot rejected on reload: {e}"));
     }
 
-    let reference = sweep_experiment::csr_registry();
+    let reference = SolverRegistry::with_default_backends();
     let mut sup_vs_fresh = 0.0f64;
     for scenario in &configurations {
         let served = second_life.query(scenario).map_err(|e| e.to_string())?;
@@ -334,12 +411,15 @@ pub fn run(cfg: &Config) -> Result<(), String> {
     );
     println!(
         "deadline leg: {} requests — deadline-hit rate {:.3} ({} expired), \
-         degraded-serve fraction {:.3} ({} served, all bounds checked)",
+         degraded-serve fraction {:.3} ({} served), largest distance to the \
+         reference {:.4} (allowed {:.4})",
         outcome.deadline_requests,
         outcome.deadline_hit_rate(),
         stats.deadline_expired,
         outcome.degraded_fraction(),
         stats.degraded_served,
+        outcome.max_degraded_distance,
+        outcome.degraded_allowance,
     );
 
     let snap = run_snapshot_leg(quick)?;
@@ -370,7 +450,7 @@ pub fn run(cfg: &Config) -> Result<(), String> {
 
     let body = format!(
         "{{\n  \"bench\": \"service\",\n  \"generated_by\": \"bench-harness service\",\n  \
-         \"engine\": \"csr, single-thread per solve (transient threads 1)\",\n  \
+         \"engine\": \"default backends (SolverRegistry::with_default_backends), as kibamrm-serve ships them\",\n  \
          \"note\": \"deterministic fixed-seed fleet trace of per-device relabelled \
          queries over power-of-two rate rescales and deltas of the Fig. 8 two-well \
          scenario; served answers are asserted bit-identical to independent fresh solves \
@@ -388,7 +468,8 @@ pub fn run(cfg: &Config) -> Result<(), String> {
          \"max_abs_difference_vs_fresh\": {:e}\n  }},\n  \
          \"deadline_leg\": {{\n    \"requests\": {},\n    \"deadline_expired\": {},\n    \
          \"deadline_hit_rate\": {:.4},\n    \"degraded_served\": {},\n    \
-         \"degraded_fraction\": {:.4}\n  }},\n  \
+         \"degraded_fraction\": {:.4},\n    \
+         \"max_degraded_distance_vs_reference\": {:.6}\n  }},\n  \
          \"snapshot\": {{\n    \"distinct_configurations\": {},\n    \
          \"entries_written\": {},\n    \"snapshot_bytes\": {},\n    \
          \"loaded\": {},\n    \"rejected\": {},\n    \
@@ -412,6 +493,7 @@ pub fn run(cfg: &Config) -> Result<(), String> {
         outcome.deadline_hit_rate(),
         stats.degraded_served,
         outcome.degraded_fraction(),
+        outcome.max_degraded_distance,
         snap.distinct,
         snap.entries_written,
         snap.snapshot_bytes,

@@ -15,7 +15,6 @@
 //!   complexity  state/non-zero/iteration counts of §5.3 & §6.1
 //!   calibrate   re-derive λ_burst = 182/h from P[send] = ¼
 //!   baseline    machine-readable BENCH_uniformisation.json
-//!   sweep       planned vs naive batched sweeps → BENCH_sweep.json
 //!   mc          streaming Monte Carlo engine certification → BENCH_mc.json
 //!   service     resident query service under a fleet trace → BENCH_service.json
 //!   regress     CI gate: diff quick engines against committed BENCH_*.json
@@ -86,12 +85,11 @@ fn main() {
         "complexity" => experiments::complexity::run(&config),
         "calibrate" => experiments::calibrate::run(&config),
         "baseline" => experiments::baseline::run(&config),
-        "sweep" => experiments::sweep::run(&config),
         "mc" => experiments::mc::run(&config),
         "service" => experiments::service::run(&config),
         "regress" => experiments::regress::run(&config),
         "all" => {
-            let runs: [(&str, fn(&Config) -> Result<(), String>); 13] = [
+            let runs: [(&str, fn(&Config) -> Result<(), String>); 12] = [
                 ("fig2", experiments::fig2::run),
                 ("table1", experiments::table1::run),
                 ("fig7", experiments::fig7::run),
@@ -102,7 +100,6 @@ fn main() {
                 ("complexity", experiments::complexity::run),
                 ("calibrate", experiments::calibrate::run),
                 ("baseline", experiments::baseline::run),
-                ("sweep", experiments::sweep::run),
                 ("mc", experiments::mc::run),
                 ("service", experiments::service::run),
             ];
@@ -128,7 +125,7 @@ fn usage(problem: &str) -> ! {
     eprintln!("error: {problem}");
     eprintln!(
         "usage: bench-harness <fig2|table1|fig7|fig8|fig9|fig10|fig11|complexity|calibrate|\
-         baseline|sweep|mc|service|regress|all> [--fast] [--quick] [--out DIR] \
+         baseline|mc|service|regress|all> [--fast] [--quick] [--out DIR] \
          [--threads N] [--against DIR] [--epsilon X]"
     );
     std::process::exit(2);

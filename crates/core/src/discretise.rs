@@ -666,13 +666,18 @@ impl DiscretisedModel {
 /// into whole quanta, at least one; a zero well (c = 1) is the single
 /// level j = 0. `None` when `Δ` does not divide the well. The lattice
 /// builder and the default-Δ search share this one test.
+///
+/// Only float rounding is forgiven: `u = c·C` and `Δ = C/n` each carry
+/// a few ulps (≈ 10⁻¹⁶ relative), far inside the relative 10⁻¹², while
+/// any real remainder a lattice would silently drop (even a thousandth
+/// of a quantum at a thousand quanta, 10⁻⁶ relative) is refused.
 pub(crate) fn whole_levels(u: f64, delta: f64) -> Option<usize> {
     if u == 0.0 {
         return Some(1);
     }
     let levels = u / delta;
     let rounded = levels.round();
-    ((levels - rounded).abs() <= 1e-6 * levels.max(1.0) && rounded >= 1.0)
+    ((levels - rounded).abs() <= 1e-12 * levels.max(1.0) && rounded >= 1.0)
         .then_some(rounded as usize + 1)
 }
 
@@ -846,6 +851,15 @@ mod tests {
         assert!(matches!(err, Err(KibamRmError::InvalidDiscretisation(_))));
         let err = DiscretisedModel::build(&m, &DiscretisationOptions::with_delta(Charge::ZERO));
         assert!(matches!(err, Err(KibamRmError::InvalidDiscretisation(_))));
+        // Exact quotients pass; a thousandth of a quantum left over does
+        // not (c = 511/1023 at C/Δ = 2044 leaves u₁/Δ = 1021.00098).
+        assert_eq!(whole_levels(4500.0, 300.0), Some(16));
+        assert_eq!(whole_levels(2700.0, 300.0), Some(10));
+        assert_eq!(whole_levels(0.0, 300.0), Some(1));
+        let delta = 7200.0 / 2044.0;
+        assert_eq!(whole_levels(1021.0 * delta, delta), Some(1022));
+        assert_eq!(whole_levels(1021.00098 * delta, delta), None);
+        assert_eq!(whole_levels(511.0 / 1023.0 * 7200.0, delta), None);
     }
 
     #[test]

@@ -809,11 +809,7 @@ mod tests {
         let u1 = 0.625 * unpinned.capacity().value();
         let u2 = 0.375 * unpinned.capacity().value();
         for u in [u1, u2] {
-            let levels = u / d;
-            assert!(
-                (levels - levels.round()).abs() < 1e-6,
-                "Δ = {d} vs well {u}"
-            );
+            assert!(whole_levels(u, d).is_some(), "Δ = {d} vs well {u}");
         }
         // A bound well under one quantum for every candidate Δ: the
         // lattice builder refuses such a Δ, so the default search must
@@ -827,9 +823,10 @@ mod tests {
             .unwrap();
         let refused = tiny_bound_well.effective_delta();
         assert!(refused.is_err(), "{refused:?}");
-        // c = 511/1023: the first n from 1024 up that passes the
-        // whole-quanta test is 2044, whose lattice of the 5-state burst
-        // workload (5·1022·1024 states) is above the state cap, so the
+        // c = 511/1023: n = 2044 leaves u₁/Δ = 1021.00098, a thousandth
+        // of a quantum the whole-quanta test refuses; the first n from
+        // 1024 up that passes is 2046, whose lattice of the 5-state burst
+        // workload (5·1023·1025 states) is above the state cap, so the
         // search falls back to n = 1023.
         let awkward_c = Scenario::builder()
             .workload(Workload::burst_model().unwrap())
@@ -841,6 +838,9 @@ mod tests {
         let d = awkward_c.effective_delta().unwrap().value();
         let n = awkward_c.capacity().value() / d;
         assert!((n - 1023.0).abs() < 1e-9, "C/Δ = {n}");
+        let u1 = awkward_c.c() * awkward_c.capacity().value();
+        assert!(whole_levels(u1, d).is_some());
+        assert!(whole_levels(u1, awkward_c.capacity().value() / 2044.0).is_none());
     }
 
     #[test]

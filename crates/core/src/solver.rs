@@ -751,18 +751,6 @@ impl SolverRegistry {
             .collect()
     }
 
-    /// The pre-planner per-scenario sweep: auto-select and solve every
-    /// scenario independently and in order, with no deduplication, no
-    /// structure sharing and no scenario-level parallelism (each solve
-    /// is [`SolverRegistry::solve`]). Kept as the reference baseline the
-    /// planner is benchmarked (and property-tested) against.
-    pub fn sweep_naive(
-        &self,
-        scenarios: &[Scenario],
-    ) -> Vec<Result<LifetimeDistribution, KibamRmError>> {
-        scenarios.iter().map(|s| self.solve(s)).collect()
-    }
-
     /// Runs **every** applicable backend on the scenario and reports the
     /// pairwise sup-distances — the paper's §6 triple cross-check as an
     /// API, so users can validate their own models before trusting a
@@ -1082,10 +1070,10 @@ mod tests {
             registry.register(Box::new(solver));
             registry
         };
-        let sequential = mc(1).sweep_naive(&family);
-        for (slot, (got, want)) in mc(3).sweep(&family).iter().zip(&sequential).enumerate() {
-            let (got, want) = (got.as_ref().unwrap(), want.as_ref().unwrap());
-            assert_eq!(bits(got), bits(want), "slot {slot}");
+        let sequential = mc(1);
+        for (slot, (got, s)) in mc(3).sweep(&family).iter().zip(&family).enumerate() {
+            let want = sequential.solve(s).unwrap();
+            assert_eq!(bits(got.as_ref().unwrap()), bits(&want), "slot {slot}");
         }
     }
 
@@ -1533,9 +1521,9 @@ mod tests {
             assert_eq!(*stateful.lock().unwrap(), ["E:2:x", "E:2:y"]);
             // The state never moves a bit: every slot matches stateless
             // independent solves.
-            let naive = registry.sweep_naive(&batch);
-            for (got, want) in results.iter().zip(&naive) {
-                assert_eq!(bits(got.as_ref().unwrap()), bits(want.as_ref().unwrap()));
+            for (got, s) in results.iter().zip(&batch) {
+                let want = registry.solve(s).unwrap();
+                assert_eq!(bits(got.as_ref().unwrap()), bits(&want));
             }
             started
         };

@@ -14,6 +14,15 @@
 use crate::MarkovError;
 use numerics::special::poisson_ln_pmf;
 
+/// The largest Poisson rate `λ = νt` a window is computed for. It bounds
+/// everything a rate asks for downstream: the window (`O(√λ)`), the
+/// scalar vector and the product count (both `≈ λ`, so about 80 MB and
+/// 10⁷ products here). The paper's experiments stay below 5·10⁴ and the
+/// workload designer's ×24 rate scale below 3·10⁵; a query time far past
+/// any battery's lifetime is refused instead of aborting the process on
+/// a failed allocation.
+const MAX_LAMBDA: f64 = 1e7;
+
 /// A reusable Fox–Glynn workspace for evaluating many Poisson windows
 /// with **zero allocations after the first** — the curve engine's answer
 /// to "don't recompute the weights from scratch per time point".
@@ -97,7 +106,7 @@ impl FoxGlynnCache {
     /// # Errors
     ///
     /// [`MarkovError::InvalidArgument`] when `lambda` is negative/NaN or
-    /// `epsilon ∉ (0, 1)`.
+    /// above 10⁷, or `epsilon ∉ (0, 1)`; nothing is allocated then.
     ///
     /// # Examples
     ///
@@ -111,6 +120,12 @@ impl FoxGlynnCache {
         if !lambda.is_finite() || lambda < 0.0 {
             return Err(MarkovError::InvalidArgument(format!(
                 "Poisson rate must be finite and non-negative, got {lambda}"
+            )));
+        }
+        if lambda > MAX_LAMBDA {
+            return Err(MarkovError::InvalidArgument(format!(
+                "Poisson rate λ = νt = {lambda:e} exceeds the cap {MAX_LAMBDA:e}; \
+                 shorten the time horizon"
             )));
         }
         if !(epsilon > 0.0 && epsilon < 1.0) {
@@ -150,13 +165,6 @@ impl FoxGlynnCache {
             }
             n += 1;
             w = next;
-            // Hard stop far beyond any realistic window (10⁹ keeps us
-            // safe from pathological ε while bounding memory).
-            if right_weights.len() > 1_000_000_000 {
-                return Err(MarkovError::NoConvergence(
-                    "right truncation point not found".into(),
-                ));
-            }
         }
         let right = n;
 
@@ -286,6 +294,26 @@ mod tests {
         assert!(cache.compute(f64::NAN, 1e-10).is_err());
         assert!(cache.compute(1.0, 0.0).is_err());
         assert!(cache.compute(1.0, 1.0).is_err());
+    }
+
+    #[test]
+    fn rates_above_the_cap_are_refused_before_allocating() {
+        let mut cache = FoxGlynnCache::new();
+        for lambda in [MAX_LAMBDA * 1.5, 2e9, 1e12, f64::MAX] {
+            match cache.compute(lambda, 1e-10) {
+                Err(MarkovError::InvalidArgument(msg)) => {
+                    assert!(msg.contains(&format!("{lambda:e}")), "{msg}");
+                    assert!(msg.contains("1e7"), "{msg}");
+                }
+                other => panic!("λ = {lambda}: {other:?}"),
+            }
+            assert!(cache.weights().is_empty(), "λ = {lambda}: nothing computed");
+        }
+        // The cap itself and normal rates keep their windows.
+        let w = window(MAX_LAMBDA, 1e-10);
+        assert_eq!((w.left(), w.right()), (9_979_546, 10_020_468));
+        let w = window(46_000.0, 1e-10);
+        assert_eq!((w.left(), w.right()), (44_619, 47_395));
     }
 
     #[test]

@@ -770,11 +770,6 @@ impl CsrAssembler {
         self.counts[row + 1] += 1;
     }
 
-    /// Total entries counted so far.
-    pub fn counted(&self) -> usize {
-        self.counts.iter().sum()
-    }
-
     /// Seals the counts: prefix-sums them into row offsets and allocates
     /// the value storage for the filling pass.
     pub fn into_filler(mut self) -> CsrFiller {
@@ -977,7 +972,6 @@ mod tests {
         for &(r, _, _) in &trip {
             a.count(r);
         }
-        assert_eq!(a.counted(), 6);
         let mut f = a.into_filler();
         for &(r, c, v) in &trip {
             f.entry(r, c, v).unwrap();

@@ -17,7 +17,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use units::{Charge, Current, Frequency, Time};
+use units::{Charge, Current, Frequency, Rate, Time};
 
 /// An exact backend: instant, deterministic, answer derived from the
 /// scenario so distinct scenarios are distinguishable.
@@ -500,6 +500,44 @@ fn deterministic_solve_failures_answer_500_every_time() {
         assert!(body.contains("4194304 states"), "Δ = {delta}: {body}");
     }
     assert_eq!(control.net_stats().internal_errors, 8);
+
+    control.shutdown();
+    run.join().unwrap();
+}
+
+#[test]
+fn a_query_time_past_the_poisson_cap_is_a_500_and_the_server_keeps_serving() {
+    // The Fig. 8 two-well scenario asked about 10⁹ s: its Poisson rate
+    // νt ≈ 2·10⁹ would size a 16 GB scalar vector, whose failed
+    // allocation aborts the process. It is refused before anything is
+    // allocated, and the same server answers the next requests.
+    let service = Arc::new(LifetimeService::new(SolverRegistry::with_default_backends()));
+    let (control, addr, run) = start(service, NetConfig::default());
+    let fig8 = |t: f64| {
+        Scenario::builder()
+            .name("fig8")
+            .workload(
+                Workload::on_off_erlang(Frequency::from_hertz(1.0), 1, Current::from_amps(0.96))
+                    .unwrap(),
+            )
+            .capacity(Charge::from_amp_seconds(7200.0))
+            .kibam(0.625, Rate::per_second(4.5e-5))
+            .times(vec![Time::from_seconds(t)])
+            .delta(Charge::from_amp_seconds(300.0))
+            .build()
+            .unwrap()
+            .to_config_string()
+            .unwrap()
+    };
+    let r = client::post_query(addr, fig8(1e9).as_bytes(), T).unwrap();
+    let body = r.body_string();
+    assert_eq!(r.status, 500, "{body}");
+    assert!(body.contains("solve_failed"), "{body}");
+    assert!(body.contains("exceeds the cap 1e7"), "{body}");
+
+    assert_eq!(client::get(addr, "/healthz", T).unwrap().status, 200);
+    let r = client::post_query(addr, fig8(1e4).as_bytes(), T).unwrap();
+    assert_eq!(r.status, 200, "{}", r.body_string());
 
     control.shutdown();
     run.join().unwrap();
